@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -277,14 +276,6 @@ def cmd_verify_all(deck, args) -> int:
     log = out / "run.log"
     _log(log, "verify-all started")
     groups = verify.acceptance_checks(max_steps=args.max_steps, deadline=deadline)
-
-    def run_group(item):
-        return item
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            groups = list(pool.map(run_group, groups))
-
     doc = {"criteria": [], "passed": True}
     exhausted = False
     for crit, results in groups:
@@ -319,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", default="williams-m2",
                     help="bundled deck name or path to a JSON deck file")
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--budget", type=float, default=None,
                     help="wall-clock budget in seconds for searches")
     ap.add_argument("--max-steps", type=int, default=2_000_000,

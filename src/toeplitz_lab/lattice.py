@@ -211,15 +211,18 @@ class SubgroupChain:
 
 
 def check_index_condition(chain: SubgroupChain, i: int) -> bool:
-    """Certified test of [Gamma_i : Gamma_{i+1}] > 1 / (1 - 2^(-(1/2)^(i+1))).
+    """Exact test of [Gamma_i : Gamma_{i+1}] > 1 / (1 - 2^(-(1/2)^(i+1))).
 
-    The irrational right-hand side is bounded above in 64-bit floating point
-    plus one ulp; the integer index is compared against the ceiling of that
-    bound, so a True answer is never a false positive.
+    With k the index and M = 2^(i+1), the bound reads k (1 - 2^(-1/M)) > 1,
+    that is ((k-1)/k)^M > 1/2, that is 2 (k-1)^M > k^M.  Both powers come
+    from i+1 exact integer squarings; nothing is rounded.  An index below 1
+    (only possible on an invalid chain) never satisfies the bound.
     """
-    rhs = 1.0 / (1.0 - 2.0 ** (-(0.5 ** (i + 1))))
-    rhs_up = math.nextafter(rhs, math.inf)
-    return chain.index_between(i) >= math.ceil(rhs_up)
+    k = chain.index_between(i)
+    lo, hi = k - 1, k
+    for _ in range(i + 1):
+        lo, hi = lo * lo, hi * hi
+    return k >= 1 and 2 * lo > hi
 
 
 def _closest_congruent(target: float, base: int, mod: int) -> int:

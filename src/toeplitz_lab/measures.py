@@ -112,42 +112,63 @@ def density_product_check(cons: Construction, n: int) -> DensityCheck:
 # -- cell classes -------------------------------------------------------------
 
 
+def _gamma_axes(cons: Construction, n: int, N: int) -> list[np.ndarray]:
+    """Per axis, the coordinates of the gammas in Gamma_n inside the D_N box."""
+    dom = cons.domains
+    return [np.arange(b // a, dtype=np.int64) * a - (qN - qn) for a, b, qN, qn in
+            zip(cons.chain.level(n), cons.chain.level(N), dom.q1[N - 1], dom.q1[n - 1])]
+
+
+def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
+    """Class level of every gamma in Gamma_n inside the D_N box, lex order.
+
+    Cut into p^n blocks, the D_N box holds one block per gamma, in
+    lexicographic order of gamma: since q1^N = q1^n mod p^n, block b holds
+    gamma + D_n for gamma = b p^n - (q1^N - q1^n), in the canonical order of
+    the D_n box.  The class of gamma is its block read at the columns of the
+    level-n fresh mask.
+    """
+    if N <= n:
+        raise SpecError("need a deeper window than the class level")
+    p, P = cons.chain.level(n), cons.chain.level(N)
+    nblocks = tuple(b // a for a, b in zip(p, P))
+    rank = len(p)
+    split = [x for pair in zip(nblocks, p) for x in pair]
+    order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
+    blocks = cons.level_array(N).reshape(split).transpose(order)
+    cells = blocks[..., cons.fresh_bool(n).reshape(p)].reshape(math.prod(nblocks), -1)
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
+    for bad, what in ((lo <= 1, "touched the marker stratum"),
+                      (lo != hi, "is not constant on the fresh set")):
+        if bad.any():
+            b = np.unravel_index(int(np.argmax(bad)), nblocks)
+            gamma = tuple(int(ax[i]) for ax, i in zip(_gamma_axes(cons, n, N), b))
+            raise ConstructionError(f"cell of gamma={gamma} {what}")
+    return lo
+
+
 def cell_symbols(cons: Construction, n: int, N: int) -> list[tuple[tuple[int, ...], int]]:
     """(gamma, class symbol) for every gamma in Gamma_n inside the D_N box.
 
     The class symbol is the constant of the array on gamma * fresh(n) * R;
     non-constancy aborts, it would break the partition the measures rely on.
     """
-    if N <= n:
-        raise SpecError("need a deeper window than the class level")
-    dom = cons.domains
-    coords = dom.box_coords(N)
-    member = np.all(coords % np.array(cons.chain.level(n), dtype=np.int64) == 0, axis=1)
-    gammas = coords[member]
-    j_cells = np.array(sorted(cons.fresh_cells(n)), dtype=np.int64)
-    pos = gammas[:, None, :] + j_cells[None, :, :]
-    lvl = cons.level_array(N)[dom.flat_arr(pos.reshape(-1, cons.group.rank), N)]
-    lvl = lvl.reshape(len(gammas), len(j_cells))
-    if lvl.size and int(lvl.min()) <= 1:
-        raise ConstructionError("fresh-cell translate touched the marker stratum")
-    first = lvl[:, 0]
-    if not np.all(lvl == first[:, None]):
-        bad = int(np.nonzero(~np.all(lvl == first[:, None], axis=1))[0][0])
-        raise ConstructionError(
-            f"cell of gamma={tuple(gammas[bad])} is not constant on the fresh set")
-    out = [(tuple(g), cons.alpha(int(l))) for g, l in zip(gammas.tolist(), first.tolist())]
-    out.sort()
-    return out
+    levels = _class_levels(cons, n, N)
+    grids = np.meshgrid(*_gamma_axes(cons, n, N), indexing="ij")
+    gammas = np.stack([g.ravel() for g in grids], axis=-1)
+    return [(g, cons.alpha(l)) for g, l in
+            zip(map(tuple, gammas.tolist()), levels.tolist())]
 
 
 def mu_cell_vector(cons: Construction, n: int, N: int) -> tuple[Fraction, ...]:
     """(mu_N of the level-n class with symbol i)_{i=1..m}, exact."""
-    cells = cell_symbols(cons, n, N)
+    levels = _class_levels(cons, n, N)
     F = cons.group.finite_order
     total = cons.domains.size(N) * F
     counts = [0] * (cons.m + 1)
-    for _, sym in cells:
-        counts[sym] += 1
+    for lvl, c in enumerate(np.bincount(levels).tolist()):
+        if c:
+            counts[cons.alpha(lvl)] += c
     return tuple(Fraction(counts[i], total) for i in range(1, cons.m + 1))
 
 

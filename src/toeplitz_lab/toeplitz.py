@@ -100,37 +100,20 @@ class Construction:
         """Fresh cells by the subtraction definition (box minus filled strata)."""
         if n == 0:
             return frozenset({(0,) * self.group.rank})
-        coords = self.domains.box_coords(n)
-        mask = self.fresh_bool(n)
-        return frozenset(map(tuple, coords[mask].tolist()))
-
-    def fresh_cells_recursion(self, n: int) -> frozenset[Vec]:
-        """Fresh cells rebuilt from translated copies of the previous level."""
-        if n == 0:
-            return frozenset({(0,) * self.group.rank})
-        if n == 1:
-            box = set(self.domains.enumerate_box(1))
-            box.discard((0,) * self.group.rank)
-            return frozenset(box)
-        prev = self.fresh_cells(n - 1)
-        out: set[Vec] = set()
-        for gamma in self.domains.enumerate_box(n):
-            if not self.chain.member_vec(gamma, n - 1):
-                continue
-            if all(x == 0 for x in gamma):
-                continue
-            out.update(vec_add(gamma, cell) for cell in prev)
-        return frozenset(out)
+        grid = self.fresh_bool(n).reshape(self.chain.level(n))
+        cells = np.argwhere(grid) - np.array(self.domains.q1[n - 1], dtype=np.int64)
+        return frozenset(map(tuple, cells.tolist()))
 
     def fresh_cells_checked(self, n: int) -> frozenset[Vec]:
-        """Subtraction and recursion routes, which must agree cell for cell."""
-        sub = self.fresh_cells(n)
-        rec = self.fresh_cells_recursion(n)
-        if sub != rec:
+        """Fresh cells after the tiled and the rep-route masks agreed cell for
+        cell at level n."""
+        tiled = self.fresh_bool(n)
+        reps = self.level_array_by_reps(n) == n + 1
+        if not np.array_equal(tiled, reps):
             raise ConstructionError(
                 f"fresh-cell routes disagree at level {n}: "
-                f"{len(sub)} vs {len(rec)} cells")
-        return sub
+                f"{int(tiled.sum())} vs {int(reps.sum())} cells")
+        return self.fresh_cells(n)
 
     # -- level stratification -------------------------------------------------
 
@@ -141,23 +124,55 @@ class Construction:
         Level l <= N marks the Gamma_l-translates of the level-(l-1) fresh
         cells; the remaining cells are the level-N fresh cells and will be
         filled at step N+1.
+
+        Built by tiling: q1^N = q1^(N-1) mod p^(N-1), so every p^(N-1) block
+        of the D_N box repeats the D_(N-1) array, and a level-(N-1) fresh cell
+        is filled at step N exactly when it sits in the central block (the
+        D_(N-1) box itself).  Everywhere else it stays fresh (level N+1).
+        """
+        if not 1 <= N <= self.depth:
+            raise DepthExhausted(f"level array needs a configured level, got {N}")
+        p = self.chain.level(N)
+        if N == 1:
+            lvl = np.full(p, 2, dtype=np.int16)
+            lvl[self.domains.q1[0]] = 1
+            return lvl.ravel()
+        pp = self.chain.level(N - 1)
+        prev = self.level_array(N - 1).reshape(pp)
+        grid = np.tile(np.where(prev == N, N + 1, prev).astype(np.int16),
+                       tuple(a // b for a, b in zip(p, pp)))
+        centre = tuple(slice(a - c, a - c + b) for a, c, b in
+                       zip(self.domains.q1[N - 1], self.domains.q1[N - 2], pp))
+        grid[centre] = prev
+        return grid.ravel()
+
+    def level_array_by_reps(self, N: int) -> np.ndarray:
+        """The same array by the independent definition route (check-only).
+
+        Every box D_1 .. D_N is classified from its own coordinates: a cell
+        is in stratum l when its rep modulo Gamma_l is a level-(l-1) fresh
+        cell, the fresh masks coming from this route's own lower boxes.  It
+        shares nothing with the tiling in ``level_array`` and is deliberately
+        uncached; checks and tests compare the two.
         """
         if not 1 <= N <= self.depth:
             raise DepthExhausted(f"level array needs a configured level, got {N}")
         dom = self.domains
-        coords = dom.box_coords(N)
-        lvl = np.zeros(len(coords), dtype=np.int16)
-        r1 = dom.rep_arr(coords, 1)
-        lvl[np.all(r1 == 0, axis=1)] = 1
-        for l in range(2, N + 1):
-            rl = dom.rep_arr(coords, l)
-            inside = dom.in_box_arr(rl, l - 1)
-            hit = np.zeros(len(coords), dtype=bool)
-            if inside.any():
-                flat = dom.flat_arr(rl[inside], l - 1)
-                hit[inside] = self.fresh_bool(l - 1)[flat]
-            lvl[(lvl == 0) & hit] = l
-        lvl[lvl == 0] = N + 1
+        fresh: dict[int, np.ndarray] = {}
+        for K in range(1, N + 1):
+            coords = dom.box_coords(K)
+            lvl = np.zeros(len(coords), dtype=np.int16)
+            r1 = dom.rep_arr(coords, 1)
+            lvl[np.all(r1 == 0, axis=1)] = 1
+            for l in range(2, K + 1):
+                rl = dom.rep_arr(coords, l)
+                inside = dom.in_box_arr(rl, l - 1)
+                hit = np.zeros(len(coords), dtype=bool)
+                if inside.any():
+                    hit[inside] = fresh[l - 1][dom.flat_arr(rl[inside], l - 1)]
+                lvl[(lvl == 0) & hit] = l
+            lvl[lvl == 0] = K + 1
+            fresh[K] = lvl == K + 1
         return lvl
 
     def stratum(self, v: Vec) -> int:

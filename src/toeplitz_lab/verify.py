@@ -11,7 +11,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def _cons(name: str) -> Construction:
     return deckmod.construction(deckmod.bundled_deck(name))
 
 
-# -- criterion 1: the two fresh-cell routes agree ------------------------------
+# -- criterion 1: the tiled and the rep-route fresh cells agree -----------------
 
 
 def check_fresh_dual(deck_name: str, max_level: int = 4) -> CheckResult:
@@ -48,10 +49,10 @@ def check_fresh_dual(deck_name: str, max_level: int = 4) -> CheckResult:
     sizes = {}
     passed = True
     for n in range(1, max_level + 1):
-        sub = cons.fresh_cells(n)
-        rec = cons.fresh_cells_recursion(n)
-        sizes[n] = len(sub)
-        if sub != rec or len(sub) != measures.fresh_count(cons, n):
+        tiled = cons.fresh_bool(n)
+        reps = cons.level_array_by_reps(n) == n + 1
+        sizes[n] = int(tiled.sum())
+        if not np.array_equal(tiled, reps) or sizes[n] != measures.fresh_count(cons, n):
             passed = False
     return CheckResult(f"fresh-dual[{deck_name}]", passed, "counted",
                        {"sizes": sizes})
@@ -210,27 +211,28 @@ def scan_group_fibers(deck_name: str, radius: int = 8,
     return fib, pieces
 
 
+FIBER_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2")
+TOWER_DECKS = ("williams-m2", "z2-m2", "dihedral-m2")
+
+
+def check_fiber_scan(deck_name: str) -> CheckResult:
+    if deckmod.bundled_deck(deck_name).williams is None:
+        return scan_group_fibers(deck_name)[0]
+    res = scan_williams_fibers(deck_name)
+    if deck_name == "williams-m2":
+        # the scan must also witness a genuinely split fiber
+        split = res.details["histogram"].get(2, 0)
+        res.passed = res.passed and split > 0
+        res.details["split_fibers"] = split
+    return res
+
+
 def check_fiber_scans() -> list[CheckResult]:
-    out = []
-    wm2 = scan_williams_fibers("williams-m2")
-    # the scan must also witness a genuinely split fiber
-    split = wm2.details["histogram"].get(2, 0) > 0
-    wm2.passed = wm2.passed and split
-    wm2.details["split_fibers"] = wm2.details["histogram"].get(2, 0)
-    out.append(wm2)
-    out.append(scan_williams_fibers("williams-m3"))
-    for name in ("z2-m2", "dihedral-m2"):
-        fib, _ = scan_group_fibers(name)
-        out.append(fib)
-    return out
+    return [check_fiber_scan(name) for name in FIBER_DECKS]
 
 
 def check_tower_pieces() -> list[CheckResult]:
-    out = []
-    for name in ("williams-m2", "z2-m2", "dihedral-m2"):
-        _, pieces = scan_group_fibers(name)
-        out.append(pieces)
-    return out
+    return [scan_group_fibers(name)[1] for name in TOWER_DECKS]
 
 
 # -- criterion 9: independence evidence ----------------------------------------
@@ -243,20 +245,20 @@ def _williams_oracle(deck: deckmod.Deck) -> tuple[ind.ZOracle, int]:
     return ind.ZOracle(eta, margin=p3 + 1), p3
 
 
-def check_independence(max_steps: int = 2_000_000,
-                       deadline: float | None = None) -> list[CheckResult]:
-    out = []
-    certified: dict[str, int] = {}
+INDEPENDENCE_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2")
 
-    for name, target in (("williams-m2", 3), ("williams-m3", 2)):
-        deck = deckmod.bundled_deck(name)
+
+def check_independence_deck(name: str, max_steps: int = 2_000_000,
+                            deadline: float | None = None) -> CheckResult:
+    deck = deckmod.bundled_deck(name)
+    if deck.williams is not None:
+        target = {"williams-m2": 3, "williams-m3": 2}[name]
         oracle, p3 = _williams_oracle(deck)
         cyls = [ind.Cylinder.single_site(1, s) for s in range(deck.m)]
         res = ind.find_independence_set(cyls, target, oracle,
                                         ind.z_candidates(p3), deck.group,
                                         max_steps=max_steps, deadline=deadline)
         found = res.status == "found"
-        certified[name] = deck.m if found else 1
         details = {"k": deck.m, "target_size": target, "status": res.status,
                    "steps": res.steps, "window": p3}
         if found:
@@ -268,28 +270,28 @@ def check_independence(max_steps: int = 2_000_000,
         neg = ind.find_independence_set(bad, 1, oracle, ind.z_candidates(40),
                                         deck.group, max_steps=max_steps)
         details["pigeonhole"] = neg.status
-        out.append(CheckResult(f"independence[{name}]",
-                               found and neg.status == "none", "search", details))
+        return CheckResult(f"independence[{name}]",
+                           found and neg.status == "none", "search", details)
 
-    for name in ("z2-m2", "dihedral-m2"):
-        deck = deckmod.bundled_deck(name)
-        cons = deckmod.construction(deck)
-        oracle = ind.GOracle(cons.window(3))
-        cyls = [ind.Cylinder.single_site(deck.group.rank, s)
-                for s in (1, 2)]
-        res = ind.find_independence_set(cyls, 2, oracle,
-                                        ind.g_candidates(deck.group, 15),
-                                        deck.group, max_steps=max_steps,
-                                        deadline=deadline)
-        found = res.status == "found"
-        certified[name] = 2 if found else 1
-        out.append(CheckResult(f"independence[{name}]", found, "search",
-                               {"k": 2, "target_size": 2, "status": res.status,
-                                "steps": res.steps}))
+    cons = deckmod.construction(deck)
+    oracle = ind.GOracle(cons.window(3))
+    cyls = [ind.Cylinder.single_site(deck.group.rank, s) for s in (1, 2)]
+    res = ind.find_independence_set(cyls, 2, oracle,
+                                    ind.g_candidates(deck.group, 15),
+                                    deck.group, max_steps=max_steps,
+                                    deadline=deadline)
+    return CheckResult(f"independence[{name}]", res.status == "found", "search",
+                       {"k": 2, "target_size": 2, "status": res.status,
+                        "steps": res.steps})
 
+
+def check_entropy_bounds(searches: dict[str, CheckResult]) -> CheckResult:
+    """Entropy bracket per deck from its independence search: a found set
+    certifies k symbols, anything else only 1."""
     rows = {}
     ok = True
-    for name, k in certified.items():
+    for name, res in searches.items():
+        k = res.details["k"] if res.details["status"] == "found" else 1
         deck = deckmod.bundled_deck(name)
         lower, upper = ind.entropy_bounds_bits(k, deck.entropy_fiber_bound())
         rows[name] = {"lower_bits": lower, "upper_bits": upper}
@@ -298,8 +300,14 @@ def check_independence(max_steps: int = 2_000_000,
                 math.isclose(lower, math.log2(deck.m))
         else:
             ok = ok and lower >= 1.0 and math.isclose(upper, 4.0)
-    out.append(CheckResult("entropy-bounds", ok, "search", rows))
-    return out
+    return CheckResult("entropy-bounds", ok, "search", rows)
+
+
+def check_independence(max_steps: int = 2_000_000,
+                       deadline: float | None = None) -> list[CheckResult]:
+    searches = {name: check_independence_deck(name, max_steps, deadline)
+                for name in INDEPENDENCE_DECKS}
+    return [*searches.values(), check_entropy_bounds(searches)]
 
 
 # -- criterion 10: pullback suite ------------------------------------------------
@@ -401,27 +409,55 @@ def check_complexity(deck_name: str = "williams-m2", seed: int = 12345,
 
 GROUP_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2", "swap-m2")
 
+Check = Callable[[], CheckResult]
+
+
+def acceptance_table(max_steps: int = 2_000_000,
+                     deadline: float | None = None) -> list[tuple[str, str, Check]]:
+    """Every acceptance check as (criterion, check name, thunk), in report
+    order.  Each thunk runs one check; the independence searches are shared
+    with the entropy-bounds row through this table's own memo."""
+    searches: dict[str, CheckResult] = {}
+
+    def search(name: str) -> CheckResult:
+        if name not in searches:
+            searches[name] = check_independence_deck(name, max_steps, deadline)
+        return searches[name]
+
+    def per_deck(criterion: str, family: str, fn, names) -> list[tuple[str, str, Check]]:
+        return [(criterion, f"{family}[{n}]", partial(fn, n)) for n in names]
+
+    crit9 = "9 independence evidence"
+    return [
+        *per_deck("1 fresh-cell recursion equivalence", "fresh-dual",
+                  check_fresh_dual, ("z2-m2", "dihedral-m2")),
+        *per_deck("2 strata partition", "strata-partition",
+                  check_strata_partition, GROUP_DECKS),
+        *per_deck("3 density product formula", "density-product",
+                  check_density_product, GROUP_DECKS),
+        *per_deck("4 matrix recursions", "matrix-recursions",
+                  check_matrix_recursions, GROUP_DECKS),
+        ("5 marker mass", "marker-mass[dihedral-m2]", check_marker_mass),
+        ("6 dominant class mass", "class-mass[dihedral-m2]", check_class_mass),
+        *per_deck("7 fiber bounds", "fiber-scan", check_fiber_scan, FIBER_DECKS),
+        *per_deck("8 tower piece bounds", "tower-pieces",
+                  lambda n: scan_group_fibers(n)[1], TOWER_DECKS),
+        *per_deck(crit9, "independence", search, INDEPENDENCE_DECKS),
+        (crit9, "entropy-bounds",
+         lambda: check_entropy_bounds({n: search(n) for n in INDEPENDENCE_DECKS})),
+        ("10 pullback suite", "pullback-suite", check_pullback),
+        *per_deck("11 conjugation identity", "conjugation",
+                  check_conjugation, GROUP_DECKS),
+        ("12 complexity diagnostic", "complexity[williams-m2]", check_complexity),
+    ]
+
 
 def acceptance_checks(max_steps: int = 2_000_000,
                       deadline: float | None = None) -> list[tuple[str, list[CheckResult]]]:
-    """All acceptance criteria, grouped and ordered."""
-    return [
-        ("1 fresh-cell recursion equivalence",
-         [check_fresh_dual("z2-m2"), check_fresh_dual("dihedral-m2")]),
-        ("2 strata partition",
-         [check_strata_partition(n) for n in GROUP_DECKS]),
-        ("3 density product formula",
-         [check_density_product(n) for n in GROUP_DECKS]),
-        ("4 matrix recursions",
-         [check_matrix_recursions(n) for n in GROUP_DECKS]),
-        ("5 marker mass", [check_marker_mass()]),
-        ("6 dominant class mass", [check_class_mass()]),
-        ("7 fiber bounds", check_fiber_scans()),
-        ("8 tower piece bounds", check_tower_pieces()),
-        ("9 independence evidence",
-         check_independence(max_steps=max_steps, deadline=deadline)),
-        ("10 pullback suite", [check_pullback()]),
-        ("11 conjugation identity",
-         [check_conjugation(n) for n in GROUP_DECKS]),
-        ("12 complexity diagnostic", [check_complexity()]),
-    ]
+    """All acceptance criteria, run in table order and grouped by criterion."""
+    groups: list[tuple[str, list[CheckResult]]] = []
+    for criterion, _, check in acceptance_table(max_steps, deadline):
+        if not groups or groups[-1][0] != criterion:
+            groups.append((criterion, []))
+        groups[-1][1].append(check())
+    return groups

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -157,6 +158,22 @@ def test_index_condition():
     assert not check_index_condition(small, 1)  # index 2
     flat = SubgroupChain(((5,), (5,)))  # not a valid chain, but the test is total
     assert not check_index_condition(flat, 1)
+
+
+def test_index_condition_agrees_with_float_bound_near_threshold():
+    # the float route this exact test replaced: an upper bound on the
+    # irrational threshold plus one ulp, then compare with its ceiling
+    def float_route(k, i):
+        rhs = 1.0 / (1.0 - 2.0 ** (-(0.5 ** (i + 1))))
+        return k >= math.ceil(math.nextafter(rhs, math.inf))
+
+    for i in range(1, 14):
+        threshold = math.ceil(1.0 / (1.0 - 2.0 ** (-(0.5 ** (i + 1)))))
+        for k in range(threshold - 3, threshold + 4):
+            chain = SubgroupChain(((1,),) * (i - 1) + ((1,), (k,)))
+            assert chain.index_between(i) == k
+            assert check_index_condition(chain, i) == float_route(k, i) == \
+                (k >= threshold), (i, k)
 
 
 def test_box_count_bound():

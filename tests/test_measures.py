@@ -1,11 +1,12 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from toeplitz_lab import decks, measures
-from toeplitz_lab.lattice import SpecError, folner_ratio
-from toeplitz_lab.toeplitz import BETA
+from toeplitz_lab.lattice import SpecError, folner_ratio, vec_add
+from toeplitz_lab.toeplitz import BETA, Construction, ConstructionError
 
 
 def dihedral():
@@ -123,6 +124,47 @@ def test_cell_symbols_constancy_and_counts():
     from collections import Counter
     hist = Counter(sym for _, sym in cells)
     assert hist == {1: 4, 2: 21}
+
+
+def _recount(cons, n, N):
+    """(gamma, class symbol) by point evaluation of every cell of every class."""
+    out = []
+    for gamma in cons.domains.enumerate_box(N):
+        if not cons.chain.member_vec(gamma, n):
+            continue
+        syms = {cons.value((vec_add(gamma, cell), f))[0]
+                for cell in cons.fresh_cells(n)
+                for f in range(cons.group.finite_order)}
+        assert len(syms) == 1, gamma
+        out.append((gamma, syms.pop()))
+    return out
+
+
+def test_cell_symbols_match_point_recount():
+    swap = decks.construction(decks.bundled_deck("swap-m2"))
+    for cons, pairs in ((dihedral(), ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4))),
+                        (z2(), ((1, 2), (1, 3), (2, 3))),
+                        (swap, ((1, 2), (1, 3)))):
+        for n, N in pairs:
+            assert measures.cell_symbols(cons, n, N) == _recount(cons, n, N), (n, N)
+
+
+@pytest.mark.parametrize("level,message", [(1, "touched the marker stratum"),
+                                           (3, "is not constant on the fresh set")])
+def test_corrupted_level_array_names_the_witness(monkeypatch, level, message):
+    cons = Construction(decks.bundled_deck("z2-m2").params())
+    gamma, _ = measures.cell_symbols(cons, 1, 3)[37]
+    cell = sorted(cons.fresh_cells(1))[5]
+    bad = cons.level_array(3).copy()
+    pos = np.array([vec_add(gamma, cell)])
+    flat = int(cons.domains.flat_arr(pos, 3)[0])
+    bad[flat] = level if bad[flat] != level else level + 1
+    real = cons.level_array
+    monkeypatch.setattr(cons, "level_array", lambda N: bad if N == 3 else real(N))
+    with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma} {message}")):
+        measures.cell_symbols(cons, 1, 3)
+    with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma}")):
+        measures.mu_cell_vector(cons, 1, 3)
 
 
 def test_shift_invariance_gap_bounded():

@@ -1,7 +1,16 @@
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toeplitz_lab import decks
-from toeplitz_lab.lattice import DepthExhausted, SpecError
+from toeplitz_lab.lattice import (
+    DepthExhausted,
+    DomainChain,
+    GroupSpec,
+    SpecError,
+    SubgroupChain,
+    identity_matrix,
+)
 from toeplitz_lab.measures import fresh_count
 from toeplitz_lab.periods import per_set_exact
 from toeplitz_lab.toeplitz import BETA, Construction, ConstructionParams
@@ -26,6 +35,58 @@ def test_fresh_cells_dual_routes_small():
     for n in (1, 2, 3, 4):
         cells = cons.fresh_cells_checked(n)
         assert len(cells) == fresh_count(cons, n)
+
+
+def test_tiled_level_array_matches_rep_route_on_bundled_decks():
+    for name in decks.BUNDLED:
+        cons = decks.construction(decks.bundled_deck(name))
+        top = 7 if name == "dihedral-m2" else min(4, cons.depth)
+        for N in range(1, top + 1):
+            tiled = cons.level_array(N)
+            assert tiled.dtype == np.int16
+            assert np.array_equal(tiled, cons.level_array_by_reps(N)), (name, N)
+
+
+@st.composite
+def shifted_constructions(draw):
+    """Chains of rank 1-3 and depth 2-3 whose deeper offsets are the previous
+    offsets shifted by a drawn multiple of the previous modulus, so the boxes
+    are off centre in ways ``DomainChain.auto`` never produces."""
+    rank = draw(st.integers(1, 3))
+    moduli = [tuple(draw(st.integers(4, 7)) for _ in range(rank))]
+    offsets = [tuple(draw(st.integers(2, p - 2)) for p in moduli[0])]
+    for _ in range(draw(st.integers(1, 2))):
+        ratio = [draw(st.integers(2, 3)) for _ in range(rank)]
+        offsets.append(tuple(q + draw(st.integers(0, c - 1)) * p for p, q, c in
+                             zip(moduli[-1], offsets[-1], ratio)))
+        moduli.append(tuple(p * c for p, c in zip(moduli[-1], ratio)))
+    chain = SubgroupChain(tuple(moduli))
+    group = GroupSpec(rank=rank, table=((0,),), action=(identity_matrix(rank),))
+    params = ConstructionParams(group, chain, DomainChain(chain, tuple(offsets)), 2)
+    try:
+        params.validate()
+    except SpecError:
+        assume(False)
+    return Construction(params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_constructions())
+def test_tiled_level_array_matches_rep_route_on_shifted_chains(cons):
+    for N in range(1, cons.depth + 1):
+        tiled = cons.level_array(N)
+        assert np.array_equal(tiled, cons.level_array_by_reps(N)), N
+        assert int((tiled == N + 1).sum()) == fresh_count(cons, N)
+
+
+def test_level_array_builds_no_coordinates(monkeypatch):
+    def refuse(self, i):
+        raise AssertionError("the tiled stratification needs no coordinates")
+
+    cons = Construction(decks.bundled_deck("z2-m2").params())
+    monkeypatch.setattr(DomainChain, "box_coords", refuse)
+    assert len(cons.level_array(3)) == cons.domains.size(3)
+    assert len(cons.fresh_cells(2)) == fresh_count(cons, 2)
 
 
 def test_normal_variant_requires_trivial_finite_part():
