@@ -7,14 +7,17 @@ marker symbol that occupies the nontrivial finite-part representatives.
 import numpy as np
 
 from toeplitz_lab import bundled_deck, construction
+from toeplitz_lab.verify import fresh_dual
 
 deck = bundled_deck("dihedral-m2")
 cons = construction(deck)
 
 print(f"deck {deck.name}: alphabet {cons.alphabet} (0 is the marker)")
 
+_, agreed = fresh_dual(cons, 3)
+print(f"tiled and rep-route fresh cells agree on levels 1-3: {agreed}")
 for n in range(4):
-    cells = cons.fresh_cells_checked(n) if n else cons.fresh_cells(0)
+    cells = cons.fresh_cells(n)
     shown = sorted(cells)[:6]
     print(f"fresh({n}): {len(cells)} cells, e.g. {shown}")
 

@@ -8,12 +8,12 @@ occurrences.
 
 from toeplitz_lab import bundled_deck, construction
 from toeplitz_lab.periods import (
-    all_coords_at_depth,
     aperiodic_positions,
     code_orbit_point,
     enumerate_fiber,
     tower_pieces,
 )
+from toeplitz_lab.verify import fiber_census
 
 deck = bundled_deck("z2-m2")
 cons = construction(deck)
@@ -37,10 +37,7 @@ print(f"\nfiber census for these coords: {res.count} admissible patches "
       f"from {res.candidate_count} candidates "
       f"({res.approximant_count} orbit approximants)")
 
-hist = {}
-for c in all_coords_at_depth(cons, 2):
-    r = enumerate_fiber(cons, c, 8, win)
-    hist[r.count] = hist.get(r.count, 0) + 1
+hist = fiber_census(deck, 8).fiber_histogram()
 print(f"exhaustive depth-2 census over {sum(hist.values())} coords: {hist}")
 print(f"every count stays within the tower bound "
       f"{deck.group_fiber_bound()} = m^(2^r)")

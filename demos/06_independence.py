@@ -9,22 +9,17 @@ the odometer map upper-bounds it.
 from toeplitz_lab import bundled_deck
 from toeplitz_lab.independence import (
     Cylinder,
-    ZOracle,
     entropy_bounds_bits,
     find_independence_set,
     regional_witness_from_certificate,
     z_candidates,
 )
-from toeplitz_lab.williams import generate
+from toeplitz_lab.verify import entropy_bracket, independence_search
 
 deck = bundled_deck("williams-m2")
 wp = deck.williams
-p3 = wp.periods[2]
-eta = generate(wp, 2 * wp.periods[3] + p3 + 50)
-oracle = ZOracle(eta, margin=p3 + 1)
-
-cyls = [Cylinder.single_site(1, s) for s in range(wp.m)]
-res = find_independence_set(cyls, 3, oracle, z_candidates(p3), deck.group)
+search = independence_search(deck)  # size 3 over the two symbol cylinders
+oracle, res = search.oracle, search.result
 cert = res.certificate
 print(f"size-3 independence set for the symbol cylinders: "
       f"{[g[0][0] for g in cert.independence_set]} "
@@ -42,7 +37,7 @@ neg = find_independence_set(bad, 1, oracle, z_candidates(40), deck.group)
 print(f"\npigeonhole: {wp.m + 1} disjoint single-site cylinders -> "
       f"{neg.status!r} after a window-complete scan")
 
-lower, upper = entropy_bounds_bits(wp.m, deck.entropy_fiber_bound())
+lower, upper = entropy_bracket(deck, search.k, res.status)
 print(f"\nsequence-entropy bracket: {lower} <= h* <= {upper} bits "
       "(equal, so the value is certified at this scale)")
 

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import decks as deckmod
-from . import independence as ind
-from . import measures, periods, pullback as pb, verify, williams
-from .lattice import SpecError
+from . import measures, pullback as pb, verify, williams
+from .lattice import DepthExhausted, SpecError
 from .toeplitz import BETA
+from .verify import frac
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -47,16 +47,11 @@ def _log(path: Path, message: str) -> None:
         fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {message}\n")
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def cmd_gen_z(deck, args) -> int:
     if deck.williams is None:
-        print("deck has no 1-d period sequence", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SpecError("deck has no 1-d period sequence")
     wp = deck.williams
-    N = args.window or 2 * wp.periods[1]
+    N = 2 * wp.periods[1] if args.window is None else args.window
     patch = williams.generate(wp, N)
     out = _out_dir(args, deck.name, "gen-z")
     with open(out / "patch.csv", "w", newline="") as fh:
@@ -72,8 +67,8 @@ def cmd_gen_z(deck, args) -> int:
         "periods": list(wp.periods),
         "window": N,
         "undefined_cells": patch.undefined_count(),
-        "undefined_density": _frac(Fraction(patch.undefined_count(), 2 * N + 1)),
-        "ratio_partial_sums": [_frac(s) for s in sums],
+        "undefined_density": frac(Fraction(patch.undefined_count(), 2 * N + 1)),
+        "ratio_partial_sums": [frac(s) for s in sums],
         "provenance": "counted",
     })
     print(f"wrote {out}/patch.csv")
@@ -93,9 +88,7 @@ def cmd_gen_group(deck, args) -> int:
             w.writerow([f, *v, sym, lvl])
     strata = {int(l): int(c) for l, c in
               zip(*np.unique(win.levels, return_counts=True))}
-    fresh_ok = all(
-        len(cons.fresh_cells_checked(n)) == measures.fresh_count(cons, n)
-        for n in range(1, min(N, cons.depth - 1) + 1))
+    _, fresh_ok = verify.fresh_dual(cons, min(N, cons.depth - 1))
     _write_json(out / "summary.json", {
         "deck": deck.name,
         "level": N,
@@ -112,19 +105,20 @@ def cmd_gen_group(deck, args) -> int:
 def cmd_measures(deck, args) -> int:
     cons = deckmod.construction(deck)
     N = args.level
+    freqs = [measures.mu_freq_counted(cons, n) for n in range(1, N + 1)]
     out = _out_dir(args, deck.name, "measures")
     with open(out / "frequencies.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["level", "symbol", "numerator", "denominator", "provenance"])
-        for n in range(1, N + 1):
-            for sym, val in measures.mu_freq_counted(cons, n).items():
+        for n, freq in enumerate(freqs, start=1):
+            for sym, val in freq.items():
                 w.writerow([n, sym, val.numerator, val.denominator, "counted"])
     verdicts = {}
     ok = True
     for n in range(0, min(3, cons.depth - 1) + 1):
         c = measures.density_product_check(cons, n)
         verdicts[f"density_level_{c.level}"] = {
-            "counted": _frac(c.counted), "closed": _frac(c.closed),
+            "counted": frac(c.counted), "closed": frac(c.closed),
             "equal": c.equal, "provenance": "counted+closed-form"}
         ok = ok and c.equal
     for n in (1, 2):
@@ -140,7 +134,7 @@ def cmd_measures(deck, args) -> int:
         want = measures.marker_mass_closed(cons)
         got = measures.mu_freq_counted(cons, N).get(BETA, Fraction(0))
         verdicts["marker_mass"] = {
-            "counted": _frac(got), "closed": _frac(want), "equal": got == want,
+            "counted": frac(got), "closed": frac(want), "equal": got == want,
             "provenance": "counted+closed-form"}
         ok = ok and got == want
     _write_json(out / "verdicts.json", {"deck": deck.name, "level": N,
@@ -150,100 +144,54 @@ def cmd_measures(deck, args) -> int:
 
 
 def cmd_fibers(deck, args) -> int:
+    census = verify.fiber_census(deck, args.radius)
     out = _out_dir(args, deck.name, "fibers")
-    rows = []
-    if deck.williams is not None:
-        wp = deck.williams
-        radius = williams.max_safe_fiber_radius(wp, 2)
-        eta = williams.generate(wp, wp.periods[-1] + radius + wp.periods[0] + 2)
-        bound = wp.m
-        cons = deckmod.construction(deck)
-        for g2 in range(wp.periods[1]):
-            coords = williams.coords_of_int(wp, g2, 2)
-            patches, info = williams.fiber_patches(wp, eta, coords, radius)
-            towers = periods.tower_pieces(
-                cons, periods.code_orbit_point(cons, ((g2,), 0), 2), 1, radius)
-            rows.append({"coords": list(coords), "fiber_count": len(patches),
-                         "pieces": len(towers),
-                         "aperiodic_cells": info["aperiodic_cells"]})
-        piece_bound = 2
-    else:
-        cons = deckmod.construction(deck)
-        win = cons.window(3)
-        bound = deck.group_fiber_bound()
-        piece_bound = 2 ** deck.group.rank * deck.group.finite_order
-        for coords in periods.all_coords_at_depth(cons, 2):
-            res = periods.enumerate_fiber(cons, coords, args.radius, win)
-            npieces = len(periods.tower_pieces(cons, coords, 1, args.radius))
-            rows.append({
-                "coords": [[list(t[0]), t[1]] for t in coords.reps],
-                "fiber_count": res.count,
-                "pieces": npieces,
-                "aperiodic_pieces": res.aperiodic_piece_count,
-            })
-    worst = max(r["fiber_count"] for r in rows)
-    passed = worst <= bound
+    rows = [{"coords": r.coords, "fiber_count": r.fiber_count, "pieces": r.pieces,
+             f"aperiodic_{census.aperiodic_unit}": r.aperiodic}
+            for r in census.rows]
+    worst = max(r.fiber_count for r in census.rows)
+    passed = worst <= census.fiber_bound
     _write_json(out / "fibers.json", {
         "deck": deck.name, "depth": 2, "rows": rows,
-        "fiber_bound": bound, "piece_bound": piece_bound,
+        "fiber_bound": census.fiber_bound, "piece_bound": census.piece_bound,
         "max_fiber_count": worst, "passed": passed, "provenance": "counted"})
     print(f"wrote {out}/fibers.json")
     return EXIT_OK if passed else EXIT_INVARIANT
 
 
 def cmd_independence(deck, args) -> int:
-    out = _out_dir(args, deck.name, "independence")
     deadline = time.monotonic() + args.budget if args.budget else None
-    rows = []
-    exhausted = False
-    if deck.williams is not None:
-        wp = deck.williams
-        p3 = wp.periods[2]
-        eta = williams.generate(wp, 2 * wp.periods[3] + p3 + 50)
-        oracle = ind.ZOracle(eta, margin=p3 + 1)
-        cyls = [ind.Cylinder.single_site(1, s) for s in range(deck.m)]
-        target = args.size or (3 if deck.m == 2 else 2)
-        cands = ind.z_candidates(p3)
-        radius = p3
-    else:
-        cons = deckmod.construction(deck)
-        oracle = ind.GOracle(cons.window(3))
-        cyls = [ind.Cylinder.single_site(deck.group.rank, s) for s in (1, 2)]
-        target = args.size or 2
-        radius = 15
-        cands = ind.g_candidates(deck.group, radius)
-    res = ind.find_independence_set(cyls, target, oracle, cands, deck.group,
-                                    max_steps=args.max_steps, deadline=deadline)
-    rows.append({"k": len(cyls), "L": target, "radius": radius,
-                 "verdict": res.status, "steps": res.steps})
+    search = verify.independence_search(deck, args.size, args.max_steps, deadline)
+    res = search.result
+    out = _out_dir(args, deck.name, "independence")
     if res.certificate is not None:
         (out / "certificate.json").write_text(res.certificate.to_json() + "\n")
-    exhausted = exhausted or res.status == "exhausted"
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "L", "radius", "verdict", "steps"])
-        for r in rows:
-            w.writerow([r["k"], r["L"], r["radius"], r["verdict"], r["steps"]])
-    lower, upper = ind.entropy_bounds_bits(
-        len(cyls) if res.status == "found" else 1, deck.entropy_fiber_bound())
+        w.writerow([search.k, search.target, search.radius, res.status, res.steps])
+    lower, upper = verify.entropy_bracket(deck, search.k, res.status)
     _write_json(out / "entropy.json", {
         "deck": deck.name, "lower_bits": lower, "upper_bits": upper,
         "provenance": "search"})
     print(f"wrote {out}/summary.csv")
-    if exhausted:
+    if res.status == "exhausted":
         return EXIT_BUDGET
     return EXIT_OK if res.status == "found" else EXIT_INVARIANT
 
 
 def cmd_pullback(deck, args) -> int:
+    try:
+        weights = tuple(int(x) for x in args.weights.split(","))
+    except ValueError:
+        raise SpecError(f"weights must be comma-separated integers, "
+                        f"got {args.weights!r}") from None
+    source = deckmod.load_deck(args.source)
+    if source.williams is None:
+        raise SpecError("source deck has no 1-d construction")
     out = _out_dir(args, deck.name, "pullback")
-    weights = tuple(int(x) for x in args.weights.split(","))
     hom = pb.HomSpec(weights)
     ok, reason = pb.validate_hom(hom, deck.group)
-    source = deckmod.bundled_deck(args.source)
-    if source.williams is None:
-        print("source deck has no 1-d construction", file=sys.stderr)
-        return EXIT_CONFIG
     doc = {"deck": deck.name, "weights": list(weights),
            "valid": ok, "reason": reason, "source": source.name}
     if not ok:
@@ -325,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--weights", default="1,1",
                     help="pullback weight vector, comma separated")
     ap.add_argument("--source", default="williams-m2",
-                    help="source deck for pullback")
+                    help="source deck for pullback: bundled name or JSON path")
     ap.add_argument("--reach", type=int, default=8,
                     help="pullback window radius")
     return ap
@@ -352,7 +300,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](deck, args)
-    except SpecError as exc:
+    except (SpecError, DepthExhausted) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -105,9 +105,6 @@ class ZOracle:
             raise SpecError("margin swallows the whole window")
         self.grid = [((n,), 0) for n in range(self.lo, self.hi + 1)]
 
-    def describe(self) -> str:
-        return f"z-window[{-self.patch.N},{self.patch.N}] margin-core[{self.lo},{self.hi}]"
-
     def value(self, g: Elt) -> int | None:
         return self.patch.symbol(g[0][0])
 
@@ -137,9 +134,6 @@ class GOracle:
                      for v in self.core.tolist()]
         self._syms = {f: win.symbol_array(f) for f in range(spec.finite_order)}
         self._core_per_f = len(self.core)
-
-    def describe(self) -> str:
-        return f"g-window D_{self.win.N} core D_{self.inner}"
 
     def value(self, g: Elt) -> int | None:
         return self.win.get(g)
@@ -173,9 +167,6 @@ class PullbackOracle:
         self._phi = np.array([hom.phi(g) for g in self.grid], dtype=np.int64)
         self.margin = margin
         self.symbols = source.symbols.astype(np.int16)
-
-    def describe(self) -> str:
-        return f"pullback-oracle radius={self.margin} source[{-self.source.N},{self.source.N}]"
 
     def value(self, g: Elt) -> int | None:
         return self.source.symbol(self.hom.phi(g))

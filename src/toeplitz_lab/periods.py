@@ -188,6 +188,8 @@ class WindowData:
 
 def window_data(cons: Construction, coords: OdometerCoords, radius: int) -> WindowData:
     """Evaluate t_K w over the window B(0, radius) R and stratify the reps."""
+    if radius < 0:
+        raise SpecError(f"window radius must be non-negative, got {radius}")
     spec, dom = cons.group, cons.domains
     K = coords.depth
     t = coords.rep(K)

@@ -65,21 +65,6 @@ def section_element(spec: HomSpec, group: GroupSpec, n: int) -> Elt:
     return tuple(n * x for x in u), 0
 
 
-class PullbackPatch:
-    """(phi* x) restricted to the positions the source window can serve."""
-
-    def __init__(self, spec: HomSpec, group: GroupSpec, source: ZPatch):
-        self.spec = spec
-        self.group = group
-        self.source = source
-
-    def get(self, g: Elt) -> int | None:
-        return self.source.symbol(self.spec.phi(g))
-
-    def reach(self) -> int:
-        return self.source.N
-
-
 def pullback_window(spec: HomSpec, group: GroupSpec, source: ZPatch,
                     window: list[Elt]) -> dict[Elt, int]:
     """Materialize phi* x on an explicit window; errors when out of reach."""

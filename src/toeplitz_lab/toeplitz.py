@@ -104,17 +104,6 @@ class Construction:
         cells = np.argwhere(grid) - np.array(self.domains.q1[n - 1], dtype=np.int64)
         return frozenset(map(tuple, cells.tolist()))
 
-    def fresh_cells_checked(self, n: int) -> frozenset[Vec]:
-        """Fresh cells after the tiled and the rep-route masks agreed cell for
-        cell at level n."""
-        tiled = self.fresh_bool(n)
-        reps = self.level_array_by_reps(n) == n + 1
-        if not np.array_equal(tiled, reps):
-            raise ConstructionError(
-                f"fresh-cell routes disagree at level {n}: "
-                f"{int(tiled.sum())} vs {int(reps.sum())} cells")
-        return self.fresh_cells(n)
-
     # -- level stratification -------------------------------------------------
 
     @lru_cache(maxsize=None)
@@ -131,7 +120,8 @@ class Construction:
         D_(N-1) box itself).  Everywhere else it stays fresh (level N+1).
         """
         if not 1 <= N <= self.depth:
-            raise DepthExhausted(f"level array needs a configured level, got {N}")
+            raise DepthExhausted(
+                f"level array needs a configured level 1..{self.depth}, got {N}")
         p = self.chain.level(N)
         if N == 1:
             lvl = np.full(p, 2, dtype=np.int16)
@@ -156,7 +146,8 @@ class Construction:
         uncached; checks and tests compare the two.
         """
         if not 1 <= N <= self.depth:
-            raise DepthExhausted(f"level array needs a configured level, got {N}")
+            raise DepthExhausted(
+                f"level array needs a configured level 1..{self.depth}, got {N}")
         dom = self.domains
         fresh: dict[int, np.ndarray] = {}
         for K in range(1, N + 1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -19,6 +20,7 @@ import numpy as np
 from . import decks as deckmod
 from . import independence as ind
 from . import measures, periods, pullback as pb, williams
+from .lattice import SpecError
 from .toeplitz import Construction
 
 
@@ -33,7 +35,7 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}"
 
 
-def _frac(x: Fraction) -> str:
+def frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -44,16 +46,22 @@ def _cons(name: str) -> Construction:
 # -- criterion 1: the tiled and the rep-route fresh cells agree -----------------
 
 
-def check_fresh_dual(deck_name: str, max_level: int = 4) -> CheckResult:
-    cons = _cons(deck_name)
+def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool]:
+    """Fresh-cell count per level 1 .. max_level, and whether the tiled mask,
+    the independent rep route and the closed-form count agree at every level."""
     sizes = {}
-    passed = True
+    agreed = True
     for n in range(1, max_level + 1):
         tiled = cons.fresh_bool(n)
         reps = cons.level_array_by_reps(n) == n + 1
         sizes[n] = int(tiled.sum())
         if not np.array_equal(tiled, reps) or sizes[n] != measures.fresh_count(cons, n):
-            passed = False
+            agreed = False
+    return sizes, agreed
+
+
+def check_fresh_dual(deck_name: str, max_level: int = 4) -> CheckResult:
+    sizes, passed = fresh_dual(_cons(deck_name), max_level)
     return CheckResult(f"fresh-dual[{deck_name}]", passed, "counted",
                        {"sizes": sizes})
 
@@ -101,14 +109,14 @@ def check_density_product(deck_name: str, n_max: int = 3) -> CheckResult:
     passed = True
     for n in range(0, n_max + 1):
         c = measures.density_product_check(cons, n)
-        rows.append({"level": c.level, "counted": _frac(c.counted),
-                     "closed": _frac(c.closed)})
+        rows.append({"level": c.level, "counted": frac(c.counted),
+                     "closed": frac(c.closed)})
         passed = passed and c.equal
     d3 = measures.periodic_density_closed(cons, 3)
     regular = d3 < 1 - d3
     passed = passed and regular
     return CheckResult(f"density-product[{deck_name}]", passed, "counted",
-                       {"rows": rows, "d3": _frac(d3),
+                       {"rows": rows, "d3": frac(d3),
                         "d3_below_half_mass": regular})
 
 
@@ -139,10 +147,10 @@ def check_marker_mass(deck_name: str = "dihedral-m2",
     passed = True
     for n in levels:
         got = measures.mu_freq_counted(cons, n).get(0, Fraction(0))
-        rows[n] = _frac(got)
+        rows[n] = frac(got)
         passed = passed and got == want
     return CheckResult(f"marker-mass[{deck_name}]", passed, "counted",
-                       {"closed_form": _frac(want), "counted": rows})
+                       {"closed_form": frac(want), "counted": rows})
 
 
 # -- criterion 6: dominant class masses ----------------------------------------
@@ -156,59 +164,88 @@ def check_class_mass(deck_name: str = "dihedral-m2") -> CheckResult:
         for s in (2, 3):
             mass, bound = measures.dominant_class_mass(cons, i, 1, s)
             ok = mass >= bound
-            rows.append({"i": i, "k": 1, "s": s, "mass": _frac(mass),
-                         "bound": _frac(bound), "ok": ok})
+            rows.append({"i": i, "k": 1, "s": s, "mass": frac(mass),
+                         "bound": frac(bound), "ok": ok})
             passed = passed and ok
     return CheckResult(f"class-mass[{deck_name}]", passed, "counted",
                        {"rows": rows})
 
 
-# -- criteria 7 and 8: fiber and tower scans -----------------------------------
+# -- criteria 7 and 8: the fiber and tower census ----------------------------
 
 
-def scan_williams_fibers(deck_name: str) -> CheckResult:
-    deck = deckmod.bundled_deck(deck_name)
-    wp = deck.williams
-    radius = williams.max_safe_fiber_radius(wp, 2)
-    eta = williams.generate(wp, wp.periods[-1] + radius + wp.periods[0] + 2)
-    hist: dict[int, int] = {}
-    passed = True
-    for g2 in range(wp.periods[1]):
-        coords = williams.coords_of_int(wp, g2, 2)
-        patches, _ = williams.fiber_patches(wp, eta, coords, radius)
-        hist[len(patches)] = hist.get(len(patches), 0) + 1
-        if len(patches) > wp.m:
-            passed = False
-    return CheckResult(f"fiber-scan[{deck_name}]", passed, "counted",
-                       {"radius": radius, "histogram": hist, "bound": wp.m})
+@dataclass(frozen=True)
+class FiberRow:
+    """One depth-2 odometer point of a fiber census."""
+
+    coords: tuple        # residues mod p_1, p_2 (1-d decks) or reps t_1, t_2
+    fiber_count: int
+    pieces: int
+    aperiodic: int       # aperiodic cells (1-d decks) or aperiodic pieces
+
+
+@dataclass(frozen=True)
+class FiberCensus:
+    fiber_radius: int
+    fiber_bound: int
+    piece_bound: int
+    aperiodic_unit: str  # "cells" or "pieces", what FiberRow.aperiodic counts
+    rows: tuple[FiberRow, ...]
+
+    def fiber_histogram(self) -> dict[int, int]:
+        return _histogram(r.fiber_count for r in self.rows)
+
+    def piece_histogram(self) -> dict[int, int]:
+        return _histogram(r.pieces for r in self.rows)
+
+
+def _histogram(values) -> dict[int, int]:
+    return dict(sorted(Counter(values).items()))
 
 
 @lru_cache(maxsize=None)
-def scan_group_fibers(deck_name: str, radius: int = 8,
-                      oracle_level: int = 3) -> tuple[CheckResult, CheckResult]:
-    deck = deckmod.bundled_deck(deck_name)
+def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
+    """Fiber count, tower pieces and aperiodic part of every depth-2 odometer
+    point, in canonical order.
+
+    Tower pieces are counted on the radius window.  Fibers of 1-d decks come
+    from the classical sequence at its safe radius, where one not-yet-periodic
+    cluster meets the window (the bound m holds only there); fibers of group
+    decks come from orbit approximants inside the level-3 window at the given
+    radius.  A point whose fiber no approximant reaches is refused: an empty
+    fiber would pass any bound.
+    """
     cons = deckmod.construction(deck)
-    win = cons.window(oracle_level)
-    hist: dict[int, int] = {}
-    piece_hist: dict[int, int] = {}
-    bound = deck.group_fiber_bound()
-    piece_bound = 2 ** deck.group.rank * deck.group.finite_order
-    fib_ok = True
-    piece_ok = True
+    wp = deck.williams
+    if wp is not None:
+        fiber_radius = williams.max_safe_fiber_radius(wp, 2)
+        eta = williams.generate(wp, wp.periods[-1] + fiber_radius + wp.periods[0] + 2)
+        fiber_bound, unit = wp.m, "cells"
+
+        def fiber(coords: periods.OdometerCoords) -> tuple[tuple, int, int]:
+            residues = williams.coords_of_int(wp, coords.rep(2)[0][0], 2)
+            patches, info = williams.fiber_patches(wp, eta, residues, fiber_radius)
+            return residues, len(patches), info["aperiodic_cells"]
+    else:
+        fiber_radius = radius
+        win = cons.window(3)
+        fiber_bound, unit = deck.group_fiber_bound(), "pieces"
+
+        def fiber(coords: periods.OdometerCoords) -> tuple[tuple, int, int]:
+            res = periods.enumerate_fiber(cons, coords, radius, win)
+            return coords.reps, res.count, res.aperiodic_piece_count
+
+    rows = []
     for coords in periods.all_coords_at_depth(cons, 2):
-        res = periods.enumerate_fiber(cons, coords, radius, win)
-        hist[res.count] = hist.get(res.count, 0) + 1
-        if res.count > bound:
-            fib_ok = False
-        npieces = len(periods.tower_pieces(cons, coords, 1, radius))
-        piece_hist[npieces] = piece_hist.get(npieces, 0) + 1
-        if npieces > piece_bound:
-            piece_ok = False
-    fib = CheckResult(f"fiber-scan[{deck_name}]", fib_ok, "counted",
-                      {"radius": radius, "histogram": hist, "bound": bound})
-    pieces = CheckResult(f"tower-pieces[{deck_name}]", piece_ok, "counted",
-                         {"histogram": piece_hist, "bound": piece_bound})
-    return fib, pieces
+        shown, count, aperiodic = fiber(coords)
+        if count == 0:
+            raise SpecError(f"no orbit approximant reaches odometer point "
+                            f"{shown} at fiber radius {fiber_radius}")
+        pieces = len(periods.tower_pieces(cons, coords, 1, radius))
+        rows.append(FiberRow(shown, count, pieces, aperiodic))
+    return FiberCensus(fiber_radius, fiber_bound,
+                       2 ** deck.group.rank * deck.group.finite_order, unit,
+                       tuple(rows))
 
 
 FIBER_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2")
@@ -216,15 +253,24 @@ TOWER_DECKS = ("williams-m2", "z2-m2", "dihedral-m2")
 
 
 def check_fiber_scan(deck_name: str) -> CheckResult:
-    if deckmod.bundled_deck(deck_name).williams is None:
-        return scan_group_fibers(deck_name)[0]
-    res = scan_williams_fibers(deck_name)
+    census = fiber_census(deckmod.bundled_deck(deck_name))
+    hist = census.fiber_histogram()
+    passed = max(hist) <= census.fiber_bound
+    details = {"radius": census.fiber_radius, "histogram": hist,
+               "bound": census.fiber_bound}
     if deck_name == "williams-m2":
         # the scan must also witness a genuinely split fiber
-        split = res.details["histogram"].get(2, 0)
-        res.passed = res.passed and split > 0
-        res.details["split_fibers"] = split
-    return res
+        details["split_fibers"] = hist.get(2, 0)
+        passed = passed and details["split_fibers"] > 0
+    return CheckResult(f"fiber-scan[{deck_name}]", passed, "counted", details)
+
+
+def check_tower_piece(deck_name: str) -> CheckResult:
+    census = fiber_census(deckmod.bundled_deck(deck_name))
+    hist = census.piece_histogram()
+    return CheckResult(f"tower-pieces[{deck_name}]",
+                       max(hist) <= census.piece_bound, "counted",
+                       {"histogram": hist, "bound": census.piece_bound})
 
 
 def check_fiber_scans() -> list[CheckResult]:
@@ -232,17 +278,57 @@ def check_fiber_scans() -> list[CheckResult]:
 
 
 def check_tower_pieces() -> list[CheckResult]:
-    return [scan_group_fibers(name)[1] for name in TOWER_DECKS]
+    return [check_tower_piece(name) for name in TOWER_DECKS]
 
 
 # -- criterion 9: independence evidence ----------------------------------------
 
 
-def _williams_oracle(deck: deckmod.Deck) -> tuple[ind.ZOracle, int]:
+@dataclass(frozen=True)
+class IndependenceSearch:
+    k: int               # number of single-site symbol cylinders
+    target: int
+    radius: int          # candidate radius
+    oracle: object
+    result: ind.SearchResult
+
+
+def independence_search(deck: deckmod.Deck, target: int | None = None,
+                        max_steps: int = 2_000_000,
+                        deadline: float | None = None) -> IndependenceSearch:
+    """Search the single-site symbol cylinders of a deck for an independence
+    set of the target size (default 3 on two-symbol 1-d decks, else 2).
+
+    1-d decks search the classical sequence with margin and candidate radius
+    p_3; group decks search the symbols 1 and 2 in the level-3 window with
+    candidates of radius 15.
+    """
     wp = deck.williams
-    p3, p4 = wp.periods[2], wp.periods[3]
-    eta = williams.generate(wp, 2 * p4 + p3 + 50)
-    return ind.ZOracle(eta, margin=p3 + 1), p3
+    if target is None:
+        target = 3 if wp is not None and deck.m == 2 else 2
+    if target < 1:
+        raise SpecError(f"independence set size must be at least 1, got {target}")
+    if wp is not None:
+        radius = wp.periods[2]
+        eta = williams.generate(wp, 2 * wp.periods[3] + radius + 50)
+        oracle = ind.ZOracle(eta, margin=radius + 1)
+        cyls = [ind.Cylinder.single_site(1, s) for s in range(deck.m)]
+        cands = ind.z_candidates(radius)
+    else:
+        radius = 15
+        oracle = ind.GOracle(deckmod.construction(deck).window(3))
+        cyls = [ind.Cylinder.single_site(deck.group.rank, s) for s in (1, 2)]
+        cands = ind.g_candidates(deck.group, radius)
+    res = ind.find_independence_set(cyls, target, oracle, cands, deck.group,
+                                    max_steps=max_steps, deadline=deadline)
+    return IndependenceSearch(len(cyls), target, radius, oracle, res)
+
+
+def entropy_bracket(deck: deckmod.Deck, k: int, status: str) -> tuple[float, float]:
+    """Sequence-entropy bracket in bits: a found set certifies k symbols,
+    anything else only 1."""
+    return ind.entropy_bounds_bits(k if status == "found" else 1,
+                                   deck.entropy_fiber_bound())
 
 
 INDEPENDENCE_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2")
@@ -251,49 +337,34 @@ INDEPENDENCE_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2")
 def check_independence_deck(name: str, max_steps: int = 2_000_000,
                             deadline: float | None = None) -> CheckResult:
     deck = deckmod.bundled_deck(name)
-    if deck.williams is not None:
-        target = {"williams-m2": 3, "williams-m3": 2}[name]
-        oracle, p3 = _williams_oracle(deck)
-        cyls = [ind.Cylinder.single_site(1, s) for s in range(deck.m)]
-        res = ind.find_independence_set(cyls, target, oracle,
-                                        ind.z_candidates(p3), deck.group,
-                                        max_steps=max_steps, deadline=deadline)
-        found = res.status == "found"
-        details = {"k": deck.m, "target_size": target, "status": res.status,
-                   "steps": res.steps, "window": p3}
-        if found:
-            details["independence_set"] = [list(g[0]) for g in
-                                           res.certificate.independence_set]
-        # pigeonhole: one more pairwise-disjoint single-site constraint than
-        # the alphabet can carry must come back window-complete "none"
-        bad = [ind.Cylinder.single_site(1, s) for s in range(deck.m + 1)]
-        neg = ind.find_independence_set(bad, 1, oracle, ind.z_candidates(40),
-                                        deck.group, max_steps=max_steps)
-        details["pigeonhole"] = neg.status
-        return CheckResult(f"independence[{name}]",
-                           found and neg.status == "none", "search", details)
-
-    cons = deckmod.construction(deck)
-    oracle = ind.GOracle(cons.window(3))
-    cyls = [ind.Cylinder.single_site(deck.group.rank, s) for s in (1, 2)]
-    res = ind.find_independence_set(cyls, 2, oracle,
-                                    ind.g_candidates(deck.group, 15),
-                                    deck.group, max_steps=max_steps,
-                                    deadline=deadline)
-    return CheckResult(f"independence[{name}]", res.status == "found", "search",
-                       {"k": 2, "target_size": 2, "status": res.status,
-                        "steps": res.steps})
+    search = independence_search(deck, max_steps=max_steps, deadline=deadline)
+    res = search.result
+    found = res.status == "found"
+    details = {"k": search.k, "target_size": search.target,
+               "status": res.status, "steps": res.steps}
+    if deck.williams is None:
+        return CheckResult(f"independence[{name}]", found, "search", details)
+    details["window"] = search.radius
+    if found:
+        details["independence_set"] = [list(g[0]) for g in
+                                       res.certificate.independence_set]
+    # pigeonhole: one more pairwise-disjoint single-site constraint than
+    # the alphabet can carry must come back window-complete "none"
+    bad = [ind.Cylinder.single_site(1, s) for s in range(deck.m + 1)]
+    neg = ind.find_independence_set(bad, 1, search.oracle, ind.z_candidates(40),
+                                    deck.group, max_steps=max_steps)
+    details["pigeonhole"] = neg.status
+    return CheckResult(f"independence[{name}]", found and neg.status == "none",
+                       "search", details)
 
 
 def check_entropy_bounds(searches: dict[str, CheckResult]) -> CheckResult:
-    """Entropy bracket per deck from its independence search: a found set
-    certifies k symbols, anything else only 1."""
+    """Entropy bracket per deck from its independence search."""
     rows = {}
     ok = True
     for name, res in searches.items():
-        k = res.details["k"] if res.details["status"] == "found" else 1
         deck = deckmod.bundled_deck(name)
-        lower, upper = ind.entropy_bounds_bits(k, deck.entropy_fiber_bound())
+        lower, upper = entropy_bracket(deck, res.details["k"], res.details["status"])
         rows[name] = {"lower_bits": lower, "upper_bits": upper}
         if name.startswith("williams"):
             ok = ok and math.isclose(lower, upper) and \
@@ -441,7 +512,7 @@ def acceptance_table(max_steps: int = 2_000_000,
         ("6 dominant class mass", "class-mass[dihedral-m2]", check_class_mass),
         *per_deck("7 fiber bounds", "fiber-scan", check_fiber_scan, FIBER_DECKS),
         *per_deck("8 tower piece bounds", "tower-pieces",
-                  lambda n: scan_group_fibers(n)[1], TOWER_DECKS),
+                  check_tower_piece, TOWER_DECKS),
         *per_deck(crit9, "independence", search, INDEPENDENCE_DECKS),
         (crit9, "entropy-bounds",
          lambda: check_entropy_bounds({n: search(n) for n in INDEPENDENCE_DECKS})),

@@ -206,12 +206,3 @@ def max_safe_fiber_radius(params: WilliamsParams, depth: int) -> int:
     min_gap = min(gaps)
     return max(params.periods[0] // 2, (min_gap - 1) // 2)
 
-
-def shift_fixes_window(eta: ZPatch, t: int) -> bool:
-    """Whether the shift by t fixes the window where both sides are defined."""
-    for n in eta.positions():
-        if eta.in_window(n + t):
-            a, b = eta.symbol(n), eta.symbol(n + t)
-            if a is not None and b is not None and a != b:
-                return False
-    return True

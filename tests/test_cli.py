@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from toeplitz_lab import decks
+from toeplitz_lab import decks, verify
 from toeplitz_lab.cli import main
 from toeplitz_lab.lattice import SpecError
+from toeplitz_lab.toeplitz import Construction
 
 
 def run(args):
@@ -25,6 +26,22 @@ def test_show_config_roundtrip(tmp_path, capsys):
 
 def test_unknown_deck_is_config_error():
     assert run(["gen-z", "--config", "no-such-deck"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-z", "--config", "williams-m2", "--window", "0"],
+    ["gen-group", "--config", "dihedral-m2", "--level", "0"],
+    ["gen-group", "--config", "dihedral-m2", "--level", "99"],
+    ["measures", "--config", "z2-m2", "--level", "9"],
+    ["pullback", "--config", "swap-m2", "--weights", "a,b"],
+    ["pullback", "--config", "swap-m2", "--source", "nosuch"],
+    ["fibers", "--config", "dihedral-m2", "--radius", "-1"],
+    ["independence", "--config", "williams-m2", "--size", "0"],
+    ["independence", "--config", "williams-m2", "--size", "-1"],
+], ids=" ".join)
+def test_malformed_input_is_config_error(argv, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_invalid_chain_is_config_error(tmp_path):
@@ -86,6 +103,43 @@ def test_fibers_report(tmp_path):
                      .read_text())
     assert doc["passed"] and doc["max_fiber_count"] <= doc["fiber_bound"]
     assert len(doc["rows"]) == 50
+
+
+def test_fibers_refuses_a_radius_no_approximant_fits(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["fibers", "--config", "dihedral-m2", "--radius", "100",
+                "--out", str(out)]) == 2
+    assert "no orbit approximant" in capsys.readouterr().err
+    assert not (out / "dihedral-m2" / "fibers" / "fibers.json").exists()
+
+
+def test_fibers_tower_pieces_match_acceptance_on_1d_deck(tmp_path):
+    out = tmp_path / "o"
+    assert run(["fibers", "--config", "williams-m2", "--out", str(out)]) == 0
+    doc = json.loads((out / "williams-m2" / "fibers" / "fibers.json")
+                     .read_text())
+    hist = {}
+    for row in doc["rows"]:
+        hist[row["pieces"]] = hist.get(row["pieces"], 0) + 1
+    assert hist == verify.check_tower_piece("williams-m2").details["histogram"]
+    assert hist == {1: 20, 2: 16}
+
+
+def test_gen_group_fresh_route_disagreement_exits_1(tmp_path, monkeypatch):
+    by_reps = Construction.level_array_by_reps
+
+    def corrupted(self, n):
+        lvl = by_reps(self, n).copy()
+        lvl[0] = n + 1 if lvl[0] != n + 1 else n
+        return lvl
+
+    monkeypatch.setattr(Construction, "level_array_by_reps", corrupted)
+    out = tmp_path / "o"
+    assert run(["gen-group", "--config", "dihedral-m2", "--level", "2",
+                "--out", str(out)]) == 1
+    doc = json.loads((out / "dihedral-m2" / "gen-group" / "summary.json")
+                     .read_text())
+    assert doc["fresh_recursion_ok"] is False
 
 
 def test_independence_budget_exhaustion(tmp_path):

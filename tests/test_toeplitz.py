@@ -14,6 +14,7 @@ from toeplitz_lab.lattice import (
 from toeplitz_lab.measures import fresh_count
 from toeplitz_lab.periods import per_set_exact
 from toeplitz_lab.toeplitz import BETA, Construction, ConstructionParams
+from toeplitz_lab.verify import fresh_dual
 
 
 def dihedral():
@@ -32,9 +33,10 @@ def test_fresh_cells_base_cases():
 
 def test_fresh_cells_dual_routes_small():
     cons = dihedral()
+    sizes, agreed = fresh_dual(cons, 4)
+    assert agreed
     for n in (1, 2, 3, 4):
-        cells = cons.fresh_cells_checked(n)
-        assert len(cells) == fresh_count(cons, n)
+        assert len(cons.fresh_cells(n)) == sizes[n] == fresh_count(cons, n)
 
 
 def test_tiled_level_array_matches_rep_route_on_bundled_decks():
