@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -47,6 +48,24 @@ def _log(path: Path, message: str) -> None:
         fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {message}\n")
 
 
+def _check_level(args, lo: int, deck) -> None:
+    depth = deck.chain.depth
+    if not lo <= args.level <= depth:
+        raise SpecError(f"--level must be in {lo}..{depth} for {deck.name}, "
+                        f"got {args.level}")
+
+
+def _search_deadline(args) -> float | None:
+    """Deadline from --budget, after checking --budget and --max-steps."""
+    if args.max_steps <= 0:
+        raise SpecError(f"--max-steps must be a positive step count, got {args.max_steps}")
+    if args.budget is None:
+        return None
+    if not (math.isfinite(args.budget) and args.budget > 0):
+        raise SpecError(f"--budget must be a positive number of seconds, got {args.budget}")
+    return time.monotonic() + args.budget
+
+
 def cmd_gen_z(deck, args) -> int:
     if deck.williams is None:
         raise SpecError("deck has no 1-d period sequence")
@@ -77,6 +96,7 @@ def cmd_gen_z(deck, args) -> int:
 
 def cmd_gen_group(deck, args) -> int:
     cons = deckmod.construction(deck)
+    _check_level(args, 1, deck)
     N = args.level
     win = cons.window(N)
     out = _out_dir(args, deck.name, "gen-group")
@@ -104,6 +124,8 @@ def cmd_gen_group(deck, args) -> int:
 
 def cmd_measures(deck, args) -> int:
     cons = deckmod.construction(deck)
+    # the transition and projection identities need a window deeper than level 1
+    _check_level(args, 2, deck)
     N = args.level
     freqs = [measures.mu_freq_counted(cons, n) for n in range(1, N + 1)]
     out = _out_dir(args, deck.name, "measures")
@@ -160,7 +182,7 @@ def cmd_fibers(deck, args) -> int:
 
 
 def cmd_independence(deck, args) -> int:
-    deadline = time.monotonic() + args.budget if args.budget else None
+    deadline = _search_deadline(args)
     search = verify.independence_search(deck, args.size, args.max_steps, deadline)
     res = search.result
     out = _out_dir(args, deck.name, "independence")
@@ -189,6 +211,13 @@ def cmd_pullback(deck, args) -> int:
     source = deckmod.load_deck(args.source)
     if source.williams is None:
         raise SpecError("source deck has no 1-d construction")
+    # the source window reach * (|w|_1 + 1) must cover the first period
+    wp = source.williams
+    span = sum(abs(w) for w in weights) + 1
+    least = max(1, -(-wp.periods[0] // span))
+    if args.reach < least:
+        raise SpecError(f"--reach must be at least {least} for source {source.name} "
+                        f"with weights {args.weights}, got {args.reach}")
     out = _out_dir(args, deck.name, "pullback")
     hom = pb.HomSpec(weights)
     ok, reason = pb.validate_hom(hom, deck.group)
@@ -198,8 +227,7 @@ def cmd_pullback(deck, args) -> int:
         _write_json(out / "pullback.json", doc)
         print(f"wrote {out}/pullback.json (homomorphism rejected)")
         return EXIT_INVARIANT
-    wp = source.williams
-    eta = williams.generate(wp, args.reach * (sum(abs(w) for w in weights) + 1))
+    eta = williams.generate(wp, args.reach * span)
     window = [(v, f) for f in range(deck.group.finite_order)
               for v in product(*[range(-args.reach, args.reach + 1)]
                                * deck.group.rank)]
@@ -219,27 +247,32 @@ def cmd_pullback(deck, args) -> int:
 
 
 def cmd_verify_all(deck, args) -> int:
+    deadline = _search_deadline(args)
     out = _out_dir(args, deck.name if deck else "all", "verify-all")
-    deadline = time.monotonic() + args.budget if args.budget else None
     log = out / "run.log"
     _log(log, "verify-all started")
-    groups = verify.acceptance_checks(max_steps=args.max_steps, deadline=deadline)
     doc = {"criteria": [], "passed": True}
+    timings = {}
     exhausted = False
-    for crit, results in groups:
-        block = {"criterion": crit, "checks": [], "passed": True}
-        for r in results:
-            print(r.line())
-            block["checks"].append({
-                "name": r.name, "passed": r.passed,
-                "provenance": r.provenance, "details": r.details})
-            block["passed"] = block["passed"] and r.passed
-            if r.provenance == "search" and not r.passed:
-                status = r.details.get("status")
-                exhausted = exhausted or status == "exhausted"
-        doc["criteria"].append(block)
-        doc["passed"] = doc["passed"] and block["passed"]
+    for crit, name, check in verify.acceptance_table(args.max_steps, deadline):
+        start = time.perf_counter()
+        r = check()
+        timings[name] = time.perf_counter() - start
+        _log(log, f"{name} {'passed' if r.passed else 'FAILED'} "
+                  f"in {timings[name]:.3f} s")
+        print(r.line())
+        if not doc["criteria"] or doc["criteria"][-1]["criterion"] != crit:
+            doc["criteria"].append({"criterion": crit, "checks": [], "passed": True})
+        block = doc["criteria"][-1]
+        block["checks"].append({
+            "name": r.name, "passed": r.passed,
+            "provenance": r.provenance, "details": r.details})
+        block["passed"] = block["passed"] and r.passed
+        doc["passed"] = doc["passed"] and r.passed
+        if r.provenance == "search" and not r.passed:
+            exhausted = exhausted or r.details.get("status") == "exhausted"
     _write_json(out / "verdict.json", doc)
+    _write_json(out / "timings.json", timings)
     _log(log, f"verify-all finished passed={doc['passed']}")
     print(f"wrote {out}/verdict.json")
     if exhausted:

@@ -134,21 +134,25 @@ class GOracle:
                      for v in self.core.tolist()]
         self._syms = {f: win.symbol_array(f) for f in range(spec.finite_order)}
         self._core_per_f = len(self.core)
+        # the core is a box: a translate of it lies in the window box exactly
+        # when its two extreme corners do, and as flat_arr is affine, the
+        # flat index of core + s is _core_flat plus the flat index of s
+        self._corners = self.core[[0, -1]]
+        self._core_flat = (dom.flat_arr(self.core, win.N)
+                           - dom.flat_arr(np.zeros(spec.rank, dtype=np.int64), win.N))
 
     def value(self, g: Elt) -> int | None:
         return self.win.get(g)
 
     def site_values(self, a: Elt) -> np.ndarray:
-        spec, dom = self.win.spec, self.cons.domains
-        av = np.asarray(a[0], dtype=np.int64)
+        spec, dom, N = self.win.spec, self.cons.domains, self.win.N
         out = np.empty(len(self.grid), dtype=np.int16)
         for hf in range(spec.finite_order):
-            pos = self.core + np.asarray(spec.apply(hf, tuple(av.tolist())),
-                                         dtype=np.int64)
-            if not bool(dom.in_box_arr(pos, self.win.N).all()):
+            shift = np.asarray(spec.apply(hf, a[0]), dtype=np.int64)
+            if not bool(dom.in_box_arr(self._corners + shift, N).all()):
                 raise CertificateWindowError("shifted core leaves the oracle window")
             fpart = spec.table[hf][a[1]]
-            vals = self._syms[fpart][dom.flat_arr(pos, self.win.N)]
+            vals = self._syms[fpart][self._core_flat + dom.flat_arr(shift, N)]
             out[hf * self._core_per_f:(hf + 1) * self._core_per_f] = vals
         return out
 

@@ -24,6 +24,7 @@ import numpy as np
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 Elt = tuple[Vec, int]
+EltArr = tuple[np.ndarray, np.ndarray]  # lattice parts (n, r), finite parts (n,)
 
 
 class SpecError(ValueError):
@@ -113,6 +114,30 @@ class GroupSpec:
         v, f = a
         fi = self.finite_inverse[f]
         return tuple(-x for x in matvec(self.action[fi], v)), fi
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Action matrices (|F|, r, r), multiplication table and inverses of F."""
+        return (np.array(self.action, dtype=np.int64).reshape(-1, self.rank, self.rank),
+                np.array(self.table, dtype=np.intp),
+                np.array(self.finite_inverse, dtype=np.intp))
+
+    def mul_arr(self, av: np.ndarray, af: np.ndarray, bv: np.ndarray,
+                bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``mul`` element by element over arrays: lattice parts of shape
+        (..., r) and finite-part indices of shape (...).  Either factor may be
+        a single element; the shapes broadcast."""
+        action, table, _ = self._arrays
+        af, bf = np.asarray(af, dtype=np.intp), np.asarray(bf, dtype=np.intp)
+        v = np.asarray(av, dtype=np.int64) + np.einsum(
+            "...ij,...j->...i", action[af], np.asarray(bv, dtype=np.int64))
+        return v, table[af, bf]
+
+    def inv_arr(self, v: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``inv`` element by element over arrays, shapes as in ``mul_arr``."""
+        action, _, inverse = self._arrays
+        fi = inverse[np.asarray(f, dtype=np.intp)]
+        return -np.einsum("...ij,...j->...i", action[fi], np.asarray(v, dtype=np.int64)), fi
 
     def conj(self, g: Elt, x: Elt) -> Elt:
         """g x g^-1."""
@@ -393,6 +418,27 @@ def corner_count_check(domains: DomainChain, n: int, s: int,
             count += 1
     bound = Fraction(box_size(rank, s), 2 ** rank)
     return count >= bound, count, bound
+
+
+def elt_arrays(elts: list[Elt], rank: int) -> EltArr:
+    """Elements as a pair of arrays: lattice parts (n, rank), finite parts (n,)."""
+    v = np.array([e[0] for e in elts], dtype=np.int64).reshape(len(elts), rank)
+    return v, np.array([e[1] for e in elts], dtype=np.intp)
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an integer array in lexicographic order, and the
+    index of each row's distinct row: ``np.unique(rows, axis=0,
+    return_inverse=True)`` without its structured-dtype sort."""
+    if rows.shape[1] == 0:  # every row is the empty row
+        return rows[:1], np.zeros(len(rows), dtype=np.intp)
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return srt[new], inverse
 
 
 def canon_key(g: Elt) -> tuple:

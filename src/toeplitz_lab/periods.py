@@ -10,16 +10,20 @@ x(w) = eta(h w).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .lattice import (
     Elt,
+    EltArr,
     GroupSpec,
     SpecError,
     Vec,
     canon_key,
     coset_rep,
+    unique_rows,
 )
 from .toeplitz import Construction, EtaWindow
 
@@ -77,64 +81,56 @@ def per_set_exact(win: EtaWindow, i: int, alpha: int | None = None) -> set[Elt]:
     return out
 
 
-def per_set_empirical(spec: GroupSpec, patch_get, positions, gammas,
-                      alpha: int | None = None) -> set[Elt]:
-    """Positions whose whole visible Gamma-orbit of translates reads one symbol.
+def per_set_empirical(spec: GroupSpec, get_arr, positions: EltArr, gammas: EltArr,
+                      alpha: int | None = None) -> np.ndarray:
+    """Mask of the positions whose whole visible Gamma-orbit of translates
+    reads one symbol.
 
+    ``get_arr`` reads symbols over arrays, -1 where a cell cannot be read.
     Tests only the translates gamma^-1 g that fall inside the patch, so the
     result is a superset of the true period set restricted to the window.
     """
-    out: set[Elt] = set()
-    inv_gammas = [spec.inv(t) for t in gammas]
-    for g in positions:
-        base = patch_get(g)
-        if base is None or (alpha is not None and base != alpha):
-            continue
-        ok = True
-        for ig in inv_gammas:
-            val = patch_get(spec.mul(ig, g))
-            if val is not None and val != base:
-                ok = False
-                break
-        if ok:
-            out.add(g)
-    return out
+    pv, pf = positions
+    base = get_arr(pv, pf)
+    ok = base >= 0 if alpha is None else base == alpha
+    iv, i_f = spec.inv_arr(*gammas)
+    vals = get_arr(*spec.mul_arr(iv[:, None], i_f[:, None], pv[None], pf[None]))
+    return ok & np.all((vals < 0) | (vals == base), axis=0)
 
 
 def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> list[Elt]:
     """Gamma_i elements whose vector lies in the level box, canonical order."""
-    out = []
-    for v in cons.domains.enumerate_box(level):
-        if cons.chain.member_vec(v, i):
-            out.append((v, 0))
-    return out
+    dom = cons.domains
+    axes = (range(-(a // p) * p, b, p) for p, a, b in
+            zip(cons.chain.level(i), dom.q1[level - 1], dom.q2(level)))
+    return [(v, 0) for v in product(*axes)]
 
 
-def shifted_get(spec: GroupSpec, patch_get, g: Elt):
-    """Accessor of sigma^g x from an accessor of x."""
-    ginv = spec.inv(g)
+def shifted_get(spec: GroupSpec, get_arr, g: Elt):
+    """Array accessor of sigma^g x from an array accessor of x."""
+    gv, gf = spec.inv(g)
 
-    def get(h: Elt):
-        return patch_get(spec.mul(ginv, h))
+    def get(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return get_arr(*spec.mul_arr(gv, gf, v, f))
 
     return get
 
 
-def conjugation_identity_check(spec: GroupSpec, patch_get, g: Elt,
-                               gammas: list[Elt], alpha: int,
-                               core: list[Elt]) -> bool:
+def conjugation_identity_check(spec: GroupSpec, get_arr, g: Elt, gammas: EltArr,
+                               alpha: int, core: EltArr) -> bool:
     """Window check of Per(sigma^g x, Gamma, a) = g Per(x, g^-1 Gamma g, a).
 
     Both sides are computed empirically with the translate families the
-    window supports; they are compared on the given core positions.
+    window supports; they are compared on the given core positions.  The
+    right side is tested at g^-1 h for each core position h, so its mask is
+    indexed by the core like the left side's.
     """
-    left = per_set_empirical(spec, shifted_get(spec, patch_get, g), core,
-                             gammas, alpha)
-    conj = [spec.mul(spec.mul(spec.inv(g), t), g) for t in gammas]
-    core_right = [spec.mul(spec.inv(g), h) for h in core]
-    right_raw = per_set_empirical(spec, patch_get, core_right, conj, alpha)
-    right = {spec.mul(g, h) for h in right_raw}
-    return left == set(core) & right
+    left = per_set_empirical(spec, shifted_get(spec, get_arr, g), core, gammas, alpha)
+    gv, gf = spec.inv(g)
+    conj = spec.mul_arr(*spec.mul_arr(gv, gf, *gammas), *g)
+    core_right = spec.mul_arr(gv, gf, *core)
+    right = per_set_empirical(spec, get_arr, core_right, conj, alpha)
+    return bool(np.array_equal(left, right))
 
 
 # -- tower pieces and the aperiodic part --------------------------------------
@@ -162,7 +158,7 @@ class WindowData:
     cons: Construction
     coords: OdometerCoords
     radius: int
-    cells: list[Elt]                    # window cells w, canonical order
+    cells: tuple[Elt, ...]              # window cells w, canonical order
     ucoords: np.ndarray = field(repr=False)  # lattice offset of each cell
     pos: np.ndarray = field(repr=False)      # lattice part of t_K w per cell
     fparts: np.ndarray = field(repr=False)   # finite part of t_K w per cell
@@ -178,12 +174,22 @@ class WindowData:
 
     def forced_symbols(self) -> np.ndarray:
         """Symbols on the captured part; -1 on the aperiodic part."""
-        out = np.full(len(self.cells), -1, dtype=np.int16)
-        captured = ~self.aperiodic_mask()
-        for idx in np.nonzero(captured)[0]:
-            out[idx] = self.cons.symbol_from_level(
-                int(self.levels[idx]), int(self.fparts[idx]))
+        out = self.cons.symbol_table()[self.fparts, self.levels]
+        out[self.aperiodic_mask()] = -1
         return out
+
+
+@lru_cache(maxsize=16)
+def _window_cells(rank: int, finite_order: int,
+                  radius: int) -> tuple[tuple[Elt, ...], np.ndarray]:
+    """The window cells B(0, radius) R in canonical order, and the lattice
+    box B(0, radius) they repeat once per finite part."""
+    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
+    grids = np.meshgrid(*axes, indexing="ij")
+    box = np.stack([g.ravel() for g in grids], axis=-1)
+    box.flags.writeable = False
+    rows = [tuple(row) for row in box.tolist()]
+    return tuple((row, f) for f in range(finite_order) for row in rows), box
 
 
 def window_data(cons: Construction, coords: OdometerCoords, radius: int) -> WindowData:
@@ -192,36 +198,25 @@ def window_data(cons: Construction, coords: OdometerCoords, radius: int) -> Wind
         raise SpecError(f"window radius must be non-negative, got {radius}")
     spec, dom = cons.group, cons.domains
     K = coords.depth
-    t = coords.rep(K)
-    tv, tf = t
-    r = spec.rank
-    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * r
-    grids = np.meshgrid(*axes, indexing="ij")
-    box = np.stack([g.ravel() for g in grids], axis=-1)
-    mat = np.array(cons.group.action[tf], dtype=np.int64)
-    pos_box = box @ mat.T + np.asarray(tv, dtype=np.int64)
-
-    cells: list[Elt] = []
-    pos_rows = []
-    u_rows = []
-    fparts = []
-    for fw in range(spec.finite_order):
-        fpart = spec.table[tf][fw]
-        for row in box.tolist():
-            cells.append((tuple(row), fw))
-        pos_rows.append(pos_box)
-        u_rows.append(box)
-        fparts.append(np.full(len(box), fpart, dtype=np.int64))
-    pos = np.concatenate(pos_rows, axis=0)
-    ucoords = np.concatenate(u_rows, axis=0)
-    fpart_arr = np.concatenate(fparts)
+    tv, tf = coords.rep(K)
+    cells, box = _window_cells(spec.rank, spec.finite_order, radius)
+    mat = np.array(spec.action[tf], dtype=np.int64)
+    pos = np.tile(box @ mat.T + np.asarray(tv, dtype=np.int64), (spec.finite_order, 1))
+    ucoords = np.tile(box, (spec.finite_order, 1))
+    fparts = np.repeat(np.asarray(spec.table[tf], dtype=np.int64), len(box))
 
     rep = dom.rep_arr(pos, K)
-    lvl_arr = cons.level_array(K)
-    levels = lvl_arr[dom.flat_arr(rep, K)].astype(np.int16)
-    gamma_top = pos - rep
-    return WindowData(cons, coords, radius, cells, ucoords, pos, fpart_arr,
-                      levels, gamma_top)
+    levels = cons.level_array(K)[dom.flat_arr(rep, K)].astype(np.int16)
+    return WindowData(cons, coords, radius, cells, ucoords, pos, fparts,
+                      levels, pos - rep)
+
+
+@lru_cache(maxsize=1)
+def _shared_window_data(cons: Construction, coords: OdometerCoords,
+                        radius: int) -> WindowData:
+    """window_data of the last point asked for.  A census asks enumerate_fiber
+    and then tower_pieces about the same point; the second call reuses it."""
+    return window_data(cons, coords, radius)
 
 
 def aperiodic_positions(cons: Construction, coords: OdometerCoords,
@@ -249,7 +244,7 @@ def tower_pieces(cons: Construction, coords: OdometerCoords, base_level: int,
     """
     if not 1 <= base_level <= coords.depth:
         raise SpecError("base level out of range")
-    data = window_data(cons, coords, radius)
+    data = _shared_window_data(cons, coords, radius)
     dom = cons.domains
     stage_gammas = []
     for j in range(base_level, coords.depth + 1):
@@ -259,34 +254,33 @@ def tower_pieces(cons: Construction, coords: OdometerCoords, base_level: int,
         rep_j = dom.rep_arr(pos_j, j)
         stage_gammas.append(pos_j - rep_j)
 
-    # merging must be monotone upward: a stage-j translate determines the
-    # stage-(j+1) translate containing it
-    for lo, hi in zip(stage_gammas, stage_gammas[1:]):
-        seen: dict[Vec, Vec] = {}
-        for a, b in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist())):
-            if seen.setdefault(a, b) != b:
-                raise SpecError("tower translates do not merge consistently")
+    # one id per distinct translate of each stage, ids in lexicographic order
+    uniq = [unique_rows(stage) for stage in stage_gammas]
 
-    top = stage_gammas[-1]
-    keys = [tuple(row) for row in top.tolist()]
-    groups: dict[Vec, list[int]] = {}
-    for idx, key in enumerate(keys):
-        groups.setdefault(key, []).append(idx)
+    # merging must be monotone upward: a stage-j translate determines the
+    # stage-(j+1) translate containing it, so there are exactly as many
+    # distinct (lo, hi) pairs as distinct lo translates
+    for (lo, lo_id), (hi, hi_id) in zip(uniq, uniq[1:]):
+        if len(np.unique(lo_id * len(hi) + hi_id)) != len(lo):
+            raise SpecError("tower translates do not merge consistently")
+
+    keys, piece = uniq[-1]
+    cells_of = np.split(np.argsort(piece, kind="stable"),
+                        np.cumsum(np.bincount(piece))[:-1])
+    # distinct (piece, translate) codes come sorted by piece, then translate
+    stages = []
+    for rows, ids in uniq:
+        codes = np.unique(piece * len(rows) + ids)
+        stages.append(np.split(rows[codes % len(rows)],
+                               np.searchsorted(codes // len(rows), np.arange(1, len(keys)))))
 
     aper = data.aperiodic_mask()
-    pieces = []
-    for key in sorted(groups):
-        cells = groups[key]
-        stages = tuple(
-            tuple(sorted({tuple(stage[i].tolist()) for i in cells}))
-            for stage in stage_gammas)
-        pieces.append(TowerPiece(
-            top_gamma=key,
-            stage_gammas=stages,
-            cells=tuple(cells),
-            aperiodic_cells=tuple(i for i in cells if aper[i]),
-        ))
-    return pieces
+    return [TowerPiece(
+        top_gamma=tuple(key),
+        stage_gammas=tuple(tuple(map(tuple, stage[pid].tolist())) for stage in stages),
+        cells=tuple(cells.tolist()),
+        aperiodic_cells=tuple(cells[aper[cells]].tolist()),
+    ) for pid, (key, cells) in enumerate(zip(keys.tolist(), cells_of))]
 
 
 # -- fiber enumeration --------------------------------------------------------
@@ -321,62 +315,56 @@ def enumerate_fiber(cons: Construction, coords: OdometerCoords, radius: int,
     piece on the aperiodic part; a candidate is kept when some orbit
     approximant of the coords realizes it inside the oracle window.
     """
-    spec, dom = cons.group, cons.domains
-    K = coords.depth
-    data = window_data(cons, coords, radius)
-    aper = data.aperiodic_mask()
+    data = _shared_window_data(cons, coords, radius)
+    aper = np.nonzero(data.aperiodic_mask())[0]
+    keys, cell_piece = unique_rows(data.gamma_top)
+    # aperiodic pieces in piece order, the first aperiodic cell of each, and
+    # the slot of every aperiodic cell's piece among them
+    aper_pieces, first = np.unique(cell_piece[aper], return_index=True)
+    slot = np.searchsorted(aper_pieces, cell_piece[aper])
+
+    gammas = _approximants(cons, coords.depth, data.pos, oracle.N)
+    lvls = oracle.levels[cons.domains.flat_arr(
+        data.pos[aper] + gammas[:, None, :], oracle.N)]
+    syms = cons.symbol_table()[data.fparts[aper], lvls]
+    consts = syms[:, first]
+    if not np.array_equal(syms, consts[:, slot]):
+        raise SpecError("approximant not constant on a tower piece")
+
     forced = data.forced_symbols()
-
-    keys = [tuple(row) for row in data.gamma_top.tolist()]
-    piece_ids = sorted(set(keys))
-    piece_of = {k: i for i, k in enumerate(piece_ids)}
-    cell_piece = np.array([piece_of[k] for k in keys])
-    aper_pieces = sorted({int(cell_piece[i]) for i in np.nonzero(aper)[0]})
-
-    candidate_count = cons.m ** len(aper_pieces)
-
-    # orbit approximants h = gamma t_K with the whole translated window inside
-    # the oracle box
-    N_or = oracle.N
-    lvl_or = oracle.levels
-    lo = data.pos.min(axis=0)
-    hi = data.pos.max(axis=0)
-    box = dom.box_coords(N_or)
-    member = np.all(box % np.array(cons.chain.level(K), dtype=np.int64) == 0, axis=1)
-    safe = dom.in_box_arr(box + lo, N_or) & dom.in_box_arr(box + hi, N_or)
-    gammas = box[member & safe]
-
-    piece_cells = {pid: np.nonzero((cell_piece == pid) & aper)[0]
-                   for pid in aper_pieces}
-    realized: dict[tuple[int, ...], None] = {}
-    for gv in gammas:
-        shifted = data.pos + gv
-        lvls = lvl_or[dom.flat_arr(shifted, N_or)]
-        consts = []
-        for pid in aper_pieces:
-            idx = piece_cells[pid]
-            syms = {cons.symbol_from_level(int(lvls[i]), int(data.fparts[i]))
-                    for i in idx}
-            if len(syms) != 1:
-                raise SpecError("approximant not constant on a tower piece")
-            consts.append(syms.pop())
-        realized.setdefault(tuple(consts))
-
     patches = []
-    for consts in sorted(realized):
-        syms = forced.copy()
-        for pid, c in zip(aper_pieces, consts):
-            syms[(cell_piece == pid) & aper] = c
-        patches.append(FiberPatch(tuple(data.cells), tuple(int(s) for s in syms),
-                                  tuple(consts)))
+    # unique rows come in lexicographic order, the order of sorted tuples
+    for row in unique_rows(consts)[0]:
+        syms_w = forced.copy()
+        syms_w[aper] = row[slot]
+        patches.append(FiberPatch(data.cells, tuple(syms_w.tolist()),
+                                  tuple(row.tolist())))
     return FiberResult(
         coords=coords,
         patches=tuple(patches),
-        piece_count=len(piece_ids),
+        piece_count=len(keys),
         aperiodic_piece_count=len(aper_pieces),
-        candidate_count=candidate_count,
+        candidate_count=cons.m ** len(aper_pieces),
         approximant_count=len(gammas),
     )
+
+
+def _approximants(cons: Construction, K: int, pos: np.ndarray, N: int) -> np.ndarray:
+    """Gamma_K vectors gamma with every window position pos + gamma inside
+    the D_N box, in lexicographic order.
+
+    Per axis these are the multiples of p_K in [max(-q1, -q1 - lo),
+    min(q2, q2 - hi)), with lo and hi the extremes of the window positions:
+    gamma itself lies in the box, and so do both ends of the window.
+    """
+    dom = cons.domains
+    axes = []
+    for p, a, b, lo, hi in zip(cons.chain.level(K), dom.q1[N - 1], dom.q2(N),
+                               pos.min(axis=0).tolist(), pos.max(axis=0).tolist()):
+        start, stop = max(-a, -a - lo), min(b, b - hi)
+        axes.append(np.arange(-(-start // p) * p, stop, p, dtype=np.int64))
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def classify_cell(cons: Construction, patch_get, n: int, window: EtaWindow,

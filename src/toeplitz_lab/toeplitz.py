@@ -88,6 +88,15 @@ class Construction:
             return BETA
         return self.alpha(level)
 
+    @lru_cache(maxsize=None)
+    def symbol_table(self) -> np.ndarray:
+        """``symbol_table()[f, l]`` is ``symbol_from_level(l, f)``, for every
+        finite part f and every level 0 .. depth+1 a level array can hold."""
+        table = np.array([[self.symbol_from_level(l, f) for l in range(self.depth + 2)]
+                          for f in range(self.group.finite_order)], dtype=np.int16)
+        table.flags.writeable = False
+        return table
+
     # -- fresh cells ("not yet periodically filled" part of each box) --------
 
     @lru_cache(maxsize=None)
@@ -247,12 +256,7 @@ class EtaWindow:
 
     @lru_cache(maxsize=None)
     def symbol_array(self, fpart: int) -> np.ndarray:
-        lvl = self.levels
-        cons = self.cons
-        sym = np.empty(len(lvl), dtype=np.int16)
-        for l in np.unique(lvl):
-            sym[lvl == l] = cons.symbol_from_level(int(l), fpart)
-        return sym
+        return self.cons.symbol_table()[fpart][self.levels]
 
     def level_of(self, g: Elt) -> int | None:
         v, _ = g
@@ -272,6 +276,16 @@ class EtaWindow:
         if lvl is None:
             return None
         return self.cons.symbol_from_level(lvl, g[1])
+
+    def get_arr(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """``get`` over arrays: lattice parts ``v`` of shape (..., r), finite
+        parts ``f`` broadcastable to ``v.shape[:-1]``; -1 where a cell lies
+        outside the window."""
+        dom = self.cons.domains
+        inside = dom.in_box_arr(v, self.N)
+        idx = np.where(inside, dom.flat_arr(v, self.N), 0)
+        syms = self.cons.symbol_table()[f, self.levels[idx]]
+        return np.where(inside, syms, -1)
 
     def items(self):
         """(element, symbol, level) in canonical order."""

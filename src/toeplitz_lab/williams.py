@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import SpecError
+from .lattice import SpecError, unique_rows
 
 UNDEFINED = -1
 
@@ -157,31 +157,36 @@ def fiber_patches(params: WilliamsParams, eta: ZPatch, coords: tuple[int, ...],
     if eta.N < p_top + N:
         raise SpecError("oracle window too small for a full top-period sweep")
 
-    def not_captured(n: int) -> bool:
-        lvl = eta.level(n)
-        return lvl == 0 or lvl > k  # level 0 marks still-Undefined cells
+    offsets = np.arange(-N, N + 1, dtype=np.int64)
+    # one row per approximant g_t, one column per offset, as patch indices
+    idx = np.arange(base, base + p_top, pk, dtype=np.int64)[:, None] + offsets + eta.N
+    inside = (idx >= 0) & (idx < len(eta.symbols))
+    idx = np.where(inside, idx, 0)
+    window = np.where(inside, eta.symbols[idx], UNDEFINED)
+    mature = ~np.any(window == UNDEFINED, axis=1)
+    immature = int(len(window) - mature.sum())
+    window, idx = window[mature], idx[mature]
 
-    offsets = tuple(range(-N, N + 1))
-    aper_mask = [not_captured(base + n) for n in offsets]
-    seen: dict[tuple[int, ...], ZFiberPatch] = {}
-    immature = 0
-    for g_t in range(base, base + p_top, pk):
-        window = [eta.symbol(g_t + n) for n in offsets]
-        if any(s is None for s in window):
-            immature += 1
-            continue
-        if aper_mask != [not_captured(g_t + n) for n in offsets]:
+    def not_captured(lvl: np.ndarray) -> np.ndarray:
+        return (lvl == 0) | (lvl > k)  # level 0 marks still-Undefined cells
+
+    aper_mask = not_captured(eta.levels[base + offsets + eta.N])
+    undetermined = np.any(not_captured(eta.levels[idx]) != aper_mask, axis=1)
+    aper = window[:, aper_mask]
+    varying = np.any(aper != aper[:, :1], axis=1)
+    # the first failing approximant decides which error is raised
+    bad = np.nonzero(undetermined | varying)[0]
+    if len(bad):
+        if undetermined[bad[0]]:
             raise SpecError("aperiodic part is not determined by the coords")
-        aper_syms = {s for s, a in zip(window, aper_mask) if a}
-        const = aper_syms.pop() if len(aper_syms) == 1 else None
-        if aper_syms:
-            raise SpecError("aperiodic part of an approximant is not constant; "
-                            "narrow the window")
-        key = tuple(window)
-        if key not in seen:
-            seen[key] = ZFiberPatch(offsets, key, const)
-    info = {"immature": immature, "aperiodic_cells": sum(aper_mask)}
-    return sorted(seen.values(), key=lambda p: p.symbols), info
+        raise SpecError("aperiodic part of an approximant is not constant; "
+                        "narrow the window")
+    offsets_t = tuple(offsets.tolist())
+    patches = [ZFiberPatch(offsets_t, tuple(row.tolist()),
+                           int(row[aper_mask][0]) if aper_mask.any() else None)
+               for row in unique_rows(window)[0]]
+    info = {"immature": immature, "aperiodic_cells": int(aper_mask.sum())}
+    return patches, info
 
 
 def max_safe_fiber_radius(params: WilliamsParams, depth: int) -> int:

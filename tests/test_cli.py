@@ -44,6 +44,72 @@ def test_malformed_input_is_config_error(argv, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["independence", "verify-all"])
+@pytest.mark.parametrize("option,value", [
+    ("--budget", "0"), ("--budget", "-5"), ("--budget", "nan"), ("--budget", "inf"),
+    ("--max-steps", "0"), ("--max-steps", "-3"),
+])
+def test_search_budgets_must_be_positive(command, option, value, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run([command, "--config", "dihedral-m2", option, value,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and option in err
+    assert not out.exists()  # refused before any work
+
+
+@pytest.mark.parametrize("argv,option,shown", [
+    (["pullback", "--config", "swap-m2", "--reach", "-1"], "--reach", "at least 2"),
+    (["pullback", "--config", "swap-m2", "--reach", "0"], "--reach", "at least 2"),
+    (["pullback", "--config", "swap-m2", "--reach", "1"], "--reach", "at least 2"),
+    (["measures", "--config", "z2-m2", "--level", "0"], "--level", "2..5"),
+    (["measures", "--config", "z2-m2", "--level", "-2"], "--level", "2..5"),
+    (["measures", "--config", "dihedral-m2", "--level", "1"], "--level", "2..7"),
+    (["measures", "--config", "z2-m2", "--level", "9"], "--level", "2..5"),
+    (["gen-group", "--config", "dihedral-m2", "--level", "0"], "--level", "1..7"),
+], ids=" ".join)
+def test_out_of_range_options_are_named(argv, option, shown, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert option in err and shown in err
+    assert not out.exists()
+
+
+def test_smallest_reach_is_accepted(tmp_path):
+    assert run(["pullback", "--config", "swap-m2", "--reach", "2",
+                "--out", str(tmp_path)]) == 0
+
+
+def test_verify_all_writes_timings_beside_a_deterministic_verdict(
+        tmp_path, monkeypatch, capsys):
+    picked = ("fresh-dual[dihedral-m2]", "density-product[dihedral-m2]",
+              "conjugation[dihedral-m2]")
+    table = [row for row in verify.acceptance_table() if row[1] in picked]
+    monkeypatch.setattr(verify, "acceptance_table", lambda *args: table)
+    verdicts = []
+    for name in ("a", "b"):
+        assert run(["verify-all", "--config", "dihedral-m2",
+                    "--out", str(tmp_path / name)]) == 0
+        out = tmp_path / name / "dihedral-m2" / "verify-all"
+        verdicts.append((out / "verdict.json").read_bytes())
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == sorted(picked)
+        assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+        log = (out / "run.log").read_text().splitlines()
+        assert len(log) == len(picked) + 2
+        for check, line in zip(picked, log[1:]):
+            assert f" {check} passed in " in line
+    assert verdicts[0] == verdicts[1]
+    doc = json.loads(verdicts[0])
+    assert [c["criterion"] for c in doc["criteria"]] == \
+        ["1 fresh-cell recursion equivalence", "3 density product formula",
+         "11 conjugation identity"]
+    assert [ch["name"] for c in doc["criteria"] for ch in c["checks"]] == list(picked)
+    assert doc["passed"] and "seconds" not in verdicts[0].decode()
+
+
 def test_invalid_chain_is_config_error(tmp_path):
     doc = decks.deck_to_config(decks.bundled_deck("dihedral-m2"))
     doc["chain"] = [[3]] + doc["chain"][1:]  # violates p^1 > 3

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from toeplitz_lab import decks
@@ -144,6 +147,38 @@ def test_group_deck_search():
                                 deck.group)
     assert res.status == "found"
     assert check_certificate(res.certificate, oracle, deck.group)
+
+
+@pytest.mark.parametrize("name", ["z2-m2", "dihedral-m2", "swap-m2"])
+def test_group_site_values_match_pointwise_reads(name):
+    """site_values of sampled shifts a against the window read cell by cell:
+    finite part h reads the core moved by h acting on a, with finite part
+    h a_f.  Shifts that move the core out of the window are refused."""
+    cons = decks.construction(decks.bundled_deck(name))
+    spec, dom = cons.group, cons.domains
+    win = cons.window(3)
+    oracle = GOracle(win)
+    rng = random.Random(3)
+    refused = 0
+    for _ in range(40):
+        a = (tuple(rng.randint(-60, 60) for _ in range(spec.rank)),
+             rng.randrange(spec.finite_order))
+        want = []
+        inside = True
+        for hf in range(spec.finite_order):
+            pos = oracle.core + np.asarray(spec.apply(hf, a[0]))
+            if not dom.in_box_arr(pos, win.N).all():
+                inside = False
+                break
+            fpart = spec.table[hf][a[1]]
+            want.extend(win.get((tuple(v), fpart)) for v in pos.tolist())
+        if not inside:
+            refused += 1
+            with pytest.raises(CertificateWindowError):
+                oracle.site_values(a)
+            continue
+        assert oracle.site_values(a).tolist() == want
+    assert 0 < refused < 40
 
 
 def test_transport_preserves_size():

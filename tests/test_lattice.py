@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toeplitz_lab import decks
 from toeplitz_lab.lattice import (
@@ -16,9 +18,11 @@ from toeplitz_lab.lattice import (
     check_index_condition,
     corner_count_check,
     decompose_right,
+    elt_arrays,
     enumerate_domain,
     folner_ratio,
     identity_matrix,
+    unique_rows,
 )
 
 
@@ -204,3 +208,39 @@ def test_auto_offsets_and_validation():
     chain = deck.chain
     with pytest.raises(SpecError):
         DomainChain(chain, ((2,), (13,)) + deck.domains.q1[2:]).validate()
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_array_arithmetic_matches_scalar(name, data):
+    spec = decks.bundled_deck(name).group
+    elt = st.tuples(st.tuples(*[st.integers(-10**6, 10**6)] * spec.rank),
+                    st.integers(0, spec.finite_order - 1))
+    pairs = data.draw(st.lists(st.tuples(elt, elt), min_size=1, max_size=12))
+    a = elt_arrays([p for p, _ in pairs], spec.rank)
+    b = elt_arrays([q for _, q in pairs], spec.rank)
+    v, f = spec.mul_arr(*a, *b)
+    assert [(tuple(x), int(y)) for x, y in zip(v.tolist(), f.tolist())] == \
+        [spec.mul(p, q) for p, q in pairs]
+    v, f = spec.inv_arr(*a)
+    assert [(tuple(x), int(y)) for x, y in zip(v.tolist(), f.tolist())] == \
+        [spec.inv(p) for p, _ in pairs]
+    # a single left factor broadcasts over the right ones
+    v, f = spec.mul_arr(*pairs[0][0], *b)
+    assert [(tuple(x), int(y)) for x, y in zip(v.tolist(), f.tolist())] == \
+        [spec.mul(pairs[0][0], q) for _, q in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-4, 4), min_size=c, max_size=c), max_size=20)),
+    st.integers(0, 3))
+def test_unique_rows_matches_numpy(rows, cols):
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), -1) if rows else \
+        np.zeros((0, cols), dtype=np.int64)
+    got, inverse = unique_rows(arr)
+    want, want_inverse = np.unique(arr, axis=0, return_inverse=True)
+    assert got.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+    assert got.tolist() == [list(r) for r in sorted(set(map(tuple, arr.tolist())))]

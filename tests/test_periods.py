@@ -1,11 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from toeplitz_lab import decks
-from toeplitz_lab.lattice import SpecError, decompose_right
+from toeplitz_lab.lattice import SpecError, Vec, decompose_right, elt_arrays
 from toeplitz_lab.periods import (
+    FiberPatch,
+    FiberResult,
     OdometerCoords,
+    TowerPiece,
     all_coords_at_depth,
     aperiodic_positions,
     classify_cell,
@@ -15,9 +19,12 @@ from toeplitz_lab.periods import (
     enumerate_fiber,
     per_set_empirical,
     per_set_exact,
+    shifted_get,
     subgroup_elements_in_window,
     tower_pieces,
+    window_data,
 )
+from toeplitz_lab.toeplitz import EtaWindow
 
 
 def dihedral():
@@ -57,9 +64,11 @@ def test_empirical_per_is_superset_with_interior_equality():
     win = cons.window(3)
     spec = cons.group
     for i in (1, 2):
-        gammas = subgroup_elements_in_window(cons, i, 3)
+        gammas = elt_arrays(subgroup_elements_in_window(cons, i, 3), spec.rank)
         positions = win.positions()
-        emp = per_set_empirical(spec, win.get, positions, gammas)
+        mask = per_set_empirical(spec, win.get_arr, elt_arrays(positions, spec.rank),
+                                 gammas)
+        emp = {g for g, hit in zip(positions, mask) if hit}
         exact = per_set_exact(win, i)
         assert emp >= exact
         interior = {g for g in positions if abs(g[0][0]) <= 30}
@@ -70,30 +79,128 @@ def test_constant_patch_is_everywhere_periodic():
     cons = dihedral()
     spec = cons.group
     window = [((v,), f) for v in range(-10, 11) for f in (0, 1)]
-    emp = per_set_empirical(spec, lambda g: 1, window,
-                            [((5,), 0), ((-5,), 0)], alpha=1)
-    assert emp == set(window)
+    mask = per_set_empirical(spec, lambda v, f: np.ones(np.shape(f), dtype=np.int16),
+                             elt_arrays(window, 1),
+                             elt_arrays([((5,), 0), ((-5,), 0)], 1), alpha=1)
+    assert {g for g, hit in zip(window, mask) if hit} == set(window)
 
 
 def test_conjugation_identity():
     cons = dihedral()
     spec = cons.group
     win = cons.window(3)
-    core = [((v,), f) for v in range(-20, 21) for f in (0, 1)]
-    gammas = subgroup_elements_in_window(cons, 1, 2)
+    core = elt_arrays([((v,), f) for v in range(-20, 21) for f in (0, 1)], 1)
+    gamma_list = subgroup_elements_in_window(cons, 1, 2)
+    gammas = elt_arrays(gamma_list, 1)
     # identity shift is trivially fine
-    assert conjugation_identity_check(spec, win.get, spec.identity, gammas, 1, core)
+    assert conjugation_identity_check(spec, win.get_arr, spec.identity, gammas, 1, core)
     # flip conjugation fixes the diagonal subgroup, the identity still holds
     flip = ((0,), 1)
-    conj = {spec.mul(spec.mul(spec.inv(flip), t), flip) for t in gammas}
-    assert conj == set(gammas)
+    conj = {spec.mul(spec.mul(spec.inv(flip), t), flip) for t in gamma_list}
+    assert conj == set(gamma_list)
     for alpha in (0, 1, 2):
-        assert conjugation_identity_check(spec, win.get, flip, gammas, alpha, core)
+        assert conjugation_identity_check(spec, win.get_arr, flip, gammas, alpha, core)
     rng = random.Random(5)
     for _ in range(25):
         g = ((rng.randint(-5, 5),), rng.choice((0, 1)))
         alpha = rng.choice(cons.alphabet)
-        assert conjugation_identity_check(spec, win.get, g, gammas, alpha, core)
+        assert conjugation_identity_check(spec, win.get_arr, g, gammas, alpha, core)
+
+
+def _conjugation_samples(deck_name: str, samples: int):
+    """The sampled arguments of ``verify.check_conjugation`` with seed 7:
+    (window, shift of the array, g, Gamma_i elements, alpha, core cells)."""
+    cons = decks.construction(decks.bundled_deck(deck_name))
+    spec = cons.group
+    rng = random.Random(7)
+    reach = min(6, cons.domains.q1[1][0])
+    core = [(v, f) for v in cons.domains.enumerate_box(2)
+            if all(abs(x) <= reach for x in v) for f in range(spec.finite_order)]
+    for _ in range(samples):
+        shift = (tuple(rng.randint(-3, 3) for _ in range(spec.rank)),
+                 rng.randrange(spec.finite_order))
+        g = (tuple(rng.randint(-4, 4) for _ in range(spec.rank)),
+             rng.randrange(spec.finite_order))
+        i = rng.choice((1, 2))
+        alpha = rng.choice(cons.alphabet)
+        yield (cons.window(3), shift, g, subgroup_elements_in_window(cons, i, i + 1),
+               alpha, core)
+
+
+def _per_set_scalar(spec, patch_get, positions, gammas, alpha):
+    """Reference: the period set one position and one translate at a time."""
+    out = set()
+    inv_gammas = [spec.inv(t) for t in gammas]
+    for g in positions:
+        base = patch_get(g)
+        if base is None or base != alpha:
+            continue
+        if all(patch_get(spec.mul(ig, g)) in (None, base) for ig in inv_gammas):
+            out.add(g)
+    return out
+
+
+def _conjugation_scalar(spec, patch_get, g, gammas, alpha, core):
+    """Reference: both sides of the identity as sets of group elements."""
+    ginv = spec.inv(g)
+    left = _per_set_scalar(spec, lambda h: patch_get(spec.mul(ginv, h)), core,
+                           gammas, alpha)
+    conj = [spec.mul(spec.mul(ginv, t), g) for t in gammas]
+    right_raw = _per_set_scalar(spec, patch_get, [spec.mul(ginv, h) for h in core],
+                                conj, alpha)
+    return left == set(core) & {spec.mul(g, h) for h in right_raw}
+
+
+@pytest.mark.parametrize("deck_name,samples", [("dihedral-m2", 40), ("swap-m2", 4)])
+def test_conjugation_check_matches_scalar_reference(deck_name, samples):
+    for win, shift, g, gammas, alpha, core in _conjugation_samples(deck_name, samples):
+        spec = win.spec
+        sinv, ginv = spec.inv(shift), spec.inv(g)
+        x_scalar = lambda h: win.get(spec.mul(sinv, h))
+        x_arr = shifted_get(spec, win.get_arr, shift)
+        core_arr, gammas_arr = elt_arrays(core, spec.rank), elt_arrays(gammas, spec.rank)
+        assert x_arr(*core_arr).tolist() == \
+            [-1 if x_scalar(h) is None else x_scalar(h) for h in core]
+        left = per_set_empirical(spec, shifted_get(spec, x_arr, g), core_arr,
+                                 gammas_arr, alpha)
+        assert {h for h, hit in zip(core, left) if hit} == _per_set_scalar(
+            spec, lambda h: x_scalar(spec.mul(ginv, h)), core, gammas, alpha)
+        assert conjugation_identity_check(spec, x_arr, g, gammas_arr, alpha, core_arr) \
+            == _conjugation_scalar(spec, x_scalar, g, gammas, alpha, core)
+
+
+@pytest.mark.parametrize("deck_name", ["z2-m2", "swap-m2"])
+def test_conjugation_check_detects_a_dropped_core_translate(deck_name):
+    """The check is not vacuous: reading the right side at the core itself
+    instead of at its g^-1 translate fails on some samples."""
+    broken_fails = 0
+    for win, shift, g, gammas, alpha, core in _conjugation_samples(deck_name, 60):
+        spec = win.spec
+        x_get = shifted_get(spec, win.get_arr, shift)
+        gammas, core = elt_arrays(gammas, spec.rank), elt_arrays(core, spec.rank)
+        assert conjugation_identity_check(spec, x_get, g, gammas, alpha, core)
+        left = per_set_empirical(spec, shifted_get(spec, x_get, g), core, gammas, alpha)
+        gv, gf = spec.inv(g)
+        conj = spec.mul_arr(*spec.mul_arr(gv, gf, *gammas), *g)
+        untranslated = per_set_empirical(spec, x_get, core, conj, alpha)
+        broken_fails += not np.array_equal(left, untranslated)
+    assert broken_fails > 0
+
+
+@pytest.mark.parametrize("deck_name", decks.BUNDLED)
+def test_subgroup_elements_match_member_scan(deck_name):
+    """Direct enumeration of the lattice multiples against the scan of the
+    whole level box through ``member_vec``, order included, for every
+    (i, level >= i) whose box has at most 20,000 cells."""
+    cons = decks.construction(decks.bundled_deck(deck_name))
+    dom = cons.domains
+    for level in range(1, cons.depth + 1):
+        if dom.size(level) > 20_000:
+            break
+        for i in range(1, level + 1):
+            scan = [(v, 0) for v in dom.enumerate_box(level)
+                    if cons.chain.member_vec(v, i)]
+            assert subgroup_elements_in_window(cons, i, level) == scan
 
 
 def test_aperiodic_positions():
@@ -198,3 +305,123 @@ def test_classify_cell_rejects_garbage():
     win = cons.window(2)
     with pytest.raises(SpecError):
         classify_cell(cons, lambda g: 1, 2, win)
+
+
+# -- slow references for the fiber census ---------------------------------------
+
+
+def _enumerate_fiber_reference(cons, coords, radius, oracle):
+    """The census one approximant and one cell at a time: approximants from a
+    membership and containment scan of the whole oracle box, symbols through
+    ``symbol_from_level`` per cell, piece constants by set comprehension."""
+    dom = cons.domains
+    data = window_data(cons, coords, radius)
+    aper = data.aperiodic_mask()
+    forced = np.full(len(data.cells), -1, dtype=np.int16)
+    for idx in np.nonzero(~aper)[0]:
+        forced[idx] = cons.symbol_from_level(int(data.levels[idx]), int(data.fparts[idx]))
+
+    keys = [tuple(row) for row in data.gamma_top.tolist()]
+    piece_ids = sorted(set(keys))
+    piece_of = {k: i for i, k in enumerate(piece_ids)}
+    cell_piece = np.array([piece_of[k] for k in keys])
+    aper_pieces = sorted({int(cell_piece[i]) for i in np.nonzero(aper)[0]})
+
+    box = dom.box_coords(oracle.N)
+    member = np.all(box % np.array(cons.chain.level(coords.depth)) == 0, axis=1)
+    safe = (dom.in_box_arr(box + data.pos.min(axis=0), oracle.N)
+            & dom.in_box_arr(box + data.pos.max(axis=0), oracle.N))
+    gammas = box[member & safe]
+
+    piece_cells = {pid: np.nonzero((cell_piece == pid) & aper)[0] for pid in aper_pieces}
+    realized = set()
+    for gv in gammas:
+        lvls = oracle.levels[dom.flat_arr(data.pos + gv, oracle.N)]
+        consts = []
+        for pid in aper_pieces:
+            syms = {cons.symbol_from_level(int(lvls[i]), int(data.fparts[i]))
+                    for i in piece_cells[pid]}
+            if len(syms) != 1:
+                raise SpecError("approximant not constant on a tower piece")
+            consts.append(syms.pop())
+        realized.add(tuple(consts))
+
+    patches = []
+    for consts in sorted(realized):
+        syms = forced.copy()
+        for pid, c in zip(aper_pieces, consts):
+            syms[(cell_piece == pid) & aper] = c
+        patches.append(FiberPatch(tuple(data.cells), tuple(int(s) for s in syms),
+                                  tuple(consts)))
+    return FiberResult(coords, tuple(patches), len(piece_ids), len(aper_pieces),
+                       cons.m ** len(aper_pieces), len(gammas))
+
+
+def _tower_pieces_reference(cons, coords, base_level, radius):
+    """Tower pieces through per-cell dictionaries and set comprehensions."""
+    data = window_data(cons, coords, radius)
+    stage_gammas = []
+    for j in range(base_level, coords.depth + 1):
+        dj, fj = coords.rep(j)
+        pos_j = data.ucoords @ np.array(cons.group.action[fj]).T + np.array(dj)
+        stage_gammas.append(pos_j - cons.domains.rep_arr(pos_j, j))
+    for lo, hi in zip(stage_gammas, stage_gammas[1:]):
+        seen: dict[Vec, Vec] = {}
+        for a, b in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist())):
+            if seen.setdefault(a, b) != b:
+                raise SpecError("tower translates do not merge consistently")
+    groups: dict[Vec, list[int]] = {}
+    for idx, key in enumerate(map(tuple, stage_gammas[-1].tolist())):
+        groups.setdefault(key, []).append(idx)
+    aper = data.aperiodic_mask()
+    return [TowerPiece(key,
+                       tuple(tuple(sorted({tuple(st[i].tolist()) for i in cells}))
+                             for st in stage_gammas),
+                       tuple(cells), tuple(i for i in cells if aper[i]))
+            for key, cells in sorted(groups.items())]
+
+
+@pytest.mark.parametrize("deck_name,stride", [("z2-m2", 16), ("dihedral-m2", 1),
+                                              ("swap-m2", 31)])
+@pytest.mark.parametrize("radius", [5, 8])
+def test_census_matches_scalar_reference(deck_name, stride, radius):
+    cons = decks.construction(decks.bundled_deck(deck_name))
+    win = cons.window(3)
+    for coords in all_coords_at_depth(cons, 2)[::stride]:
+        assert enumerate_fiber(cons, coords, radius, win) == \
+            _enumerate_fiber_reference(cons, coords, radius, win)
+        for base in (1, 2):
+            assert tower_pieces(cons, coords, base, radius) == \
+                _tower_pieces_reference(cons, coords, base, radius)
+
+
+def test_corrupted_oracle_is_not_constant_on_a_piece():
+    cons = decks.construction(decks.bundled_deck("z2-m2"))
+    win = cons.window(3)
+    for coords in all_coords_at_depth(cons, 2):
+        data = window_data(cons, coords, 8)
+        aper = data.aperiodic_mask()
+        pieces = [p for p in tower_pieces(cons, coords, 2, 8)
+                  if len(p.aperiodic_cells) >= 2]
+        if pieces:
+            break
+    first, second = pieces[0].aperiodic_cells[:2]
+    assert aper[first] and aper[second]
+    res = enumerate_fiber(cons, coords, 8, win)
+    assert res.approximant_count > 0
+    # flip the level read at the second cell for every approximant, so that
+    # its symbol leaves the piece constant of the first cell
+    levels = win.levels.copy()
+    period = np.array(cons.chain.level(2))
+    dom = cons.domains
+    box = dom.box_coords(3)
+    gammas = box[np.all(box % period == 0, axis=1)]
+    spots = data.pos[second] + gammas
+    spots = spots[dom.in_box_arr(spots, 3)]
+    idx = dom.flat_arr(spots, 3)
+    levels[idx] = np.where(levels[idx] > 3, levels[idx] - 1, levels[idx] + 1)
+    bad = EtaWindow(cons, 3, levels)
+    with pytest.raises(SpecError, match="not constant on a tower piece"):
+        enumerate_fiber(cons, coords, 8, bad)
+    with pytest.raises(SpecError, match="not constant on a tower piece"):
+        _enumerate_fiber_reference(cons, coords, 8, bad)

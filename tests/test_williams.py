@@ -6,6 +6,8 @@ from toeplitz_lab import decks
 from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.williams import (
     WilliamsParams,
+    ZFiberPatch,
+    ZPatch,
     convergence_partial_sums,
     coords_of_int,
     fiber_patches,
@@ -130,3 +132,79 @@ def test_incompatible_coords_rejected():
     eta = generate(wp, wp.periods[-1] + 20)
     with pytest.raises(SpecError):
         fiber_patches(wp, eta, (1, 5), 6)  # 5 mod 6 is not 1
+
+
+def _fiber_patches_reference(params, eta, coords, N):
+    """``fiber_patches`` one approximant and one position at a time through
+    ``ZPatch.symbol`` and ``ZPatch.level``."""
+    k = len(coords)
+    pk, p_top = params.periods[k - 1], params.periods[-1]
+    base = coords[-1] % pk
+
+    def not_captured(n):
+        lvl = eta.level(n)
+        return lvl == 0 or lvl > k
+
+    offsets = tuple(range(-N, N + 1))
+    aper_mask = [not_captured(base + n) for n in offsets]
+    seen = {}
+    immature = 0
+    for g_t in range(base, base + p_top, pk):
+        window = [eta.symbol(g_t + n) for n in offsets]
+        if any(s is None for s in window):
+            immature += 1
+            continue
+        if aper_mask != [not_captured(g_t + n) for n in offsets]:
+            raise SpecError("aperiodic part is not determined by the coords")
+        aper_syms = {s for s, a in zip(window, aper_mask) if a}
+        const = aper_syms.pop() if len(aper_syms) == 1 else None
+        if aper_syms:
+            raise SpecError("aperiodic part of an approximant is not constant; "
+                            "narrow the window")
+        seen.setdefault(tuple(window), ZFiberPatch(offsets, tuple(window), const))
+    info = {"immature": immature, "aperiodic_cells": sum(aper_mask)}
+    return sorted(seen.values(), key=lambda p: p.symbols), info
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SpecError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["williams-m2", "williams-m3"])
+def test_fiber_patches_match_scalar_reference(name):
+    wp = decks.bundled_deck(name).williams
+    eta = generate(wp, wp.periods[-1] + 30)
+    safe = max_safe_fiber_radius(wp, 2)
+    cases = ([(1, g, safe) for g in (0, 1)]
+             + [(2, g, radius) for radius in (safe, 10) for g in range(0, wp.periods[1], 5)]
+             + [(3, g, 6) for g in range(0, wp.periods[2], 53)])
+    outcomes = set()
+    for k, g, radius in cases:
+        coords = coords_of_int(wp, g, k)
+        got = _outcome(fiber_patches, wp, eta, coords, radius)
+        assert got == _outcome(_fiber_patches_reference, wp, eta, coords, radius)
+        outcomes.add(type(got))
+    assert outcomes == {tuple, str}  # both patches and refusals were compared
+
+
+def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
+    wp = decks.bundled_deck("williams-m2").williams
+    radius = max_safe_fiber_radius(wp, 2)
+    eta = generate(wp, wp.periods[-1] + radius + 10)
+    coords = coords_of_int(wp, 7, 2)
+    assert fiber_patches(wp, eta, coords, radius)[0]
+    # a later fully defined approximant reads one captured cell as still
+    # aperiodic; its symbol is kept, so only the level map gives it away
+    offsets = range(-radius, radius + 1)
+    g_t = next(g for g in range(coords[-1] + wp.periods[1], wp.periods[-1], wp.periods[1])
+               if all(eta.symbol(g + n) is not None for n in offsets))
+    n = next(n for n in offsets if 1 <= eta.level(g_t + n) <= 2)
+    levels = eta.levels.copy()
+    levels[eta.index(g_t + n)] = 3
+    bad = ZPatch(wp, eta.N, eta.symbols, levels)
+    for fn in (fiber_patches, _fiber_patches_reference):
+        with pytest.raises(SpecError, match="aperiodic part is not determined"):
+            fn(wp, bad, coords, radius)
