@@ -7,7 +7,9 @@ eta(h g^-1 f) = pattern_{s(g)}(f) for every g in J and site f of A_{s(g)}.
 
 The searcher walks candidates in canonical order with memoized prefix
 feasibility; its step counter is the deterministic "search time" reported in
-summaries.
+summaries.  Witness masks are Python int bitsets over the oracle grid: bit i
+stands for oracle.grid[i], so extending an assignment by one candidate is one
+integer AND and a truth test.
 """
 
 from __future__ import annotations
@@ -193,7 +195,12 @@ class PullbackOracle:
 
 def check_certificate(cert: Certificate, oracle, spec: GroupSpec) -> bool:
     """Re-verify every witness from scratch; window misses raise, mismatches
-    return False."""
+    return False.
+
+    This is deliberately a scalar re-check through oracle.value, one group
+    product per site: it shares no mask or site_values code with the search,
+    so a certificate the search built wrongly cannot pass it the same way.
+    """
     k = len(cert.cylinders)
     J = cert.independence_set
     for assignment in product(range(1, k + 1), repeat=len(J)):
@@ -224,8 +231,9 @@ class SearchResult:
     note: str = ""
 
 
-def _packed_masks(oracle, spec: GroupSpec, cylinders, g: Elt):
-    """Packed witness masks (one per cylinder) for a single candidate."""
+def _packed_masks(oracle, spec: GroupSpec, cylinders, g: Elt) -> list[int]:
+    """Witness masks (one per cylinder) for a single candidate, as int
+    bitsets: bit i is set when oracle.grid[i] is a witness."""
     ginv = spec.inv(g)
     out = []
     for cyl in cylinders:
@@ -234,17 +242,16 @@ def _packed_masks(oracle, spec: GroupSpec, cylinders, g: Elt):
             vals = oracle.site_values(spec.mul(ginv, site))
             m = vals == sym
             mask = m if mask is None else (mask & m)
-        out.append(np.packbits(mask))
+        out.append(int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
+                                  "little"))
     return out
 
 
-def _first_true_index(mask_bits: np.ndarray) -> int:
-    byte = int(np.nonzero(mask_bits)[0][0])
-    bits = int(mask_bits[byte])
-    for off in range(8):
-        if bits & (0x80 >> off):
-            return byte * 8 + off
-    raise AssertionError("empty mask")
+def _first_true_index(mask: int) -> int:
+    """Lowest grid index in a witness bitset."""
+    if not mask:
+        raise AssertionError("empty mask")
+    return (mask & -mask).bit_length() - 1
 
 
 def find_independence_set(cylinders, target_size: int, oracle,
@@ -259,19 +266,21 @@ def find_independence_set(cylinders, target_size: int, oracle,
     cylinders = tuple(cylinders)
     k = len(cylinders)
     cand = sorted(set(candidates), key=search_key)
-    mask_memo: dict[Elt, list[np.ndarray]] = {}
+    mask_memo: dict[Elt, list[int]] = {}
 
-    def masks_for(g: Elt) -> list[np.ndarray]:
+    def masks_for(g: Elt) -> list[int]:
         if g not in mask_memo:
             mask_memo[g] = _packed_masks(oracle, spec, cylinders, g)
         return mask_memo[g]
 
     # individually inadmissible cylinders can never produce witnesses
-    root = np.packbits(np.ones(len(oracle.grid), dtype=bool))
+    root = (1 << len(oracle.grid)) - 1
     steps = 0
     out_of_time = False
 
-    def dfs(start: int, chosen: list[Elt], table: dict[tuple, np.ndarray]):
+    # table[t] is the witness mask of the t-th assignment of the chosen
+    # prefix in product order, so extending by g lists assign + (j,) in order
+    def dfs(start: int, chosen: list[Elt], table: list[int]):
         nonlocal steps, out_of_time
         if len(chosen) == target_size:
             return chosen, table
@@ -285,15 +294,15 @@ def find_independence_set(cylinders, target_size: int, oracle,
                 gm = masks_for(g)
             except CertificateWindowError:
                 continue
-            new_table = {}
+            new_table = []
             ok = True
-            for assign, bits in table.items():
-                for j in range(1, k + 1):
-                    merged = bits & gm[j - 1]
-                    if not merged.any():
+            for bits in table:
+                for m in gm:
+                    merged = bits & m
+                    if not merged:
                         ok = False
                         break
-                    new_table[assign + (j,)] = merged
+                    new_table.append(merged)
                 if not ok:
                     break
             if not ok:
@@ -303,13 +312,13 @@ def find_independence_set(cylinders, target_size: int, oracle,
                 return hit
         return None
 
-    hit = dfs(0, [], {(): root})
+    hit = dfs(0, [], [root])
     if hit is None:
         status = "exhausted" if out_of_time else "none"
         return SearchResult(status, None, steps)
     chosen, table = hit
     witnesses = {}
-    for assign, bits in table.items():
+    for assign, bits in zip(product(range(1, k + 1), repeat=target_size), table):
         witnesses[assign] = oracle.grid[_first_true_index(bits)]
     cert = Certificate(cylinders, tuple(chosen), witnesses)
     if not check_certificate(cert, oracle, spec):

@@ -194,20 +194,13 @@ def max_safe_fiber_radius(params: WilliamsParams, depth: int) -> int:
     of the given coords depth can meet the window, found by scanning one
     full deeper period of the level map."""
     probe = generate(params, params.periods[-1] + params.periods[0])
-    pos = np.arange(-probe.N, probe.N + 1)
-    deep = probe.levels > depth
-    deep |= probe.symbols == UNDEFINED
-    gaps = []
-    run = 0
-    for flag in deep:
-        if flag:
-            if run:
-                gaps.append(run)
-            run = 0
-        else:
-            run += 1
-    if not gaps:
+    deep = (probe.levels > depth) | (probe.symbols == UNDEFINED)
+    flags = np.flatnonzero(deep)
+    # lengths of the runs of shallow cells that end at a deep cell; the run
+    # after the last deep cell is open and does not count
+    gaps = np.diff(flags, prepend=-1) - 1
+    gaps = gaps[gaps > 0]
+    if not len(gaps):
         return params.periods[0]
-    min_gap = min(gaps)
+    min_gap = int(gaps.min())
     return max(params.periods[0] // 2, (min_gap - 1) // 2)
-

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,30 @@ def test_verify_all_writes_timings_beside_a_deterministic_verdict(
          "11 conjugation identity"]
     assert [ch["name"] for c in doc["criteria"] for ch in c["checks"]] == list(picked)
     assert doc["passed"] and "seconds" not in verdicts[0].decode()
+
+
+# SHA-256 of the files the search wrote before witness masks became int
+# bitsets; the certificates name the same witnesses byte for byte
+INDEPENDENCE_OUTPUT_SHA256 = {
+    "dihedral-m2": {
+        "certificate.json": "572abae335526ce93fb170cc1961c666a3810a5345e80129d4c83412c0b89778",
+        "entropy.json": "e7334db3c96e961f5a64904f3f0b4b3bf58abeeb61cf1db4b69995e8afb9937e",
+        "summary.csv": "fcc71e77a715fe5002ac3c07ddddca5a235e7bf9ffd63429e7508201780c2a73",
+    },
+    "z2-m2": {
+        "certificate.json": "5ce7a11394243c511ce1b2b890c73440a6fd1cc67bf3802766c33968d7095864",
+        "entropy.json": "dd53bfc201ecbc078773b8d24621e28c483bfd117db4f026e082eccca8ca269e",
+        "summary.csv": "fcc71e77a715fe5002ac3c07ddddca5a235e7bf9ffd63429e7508201780c2a73",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEPENDENCE_OUTPUT_SHA256))
+def test_independence_output_is_pinned(name, tmp_path):
+    assert run(["independence", "--config", name, "--out", str(tmp_path)]) == 0
+    out = tmp_path / name / "independence"
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == INDEPENDENCE_OUTPUT_SHA256[name]
 
 
 def test_invalid_chain_is_config_error(tmp_path):

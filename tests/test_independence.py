@@ -1,10 +1,14 @@
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from toeplitz_lab import decks
 from toeplitz_lab.independence import (
+    _first_true_index,
+    _packed_masks,
     Certificate,
     CertificateWindowError,
     Cylinder,
@@ -23,7 +27,7 @@ from toeplitz_lab.independence import (
     transport_certificate,
     z_candidates,
 )
-from toeplitz_lab.lattice import SpecError
+from toeplitz_lab.lattice import SpecError, search_key
 from toeplitz_lab.pullback import HomSpec
 from toeplitz_lab.williams import generate
 
@@ -267,3 +271,178 @@ def test_entropy_bounds():
     assert lo == 1.0 and hi == 4.0
     with pytest.raises(AssertionError):
         entropy_bounds_bits(5, 2)
+
+
+# -- the search against its numpy reference -------------------------------------
+
+
+def _find_independence_set_reference(cylinders, target_size, oracle, candidates,
+                                     spec, max_steps=2_000_000, deadline=None):
+    """``find_independence_set`` with witness masks as ``np.packbits`` arrays
+    (most significant bit first) and a table keyed by assignment tuples: the
+    search as it stood before masks became int bitsets."""
+    cylinders = tuple(cylinders)
+    k = len(cylinders)
+    cand = sorted(set(candidates), key=search_key)
+    mask_memo = {}
+
+    def masks_for(g):
+        if g not in mask_memo:
+            ginv = spec.inv(g)
+            out = []
+            for cyl in cylinders:
+                mask = None
+                for site, sym in zip(cyl.shape, cyl.pattern):
+                    m = oracle.site_values(spec.mul(ginv, site)) == sym
+                    mask = m if mask is None else (mask & m)
+                out.append(np.packbits(mask))
+            mask_memo[g] = out
+        return mask_memo[g]
+
+    root = np.packbits(np.ones(len(oracle.grid), dtype=bool))
+    steps = 0
+    out_of_time = False
+
+    def dfs(start, chosen, table):
+        nonlocal steps, out_of_time
+        if len(chosen) == target_size:
+            return chosen, table
+        for idx in range(start, len(cand)):
+            steps += 1
+            if steps > max_steps or (deadline is not None and time.monotonic() > deadline):
+                out_of_time = True
+                return None
+            g = cand[idx]
+            try:
+                gm = masks_for(g)
+            except CertificateWindowError:
+                continue
+            new_table = {}
+            ok = True
+            for assign, bits in table.items():
+                for j in range(1, k + 1):
+                    merged = bits & gm[j - 1]
+                    if not merged.any():
+                        ok = False
+                        break
+                    new_table[assign + (j,)] = merged
+                if not ok:
+                    break
+            if not ok:
+                continue
+            hit = dfs(idx + 1, chosen + [g], new_table)
+            if hit is not None or out_of_time:
+                return hit
+        return None
+
+    hit = dfs(0, [], {(): root})
+    if hit is None:
+        return ("exhausted" if out_of_time else "none"), None, steps
+    chosen, table = hit
+    witnesses = {}
+    for assign, bits in table.items():
+        byte = int(np.nonzero(bits)[0][0])
+        off = next(o for o in range(8) if int(bits[byte]) & (0x80 >> o))
+        witnesses[assign] = oracle.grid[byte * 8 + off]
+    return "found", Certificate(cylinders, tuple(chosen), witnesses), steps
+
+
+def _group_case(name, level, target, radius=15, **kw):
+    deck = decks.bundled_deck(name)
+    spec = deck.group
+    oracle = GOracle(decks.construction(deck).window(level))
+    cyls = [Cylinder.single_site(spec.rank, s) for s in (1, 2)]
+    return (cyls, target, oracle, g_candidates(spec, radius), spec), kw
+
+
+def _z_case(name, target, k=None, **kw):
+    deck = decks.bundled_deck(name)
+    wp = deck.williams
+    p3, p4 = wp.periods[2], wp.periods[3]
+    oracle = ZOracle(generate(wp, 2 * p4 + p3 + 50), margin=p3 + 1)
+    cyls = [Cylinder.single_site(1, s) for s in range(k or deck.m)]
+    return (cyls, target, oracle, z_candidates(p3), deck.group), kw
+
+
+def _pullback_case(target):
+    wm2, z2 = wdeck(), decks.bundled_deck("z2-m2")
+    eta = generate(wm2.williams, 2 * wm2.williams.periods[3] + 500)
+    oracle = PullbackOracle(HomSpec((1, 1)), z2.group, eta, radius=6, margin=4)
+    cyls = [Cylinder.single_site(2, s) for s in (0, 1)]
+    return (cyls, target, oracle, g_candidates(z2.group, 5), z2.group), {}
+
+
+SEARCH_CASES = {
+    "z2-m2:w3:4": lambda: _group_case("z2-m2", 3, 4),
+    "swap-m2:w3:4": lambda: _group_case("swap-m2", 3, 4),
+    "dihedral-m2:w3:5": lambda: _group_case("dihedral-m2", 3, 5),
+    "dihedral-m2:w4:4": lambda: _group_case("dihedral-m2", 4, 4),
+    "williams-m2:z:4": lambda: _z_case("williams-m2", 4),
+    "williams-m3:z:3": lambda: _z_case("williams-m3", 3),
+    "williams-m2:z:pigeonhole": lambda: _z_case("williams-m2", 1, k=3),
+    "pullback:z2-m2:3": lambda: _pullback_case(3),
+    "z2-m2:w3:max-steps-3": lambda: _group_case("z2-m2", 3, 4, max_steps=3),
+    # window(2) refuses 120 of the 162 radius-40 shifts, between the others
+    "dihedral-m2:w2:refusals:2": lambda: _group_case("dihedral-m2", 2, 2, radius=40),
+    "dihedral-m2:w2:refusals:3": lambda: _group_case("dihedral-m2", 2, 3, radius=40),
+}
+EXPECTED_STATUS = {"dihedral-m2:w3:5": "none", "williams-m2:z:pigeonhole": "none",
+                   "z2-m2:w3:max-steps-3": "exhausted",
+                   "dihedral-m2:w2:refusals:3": "none"}
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES)
+def test_search_matches_numpy_reference(case):
+    args, kw = SEARCH_CASES[case]()
+    res = find_independence_set(*args, **kw)
+    status, cert, steps = _find_independence_set_reference(*args, **kw)
+    assert (res.status, res.steps) == (status, steps)
+    assert res.status == EXPECTED_STATUS.get(case, "found")
+    if cert is None:
+        assert res.certificate is None
+    else:
+        assert res.certificate.to_json() == cert.to_json()
+
+
+def test_refusal_cases_have_refused_and_accepted_shifts():
+    (cyls, _, oracle, cands, spec), _ = _group_case("dihedral-m2", 2, 3, radius=40)
+    refused = 0
+    for g in cands:
+        try:
+            _packed_masks(oracle, spec, cyls, g)
+        except CertificateWindowError:
+            refused += 1
+    assert 0 < refused < len(cands)
+
+
+class _ArrayOracle:
+    """An oracle whose every shift reads the same drawn values."""
+
+    def __init__(self, vals):
+        self.vals = np.asarray(vals, dtype=np.int16)
+        self.grid = [((n,), 0) for n in range(len(vals))]
+
+    def site_values(self, a):
+        return self.vals
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=300)
+       .filter(lambda m: len(m) % 8 and any(m)))
+def test_int_masks_and_first_true_index_match_flatnonzero(mask):
+    """Bit i of a witness mask is grid cell i, with nothing set past the grid,
+    also when the grid is not a whole number of bytes."""
+    spec = wdeck().group
+    bits, = _packed_masks(_ArrayOracle(mask), spec, [Cylinder.single_site(1, 1)],
+                          ((0,), 0))
+    assert bits >> len(mask) == 0
+    assert [bool(bits >> i & 1) for i in range(len(mask))] == mask
+    assert _first_true_index(bits) == int(np.flatnonzero(mask)[0])
+
+
+def test_first_true_index_refuses_an_empty_mask():
+    spec = wdeck().group
+    bits, = _packed_masks(_ArrayOracle([0] * 13), spec,
+                          [Cylinder.single_site(1, 1)], ((0,), 0))
+    assert bits == 0
+    with pytest.raises(AssertionError, match="empty mask"):
+        _first_true_index(bits)

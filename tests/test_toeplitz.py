@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toeplitz_lab import decks
 from toeplitz_lab.lattice import (
@@ -53,23 +53,28 @@ def test_tiled_level_array_matches_rep_route_on_bundled_decks():
 def shifted_constructions(draw):
     """Chains of rank 1-3 and depth 2-3 whose deeper offsets are the previous
     offsets shifted by a drawn multiple of the previous modulus, so the boxes
-    are off centre in ways ``DomainChain.auto`` never produces."""
+    are off centre in ways ``DomainChain.auto`` never produces.
+
+    ``DomainChain.validate`` wants both level-i offsets above i, so a ratio
+    and shift multiple are drawn only from the pairs that keep them there;
+    ratio 3 with the middle multiple always does."""
     rank = draw(st.integers(1, 3))
     moduli = [tuple(draw(st.integers(4, 7)) for _ in range(rank))]
     offsets = [tuple(draw(st.integers(2, p - 2)) for p in moduli[0])]
-    for _ in range(draw(st.integers(1, 2))):
-        ratio = [draw(st.integers(2, 3)) for _ in range(rank)]
-        offsets.append(tuple(q + draw(st.integers(0, c - 1)) * p for p, q, c in
-                             zip(moduli[-1], offsets[-1], ratio)))
-        moduli.append(tuple(p * c for p, c in zip(moduli[-1], ratio)))
+    for level in range(2, 2 + draw(st.integers(1, 2))):
+        pairs = []
+        for p, q in zip(moduli[-1], offsets[-1]):
+            # the new lower and upper offsets are q + t*p and (c-1-t)*p + p-q
+            ok = [(c, t) for c in (2, 3) for t in range(c)
+                  if q + t * p > level and (c - 1 - t) * p + p - q > level]
+            pairs.append(draw(st.sampled_from(ok)))
+        offsets.append(tuple(q + t * p for p, q, (_, t) in
+                             zip(moduli[-1], offsets[-1], pairs)))
+        moduli.append(tuple(p * c for p, (c, _) in zip(moduli[-1], pairs)))
     chain = SubgroupChain(tuple(moduli))
     group = GroupSpec(rank=rank, table=((0,),), action=(identity_matrix(rank),))
-    params = ConstructionParams(group, chain, DomainChain(chain, tuple(offsets)), 2)
-    try:
-        params.validate()
-    except SpecError:
-        assume(False)
-    return Construction(params)
+    return Construction(ConstructionParams(
+        group, chain, DomainChain(chain, tuple(offsets)), 2))
 
 
 @settings(max_examples=40, deadline=None)

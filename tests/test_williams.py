@@ -1,10 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toeplitz_lab import decks
+from toeplitz_lab import decks, williams
 from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.williams import (
+    UNDEFINED,
     WilliamsParams,
     ZFiberPatch,
     ZPatch,
@@ -208,3 +212,51 @@ def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
     for fn in (fiber_patches, _fiber_patches_reference):
         with pytest.raises(SpecError, match="aperiodic part is not determined"):
             fn(wp, bad, coords, radius)
+
+
+
+def _max_safe_fiber_radius_reference(params, probe, depth):
+    """``max_safe_fiber_radius`` on a given probe patch as a scan over its
+    cells, one at a time, collecting the closed runs of shallow cells."""
+    deep = (probe.levels > depth) | (probe.symbols == UNDEFINED)
+    gaps = []
+    run = 0
+    for flag in deep:
+        if flag:
+            if run:
+                gaps.append(run)
+            run = 0
+        else:
+            run += 1
+    if not gaps:
+        return params.periods[0]
+    return max(params.periods[0] // 2, (min(gaps) - 1) // 2)
+
+
+@pytest.mark.parametrize("params,depth", [
+    *[(decks.bundled_deck(name).williams, depth)
+      for name in ("williams-m2", "williams-m3") for depth in (1, 2, 3)],
+    # depth 0 flags every cell, so no run closes and periods[0] is returned
+    *[(small_params(), depth) for depth in (0, 1, 2)],
+])
+def test_max_safe_fiber_radius_matches_scan(params, depth):
+    probe = generate(params, params.periods[-1] + params.periods[0])
+    assert (max_safe_fiber_radius(params, depth)
+            == _max_safe_fiber_radius_reference(params, probe, depth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 3),
+       st.lists(st.integers(0, 4), min_size=1, max_size=301))
+def test_max_safe_fiber_radius_gap_scan_on_drawn_level_maps(p1, depth, levels):
+    """The bundled probes only ever have runs of one or two shallow cells;
+    drawn level maps (0 = Undefined) give long runs, open runs at both ends
+    and maps with no deep cell."""
+    levels = levels[:len(levels) // 2 * 2 + 1]
+    levels = np.array(levels, dtype=np.int16)
+    symbols = np.where(levels == 0, UNDEFINED, 1).astype(np.int16)
+    params = WilliamsParams(2, (p1, 3 * p1))
+    probe = ZPatch(params, len(levels) // 2, symbols, levels)
+    with mock.patch.object(williams, "generate", lambda *_: probe):
+        got = max_safe_fiber_radius(params, depth)
+    assert got == _max_safe_fiber_radius_reference(params, probe, depth)
