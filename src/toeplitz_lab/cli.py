@@ -247,8 +247,12 @@ def cmd_pullback(deck, args) -> int:
 
 
 def cmd_verify_all(deck, args) -> int:
+    # the acceptance table checks the bundled decks only, whatever --config says
+    if args.config not in deckmod.BUNDLED:
+        raise SpecError(f"--config must name a bundled deck for verify-all "
+                        f"({', '.join(deckmod.BUNDLED)}), got {args.config!r}")
     deadline = _search_deadline(args)
-    out = _out_dir(args, deck.name if deck else "all", "verify-all")
+    out = _out_dir(args, deck.name, "verify-all")
     log = out / "run.log"
     _log(log, "verify-all started")
     doc = {"criteria": [], "passed": True}

@@ -266,11 +266,15 @@ def find_independence_set(cylinders, target_size: int, oracle,
     cylinders = tuple(cylinders)
     k = len(cylinders)
     cand = sorted(set(candidates), key=search_key)
-    mask_memo: dict[Elt, list[int]] = {}
+    # None remembers a shift whose masks leave the oracle window
+    mask_memo: dict[Elt, list[int] | None] = {}
 
-    def masks_for(g: Elt) -> list[int]:
+    def masks_for(g: Elt) -> list[int] | None:
         if g not in mask_memo:
-            mask_memo[g] = _packed_masks(oracle, spec, cylinders, g)
+            try:
+                mask_memo[g] = _packed_masks(oracle, spec, cylinders, g)
+            except CertificateWindowError:
+                mask_memo[g] = None
         return mask_memo[g]
 
     # individually inadmissible cylinders can never produce witnesses
@@ -290,9 +294,8 @@ def find_independence_set(cylinders, target_size: int, oracle,
                 out_of_time = True
                 return None
             g = cand[idx]
-            try:
-                gm = masks_for(g)
-            except CertificateWindowError:
+            gm = masks_for(g)
+            if gm is None:
                 continue
             new_table = []
             ok = True
@@ -324,35 +327,6 @@ def find_independence_set(cylinders, target_size: int, oracle,
     if not check_certificate(cert, oracle, spec):
         raise AssertionError("fresh certificate failed its own re-check")
     return SearchResult("found", cert, steps)
-
-
-# -- mechanical certificate transforms -----------------------------------------
-
-
-def restrict_certificate(cert: Certificate, keep: list[Elt]) -> Certificate:
-    """Certificate for a subset of the independence set (witness restriction)."""
-    J = cert.independence_set
-    idx = [J.index(g) for g in keep]
-    k = len(cert.cylinders)
-    wits = {}
-    for assign in product(range(1, k + 1), repeat=len(keep)):
-        full = [1] * len(J)
-        for pos, j in zip(idx, assign):
-            full[pos] = j
-        wits[assign] = cert.witnesses[tuple(full)]
-    return Certificate(cert.cylinders, tuple(keep), wits)
-
-
-def pad_certificate(cert: Certificate) -> Certificate:
-    """Duplicate the first cylinder: a (k+1)-tuple certificate with the same
-    independence set."""
-    k = len(cert.cylinders)
-    cyls = (cert.cylinders[0],) + cert.cylinders
-    wits = {}
-    for assign in product(range(1, k + 2), repeat=len(cert.independence_set)):
-        collapsed = tuple(1 if j == 1 else j - 1 for j in assign)
-        wits[assign] = cert.witnesses[collapsed]
-    return Certificate(cyls, cert.independence_set, wits)
 
 
 def transport_certificate(hom: HomSpec, group: GroupSpec, cert: Certificate,
@@ -401,81 +375,6 @@ def regional_witness_from_certificate(cert: Certificate, oracle,
             if val != sym:
                 raise AssertionError("replayed witness left the target cylinder")
     return g0
-
-
-def regional_proximality_search(spec: GroupSpec, oracle, cylinders,
-                                shift_candidates: list[Elt]) -> tuple[bool, Elt | None]:
-    """Direct search: a shift g making in-language realizations of every
-    cylinder agree on the first cylinder's shape."""
-    shape = cylinders[0].shape
-    occ: list[list[Elt]] = []
-    for cyl in cylinders:
-        hits = []
-        for h in oracle.grid:
-            ok = True
-            for site, sym in zip(cyl.shape, cyl.pattern):
-                if oracle.value(spec.mul(h, site)) != sym:
-                    ok = False
-                    break
-            if ok:
-                hits.append(h)
-        if not hits:
-            return False, None
-        occ.append(hits)
-
-    def read(h: Elt, g: Elt):
-        vals = []
-        for site in shape:
-            v = oracle.value(spec.mul(spec.mul(h, spec.inv(g)), site))
-            if v is None:
-                return None
-            vals.append(v)
-        return tuple(vals)
-
-    for g in shift_candidates:
-        views = []
-        for hits in occ:
-            patterns = {read(h, g) for h in hits}
-            patterns.discard(None)
-            views.append(patterns)
-        common = set.intersection(*views) if views else set()
-        if common:
-            return True, g
-    return False, None
-
-
-def in_tuple_search(spec: GroupSpec, oracle, point_gets, shapes,
-                    target_size: int, candidates: list[Elt],
-                    max_steps: int = 2_000_000,
-                    deadline: float | None = None) -> list[SearchResult]:
-    """Independence evidence for a tuple of points along shrinking shapes.
-
-    Each shape induces one cylinder per point (its restriction, which must be
-    fully defined); the points must be pairwise distinct on the first, largest
-    shape, otherwise the tuple is degenerate and rejected.
-    """
-    first = shapes[0]
-    restr = []
-    for get in point_gets:
-        vals = tuple(get(s) for s in first)
-        if any(v is None for v in vals):
-            raise SpecError("point restriction is not fully defined")
-        restr.append(vals)
-    if len(set(restr)) != len(restr):
-        raise SpecError("points do not pairwise differ on the largest shape")
-
-    out = []
-    for shape in shapes:
-        cyls = []
-        for get in point_gets:
-            vals = tuple(get(s) for s in shape)
-            if any(v is None for v in vals):
-                raise SpecError("point restriction is not fully defined")
-            cyls.append(Cylinder(tuple(shape), vals))
-        out.append(find_independence_set(cyls, target_size, oracle, candidates,
-                                         spec, max_steps=max_steps,
-                                         deadline=deadline))
-    return out
 
 
 def entropy_bounds_bits(max_certified: int, fiber_bound: int) -> tuple[float, float]:

@@ -396,13 +396,6 @@ def box_size(rank: int, m: int) -> int:
     return (2 * m + 1) ** rank
 
 
-def box_count_bound(rank: int, m: int, s: int, eps: Fraction) -> bool:
-    """Exact test of b(m+s)/b(m) < 1 + eps for cubes in Z^rank."""
-    if m < 1 or s < 1:
-        raise SpecError("radii must be at least 1")
-    return Fraction(box_size(rank, m + s), box_size(rank, m)) < 1 + Fraction(eps)
-
-
 def corner_count_check(domains: DomainChain, n: int, s: int,
                        d: Vec) -> tuple[bool, int, Fraction]:
     """Count |B(d, s) cap (gamma + D_{n+s})| for the translate containing d

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Elt, SpecError, int_det
+from .lattice import SpecError, int_det
 from .toeplitz import BETA, Construction, ConstructionError, VARIANT_VIRTUALLY
 
 MeasureVector = dict[int, Fraction]
@@ -283,18 +283,6 @@ def simplex_vertices(cons: Construction, N: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def estimate_limit_measures(cons: Construction, i: int,
-                            s_list: list[int]) -> list[MeasureVector]:
-    """Frequency vectors mu_{i+sm-1} approaching the i-th ergodic measure."""
-    if not 1 <= i <= cons.m:
-        raise SpecError("measure index out of range")
-    out = []
-    for s in s_list:
-        n = i + s * cons.m - 1
-        out.append(mu_freq_closed(cons, n))
-    return out
-
-
 def dominant_class_mass(cons: Construction, i: int, k: int, s: int) -> tuple[Fraction, Fraction]:
     """mu_{i+sm-1} of the union of level-(i+km-1) cells with symbol i.
 
@@ -313,30 +301,6 @@ def dominant_class_mass(cons: Construction, i: int, k: int, s: int) -> tuple[Fra
 
 
 # -- window invariance and complexity diagnostics ------------------------------
-
-
-def translated_frequency_gap(cons: Construction, N: int, g: Elt) -> tuple[Fraction, Fraction]:
-    """Max per-symbol gap between frequencies over D_N R and over D_N R g,
-    and the boundary bound |D_N R g symdiff D_N R| / |D_N R|."""
-    spec = cons.group
-    cells = [(v, f) for f in range(spec.finite_order)
-             for v in cons.domains.enumerate_box(N)]
-    moved = [spec.mul(x, g) for x in cells]
-    total = len(cells)
-
-    def freq(cell_list) -> dict[int, Fraction]:
-        counts: dict[int, int] = {}
-        for x in cell_list:
-            sym, _ = cons.value(x)
-            counts[sym] = counts.get(sym, 0) + 1
-        return {s: Fraction(c, total) for s, c in counts.items()}
-
-    fa, fb = freq(cells), freq(moved)
-    syms = set(fa) | set(fb)
-    gap = max((abs(fa.get(s, Fraction(0)) - fb.get(s, Fraction(0))) for s in syms),
-              default=Fraction(0))
-    sym_diff = len(set(moved) - set(cells)) + len(set(cells) - set(moved))
-    return gap, Fraction(sym_diff, total)
 
 
 def complexity_profile(symbols: np.ndarray, radii: list[int],

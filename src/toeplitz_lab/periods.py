@@ -73,7 +73,13 @@ def all_coords_at_depth(cons: Construction, depth: int) -> list[OdometerCoords]:
 
 
 def per_set_exact(win: EtaWindow, i: int, alpha: int | None = None) -> set[Elt]:
-    """Positions of D_N R captured by level <= i, from the stratification."""
+    """Positions of D_N R captured by level <= i, from the stratification
+    (check-only).
+
+    This is the exact reference that tests compare ``per_set_empirical``
+    against: it reads the period set straight off the level array, while
+    the production route tests the visible Gamma-orbit of every position.
+    """
     out: set[Elt] = set()
     for g, sym, lvl in win.items():
         if lvl <= i and (alpha is None or sym == alpha):
@@ -365,51 +371,3 @@ def _approximants(cons: Construction, K: int, pos: np.ndarray, N: int) -> np.nda
         axes.append(np.arange(-(-start // p) * p, stop, p, dtype=np.int64))
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def classify_cell(cons: Construction, patch_get, n: int, window: EtaWindow,
-                  translates: list[Elt] | None = None) -> tuple[Elt, int]:
-    """Locate the unique v in D_n R with sigma^v x in the level-n class of the
-    array, and read the constant symbol on the fresh cells.
-
-    Membership in the class means the whole visible periodic pattern matches:
-    the symbol schedule repeats cyclically, so deeper strata shadow single
-    translates and the test must range over subgroup translates too.  The
-    patch accessor must cover v^-1 Gamma_n (D_n R union fresh(n) R) for the
-    supplied translates.
-    """
-    spec, dom = cons.group, cons.domains
-    if translates is None:
-        level = min(n + 1, cons.depth)
-        translates = subgroup_elements_in_window(cons, n, level)
-    per_pattern = {g: sym for g, sym, lvl in window.items() if lvl <= n}
-    shifts = [spec.inv(t) for t in translates]
-    candidates = []
-    for v in ((vec, f) for f in range(spec.finite_order)
-              for vec in dom.enumerate_box(n)):
-        vinv = spec.inv(v)
-        ok = True
-        for g, sym in per_pattern.items():
-            for tinv in shifts:
-                val = patch_get(spec.mul(vinv, spec.mul(tinv, g)))
-                if val != sym:  # unreadable positions disqualify the candidate
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            candidates.append(v)
-    if len(candidates) != 1:
-        raise SpecError(f"cell classification found {len(candidates)} candidates")
-    v = candidates[0]
-    vinv = spec.inv(v)
-    vals = set()
-    for cell in sorted(cons.fresh_cells(n)):
-        for f in range(spec.finite_order):
-            val = patch_get(spec.mul(vinv, (cell, f)))
-            if val is not None:
-                vals.add(val)
-    if len(vals) != 1:
-        raise SpecError("fresh-cell values are not constant; window too small "
-                        "or point outside the modeled subshift")
-    return v, vals.pop()

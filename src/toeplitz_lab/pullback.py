@@ -92,35 +92,3 @@ def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
         if source.symbol(lhs_pos) != source.symbol(rhs_pos):
             return False
     return True
-
-
-def injectivity_window_check(spec: HomSpec, group: GroupSpec,
-                             pa: ZPatch, pb: ZPatch, window: list[Elt]) -> bool:
-    """Distinct sources differing inside phi(window) must pull back apart."""
-    diff_at = [n for n in pa.positions()
-               if pb.in_window(n) and pa.symbol(n) is not None
-               and pb.symbol(n) is not None and pa.symbol(n) != pb.symbol(n)]
-    images = {spec.phi(g) for g in window}
-    if not any(n in images for n in diff_at):
-        return True  # nothing to witness on this window
-    qa = pullback_window(spec, group, pa, window)
-    qb = pullback_window(spec, group, pb, window)
-    return qa != qb
-
-
-def recurrence_gap_diagnostic(spec: HomSpec, group: GroupSpec, source: ZPatch,
-                              shape: list[Elt], scan: int) -> int:
-    """Largest gap between repeats of the origin pattern of phi* x along the
-    section direction; a minimality proxy, reported, not asserted."""
-    u = section_vector(spec)
-    base = {g: spec.phi(g) for g in shape}
-    target = {g: source.symbol(n) for g, n in base.items()}
-    if any(v is None for v in target.values()):
-        raise SpecError("origin pattern is not fully defined")
-    hits = []
-    for t in range(-scan, scan + 1):
-        if all(source.symbol(n + t) == target[g] for g, n in base.items()):
-            hits.append(t)
-    if len(hits) < 2:
-        return 2 * scan + 1
-    return max(b - a for a, b in zip(hits, hits[1:]))

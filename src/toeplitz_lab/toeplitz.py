@@ -22,7 +22,6 @@ from .lattice import (
     SpecError,
     SubgroupChain,
     Vec,
-    decompose_right,
     vec_add,
 )
 
@@ -197,12 +196,6 @@ class Construction:
         lvl = self.stratum(v)
         return self.symbol_from_level(lvl, f), lvl
 
-    def periodized_value(self, n: int, g: Elt) -> int:
-        """Value of the level-n periodization: look g up through its coset rep."""
-        _, d, f = decompose_right(self.group, self.domains, g, n)
-        lvl = self.stratum(d)
-        return self.symbol_from_level(lvl, f)
-
     def translate_constant(self, i: int, gamma: Elt) -> tuple[bool, object]:
         """Whether eta is constant on gamma * fresh(i) * R, and the value.
 
@@ -226,20 +219,6 @@ class Construction:
 
     def window(self, N: int) -> "EtaWindow":
         return EtaWindow(self, N, self.level_array(N))
-
-    def stated_period_union(self, n: int, N: int) -> set[Elt]:
-        """Union of the levels 2..n strata inside the level-N window.
-
-        This is the union the period-set lemma states verbatim; the computed
-        period set also contains the level-1 strata.  Callers compare the two
-        and report the discrepancy rather than patching it silently.
-        """
-        win = self.window(N)
-        out: set[Elt] = set()
-        for g, sym, lvl in win.items():
-            if 2 <= lvl <= n:
-                out.add(g)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,11 +281,3 @@ class EtaWindow:
         return [(tuple(row), f)
                 for f in range(self.spec.finite_order)
                 for row in coords.tolist()]
-
-    def symbol_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for f in range(self.spec.finite_order):
-            vals, counts = np.unique(self.symbol_array(f), return_counts=True)
-            for v, c in zip(vals.tolist(), counts.tolist()):
-                out[int(v)] = out.get(int(v), 0) + int(c)
-        return out

@@ -111,6 +111,18 @@ def test_verify_all_writes_timings_beside_a_deterministic_verdict(
     assert doc["passed"] and "seconds" not in verdicts[0].decode()
 
 
+def test_verify_all_refuses_a_deck_file(tmp_path, capsys):
+    # a bundled deck saved under a new name is still a deck the table never checks
+    assert run(["show-config", "--config", "z2-m2"]) == 0
+    path = tmp_path / "copy.json"
+    path.write_text(capsys.readouterr().out)
+    out = tmp_path / "o"
+    assert run(["verify-all", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--config" in err
+    assert not out.exists()  # no verdict for an unchecked deck
+
+
 # SHA-256 of the files the search wrote before witness masks became int
 # bitsets; the certificates name the same witnesses byte for byte
 INDEPENDENCE_OUTPUT_SHA256 = {

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toeplitz_lab import decks
+from toeplitz_lab import decks, independence
 from toeplitz_lab.independence import (
     _first_true_index,
     _packed_masks,
@@ -19,11 +19,7 @@ from toeplitz_lab.independence import (
     entropy_bounds_bits,
     find_independence_set,
     g_candidates,
-    in_tuple_search,
-    pad_certificate,
-    regional_proximality_search,
     regional_witness_from_certificate,
-    restrict_certificate,
     transport_certificate,
     z_candidates,
 )
@@ -83,21 +79,6 @@ def test_witnesses_missing_window_raise():
     tiny = ZOracle(generate(deck.williams, 60), margin=10)
     with pytest.raises(CertificateWindowError):
         check_certificate(res.certificate, tiny, deck.group)
-
-
-def test_monotone_restriction_and_padding():
-    deck = wdeck()
-    oracle = build_oracle()
-    res = find_independence_set(symbol_cylinders(2), 3, oracle,
-                                z_candidates(deck.williams.periods[2]),
-                                deck.group)
-    cert = res.certificate
-    keep = list(cert.independence_set[:2])
-    sub = restrict_certificate(cert, keep)
-    assert check_certificate(sub, oracle, deck.group)
-    padded = pad_certificate(sub)
-    assert len(padded.cylinders) == 3
-    assert check_certificate(padded, oracle, deck.group)
 
 
 def test_tampered_certificate_fails():
@@ -198,8 +179,9 @@ def test_transport_preserves_size():
     out = transport_certificate(hom, z2.group, res.certificate, po)
     assert out.size == res.certificate.size == 3
     # a singleton transports trivially
-    single = restrict_certificate(res.certificate,
-                                  [res.certificate.independence_set[0]])
+    single = find_independence_set(symbol_cylinders(2), 1, zo,
+                                   z_candidates(wm2.williams.periods[2]),
+                                   wm2.group).certificate
     assert transport_certificate(hom, z2.group, single, po).size == 1
 
 
@@ -211,57 +193,6 @@ def test_regional_witness_replay():
     g0 = regional_witness_from_certificate(res.certificate, oracle, deck.group)
     g, h = res.certificate.independence_set[:2]
     assert g0 == deck.group.mul(h, deck.group.inv(g))
-
-
-def test_regional_search_equal_tuple_and_depth1_negative():
-    deck = wdeck()
-    wp = deck.williams
-    eta = generate(wp, 3000)
-    oracle = ZOracle(eta, margin=200)
-    spec = deck.group
-    c0 = Cylinder.single_site(1, eta.symbol(0))
-    ok, g = regional_proximality_search(spec, oracle, [c0, c0],
-                                        z_candidates(3))
-    assert ok and g == spec.identity
-    # distinct depth-1 residues cannot be brought together once the shape is
-    # fine enough to pin the alignment; coarser shapes can merge through
-    # constant stretches, so the negative needs four periods of context
-    p1 = wp.periods[0]
-    L = 4 * p1
-    shape = [((n,), 0) for n in range(-L // 2, L - L // 2)]
-    pats = []
-    for t in (0, 1):
-        pats.append(Cylinder(tuple(shape),
-                             tuple(eta.symbol(t + n)
-                                   for n in range(-L // 2, L - L // 2))))
-    ok, _ = regional_proximality_search(spec, oracle, pats, z_candidates(10))
-    assert not ok
-
-
-def test_in_tuple_search_on_fiber_patches():
-    deck = wdeck()
-    wp = deck.williams
-    p1, p2, p3, p4 = wp.periods[:4]
-    eta = generate(wp, 2 * p4 + p3 + 100)
-    oracle = ZOracle(eta, margin=p3 + p2 + 2)
-    base = 7
-    full = lambda g: all(eta.symbol(g + n) is not None
-                         for n in range(-p2, p2 + 1))
-    reps = {}
-    for g in range(base, base + p4, p2):
-        if full(g):
-            key = tuple(eta.symbol(g + n) for n in range(-p1, p1 + 1))
-            reps.setdefault(key, g)
-    g1, g2 = list(reps.values())[:2]
-    gets = [lambda s, g=g: eta.symbol(g + s[0][0]) for g in (g1, g2)]
-    shape = [((n,), 0) for n in range(-p1, p1 + 1)]
-    res = in_tuple_search(deck.group, oracle, gets, [shape], 3,
-                          z_candidates(p3))
-    assert res[0].status == "found" and res[0].certificate.size == 3
-    # degenerate tuples are rejected by the distinctness filter
-    with pytest.raises(SpecError):
-        in_tuple_search(deck.group, oracle, [gets[0], gets[0]], [shape], 2,
-                        z_candidates(p3))
 
 
 def test_entropy_bounds():
@@ -364,6 +295,25 @@ def _z_case(name, target, k=None, **kw):
     return (cyls, target, oracle, z_candidates(p3), deck.group), kw
 
 
+def _pattern_case(target):
+    """Two cylinders on one 13-site shape: the windows of two williams-m2
+    positions that read differently around them."""
+    deck = wdeck()
+    wp = deck.williams
+    p1, p2, p3, p4 = wp.periods[:4]
+    eta = generate(wp, 2 * p4 + p3 + 100)
+    oracle = ZOracle(eta, margin=p3 + p2 + 2)
+    shape = tuple(((n,), 0) for n in range(-p1, p1 + 1))
+    patterns = []
+    for g in range(7, 7 + p4, p2):
+        if all(eta.symbol(g + n) is not None for n in range(-p2, p2 + 1)):
+            pattern = tuple(eta.symbol(g + s[0][0]) for s in shape)
+            if pattern not in patterns:
+                patterns.append(pattern)
+    cyls = [Cylinder(shape, pattern) for pattern in patterns[:2]]
+    return (cyls, target, oracle, z_candidates(p3), deck.group), {}
+
+
 def _pullback_case(target):
     wm2, z2 = wdeck(), decks.bundled_deck("z2-m2")
     eta = generate(wm2.williams, 2 * wm2.williams.periods[3] + 500)
@@ -380,6 +330,7 @@ SEARCH_CASES = {
     "williams-m2:z:4": lambda: _z_case("williams-m2", 4),
     "williams-m3:z:3": lambda: _z_case("williams-m3", 3),
     "williams-m2:z:pigeonhole": lambda: _z_case("williams-m2", 1, k=3),
+    "williams-m2:z:patterns:3": lambda: _pattern_case(3),
     "pullback:z2-m2:3": lambda: _pullback_case(3),
     "z2-m2:w3:max-steps-3": lambda: _group_case("z2-m2", 3, 4, max_steps=3),
     # window(2) refuses 120 of the 162 radius-40 shifts, between the others
@@ -413,6 +364,22 @@ def test_refusal_cases_have_refused_and_accepted_shifts():
         except CertificateWindowError:
             refused += 1
     assert 0 < refused < len(cands)
+
+
+def test_refused_shifts_are_built_once(monkeypatch):
+    """A shift whose masks leave the window is refused once, not on every
+    visit: 162 candidates, 120 of them refused, in 5,717 steps."""
+    built = []
+
+    def counted(oracle, spec, cylinders, g):
+        built.append(g)
+        return _packed_masks(oracle, spec, cylinders, g)
+
+    monkeypatch.setattr(independence, "_packed_masks", counted)
+    args, kw = _group_case("dihedral-m2", 2, 3, radius=40)
+    res = find_independence_set(*args, **kw)
+    assert (res.status, res.steps) == ("none", 5_717)
+    assert len(built) <= 162 and len(set(built)) == len(built)
 
 
 class _ArrayOracle:

@@ -12,7 +12,6 @@ from toeplitz_lab.lattice import (
     GroupSpec,
     SpecError,
     SubgroupChain,
-    box_count_bound,
     box_size,
     canon_key,
     check_index_condition,
@@ -178,16 +177,6 @@ def test_index_condition_agrees_with_float_bound_near_threshold():
             assert chain.index_between(i) == k
             assert check_index_condition(chain, i) == float_route(k, i) == \
                 (k >= threshold), (i, k)
-
-
-def test_box_count_bound():
-    assert box_count_bound(1, 1, 1, Fraction(1))           # 5/3 < 2
-    assert not box_count_bound(2, 1, 1, Fraction(1, 2))    # 25/9 >= 3/2
-    # the ratio tends to 1, so the bound holds from some radius on
-    first = next(m for m in range(1, 2000)
-                 if box_count_bound(2, m, 2, Fraction(1, 10)))
-    for m in range(first, first + 5):
-        assert box_count_bound(2, m, 2, Fraction(1, 10))
 
 
 def test_corner_lemma():

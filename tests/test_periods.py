@@ -12,7 +12,6 @@ from toeplitz_lab.periods import (
     TowerPiece,
     all_coords_at_depth,
     aperiodic_positions,
-    classify_cell,
     code_orbit_point,
     conjugation_identity_check,
     coords_compatible,
@@ -261,50 +260,6 @@ def test_fiber_of_toeplitz_coords_is_singleton():
     assert aperiodic_positions(cons, coords, 5) == set()
     res = enumerate_fiber(cons, coords, 5, win)
     assert res.count == 1 and res.aperiodic_piece_count == 0
-
-
-def test_classify_cell():
-    cons = dihedral()
-    spec = cons.group
-    win2 = cons.window(2)
-    big = cons.window(4)
-    # the array itself sits at the identity cell with the step symbol
-    v, sym = classify_cell(cons, big.get, 2, win2)
-    assert v == spec.identity and sym == cons.alpha(3)
-    # a shifted copy is classified at its shift
-    for w in (((3,), 0), ((-2,), 1)):
-        get = lambda h, w=w: big.get(spec.mul(w, h))
-        v, sym = classify_cell(cons, get, 2, win2)
-        assert v == w
-
-
-def test_classify_cell_periodization_and_nesting():
-    cons = dihedral()
-    spec = cons.group
-    win = cons.window(2)
-    N = 4
-
-    def cell_of(u, n):
-        get = lambda h, u=u: cons.periodized_value(N, spec.mul(u, h))
-        return classify_cell(cons, get, n, cons.window(n))
-
-    # periodizations classify at the identity cell for shallower levels
-    u = ((125,), 0)  # inside Gamma_3
-    v, sym3 = cell_of(u, 3)
-    assert v == spec.identity
-    # nesting: a fresh chain translate relates level n+1 to level n classes
-    gamma = ((25,), 0)  # in Gamma_2 cap D_3, nontrivial
-    _, sym_hi = cell_of(u, 3)
-    get = lambda h: cons.periodized_value(N, spec.mul(spec.mul(u, gamma), h))
-    v_lo, sym_lo = classify_cell(cons, get, 2, win)
-    assert v_lo == spec.identity and sym_lo == sym_hi
-
-
-def test_classify_cell_rejects_garbage():
-    cons = dihedral()
-    win = cons.window(2)
-    with pytest.raises(SpecError):
-        classify_cell(cons, lambda g: 1, 2, win)
 
 
 # -- slow references for the fiber census ---------------------------------------

@@ -7,9 +7,7 @@ from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.pullback import (
     HomSpec,
     equivariance_check,
-    injectivity_window_check,
     pullback_window,
-    recurrence_gap_diagnostic,
     section_element,
     section_vector,
     validate_hom,
@@ -86,24 +84,6 @@ def test_equivariance():
     for _ in range(25):
         g = ((rng.randint(-20, 20), rng.randint(-20, 20)), rng.choice((0, 1)))
         assert equivariance_check(hom, swap, eta, g, window)
-
-
-def test_window_injectivity():
-    z2 = decks.bundled_deck("z2-m2").group
-    hom = HomSpec((1, 0))
-    pa = generate(WilliamsParams(2, (3, 18, 216)), 120)
-    pb_ = generate(WilliamsParams(2, (3, 27, 243)), 120)
-    window = [((a, b), 0) for a in range(-20, 21) for b in (-1, 0, 1)]
-    assert injectivity_window_check(hom, z2, pa, pb_, window)
-
-
-def test_recurrence_diagnostic():
-    z2 = decks.bundled_deck("z2-m2").group
-    hom = HomSpec((1, 0))
-    eta = generate(WilliamsParams(2, (3, 18, 216)), 700)
-    shape = [((0, 0), 0), ((1, 0), 0), ((2, 0), 0)]
-    gap = recurrence_gap_diagnostic(hom, z2, eta, shape, 400)
-    assert 1 <= gap <= 801
 
 
 def test_section_element_identity_part():

@@ -135,22 +135,7 @@ def test_alphabets():
     assert dihedral().alphabet == (BETA, 1, 2)
     assert z2().alphabet == (1, 2)
     win = z2().window(2)
-    assert BETA not in set(win.symbol_counts())
-
-
-def test_periodized_value():
-    cons = dihedral()
-    spec = cons.group
-    n = 2
-    for g in (((3,), 0), ((-7,), 1), ((0,), 1)):
-        # periodicity: any Gamma_n translate reads the same value
-        for gamma in (((25,), 0), ((-50,), 0)):
-            assert cons.periodized_value(n, spec.mul(gamma, g)) == \
-                cons.periodized_value(n, g)
-    # inside the window the periodization agrees with the array
-    for v in cons.domains.enumerate_box(n):
-        for f in (0, 1):
-            assert cons.periodized_value(n, (v, f)) == cons.value((v, f))[0]
+    assert BETA not in set(win.symbol_array(0).tolist())
 
 
 def test_translate_constancy():
@@ -162,20 +147,6 @@ def test_translate_constancy():
         if v[0] % 5 == 0:
             ok, sym = cons.translate_constant(1, (v, 0))
             assert ok and sym in (1, 2)
-
-
-def test_period_set_union_discrepancy_is_level_one():
-    # the computed period set equals the stated stratum union plus the
-    # level-1 strata, which the stated union omits
-    cons = dihedral()
-    N = 3
-    win = cons.window(N)
-    for n in (2, 3):
-        exact = per_set_exact(win, n)
-        stated = cons.stated_period_union(n, N)
-        level1 = {g for g, _, lvl in win.items() if lvl == 1}
-        assert exact == stated | level1
-        assert level1 and not (stated & level1)
 
 
 def test_rep_factorization_of_period_sets():
