@@ -122,22 +122,33 @@ class GroupSpec:
                 np.array(self.table, dtype=np.intp),
                 np.array(self.finite_inverse, dtype=np.intp))
 
+    def _act_arr(self, f: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """M_f v element by element over arrays, shapes as in ``mul_arr``:
+        one matrix product when f is a single index, else a sum over the
+        columns of the gathered matrices."""
+        action = self._arrays[0]
+        f, v = np.asarray(f, dtype=np.intp), np.asarray(v, dtype=np.int64)
+        if f.ndim == 0:
+            return v @ action[f].T
+        mats = action[f]
+        out = mats[..., 0] * v[..., :1]
+        for j in range(1, self.rank):
+            out = out + mats[..., j] * v[..., j:j + 1]
+        return out
+
     def mul_arr(self, av: np.ndarray, af: np.ndarray, bv: np.ndarray,
                 bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``mul`` element by element over arrays: lattice parts of shape
         (..., r) and finite-part indices of shape (...).  Either factor may be
         a single element; the shapes broadcast."""
-        action, table, _ = self._arrays
+        table = self._arrays[1]
         af, bf = np.asarray(af, dtype=np.intp), np.asarray(bf, dtype=np.intp)
-        v = np.asarray(av, dtype=np.int64) + np.einsum(
-            "...ij,...j->...i", action[af], np.asarray(bv, dtype=np.int64))
-        return v, table[af, bf]
+        return np.asarray(av, dtype=np.int64) + self._act_arr(af, bv), table[af, bf]
 
     def inv_arr(self, v: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``inv`` element by element over arrays, shapes as in ``mul_arr``."""
-        action, _, inverse = self._arrays
-        fi = inverse[np.asarray(f, dtype=np.intp)]
-        return -np.einsum("...ij,...j->...i", action[fi], np.asarray(v, dtype=np.int64)), fi
+        fi = self._arrays[2][np.asarray(f, dtype=np.intp)]
+        return -self._act_arr(fi, v), fi
 
     def conj(self, g: Elt, x: Elt) -> Elt:
         """g x g^-1."""
@@ -432,12 +443,6 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return srt[new], inverse
-
-
-def canon_key(g: Elt) -> tuple:
-    """Report order: finite part, then lattice coordinates."""
-    v, f = g
-    return (f,) + v
 
 
 def search_key(g: Elt) -> tuple:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import SpecError, int_det
+from .lattice import SpecError, int_det, unique_rows
 from .toeplitz import BETA, Construction, ConstructionError, VARIANT_VIRTUALLY
 
 MeasureVector = dict[int, Fraction]
@@ -122,27 +122,18 @@ def _gamma_axes(cons: Construction, n: int, N: int) -> list[np.ndarray]:
 def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
     """Class level of every gamma in Gamma_n inside the D_N box, lex order.
 
-    Cut into p^n blocks, the D_N box holds one block per gamma, in
-    lexicographic order of gamma: since q1^N = q1^n mod p^n, block b holds
-    gamma + D_n for gamma = b p^n - (q1^N - q1^n), in the canonical order of
-    the D_n box.  The class of gamma is its block read at the columns of the
-    level-n fresh mask.
+    The class of gamma is its row of ``Construction.translate_levels``.
     """
     if N <= n:
         raise SpecError("need a deeper window than the class level")
-    p, P = cons.chain.level(n), cons.chain.level(N)
-    nblocks = tuple(b // a for a, b in zip(p, P))
-    rank = len(p)
-    split = [x for pair in zip(nblocks, p) for x in pair]
-    order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
-    blocks = cons.level_array(N).reshape(split).transpose(order)
-    cells = blocks[..., cons.fresh_bool(n).reshape(p)].reshape(math.prod(nblocks), -1)
+    cells = cons.translate_levels(cons.level_array(N), n, N)
     lo, hi = cells.min(axis=1), cells.max(axis=1)
     for bad, what in ((lo <= 1, "touched the marker stratum"),
                       (lo != hi, "is not constant on the fresh set")):
         if bad.any():
-            b = np.unravel_index(int(np.argmax(bad)), nblocks)
-            gamma = tuple(int(ax[i]) for ax, i in zip(_gamma_axes(cons, n, N), b))
+            axes = _gamma_axes(cons, n, N)
+            b = np.unravel_index(int(np.argmax(bad)), [len(ax) for ax in axes])
+            gamma = tuple(int(ax[i]) for ax, i in zip(axes, b))
             raise ConstructionError(f"cell of gamma={gamma} {what}")
     return lo
 
@@ -314,6 +305,6 @@ def complexity_profile(symbols: np.ndarray, radii: list[int],
         if placements < min_placements:
             raise SpecError(f"radius {s} leaves only {placements} placements")
         windows = np.lib.stride_tricks.sliding_window_view(arr, width)
-        count = len(np.unique(windows, axis=0))
+        count = len(unique_rows(windows)[0])
         out.append((s, int(count), math.log2(count) / width))
     return out

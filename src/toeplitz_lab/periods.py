@@ -9,6 +9,7 @@ x(w) = eta(h w).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -21,7 +22,6 @@ from .lattice import (
     GroupSpec,
     SpecError,
     Vec,
-    canon_key,
     coset_rep,
     unique_rows,
 )
@@ -59,14 +59,14 @@ def coords_compatible(cons: Construction, coords: OdometerCoords) -> bool:
 
 
 def all_coords_at_depth(cons: Construction, depth: int) -> list[OdometerCoords]:
-    """Every truncated odometer point of the given depth, canonical order."""
-    out = []
+    """Every truncated odometer point of the given depth, canonical order:
+    finite part, then the lattice part of t_depth."""
     dom = cons.domains
-    for v in dom.enumerate_box(depth):
-        for f in range(cons.group.finite_order):
-            out.append(code_orbit_point(cons, (v, f), depth))
-    out.sort(key=lambda c: canon_key(c.rep(depth)))
-    return out
+    box = dom.box_coords(depth)
+    rows = list(zip(*(map(tuple, dom.rep_arr(box, i).tolist())
+                      for i in range(1, depth + 1))))
+    return [OdometerCoords(tuple((v, f) for v in row))
+            for f in range(cons.group.finite_order) for row in rows]
 
 
 # -- period sets --------------------------------------------------------------
@@ -165,11 +165,9 @@ class WindowData:
     coords: OdometerCoords
     radius: int
     cells: tuple[Elt, ...]              # window cells w, canonical order
-    ucoords: np.ndarray = field(repr=False)  # lattice offset of each cell
     pos: np.ndarray = field(repr=False)      # lattice part of t_K w per cell
     fparts: np.ndarray = field(repr=False)   # finite part of t_K w per cell
     levels: np.ndarray = field(repr=False)   # stratum level of the coset rep
-    gamma_top: np.ndarray = field(repr=False)  # Gamma_K part of t_K w per cell
 
     @property
     def depth(self) -> int:
@@ -185,11 +183,18 @@ class WindowData:
         return out
 
 
+# (point, window cell) and (point, approximant) pairs per census batch:
+# 512 KB per int64 array
+_CHUNK_CELLS = 1 << 16
+
+
 @lru_cache(maxsize=16)
 def _window_cells(rank: int, finite_order: int,
                   radius: int) -> tuple[tuple[Elt, ...], np.ndarray]:
     """The window cells B(0, radius) R in canonical order, and the lattice
     box B(0, radius) they repeat once per finite part."""
+    if radius < 0:
+        raise SpecError(f"window radius must be non-negative, got {radius}")
     axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
     grids = np.meshgrid(*axes, indexing="ij")
     box = np.stack([g.ravel() for g in grids], axis=-1)
@@ -198,31 +203,175 @@ def _window_cells(rank: int, finite_order: int,
     return tuple((row, f) for f in range(finite_order) for row in rows), box
 
 
+@dataclass(frozen=True)
+class _Stage:
+    """The stage-j translates of a batch of points.
+
+    Window cell u of point i lies in the Gamma_j translate
+    p_j * (low[i] + unravel(code[i, u], ext)) of D_j, so the codes of one
+    point sort like its translates.
+    """
+
+    period: np.ndarray  # p_j, shape (r,)
+    low: np.ndarray     # (points, r)
+    ext: tuple[int, ...]
+    code: np.ndarray    # (points, window box)
+
+    @classmethod
+    def of(cls, units: list[np.ndarray], period: Vec) -> "_Stage":
+        """From each coordinate of the cells' translates in units of p_j."""
+        low = np.stack([x.min(axis=1) for x in units], axis=-1)
+        code, ext = 0, []
+        for k, x in enumerate(units):
+            x -= low[:, k, None]
+            ext.append(int(x.max()) + 1)
+            code = code * ext[-1] + x
+        return cls(np.array(period), low, tuple(ext), code)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.ext)
+
+    def keys(self) -> np.ndarray:
+        """Codes made distinct across points."""
+        return self.code + self.size * np.arange(len(self.code))[:, None]
+
+    def units(self, point, codes) -> np.ndarray:
+        """Translates of the given codes of the given points, in units of p_j."""
+        return np.stack(np.unravel_index(codes, self.ext), axis=-1) + self.low[point]
+
+
+class _Batch:
+    """Window bookkeeping of a batch of odometer points of one depth K.
+
+    Row i is a point and column u a cell of the lattice box B(0, radius).  A
+    window cell (u, f) sits at t_j (u, f) = (d_j + M_{f_j} u, f_j f), so its
+    lattice part, its translates and its level do not depend on f.  Lattice
+    parts are kept one coordinate per array.  Building a batch checks that
+    the stages base_level .. K merge upward.
+    """
+
+    def __init__(self, cons: Construction, points: list[OdometerCoords],
+                 radius: int, base_level: int):
+        spec, dom = cons.group, cons.domains
+        K = points[0].depth
+        if any(c.depth != K for c in points):
+            raise SpecError("a batch of odometer points must share one depth")
+        if not 1 <= base_level <= K:
+            raise SpecError("base level out of range")
+        self.cons, self.points, self.radius, self.depth = cons, points, radius, K
+        self.cells, self.box = _window_cells(spec.rank, spec.finite_order, radius)
+        n = len(points)
+        reps_v = np.array([[v for v, _ in c.reps] for c in points],
+                          dtype=np.int64).reshape(n, K, spec.rank)
+        self.reps_f = np.array([[f for _, f in c.reps] for c in points],
+                               dtype=np.intp).reshape(n, K)
+        # M_f u for every finite part f, shape (|F|, r, window box)
+        moved, _ = spec.mul_arr(0, np.arange(spec.finite_order)[:, None], self.box, 0)
+        moved = np.ascontiguousarray(moved.transpose(0, 2, 1))
+        self.stages = []
+        for j in range(base_level, K + 1):
+            f, p = self.reps_f[:, j - 1], cons.chain.level(j)
+            pos = [moved[f, k] + reps_v[:, j - 1, k, None] for k in range(spec.rank)]
+            self.stages.append(_Stage.of(
+                [(x + a) // m for x, a, m in zip(pos, dom.q1[j - 1], p)], p))
+        # a stage-j translate lies in one stage-(j+1) translate: the deeper
+        # code is a function of the point and the shallower code
+        for lo, hi in zip(self.stages, self.stages[1:]):
+            key = lo.keys()
+            hi_of = np.empty(n * lo.size, dtype=np.int64)
+            hi_of[key] = hi.code
+            if not np.array_equal(hi_of[key], hi.code):
+                raise SpecError("tower translates do not merge consistently")
+        self.pos = pos  # stage K
+        flat = 0  # of the rep of each position in the D_K box
+        for x, a, m in zip(pos, dom.q1[K - 1], cons.chain.level(K)):
+            flat = flat * m + (x + a) % m
+        self.levels = cons.level_array(K)[flat]
+        self.aperiodic = self.levels > K
+
+    def pieces(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Flags (points, top-stage codes): the translates that hold a cell
+        of the window, or of the masked part of it."""
+        top = self.stages[-1]
+        key = top.keys()
+        seen = np.zeros(len(key) * top.size, dtype=bool)
+        seen[key if mask is None else key[mask]] = True
+        return seen.reshape(len(key), top.size)
+
+    def fiber_rows(self, oracle: EtaWindow,
+                   table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rows (point, constant of each aperiodic piece) that the
+        orbit approximants realize, in lexicographic order, and the number of
+        approximants of each point.
+
+        The approximants of a point are the gamma in Gamma_K that keep gamma
+        and the whole window inside the D_N box: per axis the multiples of
+        p_K in [max(-q1, -q1 - lo), min(q2, q2 - hi)), with lo and hi the
+        extremes of the window positions.  One grid covers the approximants
+        of every point, with a mask per point.  Under gamma an aperiodic
+        piece, a Gamma_K translate tau + D_K, reads the table entry of
+        tau + gamma.
+        """
+        dom, K, N = self.cons.domains, self.depth, oracle.N
+        p = np.array(self.cons.chain.level(K))
+        n = len(self.points)
+        top = self.stages[-1]
+        pt, code = np.nonzero(self.pieces(self.aperiodic))
+        count = np.bincount(pt, minlength=n)
+        slot = np.arange(len(pt)) - (np.cumsum(count) - count)[pt]
+        # block coordinates of each aperiodic piece in the D_N box, whose
+        # block b holds the translate b p - (q1^N - q1^K)
+        a, b = np.array(dom.q1[N - 1]), np.array(dom.q2(N))
+        blocks = np.zeros((n, int(count.max(initial=0)), len(p)), dtype=np.int64)
+        blocks[pt, slot] = top.units(pt, code) + (a - np.array(dom.q1[K - 1])) // p
+        real = np.zeros(blocks.shape[:2], dtype=bool)
+        real[pt, slot] = True
+
+        low = np.stack([x.min(axis=1) for x in self.pos], axis=-1)
+        high = np.stack([x.max(axis=1) for x in self.pos], axis=-1)
+        first = -(np.minimum(a, a + low) // p)
+        last = (np.minimum(b, b - high) - 1) // p
+        axes = [np.arange(lo, hi + 1) for lo, hi in zip(first.min(axis=0), last.max(axis=0))]
+        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        valid = np.all((grid >= first[:, None]) & (grid <= last[:, None]), axis=-1)
+
+        nb = np.array(self.cons.chain.level(N)) // p
+        at = np.clip(blocks[:, None] + grid[None, :, None], 0, nb - 1)
+        flat = at[..., 0]
+        for j in range(1, len(p)):
+            flat = flat * nb[j] + at[..., j]
+        syms = np.where(real[:, None], table[flat], 0)[valid]
+        if np.any(syms < 0):
+            raise SpecError("approximant not constant on a tower piece")
+        rows = np.column_stack([np.nonzero(valid)[0], syms])
+        return unique_rows(rows)[0], valid.sum(axis=1)
+
+    def window_data(self) -> WindowData:
+        """The WindowData of the first point, one row per window cell."""
+        spec = self.cons.group
+        F = spec.finite_order
+        fparts = np.asarray(spec.table[int(self.reps_f[0, -1])], dtype=np.int64)
+        return WindowData(self.cons, self.points[0], self.radius, self.cells,
+                          np.tile(np.stack([x[0] for x in self.pos], axis=-1), (F, 1)),
+                          np.repeat(fparts, len(self.box)), np.tile(self.levels[0], F))
+
+
+def _translate_table(cons: Construction, K: int, oracle: EtaWindow) -> np.ndarray:
+    """For each Gamma_K translate of D_K inside the oracle box, in
+    lexicographic order: the symbol the oracle reads on its level-K fresh
+    cells x R, or -1 where that is not constant."""
+    if oracle.N < K:
+        raise SpecError(f"an oracle window of level {oracle.N} is shallower "
+                        f"than the depth-{K} odometer points")
+    levels = cons.translate_levels(oracle.levels, K, oracle.N)
+    syms = cons.symbol_table()[:, levels].transpose(1, 0, 2).reshape(len(levels), -1)
+    return np.where(np.all(syms == syms[:, :1], axis=1), syms[:, 0], -1)
+
+
 def window_data(cons: Construction, coords: OdometerCoords, radius: int) -> WindowData:
     """Evaluate t_K w over the window B(0, radius) R and stratify the reps."""
-    if radius < 0:
-        raise SpecError(f"window radius must be non-negative, got {radius}")
-    spec, dom = cons.group, cons.domains
-    K = coords.depth
-    tv, tf = coords.rep(K)
-    cells, box = _window_cells(spec.rank, spec.finite_order, radius)
-    mat = np.array(spec.action[tf], dtype=np.int64)
-    pos = np.tile(box @ mat.T + np.asarray(tv, dtype=np.int64), (spec.finite_order, 1))
-    ucoords = np.tile(box, (spec.finite_order, 1))
-    fparts = np.repeat(np.asarray(spec.table[tf], dtype=np.int64), len(box))
-
-    rep = dom.rep_arr(pos, K)
-    levels = cons.level_array(K)[dom.flat_arr(rep, K)].astype(np.int16)
-    return WindowData(cons, coords, radius, cells, ucoords, pos, fparts,
-                      levels, pos - rep)
-
-
-@lru_cache(maxsize=1)
-def _shared_window_data(cons: Construction, coords: OdometerCoords,
-                        radius: int) -> WindowData:
-    """window_data of the last point asked for.  A census asks enumerate_fiber
-    and then tower_pieces about the same point; the second call reuses it."""
-    return window_data(cons, coords, radius)
+    return _Batch(cons, [coords], radius, coords.depth).window_data()
 
 
 def aperiodic_positions(cons: Construction, coords: OdometerCoords,
@@ -244,49 +393,26 @@ def tower_pieces(cons: Construction, coords: OdometerCoords, base_level: int,
                  radius: int) -> list[TowerPiece]:
     """Decompose the window into the nested translate towers of the coords.
 
-    Pieces are keyed by the deepest-level translate; the recorded chains are
-    checked to merge consistently (a shallow translate determines the deeper
-    ones).
+    Pieces are keyed by the deepest-level translate; the census core checks
+    that the recorded chains merge consistently (a shallow translate
+    determines the deeper ones).
     """
-    if not 1 <= base_level <= coords.depth:
-        raise SpecError("base level out of range")
-    data = _shared_window_data(cons, coords, radius)
-    dom = cons.domains
-    stage_gammas = []
-    for j in range(base_level, coords.depth + 1):
-        dj, fj = coords.rep(j)
-        mat = np.array(cons.group.action[fj], dtype=np.int64)
-        pos_j = data.ucoords @ mat.T + np.asarray(dj, dtype=np.int64)
-        rep_j = dom.rep_arr(pos_j, j)
-        stage_gammas.append(pos_j - rep_j)
-
-    # one id per distinct translate of each stage, ids in lexicographic order
-    uniq = [unique_rows(stage) for stage in stage_gammas]
-
-    # merging must be monotone upward: a stage-j translate determines the
-    # stage-(j+1) translate containing it, so there are exactly as many
-    # distinct (lo, hi) pairs as distinct lo translates
-    for (lo, lo_id), (hi, hi_id) in zip(uniq, uniq[1:]):
-        if len(np.unique(lo_id * len(hi) + hi_id)) != len(lo):
-            raise SpecError("tower translates do not merge consistently")
-
-    keys, piece = uniq[-1]
-    cells_of = np.split(np.argsort(piece, kind="stable"),
-                        np.cumsum(np.bincount(piece))[:-1])
-    # distinct (piece, translate) codes come sorted by piece, then translate
-    stages = []
-    for rows, ids in uniq:
-        codes = np.unique(piece * len(rows) + ids)
-        stages.append(np.split(rows[codes % len(rows)],
-                               np.searchsorted(codes // len(rows), np.arange(1, len(keys)))))
-
-    aper = data.aperiodic_mask()
-    return [TowerPiece(
-        top_gamma=tuple(key),
-        stage_gammas=tuple(tuple(map(tuple, stage[pid].tolist())) for stage in stages),
-        cells=tuple(cells.tolist()),
-        aperiodic_cells=tuple(cells[aper[cells]].tolist()),
-    ) for pid, (key, cells) in enumerate(zip(keys.tolist(), cells_of))]
+    batch = _Batch(cons, [coords], radius, base_level)
+    F = cons.group.finite_order
+    codes = [np.tile(stage.code[0], F) for stage in batch.stages]
+    aper = np.tile(batch.aperiodic[0], F)
+    pieces = []
+    for key in np.unique(codes[-1]).tolist():
+        cells = np.nonzero(codes[-1] == key)[0]
+        stages = [st.units(0, np.unique(c[cells])) * st.period
+                  for st, c in zip(batch.stages, codes)]
+        pieces.append(TowerPiece(
+            top_gamma=tuple(stages[-1][0].tolist()),
+            stage_gammas=tuple(tuple(map(tuple, st.tolist())) for st in stages),
+            cells=tuple(cells.tolist()),
+            aperiodic_cells=tuple(cells[aper[cells]].tolist()),
+        ))
+    return pieces
 
 
 # -- fiber enumeration --------------------------------------------------------
@@ -319,55 +445,75 @@ def enumerate_fiber(cons: Construction, coords: OdometerCoords, radius: int,
 
     Candidates pair the forced periodic part with one plain symbol per tower
     piece on the aperiodic part; a candidate is kept when some orbit
-    approximant of the coords realizes it inside the oracle window.
+    approximant of the coords realizes it inside the oracle window.  This is
+    the census core on a batch of one point.  It reads every approximant's
+    piece constants from a table of the Gamma_K translates of D_K, so a
+    "not constant on a tower piece" SpecError means that a translate some
+    approximant reads is not constant on its whole level-K fresh part x R:
+    a superset of the cells the window sees.
     """
-    data = _shared_window_data(cons, coords, radius)
+    K = coords.depth
+    batch = _Batch(cons, [coords], radius, K)
+    rows, approximants = batch.fiber_rows(oracle, _translate_table(cons, K, oracle))
+    data = batch.window_data()
     aper = np.nonzero(data.aperiodic_mask())[0]
-    keys, cell_piece = unique_rows(data.gamma_top)
-    # aperiodic pieces in piece order, the first aperiodic cell of each, and
-    # the slot of every aperiodic cell's piece among them
-    aper_pieces, first = np.unique(cell_piece[aper], return_index=True)
-    slot = np.searchsorted(aper_pieces, cell_piece[aper])
-
-    gammas = _approximants(cons, coords.depth, data.pos, oracle.N)
-    lvls = oracle.levels[cons.domains.flat_arr(
-        data.pos[aper] + gammas[:, None, :], oracle.N)]
-    syms = cons.symbol_table()[data.fparts[aper], lvls]
-    consts = syms[:, first]
-    if not np.array_equal(syms, consts[:, slot]):
-        raise SpecError("approximant not constant on a tower piece")
-
+    piece = np.tile(batch.stages[-1].code[0], cons.group.finite_order)
+    # aperiodic pieces in piece order, and the slot of every aperiodic cell's
+    # piece among them
+    aper_pieces = np.unique(piece[aper])
+    slot = np.searchsorted(aper_pieces, piece[aper])
     forced = data.forced_symbols()
     patches = []
-    # unique rows come in lexicographic order, the order of sorted tuples
-    for row in unique_rows(consts)[0]:
-        syms_w = forced.copy()
-        syms_w[aper] = row[slot]
-        patches.append(FiberPatch(data.cells, tuple(syms_w.tolist()),
-                                  tuple(row.tolist())))
+    for row in rows[:, 1:]:
+        syms = forced.copy()
+        syms[aper] = row[slot]
+        patches.append(FiberPatch(data.cells, tuple(syms.tolist()), tuple(row.tolist())))
     return FiberResult(
         coords=coords,
         patches=tuple(patches),
-        piece_count=len(keys),
+        piece_count=len(np.unique(piece)),
         aperiodic_piece_count=len(aper_pieces),
         candidate_count=cons.m ** len(aper_pieces),
-        approximant_count=len(gammas),
+        approximant_count=int(approximants[0]),
     )
 
 
-def _approximants(cons: Construction, K: int, pos: np.ndarray, N: int) -> np.ndarray:
-    """Gamma_K vectors gamma with every window position pos + gamma inside
-    the D_N box, in lexicographic order.
+# -- the census -----------------------------------------------------------------
 
-    Per axis these are the multiples of p_K in [max(-q1, -q1 - lo),
-    min(q2, q2 - hi)), with lo and hi the extremes of the window positions:
-    gamma itself lies in the box, and so do both ends of the window.
+
+@dataclass(frozen=True, eq=False)
+class Census:
+    """Counts per odometer point of a census, in the order of its points."""
+
+    pieces: np.ndarray               # tower pieces meeting the window
+    aperiodic_pieces: np.ndarray     # pieces that hold an aperiodic cell
+    fibers: np.ndarray | None        # realized patches, given an oracle
+    approximants: np.ndarray | None  # orbit approximants, given an oracle
+
+
+def census(cons: Construction, points: list[OdometerCoords], radius: int,
+           oracle: EtaWindow | None = None) -> Census:
+    """Tower pieces, aperiodic pieces and, given an oracle window, the fiber
+    count of every odometer point of one depth, in batches.
+
+    Per point the counts are those of ``tower_pieces(cons, coords, 1,
+    radius)`` (whose merge check runs here too) and of ``enumerate_fiber``,
+    which is this core on a batch of one point.  The oracle is read once,
+    into the table of its Gamma_K translates, and then once per (point,
+    approximant, aperiodic piece).
     """
-    dom = cons.domains
-    axes = []
-    for p, a, b, lo, hi in zip(cons.chain.level(K), dom.q1[N - 1], dom.q2(N),
-                               pos.min(axis=0).tolist(), pos.max(axis=0).tolist()):
-        start, stop = max(-a, -a - lo), min(b, b - hi)
-        axes.append(np.arange(-(-start // p) * p, stop, p, dtype=np.int64))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    spec = cons.group
+    table = None if oracle is None else _translate_table(cons, points[0].depth, oracle)
+    box = _window_cells(spec.rank, spec.finite_order, radius)[1]
+    # a point has at most one approximant per translate in the table
+    step = max(1, _CHUNK_CELLS // max(len(box), 0 if table is None else len(table)))
+    parts = []
+    for start in range(0, len(points), step):
+        batch = _Batch(cons, points[start:start + step], radius, 1)
+        part = [batch.pieces().sum(axis=1), batch.pieces(batch.aperiodic).sum(axis=1)]
+        if table is not None:
+            rows, approximants = batch.fiber_rows(oracle, table)
+            part += [np.bincount(rows[:, 0], minlength=len(approximants)), approximants]
+        parts.append(part)
+    pieces, aperiodic, *fibers = (np.concatenate(col) for col in zip(*parts))
+    return Census(pieces, aperiodic, *(fibers or (None, None)))

@@ -9,6 +9,7 @@ stratification of a box, never from extrapolated moduli.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -173,6 +174,23 @@ class Construction:
             lvl[lvl == 0] = K + 1
             fresh[K] = lvl == K + 1
         return lvl
+
+    def translate_levels(self, levels: np.ndarray, n: int, N: int) -> np.ndarray:
+        """A level array of the D_N box read at the level-n fresh cells of
+        every Gamma_n translate of D_n inside it: one row per translate, in
+        lexicographic order of the translate, n <= N.
+
+        Cut into p^n blocks, the D_N box holds one block per translate: since
+        q1^N = q1^n mod p^n, block b holds gamma + D_n for gamma = b p^n -
+        (q1^N - q1^n), in the canonical order of the D_n box.
+        """
+        p, P = self.chain.level(n), self.chain.level(N)
+        nblocks = tuple(b // a for a, b in zip(p, P))
+        rank = len(p)
+        split = [x for pair in zip(nblocks, p) for x in pair]
+        order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
+        blocks = np.asarray(levels).reshape(split).transpose(order)
+        return blocks[..., self.fresh_bool(n).reshape(p)].reshape(math.prod(nblocks), -1)
 
     def stratum(self, v: Vec) -> int:
         """Stratum level of a single lattice point, or DepthExhausted."""

@@ -70,33 +70,33 @@ def check_fresh_dual(deck_name: str, max_level: int = 4) -> CheckResult:
 
 
 def check_strata_partition(deck_name: str, N: int = 3) -> CheckResult:
+    """Every cell of the D_N box claims exactly one stratum, and that is its
+    level in ``level_array(N)`` with a symbol of the alphabet.
+
+    Cell v claims level 1 when v is in Gamma_1, level l in 2..N when its rep
+    modulo Gamma_l is a level-(l-1) fresh cell, and level N+1 when it is a
+    level-N fresh cell itself."""
     cons = _cons(deck_name)
     dom = cons.domains
-    fresh = [cons.fresh_cells(n) for n in range(N)]
-    zero = (0,) * cons.group.rank
-    bad = 0
-    undefined = 0
-    total = 0
-    for v in dom.enumerate_box(N):
-        claims = []
-        for l in range(1, N + 1):
-            rep = dom.rep(v, l)
-            if (l == 1 and rep == zero) or (l > 1 and rep in fresh[l - 1]):
-                claims.append(l)
-        if v in cons.fresh_cells(N):
-            claims.append(N + 1)
-        total += 1
-        if len(claims) != 1:
-            bad += 1
-            continue
-        lvl = cons.stratum(v)
-        if lvl != claims[0] or any(
-                cons.symbol_from_level(lvl, f) not in cons.alphabet
-                for f in range(cons.group.finite_order)):
-            undefined += 1
+    coords = dom.box_coords(N)
+    claims = [np.all(dom.rep_arr(coords, 1) == 0, axis=1)]
+    for l in range(2, N + 1):
+        rep = dom.rep_arr(coords, l)
+        inside = dom.in_box_arr(rep, l - 1)
+        hit = np.zeros(len(coords), dtype=bool)
+        hit[inside] = cons.fresh_bool(l - 1)[dom.flat_arr(rep[inside], l - 1)]
+        claims.append(hit)
+    claims.append(cons.fresh_bool(N))
+    claims = np.stack(claims)
+    single = claims.sum(axis=0) == 1
+    levels = cons.level_array(N)
+    in_alphabet = np.isin(cons.symbol_table(), cons.alphabet).all(axis=0)
+    wrong = (levels != claims.argmax(axis=0) + 1) | ~in_alphabet[levels]
+    bad = int(np.count_nonzero(~single))
+    undefined = int(np.count_nonzero(single & wrong))
     passed = bad == 0 and undefined == 0
     return CheckResult(f"strata-partition[{deck_name}]", passed, "counted",
-                       {"cells": total * cons.group.finite_order,
+                       {"cells": len(coords) * cons.group.finite_order,
                         "multi_or_unclaimed": bad, "undefined": undefined})
 
 
@@ -208,41 +208,40 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     """Fiber count, tower pieces and aperiodic part of every depth-2 odometer
     point, in canonical order.
 
-    Tower pieces are counted on the radius window.  Fibers of 1-d decks come
-    from the classical sequence at its safe radius, where one not-yet-periodic
-    cluster meets the window (the bound m holds only there); fibers of group
-    decks come from orbit approximants inside the level-3 window at the given
-    radius.  A point whose fiber no approximant reaches is refused: an empty
+    Tower pieces are counted on the radius window by ``periods.census``.
+    Fibers of 1-d decks come from the classical sequence at its safe radius,
+    where one not-yet-periodic cluster meets the window (the bound m holds
+    only there); fibers of group decks come from the same census, through
+    orbit approximants inside the level-3 window at the given radius.  A point whose fiber no approximant reaches is refused: an empty
     fiber would pass any bound.
     """
     cons = deckmod.construction(deck)
+    points = periods.all_coords_at_depth(cons, 2)
     wp = deck.williams
+    counts = periods.census(cons, points, radius, None if wp else cons.window(3))
     if wp is not None:
         fiber_radius = williams.max_safe_fiber_radius(wp, 2)
         eta = williams.generate(wp, wp.periods[-1] + fiber_radius + wp.periods[0] + 2)
         fiber_bound, unit = wp.m, "cells"
-
-        def fiber(coords: periods.OdometerCoords) -> tuple[tuple, int, int]:
+        shown, fibers, aperiodic = [], [], []
+        for coords in points:
             residues = williams.coords_of_int(wp, coords.rep(2)[0][0], 2)
             patches, info = williams.fiber_patches(wp, eta, residues, fiber_radius)
-            return residues, len(patches), info["aperiodic_cells"]
+            shown.append(residues)
+            fibers.append(len(patches))
+            aperiodic.append(info["aperiodic_cells"])
     else:
         fiber_radius = radius
-        win = cons.window(3)
         fiber_bound, unit = deck.group_fiber_bound(), "pieces"
-
-        def fiber(coords: periods.OdometerCoords) -> tuple[tuple, int, int]:
-            res = periods.enumerate_fiber(cons, coords, radius, win)
-            return coords.reps, res.count, res.aperiodic_piece_count
+        shown = [coords.reps for coords in points]
+        fibers, aperiodic = counts.fibers.tolist(), counts.aperiodic_pieces.tolist()
 
     rows = []
-    for coords in periods.all_coords_at_depth(cons, 2):
-        shown, count, aperiodic = fiber(coords)
+    for coords, count, pieces, aper in zip(shown, fibers, counts.pieces.tolist(), aperiodic):
         if count == 0:
             raise SpecError(f"no orbit approximant reaches odometer point "
-                            f"{shown} at fiber radius {fiber_radius}")
-        pieces = len(periods.tower_pieces(cons, coords, 1, radius))
-        rows.append(FiberRow(shown, count, pieces, aperiodic))
+                            f"{coords} at fiber radius {fiber_radius}")
+        rows.append(FiberRow(coords, count, pieces, aper))
     return FiberCensus(fiber_radius, fiber_bound,
                        2 ** deck.group.rank * deck.group.finite_order, unit,
                        tuple(rows))

@@ -13,7 +13,6 @@ from toeplitz_lab.lattice import (
     SpecError,
     SubgroupChain,
     box_size,
-    canon_key,
     check_index_condition,
     corner_count_check,
     decompose_right,
@@ -113,7 +112,8 @@ def test_enumerate_domain():
     with_r = enumerate_domain(deck.group, deck.domains, 1, with_reps=True)
     assert len(with_r) == 10
     assert deck.group.identity in with_r
-    assert with_r == sorted(with_r, key=canon_key)
+    # report order: finite part, then lattice coordinates
+    assert with_r == sorted(with_r, key=lambda g: (g[1],) + g[0])
 
 
 def test_box_nesting_partition():
@@ -219,6 +219,8 @@ def test_array_arithmetic_matches_scalar(name, data):
     v, f = spec.mul_arr(*pairs[0][0], *b)
     assert [(tuple(x), int(y)) for x, y in zip(v.tolist(), f.tolist())] == \
         [spec.mul(pairs[0][0], q) for _, q in pairs]
+    v, f = spec.inv_arr(*pairs[0][0])
+    assert (tuple(v.tolist()), int(f)) == spec.inv(pairs[0][0])
 
 
 @settings(max_examples=60, deadline=None)

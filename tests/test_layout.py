@@ -1,11 +1,17 @@
-"""Every public function of the library has a caller outside tests/.
+"""Layout rules for src/.
 
-A public top-level function or public method (properties excluded) counts
-as used when its name is referenced in src/ outside its own definition, or
-appears in a script under bench/ or demos/ (the tracer names layers by
-strings such as "periods.window_data").  The only exceptions are check-only
-references: second implementations that tests compare a production function
-against, each saying so in its docstring.
+Every public function of the library has a caller outside tests/.  A public
+top-level function or public method (properties excluded) counts as used
+when its name is referenced in src/ outside its own definition, or appears
+in a script under bench/ or demos/ (the tracer names layers by strings such
+as "periods.window_data").  The only exceptions are check-only references:
+second implementations that tests compare a production function against,
+each saying so in its docstring.
+
+No numpy call in src/ takes a slow route to rows or matrix actions:
+``np.unique(..., axis=...)`` sorts through a structured dtype, and
+``np.einsum`` over gathered matrices loses to a matrix product or a column
+sum.
 """
 
 import ast
@@ -96,3 +102,35 @@ def test_check_only_references_are_labelled_and_uncalled():
         assert "check-only" in doc and counterpart in doc, \
             f"{mod}.{name} must say it is the check-only reference for {counterpart}"
         assert (mod, counterpart) in defs
+
+
+def _slow_numpy_calls(source: str, name: str) -> list[str]:
+    """Each ``np.unique(..., axis=...)`` and ``np.einsum`` call in the
+    source, with the form to use instead."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        where = f"{name}:{node.lineno}"
+        if node.func.attr == "einsum":
+            out.append(f"{where}: np.einsum; use v @ M.T for one matrix, else a "
+                       f"sum over the columns (GroupSpec._act_arr)")
+        elif node.func.attr == "unique" and any(k.arg == "axis" for k in node.keywords):
+            out.append(f"{where}: np.unique(..., axis=...); use lattice.unique_rows")
+    return out
+
+
+def test_no_slow_numpy_row_forms_in_src():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _slow_numpy_calls(path.read_text(), path.name)]
+    assert found == [], "\n".join(found)
+
+
+def test_slow_numpy_guard_sees_both_forms():
+    source = ("import numpy as np\n"
+              "np.unique(a, axis=0, return_inverse=True)\n"
+              "np.unique(a)\n"
+              "np.einsum('...ij,...j->...i', m, v)\n")
+    hits = _slow_numpy_calls(source, "x.py")
+    assert [h.split(":")[1] for h in hits] == ["2", "4"]
+    assert "lattice.unique_rows" in hits[0] and "v @ M.T" in hits[1]

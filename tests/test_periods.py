@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from toeplitz_lab.periods import (
     TowerPiece,
     all_coords_at_depth,
     aperiodic_positions,
+    census,
     code_orbit_point,
     conjugation_identity_check,
     coords_compatible,
@@ -271,12 +273,18 @@ def _enumerate_fiber_reference(cons, coords, radius, oracle):
     ``symbol_from_level`` per cell, piece constants by set comprehension."""
     dom = cons.domains
     data = window_data(cons, coords, radius)
+    # the window positions t_K w and their strata, one group product at a time
+    moved = [cons.group.mul(coords.rep(coords.depth), w) for w in data.cells]
+    assert data.pos.tolist() == [list(v) for v, _ in moved]
+    assert data.fparts.tolist() == [f for _, f in moved]
+    assert data.levels.tolist() == [cons.stratum(dom.rep(v, coords.depth)) for v, _ in moved]
     aper = data.aperiodic_mask()
     forced = np.full(len(data.cells), -1, dtype=np.int16)
     for idx in np.nonzero(~aper)[0]:
         forced[idx] = cons.symbol_from_level(int(data.levels[idx]), int(data.fparts[idx]))
 
-    keys = [tuple(row) for row in data.gamma_top.tolist()]
+    gamma_top = data.pos - dom.rep_arr(data.pos, coords.depth)
+    keys = [tuple(row) for row in gamma_top.tolist()]
     piece_ids = sorted(set(keys))
     piece_of = {k: i for i, k in enumerate(piece_ids)}
     cell_piece = np.array([piece_of[k] for k in keys])
@@ -315,10 +323,11 @@ def _enumerate_fiber_reference(cons, coords, radius, oracle):
 def _tower_pieces_reference(cons, coords, base_level, radius):
     """Tower pieces through per-cell dictionaries and set comprehensions."""
     data = window_data(cons, coords, radius)
+    ucoords = np.array([v for v, _ in data.cells])
     stage_gammas = []
     for j in range(base_level, coords.depth + 1):
         dj, fj = coords.rep(j)
-        pos_j = data.ucoords @ np.array(cons.group.action[fj]).T + np.array(dj)
+        pos_j = ucoords @ np.array(cons.group.action[fj]).T + np.array(dj)
         stage_gammas.append(pos_j - cons.domains.rep_arr(pos_j, j))
     for lo, hi in zip(stage_gammas, stage_gammas[1:]):
         seen: dict[Vec, Vec] = {}
@@ -342,12 +351,62 @@ def _tower_pieces_reference(cons, coords, base_level, radius):
 def test_census_matches_scalar_reference(deck_name, stride, radius):
     cons = decks.construction(decks.bundled_deck(deck_name))
     win = cons.window(3)
-    for coords in all_coords_at_depth(cons, 2)[::stride]:
-        assert enumerate_fiber(cons, coords, radius, win) == \
-            _enumerate_fiber_reference(cons, coords, radius, win)
-        for base in (1, 2):
-            assert tower_pieces(cons, coords, base, radius) == \
-                _tower_pieces_reference(cons, coords, base, radius)
+    points = all_coords_at_depth(cons, 2)[::stride]
+    counts = census(cons, points, radius, win)
+    for i, coords in enumerate(points):
+        want = _enumerate_fiber_reference(cons, coords, radius, win)
+        assert enumerate_fiber(cons, coords, radius, win) == want
+        pieces = {base: _tower_pieces_reference(cons, coords, base, radius)
+                  for base in (1, 2)}
+        for base, ref in pieces.items():
+            assert tower_pieces(cons, coords, base, radius) == ref
+        # the batched core gives every point the counts of its batch of one
+        assert (counts.fibers[i], counts.approximants[i], counts.aperiodic_pieces[i],
+                counts.pieces[i]) == (want.count, want.approximant_count,
+                                      want.aperiodic_piece_count, len(pieces[1]))
+
+
+def _all_coords_reference(cons, depth):
+    """Every point coded one group element at a time, then sorted by finite
+    part and lattice coordinates."""
+    out = [code_orbit_point(cons, (v, f), depth)
+           for v in cons.domains.enumerate_box(depth)
+           for f in range(cons.group.finite_order)]
+    return sorted(out, key=lambda c: (c.rep(depth)[1],) + c.rep(depth)[0])
+
+
+@pytest.mark.parametrize("deck_name", decks.BUNDLED)
+def test_all_coords_match_scalar_coding(deck_name):
+    cons = decks.construction(decks.bundled_deck(deck_name))
+    for depth in (1, 2):
+        assert all_coords_at_depth(cons, depth) == _all_coords_reference(cons, depth)
+
+
+def test_depth3_census_of_z2():
+    """The z2-m2 census at depth 3, window(4), radius 8, through the batched
+    core (15,625 points, many batches)."""
+    cons = decks.construction(decks.bundled_deck("z2-m2"))
+    counts = census(cons, all_coords_at_depth(cons, 3), 8, cons.window(4))
+    assert dict(Counter(counts.fibers.tolist())) == {1: 81, 2: 11800, 3: 3488, 5: 256}
+    assert dict(Counter(counts.pieces.tolist())) == {1: 11881, 2: 3488, 4: 256}
+    assert counts.approximants.min() > 0
+
+
+def test_incompatible_coords_do_not_merge():
+    """t_1 = 0 is not t_2 = (12, 0) mod Gamma_1, so a stage-1 translate of
+    the window straddles the stage-2 boundary at u_1 = 1."""
+    cons = decks.construction(decks.bundled_deck("z2-m2"))
+    bad = OdometerCoords((((0, 0), 0), ((12, 0), 0)))
+    assert not coords_compatible(cons, bad)
+    good = all_coords_at_depth(cons, 2)[:3]
+    with pytest.raises(SpecError, match="tower translates do not merge consistently"):
+        _tower_pieces_reference(cons, bad, 1, 8)
+    with pytest.raises(SpecError, match="tower translates do not merge consistently"):
+        tower_pieces(cons, bad, 1, 8)
+    with pytest.raises(SpecError, match="tower translates do not merge consistently"):
+        census(cons, good + [bad], 8, cons.window(3))
+    # the top stage alone has nothing to merge
+    assert len(tower_pieces(cons, bad, 2, 8)) == 2
 
 
 def test_corrupted_oracle_is_not_constant_on_a_piece():
@@ -380,3 +439,12 @@ def test_corrupted_oracle_is_not_constant_on_a_piece():
         enumerate_fiber(cons, coords, 8, bad)
     with pytest.raises(SpecError, match="not constant on a tower piece"):
         _enumerate_fiber_reference(cons, coords, 8, bad)
+    with pytest.raises(SpecError, match="not constant on a tower piece"):
+        census(cons, all_coords_at_depth(cons, 2), 8, bad)
+
+
+def test_oracle_shallower_than_the_points_is_refused():
+    cons = dihedral()
+    coords = code_orbit_point(cons, ((13,), 0), 4)
+    with pytest.raises(SpecError, match="shallower"):
+        enumerate_fiber(cons, coords, 5, cons.window(3))

@@ -14,7 +14,7 @@ from toeplitz_lab.lattice import (
 from toeplitz_lab.measures import fresh_count
 from toeplitz_lab.periods import per_set_exact
 from toeplitz_lab.toeplitz import BETA, Construction, ConstructionParams
-from toeplitz_lab.verify import fresh_dual
+from toeplitz_lab.verify import check_strata_partition, fresh_dual
 
 
 def dihedral():
@@ -216,3 +216,56 @@ def test_williams_reduction_level_sets_are_residue_classes():
     for n in range(-2 * p2 * 6, 2 * p2 * 6):
         flags.setdefault(n % p2, set()).add(eta.level(n) == 2)
     assert all(len(v) == 1 for v in flags.values())
+
+
+def _strata_partition_reference(cons, N):
+    """The strata-partition details one cell at a time: claims from the
+    ``fresh_cells`` sets, the level from ``stratum``, symbols through
+    ``symbol_from_level``."""
+    dom = cons.domains
+    fresh = [cons.fresh_cells(n) for n in range(N)]
+    zero = (0,) * cons.group.rank
+    bad = undefined = total = 0
+    for v in dom.enumerate_box(N):
+        claims = []
+        for l in range(1, N + 1):
+            rep = dom.rep(v, l)
+            if (l == 1 and rep == zero) or (l > 1 and rep in fresh[l - 1]):
+                claims.append(l)
+        if v in cons.fresh_cells(N):
+            claims.append(N + 1)
+        total += 1
+        if len(claims) != 1:
+            bad += 1
+            continue
+        lvl = cons.stratum(v)
+        if lvl != claims[0] or any(
+                cons.symbol_from_level(lvl, f) not in cons.alphabet
+                for f in range(cons.group.finite_order)):
+            undefined += 1
+    return {"cells": total * cons.group.finite_order,
+            "multi_or_unclaimed": bad, "undefined": undefined}
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+@pytest.mark.parametrize("N", [2, 3])
+def test_strata_partition_matches_cell_loop(name, N):
+    res = check_strata_partition(name, N)
+    want = _strata_partition_reference(decks.construction(decks.bundled_deck(name)), N)
+    assert res.details == want
+    assert res.passed
+
+
+def test_strata_partition_fails_on_a_dropped_fresh_cell(monkeypatch):
+    fresh_bool = Construction.fresh_bool
+
+    def dropped(self, n):
+        mask = fresh_bool(self, n)
+        if n == 1:
+            mask = mask.copy()
+            mask[np.argmax(mask)] = False
+        return mask
+
+    monkeypatch.setattr(Construction, "fresh_bool", dropped)
+    res = check_strata_partition("z2-m2")
+    assert not res.passed and res.details["multi_or_unclaimed"] > 0
