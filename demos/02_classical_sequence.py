@@ -27,8 +27,8 @@ print(f"filling steps:    {lvls}   (0 marks still-empty cells)")
 print("\npartial sums of the period-ratio series:",
       [str(s) for s in convergence_partial_sums(wp)])
 
-radius = max_safe_fiber_radius(wp, 2)
-big = generate(wp, wp.periods[-1] + radius + 10)
+big = generate(wp, wp.periods[-1] + wp.periods[0] + 10)
+radius = max_safe_fiber_radius(big, 2)
 hist = {}
 witness = None
 for g2 in range(wp.periods[1]):

@@ -32,9 +32,9 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 
-def _out_dir(args, deck_name: str, sub: str) -> Path:
+def _out_dir(args, *parts: str) -> Path:
     base = Path(args.out) if args.out else Path("tl-out")
-    path = base / deck_name / sub
+    path = base.joinpath(*parts)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -247,12 +247,13 @@ def cmd_pullback(deck, args) -> int:
 
 
 def cmd_verify_all(deck, args) -> int:
-    # the acceptance table checks the bundled decks only, whatever --config says
+    # the acceptance table checks the bundled decks only, whatever --config
+    # says, so its verdict has one place
     if args.config not in deckmod.BUNDLED:
         raise SpecError(f"--config must name a bundled deck for verify-all "
                         f"({', '.join(deckmod.BUNDLED)}), got {args.config!r}")
     deadline = _search_deadline(args)
-    out = _out_dir(args, deck.name, "verify-all")
+    out = _out_dir(args, "verify-all")
     log = out / "run.log"
     _log(log, "verify-all started")
     doc = {"criteria": [], "passed": True}

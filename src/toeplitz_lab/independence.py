@@ -122,15 +122,14 @@ class ZOracle:
 class GOracle:
     """Occurrence oracle over a box window of the group construction."""
 
-    def __init__(self, win: EtaWindow, margin_levels: int = 1):
+    def __init__(self, win: EtaWindow):
         self.win = win
         self.cons = win.cons
         spec, dom = win.spec, win.cons.domains
-        inner = win.N - margin_levels
-        if inner < 1:
+        # the core keeps one level of margin inside the window
+        if win.N < 2:
             raise SpecError("oracle window too shallow for a safe core")
-        self.inner = inner
-        self.core = dom.box_coords(inner)
+        self.core = dom.box_coords(win.N - 1)
         self.grid = [(tuple(v), f)
                      for f in range(spec.finite_order)
                      for v in self.core.tolist()]

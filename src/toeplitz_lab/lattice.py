@@ -150,17 +150,8 @@ class GroupSpec:
         fi = self._arrays[2][np.asarray(f, dtype=np.intp)]
         return -self._act_arr(fi, v), fi
 
-    def conj(self, g: Elt, x: Elt) -> Elt:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
     def apply(self, f: int, v: Vec) -> Vec:
         return matvec(self.action[f], v)
-
-    def reps(self) -> list[Elt]:
-        """The finite-part representative set R, identity first."""
-        zero = (0,) * self.rank
-        return [(zero, f) for f in range(self.finite_order)]
 
     def validate(self) -> None:
         n = self.finite_order
@@ -383,12 +374,6 @@ def decompose_right(spec: GroupSpec, domains: DomainChain, g: Elt,
     return gamma, d, f
 
 
-def coset_rep(spec: GroupSpec, domains: DomainChain, g: Elt, i: int) -> Elt:
-    """Representative of the right coset Gamma_i g inside D_i R."""
-    _, d, f = decompose_right(spec, domains, g, i)
-    return (d, f)
-
-
 def enumerate_domain(spec: GroupSpec, domains: DomainChain, i: int,
                      with_reps: bool) -> list[Elt]:
     """D_i (or D_i R) in canonical order: finite part, then lattice lex."""
@@ -422,12 +407,6 @@ def corner_count_check(domains: DomainChain, n: int, s: int,
             count += 1
     bound = Fraction(box_size(rank, s), 2 ** rank)
     return count >= bound, count, bound
-
-
-def elt_arrays(elts: list[Elt], rank: int) -> EltArr:
-    """Elements as a pair of arrays: lattice parts (n, rank), finite parts (n,)."""
-    v = np.array([e[0] for e in elts], dtype=np.int64).reshape(len(elts), rank)
-    return v, np.array([e[1] for e in elts], dtype=np.intp)
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -294,15 +294,19 @@ def dominant_class_mass(cons: Construction, i: int, k: int, s: int) -> tuple[Fra
 # -- window invariance and complexity diagnostics ------------------------------
 
 
-def complexity_profile(symbols: np.ndarray, radii: list[int],
-                       min_placements: int = 100) -> list[tuple[int, int, float]]:
-    """(radius, distinct pattern count, log2(count) / window size) per radius."""
+_MIN_PLACEMENTS = 100
+
+
+def complexity_profile(symbols: np.ndarray,
+                       radii: list[int]) -> list[tuple[int, int, float]]:
+    """(radius, distinct pattern count, log2(count) / window size) per radius,
+    each over at least _MIN_PLACEMENTS window placements."""
     out = []
     arr = np.asarray(symbols)
     for s in radii:
         width = 2 * s + 1
         placements = len(arr) - width + 1
-        if placements < min_placements:
+        if placements < _MIN_PLACEMENTS:
             raise SpecError(f"radius {s} leaves only {placements} placements")
         windows = np.lib.stride_tricks.sliding_window_view(arr, width)
         count = len(unique_rows(windows)[0])

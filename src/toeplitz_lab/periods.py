@@ -10,21 +10,12 @@ x(w) = eta(h w).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .lattice import (
-    Elt,
-    EltArr,
-    GroupSpec,
-    SpecError,
-    Vec,
-    coset_rep,
-    unique_rows,
-)
+from .lattice import Elt, EltArr, GroupSpec, SpecError, Vec, unique_rows
 from .toeplitz import Construction, EtaWindow
 
 
@@ -44,29 +35,9 @@ class OdometerCoords:
 
 def code_orbit_point(cons: Construction, g: Elt, depth: int) -> OdometerCoords:
     """Coset representative of Gamma_i g at every level i <= depth."""
-    reps = tuple(coset_rep(cons.group, cons.domains, g, i)
-                 for i in range(1, depth + 1))
-    return OdometerCoords(reps)
-
-
-def coords_compatible(cons: Construction, coords: OdometerCoords) -> bool:
-    spec, chain = cons.group, cons.chain
-    for i in range(1, coords.depth):
-        step = spec.mul(coords.rep(i + 1), spec.inv(coords.rep(i)))
-        if not chain.member(step, i):
-            return False
-    return True
-
-
-def all_coords_at_depth(cons: Construction, depth: int) -> list[OdometerCoords]:
-    """Every truncated odometer point of the given depth, canonical order:
-    finite part, then the lattice part of t_depth."""
-    dom = cons.domains
-    box = dom.box_coords(depth)
-    rows = list(zip(*(map(tuple, dom.rep_arr(box, i).tolist())
-                      for i in range(1, depth + 1))))
-    return [OdometerCoords(tuple((v, f) for v in row))
-            for f in range(cons.group.finite_order) for row in rows]
+    v, f = g
+    return OdometerCoords(tuple((cons.domains.rep(v, i), f)
+                                for i in range(1, depth + 1)))
 
 
 # -- period sets --------------------------------------------------------------
@@ -104,12 +75,13 @@ def per_set_empirical(spec: GroupSpec, get_arr, positions: EltArr, gammas: EltAr
     return ok & np.all((vals < 0) | (vals == base), axis=0)
 
 
-def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> list[Elt]:
+def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> EltArr:
     """Gamma_i elements whose vector lies in the level box, canonical order."""
     dom = cons.domains
-    axes = (range(-(a // p) * p, b, p) for p, a, b in
-            zip(cons.chain.level(i), dom.q1[level - 1], dom.q2(level)))
-    return [(v, 0) for v in product(*axes)]
+    axes = [np.arange(-(a // p) * p, b, p, dtype=np.int64) for p, a, b in
+            zip(cons.chain.level(i), dom.q1[level - 1], dom.q2(level))]
+    v = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return v, np.zeros(len(v), dtype=np.intp)
 
 
 def shifted_get(spec: GroupSpec, get_arr, g: Elt):
@@ -155,32 +127,6 @@ class TowerPiece:
     stage_gammas: tuple[tuple[Vec, ...], ...]  # distinct entries per stage
     cells: tuple[int, ...]     # indices into the window cell list
     aperiodic_cells: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class WindowData:
-    """Vectorized window bookkeeping for one truncated odometer point."""
-
-    cons: Construction
-    coords: OdometerCoords
-    radius: int
-    cells: tuple[Elt, ...]              # window cells w, canonical order
-    pos: np.ndarray = field(repr=False)      # lattice part of t_K w per cell
-    fparts: np.ndarray = field(repr=False)   # finite part of t_K w per cell
-    levels: np.ndarray = field(repr=False)   # stratum level of the coset rep
-
-    @property
-    def depth(self) -> int:
-        return self.coords.depth
-
-    def aperiodic_mask(self) -> np.ndarray:
-        return self.levels > self.depth
-
-    def forced_symbols(self) -> np.ndarray:
-        """Symbols on the captured part; -1 on the aperiodic part."""
-        out = self.cons.symbol_table()[self.fparts, self.levels]
-        out[self.aperiodic_mask()] = -1
-        return out
 
 
 # (point, window cell) and (point, approximant) pairs per census batch:
@@ -242,7 +188,9 @@ class _Stage:
 
 
 class _Batch:
-    """Window bookkeeping of a batch of odometer points of one depth K.
+    """Window bookkeeping of a batch of odometer points of one depth K,
+    given by the lattice parts (points, K, r) and finite parts (points, K)
+    of their reps t_1 .. t_K.
 
     Row i is a point and column u a cell of the lattice box B(0, radius).  A
     window cell (u, f) sits at t_j (u, f) = (d_j + M_{f_j} u, f_j f), so its
@@ -251,21 +199,14 @@ class _Batch:
     the stages base_level .. K merge upward.
     """
 
-    def __init__(self, cons: Construction, points: list[OdometerCoords],
+    def __init__(self, cons: Construction, reps_v: np.ndarray, reps_f: np.ndarray,
                  radius: int, base_level: int):
         spec, dom = cons.group, cons.domains
-        K = points[0].depth
-        if any(c.depth != K for c in points):
-            raise SpecError("a batch of odometer points must share one depth")
+        n, K = reps_f.shape
         if not 1 <= base_level <= K:
             raise SpecError("base level out of range")
-        self.cons, self.points, self.radius, self.depth = cons, points, radius, K
-        self.cells, self.box = _window_cells(spec.rank, spec.finite_order, radius)
-        n = len(points)
-        reps_v = np.array([[v for v, _ in c.reps] for c in points],
-                          dtype=np.int64).reshape(n, K, spec.rank)
-        self.reps_f = np.array([[f for _, f in c.reps] for c in points],
-                               dtype=np.intp).reshape(n, K)
+        self.cons, self.depth, self.reps_f = cons, K, reps_f
+        self.box = _window_cells(spec.rank, spec.finite_order, radius)[1]
         # M_f u for every finite part f, shape (|F|, r, window box)
         moved, _ = spec.mul_arr(0, np.arange(spec.finite_order)[:, None], self.box, 0)
         moved = np.ascontiguousarray(moved.transpose(0, 2, 1))
@@ -315,7 +256,7 @@ class _Batch:
         """
         dom, K, N = self.cons.domains, self.depth, oracle.N
         p = np.array(self.cons.chain.level(K))
-        n = len(self.points)
+        n = len(self.reps_f)
         top = self.stages[-1]
         pt, code = np.nonzero(self.pieces(self.aperiodic))
         count = np.bincount(pt, minlength=n)
@@ -347,15 +288,6 @@ class _Batch:
         rows = np.column_stack([np.nonzero(valid)[0], syms])
         return unique_rows(rows)[0], valid.sum(axis=1)
 
-    def window_data(self) -> WindowData:
-        """The WindowData of the first point, one row per window cell."""
-        spec = self.cons.group
-        F = spec.finite_order
-        fparts = np.asarray(spec.table[int(self.reps_f[0, -1])], dtype=np.int64)
-        return WindowData(self.cons, self.points[0], self.radius, self.cells,
-                          np.tile(np.stack([x[0] for x in self.pos], axis=-1), (F, 1)),
-                          np.repeat(fparts, len(self.box)), np.tile(self.levels[0], F))
-
 
 def _translate_table(cons: Construction, K: int, oracle: EtaWindow) -> np.ndarray:
     """For each Gamma_K translate of D_K inside the oracle box, in
@@ -369,24 +301,25 @@ def _translate_table(cons: Construction, K: int, oracle: EtaWindow) -> np.ndarra
     return np.where(np.all(syms == syms[:, :1], axis=1), syms[:, 0], -1)
 
 
-def window_data(cons: Construction, coords: OdometerCoords, radius: int) -> WindowData:
-    """Evaluate t_K w over the window B(0, radius) R and stratify the reps."""
-    return _Batch(cons, [coords], radius, coords.depth).window_data()
+def _point_batch(cons: Construction, coords: OdometerCoords, radius: int,
+                 base_level: int) -> tuple[_Batch, tuple[Elt, ...]]:
+    """The batch of one point, and its window cells B(0, radius) R in
+    canonical order: finite part, then the lattice box.  A per-box array of
+    the point's row therefore repeats once per finite part along the cells."""
+    spec = cons.group
+    reps_v = np.array([[v for v, _ in coords.reps]], dtype=np.int64)
+    reps_f = np.array([[f for _, f in coords.reps]], dtype=np.intp)
+    batch = _Batch(cons, reps_v, reps_f, radius, base_level)
+    return batch, _window_cells(spec.rank, spec.finite_order, radius)[0]
 
 
 def aperiodic_positions(cons: Construction, coords: OdometerCoords,
-                        radius: int, depth: int | None = None) -> set[Elt]:
-    """Window positions not captured by any configured level <= depth."""
-    data = window_data(cons, coords, radius)
-    k = coords.depth if depth is None else depth
-    if k > coords.depth:
-        raise SpecError("aperiodic depth exceeds the coords depth")
-    if k == coords.depth:
-        mask = data.aperiodic_mask()
-    else:
-        sub = OdometerCoords(coords.reps[:k])
-        mask = window_data(cons, sub, radius).aperiodic_mask()
-    return {data.cells[i] for i in np.nonzero(mask)[0]}
+                        radius: int) -> set[Elt]:
+    """Window positions not captured by any configured level <= the coords
+    depth."""
+    batch, cells = _point_batch(cons, coords, radius, coords.depth)
+    aper = np.tile(batch.aperiodic[0], cons.group.finite_order)
+    return {cells[i] for i in np.nonzero(aper)[0]}
 
 
 def tower_pieces(cons: Construction, coords: OdometerCoords, base_level: int,
@@ -397,7 +330,7 @@ def tower_pieces(cons: Construction, coords: OdometerCoords, base_level: int,
     that the recorded chains merge consistently (a shallow translate
     determines the deeper ones).
     """
-    batch = _Batch(cons, [coords], radius, base_level)
+    batch, _ = _point_batch(cons, coords, radius, base_level)
     F = cons.group.finite_order
     codes = [np.tile(stage.code[0], F) for stage in batch.stages]
     aper = np.tile(batch.aperiodic[0], F)
@@ -452,22 +385,25 @@ def enumerate_fiber(cons: Construction, coords: OdometerCoords, radius: int,
     approximant reads is not constant on its whole level-K fresh part x R:
     a superset of the cells the window sees.
     """
-    K = coords.depth
-    batch = _Batch(cons, [coords], radius, K)
+    K, spec = coords.depth, cons.group
+    F = spec.finite_order
+    batch, cells = _point_batch(cons, coords, radius, K)
     rows, approximants = batch.fiber_rows(oracle, _translate_table(cons, K, oracle))
-    data = batch.window_data()
-    aper = np.nonzero(data.aperiodic_mask())[0]
-    piece = np.tile(batch.stages[-1].code[0], cons.group.finite_order)
+    aper = np.nonzero(np.tile(batch.aperiodic[0], F))[0]
+    piece = np.tile(batch.stages[-1].code[0], F)
     # aperiodic pieces in piece order, and the slot of every aperiodic cell's
     # piece among them
     aper_pieces = np.unique(piece[aper])
     slot = np.searchsorted(aper_pieces, piece[aper])
-    forced = data.forced_symbols()
+    # window cell (u, f) of the point lies at finite part f_K f
+    fparts = np.repeat(spec.table[coords.rep(K)[1]], len(batch.box))
+    forced = cons.symbol_table()[fparts, np.tile(batch.levels[0], F)]
+    forced[aper] = -1
     patches = []
     for row in rows[:, 1:]:
         syms = forced.copy()
         syms[aper] = row[slot]
-        patches.append(FiberPatch(data.cells, tuple(syms.tolist()), tuple(row.tolist())))
+        patches.append(FiberPatch(cells, tuple(syms.tolist()), tuple(row.tolist())))
     return FiberResult(
         coords=coords,
         patches=tuple(patches),
@@ -483,37 +419,48 @@ def enumerate_fiber(cons: Construction, coords: OdometerCoords, radius: int,
 
 @dataclass(frozen=True, eq=False)
 class Census:
-    """Counts per odometer point of a census, in the order of its points."""
+    """The odometer points of one depth K in canonical order (finite part,
+    then the lattice part of t_K), and their counts."""
 
+    reps: np.ndarray                 # lattice parts of t_1 .. t_K, (points, K, r)
+    fparts: np.ndarray               # the finite part shared by t_1 .. t_K
     pieces: np.ndarray               # tower pieces meeting the window
     aperiodic_pieces: np.ndarray     # pieces that hold an aperiodic cell
     fibers: np.ndarray | None        # realized patches, given an oracle
     approximants: np.ndarray | None  # orbit approximants, given an oracle
 
 
-def census(cons: Construction, points: list[OdometerCoords], radius: int,
+def census(cons: Construction, depth: int, radius: int,
            oracle: EtaWindow | None = None) -> Census:
     """Tower pieces, aperiodic pieces and, given an oracle window, the fiber
-    count of every odometer point of one depth, in batches.
+    count of every odometer point of the given depth, in batches.
 
-    Per point the counts are those of ``tower_pieces(cons, coords, 1,
-    radius)`` (whose merge check runs here too) and of ``enumerate_fiber``,
-    which is this core on a batch of one point.  The oracle is read once,
-    into the table of its Gamma_K translates, and then once per (point,
-    approximant, aperiodic piece).
+    The point (t_1, .., t_K) with t_K = (v, f) has t_i = (rep of v mod
+    Gamma_i, f).  Per point the counts are those of ``tower_pieces(cons,
+    coords, 1, radius)`` (whose merge check runs here too) and of
+    ``enumerate_fiber``, which is this core on a batch of one point.  The
+    oracle is read once, into the table of its Gamma_K translates, and then
+    once per (point, approximant, aperiodic piece).
     """
-    spec = cons.group
-    table = None if oracle is None else _translate_table(cons, points[0].depth, oracle)
-    box = _window_cells(spec.rank, spec.finite_order, radius)[1]
+    spec, dom = cons.group, cons.domains
+    box = dom.box_coords(depth)
+    F = spec.finite_order
+    reps = np.tile(np.stack([dom.rep_arr(box, i) for i in range(1, depth + 1)], axis=1),
+                   (F, 1, 1))
+    fparts = np.repeat(np.arange(F, dtype=np.intp), len(box))
+    table = None if oracle is None else _translate_table(cons, depth, oracle)
+    cells = len(_window_cells(spec.rank, F, radius)[1])
     # a point has at most one approximant per translate in the table
-    step = max(1, _CHUNK_CELLS // max(len(box), 0 if table is None else len(table)))
+    step = max(1, _CHUNK_CELLS // max(cells, 0 if table is None else len(table)))
     parts = []
-    for start in range(0, len(points), step):
-        batch = _Batch(cons, points[start:start + step], radius, 1)
+    for start in range(0, len(reps), step):
+        chunk = slice(start, start + step)
+        batch = _Batch(cons, reps[chunk], np.repeat(fparts[chunk, None], depth, axis=1),
+                       radius, 1)
         part = [batch.pieces().sum(axis=1), batch.pieces(batch.aperiodic).sum(axis=1)]
         if table is not None:
             rows, approximants = batch.fiber_rows(oracle, table)
             part += [np.bincount(rows[:, 0], minlength=len(approximants)), approximants]
         parts.append(part)
     pieces, aperiodic, *fibers = (np.concatenate(col) for col in zip(*parts))
-    return Census(pieces, aperiodic, *(fibers or (None, None)))
+    return Census(reps, fparts, pieces, aperiodic, *(fibers or (None, None)))

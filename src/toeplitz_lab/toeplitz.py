@@ -293,9 +293,3 @@ class EtaWindow:
             for row, s, l in zip(coords.tolist(), syms.tolist(), self.levels.tolist()):
                 yield (tuple(row), f), int(s), int(l)
 
-    def positions(self) -> list[Elt]:
-        dom = self.cons.domains
-        coords = dom.box_coords(self.N)
-        return [(tuple(row), f)
-                for f in range(self.spec.finite_order)
-                for row in coords.tolist()]

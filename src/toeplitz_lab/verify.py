@@ -20,7 +20,7 @@ import numpy as np
 from . import decks as deckmod
 from . import independence as ind
 from . import measures, periods, pullback as pb, williams
-from .lattice import SpecError, elt_arrays
+from .lattice import SpecError
 from .toeplitz import Construction
 
 
@@ -216,16 +216,17 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     fiber would pass any bound.
     """
     cons = deckmod.construction(deck)
-    points = periods.all_coords_at_depth(cons, 2)
     wp = deck.williams
-    counts = periods.census(cons, points, radius, None if wp else cons.window(3))
+    counts = periods.census(cons, 2, radius, None if wp else cons.window(3))
     if wp is not None:
-        fiber_radius = williams.max_safe_fiber_radius(wp, 2)
-        eta = williams.generate(wp, wp.periods[-1] + fiber_radius + wp.periods[0] + 2)
+        # at depth 2 the safe radius is at most p_1, so the probe patch also
+        # holds every fiber window; fiber_patches refuses one too small
+        eta = williams.generate(wp, wp.periods[-1] + wp.periods[0])
+        fiber_radius = williams.max_safe_fiber_radius(eta, 2)
         fiber_bound, unit = wp.m, "cells"
         shown, fibers, aperiodic = [], [], []
-        for coords in points:
-            residues = williams.coords_of_int(wp, coords.rep(2)[0][0], 2)
+        for t2 in counts.reps[:, 1, 0].tolist():
+            residues = williams.coords_of_int(wp, t2, 2)
             patches, info = williams.fiber_patches(wp, eta, residues, fiber_radius)
             shown.append(residues)
             fibers.append(len(patches))
@@ -233,7 +234,8 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     else:
         fiber_radius = radius
         fiber_bound, unit = deck.group_fiber_bound(), "pieces"
-        shown = [coords.reps for coords in points]
+        shown = [tuple((tuple(v), f) for v in row)
+                 for row, f in zip(counts.reps.tolist(), counts.fparts.tolist())]
         fibers, aperiodic = counts.fibers.tolist(), counts.aperiodic_pieces.tolist()
 
     rows = []
@@ -433,8 +435,7 @@ def check_conjugation(deck_name: str, samples: int = 100,
     box = box[np.all(np.abs(box) <= reach, axis=1)]
     F = spec.finite_order
     core = (np.repeat(box, F, axis=0), np.tile(np.arange(F), len(box)))
-    gammas = {i: elt_arrays(periods.subgroup_elements_in_window(cons, i, i + 1), spec.rank)
-              for i in (1, 2)}
+    gammas = {i: periods.subgroup_elements_in_window(cons, i, i + 1) for i in (1, 2)}
     passed = 0
     for _ in range(samples):
         shift = (tuple(rng.randint(-3, 3) for _ in range(spec.rank)),

@@ -189,12 +189,18 @@ def fiber_patches(params: WilliamsParams, eta: ZPatch, coords: tuple[int, ...],
     return patches, info
 
 
-def max_safe_fiber_radius(params: WilliamsParams, depth: int) -> int:
+def max_safe_fiber_radius(patch: ZPatch, depth: int) -> int:
     """Largest window radius for which at most one not-yet-periodic cluster
-    of the given coords depth can meet the window, found by scanning one
-    full deeper period of the level map."""
-    probe = generate(params, params.periods[-1] + params.periods[0])
-    deep = (probe.levels > depth) | (probe.symbols == UNDEFINED)
+    of the given coords depth can meet the window, found by scanning the
+    patch over [-(p_top + p_1), p_top + p_1], one full deeper period of the
+    level map."""
+    params = patch.params
+    reach = params.periods[-1] + params.periods[0]
+    if patch.N < reach:
+        raise SpecError(f"the radius probe needs a patch of radius at least {reach}, "
+                        f"got {patch.N}")
+    probe = slice(patch.N - reach, patch.N + reach + 1)
+    deep = (patch.levels[probe] > depth) | (patch.symbols[probe] == UNDEFINED)
     flags = np.flatnonzero(deep)
     # lengths of the runs of shallow cells that end at a deep cell; the run
     # after the last deep cell is open and does not count

@@ -93,7 +93,7 @@ def test_verify_all_writes_timings_beside_a_deterministic_verdict(
     for name in ("a", "b"):
         assert run(["verify-all", "--config", "dihedral-m2",
                     "--out", str(tmp_path / name)]) == 0
-        out = tmp_path / name / "dihedral-m2" / "verify-all"
+        out = tmp_path / name / "verify-all"
         verdicts.append((out / "verdict.json").read_bytes())
         timings = json.loads((out / "timings.json").read_text())
         assert sorted(timings) == sorted(picked)

@@ -16,7 +16,6 @@ from toeplitz_lab.lattice import (
     check_index_condition,
     corner_count_check,
     decompose_right,
-    elt_arrays,
     enumerate_domain,
     folner_ratio,
     identity_matrix,
@@ -26,6 +25,12 @@ from toeplitz_lab.lattice import (
 
 def dihedral():
     return decks.bundled_deck("dihedral-m2")
+
+
+def _elt_arrays(elts, rank):
+    """Elements as a pair of arrays: lattice parts (n, rank), finite parts (n,)."""
+    v = np.array([e[0] for e in elts], dtype=np.int64).reshape(len(elts), rank)
+    return v, np.array([e[1] for e in elts], dtype=np.intp)
 
 
 def z_deck():
@@ -207,8 +212,8 @@ def test_array_arithmetic_matches_scalar(name, data):
     elt = st.tuples(st.tuples(*[st.integers(-10**6, 10**6)] * spec.rank),
                     st.integers(0, spec.finite_order - 1))
     pairs = data.draw(st.lists(st.tuples(elt, elt), min_size=1, max_size=12))
-    a = elt_arrays([p for p, _ in pairs], spec.rank)
-    b = elt_arrays([q for _, q in pairs], spec.rank)
+    a = _elt_arrays([p for p, _ in pairs], spec.rank)
+    b = _elt_arrays([q for _, q in pairs], spec.rank)
     v, f = spec.mul_arr(*a, *b)
     assert [(tuple(x), int(y)) for x, y in zip(v.tolist(), f.tolist())] == \
         [spec.mul(p, q) for p, q in pairs]

@@ -1,10 +1,14 @@
 """Layout rules for src/.
 
 Every public function of the library has a caller outside tests/.  A public
-top-level function or public method (properties excluded) counts as used
-when its name is referenced in src/ outside its own definition, or appears
-in a script under bench/ or demos/ (the tracer names layers by strings such
-as "periods.window_data").  The only exceptions are check-only references:
+function counts as used when it is referenced in src/ outside its own
+definition, or when its name appears in a script under bench/ or demos/ (the
+tracer names layers by strings such as "periods.census").  A reference to a
+top-level function is an attribute ``x.name``, or a bare name in its own
+module or in a module that imports it from there, so a same-named function
+of another module does not hide it.  A public method (properties excluded)
+is matched by name alone, since the type of its receiver is not known
+without running the code.  The only exceptions are check-only references:
 second implementations that tests compare a production function against,
 each saying so in its docstring.
 
@@ -33,35 +37,41 @@ def _is_property(node) -> bool:
 
 
 def _public_defs():
-    """(module, name, def node) for public functions and methods in src/."""
+    """(module, name, def node, is method) for public functions and methods
+    in src/."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                out.append((path.stem, node.name, node))
+                out.append((path.stem, node.name, node, False))
             elif isinstance(node, ast.ClassDef):
-                out.extend((path.stem, sub.name, sub) for sub in node.body
+                out.extend((path.stem, sub.name, sub, True) for sub in node.body
                            if isinstance(sub, ast.FunctionDef)
                            and not _is_property(sub))
-    return [(mod, name, node) for mod, name, node in out
-            if not name.startswith("_")]
+    return [d for d in out if not d[1].startswith("_")]
 
 
 def _src_references():
-    """name -> [(module, line)] for every identifier reference in src/."""
-    refs: dict[str, list[tuple[str, int]]] = {}
+    """name -> [(module, line, home)] for every identifier reference in
+    src/.  ``home`` is the module that a bare or imported name refers to: the
+    module it was imported from, else its own.  It is None for an attribute."""
+    refs: dict[str, list[tuple[str, int, str | None]]] = {}
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module]
+        imported = {alias.asname or alias.name: node.module.rsplit(".", 1)[-1]
+                    for node in imports for alias in node.names}
+        found = [(alias.name, node.lineno, node.module.rsplit(".", 1)[-1])
+                 for node in imports for alias in node.names]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                name = node.id
+                found.append((node.id, node.lineno, imported.get(node.id, path.stem)))
             elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            refs.setdefault(name, []).append((path.stem, node.lineno))
+                found.append((node.attr, node.lineno, None))
+        for name, line, home in found:
+            refs.setdefault(name, []).append((path.stem, line, home))
     return refs
 
 
@@ -76,28 +86,29 @@ def _script_words() -> set[str]:
 def _uncalled():
     refs, words = _src_references(), _script_words()
     out = {}
-    for mod, name, node in _public_defs():
-        outside = [(m, line) for m, line in refs.get(name, [])
-                   if not (m == mod and node.lineno <= line <= node.end_lineno)]
+    for mod, name, node, method in _public_defs():
+        outside = [(m, line) for m, line, home in refs.get(name, [])
+                   if not (m == mod and node.lineno <= line <= node.end_lineno)
+                   and (method or home in (None, mod))]
         if not outside and name not in words:
-            out[name] = (mod, node)
+            out[(mod, name)] = node
     return out
 
 
 def test_every_public_function_has_a_library_caller():
-    check_only = {name for _, name, _ in CHECK_ONLY}
-    dead = sorted(f"{mod}.{name}" for name, (mod, _) in _uncalled().items()
-                  if name not in check_only)
+    check_only = {(mod, name) for mod, name, _ in CHECK_ONLY}
+    dead = sorted(f"{mod}.{name}" for mod, name in _uncalled()
+                  if (mod, name) not in check_only)
     assert dead == [], f"public functions only tests call: {dead}"
 
 
 def test_check_only_references_are_labelled_and_uncalled():
     uncalled = _uncalled()
-    defs = {(mod, name): node for mod, name, node in _public_defs()}
+    defs = {(mod, name): node for mod, name, node, _ in _public_defs()}
     for mod, name, counterpart in CHECK_ONLY:
         assert (mod, name) in defs, f"{mod}.{name} no longer exists"
         # a check-only reference that gains a caller leaves this list
-        assert name in uncalled, f"{mod}.{name} has a library caller"
+        assert (mod, name) in uncalled, f"{mod}.{name} has a library caller"
         doc = ast.get_docstring(defs[(mod, name)]) or ""
         assert "check-only" in doc and counterpart in doc, \
             f"{mod}.{name} must say it is the check-only reference for {counterpart}"

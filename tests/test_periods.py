@@ -1,35 +1,67 @@
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
 from toeplitz_lab import decks
-from toeplitz_lab.lattice import SpecError, Vec, decompose_right, elt_arrays
+from toeplitz_lab.lattice import SpecError, Vec, decompose_right
 from toeplitz_lab.periods import (
     FiberPatch,
     FiberResult,
     OdometerCoords,
     TowerPiece,
-    all_coords_at_depth,
+    _Batch,
     aperiodic_positions,
     census,
     code_orbit_point,
     conjugation_identity_check,
-    coords_compatible,
     enumerate_fiber,
     per_set_empirical,
     per_set_exact,
     shifted_get,
     subgroup_elements_in_window,
     tower_pieces,
-    window_data,
 )
 from toeplitz_lab.toeplitz import EtaWindow
 
 
 def dihedral():
     return decks.construction(decks.bundled_deck("dihedral-m2"))
+
+
+def _elt_arrays(elts, rank):
+    """Elements as a pair of arrays: lattice parts (n, rank), finite parts (n,)."""
+    v = np.array([e[0] for e in elts], dtype=np.int64).reshape(len(elts), rank)
+    return v, np.array([e[1] for e in elts], dtype=np.intp)
+
+
+def _elt_list(arrays):
+    v, f = arrays
+    return [(tuple(x), int(y)) for x, y in zip(v.tolist(), f.tolist())]
+
+
+def _coords_compatible(cons, coords):
+    """Gamma_i t_{i+1} = Gamma_i t_i at every level below the coords depth."""
+    spec, chain = cons.group, cons.chain
+    for i in range(1, coords.depth):
+        step = spec.mul(coords.rep(i + 1), spec.inv(coords.rep(i)))
+        if not chain.member(step, i):
+            return False
+    return True
+
+
+def _census_points(counts):
+    """The odometer points of a census as OdometerCoords, in its order."""
+    return [OdometerCoords(tuple((tuple(v), f) for v in row))
+            for row, f in zip(counts.reps.tolist(), counts.fparts.tolist())]
+
+
+def _batch(cons, points, radius, base_level):
+    reps_v = np.array([[v for v, _ in c.reps] for c in points], dtype=np.int64)
+    reps_f = np.array([[f for _, f in c.reps] for c in points], dtype=np.intp)
+    return _Batch(cons, reps_v, reps_f, radius, base_level)
 
 
 def test_orbit_coding_examples():
@@ -48,7 +80,7 @@ def test_coding_matches_decomposition():
     for v in range(-60, 61, 7):
         for f in (0, 1):
             coords = code_orbit_point(cons, ((v,), f), 4)
-            assert coords_compatible(cons, coords)
+            assert _coords_compatible(cons, coords)
             for i in (1, 2, 3, 4):
                 _, d, r = decompose_right(spec, dom, ((v,), f), i)
                 assert coords.rep(i) == (d, r)
@@ -57,17 +89,18 @@ def test_coding_matches_decomposition():
 def test_incompatible_coords_detected():
     cons = dihedral()
     bad = OdometerCoords((((2,), 0), ((8,), 0)))  # 8 is not 2 mod 5
-    assert not coords_compatible(cons, bad)
+    assert not _coords_compatible(cons, bad)
 
 
 def test_empirical_per_is_superset_with_interior_equality():
     cons = dihedral()
     win = cons.window(3)
     spec = cons.group
+    positions = [(tuple(v), f) for f in range(spec.finite_order)
+                 for v in cons.domains.box_coords(3).tolist()]
     for i in (1, 2):
-        gammas = elt_arrays(subgroup_elements_in_window(cons, i, 3), spec.rank)
-        positions = win.positions()
-        mask = per_set_empirical(spec, win.get_arr, elt_arrays(positions, spec.rank),
+        gammas = subgroup_elements_in_window(cons, i, 3)
+        mask = per_set_empirical(spec, win.get_arr, _elt_arrays(positions, spec.rank),
                                  gammas)
         emp = {g for g, hit in zip(positions, mask) if hit}
         exact = per_set_exact(win, i)
@@ -81,8 +114,8 @@ def test_constant_patch_is_everywhere_periodic():
     spec = cons.group
     window = [((v,), f) for v in range(-10, 11) for f in (0, 1)]
     mask = per_set_empirical(spec, lambda v, f: np.ones(np.shape(f), dtype=np.int16),
-                             elt_arrays(window, 1),
-                             elt_arrays([((5,), 0), ((-5,), 0)], 1), alpha=1)
+                             _elt_arrays(window, 1),
+                             _elt_arrays([((5,), 0), ((-5,), 0)], 1), alpha=1)
     assert {g for g, hit in zip(window, mask) if hit} == set(window)
 
 
@@ -90,9 +123,9 @@ def test_conjugation_identity():
     cons = dihedral()
     spec = cons.group
     win = cons.window(3)
-    core = elt_arrays([((v,), f) for v in range(-20, 21) for f in (0, 1)], 1)
-    gamma_list = subgroup_elements_in_window(cons, 1, 2)
-    gammas = elt_arrays(gamma_list, 1)
+    core = _elt_arrays([((v,), f) for v in range(-20, 21) for f in (0, 1)], 1)
+    gammas = subgroup_elements_in_window(cons, 1, 2)
+    gamma_list = _elt_list(gammas)
     # identity shift is trivially fine
     assert conjugation_identity_check(spec, win.get_arr, spec.identity, gammas, 1, core)
     # flip conjugation fixes the diagonal subgroup, the identity still holds
@@ -124,7 +157,7 @@ def _conjugation_samples(deck_name: str, samples: int):
              rng.randrange(spec.finite_order))
         i = rng.choice((1, 2))
         alpha = rng.choice(cons.alphabet)
-        yield (cons.window(3), shift, g, subgroup_elements_in_window(cons, i, i + 1),
+        yield (cons.window(3), shift, g, _elt_list(subgroup_elements_in_window(cons, i, i + 1)),
                alpha, core)
 
 
@@ -159,7 +192,7 @@ def test_conjugation_check_matches_scalar_reference(deck_name, samples):
         sinv, ginv = spec.inv(shift), spec.inv(g)
         x_scalar = lambda h: win.get(spec.mul(sinv, h))
         x_arr = shifted_get(spec, win.get_arr, shift)
-        core_arr, gammas_arr = elt_arrays(core, spec.rank), elt_arrays(gammas, spec.rank)
+        core_arr, gammas_arr = _elt_arrays(core, spec.rank), _elt_arrays(gammas, spec.rank)
         assert x_arr(*core_arr).tolist() == \
             [-1 if x_scalar(h) is None else x_scalar(h) for h in core]
         left = per_set_empirical(spec, shifted_get(spec, x_arr, g), core_arr,
@@ -178,7 +211,7 @@ def test_conjugation_check_detects_a_dropped_core_translate(deck_name):
     for win, shift, g, gammas, alpha, core in _conjugation_samples(deck_name, 60):
         spec = win.spec
         x_get = shifted_get(spec, win.get_arr, shift)
-        gammas, core = elt_arrays(gammas, spec.rank), elt_arrays(core, spec.rank)
+        gammas, core = _elt_arrays(gammas, spec.rank), _elt_arrays(core, spec.rank)
         assert conjugation_identity_check(spec, x_get, g, gammas, alpha, core)
         left = per_set_empirical(spec, shifted_get(spec, x_get, g), core, gammas, alpha)
         gv, gf = spec.inv(g)
@@ -201,7 +234,9 @@ def test_subgroup_elements_match_member_scan(deck_name):
         for i in range(1, level + 1):
             scan = [(v, 0) for v in dom.enumerate_box(level)
                     if cons.chain.member_vec(v, i)]
-            assert subgroup_elements_in_window(cons, i, level) == scan
+            v, f = subgroup_elements_in_window(cons, i, level)
+            assert v.shape == (len(scan), cons.group.rank) and f.shape == (len(scan),)
+            assert _elt_list((v, f)) == scan
 
 
 def test_aperiodic_positions():
@@ -244,7 +279,7 @@ def test_tower_pieces_cover_and_disjoint():
 def test_fiber_patches_agree_off_aperiodic_part():
     cons = dihedral()
     win = cons.window(3)
-    for coords in all_coords_at_depth(cons, 2)[::7]:
+    for coords in _census_points(census(cons, 2, 8))[::7]:
         res = enumerate_fiber(cons, coords, 8, win)
         assert 1 <= res.count <= 16
         aper = aperiodic_positions(cons, coords, 8)
@@ -267,23 +302,32 @@ def test_fiber_of_toeplitz_coords_is_singleton():
 # -- slow references for the fiber census ---------------------------------------
 
 
+def _window_reference(cons, coords, radius):
+    """The window cells B(0, radius) R in canonical order, and per cell the
+    lattice part, finite part and stratum of t_K w, one group product and
+    one ``stratum`` call at a time."""
+    spec, K = cons.group, coords.depth
+    cells = [(u, f) for f in range(spec.finite_order)
+             for u in product(range(-radius, radius + 1), repeat=spec.rank)]
+    moved = [spec.mul(coords.rep(K), w) for w in cells]
+    pos = np.array([v for v, _ in moved], dtype=np.int64)
+    fparts = np.array([f for _, f in moved])
+    levels = np.array([cons.stratum(cons.domains.rep(v, K)) for v, _ in moved])
+    return cells, pos, fparts, levels
+
+
 def _enumerate_fiber_reference(cons, coords, radius, oracle):
     """The census one approximant and one cell at a time: approximants from a
     membership and containment scan of the whole oracle box, symbols through
     ``symbol_from_level`` per cell, piece constants by set comprehension."""
     dom = cons.domains
-    data = window_data(cons, coords, radius)
-    # the window positions t_K w and their strata, one group product at a time
-    moved = [cons.group.mul(coords.rep(coords.depth), w) for w in data.cells]
-    assert data.pos.tolist() == [list(v) for v, _ in moved]
-    assert data.fparts.tolist() == [f for _, f in moved]
-    assert data.levels.tolist() == [cons.stratum(dom.rep(v, coords.depth)) for v, _ in moved]
-    aper = data.aperiodic_mask()
-    forced = np.full(len(data.cells), -1, dtype=np.int16)
+    cells, pos, fparts, levels = _window_reference(cons, coords, radius)
+    aper = levels > coords.depth
+    forced = np.full(len(cells), -1, dtype=np.int16)
     for idx in np.nonzero(~aper)[0]:
-        forced[idx] = cons.symbol_from_level(int(data.levels[idx]), int(data.fparts[idx]))
+        forced[idx] = cons.symbol_from_level(int(levels[idx]), int(fparts[idx]))
 
-    gamma_top = data.pos - dom.rep_arr(data.pos, coords.depth)
+    gamma_top = pos - dom.rep_arr(pos, coords.depth)
     keys = [tuple(row) for row in gamma_top.tolist()]
     piece_ids = sorted(set(keys))
     piece_of = {k: i for i, k in enumerate(piece_ids)}
@@ -292,17 +336,17 @@ def _enumerate_fiber_reference(cons, coords, radius, oracle):
 
     box = dom.box_coords(oracle.N)
     member = np.all(box % np.array(cons.chain.level(coords.depth)) == 0, axis=1)
-    safe = (dom.in_box_arr(box + data.pos.min(axis=0), oracle.N)
-            & dom.in_box_arr(box + data.pos.max(axis=0), oracle.N))
+    safe = (dom.in_box_arr(box + pos.min(axis=0), oracle.N)
+            & dom.in_box_arr(box + pos.max(axis=0), oracle.N))
     gammas = box[member & safe]
 
     piece_cells = {pid: np.nonzero((cell_piece == pid) & aper)[0] for pid in aper_pieces}
     realized = set()
     for gv in gammas:
-        lvls = oracle.levels[dom.flat_arr(data.pos + gv, oracle.N)]
+        lvls = oracle.levels[dom.flat_arr(pos + gv, oracle.N)]
         consts = []
         for pid in aper_pieces:
-            syms = {cons.symbol_from_level(int(lvls[i]), int(data.fparts[i]))
+            syms = {cons.symbol_from_level(int(lvls[i]), int(fparts[i]))
                     for i in piece_cells[pid]}
             if len(syms) != 1:
                 raise SpecError("approximant not constant on a tower piece")
@@ -314,7 +358,7 @@ def _enumerate_fiber_reference(cons, coords, radius, oracle):
         syms = forced.copy()
         for pid, c in zip(aper_pieces, consts):
             syms[(cell_piece == pid) & aper] = c
-        patches.append(FiberPatch(tuple(data.cells), tuple(int(s) for s in syms),
+        patches.append(FiberPatch(tuple(cells), tuple(int(s) for s in syms),
                                   tuple(consts)))
     return FiberResult(coords, tuple(patches), len(piece_ids), len(aper_pieces),
                        cons.m ** len(aper_pieces), len(gammas))
@@ -322,8 +366,8 @@ def _enumerate_fiber_reference(cons, coords, radius, oracle):
 
 def _tower_pieces_reference(cons, coords, base_level, radius):
     """Tower pieces through per-cell dictionaries and set comprehensions."""
-    data = window_data(cons, coords, radius)
-    ucoords = np.array([v for v, _ in data.cells])
+    cells, _, _, levels = _window_reference(cons, coords, radius)
+    ucoords = np.array([v for v, _ in cells])
     stage_gammas = []
     for j in range(base_level, coords.depth + 1):
         dj, fj = coords.rep(j)
@@ -337,7 +381,7 @@ def _tower_pieces_reference(cons, coords, base_level, radius):
     groups: dict[Vec, list[int]] = {}
     for idx, key in enumerate(map(tuple, stage_gammas[-1].tolist())):
         groups.setdefault(key, []).append(idx)
-    aper = data.aperiodic_mask()
+    aper = levels > coords.depth
     return [TowerPiece(key,
                        tuple(tuple(sorted({tuple(st[i].tolist()) for i in cells}))
                              for st in stage_gammas),
@@ -351,9 +395,10 @@ def _tower_pieces_reference(cons, coords, base_level, radius):
 def test_census_matches_scalar_reference(deck_name, stride, radius):
     cons = decks.construction(decks.bundled_deck(deck_name))
     win = cons.window(3)
-    points = all_coords_at_depth(cons, 2)[::stride]
-    counts = census(cons, points, radius, win)
-    for i, coords in enumerate(points):
+    counts = census(cons, 2, radius, win)
+    points = _census_points(counts)
+    for i in range(0, len(points), stride):
+        coords = points[i]
         want = _enumerate_fiber_reference(cons, coords, radius, win)
         assert enumerate_fiber(cons, coords, radius, win) == want
         pieces = {base: _tower_pieces_reference(cons, coords, base, radius)
@@ -379,14 +424,16 @@ def _all_coords_reference(cons, depth):
 def test_all_coords_match_scalar_coding(deck_name):
     cons = decks.construction(decks.bundled_deck(deck_name))
     for depth in (1, 2):
-        assert all_coords_at_depth(cons, depth) == _all_coords_reference(cons, depth)
+        counts = census(cons, depth, 2)
+        assert counts.reps.shape == (len(counts.fparts), depth, cons.group.rank)
+        assert _census_points(counts) == _all_coords_reference(cons, depth)
 
 
 def test_depth3_census_of_z2():
     """The z2-m2 census at depth 3, window(4), radius 8, through the batched
     core (15,625 points, many batches)."""
     cons = decks.construction(decks.bundled_deck("z2-m2"))
-    counts = census(cons, all_coords_at_depth(cons, 3), 8, cons.window(4))
+    counts = census(cons, 3, 8, cons.window(4))
     assert dict(Counter(counts.fibers.tolist())) == {1: 81, 2: 11800, 3: 3488, 5: 256}
     assert dict(Counter(counts.pieces.tolist())) == {1: 11881, 2: 3488, 4: 256}
     assert counts.approximants.min() > 0
@@ -397,14 +444,14 @@ def test_incompatible_coords_do_not_merge():
     the window straddles the stage-2 boundary at u_1 = 1."""
     cons = decks.construction(decks.bundled_deck("z2-m2"))
     bad = OdometerCoords((((0, 0), 0), ((12, 0), 0)))
-    assert not coords_compatible(cons, bad)
-    good = all_coords_at_depth(cons, 2)[:3]
+    assert not _coords_compatible(cons, bad)
+    good = _census_points(census(cons, 2, 8))[:3]
     with pytest.raises(SpecError, match="tower translates do not merge consistently"):
         _tower_pieces_reference(cons, bad, 1, 8)
     with pytest.raises(SpecError, match="tower translates do not merge consistently"):
         tower_pieces(cons, bad, 1, 8)
     with pytest.raises(SpecError, match="tower translates do not merge consistently"):
-        census(cons, good + [bad], 8, cons.window(3))
+        _batch(cons, good + [bad], 8, 1)
     # the top stage alone has nothing to merge
     assert len(tower_pieces(cons, bad, 2, 8)) == 2
 
@@ -412,9 +459,9 @@ def test_incompatible_coords_do_not_merge():
 def test_corrupted_oracle_is_not_constant_on_a_piece():
     cons = decks.construction(decks.bundled_deck("z2-m2"))
     win = cons.window(3)
-    for coords in all_coords_at_depth(cons, 2):
-        data = window_data(cons, coords, 8)
-        aper = data.aperiodic_mask()
+    for coords in _census_points(census(cons, 2, 8)):
+        _, pos, _, levels = _window_reference(cons, coords, 8)
+        aper = levels > coords.depth
         pieces = [p for p in tower_pieces(cons, coords, 2, 8)
                   if len(p.aperiodic_cells) >= 2]
         if pieces:
@@ -430,7 +477,7 @@ def test_corrupted_oracle_is_not_constant_on_a_piece():
     dom = cons.domains
     box = dom.box_coords(3)
     gammas = box[np.all(box % period == 0, axis=1)]
-    spots = data.pos[second] + gammas
+    spots = pos[second] + gammas
     spots = spots[dom.in_box_arr(spots, 3)]
     idx = dom.flat_arr(spots, 3)
     levels[idx] = np.where(levels[idx] > 3, levels[idx] - 1, levels[idx] + 1)
@@ -440,7 +487,7 @@ def test_corrupted_oracle_is_not_constant_on_a_piece():
     with pytest.raises(SpecError, match="not constant on a tower piece"):
         _enumerate_fiber_reference(cons, coords, 8, bad)
     with pytest.raises(SpecError, match="not constant on a tower piece"):
-        census(cons, all_coords_at_depth(cons, 2), 8, bad)
+        census(cons, 2, 8, bad)
 
 
 def test_oracle_shallower_than_the_points_is_refused():

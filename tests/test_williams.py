@@ -1,11 +1,10 @@
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from toeplitz_lab import decks, williams
+from toeplitz_lab import decks, verify
 from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.williams import (
     UNDEFINED,
@@ -22,6 +21,12 @@ from toeplitz_lab.williams import (
 
 def small_params():
     return WilliamsParams(2, (3, 18))
+
+
+def _probe(params):
+    """The patch that ``max_safe_fiber_radius`` scans: one full deeper
+    period of the level map beyond the first period, on each side."""
+    return generate(params, params.periods[-1] + params.periods[0])
 
 
 def test_step_one_residues():
@@ -107,7 +112,7 @@ def test_freeness_proxy():
 def test_toeplitz_coords_have_singleton_fiber():
     deck = decks.bundled_deck("williams-m2")
     wp = deck.williams
-    radius = max_safe_fiber_radius(wp, 2)
+    radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
     coords = coords_of_int(wp, 0, wp.depth)  # full-depth coords of the array
     patches, _ = fiber_patches(wp, eta, coords, radius)
@@ -117,7 +122,7 @@ def test_toeplitz_coords_have_singleton_fiber():
 def test_depth2_fiber_scan_bound_and_split():
     deck = decks.bundled_deck("williams-m2")
     wp = deck.williams
-    radius = max_safe_fiber_radius(wp, 2)
+    radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
     split = 0
     for g2 in range(wp.periods[1]):
@@ -181,7 +186,7 @@ def _outcome(fn, *args):
 def test_fiber_patches_match_scalar_reference(name):
     wp = decks.bundled_deck(name).williams
     eta = generate(wp, wp.periods[-1] + 30)
-    safe = max_safe_fiber_radius(wp, 2)
+    safe = max_safe_fiber_radius(_probe(wp), 2)
     cases = ([(1, g, safe) for g in (0, 1)]
              + [(2, g, radius) for radius in (safe, 10) for g in range(0, wp.periods[1], 5)]
              + [(3, g, 6) for g in range(0, wp.periods[2], 53)])
@@ -196,7 +201,7 @@ def test_fiber_patches_match_scalar_reference(name):
 
 def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
     wp = decks.bundled_deck("williams-m2").williams
-    radius = max_safe_fiber_radius(wp, 2)
+    radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
     coords = coords_of_int(wp, 7, 2)
     assert fiber_patches(wp, eta, coords, radius)[0]
@@ -240,23 +245,55 @@ def _max_safe_fiber_radius_reference(params, probe, depth):
     *[(small_params(), depth) for depth in (0, 1, 2)],
 ])
 def test_max_safe_fiber_radius_matches_scan(params, depth):
-    probe = generate(params, params.periods[-1] + params.periods[0])
-    assert (max_safe_fiber_radius(params, depth)
+    probe = _probe(params)
+    assert (max_safe_fiber_radius(probe, depth)
             == _max_safe_fiber_radius_reference(params, probe, depth))
+    # a wider patch is scanned over the same probe range; a narrower one is
+    # refused, as it would hide the runs that cross its edges
+    wide = generate(params, 2 * probe.N)
+    assert max_safe_fiber_radius(wide, depth) == max_safe_fiber_radius(probe, depth)
+    with pytest.raises(SpecError, match="radius probe"):
+        max_safe_fiber_radius(generate(params, probe.N - 1), depth)
+
+
+def test_fiber_census_windows_fit_the_probe_patch():
+    """With ratio 3 at step 2 the depth-2 safe radius reaches p_1, the
+    widest window that the census's probe patch of radius p_top + p_1 holds;
+    its fibers match those read on a wider patch."""
+    doc = decks.deck_to_config(decks.bundled_deck("williams-m2"))
+    doc.update(name="williams-4-12-36", chain=[[4], [12], [36]], offsets="auto",
+               williams_periods=[4, 12, 36])
+    deck = decks.deck_from_config(doc)
+    wp = deck.williams
+    census = verify.fiber_census(deck)
+    assert census.fiber_radius == wp.periods[0]
+    wide = generate(wp, 2 * (wp.periods[-1] + wp.periods[0]))
+    assert [r.fiber_count for r in census.rows] == \
+        [len(fiber_patches(wp, wide, r.coords, census.fiber_radius)[0])
+         for r in census.rows]
+
+
+def _drawn_patch(p1, levels, pad=()):
+    """A patch of the 1:3 period pair over the drawn level map (0 =
+    Undefined), with the padding cells on both sides."""
+    levels = np.array([*pad, *levels, *pad], dtype=np.int16)
+    symbols = np.where(levels == 0, UNDEFINED, 1).astype(np.int16)
+    return ZPatch(WilliamsParams(2, (p1, 3 * p1)), len(levels) // 2, symbols, levels)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(3, 40), st.integers(0, 3),
-       st.lists(st.integers(0, 4), min_size=1, max_size=301))
-def test_max_safe_fiber_radius_gap_scan_on_drawn_level_maps(p1, depth, levels):
+@given(st.integers(3, 40).flatmap(lambda p1: st.tuples(
+    st.just(p1), st.lists(st.integers(0, 4), min_size=8 * p1 + 1, max_size=8 * p1 + 1))),
+    st.integers(0, 3), st.lists(st.integers(0, 4), max_size=20))
+@example((3, [1] * 25), 1, [])                     # no deep cell
+@example((3, [0] * 25), 2, [])                     # every cell deep
+@example((3, [1] * 12 + [0] + [1] * 12), 1, [0])   # two open runs
+def test_max_safe_fiber_radius_gap_scan_on_drawn_level_maps(drawn, depth, pad):
     """The bundled probes only ever have runs of one or two shallow cells;
-    drawn level maps (0 = Undefined) give long runs, open runs at both ends
-    and maps with no deep cell."""
-    levels = levels[:len(levels) // 2 * 2 + 1]
-    levels = np.array(levels, dtype=np.int16)
-    symbols = np.where(levels == 0, UNDEFINED, 1).astype(np.int16)
-    params = WilliamsParams(2, (p1, 3 * p1))
-    probe = ZPatch(params, len(levels) // 2, symbols, levels)
-    with mock.patch.object(williams, "generate", lambda *_: probe):
-        got = max_safe_fiber_radius(params, depth)
-    assert got == _max_safe_fiber_radius_reference(params, probe, depth)
+    drawn level maps of the probe range [-4 p_1, 4 p_1] give long runs, open
+    runs at both ends and maps with no deep cell.  Cells drawn outside the
+    probe range do not count."""
+    p1, levels = drawn
+    probe = _drawn_patch(p1, levels)
+    got = max_safe_fiber_radius(_drawn_patch(p1, levels, pad), depth)
+    assert got == _max_safe_fiber_radius_reference(probe.params, probe, depth)
