@@ -154,7 +154,7 @@ def cmd_measures(deck, args) -> int:
     ok = ok and good
     if measures.has_marker(cons):
         want = measures.marker_mass_closed(cons)
-        got = measures.mu_freq_counted(cons, N).get(BETA, Fraction(0))
+        got = freqs[-1].get(BETA, Fraction(0))
         verdicts["marker_mass"] = {
             "counted": frac(got), "closed": frac(want), "equal": got == want,
             "provenance": "counted+closed-form"}

@@ -22,8 +22,25 @@ MeasureVector = dict[int, Fraction]
 
 
 def _level_counts(cons: Construction, n: int) -> np.ndarray:
+    """Cells of the level-n array at each level 0 .. n+1 (entry 0 stays 0).
+
+    Each level is counted on the int16 array in place, one comparison per
+    level: ``np.bincount`` would first cast the array to an intp temporary
+    four times its size (78 MB at z2-m2 level 5).  The counts must account
+    for every cell, so a level outside 1 .. n+1 is refused, naming the value
+    and its first flat index.  Nothing is memoised: every call reads the
+    array again, so what is certified is the array as it stands.
+    """
     lvl = cons.level_array(n)
-    return np.bincount(lvl, minlength=n + 2)
+    counts = np.zeros(n + 2, dtype=np.int64)
+    for l in range(1, n + 2):
+        counts[l] = np.count_nonzero(lvl == l)
+    if counts.sum() != lvl.size:
+        i = int(np.argmax((lvl < 1) | (lvl > n + 1)))
+        raise ConstructionError(
+            f"level {int(lvl[i])} at flat index {i} of the level-{n} array "
+            f"is outside 1..{n + 1}")
+    return counts
 
 
 def fresh_count(cons: Construction, n: int) -> int:
@@ -122,14 +139,43 @@ def _gamma_axes(cons: Construction, n: int, N: int) -> list[np.ndarray]:
 def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
     """Class level of every gamma in Gamma_n inside the D_N box, lex order.
 
-    The class of gamma is its row of ``Construction.translate_levels``.
+    The class of gamma is its block of ``Construction.translate_blocks`` read
+    at the level-n fresh cells.  Both routes read the int16 level array where
+    it lies; the shape of the class table alone picks one:
+
+    - a class has more fresh cells than there are classes (few wide rows,
+      e.g. z2-m2 (3, 5) and (4, 5)): every block is compared with its own
+      first fresh cell under the fresh mask, with no gather;
+    - otherwise (many short rows): the fresh cells are gathered into rows
+      (``translate_levels``) and reduced by min and max, which is cheaper
+      there than the block-wide comparison.
+
+    A class touching level 1 (the marker stratum) is refused first, then a
+    class that is not constant, each at its first gamma in lex order.
+    Nothing is memoised: every call reads the array again, so what is
+    certified is the array as it stands.
     """
     if N <= n:
         raise SpecError("need a deeper window than the class level")
-    cells = cons.translate_levels(cons.level_array(N), n, N)
-    lo, hi = cells.min(axis=1), cells.max(axis=1)
-    for bad, what in ((lo <= 1, "touched the marker stratum"),
-                      (lo != hi, "is not constant on the fresh set")):
+    levels = cons.level_array(N)
+    fresh = cons.fresh_bool(n).reshape(cons.chain.level(n))
+    if np.count_nonzero(fresh) * fresh.size > levels.size:
+        blocks = cons.translate_blocks(levels, n, N)
+        cell_axes = tuple(range(-fresh.ndim, 0))
+        first = blocks[(...,) + np.unravel_index(int(np.argmax(fresh)), fresh.shape)]
+        off = blocks != np.expand_dims(first, cell_axes)
+        off &= fresh
+        varies = off.any(axis=cell_axes).ravel()
+        lo = first.ravel()
+        marker = lo <= 1
+        if varies.any():  # a varying class may touch level 1 past its first cell
+            marker = ((blocks <= 1) & fresh).any(axis=cell_axes).ravel()
+    else:
+        cells = cons.translate_levels(levels, n, N)
+        lo, hi = cells.min(axis=1), cells.max(axis=1)
+        marker, varies = lo <= 1, lo != hi
+    for bad, what in ((marker, "touched the marker stratum"),
+                      (varies, "is not constant on the fresh set")):
         if bad.any():
             axes = _gamma_axes(cons, n, N)
             b = np.unravel_index(int(np.argmax(bad)), [len(ax) for ax in axes])

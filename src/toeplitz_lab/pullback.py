@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lattice import Elt, GroupSpec, SpecError, Vec
 from .williams import ZPatch
 
@@ -81,14 +83,25 @@ def pullback_window(spec: HomSpec, group: GroupSpec, source: ZPatch,
 
 def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
                        g: Elt, window: list[Elt]) -> bool:
-    """sigma^g (phi* x) must equal phi* (sigma^{phi(g)} x) on the window."""
-    n0 = spec.phi(g)
-    ginv = group.inv(g)
-    for h in window:
-        lhs_pos = spec.phi(group.mul(ginv, h))
-        rhs_pos = spec.phi(h) - n0
-        if not (source.in_window(lhs_pos) and source.in_window(rhs_pos)):
-            raise SpecError("window exceeds the source patch reach")
-        if source.symbol(lhs_pos) != source.symbol(rhs_pos):
-            return False
-    return True
+    """sigma^g (phi* x) must equal phi* (sigma^{phi(g)} x) on the window.
+
+    The first window cell, in window order, that is out of the source
+    patch's reach (SpecError) or carries different symbols (False) decides.
+    """
+    w = np.array(spec.w, dtype=np.int64)
+    hv = np.array([v for v, _ in window], dtype=np.int64).reshape(len(window), group.rank)
+    hf = np.array([f for _, f in window], dtype=np.intp)
+    gv, gf = group.inv(g)
+    lhs = group.mul_arr(gv, gf, hv, hf)[0] @ w
+    rhs = hv @ w - spec.phi(g)
+    reach = source.N
+    inside = (np.abs(lhs) <= reach) & (np.abs(rhs) <= reach)
+    syms = source.symbols
+    differ = (syms[np.clip(lhs, -reach, reach) + reach]
+              != syms[np.clip(rhs, -reach, reach) + reach])
+    fails = ~inside | differ
+    if not fails.any():
+        return True
+    if not inside[int(np.argmax(fails))]:
+        raise SpecError("window exceeds the source patch reach")
+    return False

@@ -175,22 +175,29 @@ class Construction:
             fresh[K] = lvl == K + 1
         return lvl
 
-    def translate_levels(self, levels: np.ndarray, n: int, N: int) -> np.ndarray:
-        """A level array of the D_N box read at the level-n fresh cells of
-        every Gamma_n translate of D_n inside it: one row per translate, in
-        lexicographic order of the translate, n <= N.
+    def translate_blocks(self, levels: np.ndarray, n: int, N: int) -> np.ndarray:
+        """A level array of the D_N box cut into one p^n block per Gamma_n
+        translate of D_n inside it, n <= N: a view of shape nblocks + p^n,
+        the block axes in lexicographic order of the translate.
 
-        Cut into p^n blocks, the D_N box holds one block per translate: since
-        q1^N = q1^n mod p^n, block b holds gamma + D_n for gamma = b p^n -
-        (q1^N - q1^n), in the canonical order of the D_n box.
+        Since q1^N = q1^n mod p^n, block b holds gamma + D_n for gamma = b p^n
+        - (q1^N - q1^n), in the canonical order of the D_n box.
         """
         p, P = self.chain.level(n), self.chain.level(N)
         nblocks = tuple(b // a for a, b in zip(p, P))
         rank = len(p)
         split = [x for pair in zip(nblocks, p) for x in pair]
         order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
-        blocks = np.asarray(levels).reshape(split).transpose(order)
-        return blocks[..., self.fresh_bool(n).reshape(p)].reshape(math.prod(nblocks), -1)
+        return np.asarray(levels).reshape(split).transpose(order)
+
+    def translate_levels(self, levels: np.ndarray, n: int, N: int) -> np.ndarray:
+        """A level array of the D_N box read at the level-n fresh cells of
+        every Gamma_n translate of D_n inside it: one row per translate, in
+        lexicographic order of the translate (see ``translate_blocks``)."""
+        p = self.chain.level(n)
+        blocks = self.translate_blocks(levels, n, N)
+        rows = math.prod(blocks.shape[:len(p)])
+        return blocks[..., self.fresh_bool(n).reshape(p)].reshape(rows, -1)
 
     def stratum(self, v: Vec) -> int:
         """Stratum level of a single lattice point, or DepthExhausted."""

@@ -149,22 +149,90 @@ def test_cell_symbols_match_point_recount():
             assert measures.cell_symbols(cons, n, N) == _recount(cons, n, N), (n, N)
 
 
+GROUP_DECKS = ("z2-m2", "swap-m2", "dihedral-m2")
+
+
+def _class_levels_reference(cons, n, N):
+    """Class levels by gathering every class row and reducing it by min and max."""
+    cells = cons.translate_levels(cons.level_array(N), n, N)
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
+    assert (lo > 1).all() and (lo == hi).all()
+    return lo
+
+
+@pytest.mark.parametrize("name", GROUP_DECKS)
+def test_level_counts_match_bincount(name):
+    cons = decks.construction(decks.bundled_deck(name))
+    for n in range(1, cons.depth + 1):
+        want = np.bincount(cons.level_array(n), minlength=n + 2)
+        assert measures._level_counts(cons, n).tolist() == want.tolist(), n
+
+
+@pytest.mark.parametrize("value", ["zero", "past-top"])
+def test_level_counts_refuse_a_level_outside_the_range(monkeypatch, value):
+    cons = Construction(decks.bundled_deck("z2-m2").params())
+    n, flat = 3, 4321
+    bad = cons.level_array(n).copy()
+    bad[flat] = 0 if value == "zero" else n + 2
+    monkeypatch.setattr(cons, "level_array", lambda N: bad)
+    msg = f"level {bad[flat]} at flat index {flat} of the level-{n} array"
+    for fn in (measures.mu_freq_counted, measures.periodic_density_counted):
+        with pytest.raises(ConstructionError, match=re.escape(msg)):
+            fn(cons, n)
+
+
+@pytest.mark.parametrize("name", GROUP_DECKS)
+def test_class_levels_match_gathered_rows(name):
+    # covers both routes: wide rows (few classes, many fresh cells) compare
+    # blocks in place, short rows gather
+    cons = decks.construction(decks.bundled_deck(name))
+    for N in range(2, cons.depth + 1):
+        for n in range(1, N):
+            got = measures._class_levels(cons, n, N)
+            want = _class_levels_reference(cons, n, N)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, N)
+
+
+def _corrupt(monkeypatch, cons, N, cells):
+    """Serve a copy of the level-N array with the given (cell, level) changes."""
+    bad = cons.level_array(N).copy()
+    for v, level in cells:
+        flat = int(cons.domains.flat_arr(np.array([v]), N)[0])
+        bad[flat] = level if bad[flat] != level else level + 1
+    real = cons.level_array
+    monkeypatch.setattr(cons, "level_array", lambda M: bad if M == N else real(M))
+
+
+# (1, 3) has 625 classes of 24 fresh cells (gathered rows), (3, 4) has 25
+# classes of 13,824 fresh cells (compared in place)
+ROUTES = ((1, 3), (3, 4))
+
+
 @pytest.mark.parametrize("level,message", [(1, "touched the marker stratum"),
                                            (3, "is not constant on the fresh set")])
 def test_corrupted_level_array_names_the_witness(monkeypatch, level, message):
+    for (n, N), index in zip(ROUTES, (37, 11)):
+        cons = Construction(decks.bundled_deck("z2-m2").params())
+        gamma, _ = measures.cell_symbols(cons, n, N)[index]
+        cell = sorted(cons.fresh_cells(n))[5]
+        _corrupt(monkeypatch, cons, N, [(vec_add(gamma, cell), level)])
+        with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma} {message}")):
+            measures.cell_symbols(cons, n, N)
+        with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma}")):
+            measures.mu_cell_vector(cons, n, N)
+
+
+@pytest.mark.parametrize("n,N", ROUTES)
+def test_marker_outranks_an_earlier_varying_class(monkeypatch, n, N):
     cons = Construction(decks.bundled_deck("z2-m2").params())
-    gamma, _ = measures.cell_symbols(cons, 1, 3)[37]
-    cell = sorted(cons.fresh_cells(1))[5]
-    bad = cons.level_array(3).copy()
-    pos = np.array([vec_add(gamma, cell)])
-    flat = int(cons.domains.flat_arr(pos, 3)[0])
-    bad[flat] = level if bad[flat] != level else level + 1
-    real = cons.level_array
-    monkeypatch.setattr(cons, "level_array", lambda N: bad if N == 3 else real(N))
-    with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma} {message}")):
-        measures.cell_symbols(cons, 1, 3)
-    with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma}")):
-        measures.mu_cell_vector(cons, 1, 3)
+    classes = measures.cell_symbols(cons, n, N)
+    early, late = classes[2][0], classes[20][0]
+    cells = sorted(cons.fresh_cells(n))
+    _corrupt(monkeypatch, cons, N, [(vec_add(early, cells[-1]), 3),
+                                    (vec_add(late, cells[-1]), 1)])
+    with pytest.raises(ConstructionError,
+                       match=re.escape(f"gamma={late} touched the marker stratum")):
+        measures.cell_symbols(cons, n, N)
 
 
 def test_complexity_profile():

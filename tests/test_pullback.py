@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from toeplitz_lab import decks
@@ -84,6 +86,55 @@ def test_equivariance():
     for _ in range(25):
         g = ((rng.randint(-20, 20), rng.randint(-20, 20)), rng.choice((0, 1)))
         assert equivariance_check(hom, swap, eta, g, window)
+
+
+def _equivariance_reference(spec, group, source, g, window):
+    """The scalar loop: one mul, two phi and two symbol calls per window cell."""
+    n0 = spec.phi(g)
+    ginv = group.inv(g)
+    for h in window:
+        lhs_pos = spec.phi(group.mul(ginv, h))
+        rhs_pos = spec.phi(h) - n0
+        if not (source.in_window(lhs_pos) and source.in_window(rhs_pos)):
+            raise SpecError("window exceeds the source patch reach")
+        if source.symbol(lhs_pos) != source.symbol(rhs_pos):
+            return False
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SpecError as exc:
+        return f"SpecError: {exc}"
+
+
+def test_equivariance_matches_scalar_reference():
+    # (1, 1) is a homomorphism on swap-m2, so both sides read the same cell
+    # and only the reach can fail.  (1, 0) is not: a constant patch with one
+    # flipped symbol gives False at the first differing cell, and on the
+    # radius-12 patch windows that both differ and overrun come in either order
+    swap = decks.bundled_deck("swap-m2").group
+    params = WilliamsParams(2, (3, 18, 216))
+    eta = generate(params, 300)
+    flat = replace(eta, symbols=np.ones_like(eta.symbols))
+    flipped = flat.symbols.copy()
+    flipped[flat.index(7)] = 2
+    patches = (eta, flat, replace(flat, symbols=flipped), generate(params, 12))
+    window = [((a, b), f) for a in range(-4, 5) for b in range(-4, 5)
+              for f in (0, 1)]
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(60):  # 480 draws of g
+        for hom in (HomSpec((1, 1)), HomSpec((1, 0))):
+            for patch in patches:
+                # |phi(g)| up to twice the radius reaches past the patch
+                r = patch.N
+                g = ((rng.randint(-r, r), rng.randint(-r, r)), rng.choice((0, 1)))
+                want = _outcome(_equivariance_reference, hom, swap, patch, g, window)
+                assert _outcome(equivariance_check, hom, swap, patch, g, window) == want
+                outcomes.add(want)
+    assert outcomes == {True, False, "SpecError: window exceeds the source patch reach"}
 
 
 def test_section_element_identity_part():
