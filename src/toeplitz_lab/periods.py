@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Elt, EltArr, GroupSpec, SpecError, Vec, unique_rows
+from .lattice import Elt, EltArr, SpecError, Vec, unique_rows
 from .toeplitz import Construction, EtaWindow
 
 
@@ -40,6 +40,11 @@ def code_orbit_point(cons: Construction, g: Elt, depth: int) -> OdometerCoords:
                                 for i in range(1, depth + 1)))
 
 
+# (point, window cell) and (point, approximant) pairs per census batch, and
+# (sample, translate, cell) reads per period-set batch: 512 KB per int64 array
+_CHUNK_CELLS = 1 << 16
+
+
 # -- period sets --------------------------------------------------------------
 
 
@@ -58,23 +63,6 @@ def per_set_exact(win: EtaWindow, i: int, alpha: int | None = None) -> set[Elt]:
     return out
 
 
-def per_set_empirical(spec: GroupSpec, get_arr, positions: EltArr, gammas: EltArr,
-                      alpha: int | None = None) -> np.ndarray:
-    """Mask of the positions whose whole visible Gamma-orbit of translates
-    reads one symbol.
-
-    ``get_arr`` reads symbols over arrays, -1 where a cell cannot be read.
-    Tests only the translates gamma^-1 g that fall inside the patch, so the
-    result is a superset of the true period set restricted to the window.
-    """
-    pv, pf = positions
-    base = get_arr(pv, pf)
-    ok = base >= 0 if alpha is None else base == alpha
-    iv, i_f = spec.inv_arr(*gammas)
-    vals = get_arr(*spec.mul_arr(iv[:, None], i_f[:, None], pv[None], pf[None]))
-    return ok & np.all((vals < 0) | (vals == base), axis=0)
-
-
 def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> EltArr:
     """Gamma_i elements whose vector lies in the level box, canonical order."""
     dom = cons.domains
@@ -84,31 +72,86 @@ def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> EltAr
     return v, np.zeros(len(v), dtype=np.intp)
 
 
-def shifted_get(spec: GroupSpec, get_arr, g: Elt):
-    """Array accessor of sigma^g x from an array accessor of x."""
-    gv, gf = spec.inv(g)
+def per_set_empirical(win: EtaWindow, outer: EltArr, gammas: EltArr, core: EltArr,
+                      alphas: np.ndarray | None = None) -> np.ndarray:
+    """Masks of the core positions h whose whole visible Gamma-orbit reads
+    one symbol, for a batch of points x_s(w) = eta(a_s w) of the window,
+    a_s = outer[s]: x_s(h) is alphas[s] (any readable symbol when alphas is
+    None) and each x_s(gamma^-1 h) is x_s(h) or cannot be read.
 
-    def get(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return get_arr(*spec.mul_arr(gv, gf, v, f))
+    ``outer`` holds one element per sample, lattice parts (S, r) and finite
+    parts (S,); ``gammas`` (K elements) and ``core`` (C elements) are either
+    shared, (K, r) and (K,), or per sample, (S, K, r) and (S, K).  Returns
+    (S, C) booleans.  Tests only the translates that fall inside the window,
+    so each row is a superset of the true period set restricted to it.
 
-    return get
+    Every read is at a product a t h, t = e or gamma^-1, whose lattice part
+    a_v + M_{a_f} t_v + M_{a_f t_f} h_v separates into a per-(sample, t_f,
+    cell) term and a per-(sample, translate) term, and so does its flat index
+    into the symbols over the lattice box the batch's reads span (-1 outside
+    the window; ``EtaWindow.symbol_box``): a read copies its cell term, adds
+    its translate term and gathers.
+    A batch holds at most ``_CHUNK_CELLS`` reads and at least one sample.
+    """
+    spec = win.spec
+    ov, of = outer
+    S, rank = len(of), spec.rank
+    iv, i_f = spec.inv_arr(*gammas)
+    reads = i_f.shape[-1] + 1
+    tv = np.zeros((S, reads, rank), dtype=np.int64)  # translates e, gamma^-1
+    tf = np.zeros((S, reads), dtype=np.intp)
+    tv[:, 1:], tf[:, 1:] = iv, i_f
+    hv = np.broadcast_to(core[0], (S,) + np.shape(core[0])[-2:])
+    hf = np.broadcast_to(core[1], hv.shape[:-1])
+    fs = np.arange(spec.finite_order)[:, None]  # every finite part t_f
+    if alphas is not None:
+        alphas = np.asarray(alphas)[:, None]
+    out = np.empty(hf.shape, dtype=bool)
+    step = max(1, _CHUNK_CELLS // (reads * hf.shape[1]))
+    for lo in range(0, S, step):
+        sl = slice(lo, lo + step)
+        av, af = ov[sl], of[sl]
+        trans = spec.mul_arr(av[:, None], af[:, None], tv[sl], tf[sl])[0]
+        cell_v, cell_f = spec.mul_arr(0, af[:, None, None],
+                                      *spec.mul_arr(0, fs, hv[sl][:, None], hf[sl][:, None]))
+        low = cell_v.min(axis=(0, 1, 2)) + trans.min(axis=(0, 1))
+        syms = win.symbol_box(low, cell_v.max(axis=(0, 1, 2)) + trans.max(axis=(0, 1)))
+        ext = syms.shape[1:]
+        strides = np.array([math.prod(ext[k + 1:]) for k in range(rank)], dtype=np.int64)
+        cell_flat = cell_f * math.prod(ext) + (cell_v - low) @ strides
+        idx = cell_flat[np.arange(len(af))[:, None], tf[sl]]
+        idx += (trans @ strides)[..., None]
+        vals = syms.ravel()[idx]
+        base = vals[:, 0]
+        ok = base >= 0 if alphas is None else base == alphas[sl]
+        out[sl] = ok & np.all((vals[:, 1:] < 0) | (vals[:, 1:] == base[:, None]), axis=1)
+    return out
 
 
-def conjugation_identity_check(spec: GroupSpec, get_arr, g: Elt, gammas: EltArr,
-                               alpha: int, core: EltArr) -> bool:
-    """Window check of Per(sigma^g x, Gamma, a) = g Per(x, g^-1 Gamma g, a).
+def conjugation_identity_check(win: EtaWindow, shifts: EltArr, gs: EltArr,
+                               gammas: EltArr, alphas: np.ndarray,
+                               core: EltArr) -> np.ndarray:
+    """Window check of Per(sigma^g x, Gamma, a) = g Per(x, g^-1 Gamma g, a),
+    x = sigma^s eta, for a batch of samples: one shift s, element g and
+    symbol a per sample, lattice parts (S, r) and finite parts (S,).
+    Returns (S,) booleans, True where the two sides agree on the core.
 
     Both sides are computed empirically with the translate families the
-    window supports; they are compared on the given core positions.  The
-    right side is tested at g^-1 h for each core position h, so its mask is
-    indexed by the core like the left side's.
+    window supports, on distinct routes.  The left side reads x at g^-1
+    times the core and its gamma^-1 translates (outer element s^-1 g^-1).
+    The right side reads x (outer element s^-1) at the translated core
+    g^-1 h with the conjugates g^-1 gamma g, so its mask is indexed by the
+    core like the left side's.
     """
-    left = per_set_empirical(spec, shifted_get(spec, get_arr, g), core, gammas, alpha)
-    gv, gf = spec.inv(g)
-    conj = spec.mul_arr(*spec.mul_arr(gv, gf, *gammas), *g)
-    core_right = spec.mul_arr(gv, gf, *core)
-    right = per_set_empirical(spec, get_arr, core_right, conj, alpha)
-    return bool(np.array_equal(left, right))
+    spec = win.spec
+    sv, sf = spec.inv_arr(*shifts)
+    gv, gf = spec.inv_arr(*gs)
+    left = per_set_empirical(win, spec.mul_arr(sv, sf, gv, gf), gammas, core, alphas)
+    conj = spec.mul_arr(*spec.mul_arr(gv[:, None], gf[:, None], *gammas),
+                        gs[0][:, None], gs[1][:, None])
+    core_right = spec.mul_arr(gv[:, None], gf[:, None], *core)
+    right = per_set_empirical(win, (sv, sf), conj, core_right, alphas)
+    return np.all(left == right, axis=1)
 
 
 # -- tower pieces and the aperiodic part --------------------------------------
@@ -127,11 +170,6 @@ class TowerPiece:
     stage_gammas: tuple[tuple[Vec, ...], ...]  # distinct entries per stage
     cells: tuple[int, ...]     # indices into the window cell list
     aperiodic_cells: tuple[int, ...]
-
-
-# (point, window cell) and (point, approximant) pairs per census batch:
-# 512 KB per int64 array
-_CHUNK_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=16)

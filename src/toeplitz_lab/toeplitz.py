@@ -56,6 +56,14 @@ class ConstructionParams:
             raise SpecError("the normal variant is only supported for trivial F")
 
 
+def _outer_and(masks: list[np.ndarray]) -> np.ndarray:
+    """The AND of one boolean mask per axis over the product of the axes."""
+    out = np.ones((1,) * len(masks), dtype=bool)
+    for k, m in enumerate(masks):
+        out = out & m.reshape((1,) * k + (-1,) + (1,) * (len(masks) - k - 1))
+    return out
+
+
 class Construction:
     """Level stratification and point evaluation of the Toeplitz array."""
 
@@ -150,30 +158,37 @@ class Construction:
 
         Every box D_1 .. D_N is classified from its own coordinates: a cell
         is in stratum l when its rep modulo Gamma_l is a level-(l-1) fresh
-        cell, the fresh masks coming from this route's own lower boxes.  It
-        shares nothing with the tiling in ``level_array`` and is deliberately
-        uncached; checks and tests compare the two.
+        cell, the fresh masks coming from this route's own lower boxes.  The
+        box, the rep modulo the diagonal Gamma_l, the test against the D_(l-1)
+        box and the flat index into it are all per axis, so they are computed
+        on the axes and broadcast: the in-box masks are ANDed and the fresh
+        mask is gathered by per-axis indices.  It shares nothing with the
+        tiling in ``level_array`` and is deliberately uncached; checks and
+        tests compare the two.
         """
         if not 1 <= N <= self.depth:
             raise DepthExhausted(
                 f"level array needs a configured level 1..{self.depth}, got {N}")
-        dom = self.domains
+        dom, chain = self.domains, self.chain
         fresh: dict[int, np.ndarray] = {}
         for K in range(1, N + 1):
-            coords = dom.box_coords(K)
-            lvl = np.zeros(len(coords), dtype=np.int16)
-            r1 = dom.rep_arr(coords, 1)
-            lvl[np.all(r1 == 0, axis=1)] = 1
+            axes = [np.arange(-a, p - a, dtype=np.int64)
+                    for a, p in zip(dom.q1[K - 1], chain.level(K))]
+            lvl = np.zeros(chain.level(K), dtype=np.int16)
+            lvl[_outer_and([x % p == 0 for x, p in zip(axes, chain.level(1))])] = 1
             for l in range(2, K + 1):
-                rl = dom.rep_arr(coords, l)
-                inside = dom.in_box_arr(rl, l - 1)
-                hit = np.zeros(len(coords), dtype=bool)
-                if inside.any():
-                    hit[inside] = fresh[l - 1][dom.flat_arr(rl[inside], l - 1)]
+                idx, inside = [], []
+                for x, p, q, pb, qb in zip(axes, chain.level(l), dom.q1[l - 1],
+                                           chain.level(l - 1), dom.q1[l - 2]):
+                    s = (x + q) % p - q + qb  # rep mod Gamma_l, offset into D_(l-1)
+                    ok = (s >= 0) & (s < pb)
+                    idx.append(np.where(ok, s, 0))
+                    inside.append(ok)
+                hit = fresh[l - 1][np.ix_(*idx)] & _outer_and(inside)
                 lvl[(lvl == 0) & hit] = l
             lvl[lvl == 0] = K + 1
             fresh[K] = lvl == K + 1
-        return lvl
+        return lvl.ravel()
 
     def translate_blocks(self, levels: np.ndarray, n: int, N: int) -> np.ndarray:
         """A level array of the D_N box cut into one p^n block per Gamma_n
@@ -281,15 +296,26 @@ class EtaWindow:
             return None
         return self.cons.symbol_from_level(lvl, g[1])
 
-    def get_arr(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """``get`` over arrays: lattice parts ``v`` of shape (..., r), finite
-        parts ``f`` broadcastable to ``v.shape[:-1]``; -1 where a cell lies
-        outside the window."""
+    def symbol_box(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """``symbol_array`` of every finite part over the lattice box
+        low .. high (inclusive per axis), -1 where a cell lies outside the
+        window: shape (|F|,) + extent.  The box may pad the window on any
+        side, crop it, or miss it."""
         dom = self.cons.domains
-        inside = dom.in_box_arr(v, self.N)
-        idx = np.where(inside, dom.flat_arr(v, self.N), 0)
-        syms = self.cons.symbol_table()[f, self.levels[idx]]
-        return np.where(inside, syms, -1)
+        p, q1 = dom.chain.level(self.N), dom.q1[self.N - 1]
+        F = self.spec.finite_order
+        out = np.full((F,) + tuple(int(b - a) + 1 for a, b in zip(low, high)), -1,
+                      dtype=np.int16)
+        src, dst = [], []
+        for a, b, m, q in zip(low.tolist(), high.tolist(), p, q1):
+            lo, hi = max(a, -q), min(b + 1, m - q)  # the window's part of the axis
+            if lo >= hi:
+                return out
+            src.append(slice(lo + q, hi + q))
+            dst.append(slice(lo - a, hi - a))
+        for f in range(F):
+            out[f][tuple(dst)] = self.symbol_array(f).reshape(p)[tuple(src)]
+        return out
 
     def items(self):
         """(element, symbol, level) in canonical order."""

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from toeplitz_lab import decks
+from toeplitz_lab import decks, periods, verify
 from toeplitz_lab.lattice import SpecError, Vec, decompose_right
 from toeplitz_lab.periods import (
     FiberPatch,
@@ -20,7 +20,6 @@ from toeplitz_lab.periods import (
     enumerate_fiber,
     per_set_empirical,
     per_set_exact,
-    shifted_get,
     subgroup_elements_in_window,
     tower_pieces,
 )
@@ -92,6 +91,11 @@ def test_incompatible_coords_detected():
     assert not _coords_compatible(cons, bad)
 
 
+def _one(elt, rank):
+    """A batch of one element: lattice part (1, rank), finite part (1,)."""
+    return _elt_arrays([elt], rank)
+
+
 def test_empirical_per_is_superset_with_interior_equality():
     cons = dihedral()
     win = cons.window(3)
@@ -100,8 +104,8 @@ def test_empirical_per_is_superset_with_interior_equality():
                  for v in cons.domains.box_coords(3).tolist()]
     for i in (1, 2):
         gammas = subgroup_elements_in_window(cons, i, 3)
-        mask = per_set_empirical(spec, win.get_arr, _elt_arrays(positions, spec.rank),
-                                 gammas)
+        mask = per_set_empirical(win, _one(spec.identity, 1), gammas,
+                                 _elt_arrays(positions, spec.rank))[0]
         emp = {g for g, hit in zip(positions, mask) if hit}
         exact = per_set_exact(win, i)
         assert emp >= exact
@@ -112,11 +116,20 @@ def test_empirical_per_is_superset_with_interior_equality():
 def test_constant_patch_is_everywhere_periodic():
     cons = dihedral()
     spec = cons.group
+    # level 3 carries alpha_3 = 1 on every finite part: a constant window
+    win = EtaWindow(cons, 3, np.full(cons.domains.size(3), 3, dtype=np.int16))
     window = [((v,), f) for v in range(-10, 11) for f in (0, 1)]
-    mask = per_set_empirical(spec, lambda v, f: np.ones(np.shape(f), dtype=np.int16),
-                             _elt_arrays(window, 1),
-                             _elt_arrays([((5,), 0), ((-5,), 0)], 1), alpha=1)
+    mask = per_set_empirical(win, _one(spec.identity, 1),
+                             _elt_arrays([((5,), 0), ((-5,), 0)], 1),
+                             _elt_arrays(window, 1), np.array([1]))[0]
     assert {g for g, hit in zip(window, mask) if hit} == set(window)
+
+
+def _conjugation_one(win, shift, g, gammas, alpha, core):
+    """The batched check on a batch of one sample."""
+    rank = win.spec.rank
+    return bool(conjugation_identity_check(win, _one(shift, rank), _one(g, rank), gammas,
+                                           np.array([alpha]), core)[0])
 
 
 def test_conjugation_identity():
@@ -126,39 +139,139 @@ def test_conjugation_identity():
     core = _elt_arrays([((v,), f) for v in range(-20, 21) for f in (0, 1)], 1)
     gammas = subgroup_elements_in_window(cons, 1, 2)
     gamma_list = _elt_list(gammas)
+    e = spec.identity
     # identity shift is trivially fine
-    assert conjugation_identity_check(spec, win.get_arr, spec.identity, gammas, 1, core)
+    assert _conjugation_one(win, e, e, gammas, 1, core)
     # flip conjugation fixes the diagonal subgroup, the identity still holds
     flip = ((0,), 1)
     conj = {spec.mul(spec.mul(spec.inv(flip), t), flip) for t in gamma_list}
     assert conj == set(gamma_list)
     for alpha in (0, 1, 2):
-        assert conjugation_identity_check(spec, win.get_arr, flip, gammas, alpha, core)
+        assert _conjugation_one(win, e, flip, gammas, alpha, core)
     rng = random.Random(5)
-    for _ in range(25):
-        g = ((rng.randint(-5, 5),), rng.choice((0, 1)))
-        alpha = rng.choice(cons.alphabet)
-        assert conjugation_identity_check(spec, win.get_arr, g, gammas, alpha, core)
+    gs = [((rng.randint(-5, 5),), rng.choice((0, 1))) for _ in range(25)]
+    alphas = np.array([rng.choice(cons.alphabet) for _ in gs])
+    shifts = _elt_arrays([e] * len(gs), 1)
+    assert conjugation_identity_check(win, shifts, _elt_arrays(gs, 1), gammas, alphas,
+                                      core).all()
 
 
-def _conjugation_samples(deck_name: str, samples: int):
-    """The sampled arguments of ``verify.check_conjugation`` with seed 7:
-    (window, shift of the array, g, Gamma_i elements, alpha, core cells)."""
+# -- test-local references: the per-sample route the batched check replaced ------
+
+
+def _get_arr(win, v, f):
+    """The window read one array at a time: -1 where a cell lies outside."""
+    dom = win.cons.domains
+    inside = dom.in_box_arr(v, win.N)
+    idx = np.where(inside, dom.flat_arr(v, win.N), 0)
+    return np.where(inside, win.cons.symbol_table()[f, win.levels[idx]], -1)
+
+
+def _shifted_get(spec, get_arr, g):
+    """Array accessor of sigma^g x from an array accessor of x."""
+    gv, gf = spec.inv(g)
+    return lambda v, f: get_arr(*spec.mul_arr(gv, gf, v, f))
+
+
+def _per_set_reference(spec, get_arr, positions, gammas, alpha):
+    """One sample's period-set mask, every read through ``get_arr``."""
+    pv, pf = positions
+    base = get_arr(pv, pf)
+    ok = base >= 0 if alpha is None else base == alpha
+    iv, i_f = spec.inv_arr(*gammas)
+    vals = get_arr(*spec.mul_arr(iv[:, None], i_f[:, None], pv[None], pf[None]))
+    return ok & np.all((vals < 0) | (vals == base), axis=0)
+
+
+def _conjugation_reference(win, shift, g, gammas, alpha, core):
+    """Both sides of one sample as masks over the core, the left side
+    through sigma^g sigma^s eta and the right through the conjugates."""
+    spec = win.spec
+    x_get = _shifted_get(spec, lambda v, f: _get_arr(win, v, f), shift)
+    left = _per_set_reference(spec, _shifted_get(spec, x_get, g), core, gammas, alpha)
+    gv, gf = spec.inv(g)
+    conj = spec.mul_arr(*spec.mul_arr(gv, gf, *gammas), *g)
+    right = _per_set_reference(spec, x_get, spec.mul_arr(gv, gf, *core), conj, alpha)
+    return left, right
+
+
+def _conjugation_samples(deck_name: str, samples: int, seed: int = 7, spread=(3, 4)):
+    """The sampled arguments of ``verify.check_conjugation``, drawn in its
+    order: (window, shift of the array, g, Gamma_i elements, alpha, core
+    cells).  ``spread`` bounds the shift and g coordinates."""
     cons = decks.construction(decks.bundled_deck(deck_name))
     spec = cons.group
-    rng = random.Random(7)
+    rng = random.Random(seed)
     reach = min(6, cons.domains.q1[1][0])
     core = [(v, f) for v in cons.domains.enumerate_box(2)
             if all(abs(x) <= reach for x in v) for f in range(spec.finite_order)]
     for _ in range(samples):
-        shift = (tuple(rng.randint(-3, 3) for _ in range(spec.rank)),
-                 rng.randrange(spec.finite_order))
-        g = (tuple(rng.randint(-4, 4) for _ in range(spec.rank)),
-             rng.randrange(spec.finite_order))
+        shift, g = ((tuple(rng.randint(-x, x) for _ in range(spec.rank)),
+                     rng.randrange(spec.finite_order)) for x in spread)
         i = rng.choice((1, 2))
         alpha = rng.choice(cons.alphabet)
         yield (cons.window(3), shift, g, _elt_list(subgroup_elements_in_window(cons, i, i + 1)),
                alpha, core)
+
+
+def _arrays(draws):
+    """Samples that share their window, Gamma_i and core as the arrays of
+    the batched check: (window, shifts, gs, gammas, alphas, core)."""
+    win, _, _, gammas, _, core = draws[0]
+    rank = win.spec.rank
+    shifts = _elt_arrays([d[1] for d in draws], rank)
+    gs = _elt_arrays([d[2] for d in draws], rank)
+    return (win, shifts, gs, _elt_arrays(gammas, rank), np.array([d[4] for d in draws]),
+            _elt_arrays(core, rank))
+
+
+def _sides(win, shifts, gs, gammas, alphas, core, translate_core=True):
+    """Both sides of the batched check as masks over the core; without
+    ``translate_core`` the right side reads the core itself, not g^-1 h."""
+    spec = win.spec
+    sv, sf = spec.inv_arr(*shifts)
+    gv, gf = spec.inv_arr(*gs)
+    left = per_set_empirical(win, spec.mul_arr(sv, sf, gv, gf), gammas, core, alphas)
+    conj = spec.mul_arr(*spec.mul_arr(gv[:, None], gf[:, None], *gammas),
+                        gs[0][:, None], gs[1][:, None])
+    if translate_core:
+        core = spec.mul_arr(gv[:, None], gf[:, None], *core)
+    return left, per_set_empirical(win, (sv, sf), conj, core, alphas)
+
+
+def _by_gamma(draws):
+    """The draws split by their Gamma_i, each part in draw order."""
+    parts: dict[tuple, list] = {}
+    for d in draws:
+        parts.setdefault(tuple(d[3]), []).append(d)
+    return list(parts.values())
+
+
+def _assert_matches_reference(draws):
+    """Masks and verdicts of the batched route equal the per-sample
+    reference, sample by sample; returns how many samples passed."""
+    args = _arrays(draws)
+    left, right = _sides(*args)
+    verdicts = conjugation_identity_check(*args)
+    for n, (win, shift, g, gammas, alpha, core) in enumerate(draws):
+        rank = win.spec.rank
+        ref_left, ref_right = _conjugation_reference(
+            win, shift, g, _elt_arrays(gammas, rank), alpha, _elt_arrays(core, rank))
+        assert np.array_equal(left[n], ref_left), n
+        assert np.array_equal(right[n], ref_right), n
+        assert verdicts[n] == np.array_equal(ref_left, ref_right), n
+    return int(verdicts.sum())
+
+
+@pytest.mark.parametrize("deck_name", decks.BUNDLED)
+def test_batched_conjugation_matches_per_sample_reference(deck_name):
+    """All samples of ``check_conjugation`` at seeds 1-3, batched, against
+    the per-sample route; the check's count is the reference's."""
+    for seed in (1, 2, 3):
+        draws = list(_conjugation_samples(deck_name, 100, seed))
+        agreed = sum(_assert_matches_reference(part) for part in _by_gamma(draws))
+        assert verify.check_conjugation(deck_name, seed=seed).details == \
+            {"passed": agreed, "samples": 100}
 
 
 def _per_set_scalar(spec, patch_get, positions, gammas, alpha):
@@ -191,15 +304,19 @@ def test_conjugation_check_matches_scalar_reference(deck_name, samples):
         spec = win.spec
         sinv, ginv = spec.inv(shift), spec.inv(g)
         x_scalar = lambda h: win.get(spec.mul(sinv, h))
-        x_arr = shifted_get(spec, win.get_arr, shift)
         core_arr, gammas_arr = _elt_arrays(core, spec.rank), _elt_arrays(gammas, spec.rank)
-        assert x_arr(*core_arr).tolist() == \
-            [-1 if x_scalar(h) is None else x_scalar(h) for h in core]
-        left = per_set_empirical(spec, shifted_get(spec, x_arr, g), core_arr,
-                                 gammas_arr, alpha)
+        no_gammas = _elt_arrays([], spec.rank)
+        # x read at the core: the cells where it reads each symbol
+        read = np.full(len(core), -1)
+        for sym in win.cons.alphabet:
+            read[per_set_empirical(win, _one(sinv, spec.rank), no_gammas, core_arr,
+                                   np.array([sym]))[0]] = sym
+        assert read.tolist() == [-1 if x_scalar(h) is None else x_scalar(h) for h in core]
+        left = per_set_empirical(win, _one(spec.mul(sinv, ginv), spec.rank), gammas_arr,
+                                 core_arr, np.array([alpha]))[0]
         assert {h for h, hit in zip(core, left) if hit} == _per_set_scalar(
             spec, lambda h: x_scalar(spec.mul(ginv, h)), core, gammas, alpha)
-        assert conjugation_identity_check(spec, x_arr, g, gammas_arr, alpha, core_arr) \
+        assert _conjugation_one(win, shift, g, gammas_arr, alpha, core_arr) \
             == _conjugation_scalar(spec, x_scalar, g, gammas, alpha, core)
 
 
@@ -208,17 +325,51 @@ def test_conjugation_check_detects_a_dropped_core_translate(deck_name):
     """The check is not vacuous: reading the right side at the core itself
     instead of at its g^-1 translate fails on some samples."""
     broken_fails = 0
-    for win, shift, g, gammas, alpha, core in _conjugation_samples(deck_name, 60):
-        spec = win.spec
-        x_get = shifted_get(spec, win.get_arr, shift)
-        gammas, core = _elt_arrays(gammas, spec.rank), _elt_arrays(core, spec.rank)
-        assert conjugation_identity_check(spec, x_get, g, gammas, alpha, core)
-        left = per_set_empirical(spec, shifted_get(spec, x_get, g), core, gammas, alpha)
-        gv, gf = spec.inv(g)
-        conj = spec.mul_arr(*spec.mul_arr(gv, gf, *gammas), *g)
-        untranslated = per_set_empirical(spec, x_get, core, conj, alpha)
-        broken_fails += not np.array_equal(left, untranslated)
+    for part in _by_gamma(list(_conjugation_samples(deck_name, 60))):
+        args = _arrays(part)
+        assert conjugation_identity_check(*args).all()
+        left, untranslated = _sides(*args, translate_core=False)
+        broken_fails += int(np.any(left != untranslated, axis=1).sum())
     assert broken_fails > 0
+
+
+@pytest.mark.parametrize("deck_name", ["z2-m2", "swap-m2"])
+def test_conjugation_batches_split_at_the_chunk_size(deck_name, monkeypatch):
+    """Sample counts of 1 and one batch - 1, + 0 and + 1 under both Gamma_1
+    and Gamma_2: a batch holds at most ``_CHUNK_CELLS`` (sample, translate,
+    cell) reads and at least one sample, and every mask still equals the
+    per-sample reference."""
+    draws = list(_conjugation_samples(deck_name, 200))
+    boxes = []
+    real = EtaWindow.symbol_box
+    monkeypatch.setattr(EtaWindow, "symbol_box",
+                        lambda self, low, high: boxes.append(1) or real(self, low, high))
+    for part in _by_gamma(draws):
+        reads = (len(part[0][3]) + 1) * len(part[0][5])
+        batch = periods._CHUNK_CELLS // reads
+        assert batch >= 1 and len(part) > batch + 1
+        for count in (1, batch - 1, batch, batch + 1):
+            boxes.clear()
+            _assert_matches_reference(part[:count])
+            # one window box per batch and side, twice over: masks, then verdicts
+            assert len(boxes) == 4 * -(-count // batch), count
+    assert len(_by_gamma(draws)) == 2
+
+
+@pytest.mark.parametrize("deck_name", decks.BUNDLED)
+def test_conjugation_reads_far_elements_as_unreadable(deck_name):
+    """Shift and g coordinates up to 200, where most reads leave the
+    window: they read -1, never a wrapped row, so the masks equal the
+    per-sample reference."""
+    draws = list(_conjugation_samples(deck_name, 30, seed=11, spread=(200, 200)))
+    for part in _by_gamma(draws):
+        _assert_matches_reference(part)
+    win, _, _, gammas, _, core = draws[0]
+    spec = win.spec
+    far = _one(((300,) * spec.rank, 0), spec.rank)
+    mask = per_set_empirical(win, far, _elt_arrays(gammas, spec.rank),
+                             _elt_arrays(core, spec.rank))
+    assert not mask.any()
 
 
 @pytest.mark.parametrize("deck_name", decks.BUNDLED)

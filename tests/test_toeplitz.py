@@ -39,14 +39,40 @@ def test_fresh_cells_dual_routes_small():
         assert len(cons.fresh_cells(n)) == sizes[n] == fresh_count(cons, n)
 
 
+def _level_array_per_cell(cons, N):
+    """Reference: the rep route over the whole (cells x r) coordinate box,
+    one rep, in-box test and flat index per cell."""
+    dom = cons.domains
+    fresh: dict[int, np.ndarray] = {}
+    for K in range(1, N + 1):
+        coords = dom.box_coords(K)
+        lvl = np.zeros(len(coords), dtype=np.int16)
+        r1 = dom.rep_arr(coords, 1)
+        lvl[np.all(r1 == 0, axis=1)] = 1
+        for l in range(2, K + 1):
+            rl = dom.rep_arr(coords, l)
+            inside = dom.in_box_arr(rl, l - 1)
+            hit = np.zeros(len(coords), dtype=bool)
+            if inside.any():
+                hit[inside] = fresh[l - 1][dom.flat_arr(rl[inside], l - 1)]
+            lvl[(lvl == 0) & hit] = l
+        lvl[lvl == 0] = K + 1
+        fresh[K] = lvl == K + 1
+    return lvl
+
+
 def test_tiled_level_array_matches_rep_route_on_bundled_decks():
+    """The tiling against the per-axis rep route at every configured level,
+    and the per-axis route against the per-cell reference up to level 4."""
     for name in decks.BUNDLED:
         cons = decks.construction(decks.bundled_deck(name))
-        top = 7 if name == "dihedral-m2" else min(4, cons.depth)
-        for N in range(1, top + 1):
+        for N in range(1, cons.depth + 1):
             tiled = cons.level_array(N)
-            assert tiled.dtype == np.int16
-            assert np.array_equal(tiled, cons.level_array_by_reps(N)), (name, N)
+            by_reps = cons.level_array_by_reps(N)
+            assert tiled.dtype == by_reps.dtype == np.int16
+            assert np.array_equal(tiled, by_reps), (name, N)
+            if N <= 4:
+                assert np.array_equal(by_reps, _level_array_per_cell(cons, N)), (name, N)
 
 
 @st.composite
@@ -94,6 +120,20 @@ def test_level_array_builds_no_coordinates(monkeypatch):
     monkeypatch.setattr(DomainChain, "box_coords", refuse)
     assert len(cons.level_array(3)) == cons.domains.size(3)
     assert len(cons.fresh_cells(2)) == fresh_count(cons, 2)
+
+
+def test_rep_route_shares_nothing_with_the_tiling(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("the rep route must not read the tiled stratification")
+
+    for name, N in (("z2-m2", 4), ("swap-m2", 3), ("dihedral-m2", 6)):
+        deck = decks.bundled_deck(name)
+        expected = Construction(deck.params()).level_array(N)
+        with monkeypatch.context() as patch:
+            for method in ("level_array", "fresh_bool", "translate_blocks"):
+                patch.setattr(Construction, method, refuse)
+            by_reps = Construction(deck.params()).level_array_by_reps(N)
+        assert np.array_equal(by_reps, expected), name
 
 
 def test_normal_variant_requires_trivial_finite_part():
