@@ -197,4 +197,8 @@ def load_deck(ref: str) -> Deck:
     if not path.exists():
         raise SpecError(
             f"unknown deck {ref!r}; bundled decks: {', '.join(BUNDLED)}")
-    return deck_from_config(json.loads(path.read_text()))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        raise SpecError(f"cannot read deck file {ref!r}: {exc}") from exc
+    return deck_from_config(doc)

@@ -204,14 +204,6 @@ class SubgroupChain:
             raise DepthExhausted(f"chain level {i} not configured (depth {self.depth})")
         return self.moduli[i - 1]
 
-    def member_vec(self, v: Vec, i: int) -> bool:
-        p = self.level(i)
-        return all(x % q == 0 for x, q in zip(v, p))
-
-    def member(self, g: Elt, i: int) -> bool:
-        v, f = g
-        return f == 0 and self.member_vec(v, i)
-
     def index_between(self, i: int) -> int:
         lo, hi = self.level(i), self.level(i + 1)
         out = 1

@@ -10,6 +10,7 @@ stratification of a box, never from extrapolated moduli.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,8 +23,6 @@ from .lattice import (
     GroupSpec,
     SpecError,
     SubgroupChain,
-    Vec,
-    vec_add,
 )
 
 VARIANT_NORMAL = "normal"
@@ -112,15 +111,6 @@ class Construction:
         """Boolean mask of the level-n fresh cells over the D_n box."""
         return np.asarray(self.level_array(n) == n + 1)
 
-    @lru_cache(maxsize=None)
-    def fresh_cells(self, n: int) -> frozenset[Vec]:
-        """Fresh cells by the subtraction definition (box minus filled strata)."""
-        if n == 0:
-            return frozenset({(0,) * self.group.rank})
-        grid = self.fresh_bool(n).reshape(self.chain.level(n))
-        cells = np.argwhere(grid) - np.array(self.domains.q1[n - 1], dtype=np.int64)
-        return frozenset(map(tuple, cells.tolist()))
-
     # -- level stratification -------------------------------------------------
 
     @lru_cache(maxsize=None)
@@ -153,42 +143,85 @@ class Construction:
         grid[centre] = prev
         return grid.ravel()
 
+    def stratum_claims(self, N: int,
+                       fresh: dict[int, np.ndarray]) -> Iterator[np.ndarray]:
+        """Per level l = 1 .. N, the mask over the D_N box (shape p^N) of the
+        cells that level l claims: those whose rep modulo Gamma_l is a
+        level-(l-1) fresh cell, ``fresh[l-1]`` being the fresh mask of the
+        D_(l-1) box (level 0 has the origin alone, so level 1 claims Gamma_1).
+
+        The box, the rep modulo the diagonal Gamma_l, the test against the
+        D_(l-1) box and the index into it are all per axis, so they are
+        computed on the axes and broadcast: the in-box masks are ANDed and the
+        fresh mask is gathered by per-axis indices.
+        """
+        dom, chain, rank = self.domains, self.chain, self.group.rank
+        axes = [np.arange(-a, p - a, dtype=np.int64)
+                for a, p in zip(dom.q1[N - 1], chain.level(N))]
+        for l in range(1, N + 1):
+            if l == 1:  # the D_0 box is the origin alone
+                pbs, qbs = (1,) * rank, (0,) * rank
+            else:
+                pbs, qbs = chain.level(l - 1), dom.q1[l - 2]
+            idx, inside = [], []
+            for x, p, q, pb, qb in zip(axes, chain.level(l), dom.q1[l - 1], pbs, qbs):
+                s = (x + q) % p - q + qb  # rep mod Gamma_l, offset into D_(l-1)
+                ok = (s >= 0) & (s < pb)
+                idx.append(np.where(ok, s, 0))
+                inside.append(ok)
+            hit = _outer_and(inside)
+            if l > 1:
+                hit &= np.reshape(fresh[l - 1], pbs)[np.ix_(*idx)]
+            yield hit
+
     def level_array_by_reps(self, N: int) -> np.ndarray:
         """The same array by the independent definition route (check-only).
 
-        Every box D_1 .. D_N is classified from its own coordinates: a cell
-        is in stratum l when its rep modulo Gamma_l is a level-(l-1) fresh
-        cell, the fresh masks coming from this route's own lower boxes.  The
-        box, the rep modulo the diagonal Gamma_l, the test against the D_(l-1)
-        box and the flat index into it are all per axis, so they are computed
-        on the axes and broadcast: the in-box masks are ANDed and the fresh
-        mask is gathered by per-axis indices.  It shares nothing with the
-        tiling in ``level_array`` and is deliberately uncached; checks and
-        tests compare the two.
+        Every box D_1 .. D_N is classified from its own coordinates by
+        ``stratum_claims``, the step criterion 2 shares: a cell is in the first
+        stratum that claims it, the fresh masks coming from this route's own
+        lower boxes.  It shares nothing with the tiling in ``level_array`` and
+        is deliberately uncached; checks and tests compare the two.
         """
         if not 1 <= N <= self.depth:
             raise DepthExhausted(
                 f"level array needs a configured level 1..{self.depth}, got {N}")
-        dom, chain = self.domains, self.chain
         fresh: dict[int, np.ndarray] = {}
         for K in range(1, N + 1):
-            axes = [np.arange(-a, p - a, dtype=np.int64)
-                    for a, p in zip(dom.q1[K - 1], chain.level(K))]
-            lvl = np.zeros(chain.level(K), dtype=np.int16)
-            lvl[_outer_and([x % p == 0 for x, p in zip(axes, chain.level(1))])] = 1
-            for l in range(2, K + 1):
-                idx, inside = [], []
-                for x, p, q, pb, qb in zip(axes, chain.level(l), dom.q1[l - 1],
-                                           chain.level(l - 1), dom.q1[l - 2]):
-                    s = (x + q) % p - q + qb  # rep mod Gamma_l, offset into D_(l-1)
-                    ok = (s >= 0) & (s < pb)
-                    idx.append(np.where(ok, s, 0))
-                    inside.append(ok)
-                hit = fresh[l - 1][np.ix_(*idx)] & _outer_and(inside)
+            lvl = np.zeros(self.chain.level(K), dtype=np.int16)
+            for l, hit in enumerate(self.stratum_claims(K, fresh), start=1):
                 lvl[(lvl == 0) & hit] = l
             lvl[lvl == 0] = K + 1
             fresh[K] = lvl == K + 1
         return lvl.ravel()
+
+    def levels_at(self, points: np.ndarray) -> np.ndarray:
+        """Stratum level (int16) of each row of an (n, r) array of lattice
+        points: depth+1 for a point of the D_depth box that no level claims,
+        DepthExhausted naming the first point outside it that none claims.
+
+        A point v is claimed at level 1 when it lies in Gamma_1, and at level
+        l >= 2 when its rep modulo Gamma_l is a level-(l-1) fresh cell.  That
+        rep is congruent to v modulo every coarser Gamma_k, so its claims
+        below level l are those of v: while v is unclaimed, its rep is fresh
+        exactly when it lies in the D_(l-1) box.  One rep and one box test per
+        level decide every point; no level array or fresh mask is read.
+        """
+        dom = self.domains
+        pts = np.asarray(points, dtype=np.int64).reshape(-1, self.group.rank)
+        out = np.full(len(pts), self.depth + 1, dtype=np.int16)
+        unclaimed = np.arange(len(pts))
+        for l in range(1, self.depth + 1):
+            rep = dom.rep_arr(pts[unclaimed], l)
+            hit = np.all(rep == 0, axis=-1) if l == 1 else dom.in_box_arr(rep, l - 1)
+            out[unclaimed[hit]] = l
+            unclaimed = unclaimed[~hit]
+        outside = unclaimed[~dom.in_box_arr(pts[unclaimed], self.depth)]
+        if len(outside):
+            raise DepthExhausted(
+                f"{tuple(pts[outside[0]].tolist())} is not covered by the configured "
+                f"chain prefix (depth {self.depth})")
+        return out
 
     def translate_blocks(self, levels: np.ndarray, n: int, N: int) -> np.ndarray:
         """A level array of the D_N box cut into one p^n block per Gamma_n
@@ -213,47 +246,6 @@ class Construction:
         blocks = self.translate_blocks(levels, n, N)
         rows = math.prod(blocks.shape[:len(p)])
         return blocks[..., self.fresh_bool(n).reshape(p)].reshape(rows, -1)
-
-    def stratum(self, v: Vec) -> int:
-        """Stratum level of a single lattice point, or DepthExhausted."""
-        dom = self.domains
-        zero = (0,) * self.group.rank
-        for l in range(1, self.depth + 1):
-            rep = dom.rep(v, l)
-            if l == 1:
-                if rep == zero:
-                    return 1
-            elif rep in self.fresh_cells(l - 1):
-                return l
-        if dom.in_box(v, self.depth):
-            return self.depth + 1
-        raise DepthExhausted(
-            f"{v} is not covered by the configured chain prefix (depth {self.depth})")
-
-    def value(self, g: Elt) -> tuple[int, int]:
-        """(symbol, level) of the array at g."""
-        v, f = g
-        lvl = self.stratum(v)
-        return self.symbol_from_level(lvl, f), lvl
-
-    def translate_constant(self, i: int, gamma: Elt) -> tuple[bool, object]:
-        """Whether eta is constant on gamma * fresh(i) * R, and the value.
-
-        On failure returns (False, (witness_a, witness_b)).
-        """
-        if not self.chain.member(gamma, i):
-            raise SpecError("translate must come from the level-i subgroup")
-        gv = gamma[0]
-        seen: dict[int, Elt] = {}
-        for cell in sorted(self.fresh_cells(i)):
-            for f in range(self.group.finite_order):
-                g = (vec_add(gv, cell), f)
-                sym, _ = self.value(g)
-                seen[sym] = g
-                if len(seen) > 1:
-                    a, b = sorted(seen.values())[:2]
-                    return False, (a, b)
-        return True, next(iter(seen))
 
     # -- windows --------------------------------------------------------------
 

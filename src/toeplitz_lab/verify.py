@@ -66,7 +66,7 @@ def check_fresh_dual(deck_name: str, max_level: int = 4) -> CheckResult:
                        {"sizes": sizes})
 
 
-# -- criterion 2: strata partition the level-3 window --------------------------
+# -- criterion 2: strata partition the level-N window --------------------------
 
 
 def check_strata_partition(deck_name: str, N: int = 3) -> CheckResult:
@@ -74,29 +74,28 @@ def check_strata_partition(deck_name: str, N: int = 3) -> CheckResult:
     level in ``level_array(N)`` with a symbol of the alphabet.
 
     Cell v claims level 1 when v is in Gamma_1, level l in 2..N when its rep
-    modulo Gamma_l is a level-(l-1) fresh cell, and level N+1 when it is a
-    level-N fresh cell itself."""
+    modulo Gamma_l is a level-(l-1) fresh cell of the tiled ``fresh_bool``,
+    and level N+1 when it is a level-N fresh cell itself."""
     cons = _cons(deck_name)
-    dom = cons.domains
-    coords = dom.box_coords(N)
-    claims = [np.all(dom.rep_arr(coords, 1) == 0, axis=1)]
-    for l in range(2, N + 1):
-        rep = dom.rep_arr(coords, l)
-        inside = dom.in_box_arr(rep, l - 1)
-        hit = np.zeros(len(coords), dtype=bool)
-        hit[inside] = cons.fresh_bool(l - 1)[dom.flat_arr(rep[inside], l - 1)]
-        claims.append(hit)
-    claims.append(cons.fresh_bool(N))
-    claims = np.stack(claims)
-    single = claims.sum(axis=0) == 1
-    levels = cons.level_array(N)
+    shape = cons.chain.level(N)
+    fresh = {n: cons.fresh_bool(n) for n in range(1, N + 1)}
+    count = np.zeros(shape, dtype=np.uint8)
+    claimed = np.zeros(shape, dtype=np.int16)  # the claim of a singly claimed cell
+    for l, hit in enumerate(cons.stratum_claims(N, fresh), start=1):
+        count += hit
+        claimed[hit] = l
+    top = fresh[N].reshape(shape)
+    count += top
+    claimed[top] = N + 1
+    single = count == 1
+    levels = cons.level_array(N).reshape(shape)
     in_alphabet = np.isin(cons.symbol_table(), cons.alphabet).all(axis=0)
-    wrong = (levels != claims.argmax(axis=0) + 1) | ~in_alphabet[levels]
+    wrong = (levels != claimed) | ~in_alphabet[levels]
     bad = int(np.count_nonzero(~single))
     undefined = int(np.count_nonzero(single & wrong))
     passed = bad == 0 and undefined == 0
     return CheckResult(f"strata-partition[{deck_name}]", passed, "counted",
-                       {"cells": len(coords) * cons.group.finite_order,
+                       {"cells": levels.size * cons.group.finite_order,
                         "multi_or_unclaimed": bad, "undefined": undefined})
 
 

@@ -39,10 +39,24 @@ def test_unknown_deck_is_config_error():
     ["fibers", "--config", "dihedral-m2", "--radius", "-1"],
     ["independence", "--config", "williams-m2", "--size", "0"],
     ["independence", "--config", "williams-m2", "--size", "-1"],
+    ["verify-all", "--config", "<truncated-json>"],
+    ["verify-all", "--config", "<not-utf8>"],
+    ["verify-all", "--config", "<directory>"],
 ], ids=" ".join)
 def test_malformed_input_is_config_error(argv, tmp_path, capsys):
+    files = {"<truncated-json>": b"{", "<not-utf8>": b"\xff\xfe{"}
+    paths = {}
+    for token in argv:
+        if token == "<directory>":
+            paths[token] = tmp_path
+        elif token in files:
+            paths[token] = tmp_path / "deck.json"
+            paths[token].write_bytes(files[token])
+    argv = [str(paths.get(token, token)) for token in argv]
     assert run(argv + ["--out", str(tmp_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert all(str(path) in err for path in paths.values())
 
 
 @pytest.mark.parametrize("command", ["independence", "verify-all"])

@@ -66,11 +66,15 @@ def test_group_validation_rejects_bad_action():
 
 
 def test_subgroup_membership():
+    # v is in Gamma_i exactly when its rep modulo Gamma_i is the origin
     deck = dihedral()
-    chain = deck.chain
-    assert chain.member(((10,), 0), 1)
-    assert not chain.member(((7,), 0), 1)
-    assert not chain.member(((5,), 1), 1)  # nontrivial finite part
+    chain, dom = deck.chain, deck.domains
+    for i in (1, 2, 3):
+        p = chain.level(i)[0]
+        for v in range(-3 * p, 3 * p + 1):
+            assert (dom.rep((v,), i) == (0,)) == (v % p == 0), (i, v)
+    # a nontrivial finite part keeps (5, flip) out of Gamma_1
+    assert decompose_right(deck.group, dom, ((5,), 1), 1) == (((5,), 0), (0,), 1)
 
 
 def test_chain_validation():
@@ -99,7 +103,7 @@ def test_decompose_right_is_bijective_on_window():
         for f in (0, 1):
             g = ((v,), f)
             gamma, d, r = decompose_right(spec, dom, g, 2)
-            assert deck.chain.member(gamma, 2)
+            assert gamma[1] == 0 and gamma[0][0] % deck.chain.level(2)[0] == 0
             assert dom.in_box(d, 2)
             back = spec.mul(spec.mul(gamma, (d, 0)), ((0,), r))
             assert back == g
@@ -128,8 +132,8 @@ def test_box_nesting_partition():
     for i in (1, 2, 3):
         cover = set()
         for g in dom.enumerate_box(i + 1):
-            if not chain.member_vec(g, i):
-                continue
+            if g[0] % chain.level(i)[0]:
+                continue  # not in Gamma_i
             block = {tuple(x + y for x, y in zip(g, d))
                      for d in dom.enumerate_box(i)}
             assert not block & cover

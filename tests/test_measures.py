@@ -126,15 +126,20 @@ def test_cell_symbols_constancy_and_counts():
     assert hist == {1: 4, 2: 21}
 
 
+def _fresh_cells(cons, n):
+    """The level-n fresh cells of the tiled mask as sorted lattice points."""
+    cells = np.argwhere(cons.fresh_bool(n).reshape(cons.chain.level(n)))
+    return [tuple(c) for c in (cells - np.array(cons.domains.q1[n - 1])).tolist()]
+
+
 def _recount(cons, n, N):
     """(gamma, class symbol) by point evaluation of every cell of every class."""
     out = []
+    cells = np.array(_fresh_cells(cons, n))
     for gamma in cons.domains.enumerate_box(N):
-        if not cons.chain.member_vec(gamma, n):
-            continue
-        syms = {cons.value((vec_add(gamma, cell), f))[0]
-                for cell in cons.fresh_cells(n)
-                for f in range(cons.group.finite_order)}
+        if any(x % p for x, p in zip(gamma, cons.chain.level(n))):
+            continue  # not in Gamma_n
+        syms = set(cons.symbol_table()[:, cons.levels_at(cells + gamma)].ravel().tolist())
         assert len(syms) == 1, gamma
         out.append((gamma, syms.pop()))
     return out
@@ -214,7 +219,7 @@ def test_corrupted_level_array_names_the_witness(monkeypatch, level, message):
     for (n, N), index in zip(ROUTES, (37, 11)):
         cons = Construction(decks.bundled_deck("z2-m2").params())
         gamma, _ = measures.cell_symbols(cons, n, N)[index]
-        cell = sorted(cons.fresh_cells(n))[5]
+        cell = _fresh_cells(cons, n)[5]
         _corrupt(monkeypatch, cons, N, [(vec_add(gamma, cell), level)])
         with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma} {message}")):
             measures.cell_symbols(cons, n, N)
@@ -227,7 +232,7 @@ def test_marker_outranks_an_earlier_varying_class(monkeypatch, n, N):
     cons = Construction(decks.bundled_deck("z2-m2").params())
     classes = measures.cell_symbols(cons, n, N)
     early, late = classes[2][0], classes[20][0]
-    cells = sorted(cons.fresh_cells(n))
+    cells = _fresh_cells(cons, n)
     _corrupt(monkeypatch, cons, N, [(vec_add(early, cells[-1]), 3),
                                     (vec_add(late, cells[-1]), 1)])
     with pytest.raises(ConstructionError,
@@ -250,4 +255,5 @@ def test_complexity_profile():
 def test_fresh_count_matches_enumeration():
     for cons in (dihedral(), z2()):
         for n in (1, 2, 3):
-            assert measures.fresh_count(cons, n) == len(cons.fresh_cells(n))
+            levels = cons.levels_at(cons.domains.box_coords(n))
+            assert measures.fresh_count(cons, n) == np.count_nonzero(levels == n + 1)

@@ -45,9 +45,9 @@ def _coords_compatible(cons, coords):
     """Gamma_i t_{i+1} = Gamma_i t_i at every level below the coords depth."""
     spec, chain = cons.group, cons.chain
     for i in range(1, coords.depth):
-        step = spec.mul(coords.rep(i + 1), spec.inv(coords.rep(i)))
-        if not chain.member(step, i):
-            return False
+        v, f = spec.mul(coords.rep(i + 1), spec.inv(coords.rep(i)))
+        if f != 0 or any(x % p for x, p in zip(v, chain.level(i))):
+            return False  # the step is not in Gamma_i
     return True
 
 
@@ -375,7 +375,7 @@ def test_conjugation_reads_far_elements_as_unreadable(deck_name):
 @pytest.mark.parametrize("deck_name", decks.BUNDLED)
 def test_subgroup_elements_match_member_scan(deck_name):
     """Direct enumeration of the lattice multiples against the scan of the
-    whole level box through ``member_vec``, order included, for every
+    whole level box by a modulus check, order included, for every
     (i, level >= i) whose box has at most 20,000 cells."""
     cons = decks.construction(decks.bundled_deck(deck_name))
     dom = cons.domains
@@ -383,8 +383,9 @@ def test_subgroup_elements_match_member_scan(deck_name):
         if dom.size(level) > 20_000:
             break
         for i in range(1, level + 1):
+            p = cons.chain.level(i)
             scan = [(v, 0) for v in dom.enumerate_box(level)
-                    if cons.chain.member_vec(v, i)]
+                    if all(x % q == 0 for x, q in zip(v, p))]
             v, f = subgroup_elements_in_window(cons, i, level)
             assert v.shape == (len(scan), cons.group.rank) and f.shape == (len(scan),)
             assert _elt_list((v, f)) == scan
@@ -402,7 +403,7 @@ def test_aperiodic_positions():
     t2 = coords.rep(2)
     for w in [((v,), f) for v in range(-6, 7) for f in (0, 1)]:
         pos = spec.mul(t2, w)
-        deep = cons.value(pos)[1] > 2
+        deep = cons.levels_at(np.array([pos[0]]))[0] > 2
         assert (w in aper) == deep
     # the aperiodic part only shrinks with depth
     deeper = aperiodic_positions(cons, code_orbit_point(cons, ((13,), 0), 4), 6)
@@ -455,15 +456,15 @@ def test_fiber_of_toeplitz_coords_is_singleton():
 
 def _window_reference(cons, coords, radius):
     """The window cells B(0, radius) R in canonical order, and per cell the
-    lattice part, finite part and stratum of t_K w, one group product and
-    one ``stratum`` call at a time."""
+    lattice part, finite part and stratum of t_K w, one group product at a
+    time, the strata read off the reps modulo Gamma_K by ``levels_at``."""
     spec, K = cons.group, coords.depth
     cells = [(u, f) for f in range(spec.finite_order)
              for u in product(range(-radius, radius + 1), repeat=spec.rank)]
     moved = [spec.mul(coords.rep(K), w) for w in cells]
     pos = np.array([v for v, _ in moved], dtype=np.int64)
     fparts = np.array([f for _, f in moved])
-    levels = np.array([cons.stratum(cons.domains.rep(v, K)) for v, _ in moved])
+    levels = cons.levels_at(np.array([cons.domains.rep(v, K) for v, _ in moved]))
     return cells, pos, fparts, levels
 
 

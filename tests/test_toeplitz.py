@@ -1,3 +1,7 @@
+import hashlib
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +29,23 @@ def z2():
     return decks.construction(decks.bundled_deck("z2-m2"))
 
 
+def _fresh_cells(cons, n):
+    """The level-n fresh cells of the tiled mask as sorted lattice points."""
+    cells = np.argwhere(cons.fresh_bool(n).reshape(cons.chain.level(n)))
+    return [tuple(c) for c in (cells - np.array(cons.domains.q1[n - 1])).tolist()]
+
+
+def _values(cons, points, f):
+    """(symbol, level) of the array at (v, f) for each lattice point v."""
+    levels = cons.levels_at(np.array(points, dtype=np.int64))
+    return list(zip(cons.symbol_table()[f, levels].tolist(), levels.tolist()))
+
+
 def test_fresh_cells_base_cases():
     cons = dihedral()
-    assert sorted(cons.fresh_cells(0)) == [(0,)]
-    assert sorted(cons.fresh_cells(1)) == [(-2,), (-1,), (1,), (2,)]
+    # level 0 has the origin alone: level 1 claims just the origin of D_1
+    assert cons.levels_at(cons.domains.box_coords(1)).tolist() == [2, 2, 1, 2, 2]
+    assert _fresh_cells(cons, 1) == [(-2,), (-1,), (1,), (2,)]
 
 
 def test_fresh_cells_dual_routes_small():
@@ -36,7 +53,9 @@ def test_fresh_cells_dual_routes_small():
     sizes, agreed = fresh_dual(cons, 4)
     assert agreed
     for n in (1, 2, 3, 4):
-        assert len(cons.fresh_cells(n)) == sizes[n] == fresh_count(cons, n)
+        by_points = cons.levels_at(cons.domains.box_coords(n)) == n + 1
+        assert np.array_equal(by_points, cons.fresh_bool(n))
+        assert int(by_points.sum()) == sizes[n] == fresh_count(cons, n)
 
 
 def _level_array_per_cell(cons, N):
@@ -110,6 +129,90 @@ def test_tiled_level_array_matches_rep_route_on_shifted_chains(cons):
         tiled = cons.level_array(N)
         assert np.array_equal(tiled, cons.level_array_by_reps(N)), N
         assert int((tiled == N + 1).sum()) == fresh_count(cons, N)
+        # a cell of D_N that no level up to N claims is its own rep modulo
+        # Gamma_(N+1) and lies in D_N, so levels_at needs no clipping at N+1
+        levels = cons.levels_at(cons.domains.box_coords(N))
+        assert levels.dtype == np.int16 and np.array_equal(levels, tiled), N
+
+
+# Histogram and SHA-256 of the comma-joined levels of ``_pinned_points``, as
+# the set-based point evaluation (a frozenset of fresh cells per level, read
+# off the level arrays) gave them.
+LEVELS_AT_PINS = {
+    "dihedral-m2": ({1: 366, 2: 332, 3: 771, 4: 102, 5: 85, 6: 80, 7: 49, 8: 215},
+                    "5690a533e80b9c185a042d0697e5c68d9eb1bc14eb320739c90bf655e7ad5076"),
+    "swap-m2": ({1: 86, 2: 65, 3: 970, 4: 41, 5: 34, 6: 804},
+                "b0a2b85a3092a05ed930225c49cb2cf90c1029423db8a799fafff34b41ad0ecf"),
+    "williams-m2": ({1: 344, 2: 279, 3: 739, 4: 29, 5: 47, 6: 562},
+                    "30d6210c4c424a1bd79e40a3095c1d186aba6c0fe9424dd64558a374e322e00e"),
+    "williams-m3": ({1: 340, 2: 289, 3: 742, 4: 24, 5: 43, 6: 562},
+                    "4cbde82eb5835247cca7e4d9c906ae747d8b7e3d3c1794dce1ce0a27fcbaf00f"),
+    "z2-m2": ({1: 80, 2: 76, 3: 955, 4: 40, 5: 28, 6: 821},
+              "d2bf71e2722614ac6e1608370049b8ccd7636968f9d1dfcef680f43b5bc9cde6"),
+}
+
+
+def _pinned_points(deck, seed):
+    """1,000 seeded points of the D_2 box, then 1,000 of the D_depth box."""
+    dom = deck.domains
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        rng.integers(-np.array(dom.q1[lvl - 1]), np.array(dom.q2(lvl)),
+                     size=(1000, deck.group.rank))
+        for lvl in (2, deck.chain.depth)])
+
+
+@pytest.mark.parametrize("index,name", list(enumerate(decks.BUNDLED)))
+def test_levels_at_matches_pinned_point_levels(index, name):
+    deck = decks.bundled_deck(name)
+    levels = decks.construction(deck).levels_at(_pinned_points(deck, 1000 + index))
+    hist, digest = LEVELS_AT_PINS[name]
+    assert dict(Counter(levels.tolist())) == hist
+    assert hashlib.sha256(",".join(map(str, levels.tolist())).encode()).hexdigest() == digest
+
+
+def _deep_z2():
+    """z2-m2 with the chain Gamma_i = 5^i Z^2 extended to i = 10."""
+    deck = decks.bundled_deck("z2-m2")
+    chain = SubgroupChain(tuple((5 ** i, 5 ** i) for i in range(1, 11)))
+    return Construction(ConstructionParams(deck.group, chain, DomainChain.auto(chain),
+                                           deck.m, deck.variant))
+
+
+def _balanced_digit_levels(points, depth):
+    """1 + the index of the first all-zero balanced base-5 digit vector of
+    each point, or depth + 1 when none of its first ``depth`` digits is."""
+    rest = points.copy()
+    out = np.full(len(points), depth + 1, dtype=np.int16)
+    for i in range(depth):
+        digit = (rest + 2) % 5 - 2
+        first = (out == depth + 1) & np.all(digit == 0, axis=1)
+        out[first] = i + 1
+        rest = (rest - digit) // 5
+    return out
+
+
+def test_levels_at_depth_ten_matches_balanced_digits(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("levels_at must not build a level array or fresh mask")
+
+    cons = _deep_z2()
+    monkeypatch.setattr(Construction, "level_array", refuse)
+    monkeypatch.setattr(Construction, "fresh_bool", refuse)
+    half = (5 ** 10 - 1) // 2  # D_10 is [-half, half] per axis
+    points = np.random.default_rng(10).integers(-half, half + 1, size=(100_000, 2))
+    levels = cons.levels_at(points)
+    assert np.array_equal(levels, _balanced_digit_levels(points, 10))
+    assert set(levels.tolist()) == set(range(1, 12))
+
+
+def test_levels_at_names_the_first_unclaimed_point():
+    cons = _deep_z2()
+    # 4882813 = 5^10 - (5^10 - 1)/2 has ten balanced digits -2 and lies just
+    # outside D_10, so no level claims the last two points; the first is named
+    points = np.array([[0, 0], [4882812, 1], [4882813, 1], [4882813, 2]])
+    with pytest.raises(DepthExhausted, match=re.escape("(4882813, 1) is not covered")):
+        cons.levels_at(points)
 
 
 def test_level_array_builds_no_coordinates(monkeypatch):
@@ -119,7 +222,7 @@ def test_level_array_builds_no_coordinates(monkeypatch):
     cons = Construction(decks.bundled_deck("z2-m2").params())
     monkeypatch.setattr(DomainChain, "box_coords", refuse)
     assert len(cons.level_array(3)) == cons.domains.size(3)
-    assert len(cons.fresh_cells(2)) == fresh_count(cons, 2)
+    assert int(cons.fresh_bool(2).sum()) == fresh_count(cons, 2)
 
 
 def test_rep_route_shares_nothing_with_the_tiling(monkeypatch):
@@ -145,30 +248,29 @@ def test_normal_variant_requires_trivial_finite_part():
 
 def test_eta_values_first_strata():
     cons = dihedral()
-    assert cons.value(((0,), 0)) == (1, 1)      # alpha_1 on the subgroup
-    assert cons.value(((0,), 1)) == (BETA, 1)   # marker on the other rep
-    for cell in cons.fresh_cells(1):
-        for f in (0, 1):
-            assert cons.value((cell, f)) == (2, 2)
+    assert _values(cons, [(0,)], 0) == [(1, 1)]      # alpha_1 on the subgroup
+    assert _values(cons, [(0,)], 1) == [(BETA, 1)]   # marker on the other rep
+    for f in (0, 1):
+        assert _values(cons, _fresh_cells(cons, 1), f) == [(2, 2)] * 4
 
 
 def test_eta_value_deep_stratum():
     cons = dihedral()
     spec = cons.group
     # gamma in Gamma_2 \ Gamma_3 times a level-1 fresh cell lands in stratum 2
-    g = spec.mul(spec.mul(((25,), 0), ((1,), 0)), ((0,), 1))
-    assert cons.value(g) == (2, 2)
+    v, f = spec.mul(spec.mul(((25,), 0), ((1,), 0)), ((0,), 1))
+    assert _values(cons, [v], f) == [(2, 2)]
 
 
 def test_eta_value_depth_exhaustion():
     cons = dihedral()
     depth = cons.depth
-    fresh_top = min(cons.fresh_cells(depth))[0]
+    fresh_top = _fresh_cells(cons, depth)[0][0]
     p_top = cons.chain.level(depth)[0]
     # a nontrivial chain translate of a top-level fresh cell sits in a deeper
     # stratum than the configured prefix can name
-    with pytest.raises(DepthExhausted):
-        cons.value(((fresh_top + p_top,), 0))
+    with pytest.raises(DepthExhausted, match=re.escape(f"({fresh_top + p_top},)")):
+        cons.levels_at(np.array([[fresh_top + p_top]]))
 
 
 def test_alphabets():
@@ -179,14 +281,18 @@ def test_alphabets():
 
 
 def test_translate_constancy():
+    # eta is constant on gamma + fresh(1) x R for every gamma of Gamma_1 in
+    # the level-3 box, with the plain symbol alpha_2 at gamma = 0
     cons = dihedral()
-    ok, sym = cons.translate_constant(1, ((0,), 0))
-    assert ok and sym == 2
-    # every level-1 subgroup element in the level-3 box gives one constant
-    for v in cons.domains.enumerate_box(3):
-        if v[0] % 5 == 0:
-            ok, sym = cons.translate_constant(1, (v, 0))
-            assert ok and sym in (1, 2)
+    box = cons.domains.box_coords(3)
+    gammas = box[box[:, 0] % 5 == 0]
+    cells = np.array(_fresh_cells(cons, 1))
+    levels = cons.levels_at((gammas[:, None, :] + cells).reshape(-1, 1))
+    symbols = cons.symbol_table()[:, levels].reshape(2, len(gammas), len(cells))
+    constant = symbols.transpose(1, 0, 2).reshape(len(gammas), -1)
+    assert (constant == constant[:, :1]).all()
+    assert set(constant[:, 0].tolist()) == {1, 2}
+    assert constant[np.flatnonzero(gammas[:, 0] == 0)[0], 0] == 2
 
 
 def test_rep_factorization_of_period_sets():
@@ -259,26 +365,23 @@ def test_williams_reduction_level_sets_are_residue_classes():
 
 
 def _strata_partition_reference(cons, N):
-    """The strata-partition details one cell at a time: claims from the
-    ``fresh_cells`` sets, the level from ``stratum``, symbols through
-    ``symbol_from_level``."""
+    """The strata-partition details one cell at a time: claims from sets of
+    fresh cells taken from the tiled ``fresh_bool``, the level from
+    ``levels_at``, symbols through ``symbol_from_level``."""
     dom = cons.domains
-    fresh = [cons.fresh_cells(n) for n in range(N)]
     zero = (0,) * cons.group.rank
+    fresh = [{zero}] + [set(_fresh_cells(cons, n)) for n in range(1, N + 1)]
+    cells = list(dom.enumerate_box(N))
+    levels = cons.levels_at(np.array(cells, dtype=np.int64)).tolist()
     bad = undefined = total = 0
-    for v in dom.enumerate_box(N):
-        claims = []
-        for l in range(1, N + 1):
-            rep = dom.rep(v, l)
-            if (l == 1 and rep == zero) or (l > 1 and rep in fresh[l - 1]):
-                claims.append(l)
-        if v in cons.fresh_cells(N):
+    for v, lvl in zip(cells, levels):
+        claims = [l for l in range(1, N + 1) if dom.rep(v, l) in fresh[l - 1]]
+        if v in fresh[N]:
             claims.append(N + 1)
         total += 1
         if len(claims) != 1:
             bad += 1
             continue
-        lvl = cons.stratum(v)
         if lvl != claims[0] or any(
                 cons.symbol_from_level(lvl, f) not in cons.alphabet
                 for f in range(cons.group.finite_order)):
@@ -294,6 +397,16 @@ def test_strata_partition_matches_cell_loop(name, N):
     want = _strata_partition_reference(decks.construction(decks.bundled_deck(name)), N)
     assert res.details == want
     assert res.passed
+
+
+@pytest.mark.parametrize("name,N", [("z2-m2", 5), ("swap-m2", 5), ("dihedral-m2", 7)])
+def test_strata_partition_at_full_depth(name, N):
+    res = check_strata_partition(name, N)
+    cons = decks.construction(decks.bundled_deck(name))
+    assert N == cons.depth
+    assert res.passed
+    assert res.details == {"cells": cons.domains.size(N) * cons.group.finite_order,
+                           "multi_or_unclaimed": 0, "undefined": 0}
 
 
 def test_strata_partition_fails_on_a_dropped_fresh_cell(monkeypatch):
