@@ -40,7 +40,7 @@ for a in range(-2, 3):
 zo = ZOracle(eta, margin=600)
 cyls = [Cylinder.single_site(1, 0), Cylinder.single_site(1, 1)]
 res = find_independence_set(cyls, 2, zo, z_candidates(432), wm2.group)
-po = PullbackOracle(hom, swap.group, eta, radius=4, margin=4)
+po = PullbackOracle(hom, swap.group, eta, radius=4)
 out = transport_certificate(hom, swap.group, res.certificate, po)
 print(f"\ntransported independence set over {swap.group.name}: "
       f"{out.independence_set} (size {out.size} preserved and re-verified)")

@@ -31,6 +31,8 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
+_CSV_ROWS = 1 << 16  # rows per writerows call of gen-group's patch.csv
+
 
 def _out_dir(args, *parts: str) -> Path:
     base = Path(args.out) if args.out else Path("tl-out")
@@ -104,8 +106,14 @@ def cmd_gen_group(deck, args) -> int:
         w = csv.writer(fh)
         w.writerow(["finite_part"] + [f"v{j + 1}" for j in range(deck.group.rank)]
                    + ["symbol", "level"])
-        for (v, f), sym, lvl in win.items():
-            w.writerow([f, *v, sym, lvl])
+        coords = cons.domains.box_coords(N)
+        for f in range(deck.group.finite_order):
+            syms = win.symbol_array(f)
+            for lo in range(0, len(coords), _CSV_ROWS):
+                part = slice(lo, lo + _CSV_ROWS)
+                cells = coords[part]
+                w.writerows(np.column_stack([np.full(len(cells), f), cells,
+                                             syms[part], win.levels[part]]).tolist())
     strata = {int(l): int(c) for l, c in
               zip(*np.unique(win.levels, return_counts=True))}
     _, fresh_ok = verify.fresh_dual(cons, min(N, cons.depth - 1))

@@ -93,6 +93,16 @@ class CertificateWindowError(RuntimeError):
 
 
 # -- oracles -------------------------------------------------------------------
+# site_values(a) reads every grid element times a, for the search; symbols_at
+# reads any batch of elements, -1 where unreadable, for the re-check.
+
+
+def _gather(symbols: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """symbols[idx] as int16, -1 where idx falls outside the array."""
+    out = np.full(len(idx), -1, dtype=np.int16)
+    inside = (idx >= 0) & (idx < len(symbols))
+    out[inside] = symbols[idx[inside]]
+    return out
 
 
 class ZOracle:
@@ -107,8 +117,8 @@ class ZOracle:
             raise SpecError("margin swallows the whole window")
         self.grid = [((n,), 0) for n in range(self.lo, self.hi + 1)]
 
-    def value(self, g: Elt) -> int | None:
-        return self.patch.symbol(g[0][0])
+    def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return _gather(self.symbols, v[:, 0] + self.patch.N)
 
     def site_values(self, a: Elt) -> np.ndarray:
         shift = a[0][0]
@@ -134,7 +144,6 @@ class GOracle:
                      for f in range(spec.finite_order)
                      for v in self.core.tolist()]
         self._syms = {f: win.symbol_array(f) for f in range(spec.finite_order)}
-        self._core_per_f = len(self.core)
         # the core is a box: a translate of it lies in the window box exactly
         # when its two extreme corners do, and as flat_arr is affine, the
         # flat index of core + s is _core_flat plus the flat index of s
@@ -142,8 +151,13 @@ class GOracle:
         self._core_flat = (dom.flat_arr(self.core, win.N)
                            - dom.flat_arr(np.zeros(spec.rank, dtype=np.int64), win.N))
 
-    def value(self, g: Elt) -> int | None:
-        return self.win.get(g)
+    def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Read through ``Construction.levels_at``, not the window arrays
+        that site_values serves from."""
+        out = np.full(len(f), -1, dtype=np.int16)
+        inside = self.cons.domains.in_box_arr(v, self.win.N)
+        out[inside] = self.cons.symbol_table()[f[inside], self.cons.levels_at(v[inside])]
+        return out
 
     def site_values(self, a: Elt) -> np.ndarray:
         spec, dom, N = self.win.spec, self.cons.domains, self.win.N
@@ -154,15 +168,14 @@ class GOracle:
                 raise CertificateWindowError("shifted core leaves the oracle window")
             fpart = spec.table[hf][a[1]]
             vals = self._syms[fpart][self._core_flat + dom.flat_arr(shift, N)]
-            out[hf * self._core_per_f:(hf + 1) * self._core_per_f] = vals
+            out[hf * len(self.core):(hf + 1) * len(self.core)] = vals
         return out
 
 
 class PullbackOracle:
     """Oracle for phi* eta over G, served by a 1-d source window."""
 
-    def __init__(self, hom: HomSpec, group: GroupSpec, source: ZPatch,
-                 radius: int, margin: int):
+    def __init__(self, hom: HomSpec, group: GroupSpec, source: ZPatch, radius: int):
         self.hom = hom
         self.group = group
         self.source = source
@@ -170,19 +183,16 @@ class PullbackOracle:
         self.grid = [(v, f) for f in range(group.finite_order)
                      for v in product(*axes)]
         self._phi = np.array([hom.phi(g) for g in self.grid], dtype=np.int64)
-        self.margin = margin
+        self._w = np.array(hom.w, dtype=np.int64)
         self.symbols = source.symbols.astype(np.int16)
 
-    def value(self, g: Elt) -> int | None:
-        return self.source.symbol(self.hom.phi(g))
+    def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return _gather(self.symbols, v @ self._w + self.source.N)
 
     def site_values(self, a: Elt) -> np.ndarray:
-        shifts = np.empty(len(self.grid), dtype=np.int64)
-        for f in range(self.group.finite_order):
-            img = self.hom.phi(self.group.mul(((0,) * self.group.rank, f), a))
-            sel = slice(f * (len(self.grid) // self.group.finite_order),
-                        (f + 1) * (len(self.grid) // self.group.finite_order))
-            shifts[sel] = img
+        F = self.group.finite_order
+        shifts = np.repeat([self.hom.phi(self.group.mul(((0,) * self.group.rank, f), a))
+                            for f in range(F)], len(self.grid) // F)
         idx = self._phi + shifts + self.source.N
         if idx.min() < 0 or idx.max() >= len(self.symbols):
             raise CertificateWindowError("pullback sites leave the source window")
@@ -192,31 +202,49 @@ class PullbackOracle:
 # -- certificate checking ------------------------------------------------------
 
 
+def _read_products(oracle, spec: GroupSpec, reads: list) -> np.ndarray:
+    """oracle.symbols_at every h g^-1 site of a list of (h, g, site): one
+    inv_arr, two mul_arr and one oracle read."""
+    v = np.array([[e[0] for e in r] for r in reads],
+                 dtype=np.int64).reshape(-1, 3, spec.rank)
+    f = np.array([[e[1] for e in r] for r in reads], dtype=np.intp).reshape(-1, 3)
+    hg = spec.mul_arr(v[:, 0], f[:, 0], *spec.inv_arr(v[:, 1], f[:, 1]))
+    return oracle.symbols_at(*spec.mul_arr(*hg, v[:, 2], f[:, 2]))
+
+
 def check_certificate(cert: Certificate, oracle, spec: GroupSpec) -> bool:
     """Re-verify every witness from scratch; window misses raise, mismatches
     return False.
 
-    This is deliberately a scalar re-check through oracle.value, one group
-    product per site: it shares no mask or site_values code with the search,
-    so a certificate the search built wrongly cannot pass it the same way.
+    The reads are listed per assignment in product order, then per element
+    g of J, then per site of the assigned cylinder, and made in one
+    oracle.symbols_at call; the first read that fails decides.  A missing
+    witness returns False once every read listed before it has passed.
+
+    symbols_at shares no mask or site_values code with the search, so a
+    certificate the search built wrongly cannot pass it the same way.  On a
+    group deck it evaluates eta through ``Construction.levels_at`` and reads
+    no window level or symbol array.
     """
     k = len(cert.cylinders)
     J = cert.independence_set
+    reads, want = [], []
+    complete = True
     for assignment in product(range(1, k + 1), repeat=len(J)):
-        h = cert.witnesses.get(tuple(assignment))
+        h = cert.witnesses.get(assignment)
         if h is None:
-            return False
+            complete = False
+            break
         for g, j in zip(J, assignment):
             cyl = cert.cylinders[j - 1]
-            ginv = spec.inv(g)
-            for site, sym in zip(cyl.shape, cyl.pattern):
-                val = oracle.value(spec.mul(spec.mul(h, ginv), site))
-                if val is None:
-                    raise CertificateWindowError(
-                        f"witness {h} needs a value outside the window")
-                if val != sym:
-                    return False
-    return True
+            reads.extend((h, g, site) for site in cyl.shape)
+            want.extend(cyl.pattern)
+    got = _read_products(oracle, spec, reads)
+    bad = np.flatnonzero((got < 0) | (got != want))
+    if len(bad) and got[bad[0]] < 0:
+        raise CertificateWindowError(
+            f"witness {reads[bad[0]][0]} needs a value outside the window")
+    return complete and not len(bad)
 
 
 # -- search --------------------------------------------------------------------
@@ -227,7 +255,6 @@ class SearchResult:
     status: str                     # "found" | "none" | "exhausted"
     certificate: Certificate | None
     steps: int
-    note: str = ""
 
 
 def _packed_masks(oracle, spec: GroupSpec, cylinders, g: Elt) -> list[int]:
@@ -366,13 +393,12 @@ def regional_witness_from_certificate(cert: Certificate, oracle,
     k = len(cert.cylinders)
     g0 = spec.mul(h, spec.inv(g))
     rest = [1] * (cert.size - 2)
-    for i in range(1, k + 1):
-        assign = tuple([i, 1] + rest)
-        y = cert.witnesses[assign]
-        for site, sym in zip(cert.cylinders[0].shape, cert.cylinders[0].pattern):
-            val = oracle.value(spec.mul(spec.mul(y, spec.inv(h)), site))
-            if val != sym:
-                raise AssertionError("replayed witness left the target cylinder")
+    target = cert.cylinders[0]
+    reads = [(cert.witnesses[tuple([i, 1] + rest)], h, site)
+             for i in range(1, k + 1) for site in target.shape]
+    got = _read_products(oracle, spec, reads)
+    if ((got < 0) | (got != list(target.pattern) * k)).any():
+        raise AssertionError("replayed witness left the target cylinder")
     return g0
 
 

@@ -56,11 +56,10 @@ def per_set_exact(win: EtaWindow, i: int, alpha: int | None = None) -> set[Elt]:
     against: it reads the period set straight off the level array, while
     the production route tests the visible Gamma-orbit of every position.
     """
-    out: set[Elt] = set()
-    for g, sym, lvl in win.items():
-        if lvl <= i and (alpha is None or sym == alpha):
-            out.add(g)
-    return out
+    coords, hit = win.cons.domains.box_coords(win.N), win.levels <= i
+    return {(tuple(v), f) for f in range(win.spec.finite_order)
+            for v in coords[hit if alpha is None
+                            else hit & (win.symbol_array(f) == alpha)].tolist()}
 
 
 def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> EltArr:

@@ -19,7 +19,6 @@ import numpy as np
 from .lattice import (
     DepthExhausted,
     DomainChain,
-    Elt,
     GroupSpec,
     SpecError,
     SubgroupChain,
@@ -269,25 +268,6 @@ class EtaWindow:
     def symbol_array(self, fpart: int) -> np.ndarray:
         return self.cons.symbol_table()[fpart][self.levels]
 
-    def level_of(self, g: Elt) -> int | None:
-        v, _ = g
-        dom = self.cons.domains
-        p = dom.chain.level(self.N)
-        q1 = dom.q1[self.N - 1]
-        idx = 0
-        for x, a, mod in zip(v, q1, p):  # plain-int hot path for point queries
-            s = x + a
-            if s < 0 or s >= mod:
-                return None
-            idx = idx * mod + s
-        return int(self.levels[idx])
-
-    def get(self, g: Elt) -> int | None:
-        lvl = self.level_of(g)
-        if lvl is None:
-            return None
-        return self.cons.symbol_from_level(lvl, g[1])
-
     def symbol_box(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """``symbol_array`` of every finite part over the lattice box
         low .. high (inclusive per axis), -1 where a cell lies outside the
@@ -308,13 +288,3 @@ class EtaWindow:
         for f in range(F):
             out[f][tuple(dst)] = self.symbol_array(f).reshape(p)[tuple(src)]
         return out
-
-    def items(self):
-        """(element, symbol, level) in canonical order."""
-        dom = self.cons.domains
-        coords = dom.box_coords(self.N)
-        for f in range(self.spec.finite_order):
-            syms = self.symbol_array(f)
-            for row, s, l in zip(coords.tolist(), syms.tolist(), self.levels.tolist()):
-                yield (tuple(row), f), int(s), int(l)
-

@@ -366,7 +366,7 @@ def check_entropy_bounds(searches: dict[str, CheckResult]) -> CheckResult:
         deck = deckmod.bundled_deck(name)
         lower, upper = entropy_bracket(deck, res.details["k"], res.details["status"])
         rows[name] = {"lower_bits": lower, "upper_bits": upper}
-        if name.startswith("williams"):
+        if deck.williams is not None:
             ok = ok and math.isclose(lower, upper) and \
                 math.isclose(lower, math.log2(deck.m))
         else:
@@ -406,7 +406,7 @@ def check_pullback() -> CheckResult:
     zo = ind.ZOracle(eta, margin=600)
     cyls = [ind.Cylinder.single_site(1, 0), ind.Cylinder.single_site(1, 1)]
     res = ind.find_independence_set(cyls, 2, zo, ind.z_candidates(432), wm2.group)
-    po = ind.PullbackOracle(hom, swap.group, eta, radius=4, margin=4)
+    po = ind.PullbackOracle(hom, swap.group, eta, radius=4)
     transported = ind.transport_certificate(hom, swap.group, res.certificate, po)
     size_kept = transported.size == res.certificate.size
 

@@ -67,11 +67,6 @@ class ZPatch:
             raise IndexError(n)
         return int(self.levels[self.index(n)])
 
-    def get(self, g) -> int | None:
-        """Patch accessor over Z viewed as rank-1 group elements or ints."""
-        n = g if isinstance(g, int) else g[0][0]
-        return self.symbol(n)
-
     def positions(self) -> range:
         return range(-self.N, self.N + 1)
 

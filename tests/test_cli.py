@@ -161,6 +161,24 @@ def test_independence_output_is_pinned(name, tmp_path):
     assert got == INDEPENDENCE_OUTPUT_SHA256[name]
 
 
+# SHA-256 of gen-group's patch.csv as written one cell at a time, before the
+# rows came from the window arrays in chunks; z2-m2 level 4 has 390,625 rows
+GEN_GROUP_PATCH_SHA256 = {
+    ("dihedral-m2", 7): "094c28ff4a2b0b22c835f1bce68850b3a94ad27df52916d365c3f05c2a95fd08",
+    ("swap-m2", 3): "9ee8a631e99ecd12b179a0adad80bac171e8b3fdd325b5c1ca7fa71c94c1ef4d",
+    ("z2-m2", 4): "8fd79c534641409f330c1cb06f8571b183e52ecadc49d69d52695693b1083134",
+}
+
+
+@pytest.mark.parametrize("name,level", sorted(GEN_GROUP_PATCH_SHA256))
+def test_gen_group_patch_is_pinned(name, level, tmp_path):
+    assert run(["gen-group", "--config", name, "--level", str(level),
+                "--out", str(tmp_path)]) == 0
+    patch = tmp_path / name / "gen-group" / "patch.csv"
+    assert hashlib.sha256(patch.read_bytes()).hexdigest() == \
+        GEN_GROUP_PATCH_SHA256[(name, level)]
+
+
 def test_invalid_chain_is_config_error(tmp_path):
     doc = decks.deck_to_config(decks.bundled_deck("dihedral-m2"))
     doc["chain"] = [[3]] + doc["chain"][1:]  # violates p^1 > 3

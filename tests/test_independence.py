@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from toeplitz_lab.independence import (
 )
 from toeplitz_lab.lattice import SpecError, search_key
 from toeplitz_lab.pullback import HomSpec
+from toeplitz_lab.toeplitz import Construction, EtaWindow
 from toeplitz_lab.williams import generate
 
 
@@ -136,7 +138,7 @@ def test_group_deck_search():
 
 @pytest.mark.parametrize("name", ["z2-m2", "dihedral-m2", "swap-m2"])
 def test_group_site_values_match_pointwise_reads(name):
-    """site_values of sampled shifts a against the window read cell by cell:
+    """site_values of sampled shifts a against eta read through levels_at:
     finite part h reads the core moved by h acting on a, with finite part
     h a_f.  Shifts that move the core out of the window are refused."""
     cons = decks.construction(decks.bundled_deck(name))
@@ -156,7 +158,7 @@ def test_group_site_values_match_pointwise_reads(name):
                 inside = False
                 break
             fpart = spec.table[hf][a[1]]
-            want.extend(win.get((tuple(v), fpart)) for v in pos.tolist())
+            want.extend(cons.symbol_table()[fpart, cons.levels_at(pos)].tolist())
         if not inside:
             refused += 1
             with pytest.raises(CertificateWindowError):
@@ -164,6 +166,139 @@ def test_group_site_values_match_pointwise_reads(name):
             continue
         assert oracle.site_values(a).tolist() == want
     assert 0 < refused < 40
+
+
+def _z_oracle(name):
+    deck = decks.bundled_deck(name)
+    wp = deck.williams
+    p3, p4 = wp.periods[2], wp.periods[3]
+    return ZOracle(generate(wp, 2 * p4 + p3 + 50), margin=p3 + 1), deck.group, 1000
+
+
+def _pullback_oracle(name):
+    group = decks.bundled_deck(name).group
+    eta = generate(wdeck().williams, 500)
+    return PullbackOracle(HomSpec((1, 1)), group, eta, radius=6), group, 300
+
+
+def _g_oracle(name):
+    cons = decks.construction(decks.bundled_deck(name))
+    return GOracle(cons.window(3)), cons.group, 60
+
+
+# name -> (oracle, group, reach of the sampled shifts)
+ORACLE_CASES = {
+    "z:williams-m2": lambda: _z_oracle("williams-m2"),
+    "z:williams-m3": lambda: _z_oracle("williams-m3"),
+    "pullback:z2-m2": lambda: _pullback_oracle("z2-m2"),
+    "pullback:swap-m2": lambda: _pullback_oracle("swap-m2"),
+    "g:z2-m2": lambda: _g_oracle("z2-m2"),
+    "g:swap-m2": lambda: _g_oracle("swap-m2"),
+    "g:dihedral-m2": lambda: _g_oracle("dihedral-m2"),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_site_values_match_symbols_at(case):
+    """The search's read site_values(a) is the re-check's read symbols_at at
+    every grid element times a; a shift that site_values refuses has a cell
+    symbols_at cannot read."""
+    oracle, spec, reach = ORACLE_CASES[case]()
+    gv = np.array([g[0] for g in oracle.grid], dtype=np.int64)
+    gf = np.array([g[1] for g in oracle.grid], dtype=np.intp)
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(40):
+        a = (tuple(rng.randint(-reach, reach) for _ in range(spec.rank)),
+             rng.randrange(spec.finite_order))
+        got = oracle.symbols_at(*spec.mul_arr(gv, gf, np.array(a[0]), a[1]))
+        assert got.dtype == np.int16
+        try:
+            want = oracle.site_values(a)
+        except CertificateWindowError:
+            refused += 1
+            assert (got < 0).any()
+            continue
+        assert got.tolist() == want.tolist()
+    assert 0 < refused < 40
+
+
+def _z_certificate():
+    oracle = build_oracle()
+    res = find_independence_set(symbol_cylinders(2), 2, oracle,
+                                z_candidates(40), wdeck().group)
+    return res.certificate, oracle, wdeck().group
+
+
+def _g_certificate():
+    deck = decks.bundled_deck("z2-m2")
+    oracle = GOracle(decks.construction(deck).window(3))
+    cyls = [Cylinder.single_site(2, s) for s in (1, 2)]
+    res = find_independence_set(cyls, 2, oracle, g_candidates(deck.group, 8),
+                                deck.group)
+    return res.certificate, oracle, deck.group
+
+
+def _pullback_certificate():
+    cert, zo, _ = _z_certificate()
+    swap = decks.bundled_deck("swap-m2").group
+    po = PullbackOracle(HomSpec((1, 1)), swap, zo.patch, radius=4)
+    return transport_certificate(HomSpec((1, 1)), swap, cert, po), po, swap
+
+
+CERTIFICATE_CASES = {"z": _z_certificate, "g": _g_certificate,
+                     "pullback": _pullback_certificate}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_first_failing_read_decides_the_recheck(case, monkeypatch):
+    """Reads run per assignment in product order; the first failing read
+    decides, whether a mismatch (False) or a miss (raises, naming the
+    witness), and a missing witness fails only after the reads before it.
+    Every re-check reads the oracle once."""
+    cert, oracle, spec = CERTIFICATE_CASES[case]()
+    assert cert.size == 2 and len(cert.cylinders) == 2
+    far = ((10 ** 6,) * spec.rank, 0)
+    calls = []
+    read = oracle.symbols_at
+    monkeypatch.setattr(oracle, "symbols_at", lambda v, f: calls.append(1) or read(v, f))
+
+    def check(changes):
+        """Re-check the certificate with some witnesses replaced (None
+        deletes one)."""
+        wits = {a: h for a, h in {**cert.witnesses, **changes}.items() if h is not None}
+        before = len(calls)
+        try:
+            return check_certificate(Certificate(cert.cylinders, cert.independence_set,
+                                                 wits), oracle, spec)
+        finally:
+            assert len(calls) == before + 1
+
+    w = cert.witnesses
+    assert check({})
+    # the witness of (2, 1) reads cylinder 2 where (1, 1) needs cylinder 1
+    assert check({(1, 1): w[(2, 1)], (2, 2): far}) is False
+    with pytest.raises(CertificateWindowError, match=re.escape(str(far))):
+        check({(1, 1): far, (2, 2): w[(1, 2)]})
+    assert check({(2, 2): None}) is False
+    assert check({(1, 1): None}) is False  # no read comes before it
+    with pytest.raises(CertificateWindowError, match=re.escape(str(far))):
+        check({(1, 1): far, (2, 2): None})
+
+
+def test_group_recheck_reads_no_window_array(monkeypatch):
+    """check_certificate on a GOracle goes through Construction.levels_at:
+    it passes with the window's level and symbol arrays made unreadable."""
+    cert, oracle, spec = _g_certificate()
+
+    def unreadable(*args, **kwargs):
+        raise RuntimeError("window array read during the re-check")
+
+    monkeypatch.setattr(Construction, "level_array", unreadable)
+    monkeypatch.setattr(EtaWindow, "symbol_array", unreadable)
+    with pytest.raises(RuntimeError):
+        oracle.win.symbol_array(0)
+    assert check_certificate(Certificate.from_json(cert.to_json()), oracle, spec)
 
 
 def test_transport_preserves_size():
@@ -175,7 +310,7 @@ def test_transport_preserves_size():
     res = find_independence_set(symbol_cylinders(2), 3, zo,
                                 z_candidates(wm2.williams.periods[2]),
                                 wm2.group)
-    po = PullbackOracle(hom, z2.group, eta, radius=4, margin=4)
+    po = PullbackOracle(hom, z2.group, eta, radius=4)
     out = transport_certificate(hom, z2.group, res.certificate, po)
     assert out.size == res.certificate.size == 3
     # a singleton transports trivially
@@ -317,7 +452,7 @@ def _pattern_case(target):
 def _pullback_case(target):
     wm2, z2 = wdeck(), decks.bundled_deck("z2-m2")
     eta = generate(wm2.williams, 2 * wm2.williams.periods[3] + 500)
-    oracle = PullbackOracle(HomSpec((1, 1)), z2.group, eta, radius=6, margin=4)
+    oracle = PullbackOracle(HomSpec((1, 1)), z2.group, eta, radius=6)
     cyls = [Cylinder.single_site(2, s) for s in (0, 1)]
     return (cyls, target, oracle, g_candidates(z2.group, 5), z2.group), {}
 

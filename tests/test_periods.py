@@ -274,6 +274,15 @@ def test_batched_conjugation_matches_per_sample_reference(deck_name):
             {"passed": agreed, "samples": 100}
 
 
+def _scalar_reader(cons, N):
+    """eta on the D_N R box one cell at a time, None outside, its levels
+    read through ``Construction.levels_at``."""
+    box = cons.domains.box_coords(N)
+    syms = cons.symbol_table()[:, cons.levels_at(box)].tolist()
+    return {(tuple(v), f): s for f, row in enumerate(syms)
+            for v, s in zip(box.tolist(), row)}.get
+
+
 def _per_set_scalar(spec, patch_get, positions, gammas, alpha):
     """Reference: the period set one position and one translate at a time."""
     out = set()
@@ -303,7 +312,8 @@ def test_conjugation_check_matches_scalar_reference(deck_name, samples):
     for win, shift, g, gammas, alpha, core in _conjugation_samples(deck_name, samples):
         spec = win.spec
         sinv, ginv = spec.inv(shift), spec.inv(g)
-        x_scalar = lambda h: win.get(spec.mul(sinv, h))
+        eta_at = _scalar_reader(win.cons, win.N)
+        x_scalar = lambda h: eta_at(spec.mul(sinv, h))
         core_arr, gammas_arr = _elt_arrays(core, spec.rank), _elt_arrays(gammas, spec.rank)
         no_gammas = _elt_arrays([], spec.rank)
         # x read at the core: the cells where it reads each symbol

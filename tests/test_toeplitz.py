@@ -41,6 +41,13 @@ def _values(cons, points, f):
     return list(zip(cons.symbol_table()[f, levels].tolist(), levels.tolist()))
 
 
+def _cells(cons, N):
+    """(symbol, level) of every element (v, f) of the D_N R box."""
+    box = cons.domains.box_coords(N).tolist()
+    return {(tuple(v), f): cell for f in range(cons.group.finite_order)
+            for v, cell in zip(box, _values(cons, box, f))}
+
+
 def test_fresh_cells_base_cases():
     cons = dihedral()
     # level 0 has the origin alone: level 1 claims just the origin of D_1
@@ -303,7 +310,7 @@ def test_rep_factorization_of_period_sets():
     cons = dihedral()
     for n in (2, 3, 4):
         win = cons.window(n)
-        level1 = {g for g, _, lvl in win.items() if lvl == 1}
+        level1 = {g for g, (_, lvl) in _cells(cons, n).items() if lvl == 1}
         for alpha in (1, 2):
             per = per_set_exact(win, n, alpha)
             base = {g[0] for g in per if g[1] == 0}
@@ -322,6 +329,7 @@ def test_essentiality_spot_check():
     cons = dihedral()
     spec = cons.group
     win = cons.window(3)
+    read = {g: sym for g, (sym, _) in _cells(cons, 3).items()}.get
     for w in cons.domains.enumerate_box(2):
         for f in (0, 1):
             g = (w, f)
@@ -331,7 +339,7 @@ def test_essentiality_spot_check():
             for alpha in cons.alphabet:
                 exact = {h for h in per_set_exact(win, 1, alpha)}
                 for h in exact:
-                    val = win.get(spec.mul(spec.inv(g), h))
+                    val = read(spec.mul(spec.inv(g), h))
                     if val is not None and val != alpha:
                         witness = True
                         break
@@ -344,11 +352,10 @@ def test_williams_reduction_level_sets_are_residue_classes():
     # with r = 1 and trivial F both constructions stratify by residue classes
     deck = decks.bundled_deck("williams-m2")
     cons = decks.construction(deck)
-    win = cons.window(3)
     for l in (1, 2, 3):
         p = deck.chain.level(l)[0]
         residues = {}
-        for (v, _), _, lvl in win.items():
+        for (v, _), (_, lvl) in _cells(cons, 3).items():
             residues.setdefault(v[0] % p, set()).add(lvl == l)
         classes = {r for r, flags in residues.items() if flags == {True}}
         mixed = [r for r, flags in residues.items() if len(flags) > 1]
