@@ -31,7 +31,7 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
-_CSV_ROWS = 1 << 16  # rows per writerows call of gen-group's patch.csv
+_CSV_ROWS = 1 << 16  # rows per writerows call of a patch.csv
 
 
 def _out_dir(args, *parts: str) -> Path:
@@ -78,9 +78,12 @@ def cmd_gen_z(deck, args) -> int:
     with open(out / "patch.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["position", "symbol", "level"])
-        for n in patch.positions():
-            s = patch.symbol(n)
-            w.writerow([n, "" if s is None else s, patch.level(n)])
+        for lo in range(0, len(patch.symbols), _CSV_ROWS):
+            part = slice(lo, lo + _CSV_ROWS)
+            syms = ["" if s == williams.UNDEFINED else s
+                    for s in patch.symbols[part].tolist()]
+            w.writerows(zip(range(lo - N, lo - N + len(syms)), syms,
+                            patch.levels[part].tolist()))
     sums = williams.convergence_partial_sums(wp)
     _write_json(out / "summary.json", {
         "deck": deck.name,
@@ -157,7 +160,7 @@ def cmd_measures(deck, args) -> int:
         good = measures.verify_transition(cons, n, N)
         verdicts[f"transition_{n}"] = {"equal": good, "provenance": "counted"}
         ok = ok and good
-    good = measures.verify_projection(cons, N)
+    good = measures.verify_projection(cons, N, freqs[-1])
     verdicts["projection"] = {"equal": good, "provenance": "counted"}
     ok = ok and good
     if measures.has_marker(cons):

@@ -5,11 +5,19 @@ assignment s: J -> {1..k} is realized by one point: here points are orbit
 translates sigma^{h^-1} eta, so the witness condition reads
 eta(h g^-1 f) = pattern_{s(g)}(f) for every g in J and site f of A_{s(g)}.
 
-The searcher walks candidates in canonical order with memoized prefix
-feasibility; its step counter is the deterministic "search time" reported in
-summaries.  Witness masks are Python int bitsets over the oracle grid: bit i
-stands for oracle.grid[i], so extending an assignment by one candidate is one
-integer AND and a truth test.
+The searcher walks candidates in canonical order; its step counter is the
+deterministic "search time" reported in summaries.  Witness masks are Python
+int bitsets over the oracle's witness grid: bit i stands for grid cell i, so
+extending an assignment by one candidate is one integer AND and a truth test.
+Each oracle reads a site as such a bitset (site_bits), from a whole-patch
+bitset per symbol or a box slice of the window, and the grid is an element
+array; an element tuple is built only for a witness a certificate names.
+
+A candidate that fails at a node fails at every node below it, since the
+masks there only shrink.  So each node tests only its pool, the candidates
+after its choice that passed its parent, drawn from one lazy stream in
+candidate order; masks are built when the first node reaches a candidate.
+Steps still count every candidate after the parent's choice, tested or not.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, tee
 
 import numpy as np
 
@@ -93,8 +101,17 @@ class CertificateWindowError(RuntimeError):
 
 
 # -- oracles -------------------------------------------------------------------
-# site_values(a) reads every grid element times a, for the search; symbols_at
-# reads any batch of elements, -1 where unreadable, for the re-check.
+# An oracle's witness grid is an element array (lattice parts (n, r), finite
+# parts (n,)); site_bits(a, sym) is the search's read, the grid cells i with
+# eta(grid[i] a) == sym as an int bitset (bit i for cell i), and refuses with
+# CertificateWindowError a shift a that moves the grid out of the window.
+# symbols_at reads any batch of elements, -1 where unreadable, for the
+# re-check.
+
+
+def _pack(mask: np.ndarray) -> int:
+    """A boolean array as an int bitset: bit i is mask[i]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _gather(symbols: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -106,7 +123,10 @@ def _gather(symbols: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 class ZOracle:
-    """Occurrence oracle over a 1-d window of the classical construction."""
+    """Occurrence oracle over a 1-d window of the classical construction.
+
+    The grid is [lo, hi]; symbols == s is packed over the whole patch once
+    per symbol, so a site's bitset is that int shifted down to the site."""
 
     def __init__(self, patch: ZPatch, margin: int):
         self.patch = patch
@@ -115,22 +135,32 @@ class ZOracle:
         self.hi = patch.N - margin
         if self.lo >= self.hi:
             raise SpecError("margin swallows the whole window")
-        self.grid = [((n,), 0) for n in range(self.lo, self.hi + 1)]
+        n = self.hi - self.lo + 1
+        self.grid = (np.arange(self.lo, self.hi + 1, dtype=np.int64)[:, None],
+                     np.zeros(n, dtype=np.intp))
+        self._low = (1 << n) - 1
+        self._patch_bits: dict[int, int] = {}
 
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         return _gather(self.symbols, v[:, 0] + self.patch.N)
 
-    def site_values(self, a: Elt) -> np.ndarray:
+    def site_bits(self, a: Elt, sym: int) -> int:
         shift = a[0][0]
         start = self.lo + shift + self.patch.N
-        stop = start + (self.hi - self.lo + 1)
-        if start < 0 or stop > len(self.symbols):
+        if start < 0 or start + (self.hi - self.lo + 1) > len(self.symbols):
             raise CertificateWindowError(f"shift {shift} leaves the oracle window")
-        return self.symbols[start:stop]
+        if sym not in self._patch_bits:
+            self._patch_bits[sym] = _pack(self.symbols == sym)
+        return (self._patch_bits[sym] >> start) & self._low
 
 
 class GOracle:
-    """Occurrence oracle over a box window of the group construction."""
+    """Occurrence oracle over a box window of the group construction.
+
+    The grid is the core box D_(N-1) once per finite part h.  Grid cell
+    (v, h) times a is (v + M_h a_v, h a_f), so finite part h of a site reads
+    the core moved by M_h a_v: a box, hence a slice of the window's symbol
+    array, with no index array."""
 
     def __init__(self, win: EtaWindow):
         self.win = win
@@ -140,36 +170,36 @@ class GOracle:
         if win.N < 2:
             raise SpecError("oracle window too shallow for a safe core")
         self.core = dom.box_coords(win.N - 1)
-        self.grid = [(tuple(v), f)
-                     for f in range(spec.finite_order)
-                     for v in self.core.tolist()]
-        self._syms = {f: win.symbol_array(f) for f in range(spec.finite_order)}
-        # the core is a box: a translate of it lies in the window box exactly
-        # when its two extreme corners do, and as flat_arr is affine, the
-        # flat index of core + s is _core_flat plus the flat index of s
-        self._corners = self.core[[0, -1]]
-        self._core_flat = (dom.flat_arr(self.core, win.N)
-                           - dom.flat_arr(np.zeros(spec.rank, dtype=np.int64), win.N))
+        F = spec.finite_order
+        self.grid = (np.tile(self.core, (F, 1)),
+                     np.repeat(np.arange(F, dtype=np.intp), len(self.core)))
+        self._box = dom.chain.level(win.N)
+        self._core_box = dom.chain.level(win.N - 1)
+        # window-array index of the core's low corner, per axis
+        self._corner = tuple(a - b for a, b in zip(dom.q1[win.N - 1], dom.q1[win.N - 2]))
 
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Read through ``Construction.levels_at``, not the window arrays
-        that site_values serves from."""
+        that site_bits serves from."""
         out = np.full(len(f), -1, dtype=np.int16)
         inside = self.cons.domains.in_box_arr(v, self.win.N)
         out[inside] = self.cons.symbol_table()[f[inside], self.cons.levels_at(v[inside])]
         return out
 
-    def site_values(self, a: Elt) -> np.ndarray:
-        spec, dom, N = self.win.spec, self.cons.domains, self.win.N
-        out = np.empty(len(self.grid), dtype=np.int16)
+    def site_bits(self, a: Elt, sym: int) -> int:
+        spec = self.win.spec
+        n = len(self.core)
+        out = np.empty(len(self.grid[1]), dtype=bool)
         for hf in range(spec.finite_order):
-            shift = np.asarray(spec.apply(hf, a[0]), dtype=np.int64)
-            if not bool(dom.in_box_arr(self._corners + shift, N).all()):
-                raise CertificateWindowError("shifted core leaves the oracle window")
-            fpart = spec.table[hf][a[1]]
-            vals = self._syms[fpart][self._core_flat + dom.flat_arr(shift, N)]
-            out[hf * len(self.core):(hf + 1) * len(self.core)] = vals
-        return out
+            box = []
+            for c, s, w, p in zip(self._corner, spec.apply(hf, a[0]),
+                                  self._core_box, self._box):
+                if not 0 <= c + s <= p - w:
+                    raise CertificateWindowError("shifted core leaves the oracle window")
+                box.append(slice(c + s, c + s + w))
+            syms = self.win.symbol_array(spec.table[hf][a[1]]).reshape(self._box)
+            np.equal(syms[tuple(box)], sym, out=out[hf * n:(hf + 1) * n].reshape(self._core_box))
+        return _pack(out)
 
 
 class PullbackOracle:
@@ -179,24 +209,26 @@ class PullbackOracle:
         self.hom = hom
         self.group = group
         self.source = source
-        axes = [range(-radius, radius + 1)] * group.rank
-        self.grid = [(v, f) for f in range(group.finite_order)
-                     for v in product(*axes)]
-        self._phi = np.array([hom.phi(g) for g in self.grid], dtype=np.int64)
+        F = group.finite_order
+        axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * group.rank
+        box = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        self.grid = (np.tile(box, (F, 1)),
+                     np.repeat(np.arange(F, dtype=np.intp), len(box)))
         self._w = np.array(hom.w, dtype=np.int64)
+        self._phi = self.grid[0] @ self._w
         self.symbols = source.symbols.astype(np.int16)
 
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         return _gather(self.symbols, v @ self._w + self.source.N)
 
-    def site_values(self, a: Elt) -> np.ndarray:
+    def site_bits(self, a: Elt, sym: int) -> int:
         F = self.group.finite_order
         shifts = np.repeat([self.hom.phi(self.group.mul(((0,) * self.group.rank, f), a))
-                            for f in range(F)], len(self.grid) // F)
+                            for f in range(F)], len(self._phi) // F)
         idx = self._phi + shifts + self.source.N
         if idx.min() < 0 or idx.max() >= len(self.symbols):
             raise CertificateWindowError("pullback sites leave the source window")
-        return self.symbols[idx]
+        return _pack(self.symbols[idx] == sym)
 
 
 # -- certificate checking ------------------------------------------------------
@@ -221,7 +253,7 @@ def check_certificate(cert: Certificate, oracle, spec: GroupSpec) -> bool:
     oracle.symbols_at call; the first read that fails decides.  A missing
     witness returns False once every read listed before it has passed.
 
-    symbols_at shares no mask or site_values code with the search, so a
+    symbols_at shares no mask or site_bits code with the search, so a
     certificate the search built wrongly cannot pass it the same way.  On a
     group deck it evaluates eta through ``Construction.levels_at`` and reads
     no window level or symbol array.
@@ -259,17 +291,15 @@ class SearchResult:
 
 def _packed_masks(oracle, spec: GroupSpec, cylinders, g: Elt) -> list[int]:
     """Witness masks (one per cylinder) for a single candidate, as int
-    bitsets: bit i is set when oracle.grid[i] is a witness."""
+    bitsets: bit i is set when grid cell i is a witness, the AND of the
+    cylinder's site bitsets."""
     ginv = spec.inv(g)
     out = []
     for cyl in cylinders:
-        mask = None
+        mask = -1
         for site, sym in zip(cyl.shape, cyl.pattern):
-            vals = oracle.site_values(spec.mul(ginv, site))
-            m = vals == sym
-            mask = m if mask is None else (mask & m)
-        out.append(int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
-                                  "little"))
+            mask &= oracle.site_bits(spec.mul(ginv, site), sym)
+        out.append(mask)
     return out
 
 
@@ -288,67 +318,82 @@ def find_independence_set(cylinders, target_size: int, oracle,
 
     Candidates are tried in the given (canonical) order; "none" reports a
     window-complete failure, "exhausted" that a budget ended the search.
+    A node's steps are the candidates after the one that made it; it tests
+    only those in its pool and counts the others without testing them.
     """
     cylinders = tuple(cylinders)
     k = len(cylinders)
     cand = sorted(set(candidates), key=search_key)
-    # None remembers a shift whose masks leave the oracle window
-    mask_memo: dict[Elt, list[int] | None] = {}
-
-    def masks_for(g: Elt) -> list[int] | None:
-        if g not in mask_memo:
-            try:
-                mask_memo[g] = _packed_masks(oracle, spec, cylinders, g)
-            except CertificateWindowError:
-                mask_memo[g] = None
-        return mask_memo[g]
-
     # individually inadmissible cylinders can never produce witnesses
-    root = (1 << len(oracle.grid)) - 1
+    root = (1 << len(oracle.grid[1])) - 1
     steps = 0
     out_of_time = False
 
-    # table[t] is the witness mask of the t-th assignment of the chosen
-    # prefix in product order, so extending by g lists assign + (j,) in order
-    def dfs(start: int, chosen: list[Elt], table: list[int]):
+    def readable():
+        """(index, masks) of every candidate whose masks stay inside the
+        window, in order; each is built once, when a node first reaches it."""
+        for idx, g in enumerate(cand):
+            try:
+                masks = _packed_masks(oracle, spec, cylinders, g)
+            except CertificateWindowError:
+                continue
+            yield idx, masks
+
+    def advance(n: int) -> bool:
+        """Count n more steps; False, with the step a one-by-one count
+        stops at, when the budget runs out on one of them."""
         nonlocal steps, out_of_time
+        if n and deadline is not None and time.monotonic() > deadline:
+            steps += 1
+        elif steps + n > max_steps:
+            steps = max_steps + 1
+        else:
+            steps += n
+            return True
+        out_of_time = True
+        return False
+
+    # table[t] is the witness mask of the t-th assignment of the chosen
+    # prefix in product order, so extending by g lists assign + (j,) in
+    # order.  A candidate that empties an entry also empties the entries
+    # refining it, so a child's pool is the rest of its parent's stream
+    # that fits the parent, shared with the parent through tee.
+    def dfs(pool, last: int, chosen: list[Elt], table: list[int]):
         if len(chosen) == target_size:
             return chosen, table
-        for idx in range(start, len(cand)):
-            steps += 1
-            if steps > max_steps or (deadline is not None and time.monotonic() > deadline):
-                out_of_time = True
-                return None
-            g = cand[idx]
-            gm = masks_for(g)
-            if gm is None:
-                continue
-            new_table = []
-            ok = True
+
+        def fits(item) -> bool:
+            masks = item[1]
             for bits in table:
-                for m in gm:
-                    merged = bits & m
-                    if not merged:
-                        ok = False
-                        break
-                    new_table.append(merged)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            hit = dfs(idx + 1, chosen + [g], new_table)
+                for m in masks:
+                    if not bits & m:
+                        return False
+            return True
+
+        pool = filter(fits, pool)
+        while (item := next(pool, None)) is not None:
+            idx, masks = item
+            if not advance(idx - last):
+                return None
+            last = idx
+            pool, rest = tee(pool)
+            hit = dfs(rest, idx, chosen + [cand[idx]],
+                      [bits & m for bits in table for m in masks])
             if hit is not None or out_of_time:
                 return hit
+        advance(len(cand) - 1 - last)
         return None
 
-    hit = dfs(0, [], [root])
+    hit = dfs(readable(), -1, [], [root])
     if hit is None:
         status = "exhausted" if out_of_time else "none"
         return SearchResult(status, None, steps)
     chosen, table = hit
+    gv, gf = oracle.grid
     witnesses = {}
     for assign, bits in zip(product(range(1, k + 1), repeat=target_size), table):
-        witnesses[assign] = oracle.grid[_first_true_index(bits)]
+        i = _first_true_index(bits)
+        witnesses[assign] = tuple(gv[i].tolist()), int(gf[i])
     cert = Certificate(cylinders, tuple(chosen), witnesses)
     if not check_certificate(cert, oracle, spec):
         raise AssertionError("fresh certificate failed its own re-check")

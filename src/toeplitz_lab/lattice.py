@@ -308,16 +308,6 @@ class DomainChain:
         q2 = np.array(self.q2(i), dtype=np.int64)
         return np.all((arr >= -q1) & (arr < q2), axis=-1)
 
-    def flat_arr(self, arr: np.ndarray, i: int) -> np.ndarray:
-        """C-order flat index of in-box coordinates, canonical (v_1,...,v_r) lex."""
-        p = self.chain.level(i)
-        q1 = np.array(self.q1[i - 1], dtype=np.int64)
-        shifted = arr + q1
-        idx = shifted[..., 0]
-        for j in range(1, len(p)):
-            idx = idx * p[j] + shifted[..., j]
-        return idx
-
     @lru_cache(maxsize=None)
     def box_coords(self, i: int) -> np.ndarray:
         """All box coordinates at level i, shape (size, rank), canonical order."""

@@ -262,12 +262,15 @@ def projection_matrix(cons: Construction) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def verify_projection(cons: Construction, N: int) -> bool:
+def verify_projection(cons: Construction, N: int,
+                      freqs: MeasureVector | None = None) -> bool:
     """Counted symbol frequencies must equal the projection of the level-1
-    cell vector."""
+    cell vector.  ``freqs`` is ``mu_freq_counted(cons, N)`` when the caller
+    has already counted it."""
     A0 = projection_matrix(cons)
     mu1 = mu_cell_vector(cons, 1, N)
-    freqs = mu_freq_counted(cons, N)
+    if freqs is None:
+        freqs = mu_freq_counted(cons, N)
     m = cons.m
     lhs = [sum(Fraction(A0[i][j]) * mu1[j] for j in range(m)) for i in range(m + 1)]
     rhs = [freqs.get(sym, Fraction(0)) for sym in range(1, m + 1)]

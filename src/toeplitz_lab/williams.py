@@ -67,9 +67,6 @@ class ZPatch:
             raise IndexError(n)
         return int(self.levels[self.index(n)])
 
-    def positions(self) -> range:
-        return range(-self.N, self.N + 1)
-
     def undefined_count(self) -> int:
         return int((self.symbols == UNDEFINED).sum())
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from toeplitz_lab import decks, verify
+from toeplitz_lab import decks, measures, verify
 from toeplitz_lab.cli import main
 from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.toeplitz import Construction
@@ -200,6 +200,41 @@ def test_gen_z_outputs(tmp_path):
     summary = json.loads((out / "williams-m2" / "gen-z" / "summary.json")
                          .read_text())
     assert summary["ratio_partial_sums"][0] == "1/6"
+
+
+# SHA-256 of gen-z's patch.csv as written one position at a time, before the
+# rows came from the patch arrays in chunks; window 40,000 has 80,001 rows,
+# more than one chunk
+GEN_Z_PATCH_SHA256 = {
+    ("williams-m2", 200): "6f5fedc6da0f3f10546ecfa41be7efbcf5773bcbb643e1ec861fddfd6372156a",
+    ("williams-m2", 40000): "2ea63622bb66bbd2f9af1a299920333556f3c2e7660e68d71c76301fd24585b8",
+    ("williams-m3", 5000): "bd0fe0db34e91059044dcbd66f5d6e891a6d810a44d54d5253a857ccd211dbfd",
+}
+
+
+@pytest.mark.parametrize("name,window", sorted(GEN_Z_PATCH_SHA256))
+def test_gen_z_patch_is_pinned(name, window, tmp_path):
+    assert run(["gen-z", "--config", name, "--window", str(window),
+                "--out", str(tmp_path)]) == 0
+    patch = tmp_path / name / "gen-z" / "patch.csv"
+    assert hashlib.sha256(patch.read_bytes()).hexdigest() == \
+        GEN_Z_PATCH_SHA256[(name, window)]
+
+
+def test_measures_counts_each_level_once(tmp_path, monkeypatch):
+    """The projection identity reuses the level-N frequencies the report
+    already counted."""
+    counted = []
+    real = measures.mu_freq_counted
+
+    def counting(cons, n):
+        counted.append(n)
+        return real(cons, n)
+
+    monkeypatch.setattr(measures, "mu_freq_counted", counting)
+    assert run(["measures", "--config", "swap-m2", "--level", "4",
+                "--out", str(tmp_path)]) == 0
+    assert counted == [1, 2, 3, 4]
 
 
 def test_gen_group_and_measures(tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toeplitz_lab import decks, independence
+from toeplitz_lab import decks, independence, verify
 from toeplitz_lab.independence import (
     _first_true_index,
+    _pack,
     _packed_masks,
     Certificate,
     CertificateWindowError,
@@ -138,9 +139,10 @@ def test_group_deck_search():
 
 @pytest.mark.parametrize("name", ["z2-m2", "dihedral-m2", "swap-m2"])
 def test_group_site_values_match_pointwise_reads(name):
-    """site_values of sampled shifts a against eta read through levels_at:
+    """site_bits of sampled shifts a against eta read through levels_at:
     finite part h reads the core moved by h acting on a, with finite part
-    h a_f.  Shifts that move the core out of the window are refused."""
+    h a_f, and bit i is set where grid cell i reads the symbol.  Shifts
+    that move the core out of the window are refused."""
     cons = decks.construction(decks.bundled_deck(name))
     spec, dom = cons.group, cons.domains
     win = cons.window(3)
@@ -159,12 +161,16 @@ def test_group_site_values_match_pointwise_reads(name):
                 break
             fpart = spec.table[hf][a[1]]
             want.extend(cons.symbol_table()[fpart, cons.levels_at(pos)].tolist())
-        if not inside:
-            refused += 1
-            with pytest.raises(CertificateWindowError):
-                oracle.site_values(a)
-            continue
-        assert oracle.site_values(a).tolist() == want
+        for sym in (0, *cons.alphabet):
+            if not inside:
+                with pytest.raises(CertificateWindowError):
+                    oracle.site_bits(a, sym)
+                continue
+            bits = oracle.site_bits(a, sym)
+            assert [bits >> i & 1 for i in range(len(want))] == \
+                [int(x == sym) for x in want]
+            assert bits >> len(want) == 0
+        refused += not inside
     assert 0 < refused < 40
 
 
@@ -198,28 +204,49 @@ ORACLE_CASES = {
 }
 
 
+def _readable(oracle, v, f):
+    """Whether the oracle's window holds each element, stated per oracle type
+    apart from the oracles' code: the 1-d patch [-N, N], the window box, and
+    the source patch under phi."""
+    if isinstance(oracle, ZOracle):
+        return np.abs(v[:, 0]) <= oracle.patch.N
+    if isinstance(oracle, GOracle):
+        return oracle.cons.domains.in_box_arr(v, oracle.win.N)
+    return np.abs(v @ np.array(oracle.hom.w)) <= oracle.source.N
+
+
+def _grid_read(oracle, spec, a):
+    """symbols_at at every grid element times a, and whether the window holds
+    them all."""
+    v, f = spec.mul_arr(*oracle.grid, np.array(a[0]), a[1])
+    return oracle.symbols_at(v, f), bool(_readable(oracle, v, f).all())
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_site_values_match_symbols_at(case):
-    """The search's read site_values(a) is the re-check's read symbols_at at
-    every grid element times a; a shift that site_values refuses has a cell
-    symbols_at cannot read."""
+    """The search's read site_bits(a, sym) is the re-check's read symbols_at
+    at every grid element times a, compared with sym and packed (bit i for
+    grid cell i); site_bits refuses a shift exactly when the window does not
+    hold every such element, and then symbols_at misses a cell."""
     oracle, spec, reach = ORACLE_CASES[case]()
-    gv = np.array([g[0] for g in oracle.grid], dtype=np.int64)
-    gf = np.array([g[1] for g in oracle.grid], dtype=np.intp)
     rng = random.Random(5)
     refused = 0
     for _ in range(40):
         a = (tuple(rng.randint(-reach, reach) for _ in range(spec.rank)),
              rng.randrange(spec.finite_order))
-        got = oracle.symbols_at(*spec.mul_arr(gv, gf, np.array(a[0]), a[1]))
+        got, inside = _grid_read(oracle, spec, a)
         assert got.dtype == np.int16
-        try:
-            want = oracle.site_values(a)
-        except CertificateWindowError:
+        for sym in (0, 1, 2, 3):
+            if not inside:
+                with pytest.raises(CertificateWindowError):
+                    oracle.site_bits(a, sym)
+                continue
+            want = int.from_bytes(np.packbits(got == sym, bitorder="little").tobytes(),
+                                  "little")
+            assert oracle.site_bits(a, sym) == want
+        if not inside:
             refused += 1
             assert (got < 0).any()
-            continue
-        assert got.tolist() == want.tolist()
     assert 0 < refused < 40
 
 
@@ -345,12 +372,22 @@ def test_entropy_bounds():
 def _find_independence_set_reference(cylinders, target_size, oracle, candidates,
                                      spec, max_steps=2_000_000, deadline=None):
     """``find_independence_set`` with witness masks as ``np.packbits`` arrays
-    (most significant bit first) and a table keyed by assignment tuples: the
-    search as it stood before masks became int bitsets."""
+    (most significant bit first) read through ``symbols_at``, a table keyed by
+    assignment tuples, and every candidate tried at every node: the search
+    before masks became int bitsets and nodes got pools."""
     cylinders = tuple(cylinders)
     k = len(cylinders)
     cand = sorted(set(candidates), key=search_key)
     mask_memo = {}
+    reads = {}
+
+    def site_read(a):
+        if a not in reads:
+            got, inside = _grid_read(oracle, spec, a)
+            reads[a] = got if inside else None
+        if reads[a] is None:
+            raise CertificateWindowError(a)
+        return reads[a]
 
     def masks_for(g):
         if g not in mask_memo:
@@ -359,13 +396,14 @@ def _find_independence_set_reference(cylinders, target_size, oracle, candidates,
             for cyl in cylinders:
                 mask = None
                 for site, sym in zip(cyl.shape, cyl.pattern):
-                    m = oracle.site_values(spec.mul(ginv, site)) == sym
+                    m = site_read(spec.mul(ginv, site)) == sym
                     mask = m if mask is None else (mask & m)
                 out.append(np.packbits(mask))
             mask_memo[g] = out
         return mask_memo[g]
 
-    root = np.packbits(np.ones(len(oracle.grid), dtype=bool))
+    gv, gf = oracle.grid
+    root = np.packbits(np.ones(len(gf), dtype=bool))
     steps = 0
     out_of_time = False
 
@@ -409,7 +447,8 @@ def _find_independence_set_reference(cylinders, target_size, oracle, candidates,
     for assign, bits in table.items():
         byte = int(np.nonzero(bits)[0][0])
         off = next(o for o in range(8) if int(bits[byte]) & (0x80 >> o))
-        witnesses[assign] = oracle.grid[byte * 8 + off]
+        i = byte * 8 + off
+        witnesses[assign] = (tuple(int(x) for x in gv[i]), int(gf[i]))
     return "found", Certificate(cylinders, tuple(chosen), witnesses), steps
 
 
@@ -471,10 +510,24 @@ SEARCH_CASES = {
     # window(2) refuses 120 of the 162 radius-40 shifts, between the others
     "dihedral-m2:w2:refusals:2": lambda: _group_case("dihedral-m2", 2, 2, radius=40),
     "dihedral-m2:w2:refusals:3": lambda: _group_case("dihedral-m2", 2, 3, radius=40),
+    # the other two of the four benchmark searches
+    "z2-m2:w4:5": lambda: _group_case("z2-m2", 4, 5),
+    "dihedral-m2:w4:5": lambda: _group_case("dihedral-m2", 4, 5),
 }
+# budgets that end dihedral-m2:w3:5 (184,832 steps, "none") inside runs of
+# candidates its pools skip (2, 50, 5,000), on a pool member (1) and on the
+# last step of the root (184,831)
+SEARCH_CASES.update({
+    f"dihedral-m2:w3:5:max-steps-{n}":
+        (lambda n=n: _group_case("dihedral-m2", 3, 5, max_steps=n))
+    for n in (1, 2, 50, 5_000, 184_831)})
 EXPECTED_STATUS = {"dihedral-m2:w3:5": "none", "williams-m2:z:pigeonhole": "none",
                    "z2-m2:w3:max-steps-3": "exhausted",
-                   "dihedral-m2:w2:refusals:3": "none"}
+                   "dihedral-m2:w2:refusals:3": "none",
+                   **{case: "exhausted" for case in SEARCH_CASES if ":w3:5:max-steps-" in case}}
+# the step counts the benchmark pins for its four searches
+PINNED_STEPS = {"z2-m2:w4:5": 7_376, "dihedral-m2:w3:5": 184_832,
+                "dihedral-m2:w4:5": 189_327, "williams-m3:z:3": 8_576}
 
 
 @pytest.mark.parametrize("case", SEARCH_CASES)
@@ -484,6 +537,10 @@ def test_search_matches_numpy_reference(case):
     status, cert, steps = _find_independence_set_reference(*args, **kw)
     assert (res.status, res.steps) == (status, steps)
     assert res.status == EXPECTED_STATUS.get(case, "found")
+    if res.status == "exhausted":
+        assert res.steps == kw["max_steps"] + 1
+    if case in PINNED_STEPS:
+        assert res.steps == PINNED_STEPS[case]
     if cert is None:
         assert res.certificate is None
     else:
@@ -499,6 +556,25 @@ def test_refusal_cases_have_refused_and_accepted_shifts():
         except CertificateWindowError:
             refused += 1
     assert 0 < refused < len(cands)
+
+
+@pytest.mark.parametrize("name,target,builds", [
+    ("z2-m2", None, 2), ("dihedral-m2", None, 2),
+    ("williams-m2", 3, 17), ("williams-m3", None, 6)])
+def test_masks_are_built_on_demand(name, target, builds, monkeypatch):
+    """The searches of the acceptance table stop after a few of their 865 to
+    961 candidates, and build the masks of just those: no candidate is built
+    before a node reaches it."""
+    built = []
+
+    def counted(oracle, spec, cylinders, g):
+        built.append(g)
+        return _packed_masks(oracle, spec, cylinders, g)
+
+    monkeypatch.setattr(independence, "_packed_masks", counted)
+    search = verify.independence_search(decks.bundled_deck(name), target)
+    assert search.result.status == "found"
+    assert len(built) == builds == search.result.steps
 
 
 def test_refused_shifts_are_built_once(monkeypatch):
@@ -522,10 +598,10 @@ class _ArrayOracle:
 
     def __init__(self, vals):
         self.vals = np.asarray(vals, dtype=np.int16)
-        self.grid = [((n,), 0) for n in range(len(vals))]
+        self.grid = (np.arange(len(vals))[:, None], np.zeros(len(vals), dtype=np.intp))
 
-    def site_values(self, a):
-        return self.vals
+    def site_bits(self, a, sym):
+        return _pack(self.vals == sym)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=300)

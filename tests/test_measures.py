@@ -202,7 +202,8 @@ def _corrupt(monkeypatch, cons, N, cells):
     """Serve a copy of the level-N array with the given (cell, level) changes."""
     bad = cons.level_array(N).copy()
     for v, level in cells:
-        flat = int(cons.domains.flat_arr(np.array([v]), N)[0])
+        flat = int(np.ravel_multi_index(np.add(v, cons.domains.q1[N - 1]),
+                                         cons.domains.chain.level(N)))
         bad[flat] = level if bad[flat] != level else level + 1
     real = cons.level_array
     monkeypatch.setattr(cons, "level_array", lambda M: bad if M == N else real(M))

@@ -26,6 +26,17 @@ from toeplitz_lab.periods import (
 from toeplitz_lab.toeplitz import EtaWindow
 
 
+def _flat(dom, arr, i):
+    """C-order flat index of lattice points in the level-i box (the affine
+    formula, so any point gets a number)."""
+    p = dom.chain.level(i)
+    shifted = arr + np.array(dom.q1[i - 1], dtype=np.int64)
+    idx = shifted[..., 0]
+    for j in range(1, len(p)):
+        idx = idx * p[j] + shifted[..., j]
+    return idx
+
+
 def dihedral():
     return decks.construction(decks.bundled_deck("dihedral-m2"))
 
@@ -163,7 +174,7 @@ def _get_arr(win, v, f):
     """The window read one array at a time: -1 where a cell lies outside."""
     dom = win.cons.domains
     inside = dom.in_box_arr(v, win.N)
-    idx = np.where(inside, dom.flat_arr(v, win.N), 0)
+    idx = np.where(inside, _flat(dom, v, win.N), 0)
     return np.where(inside, win.cons.symbol_table()[f, win.levels[idx]], -1)
 
 
@@ -505,7 +516,7 @@ def _enumerate_fiber_reference(cons, coords, radius, oracle):
     piece_cells = {pid: np.nonzero((cell_piece == pid) & aper)[0] for pid in aper_pieces}
     realized = set()
     for gv in gammas:
-        lvls = oracle.levels[dom.flat_arr(pos + gv, oracle.N)]
+        lvls = oracle.levels[_flat(dom, pos + gv, oracle.N)]
         consts = []
         for pid in aper_pieces:
             syms = {cons.symbol_from_level(int(lvls[i]), int(fparts[i]))
@@ -641,7 +652,7 @@ def test_corrupted_oracle_is_not_constant_on_a_piece():
     gammas = box[np.all(box % period == 0, axis=1)]
     spots = pos[second] + gammas
     spots = spots[dom.in_box_arr(spots, 3)]
-    idx = dom.flat_arr(spots, 3)
+    idx = _flat(dom, spots, 3)
     levels[idx] = np.where(levels[idx] > 3, levels[idx] - 1, levels[idx] + 1)
     bad = EtaWindow(cons, 3, levels)
     with pytest.raises(SpecError, match="not constant on a tower piece"):

@@ -80,7 +80,8 @@ def _level_array_per_cell(cons, N):
             inside = dom.in_box_arr(rl, l - 1)
             hit = np.zeros(len(coords), dtype=bool)
             if inside.any():
-                hit[inside] = fresh[l - 1][dom.flat_arr(rl[inside], l - 1)]
+                hit[inside] = fresh[l - 1][np.ravel_multi_index(
+                    tuple((rl[inside] + dom.q1[l - 2]).T), dom.chain.level(l - 1))]
             lvl[(lvl == 0) & hit] = l
         lvl[lvl == 0] = K + 1
         fresh[K] = lvl == K + 1

@@ -35,7 +35,7 @@ def test_step_one_residues():
         assert eta.symbol(n) == 1
         assert eta.level(n) == 1
     # every window position congruent to 0 or -1 mod 3 carries level 1
-    for n in eta.positions():
+    for n in range(-eta.N, eta.N + 1):
         assert (eta.level(n) == 1) == (n % 3 in (0, 2))
 
 
@@ -58,7 +58,7 @@ def test_param_validation():
 def test_fill_steps_disjoint_and_level_map():
     eta = generate(WilliamsParams(2, (3, 18, 216)), 500)
     # a position carries a symbol exactly when it carries a level
-    for n in eta.positions():
+    for n in range(-eta.N, eta.N + 1):
         assert (eta.symbol(n) is None) == (eta.level(n) == 0)
         if eta.level(n):
             assert eta.symbol(n) == eta.level(n) % 2
@@ -90,7 +90,7 @@ def test_undefined_density_is_block_local():
     N = 600
     eta = generate(params, N)
     # undefined cells live inside interior deepest-level blocks only
-    undef = [n for n in eta.positions() if eta.symbol(n) is None]
+    undef = [n for n in range(-eta.N, eta.N + 1) if eta.symbol(n) is None]
     assert len(undef) == eta.undefined_count()
     p_last = params.periods[-1]
     ratio = Fraction(eta.undefined_count(), 2 * N + 1)
