@@ -15,7 +15,6 @@ import math
 import sys
 import time
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -239,18 +238,19 @@ def cmd_pullback(deck, args) -> int:
         print(f"wrote {out}/pullback.json (homomorphism rejected)")
         return EXIT_INVARIANT
     eta = williams.generate(wp, args.reach * span)
-    window = [(v, f) for f in range(deck.group.finite_order)
-              for v in product(*[range(-args.reach, args.reach + 1)]
-                               * deck.group.rank)]
-    patch = pb.pullback_window(hom, deck.group, eta, window)
+    box = pb.cube(deck.group.rank, args.reach)
+    syms = ["" if s == williams.UNDEFINED else s
+            for s in pb.pullback_window(hom, eta, box).tolist()]
     with open(out / "patch.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["finite_part"] + [f"v{j + 1}" for j in range(deck.group.rank)]
                    + ["symbol", "level"])
-        for (v, f) in window:
-            sym = patch.get((v, f), "")
-            w.writerow([f, *v, sym, ""])
-    doc["cells"] = len(window)
+        for f in range(deck.group.finite_order):
+            for lo in range(0, len(box), _CSV_ROWS):
+                part = slice(lo, lo + _CSV_ROWS)
+                w.writerows([f, *v, sym, ""]
+                            for v, sym in zip(box[part].tolist(), syms[part]))
+    doc["cells"] = deck.group.finite_order * len(box)
     doc["section"] = list(pb.section_vector(hom))
     _write_json(out / "pullback.json", doc)
     print(f"wrote {out}/patch.csv")

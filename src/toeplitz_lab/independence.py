@@ -33,7 +33,7 @@ import numpy as np
 from .lattice import Elt, GroupSpec, SpecError, search_key
 from .toeplitz import EtaWindow
 from .williams import ZPatch
-from .pullback import HomSpec, section_element
+from .pullback import HomSpec, cube, section_element
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,11 @@ class CertificateWindowError(RuntimeError):
 # parts (n,)); site_bits(a, sym) is the search's read, the grid cells i with
 # eta(grid[i] a) == sym as an int bitset (bit i for cell i), and refuses with
 # CertificateWindowError a shift a that moves the grid out of the window.
-# symbols_at reads any batch of elements, -1 where unreadable, for the
-# re-check.
+# symbols_at reads any batch of elements for the re-check: OUTSIDE where the
+# window does not hold the element, UNDEFINED (-1) on a cell the window holds
+# but the construction leaves empty.
+
+OUTSIDE = -2
 
 
 def _pack(mask: np.ndarray) -> int:
@@ -115,8 +118,8 @@ def _pack(mask: np.ndarray) -> int:
 
 
 def _gather(symbols: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """symbols[idx] as int16, -1 where idx falls outside the array."""
-    out = np.full(len(idx), -1, dtype=np.int16)
+    """symbols[idx] as int16, OUTSIDE where idx falls outside the array."""
+    out = np.full(len(idx), OUTSIDE, dtype=np.int16)
     inside = (idx >= 0) & (idx < len(symbols))
     out[inside] = symbols[idx[inside]]
     return out
@@ -181,7 +184,7 @@ class GOracle:
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Read through ``Construction.levels_at``, not the window arrays
         that site_bits serves from."""
-        out = np.full(len(f), -1, dtype=np.int16)
+        out = np.full(len(f), OUTSIDE, dtype=np.int16)
         inside = self.cons.domains.in_box_arr(v, self.win.N)
         out[inside] = self.cons.symbol_table()[f[inside], self.cons.levels_at(v[inside])]
         return out
@@ -210,8 +213,7 @@ class PullbackOracle:
         self.group = group
         self.source = source
         F = group.finite_order
-        axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * group.rank
-        box = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        box = cube(group.rank, radius)
         self.grid = (np.tile(box, (F, 1)),
                      np.repeat(np.arange(F, dtype=np.intp), len(box)))
         self._w = np.array(hom.w, dtype=np.int64)
@@ -246,7 +248,7 @@ def _read_products(oracle, spec: GroupSpec, reads: list) -> np.ndarray:
 
 def check_certificate(cert: Certificate, oracle, spec: GroupSpec) -> bool:
     """Re-verify every witness from scratch; window misses raise, mismatches
-    return False.
+    (an Undefined cell among them) return False.
 
     The reads are listed per assignment in product order, then per element
     g of J, then per site of the assigned cylinder, and made in one
@@ -272,8 +274,8 @@ def check_certificate(cert: Certificate, oracle, spec: GroupSpec) -> bool:
             reads.extend((h, g, site) for site in cyl.shape)
             want.extend(cyl.pattern)
     got = _read_products(oracle, spec, reads)
-    bad = np.flatnonzero((got < 0) | (got != want))
-    if len(bad) and got[bad[0]] < 0:
+    bad = np.flatnonzero(got != want)
+    if len(bad) and got[bad[0]] == OUTSIDE:
         raise CertificateWindowError(
             f"witness {reads[bad[0]][0]} needs a value outside the window")
     return complete and not len(bad)

@@ -67,18 +67,23 @@ def section_element(spec: HomSpec, group: GroupSpec, n: int) -> Elt:
     return tuple(n * x for x in u), 0
 
 
-def pullback_window(spec: HomSpec, group: GroupSpec, source: ZPatch,
-                    window: list[Elt]) -> dict[Elt, int]:
-    """Materialize phi* x on an explicit window; errors when out of reach."""
-    out: dict[Elt, int] = {}
-    for g in window:
-        n = spec.phi(g)
-        if not source.in_window(n):
-            raise SpecError(f"window position {g} maps outside the source patch")
-        s = source.symbol(n)
-        if s is not None:
-            out[g] = s
-    return out
+def cube(rank: int, radius: int) -> np.ndarray:
+    """The lattice parts of [-radius, radius]^rank, shape (n, rank), in
+    product order (last axis fastest)."""
+    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def pullback_window(spec: HomSpec, source: ZPatch, v: np.ndarray) -> np.ndarray:
+    """phi* x at the elements with lattice parts v (n, rank), whatever their
+    finite parts, read in one gather as int16 (UNDEFINED on the source's
+    Undefined cells); errors when out of reach, naming the first such element."""
+    n = v @ np.array(spec.w, dtype=np.int64)
+    out = np.abs(n) > source.N
+    if out.any():
+        raise SpecError(f"window position {tuple(v[np.argmax(out)].tolist())} "
+                        f"maps outside the source patch")
+    return source.symbols[n + source.N]
 
 
 def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,

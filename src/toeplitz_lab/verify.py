@@ -219,17 +219,14 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     counts = periods.census(cons, 2, radius, None if wp else cons.window(3))
     if wp is not None:
         # at depth 2 the safe radius is at most p_1, so the probe patch also
-        # holds every fiber window; fiber_patches refuses one too small
+        # holds every fiber window; fiber_scan refuses one too small
         eta = williams.generate(wp, wp.periods[-1] + wp.periods[0])
         fiber_radius = williams.max_safe_fiber_radius(eta, 2)
         fiber_bound, unit = wp.m, "cells"
-        shown, fibers, aperiodic = [], [], []
-        for t2 in counts.reps[:, 1, 0].tolist():
-            residues = williams.coords_of_int(wp, t2, 2)
-            patches, info = williams.fiber_patches(wp, eta, residues, fiber_radius)
-            shown.append(residues)
-            fibers.append(len(patches))
-            aperiodic.append(info["aperiodic_cells"])
+        t2 = counts.reps[:, 1, 0]
+        scan = williams.fiber_scan(wp, eta, 2, t2, fiber_radius)
+        shown = [williams.coords_of_int(wp, t, 2) for t in t2.tolist()]
+        fibers, aperiodic = scan.counts.tolist(), scan.aperiodic_cells.tolist()
     else:
         fiber_radius = radius
         fiber_bound, unit = deck.group_fiber_bound(), "pieces"

@@ -71,28 +71,62 @@ class ZPatch:
         return int((self.symbols == UNDEFINED).sum())
 
 
+def _period(params: WilliamsParams, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and symbols of the first ``depth`` steps over one period
+    [0, p_depth).
+
+    The first period is p_1 cells with level 1 at both ends; each later one
+    tiles the previous one p_{i+1}/p_i times and fills the empty cells of its
+    first and last p_i-blocks.  Levels map to symbols through a level table.
+    """
+    levels = np.zeros(params.periods[0], dtype=np.int16)
+    levels[[0, -1]] = 1
+    for i in range(1, depth):
+        p = params.periods[i - 1]
+        levels = np.tile(levels, params.periods[i] // p)
+        for block in (levels[:p], levels[-p:]):
+            block[block == 0] = i + 1
+    table = np.array([UNDEFINED, *(params.alpha(i) for i in range(1, depth + 1))],
+                     dtype=np.int16)
+    return levels, table[levels]
+
+
+def _tile(period: np.ndarray, start: int, size: int) -> np.ndarray:
+    """period[(start + j) % len(period)] for j in range(size), copied in
+    doubling runs."""
+    s = start % len(period)
+    head = np.concatenate((period[s:], period[:s]))[:size]
+    out = np.empty(size, dtype=period.dtype)
+    out[:len(head)] = head
+    done = len(head)
+    while done < size:
+        n = min(done, size - done)
+        out[done:done + n] = out[:n]
+        done += n
+    return out
+
+
 def generate(params: WilliamsParams, N: int) -> ZPatch:
-    """Run every configured step on the window [-N, N]."""
+    """Run every configured step on the window [-N, N].
+
+    The deepest period no longer than the window is built and tiled over
+    it, with no position array.  Each later step has a period P longer than
+    the window, so its chosen p-blocks meet the window only in the runs
+    [cP - p, cP + p), at most three of them; their empty cells are filled.
+    """
     params.validate()
     if N < params.periods[0]:
         raise SpecError("window must cover at least one period")
     size = 2 * N + 1
-    symbols = np.full(size, UNDEFINED, dtype=np.int16)
-    levels = np.zeros(size, dtype=np.int16)
-    pos = np.arange(-N, N + 1, dtype=np.int64)
-
-    p1 = params.periods[0]
-    first = (pos % p1 == 0) | (pos % p1 == p1 - 1)
-    symbols[first] = params.alpha(1)
-    levels[first] = 1
-
-    for i in range(1, params.depth):
-        p, ratio = params.periods[i - 1], params.periods[i] // params.periods[i - 1]
-        block = np.floor_divide(pos, p)
-        chosen = (block % ratio == 0) | (block % ratio == ratio - 1)
-        fill = chosen & (symbols == UNDEFINED)
-        symbols[fill] = params.alpha(i + 1)
-        levels[fill] = i + 1
+    depth = sum(p <= size for p in params.periods)
+    levels, symbols = (_tile(a, -N, size) for a in _period(params, depth))
+    for i in range(depth, params.depth):
+        p, P = params.periods[i - 1], params.periods[i]
+        for c in range((-N - p) // P + 1, (N + p) // P + 1):
+            run = slice(max(c * P - p, -N) + N, min(c * P + p, N + 1) + N)
+            fill = levels[run] == 0
+            levels[run][fill] = i + 1
+            symbols[run][fill] = params.alpha(i + 1)
     return ZPatch(params, N, symbols, levels)
 
 
@@ -126,10 +160,112 @@ class ZFiberPatch:
     aperiodic_symbol: int | None
 
 
+@dataclass(frozen=True, eq=False)
+class ZFiberScan:
+    """Per-residue fiber counts of a batch of depth-k odometer points."""
+
+    residues: np.ndarray         # the points' residues mod p_k, in batch order
+    counts: np.ndarray           # distinct fully-defined window restrictions
+    aperiodic_cells: np.ndarray  # window cells not yet periodic at depth k
+    immature: np.ndarray         # approximants whose window holds Undefined cells
+
+
+def _not_captured(levels: np.ndarray, k: int) -> np.ndarray:
+    return (levels == 0) | (levels > k)  # level 0 marks still-Undefined cells
+
+
+def fiber_scan(params: WilliamsParams, eta: ZPatch, k: int, residues,
+               N: int) -> ZFiberScan:
+    """Fiber counts of the depth-k odometer points given by their residues
+    (read mod p_k), through the [-N, N] restrictions of their approximants.
+
+    The approximants of residue b are g_t = b + t p_k over one top period,
+    so every residue's windows are read together, one pass per offset over
+    contiguous slices in small integer and bool dtypes; the count is the
+    exact number of distinct fully defined windows.  Only the given residues
+    are checked, in order: the first one that fails decides, and within it
+    the first fully defined approximant that fails decides the error.
+    """
+    if not 1 <= k <= params.depth:
+        raise SpecError("coords depth out of range")
+    pk, p_top = params.periods[k - 1], params.periods[-1]
+    residues = np.asarray(residues, dtype=np.int64) % pk
+    if eta.N < p_top + N:
+        raise SpecError("oracle window too small for a full top-period sweep")
+    W = 2 * N + 1
+    span = slice(eta.N - N, eta.N + N + p_top)
+    symbols = eta.symbols[span]
+    # a window is compared as the base-radix number of its digits symbol - lo;
+    # each key packs as many offsets as fit below 2**62, and the key
+    # radix**per_key marks a window with an Undefined cell
+    lo = int(symbols.min())
+    radix = int(symbols.max()) - lo + 1
+    per_key = 1
+    while per_key < W and radix ** (per_key + 1) <= 1 << 62:
+        per_key += 1
+    digits = (symbols.astype(np.int32) - lo).astype(np.min_scalar_type(radix - 1))
+    immature_key = radix ** per_key
+    shape = (p_top // pk, pk)
+
+    def by_offset(arr):
+        # arr[q + w] for the approximants q = t p_k + b in [0, p_top): one
+        # contiguous (t, b) view per offset w
+        return [arr[w:w + p_top].reshape(shape) for w in range(W)]
+
+    mature = np.ones(shape, dtype=bool)
+    undetermined = np.zeros(shape, dtype=bool)
+    aper = np.empty((W, pk), dtype=bool)
+    # the largest digit and the largest flipped digit radix - 1 - d on each
+    # window's aperiodic cells: the part is constant when they add to radix - 1
+    top = np.zeros(shape, dtype=digits.dtype)
+    top_flipped = np.zeros(shape, dtype=digits.dtype)
+    keys = [np.zeros(shape, dtype=np.min_scalar_type(immature_key))
+            for _ in range(0, W, per_key)]
+    for w, (sym, digit, flipped, lvl) in enumerate(zip(*map(
+            by_offset, (symbols, digits, radix - 1 - digits, eta.levels[span])))):
+        free = _not_captured(lvl, k)
+        # the aperiodic cells are those of the approximant g_0 = b
+        aper[w] = free[0]
+        mature &= sym != UNDEFINED
+        undetermined |= free != free[0]
+        on = free[0].astype(digits.dtype)
+        np.maximum(top, digit * on, out=top)
+        np.maximum(top_flipped, flipped * on, out=top_flipped)
+        key = keys[w // per_key]
+        key *= radix
+        key += digit
+    varying = (top != radix - 1 - top_flipped) & aper.any(axis=0)
+    bad = mature & (undetermined | varying)
+    failing = bad.any(axis=0)[residues]
+    if failing.any():
+        b = residues[np.argmax(failing)]
+        if undetermined[np.argmax(bad[:, b]), b]:
+            raise SpecError("aperiodic part is not determined by the coords")
+        raise SpecError("aperiodic part of an approximant is not constant; "
+                        "narrow the window")
+    # sort each residue's window keys and count the fully defined ones that
+    # differ from their predecessor
+    for key in keys:
+        key[~mature] = immature_key
+    if len(keys) == 1:
+        keys = [np.sort(keys[0], axis=0)]
+    else:
+        order = np.lexsort(keys[::-1], axis=0)
+        keys = [np.take_along_axis(key, order, axis=0) for key in keys]
+    new = np.zeros(shape, dtype=bool)
+    new[0] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    counts = (new & (keys[0] != immature_key)).sum(axis=0)[residues]
+    return ZFiberScan(residues, counts, aper.sum(axis=0)[residues],
+                      (~mature).sum(axis=0)[residues])
+
+
 def fiber_patches(params: WilliamsParams, eta: ZPatch, coords: tuple[int, ...],
                   N: int) -> tuple[list[ZFiberPatch], dict]:
     """Distinct fully-defined [-N, N] restrictions of the approximants
-    sigma^{-g_t} eta with g_t congruent to the coords at every given depth.
+    sigma^{-g_t} eta with g_t congruent to the coords at every given depth:
+    ``fiber_scan`` on a batch of one point, plus the windows themselves.
 
     g_t runs over one full period of the deepest configured period.  The
     window should be narrow enough that the positions not yet periodic at the
@@ -141,43 +277,20 @@ def fiber_patches(params: WilliamsParams, eta: ZPatch, coords: tuple[int, ...],
     if not coords_compatible(params, coords):
         raise SpecError("incompatible odometer residues")
     k = len(coords)
-    if not 1 <= k <= params.depth:
-        raise SpecError("coords depth out of range")
-    pk = params.periods[k - 1]
-    p_top = params.periods[-1]
-    base = coords[-1] % pk
-    if eta.N < p_top + N:
-        raise SpecError("oracle window too small for a full top-period sweep")
-
-    offsets = np.arange(-N, N + 1, dtype=np.int64)
-    # one row per approximant g_t, one column per offset, as patch indices
-    idx = np.arange(base, base + p_top, pk, dtype=np.int64)[:, None] + offsets + eta.N
-    inside = (idx >= 0) & (idx < len(eta.symbols))
-    idx = np.where(inside, idx, 0)
-    window = np.where(inside, eta.symbols[idx], UNDEFINED)
-    mature = ~np.any(window == UNDEFINED, axis=1)
-    immature = int(len(window) - mature.sum())
-    window, idx = window[mature], idx[mature]
-
-    def not_captured(lvl: np.ndarray) -> np.ndarray:
-        return (lvl == 0) | (lvl > k)  # level 0 marks still-Undefined cells
-
-    aper_mask = not_captured(eta.levels[base + offsets + eta.N])
-    undetermined = np.any(not_captured(eta.levels[idx]) != aper_mask, axis=1)
-    aper = window[:, aper_mask]
-    varying = np.any(aper != aper[:, :1], axis=1)
-    # the first failing approximant decides which error is raised
-    bad = np.nonzero(undetermined | varying)[0]
-    if len(bad):
-        if undetermined[bad[0]]:
-            raise SpecError("aperiodic part is not determined by the coords")
-        raise SpecError("aperiodic part of an approximant is not constant; "
-                        "narrow the window")
-    offsets_t = tuple(offsets.tolist())
+    # an empty coords tuple reaches the depth check with no residue
+    scan = fiber_scan(params, eta, k, coords[-1:], N)
+    pk, p_top = params.periods[k - 1], params.periods[-1]
+    b, W = int(scan.residues[0]), 2 * N + 1
+    start = eta.N - N + b
+    window = np.stack([eta.symbols[start + w:][:p_top:pk] for w in range(W)], axis=1)
+    window = window[~np.any(window == UNDEFINED, axis=1)]
+    aper_mask = _not_captured(eta.levels[start:start + W], k)
+    offsets_t = tuple(range(-N, N + 1))
     patches = [ZFiberPatch(offsets_t, tuple(row.tolist()),
                            int(row[aper_mask][0]) if aper_mask.any() else None)
                for row in unique_rows(window)[0]]
-    info = {"immature": immature, "aperiodic_cells": int(aper_mask.sum())}
+    info = {"immature": int(scan.immature[0]),
+            "aperiodic_cells": int(scan.aperiodic_cells[0])}
     return patches, info
 
 

@@ -221,6 +221,23 @@ def test_gen_z_patch_is_pinned(name, window, tmp_path):
         GEN_Z_PATCH_SHA256[(name, window)]
 
 
+# SHA-256 of pullback's patch.csv as written from a per-cell dict, before
+# phi* eta came from one gather and the rows were written in chunks
+PULLBACK_PATCH_SHA256 = {
+    ("swap-m2", 2): "91ac01ec5858c803d926a8b1cab28947f165bb73e77cb3f28612368b9bdff0c6",
+    ("swap-m2", 30): "4979447aa56ad4128b5d2eb463fbf47aecc2f5b883b758c6d67b20fcbf64a275",
+}
+
+
+@pytest.mark.parametrize("name,reach", sorted(PULLBACK_PATCH_SHA256))
+def test_pullback_patch_is_pinned(name, reach, tmp_path):
+    assert run(["pullback", "--config", name, "--reach", str(reach),
+                "--out", str(tmp_path)]) == 0
+    patch = tmp_path / name / "pullback" / "patch.csv"
+    assert hashlib.sha256(patch.read_bytes()).hexdigest() == \
+        PULLBACK_PATCH_SHA256[(name, reach)]
+
+
 def test_measures_counts_each_level_once(tmp_path, monkeypatch):
     """The projection identity reuses the level-N frequencies the report
     already counted."""

@@ -26,7 +26,7 @@ from toeplitz_lab.independence import (
     z_candidates,
 )
 from toeplitz_lab.lattice import SpecError, search_key
-from toeplitz_lab.pullback import HomSpec
+from toeplitz_lab.pullback import HomSpec, section_element
 from toeplitz_lab.toeplitz import Construction, EtaWindow
 from toeplitz_lab.williams import generate
 
@@ -311,6 +311,31 @@ def test_first_failing_read_decides_the_recheck(case, monkeypatch):
     assert check({(1, 1): None}) is False  # no read comes before it
     with pytest.raises(CertificateWindowError, match=re.escape(str(far))):
         check({(1, 1): far, (2, 2): None})
+
+
+@pytest.mark.parametrize("case", ["z", "pullback"])
+def test_undefined_cell_is_a_wrong_witness_not_a_window_miss(case):
+    """A witness whose first read lands on an Undefined cell inside a 1-d
+    window fails the re-check (False); one whose read leaves the window
+    still raises.  The williams-m2 search patch (N = 21,218) leaves cell
+    -19,217 Undefined."""
+    cert, oracle, spec = CERTIFICATE_CASES[case]()
+    patch, hom = (oracle.patch, HomSpec((1,))) if case == "z" else (oracle.source, oracle.hom)
+    n = -19217
+    assert patch.N == 21218 and patch.symbol(n) is None
+    # the first read of assignment (1, 1) is h g^-1 at g = J[0]: phi of it is
+    # phi(h) - phi(g), for the cylinders' single site at the identity
+    g = cert.independence_set[0]
+    assert all(c.shape == (spec.identity,) for c in cert.cylinders)
+
+    def moved(target):
+        h = section_element(hom, spec, target + hom.phi(g))
+        wits = {**cert.witnesses, (1, 1): h}
+        return Certificate(cert.cylinders, cert.independence_set, wits)
+
+    assert check_certificate(moved(n), oracle, spec) is False
+    with pytest.raises(CertificateWindowError, match="outside the window"):
+        check_certificate(moved(patch.N + 1), oracle, spec)
 
 
 def test_group_recheck_reads_no_window_array(monkeypatch):

@@ -8,13 +8,14 @@ from toeplitz_lab import decks
 from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.pullback import (
     HomSpec,
+    cube,
     equivariance_check,
     pullback_window,
     section_element,
     section_vector,
     validate_hom,
 )
-from toeplitz_lab.williams import WilliamsParams, generate
+from toeplitz_lab.williams import UNDEFINED, WilliamsParams, generate
 
 
 def test_validate_hom():
@@ -38,39 +39,65 @@ def test_section():
         section_vector(HomSpec((2, 4)))
 
 
+def _pullback(hom, eta, radius, rank=2):
+    """pullback_window on the cube of the radius, keyed by lattice part."""
+    box = cube(rank, radius)
+    return dict(zip(map(tuple, box.tolist()), pullback_window(hom, eta, box).tolist()))
+
+
 def test_pullback_values():
-    swap = decks.bundled_deck("swap-m2").group
-    hom = HomSpec((1, 1))
     eta = generate(WilliamsParams(2, (3, 18, 216)), 300)
-    window = [((a, b), f) for a in range(-4, 5) for b in range(-4, 5)
-              for f in (0, 1)]
-    patch = pullback_window(hom, swap, eta, window)
-    # the kernel maps to the origin value for every finite part
-    for f in (0, 1):
-        assert patch[((2, -2), f)] == eta.symbol(0)
+    patch = _pullback(HomSpec((1, 1)), eta, 4)
+    # the kernel maps to the origin value, whatever the finite part
+    assert patch[(2, -2)] == eta.symbol(0)
     # z2 with weight (1, 0): rows constant in the second coordinate
-    z2 = decks.bundled_deck("z2-m2").group
-    hom2 = HomSpec((1, 0))
-    patch2 = pullback_window(hom2, z2, eta, [((a, b), 0)
-                                             for a in range(-3, 4)
-                                             for b in range(-3, 4)])
+    patch2 = _pullback(HomSpec((1, 0)), eta, 3)
     for a in range(-3, 4):
-        vals = {patch2[((a, b), 0)] for b in range(-3, 4)}
+        vals = {patch2[(a, b)] for b in range(-3, 4)}
         assert len(vals) == 1 and vals == {eta.symbol(a)}
 
 
 def test_pullback_inherits_periodicity():
     # kernel-direction translates by p_1 preserve the first-level stratum
-    z2 = decks.bundled_deck("z2-m2").group
     hom = HomSpec((1, 0))
     eta = generate(WilliamsParams(2, (3, 18, 216)), 300)
-    window = [((a, b), 0) for a in range(-9, 10) for b in range(-9, 10)]
-    patch = pullback_window(hom, z2, eta, window)
-    for (v, f), sym in patch.items():
-        if eta.level(hom.phi((v, f))) == 1:
+    patch = _pullback(hom, eta, 9)
+    for v, sym in patch.items():
+        if eta.level(hom.phi((v, 0))) == 1:
             shifted = (v[0] + 3, v[1] - 2)
-            if ((shifted, 0)) in patch:
-                assert patch[(shifted, 0)] == sym
+            if shifted in patch:
+                assert patch[shifted] == sym
+
+
+def _pullback_window_reference(spec, source, v):
+    """The scalar read: phi and ZPatch.symbol one element at a time, the
+    first element out of reach raising."""
+    out = []
+    for x in v.tolist():
+        n = spec.phi((tuple(x), 0))
+        if not source.in_window(n):
+            raise SpecError(f"window position {tuple(x)} maps outside the source patch")
+        s = source.symbol(n)
+        out.append(UNDEFINED if s is None else s)
+    return out
+
+
+def test_pullback_window_matches_scalar_reference():
+    """One gather equals the scalar read on patches with Undefined cells,
+    for windows inside the reach and windows that overrun it."""
+    params = WilliamsParams(2, (3, 18, 216))
+    patches = (generate(params, 300), generate(params, 12))
+    assert patches[0].undefined_count() > 0
+    outcomes = set()
+    for eta in patches:
+        for w, rank in (((1, 1), 2), ((1, 0), 2), ((2, -3), 2), ((1,), 1), ((1, 2, 1), 3)):
+            for radius in (2, 4, 9, 13):  # phi reaches N + 1 = 13 at weight (1,)
+                v = cube(rank, radius)
+                want = _outcome(_pullback_window_reference, HomSpec(w), eta, v)
+                got = _outcome(lambda *a: pullback_window(*a).tolist(), HomSpec(w), eta, v)
+                assert got == want
+                outcomes.add(type(want))
+    assert outcomes == {list, str}
 
 
 def test_equivariance():

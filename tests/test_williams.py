@@ -14,6 +14,7 @@ from toeplitz_lab.williams import (
     convergence_partial_sums,
     coords_of_int,
     fiber_patches,
+    fiber_scan,
     generate,
     max_safe_fiber_radius,
 )
@@ -53,6 +54,70 @@ def test_param_validation():
         WilliamsParams(2, (3, 6)).validate()  # ratio 2 < 3
     with pytest.raises(SpecError):
         WilliamsParams(1, (3, 9)).validate()
+
+
+def _generate_reference(params, N):
+    """The five-pass build: every step over the whole window, through an
+    int64 position array and its block indices."""
+    params.validate()
+    if N < params.periods[0]:
+        raise SpecError("window must cover at least one period")
+    size = 2 * N + 1
+    symbols = np.full(size, UNDEFINED, dtype=np.int16)
+    levels = np.zeros(size, dtype=np.int16)
+    pos = np.arange(-N, N + 1, dtype=np.int64)
+    p1 = params.periods[0]
+    first = (pos % p1 == 0) | (pos % p1 == p1 - 1)
+    symbols[first] = params.alpha(1)
+    levels[first] = 1
+    for i in range(1, params.depth):
+        p, ratio = params.periods[i - 1], params.periods[i] // params.periods[i - 1]
+        block = np.floor_divide(pos, p)
+        chosen = (block % ratio == 0) | (block % ratio == ratio - 1)
+        fill = chosen & (symbols == UNDEFINED)
+        symbols[fill] = params.alpha(i + 1)
+        levels[fill] = i + 1
+    return ZPatch(params, N, symbols, levels)
+
+
+@st.composite
+def _params_and_window(draw):
+    """Valid params (m 2-5, 2-4 periods, ratio at least 3) and a window
+    radius below, at or above p_top, mostly not a multiple of any period."""
+    periods = [draw(st.integers(3, 8))]
+    for _ in range(draw(st.integers(1, 3))):
+        periods.append(periods[-1] * draw(st.integers(3, 5)))
+    p_top = periods[-1]
+    N = draw(st.one_of(st.integers(periods[0], p_top - 1), st.just(p_top),
+                       st.integers(p_top + 1, 3 * p_top + 7)))
+    return WilliamsParams(draw(st.integers(2, 5)), tuple(periods)), N
+
+
+@settings(max_examples=300, deadline=None)
+@given(_params_and_window())
+@example((WilliamsParams(2, (3, 18, 216)), 7))      # shorter than p_2
+@example((WilliamsParams(2, (3, 9)), 3))            # the narrowest window
+@example((WilliamsParams(5, (8, 40, 200, 1000)), 1000))
+def test_generate_matches_five_pass_reference(case):
+    params, N = case
+    got, want = generate(params, N), _generate_reference(params, N)
+    assert got.N == want.N == N
+    for a, b in ((got.symbols, want.symbols), (got.levels, want.levels)):
+        assert a.dtype == b.dtype == np.int16
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("params,N", [
+    (WilliamsParams(2, (2, 6)), 10), (WilliamsParams(2, (3, 6)), 10),
+    (WilliamsParams(1, (3, 9)), 10), (WilliamsParams(2, ()), 10),
+    (WilliamsParams(2, (3, 9)), 2), (WilliamsParams(3, (6, 36)), 5),
+])
+def test_generate_refusals_match_reference(params, N):
+    with pytest.raises(SpecError) as got:
+        generate(params, N)
+    with pytest.raises(SpecError) as want:
+        _generate_reference(params, N)
+    assert str(got.value) == str(want.value)
 
 
 def test_fill_steps_disjoint_and_level_map():
@@ -256,14 +321,18 @@ def test_max_safe_fiber_radius_matches_scan(params, depth):
         max_safe_fiber_radius(generate(params, probe.N - 1), depth)
 
 
+def _deck_4_12_36():
+    doc = decks.deck_to_config(decks.bundled_deck("williams-m2"))
+    doc.update(name="williams-4-12-36", chain=[[4], [12], [36]], offsets="auto",
+               williams_periods=[4, 12, 36])
+    return decks.deck_from_config(doc)
+
+
 def test_fiber_census_windows_fit_the_probe_patch():
     """With ratio 3 at step 2 the depth-2 safe radius reaches p_1, the
     widest window that the census's probe patch of radius p_top + p_1 holds;
     its fibers match those read on a wider patch."""
-    doc = decks.deck_to_config(decks.bundled_deck("williams-m2"))
-    doc.update(name="williams-4-12-36", chain=[[4], [12], [36]], offsets="auto",
-               williams_periods=[4, 12, 36])
-    deck = decks.deck_from_config(doc)
+    deck = _deck_4_12_36()
     wp = deck.williams
     census = verify.fiber_census(deck)
     assert census.fiber_radius == wp.periods[0]
@@ -271,6 +340,144 @@ def test_fiber_census_windows_fit_the_probe_patch():
     assert [r.fiber_count for r in census.rows] == \
         [len(fiber_patches(wp, wide, r.coords, census.fiber_radius)[0])
          for r in census.rows]
+
+
+CENSUS_DECKS = {
+    "williams-m2": lambda: decks.bundled_deck("williams-m2"),
+    "williams-m3": lambda: decks.bundled_deck("williams-m3"),
+    "williams-4-12-36": _deck_4_12_36,
+}
+
+
+def _census_setup(name):
+    """The deck's params, the census's probe patch, its fiber radius, the
+    census's residues mod p_2 in census order, and the census rows."""
+    deck = CENSUS_DECKS[name]()
+    census = verify.fiber_census(deck)
+    residues = [row.coords[-1] for row in census.rows]
+    return deck.williams, _probe(deck.williams), census.fiber_radius, residues, census.rows
+
+
+def _scan_outcome(wp, eta, residues, radius):
+    try:
+        scan = fiber_scan(wp, eta, 2, residues, radius)
+    except SpecError as exc:
+        return str(exc)
+    return scan.counts.tolist(), scan.aperiodic_cells.tolist(), scan.immature.tolist()
+
+
+def _reference_census_outcome(wp, eta, residues, radius):
+    """``_fiber_patches_reference`` point by point, in census order; the
+    first point that fails decides."""
+    counts, aper, immature = [], [], []
+    for b in residues:
+        try:
+            patches, info = _fiber_patches_reference(wp, eta, coords_of_int(wp, b, 2), radius)
+        except SpecError as exc:
+            return str(exc)
+        counts.append(len(patches))
+        aper.append(info["aperiodic_cells"])
+        immature.append(info["immature"])
+    return counts, aper, immature
+
+
+@pytest.mark.parametrize("name", CENSUS_DECKS)
+def test_census_rows_match_per_point_fiber_patches(name):
+    """Every census row's fiber count and aperiodic cells are what the
+    per-point fiber_patches reads on the census's probe patch."""
+    wp, eta, radius, _, rows = _census_setup(name)
+    assert len(rows) == wp.periods[1]
+    for row in rows:
+        patches, info = fiber_patches(wp, eta, row.coords, radius)
+        assert (row.fiber_count, row.aperiodic) == (len(patches), info["aperiodic_cells"])
+
+
+def test_wide_windows_span_several_keys():
+    """A window of 2N + 1 = 51 or 81 offsets over the symbol values -1, 0
+    and 1 packs into two or three keys (at most 39 base-3 digits fit below
+    2**62); the counts still match the scalar reference."""
+    wp = WilliamsParams(2, (64, 192, 576, 1728))
+    eta = generate(wp, wp.periods[-1] + 40)
+    residues = list(range(0, wp.periods[1], 5))
+    for radius in (25, 40):
+        got = _scan_outcome(wp, eta, residues, radius)
+        assert got == _reference_census_outcome(wp, eta, residues, radius)
+        assert not isinstance(got, str) and max(got[0]) > 1
+
+
+def _read_cells(wp, eta, residue, radius, captured):
+    """Patch indices of the captured cells (level 1 or 2), or else of the
+    aperiodic ones, that a fully defined approximant of the residue reads,
+    one per approximant that has one, in approximant order."""
+    out = []
+    for g in range(residue % wp.periods[1], wp.periods[-1], wp.periods[1]):
+        cells = [eta.index(g + n) for n in range(-radius, radius + 1)]
+        if all(eta.symbols[i] != UNDEFINED for i in cells):
+            out += [i for i in cells if (1 <= eta.levels[i] <= 2) == captured][:1]
+    return out
+
+
+def _corrupted(eta, levels=(), symbols=()):
+    """A copy of the patch with the given {index: value} overrides."""
+    lv, sy = eta.levels.copy(), eta.symbols.copy()
+    for arr, changes in ((lv, levels), (sy, symbols)):
+        for i, value in dict(changes).items():
+            arr[i] = value
+    return ZPatch(eta.params, eta.N, sy, lv)
+
+
+@pytest.mark.parametrize("name", CENSUS_DECKS)
+def test_corrupted_patches_read_the_same_through_the_batch_core(name):
+    """Corrupted levels or aperiodic symbols make the batch core raise what
+    the scalar reference raises at the first failing point of the census
+    order; one corrupted symbol on a captured cell changes the counts the
+    same way through both."""
+    wp, eta, radius, residues, _ = _census_setup(name)
+
+    def both(patch):
+        got = _scan_outcome(wp, patch, residues, radius)
+        assert got == _reference_census_outcome(wp, patch, residues, radius)
+        return got
+
+    clean = _scan_outcome(wp, eta, residues, radius)
+    late, early = residues[-3], residues[1]
+    # a captured cell read as aperiodic by a late point of the census order
+    undetermined = {_read_cells(wp, eta, late, radius, True)[-1]: wp.depth + 1}
+    # an aperiodic cell with a second symbol, read by an early point
+    i = _read_cells(wp, eta, early, radius, False)[-1]
+    varying = {i: (eta.symbols[i] + 1) % wp.m}
+    late_error = both(_corrupted(eta, levels=undetermined))
+    early_error = both(_corrupted(eta, symbols=varying))
+    assert {late_error, early_error} == {
+        "aperiodic part is not determined by the coords",
+        "aperiodic part of an approximant is not constant; narrow the window"}
+    # the early point decides
+    assert both(_corrupted(eta, levels=undetermined, symbols=varying)) == early_error
+    # symbols outside the alphabet on captured cells of both points
+    got = both(_corrupted(eta, symbols={_read_cells(wp, eta, b, radius, True)[-1]: wp.m
+                                        for b in (late, early)}))
+    assert not isinstance(got, str) and got[0] != clean[0]
+
+
+@pytest.mark.parametrize("name", CENSUS_DECKS)
+def test_single_point_checks_only_its_own_residue(name):
+    """A patch corrupted at one residue refuses that point and the census,
+    while a single-point call on a residue whose windows miss the corrupted
+    cell reads its clean fiber."""
+    wp, eta, radius, residues, _ = _census_setup(name)
+    sick, p2 = residues[0], wp.periods[1]
+    cell = _read_cells(wp, eta, sick, radius, True)[-1]
+    well = next(b for b in residues
+                if radius < (cell - eta.N - b) % p2 < p2 - radius)
+    bad = _corrupted(eta, levels={cell: wp.depth + 1})
+    with pytest.raises(SpecError, match="not determined"):
+        fiber_scan(wp, bad, 2, residues, radius)
+    with pytest.raises(SpecError, match="not determined"):
+        fiber_patches(wp, bad, coords_of_int(wp, sick, 2), radius)
+    coords = coords_of_int(wp, well, 2)
+    assert fiber_patches(wp, bad, coords, radius) == fiber_patches(wp, eta, coords, radius)
+    assert fiber_scan(wp, bad, 2, [well], radius).counts.tolist() == \
+        [len(fiber_patches(wp, eta, coords, radius)[0])]
 
 
 def _drawn_patch(p1, levels, pad=()):
