@@ -4,11 +4,12 @@ Generates a window, shows the filling steps, the convergence diagnostic for
 the period ratios, and the depth-2 fiber census over the odometer.
 """
 
+from collections import Counter
+
 from toeplitz_lab import bundled_deck
 from toeplitz_lab.williams import (
     convergence_partial_sums,
-    coords_of_int,
-    fiber_patches,
+    fiber_scan,
     generate,
     max_safe_fiber_radius,
 )
@@ -29,14 +30,10 @@ print("\npartial sums of the period-ratio series:",
 
 big = generate(wp, wp.periods[-1] + wp.periods[0] + 10)
 radius = max_safe_fiber_radius(big, 2)
-hist = {}
-witness = None
-for g2 in range(wp.periods[1]):
-    patches, _ = fiber_patches(wp, big, coords_of_int(wp, g2, 2), radius)
-    hist[len(patches)] = hist.get(len(patches), 0) + 1
-    if len(patches) == 2 and witness is None:
-        witness = (g2, [p.aperiodic_symbol for p in patches])
+scan = fiber_scan(wp, big, 2, range(wp.periods[1]), radius)
+counts = scan.counts.tolist()
+hist = dict(sorted(Counter(counts).items()))
 
 print(f"\ndepth-2 fiber census at window radius {radius}: {hist}")
 print(f"the factor map is at most {wp.m}-to-1 at this depth; "
-      f"coords {witness[0]} realizes both constants {witness[1]}")
+      f"residue {counts.index(wp.m)} mod {wp.periods[1]} realizes {wp.m} window patches")

@@ -330,11 +330,16 @@ def find_independence_set(cylinders, target_size: int, oracle,
     root = (1 << len(oracle.grid[1])) - 1
     steps = 0
     out_of_time = False
+    horizon = max_steps  # the last candidate the pulling node can still step to
 
     def readable():
         """(index, masks) of every candidate whose masks stay inside the
-        window, in order; each is built once, when a node first reaches it."""
+        window, in order; each is built once, when a node first reaches it.
+        Ends at the first candidate past the horizon, which would end the
+        search on the budget anyway."""
         for idx, g in enumerate(cand):
+            if idx > horizon:
+                return
             try:
                 masks = _packed_masks(oracle, spec, cylinders, g)
             except CertificateWindowError:
@@ -361,6 +366,7 @@ def find_independence_set(cylinders, target_size: int, oracle,
     # refining it, so a child's pool is the rest of its parent's stream
     # that fits the parent, shared with the parent through tee.
     def dfs(pool, last: int, chosen: list[Elt], table: list[int]):
+        nonlocal horizon
         if len(chosen) == target_size:
             return chosen, table
 
@@ -373,7 +379,10 @@ def find_independence_set(cylinders, target_size: int, oracle,
             return True
 
         pool = filter(fits, pool)
-        while (item := next(pool, None)) is not None:
+        while True:
+            horizon = last + max_steps - steps
+            if (item := next(pool, None)) is None:
+                break
             idx, masks = item
             if not advance(idx - last):
                 return None

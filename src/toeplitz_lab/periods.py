@@ -1,10 +1,9 @@
-"""Period sets, odometer coding, tower decompositions and fiber enumeration.
+"""Period sets, and the tower pieces and fibers of odometer points.
 
 A truncated odometer point is the tuple of right-coset representatives
 (t_1, ..., t_K) with t_i in D_i R and Gamma_i t_{i+1} = Gamma_i t_i.  Points
-of the subshift over those coords are approximated by orbit translates
-sigma^{h^{-1}} eta with h in the coset Gamma_K t_K; such a point reads
-x(w) = eta(h w).
+of the subshift over it are approximated by orbit translates sigma^{h^{-1}}
+eta with h in the coset Gamma_K t_K; such a point reads x(w) = eta(h w).
 """
 
 from __future__ import annotations
@@ -15,29 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Elt, EltArr, SpecError, Vec, unique_rows
+from .lattice import Elt, EltArr, SpecError, unique_rows
 from .toeplitz import Construction, EtaWindow
-
-
-@dataclass(frozen=True)
-class OdometerCoords:
-    """Compatible coset representatives, reps[i-1] in D_i R."""
-
-    reps: tuple[Elt, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.reps)
-
-    def rep(self, i: int) -> Elt:
-        return self.reps[i - 1]
-
-
-def code_orbit_point(cons: Construction, g: Elt, depth: int) -> OdometerCoords:
-    """Coset representative of Gamma_i g at every level i <= depth."""
-    v, f = g
-    return OdometerCoords(tuple((cons.domains.rep(v, i), f)
-                                for i in range(1, depth + 1)))
 
 
 # (point, window cell) and (point, approximant) pairs per census batch, and
@@ -153,37 +131,19 @@ def conjugation_identity_check(win: EtaWindow, shifts: EltArr, gs: EltArr,
     return np.all(left == right, axis=1)
 
 
-# -- tower pieces and the aperiodic part --------------------------------------
-
-
-@dataclass(frozen=True)
-class TowerPiece:
-    """One nested union of domain translates meeting the window.
-
-    Translate towers merge upward: every cell's stage-j translate lies in a
-    unique stage-(j+1) translate, so a piece is keyed by its deepest-stage
-    entry while shallow stages may list several merged sub-translates.
-    """
-
-    top_gamma: Vec
-    stage_gammas: tuple[tuple[Vec, ...], ...]  # distinct entries per stage
-    cells: tuple[int, ...]     # indices into the window cell list
-    aperiodic_cells: tuple[int, ...]
+# -- tower pieces, the aperiodic part and fibers -------------------------------
 
 
 @lru_cache(maxsize=16)
-def _window_cells(rank: int, finite_order: int,
-                  radius: int) -> tuple[tuple[Elt, ...], np.ndarray]:
-    """The window cells B(0, radius) R in canonical order, and the lattice
-    box B(0, radius) they repeat once per finite part."""
+def _window_box(rank: int, radius: int) -> np.ndarray:
+    """The lattice box B(0, radius) in canonical order, read-only."""
     if radius < 0:
         raise SpecError(f"window radius must be non-negative, got {radius}")
     axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
     grids = np.meshgrid(*axes, indexing="ij")
     box = np.stack([g.ravel() for g in grids], axis=-1)
     box.flags.writeable = False
-    rows = [tuple(row) for row in box.tolist()]
-    return tuple((row, f) for f in range(finite_order) for row in rows), box
+    return box
 
 
 @dataclass(frozen=True)
@@ -195,13 +155,12 @@ class _Stage:
     point sort like its translates.
     """
 
-    period: np.ndarray  # p_j, shape (r,)
     low: np.ndarray     # (points, r)
     ext: tuple[int, ...]
     code: np.ndarray    # (points, window box)
 
     @classmethod
-    def of(cls, units: list[np.ndarray], period: Vec) -> "_Stage":
+    def of(cls, units: list[np.ndarray]) -> "_Stage":
         """From each coordinate of the cells' translates in units of p_j."""
         low = np.stack([x.min(axis=1) for x in units], axis=-1)
         code, ext = 0, []
@@ -209,7 +168,7 @@ class _Stage:
             x -= low[:, k, None]
             ext.append(int(x.max()) + 1)
             code = code * ext[-1] + x
-        return cls(np.array(period), low, tuple(ext), code)
+        return cls(low, tuple(ext), code)
 
     @property
     def size(self) -> int:
@@ -233,26 +192,24 @@ class _Batch:
     window cell (u, f) sits at t_j (u, f) = (d_j + M_{f_j} u, f_j f), so its
     lattice part, its translates and its level do not depend on f.  Lattice
     parts are kept one coordinate per array.  Building a batch checks that
-    the stages base_level .. K merge upward.
+    the stages 1 .. K merge upward.
     """
 
     def __init__(self, cons: Construction, reps_v: np.ndarray, reps_f: np.ndarray,
-                 radius: int, base_level: int):
+                 radius: int):
         spec, dom = cons.group, cons.domains
         n, K = reps_f.shape
-        if not 1 <= base_level <= K:
-            raise SpecError("base level out of range")
         self.cons, self.depth, self.reps_f = cons, K, reps_f
-        self.box = _window_cells(spec.rank, spec.finite_order, radius)[1]
         # M_f u for every finite part f, shape (|F|, r, window box)
-        moved, _ = spec.mul_arr(0, np.arange(spec.finite_order)[:, None], self.box, 0)
+        moved, _ = spec.mul_arr(0, np.arange(spec.finite_order)[:, None],
+                                _window_box(spec.rank, radius), 0)
         moved = np.ascontiguousarray(moved.transpose(0, 2, 1))
         self.stages = []
-        for j in range(base_level, K + 1):
+        for j in range(1, K + 1):
             f, p = self.reps_f[:, j - 1], cons.chain.level(j)
             pos = [moved[f, k] + reps_v[:, j - 1, k, None] for k in range(spec.rank)]
             self.stages.append(_Stage.of(
-                [(x + a) // m for x, a, m in zip(pos, dom.q1[j - 1], p)], p))
+                [(x + a) // m for x, a, m in zip(pos, dom.q1[j - 1], p)]))
         # a stage-j translate lies in one stage-(j+1) translate: the deeper
         # code is a function of the point and the shallower code
         for lo, hi in zip(self.stages, self.stages[1:]):
@@ -265,8 +222,7 @@ class _Batch:
         flat = 0  # of the rep of each position in the D_K box
         for x, a, m in zip(pos, dom.q1[K - 1], cons.chain.level(K)):
             flat = flat * m + (x + a) % m
-        self.levels = cons.level_array(K)[flat]
-        self.aperiodic = self.levels > K
+        self.aperiodic = cons.level_array(K)[flat] > K
 
     def pieces(self, mask: np.ndarray | None = None) -> np.ndarray:
         """Flags (points, top-stage codes): the translates that hold a cell
@@ -338,119 +294,6 @@ def _translate_table(cons: Construction, K: int, oracle: EtaWindow) -> np.ndarra
     return np.where(np.all(syms == syms[:, :1], axis=1), syms[:, 0], -1)
 
 
-def _point_batch(cons: Construction, coords: OdometerCoords, radius: int,
-                 base_level: int) -> tuple[_Batch, tuple[Elt, ...]]:
-    """The batch of one point, and its window cells B(0, radius) R in
-    canonical order: finite part, then the lattice box.  A per-box array of
-    the point's row therefore repeats once per finite part along the cells."""
-    spec = cons.group
-    reps_v = np.array([[v for v, _ in coords.reps]], dtype=np.int64)
-    reps_f = np.array([[f for _, f in coords.reps]], dtype=np.intp)
-    batch = _Batch(cons, reps_v, reps_f, radius, base_level)
-    return batch, _window_cells(spec.rank, spec.finite_order, radius)[0]
-
-
-def aperiodic_positions(cons: Construction, coords: OdometerCoords,
-                        radius: int) -> set[Elt]:
-    """Window positions not captured by any configured level <= the coords
-    depth."""
-    batch, cells = _point_batch(cons, coords, radius, coords.depth)
-    aper = np.tile(batch.aperiodic[0], cons.group.finite_order)
-    return {cells[i] for i in np.nonzero(aper)[0]}
-
-
-def tower_pieces(cons: Construction, coords: OdometerCoords, base_level: int,
-                 radius: int) -> list[TowerPiece]:
-    """Decompose the window into the nested translate towers of the coords.
-
-    Pieces are keyed by the deepest-level translate; the census core checks
-    that the recorded chains merge consistently (a shallow translate
-    determines the deeper ones).
-    """
-    batch, _ = _point_batch(cons, coords, radius, base_level)
-    F = cons.group.finite_order
-    codes = [np.tile(stage.code[0], F) for stage in batch.stages]
-    aper = np.tile(batch.aperiodic[0], F)
-    pieces = []
-    for key in np.unique(codes[-1]).tolist():
-        cells = np.nonzero(codes[-1] == key)[0]
-        stages = [st.units(0, np.unique(c[cells])) * st.period
-                  for st, c in zip(batch.stages, codes)]
-        pieces.append(TowerPiece(
-            top_gamma=tuple(stages[-1][0].tolist()),
-            stage_gammas=tuple(tuple(map(tuple, st.tolist())) for st in stages),
-            cells=tuple(cells.tolist()),
-            aperiodic_cells=tuple(cells[aper[cells]].tolist()),
-        ))
-    return pieces
-
-
-# -- fiber enumeration --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiberPatch:
-    cells: tuple[Elt, ...]
-    symbols: tuple[int, ...]
-    piece_constants: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FiberResult:
-    coords: OdometerCoords
-    patches: tuple[FiberPatch, ...]
-    piece_count: int
-    aperiodic_piece_count: int
-    candidate_count: int
-    approximant_count: int
-
-    @property
-    def count(self) -> int:
-        return len(self.patches)
-
-
-def enumerate_fiber(cons: Construction, coords: OdometerCoords, radius: int,
-                    oracle: EtaWindow) -> FiberResult:
-    """Admissible window patches over one truncated odometer point.
-
-    Candidates pair the forced periodic part with one plain symbol per tower
-    piece on the aperiodic part; a candidate is kept when some orbit
-    approximant of the coords realizes it inside the oracle window.  This is
-    the census core on a batch of one point.  It reads every approximant's
-    piece constants from a table of the Gamma_K translates of D_K, so a
-    "not constant on a tower piece" SpecError means that a translate some
-    approximant reads is not constant on its whole level-K fresh part x R:
-    a superset of the cells the window sees.
-    """
-    K, spec = coords.depth, cons.group
-    F = spec.finite_order
-    batch, cells = _point_batch(cons, coords, radius, K)
-    rows, approximants = batch.fiber_rows(oracle, _translate_table(cons, K, oracle))
-    aper = np.nonzero(np.tile(batch.aperiodic[0], F))[0]
-    piece = np.tile(batch.stages[-1].code[0], F)
-    # aperiodic pieces in piece order, and the slot of every aperiodic cell's
-    # piece among them
-    aper_pieces = np.unique(piece[aper])
-    slot = np.searchsorted(aper_pieces, piece[aper])
-    # window cell (u, f) of the point lies at finite part f_K f
-    fparts = np.repeat(spec.table[coords.rep(K)[1]], len(batch.box))
-    forced = cons.symbol_table()[fparts, np.tile(batch.levels[0], F)]
-    forced[aper] = -1
-    patches = []
-    for row in rows[:, 1:]:
-        syms = forced.copy()
-        syms[aper] = row[slot]
-        patches.append(FiberPatch(cells, tuple(syms.tolist()), tuple(row.tolist())))
-    return FiberResult(
-        coords=coords,
-        patches=tuple(patches),
-        piece_count=len(np.unique(piece)),
-        aperiodic_piece_count=len(aper_pieces),
-        candidate_count=cons.m ** len(aper_pieces),
-        approximant_count=int(approximants[0]),
-    )
-
-
 # -- the census -----------------------------------------------------------------
 
 
@@ -473,11 +316,18 @@ def census(cons: Construction, depth: int, radius: int,
     count of every odometer point of the given depth, in batches.
 
     The point (t_1, .., t_K) with t_K = (v, f) has t_i = (rep of v mod
-    Gamma_i, f).  Per point the counts are those of ``tower_pieces(cons,
-    coords, 1, radius)`` (whose merge check runs here too) and of
-    ``enumerate_fiber``, which is this core on a batch of one point.  The
-    oracle is read once, into the table of its Gamma_K translates, and then
-    once per (point, approximant, aperiodic piece).
+    Gamma_i, f).  Its tower pieces are the deepest-stage translates that
+    hold a cell of its window B(0, radius) R, once the stages 1 .. K are
+    checked to merge upward; its aperiodic pieces hold a cell of level
+    above K; its fiber count is the number of distinct rows of aperiodic
+    piece constants that its orbit approximants realize inside the oracle.
+    A single point is read as its row of the census.
+
+    The oracle is read once, into the table of its Gamma_K translates, and
+    then once per (point, approximant, aperiodic piece).  So a "not constant
+    on a tower piece" SpecError means that a translate some approximant
+    reads is not constant on its whole level-K fresh part x R: a superset of
+    the cells the window sees.
     """
     spec, dom = cons.group, cons.domains
     box = dom.box_coords(depth)
@@ -486,14 +336,14 @@ def census(cons: Construction, depth: int, radius: int,
                    (F, 1, 1))
     fparts = np.repeat(np.arange(F, dtype=np.intp), len(box))
     table = None if oracle is None else _translate_table(cons, depth, oracle)
-    cells = len(_window_cells(spec.rank, F, radius)[1])
+    cells = len(_window_box(spec.rank, radius))
     # a point has at most one approximant per translate in the table
     step = max(1, _CHUNK_CELLS // max(cells, 0 if table is None else len(table)))
     parts = []
     for start in range(0, len(reps), step):
         chunk = slice(start, start + step)
         batch = _Batch(cons, reps[chunk], np.repeat(fparts[chunk, None], depth, axis=1),
-                       radius, 1)
+                       radius)
         part = [batch.pieces().sum(axis=1), batch.pieces(batch.aperiodic).sum(axis=1)]
         if table is not None:
             rows, approximants = batch.fiber_rows(oracle, table)

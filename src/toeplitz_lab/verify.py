@@ -208,14 +208,21 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     point, in canonical order.
 
     Tower pieces are counted on the radius window by ``periods.census``.
-    Fibers of 1-d decks come from the classical sequence at its safe radius,
-    where one not-yet-periodic cluster meets the window (the bound m holds
-    only there); fibers of group decks come from the same census, through
-    orbit approximants inside the level-3 window at the given radius.  A point whose fiber no approximant reaches is refused: an empty
-    fiber would pass any bound.
+    Fibers of 1-d decks come from one ``williams.fiber_scan`` of every
+    point at the safe radius of the classical sequence, where one
+    not-yet-periodic cluster meets the window (the bound m holds only
+    there); fibers of group decks come from the same census, through orbit
+    approximants inside the level-3 window at the given radius.  A point
+    whose fiber no approximant reaches is refused: an empty fiber would pass
+    any bound.  Every row of an invertible integer matrix is nonzero, so a
+    window wider than the level-3 box on some axis leaves no approximant
+    for any point; it is refused before the census is built.
     """
     cons = deckmod.construction(deck)
     wp = deck.williams
+    if wp is None and 2 * radius + 1 > min(cons.chain.level(3)):
+        raise SpecError(f"no orbit approximant fits a window of radius {radius} "
+                        f"inside the level-3 box {cons.chain.level(3)}")
     counts = periods.census(cons, 2, radius, None if wp else cons.window(3))
     if wp is not None:
         # at depth 2 the safe radius is at most p_1, so the probe patch also

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import SpecError, unique_rows
+from .lattice import SpecError
 
 UNDEFINED = -1
 
@@ -144,22 +144,6 @@ def coords_of_int(params: WilliamsParams, g: int, depth: int) -> tuple[int, ...]
     return tuple(g % p for p in params.periods[:depth])
 
 
-def coords_compatible(params: WilliamsParams, coords: tuple[int, ...]) -> bool:
-    for i in range(len(coords) - 1):
-        if coords[i + 1] % params.periods[i] != coords[i]:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class ZFiberPatch:
-    """One realized window restriction of an orbit approximant."""
-
-    offsets: tuple[int, ...]
-    symbols: tuple[int, ...]
-    aperiodic_symbol: int | None
-
-
 @dataclass(frozen=True, eq=False)
 class ZFiberScan:
     """Per-residue fiber counts of a batch of depth-k odometer points."""
@@ -259,39 +243,6 @@ def fiber_scan(params: WilliamsParams, eta: ZPatch, k: int, residues,
     counts = (new & (keys[0] != immature_key)).sum(axis=0)[residues]
     return ZFiberScan(residues, counts, aper.sum(axis=0)[residues],
                       (~mature).sum(axis=0)[residues])
-
-
-def fiber_patches(params: WilliamsParams, eta: ZPatch, coords: tuple[int, ...],
-                  N: int) -> tuple[list[ZFiberPatch], dict]:
-    """Distinct fully-defined [-N, N] restrictions of the approximants
-    sigma^{-g_t} eta with g_t congruent to the coords at every given depth:
-    ``fiber_scan`` on a batch of one point, plus the windows themselves.
-
-    g_t runs over one full period of the deepest configured period.  The
-    window should be narrow enough that the positions not yet periodic at the
-    coords' depth form a single filled-together cluster; each defined patch
-    is then determined by (coords, constant on that cluster), which is what
-    bounds the count by the alphabet size.  Approximants whose window still
-    contains Undefined positions are tallied separately, not returned.
-    """
-    if not coords_compatible(params, coords):
-        raise SpecError("incompatible odometer residues")
-    k = len(coords)
-    # an empty coords tuple reaches the depth check with no residue
-    scan = fiber_scan(params, eta, k, coords[-1:], N)
-    pk, p_top = params.periods[k - 1], params.periods[-1]
-    b, W = int(scan.residues[0]), 2 * N + 1
-    start = eta.N - N + b
-    window = np.stack([eta.symbols[start + w:][:p_top:pk] for w in range(W)], axis=1)
-    window = window[~np.any(window == UNDEFINED, axis=1)]
-    aper_mask = _not_captured(eta.levels[start:start + W], k)
-    offsets_t = tuple(range(-N, N + 1))
-    patches = [ZFiberPatch(offsets_t, tuple(row.tolist()),
-                           int(row[aper_mask][0]) if aper_mask.any() else None)
-               for row in unique_rows(window)[0]]
-    info = {"immature": int(scan.immature[0]),
-            "aperiodic_cells": int(scan.aperiodic_cells[0])}
-    return patches, info
 
 
 def max_safe_fiber_radius(patch: ZPatch, depth: int) -> int:

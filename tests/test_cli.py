@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from toeplitz_lab import decks, measures, verify
+from toeplitz_lab import decks, measures, periods, verify
 from toeplitz_lab.cli import main
 from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.toeplitz import Construction
@@ -37,6 +37,7 @@ def test_unknown_deck_is_config_error():
     ["pullback", "--config", "swap-m2", "--weights", "a,b"],
     ["pullback", "--config", "swap-m2", "--source", "nosuch"],
     ["fibers", "--config", "dihedral-m2", "--radius", "-1"],
+    ["fibers", "--config", "z2-m2", "--radius", "150"],
     ["independence", "--config", "williams-m2", "--size", "0"],
     ["independence", "--config", "williams-m2", "--size", "-1"],
     ["verify-all", "--config", "<truncated-json>"],
@@ -298,6 +299,20 @@ def test_fibers_refuses_a_radius_no_approximant_fits(tmp_path, capsys):
                 "--out", str(out)]) == 2
     assert "no orbit approximant" in capsys.readouterr().err
     assert not (out / "dihedral-m2" / "fibers" / "fibers.json").exists()
+
+
+@pytest.mark.parametrize("radius", ["63", "150", "100000"])
+def test_fibers_refuses_a_radius_wider_than_the_oracle_box(radius, tmp_path, capsys,
+                                                           monkeypatch):
+    """A window of 2 radius + 1 cells wider than the 125-cell level-3 box
+    leaves no approximant for any point, so it is refused before the census
+    builds a batch."""
+    monkeypatch.setattr(periods, "census", lambda *a, **kw: pytest.fail("census built"))
+    out = tmp_path / "o"
+    assert run(["fibers", "--config", "z2-m2", "--radius", radius,
+                "--out", str(out)]) == 2
+    assert "no orbit approximant" in capsys.readouterr().err
+    assert not (out / "z2-m2" / "fibers" / "fibers.json").exists()
 
 
 def test_fibers_tower_pieces_match_acceptance_on_1d_deck(tmp_path):

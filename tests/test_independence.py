@@ -602,6 +602,24 @@ def test_masks_are_built_on_demand(name, target, builds, monkeypatch):
     assert len(built) == builds == search.result.steps
 
 
+@pytest.mark.parametrize("max_steps", [2, 50])
+def test_a_budget_ends_mask_builds_at_its_stop(max_steps, monkeypatch):
+    """A search that its budget ends builds the masks of no candidate past
+    the step it stops at: each pull from a pool ends at the first candidate
+    the budget cannot reach, with the status and steps unchanged."""
+    built = []
+
+    def counted(oracle, spec, cylinders, g):
+        built.append(g)
+        return _packed_masks(oracle, spec, cylinders, g)
+
+    monkeypatch.setattr(independence, "_packed_masks", counted)
+    args, kw = _group_case("dihedral-m2", 3, 5, max_steps=max_steps)
+    res = find_independence_set(*args, **kw)
+    assert (res.status, res.steps) == ("exhausted", max_steps + 1)
+    assert len(built) == max_steps
+
+
 def test_refused_shifts_are_built_once(monkeypatch):
     """A shift whose masks leave the window is refused once, not on every
     visit: 162 candidates, 120 of them refused, in 5,717 steps."""

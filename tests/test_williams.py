@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,9 @@ from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.williams import (
     UNDEFINED,
     WilliamsParams,
-    ZFiberPatch,
     ZPatch,
     convergence_partial_sums,
     coords_of_int,
-    fiber_patches,
     fiber_scan,
     generate,
     max_safe_fiber_radius,
@@ -179,9 +178,8 @@ def test_toeplitz_coords_have_singleton_fiber():
     wp = deck.williams
     radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
-    coords = coords_of_int(wp, 0, wp.depth)  # full-depth coords of the array
-    patches, _ = fiber_patches(wp, eta, coords, radius)
-    assert len(patches) == 1
+    # the array's own residue at full depth
+    assert fiber_scan(wp, eta, wp.depth, [0], radius).counts.tolist() == [1]
 
 
 def test_depth2_fiber_scan_bound_and_split():
@@ -189,28 +187,24 @@ def test_depth2_fiber_scan_bound_and_split():
     wp = deck.williams
     radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
-    split = 0
-    for g2 in range(wp.periods[1]):
-        patches, _ = fiber_patches(wp, eta, coords_of_int(wp, g2, 2), radius)
-        assert len(patches) <= wp.m
-        if len(patches) == 2:
-            syms = {p.aperiodic_symbol for p in patches}
-            assert syms == {0, 1}
-            split += 1
-    assert split > 0
+    counts = fiber_scan(wp, eta, 2, range(wp.periods[1]), radius).counts.tolist()
+    assert max(counts) <= wp.m
+    split = [b for b, n in enumerate(counts) if n == 2]
+    assert split
+    # the two patches of a split point differ in their aperiodic constant
+    for b in split:
+        patches, _ = _fiber_patches_reference(wp, eta, coords_of_int(wp, b, 2), radius)
+        assert {p.aperiodic_symbol for p in patches} == {0, 1}
 
 
-def test_incompatible_coords_rejected():
-    deck = decks.bundled_deck("williams-m2")
-    wp = deck.williams
-    eta = generate(wp, wp.periods[-1] + 20)
-    with pytest.raises(SpecError):
-        fiber_patches(wp, eta, (1, 5), 6)  # 5 mod 6 is not 1
+ZFiberPatch = namedtuple("ZFiberPatch", "offsets symbols aperiodic_symbol")
 
 
 def _fiber_patches_reference(params, eta, coords, N):
-    """``fiber_patches`` one approximant and one position at a time through
-    ``ZPatch.symbol`` and ``ZPatch.level``."""
+    """The distinct fully defined [-N, N] restrictions of the approximants
+    of the coords' last residue, one approximant and one position at a time
+    through ``ZPatch.symbol`` and ``ZPatch.level``, with the immature
+    approximants and the aperiodic cells tallied in a dict."""
     k = len(coords)
     pk, p_top = params.periods[k - 1], params.periods[-1]
     base = coords[-1] % pk
@@ -247,6 +241,21 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+def _one_residue(wp, eta, coords, radius):
+    """``fiber_scan`` of the coords' last residue alone: (count, aperiodic
+    cells, immature approximants), or the refusal message."""
+    return _scan_outcome(wp, eta, len(coords), coords[-1:], radius)
+
+
+def _reference_outcome(wp, eta, coords, radius):
+    """``_fiber_patches_reference`` in the shape of ``_one_residue``."""
+    got = _outcome(_fiber_patches_reference, wp, eta, coords, radius)
+    if isinstance(got, str):
+        return got
+    patches, info = got
+    return [len(patches)], [info["aperiodic_cells"]], [info["immature"]]
+
+
 @pytest.mark.parametrize("name", ["williams-m2", "williams-m3"])
 def test_fiber_patches_match_scalar_reference(name):
     wp = decks.bundled_deck(name).williams
@@ -258,10 +267,10 @@ def test_fiber_patches_match_scalar_reference(name):
     outcomes = set()
     for k, g, radius in cases:
         coords = coords_of_int(wp, g, k)
-        got = _outcome(fiber_patches, wp, eta, coords, radius)
-        assert got == _outcome(_fiber_patches_reference, wp, eta, coords, radius)
+        got = _one_residue(wp, eta, coords, radius)
+        assert got == _reference_outcome(wp, eta, coords, radius)
         outcomes.add(type(got))
-    assert outcomes == {tuple, str}  # both patches and refusals were compared
+    assert outcomes == {tuple, str}  # both counts and refusals were compared
 
 
 def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
@@ -269,7 +278,7 @@ def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
     radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
     coords = coords_of_int(wp, 7, 2)
-    assert fiber_patches(wp, eta, coords, radius)[0]
+    assert _one_residue(wp, eta, coords, radius)[0][0] > 0
     # a later fully defined approximant reads one captured cell as still
     # aperiodic; its symbol is kept, so only the level map gives it away
     offsets = range(-radius, radius + 1)
@@ -279,9 +288,9 @@ def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
     levels = eta.levels.copy()
     levels[eta.index(g_t + n)] = 3
     bad = ZPatch(wp, eta.N, eta.symbols, levels)
-    for fn in (fiber_patches, _fiber_patches_reference):
-        with pytest.raises(SpecError, match="aperiodic part is not determined"):
-            fn(wp, bad, coords, radius)
+    assert _one_residue(wp, bad, coords, radius) == \
+        _reference_outcome(wp, bad, coords, radius) == \
+        "aperiodic part is not determined by the coords"
 
 
 
@@ -337,9 +346,9 @@ def test_fiber_census_windows_fit_the_probe_patch():
     census = verify.fiber_census(deck)
     assert census.fiber_radius == wp.periods[0]
     wide = generate(wp, 2 * (wp.periods[-1] + wp.periods[0]))
+    residues = [r.coords[-1] for r in census.rows]
     assert [r.fiber_count for r in census.rows] == \
-        [len(fiber_patches(wp, wide, r.coords, census.fiber_radius)[0])
-         for r in census.rows]
+        fiber_scan(wp, wide, 2, residues, census.fiber_radius).counts.tolist()
 
 
 CENSUS_DECKS = {
@@ -358,9 +367,9 @@ def _census_setup(name):
     return deck.williams, _probe(deck.williams), census.fiber_radius, residues, census.rows
 
 
-def _scan_outcome(wp, eta, residues, radius):
+def _scan_outcome(wp, eta, k, residues, radius):
     try:
-        scan = fiber_scan(wp, eta, 2, residues, radius)
+        scan = fiber_scan(wp, eta, k, residues, radius)
     except SpecError as exc:
         return str(exc)
     return scan.counts.tolist(), scan.aperiodic_cells.tolist(), scan.immature.tolist()
@@ -383,13 +392,15 @@ def _reference_census_outcome(wp, eta, residues, radius):
 
 @pytest.mark.parametrize("name", CENSUS_DECKS)
 def test_census_rows_match_per_point_fiber_patches(name):
-    """Every census row's fiber count and aperiodic cells are what the
-    per-point fiber_patches reads on the census's probe patch."""
+    """Every census row's fiber count and aperiodic cells are what a
+    one-residue fiber_scan and the per-point reference read on the
+    census's probe patch."""
     wp, eta, radius, _, rows = _census_setup(name)
     assert len(rows) == wp.periods[1]
     for row in rows:
-        patches, info = fiber_patches(wp, eta, row.coords, radius)
-        assert (row.fiber_count, row.aperiodic) == (len(patches), info["aperiodic_cells"])
+        got = _one_residue(wp, eta, row.coords, radius)
+        assert got == _reference_outcome(wp, eta, row.coords, radius)
+        assert (row.fiber_count, row.aperiodic) == (got[0][0], got[1][0])
 
 
 def test_wide_windows_span_several_keys():
@@ -400,7 +411,7 @@ def test_wide_windows_span_several_keys():
     eta = generate(wp, wp.periods[-1] + 40)
     residues = list(range(0, wp.periods[1], 5))
     for radius in (25, 40):
-        got = _scan_outcome(wp, eta, residues, radius)
+        got = _scan_outcome(wp, eta, 2, residues, radius)
         assert got == _reference_census_outcome(wp, eta, residues, radius)
         assert not isinstance(got, str) and max(got[0]) > 1
 
@@ -435,11 +446,11 @@ def test_corrupted_patches_read_the_same_through_the_batch_core(name):
     wp, eta, radius, residues, _ = _census_setup(name)
 
     def both(patch):
-        got = _scan_outcome(wp, patch, residues, radius)
+        got = _scan_outcome(wp, patch, 2, residues, radius)
         assert got == _reference_census_outcome(wp, patch, residues, radius)
         return got
 
-    clean = _scan_outcome(wp, eta, residues, radius)
+    clean = _scan_outcome(wp, eta, 2, residues, radius)
     late, early = residues[-3], residues[1]
     # a captured cell read as aperiodic by a late point of the census order
     undetermined = {_read_cells(wp, eta, late, radius, True)[-1]: wp.depth + 1}
@@ -473,11 +484,11 @@ def test_single_point_checks_only_its_own_residue(name):
     with pytest.raises(SpecError, match="not determined"):
         fiber_scan(wp, bad, 2, residues, radius)
     with pytest.raises(SpecError, match="not determined"):
-        fiber_patches(wp, bad, coords_of_int(wp, sick, 2), radius)
+        fiber_scan(wp, bad, 2, [sick], radius)
     coords = coords_of_int(wp, well, 2)
-    assert fiber_patches(wp, bad, coords, radius) == fiber_patches(wp, eta, coords, radius)
-    assert fiber_scan(wp, bad, 2, [well], radius).counts.tolist() == \
-        [len(fiber_patches(wp, eta, coords, radius)[0])]
+    assert _one_residue(wp, bad, coords, radius) == _one_residue(wp, eta, coords, radius)
+    assert _reference_outcome(wp, bad, coords, radius) == \
+        _reference_outcome(wp, eta, coords, radius)
 
 
 def _drawn_patch(p1, levels, pad=()):
