@@ -74,15 +74,19 @@ def cmd_gen_z(deck, args) -> int:
     N = 2 * wp.periods[1] if args.window is None else args.window
     patch = williams.generate(wp, N)
     out = _out_dir(args, deck.name, "gen-z")
+    # every row is its position joined to one of few ",symbol,level" tails,
+    # formatted once per (symbol, level) pair; an UNDEFINED symbol is empty
+    width = int(patch.levels.max()) + 1
+    tails = [f",{'' if s == williams.UNDEFINED else s},{l}\r\n"
+             for s in range(williams.UNDEFINED, wp.m + 1) for l in range(width)]
     with open(out / "patch.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["position", "symbol", "level"])
+        fh.write("position,symbol,level\r\n")
         for lo in range(0, len(patch.symbols), _CSV_ROWS):
             part = slice(lo, lo + _CSV_ROWS)
-            syms = ["" if s == williams.UNDEFINED else s
-                    for s in patch.symbols[part].tolist()]
-            w.writerows(zip(range(lo - N, lo - N + len(syms)), syms,
-                            patch.levels[part].tolist()))
+            pairs = ((patch.symbols[part].astype(np.int64) - williams.UNDEFINED) * width
+                     + patch.levels[part]).tolist()
+            fh.write("".join([f"{pos}{tails[c]}" for pos, c in
+                              zip(range(lo - N, lo - N + len(pairs)), pairs)]))
     sums = williams.convergence_partial_sums(wp)
     _write_json(out / "summary.json", {
         "deck": deck.name,
@@ -159,7 +163,7 @@ def cmd_measures(deck, args) -> int:
         good = measures.verify_transition(cons, n, N)
         verdicts[f"transition_{n}"] = {"equal": good, "provenance": "counted"}
         ok = ok and good
-    good = measures.verify_projection(cons, N, freqs[-1])
+    good = measures.verify_projection(cons, N)
     verdicts["projection"] = {"equal": good, "provenance": "counted"}
     ok = ok and good
     if measures.has_marker(cons):

@@ -35,6 +35,13 @@ class DepthExhausted(LookupError):
     """A query needs more chain levels than the configured prefix."""
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only and return it, so that a stray in-place
+    write raises instead of corrupting every later reader."""
+    arr.flags.writeable = False
+    return arr
+
+
 def matvec(mat: Mat, v: Vec) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in mat)
 
@@ -118,9 +125,10 @@ class GroupSpec:
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Action matrices (|F|, r, r), multiplication table and inverses of F."""
-        return (np.array(self.action, dtype=np.int64).reshape(-1, self.rank, self.rank),
-                np.array(self.table, dtype=np.intp),
-                np.array(self.finite_inverse, dtype=np.intp))
+        return (read_only(np.array(self.action, dtype=np.int64)
+                          .reshape(-1, self.rank, self.rank)),
+                read_only(np.array(self.table, dtype=np.intp)),
+                read_only(np.array(self.finite_inverse, dtype=np.intp)))
 
     def _act_arr(self, f: np.ndarray, v: np.ndarray) -> np.ndarray:
         """M_f v element by element over arrays, shapes as in ``mul_arr``:
@@ -310,12 +318,13 @@ class DomainChain:
 
     @lru_cache(maxsize=None)
     def box_coords(self, i: int) -> np.ndarray:
-        """All box coordinates at level i, shape (size, rank), canonical order."""
+        """All box coordinates at level i, shape (size, rank), canonical
+        order; read-only."""
         p = self.chain.level(i)
         q1 = self.q1[i - 1]
         axes = [np.arange(-a, m - a, dtype=np.int64) for a, m in zip(q1, p)]
         grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return read_only(np.stack([g.ravel() for g in grids], axis=-1))
 
     def enumerate_box(self, i: int):
         q1 = self.q1[i - 1]

@@ -10,28 +10,61 @@ on gamma * fresh(n) * R, and that constancy is verified, never assumed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .lattice import SpecError, int_det, unique_rows
+from .lattice import SpecError, int_det, read_only, unique_rows
 from .toeplitz import BETA, Construction, ConstructionError, VARIANT_VIRTUALLY
 
 MeasureVector = dict[int, Fraction]
 
 
+def _once_per_array(cons: Construction, key: tuple, arrays: tuple[np.ndarray, ...],
+                    compute: Callable[..., np.ndarray]) -> np.ndarray:
+    """``compute(*arrays)``, once per read-only array of the construction.
+
+    The result is kept on the construction under ``key`` and served again
+    only while every array is the same object it was computed from and still
+    read-only.  A writeable or substituted array is always read again, so
+    what is certified is the array as it stands, and a kept result describes
+    an array that can no longer change.
+    """
+    hit = cons.kept.get(key)
+    if hit is not None and all(a is b and not a.flags.writeable
+                               for a, b in zip(arrays, hit[0])):
+        return hit[1]
+    out = compute(*arrays)
+    if not any(a.flags.writeable for a in arrays):
+        cons.kept[key] = (arrays, out)
+    return out
+
+
 def _level_counts(cons: Construction, n: int) -> np.ndarray:
-    """Cells of the level-n array at each level 0 .. n+1 (entry 0 stays 0).
+    """Cells of the level-n array at each level 0 .. n+1 (entry 0 stays 0),
+    read-only.
+
+    Counted once per read-only level array (``_once_per_array``):
+    every identity that reads these counts certifies the array as it stands,
+    and it can no longer change.  A writeable or substituted array is
+    counted again.
+    """
+    return _once_per_array(cons, ("level_counts", n), (cons.level_array(n),),
+                           partial(_count_levels, n))
+
+
+def _count_levels(n: int, lvl: np.ndarray) -> np.ndarray:
+    """The counts of ``_level_counts`` from the level-n array itself.
 
     Each level is counted on the int16 array in place, one comparison per
     level: ``np.bincount`` would first cast the array to an intp temporary
     four times its size (78 MB at z2-m2 level 5).  The counts must account
     for every cell, so a level outside 1 .. n+1 is refused, naming the value
-    and its first flat index.  Nothing is memoised: every call reads the
-    array again, so what is certified is the array as it stands.
+    and its first flat index.
     """
-    lvl = cons.level_array(n)
     counts = np.zeros(n + 2, dtype=np.int64)
     for l in range(1, n + 2):
         counts[l] = np.count_nonzero(lvl == l)
@@ -40,7 +73,7 @@ def _level_counts(cons: Construction, n: int) -> np.ndarray:
         raise ConstructionError(
             f"level {int(lvl[i])} at flat index {i} of the level-{n} array "
             f"is outside 1..{n + 1}")
-    return counts
+    return read_only(counts)
 
 
 def fresh_count(cons: Construction, n: int) -> int:
@@ -137,7 +170,25 @@ def _gamma_axes(cons: Construction, n: int, N: int) -> list[np.ndarray]:
 
 
 def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
-    """Class level of every gamma in Gamma_n inside the D_N box, lex order.
+    """Class level of every gamma in Gamma_n inside the D_N box, lex order,
+    read-only.
+
+    Built once per read-only pair of ``level_array(N)`` and ``fresh_bool(n)``
+    (``_once_per_array``), so every identity that reads the table
+    certifies those arrays as they stand, and they can no longer change.  A
+    writeable or substituted array is read again.
+    """
+    if N <= n:
+        raise SpecError("need a deeper window than the class level")
+    return _once_per_array(cons, ("class_levels", n, N),
+                           (cons.level_array(N), cons.fresh_bool(n)),
+                           partial(_class_table, cons, n, N))
+
+
+def _class_table(cons: Construction, n: int, N: int, levels: np.ndarray,
+                 fresh: np.ndarray) -> np.ndarray:
+    """The table of ``_class_levels`` from the level-N array and the level-n
+    fresh mask themselves.
 
     The class of gamma is its block of ``Construction.translate_blocks`` read
     at the level-n fresh cells.  Both routes read the int16 level array where
@@ -147,21 +198,16 @@ def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
       e.g. z2-m2 (3, 5) and (4, 5)): every block is compared with its own
       first fresh cell under the fresh mask, with no gather;
     - otherwise (many short rows): the fresh cells are gathered into rows
-      (``translate_levels``) and reduced by min and max, which is cheaper
-      there than the block-wide comparison.
+      and reduced by min and max, which is cheaper there than the block-wide
+      comparison.
 
     A class touching level 1 (the marker stratum) is refused first, then a
     class that is not constant, each at its first gamma in lex order.
-    Nothing is memoised: every call reads the array again, so what is
-    certified is the array as it stands.
     """
-    if N <= n:
-        raise SpecError("need a deeper window than the class level")
-    levels = cons.level_array(N)
-    fresh = cons.fresh_bool(n).reshape(cons.chain.level(n))
+    fresh = fresh.reshape(cons.chain.level(n))
+    blocks = cons.translate_blocks(levels, n, N)
+    cell_axes = tuple(range(-fresh.ndim, 0))
     if np.count_nonzero(fresh) * fresh.size > levels.size:
-        blocks = cons.translate_blocks(levels, n, N)
-        cell_axes = tuple(range(-fresh.ndim, 0))
         first = blocks[(...,) + np.unravel_index(int(np.argmax(fresh)), fresh.shape)]
         off = blocks != np.expand_dims(first, cell_axes)
         off &= fresh
@@ -171,7 +217,7 @@ def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
         if varies.any():  # a varying class may touch level 1 past its first cell
             marker = ((blocks <= 1) & fresh).any(axis=cell_axes).ravel()
     else:
-        cells = cons.translate_levels(levels, n, N)
+        cells = blocks[..., fresh].reshape(-1, np.count_nonzero(fresh))
         lo, hi = cells.min(axis=1), cells.max(axis=1)
         marker, varies = lo <= 1, lo != hi
     for bad, what in ((marker, "touched the marker stratum"),
@@ -181,7 +227,7 @@ def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
             b = np.unravel_index(int(np.argmax(bad)), [len(ax) for ax in axes])
             gamma = tuple(int(ax[i]) for ax, i in zip(axes, b))
             raise ConstructionError(f"cell of gamma={gamma} {what}")
-    return lo
+    return read_only(lo)
 
 
 def cell_symbols(cons: Construction, n: int, N: int) -> list[tuple[tuple[int, ...], int]]:
@@ -262,15 +308,12 @@ def projection_matrix(cons: Construction) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def verify_projection(cons: Construction, N: int,
-                      freqs: MeasureVector | None = None) -> bool:
+def verify_projection(cons: Construction, N: int) -> bool:
     """Counted symbol frequencies must equal the projection of the level-1
-    cell vector.  ``freqs`` is ``mu_freq_counted(cons, N)`` when the caller
-    has already counted it."""
+    cell vector."""
     A0 = projection_matrix(cons)
     mu1 = mu_cell_vector(cons, 1, N)
-    if freqs is None:
-        freqs = mu_freq_counted(cons, N)
+    freqs = mu_freq_counted(cons, N)
     m = cons.m
     lhs = [sum(Fraction(A0[i][j]) * mu1[j] for j in range(m)) for i in range(m + 1)]
     rhs = [freqs.get(sym, Fraction(0)) for sym in range(1, m + 1)]

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Elt, EltArr, SpecError, unique_rows
+from .lattice import Elt, EltArr, SpecError, read_only, unique_rows
 from .toeplitz import Construction, EtaWindow
 
 
@@ -141,9 +141,7 @@ def _window_box(rank: int, radius: int) -> np.ndarray:
         raise SpecError(f"window radius must be non-negative, got {radius}")
     axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
     grids = np.meshgrid(*axes, indexing="ij")
-    box = np.stack([g.ravel() for g in grids], axis=-1)
-    box.flags.writeable = False
-    return box
+    return read_only(np.stack([g.ravel() for g in grids], axis=-1))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .lattice import (
     GroupSpec,
     SpecError,
     SubgroupChain,
+    read_only,
 )
 
 VARIANT_NORMAL = "normal"
@@ -73,6 +74,9 @@ class Construction:
         self.domains = params.domains
         self.m = params.m
         self.variant = params.variant
+        # results computed once per read-only array of this construction,
+        # with the arrays they were computed from (``measures._once_per_array``)
+        self.kept: dict[tuple, tuple[tuple[np.ndarray, ...], object]] = {}
 
     @property
     def depth(self) -> int:
@@ -98,23 +102,23 @@ class Construction:
     def symbol_table(self) -> np.ndarray:
         """``symbol_table()[f, l]`` is ``symbol_from_level(l, f)``, for every
         finite part f and every level 0 .. depth+1 a level array can hold."""
-        table = np.array([[self.symbol_from_level(l, f) for l in range(self.depth + 2)]
-                          for f in range(self.group.finite_order)], dtype=np.int16)
-        table.flags.writeable = False
-        return table
+        return read_only(np.array(
+            [[self.symbol_from_level(l, f) for l in range(self.depth + 2)]
+             for f in range(self.group.finite_order)], dtype=np.int16))
 
     # -- fresh cells ("not yet periodically filled" part of each box) --------
 
     @lru_cache(maxsize=None)
     def fresh_bool(self, n: int) -> np.ndarray:
-        """Boolean mask of the level-n fresh cells over the D_n box."""
-        return np.asarray(self.level_array(n) == n + 1)
+        """Boolean mask of the level-n fresh cells over the D_n box, read-only."""
+        return read_only(self.level_array(n) == n + 1)
 
     # -- level stratification -------------------------------------------------
 
     @lru_cache(maxsize=None)
     def level_array(self, N: int) -> np.ndarray:
-        """Stratum level of every cell of the D_N box (values 1 .. N+1).
+        """Stratum level of every cell of the D_N box (values 1 .. N+1),
+        read-only.
 
         Level l <= N marks the Gamma_l-translates of the level-(l-1) fresh
         cells; the remaining cells are the level-N fresh cells and will be
@@ -132,7 +136,7 @@ class Construction:
         if N == 1:
             lvl = np.full(p, 2, dtype=np.int16)
             lvl[self.domains.q1[0]] = 1
-            return lvl.ravel()
+            return read_only(lvl.ravel())
         pp = self.chain.level(N - 1)
         prev = self.level_array(N - 1).reshape(pp)
         grid = np.tile(np.where(prev == N, N + 1, prev).astype(np.int16),
@@ -140,7 +144,7 @@ class Construction:
         centre = tuple(slice(a - c, a - c + b) for a, c, b in
                        zip(self.domains.q1[N - 1], self.domains.q1[N - 2], pp))
         grid[centre] = prev
-        return grid.ravel()
+        return read_only(grid.ravel())
 
     def stratum_claims(self, N: int,
                        fresh: dict[int, np.ndarray]) -> Iterator[np.ndarray]:
@@ -266,7 +270,8 @@ class EtaWindow:
 
     @lru_cache(maxsize=None)
     def symbol_array(self, fpart: int) -> np.ndarray:
-        return self.cons.symbol_table()[fpart][self.levels]
+        """Symbol of every cell of the window at finite part fpart, read-only."""
+        return read_only(self.cons.symbol_table()[fpart][self.levels])
 
     def symbol_box(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """``symbol_array`` of every finite part over the lattice box

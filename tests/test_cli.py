@@ -240,16 +240,18 @@ def test_pullback_patch_is_pinned(name, reach, tmp_path):
 
 
 def test_measures_counts_each_level_once(tmp_path, monkeypatch):
-    """The projection identity reuses the level-N frequencies the report
-    already counted."""
+    """The frequencies, the density products and the projection identity all
+    read one count of each level array."""
+    cons = Construction(decks.bundled_deck("swap-m2").params())
+    monkeypatch.setattr(decks, "construction", lambda deck: cons)
     counted = []
-    real = measures.mu_freq_counted
+    real = measures._count_levels
 
-    def counting(cons, n):
+    def counting(n, lvl):
         counted.append(n)
-        return real(cons, n)
+        return real(n, lvl)
 
-    monkeypatch.setattr(measures, "mu_freq_counted", counting)
+    monkeypatch.setattr(measures, "_count_levels", counting)
     assert run(["measures", "--config", "swap-m2", "--level", "4",
                 "--out", str(tmp_path)]) == 0
     assert counted == [1, 2, 3, 4]

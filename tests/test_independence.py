@@ -222,6 +222,33 @@ def _grid_read(oracle, spec, a):
     return oracle.symbols_at(v, f), bool(_readable(oracle, v, f).all())
 
 
+def _shift_reader(oracle, spec):
+    """The search reference's read of one shift a: the symbols at every grid
+    element times a, or None where the window does not hold them all.
+
+    A GOracle's window box is read once through symbols_at (so through
+    ``levels_at``, never the window arrays), and each shift gathers from that
+    read by its own ``mul_arr`` and flat index; other oracles read each shift
+    through symbols_at."""
+    if not isinstance(oracle, GOracle):
+        def read(a):
+            got, inside = _grid_read(oracle, spec, a)
+            return got if inside else None
+        return read
+    dom, N = oracle.cons.domains, oracle.win.N
+    box, F = dom.box_coords(N), spec.finite_order
+    syms = oracle.symbols_at(np.tile(box, (F, 1)),
+                             np.repeat(np.arange(F), len(box))).reshape(F, -1)
+    low = np.array(dom.q1[N - 1])
+
+    def read(a):
+        v, f = spec.mul_arr(*oracle.grid, np.array(a[0]), a[1])
+        if not _readable(oracle, v, f).all():
+            return None
+        return syms[f, np.ravel_multi_index(tuple((v + low).T), dom.chain.level(N))]
+    return read
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_site_values_match_symbols_at(case):
     """The search's read site_bits(a, sym) is the re-check's read symbols_at
@@ -397,19 +424,20 @@ def test_entropy_bounds():
 def _find_independence_set_reference(cylinders, target_size, oracle, candidates,
                                      spec, max_steps=2_000_000, deadline=None):
     """``find_independence_set`` with witness masks as ``np.packbits`` arrays
-    (most significant bit first) read through ``symbols_at``, a table keyed by
-    assignment tuples, and every candidate tried at every node: the search
-    before masks became int bitsets and nodes got pools."""
+    (most significant bit first) read through ``symbols_at`` by
+    ``_shift_reader``, a table keyed by assignment tuples, and every candidate
+    tried at every node: the search before masks became int bitsets and nodes
+    got pools."""
     cylinders = tuple(cylinders)
     k = len(cylinders)
     cand = sorted(set(candidates), key=search_key)
     mask_memo = {}
     reads = {}
+    read = _shift_reader(oracle, spec)
 
     def site_read(a):
         if a not in reads:
-            got, inside = _grid_read(oracle, spec, a)
-            reads[a] = got if inside else None
+            reads[a] = read(a)
         if reads[a] is None:
             raise CertificateWindowError(a)
         return reads[a]

@@ -177,13 +177,42 @@ def test_level_counts_match_bincount(name):
 def test_level_counts_refuse_a_level_outside_the_range(monkeypatch, value):
     cons = Construction(decks.bundled_deck("z2-m2").params())
     n, flat = 3, 4321
+    fns = (measures.mu_freq_counted, measures.periodic_density_counted)
+    for fn in fns:  # the clean array is counted, and its counts are kept
+        fn(cons, n)
     bad = cons.level_array(n).copy()
     bad[flat] = 0 if value == "zero" else n + 2
     monkeypatch.setattr(cons, "level_array", lambda N: bad)
     msg = f"level {bad[flat]} at flat index {flat} of the level-{n} array"
-    for fn in (measures.mu_freq_counted, measures.periodic_density_counted):
+    for fn in fns:
         with pytest.raises(ConstructionError, match=re.escape(msg)):
             fn(cons, n)
+
+
+def test_identities_count_each_level_array_once(monkeypatch):
+    cons = Construction(decks.bundled_deck("z2-m2").params())
+    counted, built = [], []
+    count_levels, class_table = measures._count_levels, measures._class_table
+
+    def counting(n, lvl):
+        counted.append(n)
+        return count_levels(n, lvl)
+
+    def building(cons, n, N, levels, fresh):
+        built.append((n, N))
+        return class_table(cons, n, N, levels, fresh)
+
+    monkeypatch.setattr(measures, "_count_levels", counting)
+    monkeypatch.setattr(measures, "_class_table", building)
+    N = 5
+    assert measures.mu_freq_counted(cons, N) == measures.mu_freq_closed(cons, N)
+    for n in range(N):
+        assert measures.density_product_check(cons, n).equal
+    assert measures.verify_projection(cons, N)
+    for n in range(1, N - 1):
+        assert measures.verify_transition(cons, n, N)
+    assert sorted(counted) == [1, 2, 3, 4, 5]
+    assert sorted(built) == [(1, N), (2, N), (3, N), (4, N)]
 
 
 @pytest.mark.parametrize("name", GROUP_DECKS)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toeplitz_lab import decks
+from toeplitz_lab import decks, measures
 from toeplitz_lab.lattice import (
     DepthExhausted,
     DomainChain,
@@ -245,6 +245,25 @@ def test_rep_route_shares_nothing_with_the_tiling(monkeypatch):
                 patch.setattr(Construction, method, refuse)
             by_reps = Construction(deck.params()).level_array_by_reps(N)
         assert np.array_equal(by_reps, expected), name
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_cached_arrays_are_read_only(name):
+    """One stray in-place write to a cached array, or to a count kept from
+    one, would corrupt every later reader, so each one refuses it."""
+    cons = decks.construction(decks.bundled_deck(name))
+    N = min(cons.depth, 3)
+    win = cons.window(N)
+    cached = [cons.symbol_table(), *cons.group._arrays,
+              *(cons.domains.box_coords(i) for i in range(1, N + 1)),
+              *(cons.level_array(i) for i in range(1, cons.depth + 1)),
+              *(cons.fresh_bool(i) for i in range(1, cons.depth + 1)),
+              *(win.symbol_array(f) for f in range(cons.group.finite_order)),
+              measures._level_counts(cons, N), measures._class_levels(cons, 1, N)]
+    for arr in cached:
+        corner = (0,) * arr.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            arr[corner] = arr[corner]
 
 
 def test_normal_variant_requires_trivial_finite_part():
