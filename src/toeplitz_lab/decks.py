@@ -157,34 +157,60 @@ def deck_to_config(deck: Deck) -> dict:
     }
 
 
+_SHAPES = ("an integer", "a list of integers", "a list of integer rows",
+           "a list of integer matrices")
+
+
+def _integers(value, field: str, depth: int):
+    """A JSON value as ``depth`` levels of nested tuples with integer leaves;
+    anything else, a boolean or a float included, raises a SpecError naming
+    the field."""
+    def walk(x, d):
+        if d == 0:
+            if isinstance(x, int) and not isinstance(x, bool):
+                return x
+        elif isinstance(x, list):
+            return tuple(walk(y, d - 1) for y in x)
+        raise SpecError(f"malformed deck configuration: {field} must be "
+                        f"{_SHAPES[depth]}, got {x!r}")
+    return walk(value, depth)
+
+
 def deck_from_config(doc: dict) -> Deck:
+    """A validated deck from a configuration document; SpecError for a
+    missing field, a field of the wrong type or an invalid deck."""
     try:
+        if not isinstance(doc, dict) or not isinstance(doc["group"], dict):
+            raise SpecError("malformed deck configuration: the document and its "
+                            "group must be JSON objects")
         g = doc["group"]
         group = GroupSpec(
-            rank=int(g["rank"]),
-            table=tuple(tuple(r) for r in g["table"]),
-            action=tuple(tuple(tuple(row) for row in mat) for mat in g["action"]),
-            name=g.get("name", ""),
+            rank=_integers(g["rank"], "group.rank", 0),
+            table=_integers(g["table"], "group.table", 2),
+            action=_integers(g["action"], "group.action", 3),
+            name=str(g.get("name", "")),
         )
-        chain = SubgroupChain(tuple(tuple(r) for r in doc["chain"]))
-        offsets = doc.get("offsets", "auto")
-        if offsets == "auto":
+        chain = SubgroupChain(_integers(doc["chain"], "chain", 2))
+        m = _integers(doc["m"], "m", 0)
+        if doc.get("offsets", "auto") == "auto":
+            chain.validate(group.rank)  # DomainChain.auto divides by the moduli
             domains = DomainChain.auto(chain)
         else:
-            domains = DomainChain(chain, tuple(tuple(r) for r in offsets))
+            domains = DomainChain(chain, _integers(doc["offsets"], "offsets", 2))
         wp = doc.get("williams_periods")
-        williams = WilliamsParams(int(doc["m"]), tuple(wp)) if wp else None
+        williams = None if wp is None else WilliamsParams(
+            m, _integers(wp, "williams_periods", 1))
         deck = Deck(
             name=str(doc["name"]),
             group=group,
             chain=chain,
             domains=domains,
-            m=int(doc["m"]),
+            m=m,
             variant=str(doc["variant"]),
             williams=williams,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed deck configuration: {exc}") from exc
+    except KeyError as exc:
+        raise SpecError(f"malformed deck configuration: missing field {exc}") from exc
     deck.validate()
     return deck
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from itertools import product
 
 import numpy as np
@@ -40,6 +40,26 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     write raises instead of corrupting every later reader."""
     arr.flags.writeable = False
     return arr
+
+
+def instance_cache(method):
+    """Memoise a method on its instance, keyed by its positional arguments.
+
+    The results live in the instance's ``__dict__`` (a frozen dataclass has
+    one too), so they go when the instance goes, where a class-level
+    ``lru_cache`` would keep every instance alive.  Repeated calls return the
+    same object, which ``measures._once_per_array`` relies on.
+    """
+    slot = f"_cache_{method.__name__}"
+
+    @wraps(method)
+    def cached(self, *args):
+        memo = self.__dict__.setdefault(slot, {})
+        if args not in memo:
+            memo[args] = method(self, *args)
+        return memo[args]
+
+    return cached
 
 
 def matvec(mat: Mat, v: Vec) -> Vec:
@@ -165,6 +185,8 @@ class GroupSpec:
         n = self.finite_order
         if self.rank < 1:
             raise SpecError("rank must be positive")
+        if n < 1:
+            raise SpecError("finite-part table is empty")
         if any(len(row) != n for row in self.table):
             raise SpecError("finite-part table is not square")
         if any(not (0 <= e < n) for row in self.table for e in row):
@@ -180,12 +202,12 @@ class GroupSpec:
         _ = self.finite_inverse
         if len(self.action) != n:
             raise SpecError("need one action matrix per finite-part element")
-        ident = identity_matrix(self.rank)
-        if self.action[0] != ident:
+        if any(len(mat) != self.rank or any(len(row) != self.rank for row in mat)
+               for mat in self.action):
+            raise SpecError("action matrix has wrong shape")
+        if self.action[0] != identity_matrix(self.rank):
             raise SpecError("action of the identity must be the identity matrix")
         for f, mat in enumerate(self.action):
-            if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
-                raise SpecError("action matrix has wrong shape")
             if abs(int_det(mat)) != 1:
                 raise SpecError(f"action matrix of index {f} is not unimodular")
         for a in range(n):
@@ -316,7 +338,7 @@ class DomainChain:
         q2 = np.array(self.q2(i), dtype=np.int64)
         return np.all((arr >= -q1) & (arr < q2), axis=-1)
 
-    @lru_cache(maxsize=None)
+    @instance_cache
     def box_coords(self, i: int) -> np.ndarray:
         """All box coordinates at level i, shape (size, rank), canonical
         order; read-only."""
@@ -338,6 +360,8 @@ class DomainChain:
         for i in range(1, chain.depth + 1):
             p = chain.level(i)
             q1 = self.q1[i - 1]
+            if len(q1) != len(p):
+                raise SpecError(f"level {i} offsets have wrong rank")
             q2 = self.q2(i)
             for a, b in zip(q1, q2):
                 if a <= i or b <= i:

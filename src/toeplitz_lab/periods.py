@@ -144,98 +144,67 @@ def _window_box(rank: int, radius: int) -> np.ndarray:
     return read_only(np.stack([g.ravel() for g in grids], axis=-1))
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """The stage-j translates of a batch of points.
-
-    Window cell u of point i lies in the Gamma_j translate
-    p_j * (low[i] + unravel(code[i, u], ext)) of D_j, so the codes of one
-    point sort like its translates.
-    """
-
-    low: np.ndarray     # (points, r)
-    ext: tuple[int, ...]
-    code: np.ndarray    # (points, window box)
-
-    @classmethod
-    def of(cls, units: list[np.ndarray]) -> "_Stage":
-        """From each coordinate of the cells' translates in units of p_j."""
-        low = np.stack([x.min(axis=1) for x in units], axis=-1)
-        code, ext = 0, []
-        for k, x in enumerate(units):
-            x -= low[:, k, None]
-            ext.append(int(x.max()) + 1)
-            code = code * ext[-1] + x
-        return cls(low, tuple(ext), code)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.ext)
-
-    def keys(self) -> np.ndarray:
-        """Codes made distinct across points."""
-        return self.code + self.size * np.arange(len(self.code))[:, None]
-
-    def units(self, point, codes) -> np.ndarray:
-        """Translates of the given codes of the given points, in units of p_j."""
-        return np.stack(np.unravel_index(codes, self.ext), axis=-1) + self.low[point]
-
-
 class _Batch:
     """Window bookkeeping of a batch of odometer points of one depth K,
-    given by the lattice parts (points, K, r) and finite parts (points, K)
-    of their reps t_1 .. t_K.
+    given by the lattice parts (points, r) and finite parts (points,) of
+    their deepest reps t_K.
 
-    Row i is a point and column u a cell of the lattice box B(0, radius).  A
-    window cell (u, f) sits at t_j (u, f) = (d_j + M_{f_j} u, f_j f), so its
-    lattice part, its translates and its level do not depend on f.  Lattice
-    parts are kept one coordinate per array.  Building a batch checks that
-    the stages 1 .. K merge upward.
+    Row i is a point and column u a cell of the lattice box B(0, radius).
+    With t_K = (d, f), a window cell (u, g) sits at t_K (u, g) = (d + M_f u,
+    f g), so its lattice part, its translate and its level do not depend on
+    g.  Lattice parts are kept one coordinate per array.  Cell u lies in the
+    Gamma_K translate p_K (low[i] + unravel(code[i, u], ext)) of D_K, so the
+    codes of one point sort like its translates, and its tower pieces are
+    its distinct codes.
+
+    Only stage K is built.  A census point has t_j = (rep of d mod Gamma_j,
+    f) at every stage j, and the chain has p_j | p_(j+1) and q1^(j+1) = q1^j
+    + c p_j for an integer c (``DomainChain.validate``).  So per axis the
+    stage-(j+1) translate index of a position x, floor((x + q1^(j+1)) /
+    p_(j+1)), is floor((s_j + c) / (p_(j+1) / p_j)) with s_j its stage-j
+    index: every stage-j translate of the window lies in one stage-(j+1)
+    translate, and the lower stages add nothing to the pieces.
     """
 
     def __init__(self, cons: Construction, reps_v: np.ndarray, reps_f: np.ndarray,
-                 radius: int):
-        spec, dom = cons.group, cons.domains
-        n, K = reps_f.shape
-        self.cons, self.depth, self.reps_f = cons, K, reps_f
+                 depth: int, radius: int):
+        spec, K = cons.group, depth
+        self.cons, self.depth = cons, K
         # M_f u for every finite part f, shape (|F|, r, window box)
         moved, _ = spec.mul_arr(0, np.arange(spec.finite_order)[:, None],
                                 _window_box(spec.rank, radius), 0)
         moved = np.ascontiguousarray(moved.transpose(0, 2, 1))
-        self.stages = []
-        for j in range(1, K + 1):
-            f, p = self.reps_f[:, j - 1], cons.chain.level(j)
-            pos = [moved[f, k] + reps_v[:, j - 1, k, None] for k in range(spec.rank)]
-            self.stages.append(_Stage.of(
-                [(x + a) // m for x, a, m in zip(pos, dom.q1[j - 1], p)]))
-        # a stage-j translate lies in one stage-(j+1) translate: the deeper
-        # code is a function of the point and the shallower code
-        for lo, hi in zip(self.stages, self.stages[1:]):
-            key = lo.keys()
-            hi_of = np.empty(n * lo.size, dtype=np.int64)
-            hi_of[key] = hi.code
-            if not np.array_equal(hi_of[key], hi.code):
-                raise SpecError("tower translates do not merge consistently")
-        self.pos = pos  # stage K
+        self.pos = [moved[reps_f, k] + reps_v[:, k, None] for k in range(spec.rank)]
+        low, code, ext = [], 0, []
         flat = 0  # of the rep of each position in the D_K box
-        for x, a, m in zip(pos, dom.q1[K - 1], cons.chain.level(K)):
-            flat = flat * m + (x + a) % m
+        for x, a, m in zip(self.pos, cons.domains.q1[K - 1], cons.chain.level(K)):
+            s, rem = np.divmod(x + a, m)
+            low.append(s.min(axis=1))
+            s -= low[-1][:, None]
+            ext.append(int(s.max()) + 1)
+            code = code * ext[-1] + s
+            flat = flat * m + rem
+        self.low, self.code, self.ext = np.stack(low, axis=-1), code, tuple(ext)
         self.aperiodic = cons.level_array(K)[flat] > K
 
-    def pieces(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Flags (points, top-stage codes): the translates that hold a cell
-        of the window, or of the masked part of it."""
-        top = self.stages[-1]
-        key = top.keys()
-        seen = np.zeros(len(key) * top.size, dtype=bool)
-        seen[key if mask is None else key[mask]] = True
-        return seen.reshape(len(key), top.size)
+    def units(self, point, codes) -> np.ndarray:
+        """Translates of the given codes of the given points, in units of p_K."""
+        return np.stack(np.unravel_index(codes, self.ext), axis=-1) + self.low[point]
 
-    def fiber_rows(self, oracle: EtaWindow,
-                   table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pieces(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Flags (points, codes): the translates that hold a cell of the
+        window, or of the masked part of it."""
+        size = math.prod(self.ext)
+        key = self.code + size * np.arange(len(self.code))[:, None]
+        seen = np.zeros(len(key) * size, dtype=bool)
+        seen[key if mask is None else key[mask]] = True
+        return seen.reshape(len(key), size)
+
+    def fiber_rows(self, N: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rows (point, constant of each aperiodic piece) that the
         orbit approximants realize, in lexicographic order, and the number of
-        approximants of each point.
+        approximants of each point, given the translate table of the level-N
+        oracle.
 
         The approximants of a point are the gamma in Gamma_K that keep gamma
         and the whole window inside the D_N box: per axis the multiples of
@@ -245,10 +214,9 @@ class _Batch:
         piece, a Gamma_K translate tau + D_K, reads the table entry of
         tau + gamma.
         """
-        dom, K, N = self.cons.domains, self.depth, oracle.N
+        dom, K = self.cons.domains, self.depth
         p = np.array(self.cons.chain.level(K))
-        n = len(self.reps_f)
-        top = self.stages[-1]
+        n = len(self.code)
         pt, code = np.nonzero(self.pieces(self.aperiodic))
         count = np.bincount(pt, minlength=n)
         slot = np.arange(len(pt)) - (np.cumsum(count) - count)[pt]
@@ -256,7 +224,7 @@ class _Batch:
         # block b holds the translate b p - (q1^N - q1^K)
         a, b = np.array(dom.q1[N - 1]), np.array(dom.q2(N))
         blocks = np.zeros((n, int(count.max(initial=0)), len(p)), dtype=np.int64)
-        blocks[pt, slot] = top.units(pt, code) + (a - np.array(dom.q1[K - 1])) // p
+        blocks[pt, slot] = self.units(pt, code) + (a - np.array(dom.q1[K - 1])) // p
         real = np.zeros(blocks.shape[:2], dtype=bool)
         real[pt, slot] = True
 
@@ -314,9 +282,9 @@ def census(cons: Construction, depth: int, radius: int,
     count of every odometer point of the given depth, in batches.
 
     The point (t_1, .., t_K) with t_K = (v, f) has t_i = (rep of v mod
-    Gamma_i, f).  Its tower pieces are the deepest-stage translates that
-    hold a cell of its window B(0, radius) R, once the stages 1 .. K are
-    checked to merge upward; its aperiodic pieces hold a cell of level
+    Gamma_i, f).  Its tower pieces are the Gamma_K translates that hold a
+    cell of its window B(0, radius) R, each lower-stage translate lying in
+    one of them (see ``_Batch``); its aperiodic pieces hold a cell of level
     above K; its fiber count is the number of distinct rows of aperiodic
     piece constants that its orbit approximants realize inside the oracle.
     A single point is read as its row of the census.
@@ -340,11 +308,10 @@ def census(cons: Construction, depth: int, radius: int,
     parts = []
     for start in range(0, len(reps), step):
         chunk = slice(start, start + step)
-        batch = _Batch(cons, reps[chunk], np.repeat(fparts[chunk, None], depth, axis=1),
-                       radius)
+        batch = _Batch(cons, reps[chunk, -1], fparts[chunk], depth, radius)
         part = [batch.pieces().sum(axis=1), batch.pieces(batch.aperiodic).sum(axis=1)]
         if table is not None:
-            rows, approximants = batch.fiber_rows(oracle, table)
+            rows, approximants = batch.fiber_rows(oracle.N, table)
             part += [np.bincount(rows[:, 0], minlength=len(approximants)), approximants]
         parts.append(part)
     pieces, aperiodic, *fibers = (np.concatenate(col) for col in zip(*parts))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .lattice import (
     GroupSpec,
     SpecError,
     SubgroupChain,
+    instance_cache,
     read_only,
 )
 
@@ -98,7 +98,7 @@ class Construction:
             return BETA
         return self.alpha(level)
 
-    @lru_cache(maxsize=None)
+    @instance_cache
     def symbol_table(self) -> np.ndarray:
         """``symbol_table()[f, l]`` is ``symbol_from_level(l, f)``, for every
         finite part f and every level 0 .. depth+1 a level array can hold."""
@@ -108,14 +108,14 @@ class Construction:
 
     # -- fresh cells ("not yet periodically filled" part of each box) --------
 
-    @lru_cache(maxsize=None)
+    @instance_cache
     def fresh_bool(self, n: int) -> np.ndarray:
         """Boolean mask of the level-n fresh cells over the D_n box, read-only."""
         return read_only(self.level_array(n) == n + 1)
 
     # -- level stratification -------------------------------------------------
 
-    @lru_cache(maxsize=None)
+    @instance_cache
     def level_array(self, N: int) -> np.ndarray:
         """Stratum level of every cell of the D_N box (values 1 .. N+1),
         read-only.
@@ -268,7 +268,7 @@ class EtaWindow:
     def spec(self) -> GroupSpec:
         return self.cons.group
 
-    @lru_cache(maxsize=None)
+    @instance_cache
     def symbol_array(self, fpart: int) -> np.ndarray:
         """Symbol of every cell of the window at finite part fpart, read-only."""
         return read_only(self.cons.symbol_table()[fpart][self.levels])

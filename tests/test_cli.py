@@ -3,6 +3,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toeplitz_lab import decks, measures, periods, verify
 from toeplitz_lab.cli import main
@@ -189,6 +190,101 @@ def test_invalid_chain_is_config_error(tmp_path):
     assert run(["gen-group", "--config", str(path)]) == 2
     with pytest.raises(SpecError):
         decks.load_deck(str(path))
+
+
+@pytest.mark.parametrize("edits,named", [
+    pytest.param({"chain": ["ab", "cd"]}, "chain", id="chain-strings"),
+    pytest.param({"chain": [[[5], [5]]]}, "chain", id="chain-too-deep"),
+    pytest.param({"offsets": "centred"}, "offsets", id="offsets-string"),
+    pytest.param({"offsets": [["2", "2"]] * 5}, "offsets", id="offsets-strings"),
+    pytest.param({"offsets": [[2], [12], [62], [312], [1562]]}, "offsets have wrong rank",
+                 id="offsets-short-rows"),
+    pytest.param({"group.table": [["0"]]}, "group.table", id="table-string"),
+    pytest.param({"group.table": [], "group.action": []}, "table is empty",
+                 id="table-empty"),
+    pytest.param({"group.action": [[[1.0, 0.0], [0.0, 1.0]]]}, "group.action",
+                 id="action-floats"),
+    pytest.param({"group.rank": True}, "group.rank", id="rank-boolean"),
+    pytest.param({"williams_periods": ["6", "36"]}, "williams_periods",
+                 id="periods-strings"),
+    pytest.param({"m": 2.7}, "m must be", id="m-float"),
+])
+def test_malformed_deck_file_is_config_error(edits, named, tmp_path, capsys):
+    """A deck file with a string, a float, a boolean or a list one level too
+    deep in an integer field, or with rows or tables of the wrong size, exits
+    2 naming the field or the fault; it neither raises a TypeError or an
+    IndexError nor rounds the value."""
+    doc = decks.deck_to_config(decks.bundled_deck("z2-m2"))
+    for field, value in edits.items():
+        outer, _, key = field.rpartition(".")
+        (doc[outer] if outer else doc)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["show-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10_000) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=32),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8)
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bundled deck's configuration with one to three nodes replaced by
+    arbitrary JSON, deleted, or nudged (an integer moved by up to 3, or
+    turned into a float or a string)."""
+    doc = decks.deck_to_config(decks.bundled_deck(draw(st.sampled_from(decks.BUNDLED))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        old = doc
+        for key in path:
+            old = old[key]
+        kind = draw(st.sampled_from(["replace", "delete", "nudge"]))
+        if kind == "nudge" and isinstance(old, int) and not isinstance(old, bool):
+            new = draw(st.sampled_from([old + draw(st.integers(-3, 3)), float(old),
+                                        str(old)]))
+        else:
+            new = draw(_JSON)
+        if not path:
+            doc = new
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_mutated_configs_load_or_raise_spec_error(doc):
+    """Every mutated configuration either loads as a deck that validates,
+    hashes (the construction cache needs it) and survives a round trip, or
+    raises SpecError; no other exception escapes."""
+    try:
+        deck = decks.deck_from_config(doc)
+    except SpecError:
+        return
+    deck.validate()
+    hash(deck)
+    assert decks.deck_from_config(json.loads(json.dumps(decks.deck_to_config(deck)))) == deck
 
 
 def test_gen_z_outputs(tmp_path):

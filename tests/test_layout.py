@@ -16,6 +16,12 @@ No numpy call in src/ takes a slow route to rows or matrix actions:
 ``np.unique(..., axis=...)`` sorts through a structured dtype, and
 ``np.einsum`` over gathered matrices loses to a matrix product or a column
 sum.
+
+No method in src/ is memoised by ``functools.lru_cache`` or
+``functools.cache``: their cache lives on the class and keeps every instance
+alive, so a method keeps its results on its instance
+(``lattice.instance_cache``).  Module-level memos keyed by value, such as
+``decks.construction``, stay allowed.
 """
 
 import ast
@@ -145,3 +151,52 @@ def test_slow_numpy_guard_sees_both_forms():
     hits = _slow_numpy_calls(source, "x.py")
     assert [h.split(":")[1] for h in hits] == ["2", "4"]
     assert "lattice.unique_rows" in hits[0] and "v @ M.T" in hits[1]
+
+
+_CLASS_CACHES = ("lru_cache", "cache")
+
+
+def _class_cached_methods(source: str, name: str) -> list[str]:
+    """Each method in the source decorated by ``lru_cache`` or ``cache``,
+    bare, called or reached as ``functools.<name>``."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                word = getattr(target, "id", getattr(target, "attr", None))
+                if word in _CLASS_CACHES:
+                    out.append(f"{name}:{node.lineno}: {cls.name}.{node.name} is "
+                               f"memoised on its class; use lattice.instance_cache")
+    return out
+
+
+def test_no_method_is_cached_on_its_class():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _class_cached_methods(path.read_text(), path.name)]
+    assert found == [], "\n".join(found)
+
+
+def test_class_cache_guard_sees_every_form():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=None)\n"
+              "def by_value(x): ...\n"
+              "class A:\n"
+              "    @lru_cache(maxsize=None)\n"
+              "    def a(self): ...\n"
+              "    @functools.lru_cache\n"
+              "    def b(self): ...\n"
+              "    @cache\n"
+              "    def c(self): ...\n"
+              "    @functools.cache\n"
+              "    def d(self): ...\n"
+              "    @property\n"
+              "    def e(self): ...\n")
+    hits = _class_cached_methods(source, "x.py")
+    assert [h.split(":")[1] for h in hits] == ["7", "9", "11", "13"]
+    assert all("lattice.instance_cache" in h for h in hits)

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_toeplitz import shifted_constructions
 
 from toeplitz_lab import decks, periods, verify
 from toeplitz_lab.lattice import SpecError, Vec, decompose_right
@@ -68,9 +70,10 @@ def _census_points(counts):
 
 
 def _batch(cons, points, radius):
-    reps_v = np.array([[v for v, _ in c] for c in points], dtype=np.int64)
-    reps_f = np.array([[f for _, f in c] for c in points], dtype=np.intp)
-    return _Batch(cons, reps_v, reps_f, radius)
+    """The census batch of the given points, which reads their deepest reps."""
+    reps_v = np.array([c[-1][0] for c in points], dtype=np.int64)
+    reps_f = np.array([c[-1][1] for c in points], dtype=np.intp)
+    return _Batch(cons, reps_v, reps_f, len(points[0]), radius)
 
 
 def _point_of(counts, t):
@@ -450,8 +453,8 @@ def test_tower_pieces_single_piece_near_origin():
     coords = _code(cons, cons.group.identity, 3)
     counts = census(cons, 3, 10)
     assert counts.pieces[_census_points(counts).index(coords)] == 1
-    top = _batch(cons, [coords], 10).stages[-1]
-    assert top.units(0, np.unique(top.code[0])).tolist() == [[0]]
+    batch = _batch(cons, [coords], 10)
+    assert batch.units(0, np.unique(batch.code[0])).tolist() == [[0]]
 
 
 def test_tower_pieces_cover_and_disjoint():
@@ -612,17 +615,39 @@ def test_depth3_census_of_z2():
 
 def test_incompatible_coords_do_not_merge():
     """t_1 = 0 is not t_2 = (12, 0) mod Gamma_1, so a stage-1 translate of
-    the window straddles the stage-2 boundary at u_1 = 1."""
+    the window straddles the stage-2 boundary at u_1 = 1.  The census never
+    builds such a point, and its batches read t_K alone (see
+    ``test_single_stage_pieces_match_the_merging_reference``)."""
     cons = decks.construction(decks.bundled_deck("z2-m2"))
     bad = (((0, 0), 0), ((12, 0), 0))
     assert not _coords_compatible(cons, bad)
-    good = _census_points(census(cons, 2, 8))[:3]
-    _batch(cons, good, 8)
+    assert bad not in _census_points(census(cons, 2, 0))
     with pytest.raises(SpecError, match="tower translates do not merge consistently"):
         _tower_pieces_reference(cons, bad, 8)
-    for points in ([bad], good + [bad]):
-        with pytest.raises(SpecError, match="tower translates do not merge consistently"):
-            _batch(cons, points, 8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shifted_constructions(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_single_stage_pieces_match_the_merging_reference(cons, radius, rnd):
+    """On off-centre chains of rank 1-3 and depth 2-3, the census reads the
+    pieces off stage K alone.  They equal the pieces of the reference, which
+    builds every stage 1 .. K and raises if a stage-j translate of the window
+    straddles two stage-(j+1) translates: the translates, their number and
+    the number that hold an aperiodic cell, on up to 6 points per depth of
+    every census of at most 20,000 points."""
+    for depth in range(2, cons.depth + 1):
+        if cons.domains.size(depth) > 20_000:
+            break
+        counts = census(cons, depth, radius)
+        points = _census_points(counts)
+        p = np.array(cons.chain.level(depth))
+        for i in sorted(rnd.sample(range(len(points)), min(6, len(points)))):
+            pieces = _tower_pieces_reference(cons, points[i], radius)
+            assert counts.pieces[i] == len(pieces)
+            assert counts.aperiodic_pieces[i] == sum(1 for q in pieces if q.aperiodic_cells)
+            batch = _batch(cons, [points[i]], radius)
+            units = batch.units(0, np.unique(batch.code[0]))
+            assert [tuple(v) for v in (units * p).tolist()] == [q.top_gamma for q in pieces]
 
 
 def test_corrupted_oracle_is_not_constant_on_a_piece():

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -264,6 +266,26 @@ def test_cached_arrays_are_read_only(name):
         corner = (0,) * arr.ndim
         with pytest.raises(ValueError, match="read-only"):
             arr[corner] = arr[corner]
+
+
+@pytest.mark.parametrize("name", ["dihedral-m2", "z2-m2"])
+def test_cached_arrays_go_with_their_instance(name):
+    """The cached arrays live on their instance: repeated calls return the
+    same object, and a dropped construction, window or domain chain is freed
+    with its arrays."""
+    deck = decks.bundled_deck(name)
+    domains = DomainChain(deck.chain, deck.domains.q1)
+    cons = Construction(ConstructionParams(deck.group, deck.chain, domains, deck.m,
+                                           deck.variant))
+    win = cons.window(3)
+    for read in (lambda: cons.level_array(3), lambda: cons.fresh_bool(2),
+                 cons.symbol_table, lambda: win.symbol_array(0),
+                 lambda: domains.box_coords(2)):
+        assert read() is read()
+    refs = [weakref.ref(x) for x in (cons, win, domains, win.symbol_array(0))]
+    del cons, win, domains, read
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_normal_variant_requires_trivial_finite_part():
