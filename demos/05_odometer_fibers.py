@@ -16,7 +16,7 @@ from toeplitz_lab.periods import census
 
 deck = bundled_deck("z2-m2")
 cons = construction(deck)
-counts = census(cons, 2, 8, cons.window(3))
+counts = census(cons, 2, 8, 3)
 
 # the point of (13, -4): t_2 is its rep modulo Gamma_2, with finite part 0
 t2 = cons.domains.rep((13, -4), 2)

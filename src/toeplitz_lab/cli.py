@@ -71,6 +71,9 @@ def cmd_gen_z(deck, args) -> int:
     if deck.williams is None:
         raise SpecError("deck has no 1-d period sequence")
     wp = deck.williams
+    if args.window is None and wp.depth < 2:
+        raise SpecError(f"gen-z without --window needs 2 periods (window 2 p_2), "
+                        f"got {wp.depth}")
     N = 2 * wp.periods[1] if args.window is None else args.window
     patch = williams.generate(wp, N)
     out = _out_dir(args, deck.name, "gen-z")
@@ -120,8 +123,8 @@ def cmd_gen_group(deck, args) -> int:
                 cells = coords[part]
                 w.writerows(np.column_stack([np.full(len(cells), f), cells,
                                              syms[part], win.levels[part]]).tolist())
-    strata = {int(l): int(c) for l, c in
-              zip(*np.unique(win.levels, return_counts=True))}
+    # the measures' count of each level, kept per read-only level array
+    strata = {l: c for l, c in enumerate(measures._level_counts(cons, N).tolist()) if c}
     _, fresh_ok = verify.fresh_dual(cons, min(N, cons.depth - 1))
     _write_json(out / "summary.json", {
         "deck": deck.name,
@@ -355,6 +358,12 @@ def main(argv=None) -> int:
         return handlers[args.command](deck, args)
     except (SpecError, DepthExhausted) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a valid deck whose boxes outgrow the memory (numpy names the
+        # allocation: its size, shape and data type)
+        print(f"configuration error: the deck's boxes do not fit in memory: "
+              f"{exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

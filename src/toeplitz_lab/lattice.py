@@ -348,6 +348,18 @@ class DomainChain:
         grids = np.meshgrid(*axes, indexing="ij")
         return read_only(np.stack([g.ravel() for g in grids], axis=-1))
 
+    @instance_cache
+    def translates(self, n: int, N: int) -> np.ndarray:
+        """The Gamma_n elements whose D_n translates tile the D_N box, n <= N:
+        shape (count, rank), lexicographic order; read-only.
+
+        Since q1^N = q1^n mod p^n, they are b p^n - (q1^N - q1^n) for the
+        block index b of every p^n block of the D_N box."""
+        axes = [np.arange(P // p, dtype=np.int64) * p - (qN - qn) for p, P, qN, qn in
+                zip(self.chain.level(n), self.chain.level(N), self.q1[N - 1], self.q1[n - 1])]
+        grids = np.meshgrid(*axes, indexing="ij")
+        return read_only(np.stack([g.ravel() for g in grids], axis=-1))
+
     def enumerate_box(self, i: int):
         q1 = self.q1[i - 1]
         q2 = self.q2(i)

@@ -50,7 +50,7 @@ def _level_counts(cons: Construction, n: int) -> np.ndarray:
     Counted once per read-only level array (``_once_per_array``):
     every identity that reads these counts certifies the array as it stands,
     and it can no longer change.  A writeable or substituted array is
-    counted again.
+    counted again.  The gen-group summary reports these counts too.
     """
     return _once_per_array(cons, ("level_counts", n), (cons.level_array(n),),
                            partial(_count_levels, n))
@@ -162,24 +162,18 @@ def density_product_check(cons: Construction, n: int) -> DensityCheck:
 # -- cell classes -------------------------------------------------------------
 
 
-def _gamma_axes(cons: Construction, n: int, N: int) -> list[np.ndarray]:
-    """Per axis, the coordinates of the gammas in Gamma_n inside the D_N box."""
-    dom = cons.domains
-    return [np.arange(b // a, dtype=np.int64) * a - (qN - qn) for a, b, qN, qn in
-            zip(cons.chain.level(n), cons.chain.level(N), dom.q1[N - 1], dom.q1[n - 1])]
-
-
-def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
-    """Class level of every gamma in Gamma_n inside the D_N box, lex order,
-    read-only.
+def class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
+    """Class level of every Gamma_n translate of D_n inside the D_N box,
+    n <= N, in the lexicographic order of ``DomainChain.translates``,
+    read-only.  At N = n the one class is D_n itself, at level n + 1.
 
     Built once per read-only pair of ``level_array(N)`` and ``fresh_bool(n)``
     (``_once_per_array``), so every identity that reads the table
     certifies those arrays as they stand, and they can no longer change.  A
     writeable or substituted array is read again.
     """
-    if N <= n:
-        raise SpecError("need a deeper window than the class level")
+    if N < n:
+        raise SpecError(f"a level-{N} box is shallower than the level-{n} classes")
     return _once_per_array(cons, ("class_levels", n, N),
                            (cons.level_array(N), cons.fresh_bool(n)),
                            partial(_class_table, cons, n, N))
@@ -187,7 +181,7 @@ def _class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
 
 def _class_table(cons: Construction, n: int, N: int, levels: np.ndarray,
                  fresh: np.ndarray) -> np.ndarray:
-    """The table of ``_class_levels`` from the level-N array and the level-n
+    """The table of ``class_levels`` from the level-N array and the level-n
     fresh mask themselves.
 
     The class of gamma is its block of ``Construction.translate_blocks`` read
@@ -223,9 +217,7 @@ def _class_table(cons: Construction, n: int, N: int, levels: np.ndarray,
     for bad, what in ((marker, "touched the marker stratum"),
                       (varies, "is not constant on the fresh set")):
         if bad.any():
-            axes = _gamma_axes(cons, n, N)
-            b = np.unravel_index(int(np.argmax(bad)), [len(ax) for ax in axes])
-            gamma = tuple(int(ax[i]) for ax, i in zip(axes, b))
+            gamma = tuple(cons.domains.translates(n, N)[int(np.argmax(bad))].tolist())
             raise ConstructionError(f"cell of gamma={gamma} {what}")
     return read_only(lo)
 
@@ -236,16 +228,14 @@ def cell_symbols(cons: Construction, n: int, N: int) -> list[tuple[tuple[int, ..
     The class symbol is the constant of the array on gamma * fresh(n) * R;
     non-constancy aborts, it would break the partition the measures rely on.
     """
-    levels = _class_levels(cons, n, N)
-    grids = np.meshgrid(*_gamma_axes(cons, n, N), indexing="ij")
-    gammas = np.stack([g.ravel() for g in grids], axis=-1)
+    gammas = cons.domains.translates(n, N)
     return [(g, cons.alpha(l)) for g, l in
-            zip(map(tuple, gammas.tolist()), levels.tolist())]
+            zip(map(tuple, gammas.tolist()), class_levels(cons, n, N).tolist())]
 
 
 def mu_cell_vector(cons: Construction, n: int, N: int) -> tuple[Fraction, ...]:
     """(mu_N of the level-n class with symbol i)_{i=1..m}, exact."""
-    levels = _class_levels(cons, n, N)
+    levels = class_levels(cons, n, N)
     F = cons.group.finite_order
     total = cons.domains.size(N) * F
     counts = [0] * (cons.m + 1)

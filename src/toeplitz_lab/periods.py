@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import measures
 from .lattice import Elt, EltArr, SpecError, read_only, unique_rows
 from .toeplitz import Construction, EtaWindow
 
@@ -41,11 +42,9 @@ def per_set_exact(win: EtaWindow, i: int, alpha: int | None = None) -> set[Elt]:
 
 
 def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> EltArr:
-    """Gamma_i elements whose vector lies in the level box, canonical order."""
-    dom = cons.domains
-    axes = [np.arange(-(a // p) * p, b, p, dtype=np.int64) for p, a, b in
-            zip(cons.chain.level(i), dom.q1[level - 1], dom.q2(level))]
-    v = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    """Gamma_i elements whose vector lies in the level box, canonical order
+    (``DomainChain.translates``), each with finite part 0."""
+    v = cons.domains.translates(i, level)
     return v, np.zeros(len(v), dtype=np.intp)
 
 
@@ -203,8 +202,8 @@ class _Batch:
     def fiber_rows(self, N: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rows (point, constant of each aperiodic piece) that the
         orbit approximants realize, in lexicographic order, and the number of
-        approximants of each point, given the translate table of the level-N
-        oracle.
+        approximants of each point, given the symbol of every Gamma_K
+        translate of D_K inside the D_N box (``census``).
 
         The approximants of a point are the gamma in Gamma_K that keep gamma
         and the whole window inside the D_N box: per axis the multiples of
@@ -242,22 +241,8 @@ class _Batch:
         for j in range(1, len(p)):
             flat = flat * nb[j] + at[..., j]
         syms = np.where(real[:, None], table[flat], 0)[valid]
-        if np.any(syms < 0):
-            raise SpecError("approximant not constant on a tower piece")
         rows = np.column_stack([np.nonzero(valid)[0], syms])
         return unique_rows(rows)[0], valid.sum(axis=1)
-
-
-def _translate_table(cons: Construction, K: int, oracle: EtaWindow) -> np.ndarray:
-    """For each Gamma_K translate of D_K inside the oracle box, in
-    lexicographic order: the symbol the oracle reads on its level-K fresh
-    cells x R, or -1 where that is not constant."""
-    if oracle.N < K:
-        raise SpecError(f"an oracle window of level {oracle.N} is shallower "
-                        f"than the depth-{K} odometer points")
-    levels = cons.translate_levels(oracle.levels, K, oracle.N)
-    syms = cons.symbol_table()[:, levels].transpose(1, 0, 2).reshape(len(levels), -1)
-    return np.where(np.all(syms == syms[:, :1], axis=1), syms[:, 0], -1)
 
 
 # -- the census -----------------------------------------------------------------
@@ -266,19 +251,20 @@ def _translate_table(cons: Construction, K: int, oracle: EtaWindow) -> np.ndarra
 @dataclass(frozen=True, eq=False)
 class Census:
     """The odometer points of one depth K in canonical order (finite part,
-    then the lattice part of t_K), and their counts."""
+    then the lattice part of t_K), and their counts.  The fiber counts and
+    approximants are read inside the D_N box of an oracle level N, and are
+    None when ``census`` is given none."""
 
     reps: np.ndarray                 # lattice parts of t_1 .. t_K, (points, K, r)
     fparts: np.ndarray               # the finite part shared by t_1 .. t_K
     pieces: np.ndarray               # tower pieces meeting the window
     aperiodic_pieces: np.ndarray     # pieces that hold an aperiodic cell
-    fibers: np.ndarray | None        # realized patches, given an oracle
-    approximants: np.ndarray | None  # orbit approximants, given an oracle
+    fibers: np.ndarray | None        # realized patches, given an oracle level
+    approximants: np.ndarray | None  # orbit approximants, given an oracle level
 
 
-def census(cons: Construction, depth: int, radius: int,
-           oracle: EtaWindow | None = None) -> Census:
-    """Tower pieces, aperiodic pieces and, given an oracle window, the fiber
+def census(cons: Construction, depth: int, radius: int, N: int | None = None) -> Census:
+    """Tower pieces, aperiodic pieces and, given an oracle level N, the fiber
     count of every odometer point of the given depth, in batches.
 
     The point (t_1, .., t_K) with t_K = (v, f) has t_i = (rep of v mod
@@ -286,14 +272,16 @@ def census(cons: Construction, depth: int, radius: int,
     cell of its window B(0, radius) R, each lower-stage translate lying in
     one of them (see ``_Batch``); its aperiodic pieces hold a cell of level
     above K; its fiber count is the number of distinct rows of aperiodic
-    piece constants that its orbit approximants realize inside the oracle.
+    piece constants that its orbit approximants realize inside the D_N box.
     A single point is read as its row of the census.
 
-    The oracle is read once, into the table of its Gamma_K translates, and
-    then once per (point, approximant, aperiodic piece).  So a "not constant
-    on a tower piece" SpecError means that a translate some approximant
-    reads is not constant on its whole level-K fresh part x R: a superset of
-    the cells the window sees.
+    The oracle is the class table of the Gamma_K translates of D_K inside the
+    D_N box (``measures.class_levels``), mapped to symbols: class levels are
+    at least 2, so a class symbol does not depend on the finite part.  It is
+    read once per (point, approximant, aperiodic piece).  Building it
+    certifies every translate constant on its level-K fresh cells x R, a
+    superset of the cells any window sees; a translate that is not raises
+    ConstructionError naming its gamma, and N < K raises SpecError.
     """
     spec, dom = cons.group, cons.domains
     box = dom.box_coords(depth)
@@ -301,7 +289,7 @@ def census(cons: Construction, depth: int, radius: int,
     reps = np.tile(np.stack([dom.rep_arr(box, i) for i in range(1, depth + 1)], axis=1),
                    (F, 1, 1))
     fparts = np.repeat(np.arange(F, dtype=np.intp), len(box))
-    table = None if oracle is None else _translate_table(cons, depth, oracle)
+    table = None if N is None else cons.symbol_table()[0][measures.class_levels(cons, depth, N)]
     cells = len(_window_box(spec.rank, radius))
     # a point has at most one approximant per translate in the table
     step = max(1, _CHUNK_CELLS // max(cells, 0 if table is None else len(table)))
@@ -311,7 +299,7 @@ def census(cons: Construction, depth: int, radius: int,
         batch = _Batch(cons, reps[chunk, -1], fparts[chunk], depth, radius)
         part = [batch.pieces().sum(axis=1), batch.pieces(batch.aperiodic).sum(axis=1)]
         if table is not None:
-            rows, approximants = batch.fiber_rows(oracle.N, table)
+            rows, approximants = batch.fiber_rows(N, table)
             part += [np.bincount(rows[:, 0], minlength=len(approximants)), approximants]
         parts.append(part)
     pieces, aperiodic, *fibers = (np.concatenate(col) for col in zip(*parts))

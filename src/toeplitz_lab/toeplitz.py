@@ -9,7 +9,6 @@ stratification of a box, never from extrapolated moduli.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -240,15 +239,6 @@ class Construction:
         split = [x for pair in zip(nblocks, p) for x in pair]
         order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
         return np.asarray(levels).reshape(split).transpose(order)
-
-    def translate_levels(self, levels: np.ndarray, n: int, N: int) -> np.ndarray:
-        """A level array of the D_N box read at the level-n fresh cells of
-        every Gamma_n translate of D_n inside it: one row per translate, in
-        lexicographic order of the translate (see ``translate_blocks``)."""
-        p = self.chain.level(n)
-        blocks = self.translate_blocks(levels, n, N)
-        rows = math.prod(blocks.shape[:len(p)])
-        return blocks[..., self.fresh_bool(n).reshape(p)].reshape(rows, -1)
 
     # -- windows --------------------------------------------------------------
 

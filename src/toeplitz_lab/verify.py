@@ -212,7 +212,8 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     point at the safe radius of the classical sequence, where one
     not-yet-periodic cluster meets the window (the bound m holds only
     there); fibers of group decks come from the same census, through orbit
-    approximants inside the level-3 window at the given radius.  A point
+    approximants inside the level-3 box at the given radius, which read its
+    Gamma_2 class table (``measures.class_levels(cons, 2, 3)``).  A point
     whose fiber no approximant reaches is refused: an empty fiber would pass
     any bound.  Every row of an invertible integer matrix is nonzero, so a
     window wider than the level-3 box on some axis leaves no approximant
@@ -223,7 +224,7 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     if wp is None and 2 * radius + 1 > min(cons.chain.level(3)):
         raise SpecError(f"no orbit approximant fits a window of radius {radius} "
                         f"inside the level-3 box {cons.chain.level(3)}")
-    counts = periods.census(cons, 2, radius, None if wp else cons.window(3))
+    counts = periods.census(cons, 2, radius, None if wp else 3)
     if wp is not None:
         # at depth 2 the safe radius is at most p_1, so the probe patch also
         # holds every fiber window; fiber_scan refuses one too small
@@ -304,8 +305,8 @@ def independence_search(deck: deckmod.Deck, target: int | None = None,
     set of the target size (default 3 on two-symbol 1-d decks, else 2).
 
     1-d decks search the classical sequence with margin and candidate radius
-    p_3; group decks search the symbols 1 and 2 in the level-3 window with
-    candidates of radius 15.
+    p_3, so they need 4 periods; group decks search the symbols 1 and 2 in
+    the level-3 window with candidates of radius 15.
     """
     wp = deck.williams
     if target is None:
@@ -313,6 +314,9 @@ def independence_search(deck: deckmod.Deck, target: int | None = None,
     if target < 1:
         raise SpecError(f"independence set size must be at least 1, got {target}")
     if wp is not None:
+        if wp.depth < 4:
+            raise SpecError(f"the independence search of a 1-d deck reads p_3 and "
+                            f"p_4, so it needs 4 periods, got {wp.depth}")
         radius = wp.periods[2]
         eta = williams.generate(wp, 2 * wp.periods[3] + radius + 50)
         oracle = ind.ZOracle(eta, margin=radius + 1)

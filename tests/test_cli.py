@@ -1,10 +1,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toeplitz_lab
 from toeplitz_lab import decks, measures, periods, verify
 from toeplitz_lab.cli import main
 from toeplitz_lab.lattice import SpecError
@@ -92,6 +99,55 @@ def test_out_of_range_options_are_named(argv, option, shown, tmp_path, capsys):
     assert err.startswith("configuration error:")
     assert option in err and shown in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,periods,needed", [
+    pytest.param("independence", [6, 36, 432], "needs 4 periods, got 3", id="independence-3"),
+    pytest.param("independence", [6, 36], "needs 4 periods, got 2", id="independence-2"),
+    pytest.param("independence", [6], "needs 4 periods, got 1", id="independence-1"),
+    pytest.param("gen-z", [6], "needs 2 periods (window 2 p_2), got 1", id="gen-z-1"),
+])
+def test_short_period_lists_are_config_errors(command, periods, needed, tmp_path, capsys):
+    """A 1-d deck with fewer periods than a command reads exits 2 naming the
+    depth it needs, not 1 with an IndexError."""
+    doc = decks.deck_to_config(decks.bundled_deck("williams-m2"))
+    doc["williams_periods"] = periods
+    path = tmp_path / "deck.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and needed in err
+    assert not out.exists()
+
+
+def _capped_child(limit):
+    """Cap the address space of a child process at ``limit`` bytes."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["gen-group", "measures"])
+def test_a_deck_too_big_for_memory_is_config_error(command, tmp_path):
+    """A deck whose moduli are valid but whose level-2 box has 7 * 10^12
+    cells loads, and then exits 2 naming the allocation that failed, not 1
+    with a traceback.  The child's address space is capped at 2 GiB, so the
+    allocation fails at once on any host."""
+    doc = decks.deck_to_config(decks.bundled_deck("dihedral-m2"))
+    doc["chain"], doc["offsets"] = [[7], [7_000_000_000_000]], "auto"
+    path = tmp_path / "deck.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(toeplitz_lab.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "toeplitz_lab.cli", command, "--config", str(path),
+         "--level", "2", "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=partial(_capped_child, 2 << 30))
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("configuration error:")
+    assert "Unable to allocate 12.7 TiB" in child.stderr
+    assert "Traceback" not in child.stderr
 
 
 def test_smallest_reach_is_accepted(tmp_path):
@@ -351,6 +407,28 @@ def test_measures_counts_each_level_once(tmp_path, monkeypatch):
     assert run(["measures", "--config", "swap-m2", "--level", "4",
                 "--out", str(tmp_path)]) == 0
     assert counted == [1, 2, 3, 4]
+
+
+def test_gen_group_reports_the_measures_level_counts(tmp_path, monkeypatch):
+    """The strata of the gen-group summary are the measures' level counts of
+    the level array, counted once."""
+    cons = Construction(decks.bundled_deck("dihedral-m2").params())
+    monkeypatch.setattr(decks, "construction", lambda deck: cons)
+    counted = []
+    real = measures._count_levels
+
+    def counting(n, lvl):
+        counted.append(n)
+        return real(n, lvl)
+
+    monkeypatch.setattr(measures, "_count_levels", counting)
+    out = tmp_path / "o"
+    assert run(["gen-group", "--config", "dihedral-m2", "--level", "3",
+                "--out", str(out)]) == 0
+    doc = json.loads((out / "dihedral-m2" / "gen-group" / "summary.json").read_text())
+    want = np.bincount(cons.level_array(3))
+    assert doc["strata_cells_per_level"] == {str(l): int(c) for l, c in enumerate(want) if c}
+    assert counted == [3]
 
 
 def test_gen_group_and_measures(tmp_path):

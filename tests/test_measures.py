@@ -158,8 +158,11 @@ GROUP_DECKS = ("z2-m2", "swap-m2", "dihedral-m2")
 
 
 def _class_levels_reference(cons, n, N):
-    """Class levels by gathering every class row and reducing it by min and max."""
-    cells = cons.translate_levels(cons.level_array(N), n, N)
+    """Class levels by gathering every class row off the translate blocks and
+    reducing it by min and max."""
+    fresh = cons.fresh_bool(n)
+    blocks = cons.translate_blocks(cons.level_array(N), n, N)
+    cells = blocks[..., fresh.reshape(cons.chain.level(n))].reshape(-1, np.count_nonzero(fresh))
     lo, hi = cells.min(axis=1), cells.max(axis=1)
     assert (lo > 1).all() and (lo == hi).all()
     return lo
@@ -222,9 +225,21 @@ def test_class_levels_match_gathered_rows(name):
     cons = decks.construction(decks.bundled_deck(name))
     for N in range(2, cons.depth + 1):
         for n in range(1, N):
-            got = measures._class_levels(cons, n, N)
+            got = measures.class_levels(cons, n, N)
             want = _class_levels_reference(cons, n, N)
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, N)
+
+
+@pytest.mark.parametrize("name", GROUP_DECKS)
+def test_class_levels_at_their_own_level_and_shallower(name):
+    """At N = n the one class is D_n itself, at level n + 1, named by the
+    zero translate; a shallower box is refused."""
+    cons = decks.construction(decks.bundled_deck(name))
+    for n in range(1, cons.depth + 1):
+        assert measures.class_levels(cons, n, n).tolist() == [n + 1], n
+        assert cons.domains.translates(n, n).tolist() == [[0] * cons.group.rank], n
+    with pytest.raises(SpecError, match="level-2 box is shallower than the level-3"):
+        measures.class_levels(cons, 3, 2)
 
 
 def _corrupt(monkeypatch, cons, N, cells):

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from collections import Counter, namedtuple
 from itertools import product
 
@@ -17,7 +19,7 @@ from toeplitz_lab.periods import (
     per_set_exact,
     subgroup_elements_in_window,
 )
-from toeplitz_lab.toeplitz import EtaWindow
+from toeplitz_lab.toeplitz import Construction, ConstructionError, EtaWindow
 
 
 def _flat(dom, arr, i):
@@ -474,7 +476,7 @@ def test_fiber_of_toeplitz_coords_is_singleton():
     cons = dihedral()
     coords = _code(cons, cons.group.identity, 4)
     assert _aperiodic_cells(cons, coords, 5) == set()
-    counts = census(cons, 4, 5, cons.window(5))
+    counts = census(cons, 4, 5, 5)
     i = _census_points(counts).index(coords)
     assert counts.fibers[i] == 1 and counts.aperiodic_pieces[i] == 0
     assert counts.approximants[i] > 0
@@ -571,7 +573,7 @@ def _tower_pieces_reference(cons, coords, radius):
 def test_census_matches_scalar_reference(deck_name, stride, radius):
     cons = decks.construction(decks.bundled_deck(deck_name))
     win = cons.window(3)
-    counts = census(cons, 2, radius, win)
+    counts = census(cons, 2, radius, 3)
     points = _census_points(counts)
     for i in range(0, len(points), stride):
         coords = points[i]
@@ -607,7 +609,7 @@ def test_depth3_census_of_z2():
     """The z2-m2 census at depth 3, window(4), radius 8, through the batched
     core (15,625 points, many batches)."""
     cons = decks.construction(decks.bundled_deck("z2-m2"))
-    counts = census(cons, 3, 8, cons.window(4))
+    counts = census(cons, 3, 8, 4)
     assert dict(Counter(counts.fibers.tolist())) == {1: 81, 2: 11800, 3: 3488, 5: 256}
     assert dict(Counter(counts.pieces.tolist())) == {1: 11881, 2: 3488, 4: 256}
     assert counts.approximants.min() > 0
@@ -650,10 +652,87 @@ def test_single_stage_pieces_match_the_merging_reference(cons, radius, rnd):
             assert [tuple(v) for v in (units * p).tolist()] == [q.top_gamma for q in pieces]
 
 
-def test_corrupted_oracle_is_not_constant_on_a_piece():
+def _translate_table_reference(cons, K, oracle):
+    """The table the fiber census once built for itself, kept as the
+    reference for the class table it reads now: for each Gamma_K translate of
+    D_K inside the oracle box, in lexicographic order, the symbol the oracle
+    reads on its level-K fresh cells x R, or -1 where that is not constant."""
+    p = cons.chain.level(K)
+    blocks = cons.translate_blocks(oracle.levels, K, oracle.N)
+    levels = blocks[..., cons.fresh_bool(K).reshape(p)].reshape(
+        math.prod(blocks.shape[:len(p)]), -1)
+    syms = cons.symbol_table()[:, levels].transpose(1, 0, 2).reshape(len(levels), -1)
+    return np.where(np.all(syms == syms[:, :1], axis=1), syms[:, 0], -1)
+
+
+def _census_table(cons, K, N):
+    """The table ``census`` hands its batches at depth K and oracle level N,
+    caught on its way into ``_Batch.fiber_rows`` (radius 0)."""
+    seen = []
+    real = _Batch.fiber_rows
+
+    def spy(self, level, table):
+        seen.append(table)
+        return real(self, level, table)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Batch, "fiber_rows", spy)
+        census(cons, K, 0, N)
+    assert seen and all(t is seen[0] for t in seen)
+    return seen[0]
+
+
+def _table_pairs(cons, cells=1_000_000):
+    """Every (K, N), K <= N, whose D_N box has at most ``cells`` cells x R."""
+    F = cons.group.finite_order
+    return [(K, N) for N in range(1, cons.depth + 1)
+            if cons.domains.size(N) * F <= cells for K in range(1, N + 1)]
+
+
+def _member_scan(cons, K, N):
+    """The Gamma_K elements of the D_N box by a modulus check of every cell."""
+    box = cons.domains.box_coords(N)
+    return box[np.all(box % np.array(cons.chain.level(K)) == 0, axis=1)]
+
+
+@pytest.mark.parametrize("deck_name", decks.BUNDLED)
+def test_census_table_matches_the_translate_reference(deck_name):
+    """The census reads the measures' class table mapped to symbols; on
+    every (K, N) that fits it equals the table the census once built from
+    the oracle window, and the translates are the members of the box."""
+    cons = decks.construction(decks.bundled_deck(deck_name))
+    for K, N in _table_pairs(cons):
+        table = _census_table(cons, K, N)
+        want = _translate_table_reference(cons, K, cons.window(N))
+        assert table.dtype == want.dtype and np.array_equal(table, want), (K, N)
+        assert np.array_equal(cons.domains.translates(K, N), _member_scan(cons, K, N))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shifted_constructions())
+def test_census_table_and_translates_on_shifted_chains(cons):
+    """On off-centre chains of rank 1-3 and depth 2-3 the census table equals
+    the reference and ``DomainChain.translates`` the membership scan of the
+    D_N box, at every K <= N."""
+    for K, N in _table_pairs(cons, 20_000):
+        assert np.array_equal(_census_table(cons, K, N),
+                              _translate_table_reference(cons, K, cons.window(N))), (K, N)
+        assert np.array_equal(cons.domains.translates(K, N), _member_scan(cons, K, N))
+
+
+def test_census_at_the_depth_of_its_points():
+    """At N = K the table is the one class D_K, at level K + 1, so the only
+    approximant is gamma = 0, and only for the points whose window fits in
+    the D_K box."""
     cons = decks.construction(decks.bundled_deck("z2-m2"))
-    win = cons.window(3)
-    counts = census(cons, 2, 8, win)
+    counts = census(cons, 2, 2, 2)
+    assert dict(Counter(counts.fibers.tolist())) == {0: 184, 1: 441}
+    assert np.array_equal(counts.approximants, counts.fibers)
+
+
+def test_corrupted_oracle_is_not_constant_on_a_piece(monkeypatch):
+    cons = Construction(decks.bundled_deck("z2-m2").params())
+    counts = census(cons, 2, 8, 3)
     for i, coords in enumerate(_census_points(counts)):
         _, pos, _, levels = _window_reference(cons, coords, 8)
         aper = levels > len(coords)
@@ -666,7 +745,7 @@ def test_corrupted_oracle_is_not_constant_on_a_piece():
     assert counts.approximants[i] > 0
     # flip the level read at the second cell for every approximant, so that
     # its symbol leaves the piece constant of the first cell
-    levels = win.levels.copy()
+    levels = cons.level_array(3).copy()
     period = np.array(cons.chain.level(2))
     dom = cons.domains
     box = dom.box_coords(3)
@@ -675,14 +754,21 @@ def test_corrupted_oracle_is_not_constant_on_a_piece():
     spots = spots[dom.in_box_arr(spots, 3)]
     idx = _flat(dom, spots, 3)
     levels[idx] = np.where(levels[idx] > 3, levels[idx] - 1, levels[idx] + 1)
-    bad = EtaWindow(cons, 3, levels)
+    real = cons.level_array
+    monkeypatch.setattr(cons, "level_array", lambda N: levels if N == 3 else real(N))
+    bad = cons.window(3)
     with pytest.raises(SpecError, match="not constant on a tower piece"):
         _enumerate_fiber_reference(cons, coords, 8, bad)
-    with pytest.raises(SpecError, match="not constant on a tower piece"):
-        census(cons, 2, 8, bad)
+    # the census refuses the first translate in lex order that the
+    # reference table cannot give one symbol
+    table = _translate_table_reference(cons, 2, bad)
+    gamma = tuple(dom.translates(2, 3)[int(np.argmax(table < 0))].tolist())
+    msg = f"cell of gamma={gamma} is not constant on the fresh set"
+    with pytest.raises(ConstructionError, match=re.escape(msg)):
+        census(cons, 2, 8, 3)
 
 
 def test_oracle_shallower_than_the_points_is_refused():
     cons = dihedral()
     with pytest.raises(SpecError, match="shallower"):
-        census(cons, 4, 5, cons.window(3))
+        census(cons, 4, 5, 3)

@@ -258,10 +258,11 @@ def test_cached_arrays_are_read_only(name):
     win = cons.window(N)
     cached = [cons.symbol_table(), *cons.group._arrays,
               *(cons.domains.box_coords(i) for i in range(1, N + 1)),
+              *(cons.domains.translates(i, N) for i in range(1, N + 1)),
               *(cons.level_array(i) for i in range(1, cons.depth + 1)),
               *(cons.fresh_bool(i) for i in range(1, cons.depth + 1)),
               *(win.symbol_array(f) for f in range(cons.group.finite_order)),
-              measures._level_counts(cons, N), measures._class_levels(cons, 1, N)]
+              measures._level_counts(cons, N), measures.class_levels(cons, 1, N)]
     for arr in cached:
         corner = (0,) * arr.ndim
         with pytest.raises(ValueError, match="read-only"):
