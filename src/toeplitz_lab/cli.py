@@ -21,7 +21,7 @@ import numpy as np
 
 from . import decks as deckmod
 from . import measures, pullback as pb, verify, williams
-from .lattice import DepthExhausted, SpecError
+from .lattice import DepthExhausted, SpecError, cube
 from .toeplitz import BETA
 from .verify import frac
 
@@ -74,6 +74,9 @@ def cmd_gen_z(deck, args) -> int:
     if args.window is None and wp.depth < 2:
         raise SpecError(f"gen-z without --window needs 2 periods (window 2 p_2), "
                         f"got {wp.depth}")
+    if args.window is not None and args.window < wp.periods[0]:
+        raise SpecError(f"--window must be at least p_1 = {wp.periods[0]} for "
+                        f"{deck.name}, got {args.window}")
     N = 2 * wp.periods[1] if args.window is None else args.window
     patch = williams.generate(wp, N)
     out = _out_dir(args, deck.name, "gen-z")
@@ -245,7 +248,7 @@ def cmd_pullback(deck, args) -> int:
         print(f"wrote {out}/pullback.json (homomorphism rejected)")
         return EXIT_INVARIANT
     eta = williams.generate(wp, args.reach * span)
-    box = pb.cube(deck.group.rank, args.reach)
+    box = cube(deck.group.rank, args.reach)
     syms = ["" if s == williams.UNDEFINED else s
             for s in pb.pullback_window(hom, eta, box).tolist()]
     with open(out / "patch.csv", "w", newline="") as fh:

@@ -30,10 +30,10 @@ from itertools import product, tee
 
 import numpy as np
 
-from .lattice import Elt, GroupSpec, SpecError, search_key
+from .lattice import Elt, GroupSpec, SpecError, cube, search_key
 from .toeplitz import EtaWindow
 from .williams import ZPatch
-from .pullback import HomSpec, cube, section_element
+from .pullback import HomSpec, section_element
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from itertools import product
 
 import numpy as np
@@ -417,6 +417,17 @@ def folner_ratio(spec: GroupSpec, domains: DomainChain, i: int, g: Elt) -> Fract
 
 def box_size(rank: int, m: int) -> int:
     return (2 * m + 1) ** rank
+
+
+@lru_cache(maxsize=16)
+def cube(rank: int, radius: int) -> np.ndarray:
+    """The lattice box [-radius, radius]^rank, shape (n, rank), in product
+    order (last axis fastest); read-only."""
+    if radius < 0:
+        raise SpecError(f"window radius must be non-negative, got {radius}")
+    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
+    grids = np.meshgrid(*axes, indexing="ij")
+    return read_only(np.stack([g.ravel() for g in grids], axis=-1))
 
 
 def corner_count_check(domains: DomainChain, n: int, s: int,

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import measures
-from .lattice import Elt, EltArr, SpecError, read_only, unique_rows
+from .lattice import Elt, EltArr, cube, unique_rows
 from .toeplitz import Construction, EtaWindow
 
 
@@ -133,16 +132,6 @@ def conjugation_identity_check(win: EtaWindow, shifts: EltArr, gs: EltArr,
 # -- tower pieces, the aperiodic part and fibers -------------------------------
 
 
-@lru_cache(maxsize=16)
-def _window_box(rank: int, radius: int) -> np.ndarray:
-    """The lattice box B(0, radius) in canonical order, read-only."""
-    if radius < 0:
-        raise SpecError(f"window radius must be non-negative, got {radius}")
-    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
-    grids = np.meshgrid(*axes, indexing="ij")
-    return read_only(np.stack([g.ravel() for g in grids], axis=-1))
-
-
 class _Batch:
     """Window bookkeeping of a batch of odometer points of one depth K,
     given by the lattice parts (points, r) and finite parts (points,) of
@@ -171,7 +160,7 @@ class _Batch:
         self.cons, self.depth = cons, K
         # M_f u for every finite part f, shape (|F|, r, window box)
         moved, _ = spec.mul_arr(0, np.arange(spec.finite_order)[:, None],
-                                _window_box(spec.rank, radius), 0)
+                                cube(spec.rank, radius), 0)
         moved = np.ascontiguousarray(moved.transpose(0, 2, 1))
         self.pos = [moved[reps_f, k] + reps_v[:, k, None] for k in range(spec.rank)]
         low, code, ext = [], 0, []
@@ -290,7 +279,7 @@ def census(cons: Construction, depth: int, radius: int, N: int | None = None) ->
                    (F, 1, 1))
     fparts = np.repeat(np.arange(F, dtype=np.intp), len(box))
     table = None if N is None else cons.symbol_table()[0][measures.class_levels(cons, depth, N)]
-    cells = len(_window_box(spec.rank, radius))
+    cells = len(cube(spec.rank, radius))
     # a point has at most one approximant per translate in the table
     step = max(1, _CHUNK_CELLS // max(cells, 0 if table is None else len(table)))
     parts = []

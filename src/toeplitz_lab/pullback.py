@@ -67,13 +67,6 @@ def section_element(spec: HomSpec, group: GroupSpec, n: int) -> Elt:
     return tuple(n * x for x in u), 0
 
 
-def cube(rank: int, radius: int) -> np.ndarray:
-    """The lattice parts of [-radius, radius]^rank, shape (n, rank), in
-    product order (last axis fastest)."""
-    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-
 def pullback_window(spec: HomSpec, source: ZPatch, v: np.ndarray) -> np.ndarray:
     """phi* x at the elements with lattice parts v (n, rank), whatever their
     finite parts, read in one gather as int16 (UNDEFINED on the source's

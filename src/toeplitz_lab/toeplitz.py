@@ -46,20 +46,15 @@ class ConstructionParams:
         self.group.validate()
         self.chain.validate(self.group.rank)
         self.domains.validate()
+        if self.domains.chain != self.chain:
+            raise SpecError(f"the domains are built on the chain {self.domains.chain.moduli}, "
+                            f"not on the construction's chain {self.chain.moduli}")
         if self.m < 1:
             raise SpecError("need at least one plain symbol")
         if self.variant not in (VARIANT_NORMAL, VARIANT_VIRTUALLY):
             raise SpecError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_NORMAL and self.group.finite_order != 1:
             raise SpecError("the normal variant is only supported for trivial F")
-
-
-def _outer_and(masks: list[np.ndarray]) -> np.ndarray:
-    """The AND of one boolean mask per axis over the product of the axes."""
-    out = np.ones((1,) * len(masks), dtype=bool)
-    for k, m in enumerate(masks):
-        out = out & m.reshape((1,) * k + (-1,) + (1,) * (len(masks) - k - 1))
-    return out
 
 
 class Construction:
@@ -145,57 +140,32 @@ class Construction:
         grid[centre] = prev
         return read_only(grid.ravel())
 
-    def stratum_claims(self, N: int,
-                       fresh: dict[int, np.ndarray]) -> Iterator[np.ndarray]:
+    def stratum_claims(self, N: int) -> Iterator[np.ndarray]:
         """Per level l = 1 .. N, the mask over the D_N box (shape p^N) of the
         cells that level l claims: those whose rep modulo Gamma_l is a
-        level-(l-1) fresh cell, ``fresh[l-1]`` being the fresh mask of the
-        D_(l-1) box (level 0 has the origin alone, so level 1 claims Gamma_1).
+        level-(l-1) fresh cell of the tiled ``fresh_bool(l - 1)`` (level 0 has
+        the origin alone, so level 1 claims Gamma_1 and reads no tiled mask).
 
         The box, the rep modulo the diagonal Gamma_l, the test against the
-        D_(l-1) box and the index into it are all per axis, so they are
-        computed on the axes and broadcast: the in-box masks are ANDed and the
-        fresh mask is gathered by per-axis indices.
+        D_(l-1) box and the index into it are all per axis, so the fresh mask
+        is gathered one axis at a time; an index one past the end of an axis,
+        into a False slot padded there, stands for a rep outside D_(l-1).
         """
         dom, chain, rank = self.domains, self.chain, self.group.rank
         axes = [np.arange(-a, p - a, dtype=np.int64)
-                for a, p in zip(dom.q1[N - 1], chain.level(N))]
+                for p, a in zip(chain.level(N), dom.q1[N - 1])]
         for l in range(1, N + 1):
             if l == 1:  # the D_0 box is the origin alone
-                pbs, qbs = (1,) * rank, (0,) * rank
+                pbs, qbs, fresh = (1,) * rank, (0,) * rank, np.ones((1,) * rank, dtype=bool)
             else:
                 pbs, qbs = chain.level(l - 1), dom.q1[l - 2]
-            idx, inside = [], []
-            for x, p, q, pb, qb in zip(axes, chain.level(l), dom.q1[l - 1], pbs, qbs):
+                fresh = self.fresh_bool(l - 1).reshape(pbs)
+            hit = np.pad(fresh, [(0, 1)] * rank)
+            for k, (x, p, q, pb, qb) in enumerate(
+                    zip(axes, chain.level(l), dom.q1[l - 1], pbs, qbs)):
                 s = (x + q) % p - q + qb  # rep mod Gamma_l, offset into D_(l-1)
-                ok = (s >= 0) & (s < pb)
-                idx.append(np.where(ok, s, 0))
-                inside.append(ok)
-            hit = _outer_and(inside)
-            if l > 1:
-                hit &= np.reshape(fresh[l - 1], pbs)[np.ix_(*idx)]
+                hit = hit.take(np.where((s >= 0) & (s < pb), s, pb), axis=k)
             yield hit
-
-    def level_array_by_reps(self, N: int) -> np.ndarray:
-        """The same array by the independent definition route (check-only).
-
-        Every box D_1 .. D_N is classified from its own coordinates by
-        ``stratum_claims``, the step criterion 2 shares: a cell is in the first
-        stratum that claims it, the fresh masks coming from this route's own
-        lower boxes.  It shares nothing with the tiling in ``level_array`` and
-        is deliberately uncached; checks and tests compare the two.
-        """
-        if not 1 <= N <= self.depth:
-            raise DepthExhausted(
-                f"level array needs a configured level 1..{self.depth}, got {N}")
-        fresh: dict[int, np.ndarray] = {}
-        for K in range(1, N + 1):
-            lvl = np.zeros(self.chain.level(K), dtype=np.int16)
-            for l, hit in enumerate(self.stratum_claims(K, fresh), start=1):
-                lvl[(lvl == 0) & hit] = l
-            lvl[lvl == 0] = K + 1
-            fresh[K] = lvl == K + 1
-        return lvl.ravel()
 
     def levels_at(self, points: np.ndarray) -> np.ndarray:
         """Stratum level (int16) of each row of an (n, r) array of lattice

@@ -43,17 +43,41 @@ def _cons(name: str) -> Construction:
     return deckmod.construction(deckmod.bundled_deck(name))
 
 
+# -- the claim pass, shared by criteria 1 and 2 --------------------------------
+
+
+def claim_pass(cons: Construction, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of the D_N box (shape p^N): how many of the levels 1 .. N
+    claim it, and the first that does (0 where none does), from one run of
+    ``Construction.stratum_claims(N)`` on the tiled fresh masks."""
+    shape = cons.chain.level(N)
+    count = np.zeros(shape, dtype=np.uint8)
+    first = np.zeros(shape, dtype=np.int16)
+    for l, hit in enumerate(cons.stratum_claims(N), start=1):
+        np.copyto(first, l, where=hit & (count == 0))
+        count += hit
+    return count, first
+
+
 # -- criterion 1: the tiled and the rep-route fresh cells agree -----------------
 
 
 def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool]:
-    """Fresh-cell count per level 1 .. max_level, and whether the tiled mask,
-    the independent rep route and the closed-form count agree at every level."""
+    """Fresh-cell count per level 1 .. max_level, and whether the tiled mask
+    ``fresh_bool(n)``, the rep route (the cells of the D_n box that no level
+    <= n claims, from ``claim_pass``) and the closed-form count agree at
+    every level.
+
+    The verdict is that of a rep route fed by its own masks: level 1 reads
+    no tiled mask, and level n reads only tiled masks of levels below n, which
+    this ascending loop has already compared.  While they agree, level n
+    reads what a self-fed route would, so the first disagreement is found
+    at the same level."""
     sizes = {}
     agreed = True
     for n in range(1, max_level + 1):
         tiled = cons.fresh_bool(n)
-        reps = cons.level_array_by_reps(n) == n + 1
+        reps = claim_pass(cons, n)[0].ravel() == 0
         sizes[n] = int(tiled.sum())
         if not np.array_equal(tiled, reps) or sizes[n] != measures.fresh_count(cons, n):
             agreed = False
@@ -75,20 +99,15 @@ def check_strata_partition(deck_name: str, N: int = 3) -> CheckResult:
 
     Cell v claims level 1 when v is in Gamma_1, level l in 2..N when its rep
     modulo Gamma_l is a level-(l-1) fresh cell of the tiled ``fresh_bool``,
-    and level N+1 when it is a level-N fresh cell itself."""
+    and level N+1 when it is a level-N fresh cell itself.  The claims of
+    levels 1..N come from ``claim_pass``, which criterion 1 reads too."""
     cons = _cons(deck_name)
-    shape = cons.chain.level(N)
-    fresh = {n: cons.fresh_bool(n) for n in range(1, N + 1)}
-    count = np.zeros(shape, dtype=np.uint8)
-    claimed = np.zeros(shape, dtype=np.int16)  # the claim of a singly claimed cell
-    for l, hit in enumerate(cons.stratum_claims(N, fresh), start=1):
-        count += hit
-        claimed[hit] = l
-    top = fresh[N].reshape(shape)
+    count, claimed = claim_pass(cons, N)
+    top = cons.fresh_bool(N).reshape(count.shape)
     count += top
-    claimed[top] = N + 1
+    claimed[top] = N + 1  # now the claim of every singly claimed cell
     single = count == 1
-    levels = cons.level_array(N).reshape(shape)
+    levels = cons.level_array(N).reshape(count.shape)
     in_alphabet = np.isin(cons.symbol_table(), cons.alphabet).all(axis=0)
     wrong = (levels != claimed) | ~in_alphabet[levels]
     bad = int(np.count_nonzero(~single))
@@ -219,8 +238,11 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     window wider than the level-3 box on some axis leaves no approximant
     for any point; it is refused before the census is built.
     """
-    cons = deckmod.construction(deck)
     wp = deck.williams
+    if wp is not None and wp.depth < 3:
+        raise SpecError(f"the fiber census of a 1-d deck reads depth-2 points through "
+                        f"approximants inside p_3, so it needs 3 periods, got {wp.depth}")
+    cons = deckmod.construction(deck)
     if wp is None and 2 * radius + 1 > min(cons.chain.level(3)):
         raise SpecError(f"no orbit approximant fits a window of radius {radius} "
                         f"inside the level-3 box {cons.chain.level(3)}")

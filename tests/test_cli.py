@@ -91,6 +91,9 @@ def test_search_budgets_must_be_positive(command, option, value, tmp_path, capsy
     (["measures", "--config", "dihedral-m2", "--level", "1"], "--level", "2..7"),
     (["measures", "--config", "z2-m2", "--level", "9"], "--level", "2..5"),
     (["gen-group", "--config", "dihedral-m2", "--level", "0"], "--level", "1..7"),
+    (["gen-z", "--config", "williams-m2", "--window", "3"], "--window", "at least p_1 = 6"),
+    (["gen-z", "--config", "williams-m2", "--window", "0"], "--window", "at least p_1 = 6"),
+    (["gen-z", "--config", "williams-m2", "--window", "-5"], "--window", "at least p_1 = 6"),
 ], ids=" ".join)
 def test_out_of_range_options_are_named(argv, option, shown, tmp_path, capsys):
     out = tmp_path / "o"
@@ -106,6 +109,8 @@ def test_out_of_range_options_are_named(argv, option, shown, tmp_path, capsys):
     pytest.param("independence", [6, 36], "needs 4 periods, got 2", id="independence-2"),
     pytest.param("independence", [6], "needs 4 periods, got 1", id="independence-1"),
     pytest.param("gen-z", [6], "needs 2 periods (window 2 p_2), got 1", id="gen-z-1"),
+    pytest.param("fibers", [6, 36], "needs 3 periods, got 2", id="fibers-2"),
+    pytest.param("fibers", [6], "needs 3 periods, got 1", id="fibers-1"),
 ])
 def test_short_period_lists_are_config_errors(command, periods, needed, tmp_path, capsys):
     """A 1-d deck with fewer periods than a command reads exits 2 naming the
@@ -193,6 +198,18 @@ def test_verify_all_refuses_a_deck_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "--config" in err
     assert not out.exists()  # no verdict for an unchecked deck
+
+
+# SHA-256 of the bundled verify-all verdict.json, recorded before criteria 1
+# and 2 read one claim pass; a change that alters a verdict on purpose
+# re-records it and says why
+VERIFY_ALL_VERDICT_SHA256 = "f86755a2aa4c22824b58c4dea270787b4a281f88dbe37a063c70e44dcf497ad9"
+
+
+def test_verify_all_verdict_is_pinned(tmp_path):
+    assert run(["verify-all", "--out", str(tmp_path)]) == 0
+    verdict = tmp_path / "verify-all" / "verdict.json"
+    assert hashlib.sha256(verdict.read_bytes()).hexdigest() == VERIFY_ALL_VERDICT_SHA256
 
 
 # SHA-256 of the files the search wrote before witness masks became int
@@ -504,14 +521,18 @@ def test_fibers_tower_pieces_match_acceptance_on_1d_deck(tmp_path):
 
 
 def test_gen_group_fresh_route_disagreement_exits_1(tmp_path, monkeypatch):
-    by_reps = Construction.level_array_by_reps
+    """A claim step that claims one more cell of the box than it should
+    leaves the rep route one fresh cell short of the tiling."""
+    claims = Construction.stratum_claims
 
-    def corrupted(self, n):
-        lvl = by_reps(self, n).copy()
-        lvl[0] = n + 1 if lvl[0] != n + 1 else n
-        return lvl
+    def corrupted(self, N):
+        for l, hit in enumerate(claims(self, N), start=1):
+            if l == N:
+                hit = hit.copy()
+                hit.flat[0] = True
+            yield hit
 
-    monkeypatch.setattr(Construction, "level_array_by_reps", corrupted)
+    monkeypatch.setattr(Construction, "stratum_claims", corrupted)
     out = tmp_path / "o"
     assert run(["gen-group", "--config", "dihedral-m2", "--level", "2",
                 "--out", str(out)]) == 1

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from toeplitz_lab.lattice import (
     box_size,
     check_index_condition,
     corner_count_check,
+    cube,
     decompose_right,
     enumerate_domain,
     folner_ratio,
@@ -244,3 +246,18 @@ def test_unique_rows_matches_numpy(rows, cols):
     assert got.tolist() == want.tolist()
     assert inverse.tolist() == want_inverse.reshape(-1).tolist()
     assert got.tolist() == [list(r) for r in sorted(set(map(tuple, arr.tolist())))]
+
+
+@pytest.mark.parametrize("rank,radius", [(1, 0), (1, 3), (2, 2), (3, 1)])
+def test_cube_lists_the_box_in_product_order(rank, radius):
+    box = cube(rank, radius)
+    span = range(-radius, radius + 1)
+    assert box.tolist() == [list(v) for v in product(span, repeat=rank)]
+    assert box.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        box[0, 0] = 0
+
+
+def test_cube_refuses_a_negative_radius():
+    with pytest.raises(SpecError, match="window radius must be non-negative, got -1"):
+        cube(2, -1)

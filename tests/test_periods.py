@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from test_toeplitz import shifted_constructions
 
 from toeplitz_lab import decks, periods, verify
-from toeplitz_lab.lattice import SpecError, Vec, decompose_right
+from toeplitz_lab.lattice import SpecError, Vec, cube, decompose_right
 from toeplitz_lab.periods import (
     _Batch,
     census,
@@ -426,7 +426,7 @@ def _aperiodic_cells(cons, coords, radius):
     """The aperiodic window cells (u, f) of one point, from its batch of
     one: the flags over the lattice box repeat once per finite part."""
     batch = _batch(cons, [coords], radius)
-    box = [tuple(u) for u in periods._window_box(cons.group.rank, radius).tolist()]
+    box = [tuple(u) for u in cube(cons.group.rank, radius).tolist()]
     return {(u, f) for f in range(cons.group.finite_order)
             for u, a in zip(box, batch.aperiodic[0].tolist()) if a}
 

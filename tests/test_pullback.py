@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from toeplitz_lab import decks
-from toeplitz_lab.lattice import SpecError
+from toeplitz_lab.lattice import SpecError, cube
 from toeplitz_lab.pullback import (
     HomSpec,
-    cube,
     equivariance_check,
     pullback_window,
     section_element,

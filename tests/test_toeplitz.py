@@ -20,7 +20,12 @@ from toeplitz_lab.lattice import (
 from toeplitz_lab.measures import fresh_count
 from toeplitz_lab.periods import per_set_exact
 from toeplitz_lab.toeplitz import BETA, Construction, ConstructionParams
-from toeplitz_lab.verify import check_strata_partition, fresh_dual
+from toeplitz_lab.verify import (
+    check_fresh_dual,
+    check_strata_partition,
+    claim_pass,
+    fresh_dual,
+)
 
 
 def dihedral():
@@ -69,7 +74,8 @@ def test_fresh_cells_dual_routes_small():
 
 def _level_array_per_cell(cons, N):
     """Reference: the rep route over the whole (cells x r) coordinate box,
-    one rep, in-box test and flat index per cell."""
+    one rep, in-box test and flat index per cell, each level fed by the
+    fresh masks of its own lower boxes."""
     dom = cons.domains
     fresh: dict[int, np.ndarray] = {}
     for K in range(1, N + 1):
@@ -90,18 +96,54 @@ def _level_array_per_cell(cons, N):
     return lvl
 
 
+def _levels_by_claims(cons, N):
+    """The level array of the D_N box read off the claim pass: the first
+    level that claims a cell, N + 1 where none does."""
+    count, first = claim_pass(cons, N)
+    return np.where(count == 0, N + 1, first).ravel()
+
+
 def test_tiled_level_array_matches_rep_route_on_bundled_decks():
-    """The tiling against the per-axis rep route at every configured level,
-    and the per-axis route against the per-cell reference up to level 4."""
+    """The tiling against the claim pass at every configured level, in
+    ascending order (so each level's claims read tiled masks that already
+    matched), and against the self-fed per-cell reference up to level 4."""
     for name in decks.BUNDLED:
         cons = decks.construction(decks.bundled_deck(name))
         for N in range(1, cons.depth + 1):
             tiled = cons.level_array(N)
-            by_reps = cons.level_array_by_reps(N)
-            assert tiled.dtype == by_reps.dtype == np.int16
-            assert np.array_equal(tiled, by_reps), (name, N)
+            assert tiled.dtype == np.int16
+            assert np.array_equal(tiled, _levels_by_claims(cons, N)), (name, N)
             if N <= 4:
-                assert np.array_equal(by_reps, _level_array_per_cell(cons, N)), (name, N)
+                assert np.array_equal(tiled, _level_array_per_cell(cons, N)), (name, N)
+
+
+def test_claim_pass_counts_every_claim_and_keeps_the_first(monkeypatch):
+    """On the tiled masks no cell of the D_3 box has two claims, and the
+    first claim is its level.  With the origin marked level-1 fresh, level 2
+    also claims Gamma_2, which level 1 claims already: the pass counts both
+    claims on those cells and keeps level 1."""
+    cons = z2()
+    count, first = claim_pass(cons, 3)
+    levels = cons.level_array(3).reshape(count.shape)
+    assert count.max() == 1
+    assert np.array_equal(np.where(count == 0, 4, first), levels)
+    assert (first[count == 0] == 0).all()
+
+    fresh_bool = Construction.fresh_bool
+
+    def origin_fresh(self, n):
+        mask = fresh_bool(self, n)
+        if n == 1:
+            mask = mask.copy()
+            mask[mask.size // 2] = True  # the origin of the 5 x 5 box D_1
+        return mask
+
+    monkeypatch.setattr(Construction, "fresh_bool", origin_fresh)
+    count, first = claim_pass(cons, 3)
+    gamma2 = np.all(cons.domains.box_coords(3) % 25 == 0, axis=1).reshape(count.shape)
+    assert np.array_equal(count == 2, gamma2) and count.max() == 2
+    assert (first[gamma2] == 1).all()
+    assert np.array_equal(first[~gamma2], np.where(levels < 4, levels, 0)[~gamma2])
 
 
 @st.composite
@@ -137,7 +179,8 @@ def shifted_constructions(draw):
 def test_tiled_level_array_matches_rep_route_on_shifted_chains(cons):
     for N in range(1, cons.depth + 1):
         tiled = cons.level_array(N)
-        assert np.array_equal(tiled, cons.level_array_by_reps(N)), N
+        assert np.array_equal(tiled, _levels_by_claims(cons, N)), N
+        assert np.array_equal(tiled, _level_array_per_cell(cons, N)), N
         assert int((tiled == N + 1).sum()) == fresh_count(cons, N)
         # a cell of D_N that no level up to N claims is its own rep modulo
         # Gamma_(N+1) and lies in D_N, so levels_at needs no clipping at N+1
@@ -245,8 +288,35 @@ def test_rep_route_shares_nothing_with_the_tiling(monkeypatch):
         with monkeypatch.context() as patch:
             for method in ("level_array", "fresh_bool", "translate_blocks"):
                 patch.setattr(Construction, method, refuse)
-            by_reps = Construction(deck.params()).level_array_by_reps(N)
-        assert np.array_equal(by_reps, expected), name
+            cons = Construction(deck.params())
+            by_points = cons.levels_at(cons.domains.box_coords(N))
+        assert np.array_equal(by_points, expected), name
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["one-cell", "count-kept"])
+def test_fresh_dual_fails_on_a_flipped_tiled_cell(swap, monkeypatch):
+    """One cell of the tiled level-2 mask flipped (or a fresh and a filled
+    cell swapped, so the count still matches the closed form): the rep route
+    of level 2 reads only the level-1 mask, so it disagrees, and the
+    fresh-dual row of the acceptance table fails."""
+    fresh_bool = Construction.fresh_bool
+
+    def flipped(self, n):
+        mask = fresh_bool(self, n)
+        if n == 2:
+            mask = mask.copy()
+            cells = [np.argmax(mask), np.argmin(mask)] if swap else [0]
+            mask[cells] = ~mask[cells]
+        return mask
+
+    monkeypatch.setattr(Construction, "fresh_bool", flipped)
+    for name in ("z2-m2", "dihedral-m2"):
+        cons = decks.construction(decks.bundled_deck(name))
+        assert fresh_dual(cons, 1)[1] is True
+        sizes, agreed = fresh_dual(cons, 2)
+        assert agreed is False
+        assert (sizes[2] == fresh_count(cons, 2)) is swap
+        assert not check_fresh_dual(name).passed
 
 
 @pytest.mark.parametrize("name", decks.BUNDLED)
@@ -293,6 +363,17 @@ def test_normal_variant_requires_trivial_finite_part():
     deck = decks.bundled_deck("dihedral-m2")
     params = ConstructionParams(deck.group, deck.chain, deck.domains, 2, "normal")
     with pytest.raises(SpecError):
+        Construction(params)
+
+
+def test_domains_on_another_chain_are_refused():
+    """Domains built on a chain other than the construction's would tile
+    boxes of the wrong shape; both chains are named."""
+    deck = decks.bundled_deck("z2-m2")
+    other = SubgroupChain(((7, 7), (49, 49), (343, 343)))
+    params = ConstructionParams(deck.group, deck.chain, DomainChain.auto(other), deck.m)
+    with pytest.raises(SpecError, match=re.escape(
+            f"chain {other.moduli}, not on the construction's chain {deck.chain.moduli}")):
         Construction(params)
 
 
