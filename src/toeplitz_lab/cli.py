@@ -128,7 +128,7 @@ def cmd_gen_group(deck, args) -> int:
                                              syms[part], win.levels[part]]).tolist())
     # the measures' count of each level, kept per read-only level array
     strata = {l: c for l, c in enumerate(measures._level_counts(cons, N).tolist()) if c}
-    _, fresh_ok = verify.fresh_dual(cons, min(N, cons.depth - 1))
+    _, fresh_ok = verify.fresh_dual(cons, N)
     _write_json(out / "summary.json", {
         "deck": deck.name,
         "level": N,
@@ -186,12 +186,15 @@ def cmd_measures(deck, args) -> int:
 
 
 def cmd_fibers(deck, args) -> int:
+    if args.radius < 0:
+        raise SpecError(f"--radius must be at least 0, got {args.radius}")
     census = verify.fiber_census(deck, args.radius)
     out = _out_dir(args, deck.name, "fibers")
-    rows = [{"coords": r.coords, "fiber_count": r.fiber_count, "pieces": r.pieces,
-             f"aperiodic_{census.aperiodic_unit}": r.aperiodic}
-            for r in census.rows]
-    worst = max(r.fiber_count for r in census.rows)
+    aperiodic = f"aperiodic_{census.aperiodic_unit}"
+    rows = [{"coords": c, "fiber_count": n, "pieces": p, aperiodic: a}
+            for c, n, p, a in zip(census.coords, census.fibers.tolist(),
+                                  census.pieces.tolist(), census.aperiodic.tolist())]
+    worst = int(census.fibers.max())
     passed = worst <= census.fiber_bound
     _write_json(out / "fibers.json", {
         "deck": deck.name, "depth": 2, "rows": rows,
@@ -202,6 +205,8 @@ def cmd_fibers(deck, args) -> int:
 
 
 def cmd_independence(deck, args) -> int:
+    if args.size is not None and args.size < 1:
+        raise SpecError(f"--size must be at least 1, got {args.size}")
     deadline = _search_deadline(args)
     search = verify.independence_search(deck, args.size, args.max_steps, deadline)
     res = search.result

@@ -48,10 +48,9 @@ class Cylinder:
             raise SpecError("cylinder needs one symbol per shape site")
 
     @staticmethod
-    def single_site(rank: int, symbol: int, site: Elt | None = None) -> "Cylinder":
-        if site is None:
-            site = ((0,) * rank, 0)
-        return Cylinder((site,), (symbol,))
+    def single_site(rank: int, symbol: int) -> "Cylinder":
+        """The symbol at the identity."""
+        return Cylinder((((0,) * rank, 0),), (symbol,))
 
 
 @dataclass(frozen=True)

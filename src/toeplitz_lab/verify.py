@@ -43,7 +43,41 @@ def _cons(name: str) -> Construction:
     return deckmod.construction(deckmod.bundled_deck(name))
 
 
-# -- the claim pass, shared by criteria 1 and 2 --------------------------------
+# -- criterion 1: the tiled and the rep-route fresh cells agree -----------------
+
+
+def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool]:
+    """Fresh-cell count per level 1 .. max_level, and whether the tiled mask
+    ``fresh_bool(n)``, the rep route (the cells of the D_n box that no level
+    <= n claims in ``Construction.stratum_claims(n)``) and the closed-form
+    count agree at every level.
+
+    The verdict is that of a rep route fed by its own masks: level 1 reads
+    no tiled mask, and level n reads only tiled masks of levels below n, which
+    this ascending loop has already compared.  While they agree, level n
+    reads what a self-fed route would, so the first disagreement is found
+    at the same level."""
+    sizes = {}
+    agreed = True
+    for n in range(1, max_level + 1):
+        tiled = cons.fresh_bool(n)
+        unclaimed = np.ones(cons.chain.level(n), dtype=bool)
+        for hit in cons.stratum_claims(n):
+            unclaimed[hit] = False
+        sizes[n] = int(tiled.sum())
+        if not np.array_equal(tiled, unclaimed.ravel()) or \
+                sizes[n] != measures.fresh_count(cons, n):
+            agreed = False
+    return sizes, agreed
+
+
+def check_fresh_dual(deck_name: str) -> CheckResult:
+    sizes, passed = fresh_dual(_cons(deck_name), 4)
+    return CheckResult(f"fresh-dual[{deck_name}]", passed, "counted",
+                       {"sizes": sizes})
+
+
+# -- criterion 2: strata partition the level-N window --------------------------
 
 
 def claim_pass(cons: Construction, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,40 +93,6 @@ def claim_pass(cons: Construction, N: int) -> tuple[np.ndarray, np.ndarray]:
     return count, first
 
 
-# -- criterion 1: the tiled and the rep-route fresh cells agree -----------------
-
-
-def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool]:
-    """Fresh-cell count per level 1 .. max_level, and whether the tiled mask
-    ``fresh_bool(n)``, the rep route (the cells of the D_n box that no level
-    <= n claims, from ``claim_pass``) and the closed-form count agree at
-    every level.
-
-    The verdict is that of a rep route fed by its own masks: level 1 reads
-    no tiled mask, and level n reads only tiled masks of levels below n, which
-    this ascending loop has already compared.  While they agree, level n
-    reads what a self-fed route would, so the first disagreement is found
-    at the same level."""
-    sizes = {}
-    agreed = True
-    for n in range(1, max_level + 1):
-        tiled = cons.fresh_bool(n)
-        reps = claim_pass(cons, n)[0].ravel() == 0
-        sizes[n] = int(tiled.sum())
-        if not np.array_equal(tiled, reps) or sizes[n] != measures.fresh_count(cons, n):
-            agreed = False
-    return sizes, agreed
-
-
-def check_fresh_dual(deck_name: str, max_level: int = 4) -> CheckResult:
-    sizes, passed = fresh_dual(_cons(deck_name), max_level)
-    return CheckResult(f"fresh-dual[{deck_name}]", passed, "counted",
-                       {"sizes": sizes})
-
-
-# -- criterion 2: strata partition the level-N window --------------------------
-
-
 def check_strata_partition(deck_name: str, N: int = 3) -> CheckResult:
     """Every cell of the D_N box claims exactly one stratum, and that is its
     level in ``level_array(N)`` with a symbol of the alphabet.
@@ -100,7 +100,7 @@ def check_strata_partition(deck_name: str, N: int = 3) -> CheckResult:
     Cell v claims level 1 when v is in Gamma_1, level l in 2..N when its rep
     modulo Gamma_l is a level-(l-1) fresh cell of the tiled ``fresh_bool``,
     and level N+1 when it is a level-N fresh cell itself.  The claims of
-    levels 1..N come from ``claim_pass``, which criterion 1 reads too."""
+    levels 1..N come from ``claim_pass``."""
     cons = _cons(deck_name)
     count, claimed = claim_pass(cons, N)
     top = cons.fresh_bool(N).reshape(count.shape)
@@ -121,11 +121,11 @@ def check_strata_partition(deck_name: str, N: int = 3) -> CheckResult:
 # -- criterion 3: the density product formula ----------------------------------
 
 
-def check_density_product(deck_name: str, n_max: int = 3) -> CheckResult:
+def check_density_product(deck_name: str) -> CheckResult:
     cons = _cons(deck_name)
     rows = []
     passed = True
-    for n in range(0, n_max + 1):
+    for n in range(4):
         c = measures.density_product_check(cons, n)
         rows.append({"level": c.level, "counted": frac(c.counted),
                      "closed": frac(c.closed)})
@@ -141,8 +141,9 @@ def check_density_product(deck_name: str, n_max: int = 3) -> CheckResult:
 # -- criterion 4: matrix recursions --------------------------------------------
 
 
-def check_matrix_recursions(deck_name: str, N: int = 4) -> CheckResult:
+def check_matrix_recursions(deck_name: str) -> CheckResult:
     cons = _cons(deck_name)
+    N = 4
     ok1 = measures.verify_transition(cons, 1, N)
     ok2 = measures.verify_transition(cons, 2, N)
     ok0 = measures.verify_projection(cons, N)
@@ -157,13 +158,12 @@ def check_matrix_recursions(deck_name: str, N: int = 4) -> CheckResult:
 # -- criterion 5: marker mass ---------------------------------------------------
 
 
-def check_marker_mass(deck_name: str = "dihedral-m2",
-                      levels: tuple[int, ...] = (1, 2, 3, 4, 5, 6)) -> CheckResult:
+def check_marker_mass(deck_name: str = "dihedral-m2") -> CheckResult:
     cons = _cons(deck_name)
     want = measures.marker_mass_closed(cons)
     rows = {}
     passed = True
-    for n in levels:
+    for n in range(1, 7):
         got = measures.mu_freq_counted(cons, n).get(0, Fraction(0))
         rows[n] = frac(got)
         passed = passed and got == want
@@ -193,38 +193,29 @@ def check_class_mass(deck_name: str = "dihedral-m2") -> CheckResult:
 
 
 @dataclass(frozen=True)
-class FiberRow:
-    """One depth-2 odometer point of a fiber census."""
-
-    coords: tuple        # residues mod p_1, p_2 (1-d decks) or reps t_1, t_2
-    fiber_count: int
-    pieces: int
-    aperiodic: int       # aperiodic cells (1-d decks) or aperiodic pieces
-
-
-@dataclass(frozen=True)
 class FiberCensus:
+    """Per depth-2 odometer point, in canonical order: its coordinates, fiber
+    count, tower pieces and aperiodic part, as read-only columns."""
+
     fiber_radius: int
     fiber_bound: int
     piece_bound: int
-    aperiodic_unit: str  # "cells" or "pieces", what FiberRow.aperiodic counts
-    rows: tuple[FiberRow, ...]
-
-    def fiber_histogram(self) -> dict[int, int]:
-        return _histogram(r.fiber_count for r in self.rows)
-
-    def piece_histogram(self) -> dict[int, int]:
-        return _histogram(r.pieces for r in self.rows)
+    aperiodic_unit: str  # "cells" or "pieces", what ``aperiodic`` counts
+    coords: tuple        # residues mod p_1, p_2 (1-d decks) or reps t_1, t_2
+    fibers: np.ndarray
+    pieces: np.ndarray
+    aperiodic: np.ndarray
 
 
-def _histogram(values) -> dict[int, int]:
-    return dict(sorted(Counter(values).items()))
+def _histogram(column: np.ndarray) -> dict[int, int]:
+    return dict(sorted(Counter(column.tolist()).items()))
 
 
 @lru_cache(maxsize=None)
 def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     """Fiber count, tower pieces and aperiodic part of every depth-2 odometer
-    point, in canonical order.
+    point, in canonical order, as the columns of one cached, read-only
+    record.
 
     Tower pieces are counted on the radius window by ``periods.census``.
     Fibers of 1-d decks come from one ``williams.fiber_scan`` of every
@@ -255,24 +246,23 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
         fiber_bound, unit = wp.m, "cells"
         t2 = counts.reps[:, 1, 0]
         scan = williams.fiber_scan(wp, eta, 2, t2, fiber_radius)
-        shown = [williams.coords_of_int(wp, t, 2) for t in t2.tolist()]
-        fibers, aperiodic = scan.counts.tolist(), scan.aperiodic_cells.tolist()
+        coords = tuple(williams.coords_of_int(wp, t, 2) for t in t2.tolist())
+        fibers, aperiodic = scan.counts, scan.aperiodic_cells
     else:
         fiber_radius = radius
         fiber_bound, unit = deck.group_fiber_bound(), "pieces"
-        shown = [tuple((tuple(v), f) for v in row)
-                 for row, f in zip(counts.reps.tolist(), counts.fparts.tolist())]
-        fibers, aperiodic = counts.fibers.tolist(), counts.aperiodic_pieces.tolist()
-
-    rows = []
-    for coords, count, pieces, aper in zip(shown, fibers, counts.pieces.tolist(), aperiodic):
-        if count == 0:
-            raise SpecError(f"no orbit approximant reaches odometer point "
-                            f"{coords} at fiber radius {fiber_radius}")
-        rows.append(FiberRow(coords, count, pieces, aper))
+        coords = tuple(tuple((tuple(v), f) for v in row)
+                       for row, f in zip(counts.reps.tolist(), counts.fparts.tolist()))
+        fibers, aperiodic = counts.fibers, counts.aperiodic_pieces
+    empty = np.flatnonzero(fibers == 0)
+    if len(empty):
+        raise SpecError(f"no orbit approximant reaches odometer point "
+                        f"{coords[empty[0]]} at fiber radius {fiber_radius}")
+    for column in (fibers, counts.pieces, aperiodic):
+        column.flags.writeable = False
     return FiberCensus(fiber_radius, fiber_bound,
                        2 ** deck.group.rank * deck.group.finite_order, unit,
-                       tuple(rows))
+                       coords, fibers, counts.pieces, aperiodic)
 
 
 FIBER_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2")
@@ -281,7 +271,7 @@ TOWER_DECKS = ("williams-m2", "z2-m2", "dihedral-m2")
 
 def check_fiber_scan(deck_name: str) -> CheckResult:
     census = fiber_census(deckmod.bundled_deck(deck_name))
-    hist = census.fiber_histogram()
+    hist = _histogram(census.fibers)
     passed = max(hist) <= census.fiber_bound
     details = {"radius": census.fiber_radius, "histogram": hist,
                "bound": census.fiber_bound}
@@ -294,7 +284,7 @@ def check_fiber_scan(deck_name: str) -> CheckResult:
 
 def check_tower_piece(deck_name: str) -> CheckResult:
     census = fiber_census(deckmod.bundled_deck(deck_name))
-    hist = census.piece_histogram()
+    hist = _histogram(census.pieces)
     return CheckResult(f"tower-pieces[{deck_name}]",
                        max(hist) <= census.piece_bound, "counted",
                        {"histogram": hist, "bound": census.piece_bound})
@@ -404,10 +394,8 @@ def check_entropy_bounds(searches: dict[str, CheckResult]) -> CheckResult:
     return CheckResult("entropy-bounds", ok, "search", rows)
 
 
-def check_independence(max_steps: int = 2_000_000,
-                       deadline: float | None = None) -> list[CheckResult]:
-    searches = {name: check_independence_deck(name, max_steps, deadline)
-                for name in INDEPENDENCE_DECKS}
+def check_independence() -> list[CheckResult]:
+    searches = {name: check_independence_deck(name) for name in INDEPENDENCE_DECKS}
     return [*searches.values(), check_entropy_bounds(searches)]
 
 
@@ -452,10 +440,9 @@ def check_pullback() -> CheckResult:
 # -- criterion 11: the conjugation identity ------------------------------------
 
 
-def check_conjugation(deck_name: str, samples: int = 100,
-                      seed: int = 7) -> CheckResult:
+def check_conjugation(deck_name: str, seed: int = 7) -> CheckResult:
     """The conjugation identity Per(sigma^g x, Gamma_i, a) = g Per(x,
-    g^-1 Gamma_i g, a) on ``samples`` drawn instances, x = sigma^s eta read
+    g^-1 Gamma_i g, a) on 100 drawn instances, x = sigma^s eta read
     in the level-3 window, evaluated in batches after every draw.
 
     When the array group law is associative, both sides read the same cells
@@ -473,6 +460,7 @@ def check_conjugation(deck_name: str, samples: int = 100,
     F = spec.finite_order
     core = (np.repeat(box, F, axis=0), np.tile(np.arange(F), len(box)))
     gammas = {i: periods.subgroup_elements_in_window(cons, i, i + 1) for i in (1, 2)}
+    samples = 100
     sv, gv = (np.empty((samples, spec.rank), dtype=np.int64) for _ in range(2))
     sf, gf, level, alphas = (np.empty(samples, dtype=np.intp) for _ in range(4))
     for n in range(samples):
@@ -495,9 +483,9 @@ def check_conjugation(deck_name: str, samples: int = 100,
 # -- criterion 12: complexity diagnostic ----------------------------------------
 
 
-def check_complexity(deck_name: str = "williams-m2", seed: int = 12345,
-                     length: int = 6400) -> CheckResult:
+def check_complexity(deck_name: str = "williams-m2") -> CheckResult:
     deck = deckmod.bundled_deck(deck_name)
+    seed, length = 12345, 6400
     eta = williams.generate(deck.williams, length)
     radii = list(range(2, 9))
     prof = measures.complexity_profile(eta.symbols[:length], radii)

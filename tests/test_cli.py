@@ -82,7 +82,7 @@ def test_search_budgets_must_be_positive(command, option, value, tmp_path, capsy
     assert not out.exists()  # refused before any work
 
 
-@pytest.mark.parametrize("argv,option,shown", [
+OUT_OF_RANGE = [
     (["pullback", "--config", "swap-m2", "--reach", "-1"], "--reach", "at least 2"),
     (["pullback", "--config", "swap-m2", "--reach", "0"], "--reach", "at least 2"),
     (["pullback", "--config", "swap-m2", "--reach", "1"], "--reach", "at least 2"),
@@ -94,7 +94,13 @@ def test_search_budgets_must_be_positive(command, option, value, tmp_path, capsy
     (["gen-z", "--config", "williams-m2", "--window", "3"], "--window", "at least p_1 = 6"),
     (["gen-z", "--config", "williams-m2", "--window", "0"], "--window", "at least p_1 = 6"),
     (["gen-z", "--config", "williams-m2", "--window", "-5"], "--window", "at least p_1 = 6"),
-], ids=" ".join)
+    (["fibers", "--config", "z2-m2", "--radius", "-1"], "--radius", "at least 0"),
+    (["independence", "--config", "z2-m2", "--size", "0"], "--size", "at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv,option,shown", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _, _ in OUT_OF_RANGE])
 def test_out_of_range_options_are_named(argv, option, shown, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2
@@ -535,6 +541,27 @@ def test_gen_group_fresh_route_disagreement_exits_1(tmp_path, monkeypatch):
     monkeypatch.setattr(Construction, "stratum_claims", corrupted)
     out = tmp_path / "o"
     assert run(["gen-group", "--config", "dihedral-m2", "--level", "2",
+                "--out", str(out)]) == 1
+    doc = json.loads((out / "dihedral-m2" / "gen-group" / "summary.json")
+                     .read_text())
+    assert doc["fresh_recursion_ok"] is False
+
+
+def test_gen_group_compares_the_fresh_routes_at_full_depth(tmp_path, monkeypatch):
+    """``gen-group --level <depth>`` compares the fresh routes at the level
+    it reports: a claim step corrupted only at full depth fails it."""
+    claims = Construction.stratum_claims
+
+    def corrupted(self, N):
+        for l, hit in enumerate(claims(self, N), start=1):
+            if N == self.depth and l == N:
+                hit = hit.copy()
+                hit.flat[0] = True
+            yield hit
+
+    monkeypatch.setattr(Construction, "stratum_claims", corrupted)
+    out = tmp_path / "o"
+    assert run(["gen-group", "--config", "dihedral-m2", "--level", "7",
                 "--out", str(out)]) == 1
     doc = json.loads((out / "dihedral-m2" / "gen-group" / "summary.json")
                      .read_text())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from toeplitz_lab import decks, verify
+from toeplitz_lab import decks, periods, verify, williams
 from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.williams import (
     UNDEFINED,
@@ -346,8 +346,8 @@ def test_fiber_census_windows_fit_the_probe_patch():
     census = verify.fiber_census(deck)
     assert census.fiber_radius == wp.periods[0]
     wide = generate(wp, 2 * (wp.periods[-1] + wp.periods[0]))
-    residues = [r.coords[-1] for r in census.rows]
-    assert [r.fiber_count for r in census.rows] == \
+    residues = [c[-1] for c in census.coords]
+    assert census.fibers.tolist() == \
         fiber_scan(wp, wide, 2, residues, census.fiber_radius).counts.tolist()
 
 
@@ -360,11 +360,11 @@ CENSUS_DECKS = {
 
 def _census_setup(name):
     """The deck's params, the census's probe patch, its fiber radius, the
-    census's residues mod p_2 in census order, and the census rows."""
+    census's residues mod p_2 in census order, and the census."""
     deck = CENSUS_DECKS[name]()
     census = verify.fiber_census(deck)
-    residues = [row.coords[-1] for row in census.rows]
-    return deck.williams, _probe(deck.williams), census.fiber_radius, residues, census.rows
+    residues = [c[-1] for c in census.coords]
+    return deck.williams, _probe(deck.williams), census.fiber_radius, residues, census
 
 
 def _scan_outcome(wp, eta, k, residues, radius):
@@ -392,15 +392,51 @@ def _reference_census_outcome(wp, eta, residues, radius):
 
 @pytest.mark.parametrize("name", CENSUS_DECKS)
 def test_census_rows_match_per_point_fiber_patches(name):
-    """Every census row's fiber count and aperiodic cells are what a
+    """Every census point's fiber count and aperiodic cells are what a
     one-residue fiber_scan and the per-point reference read on the
     census's probe patch."""
-    wp, eta, radius, _, rows = _census_setup(name)
-    assert len(rows) == wp.periods[1]
-    for row in rows:
-        got = _one_residue(wp, eta, row.coords, radius)
-        assert got == _reference_outcome(wp, eta, row.coords, radius)
-        assert (row.fiber_count, row.aperiodic) == (got[0][0], got[1][0])
+    wp, eta, radius, _, census = _census_setup(name)
+    assert len(census.coords) == wp.periods[1]
+    for coords, fibers, aperiodic in zip(census.coords, census.fibers.tolist(),
+                                         census.aperiodic.tolist()):
+        got = _one_residue(wp, eta, coords, radius)
+        assert got == _reference_outcome(wp, eta, coords, radius)
+        assert (fibers, aperiodic) == (got[0][0], got[1][0])
+
+
+@pytest.mark.parametrize("name", ["williams-m2", "dihedral-m2"])
+def test_cached_census_columns_are_read_only(name):
+    """The census record is shared through its cache, so a write to any of
+    its columns raises instead of changing what later readers see."""
+    census = verify.fiber_census(decks.bundled_deck(name))
+    assert census is verify.fiber_census(decks.bundled_deck(name))
+    for column in (census.fibers, census.pieces, census.aperiodic):
+        with pytest.raises(ValueError):
+            column[0] = 0
+
+
+@pytest.mark.parametrize("name,module,fn,column", [
+    ("williams-m2", williams, "fiber_scan", "counts"),
+    ("dihedral-m2", periods, "census", "fibers"),
+])
+def test_census_refuses_the_first_point_with_an_empty_fiber(name, module, fn, column,
+                                                            monkeypatch):
+    """An empty fiber would pass any bound, so the census refuses it, naming
+    the first such point in census order."""
+    deck = decks.bundled_deck(name)
+    coords = verify.fiber_census(deck).coords
+    real = getattr(module, fn)
+
+    def emptied(*args):
+        got = real(*args)
+        getattr(got, column)[[5, 3]] = 0
+        return got
+
+    monkeypatch.setattr(module, fn, emptied)
+    with pytest.raises(SpecError) as exc:
+        verify.fiber_census.__wrapped__(deck)
+    assert str(exc.value) == (f"no orbit approximant reaches odometer point {coords[3]} "
+                              f"at fiber radius {verify.fiber_census(deck).fiber_radius}")
 
 
 def test_wide_windows_span_several_keys():
