@@ -287,7 +287,7 @@ def cmd_verify_all(deck, args) -> int:
     exhausted = False
     for crit, name, check in verify.acceptance_table(args.max_steps, deadline):
         start = time.perf_counter()
-        r = check()
+        r = verify.run_check(name, check)
         timings[name] = time.perf_counter() - start
         _log(log, f"{name} {'passed' if r.passed else 'FAILED'} "
                   f"in {timings[name]:.3f} s")
@@ -300,8 +300,7 @@ def cmd_verify_all(deck, args) -> int:
             "provenance": r.provenance, "details": r.details})
         block["passed"] = block["passed"] and r.passed
         doc["passed"] = doc["passed"] and r.passed
-        if r.provenance == "search" and not r.passed:
-            exhausted = exhausted or r.details.get("status") == "exhausted"
+        exhausted = exhausted or r.details.get("status") == "exhausted"
     _write_json(out / "verdict.json", doc)
     _write_json(out / "timings.json", timings)
     _log(log, f"verify-all finished passed={doc['passed']}")

@@ -458,12 +458,11 @@ def regional_witness_from_certificate(cert: Certificate, oracle,
 
 
 def entropy_bounds_bits(max_certified: int, fiber_bound: int) -> tuple[float, float]:
-    """(log2 of the largest certified tuple size, log2 of the fiber bound)."""
-    lower = math.log2(max_certified)
-    upper = math.log2(fiber_bound)
-    if lower > upper + 1e-12:
+    """(log2 of the largest certified tuple size, log2 of the fiber bound),
+    refused when the certified size exceeds the bound, compared as integers."""
+    if max_certified > fiber_bound:
         raise AssertionError("certified lower bound exceeded the fiber bound")
-    return lower, upper
+    return math.log2(max_certified), math.log2(fiber_bound)
 
 
 def z_candidates(radius: int) -> list[Elt]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .lattice import Elt, EltArr, cube, unique_rows
+from .lattice import EltArr, cube, unique_rows
 from .toeplitz import Construction, EtaWindow
 
 
@@ -26,18 +26,18 @@ _CHUNK_CELLS = 1 << 16
 # -- period sets --------------------------------------------------------------
 
 
-def per_set_exact(win: EtaWindow, i: int, alpha: int | None = None) -> set[Elt]:
-    """Positions of D_N R captured by level <= i, from the stratification
-    (check-only).
-
-    This is the exact reference that tests compare ``per_set_empirical``
-    against: it reads the period set straight off the level array, while
-    the production route tests the visible Gamma-orbit of every position.
-    """
-    coords, hit = win.cons.domains.box_coords(win.N), win.levels <= i
-    return {(tuple(v), f) for f in range(win.spec.finite_order)
-            for v in coords[hit if alpha is None
-                            else hit & (win.symbol_array(f) == alpha)].tolist()}
+def per_set_exact(cons: Construction, points: EltArr, i: int,
+                  alphas: np.ndarray) -> np.ndarray:
+    """Masks of the points in the Gamma_i-periodic part of eta that reads
+    alphas[s], for a batch of samples, from the stratification: eta is
+    constant on the coset Gamma_i w exactly when w has level <= i.  Points
+    are lattice parts (S, C, r) and finite parts (S, C); returns (S, C)
+    booleans.  Levels come from ``Construction.levels_at`` and symbols from
+    ``symbol_table``, never from a window array, so this exact period set
+    shares no array with ``per_set_empirical``, which approximates it."""
+    pv, pf = points
+    levels = cons.levels_at(pv.reshape(-1, cons.group.rank)).reshape(pf.shape)
+    return (levels <= i) & (cons.symbol_table()[pf, levels] == alphas[:, None])
 
 
 def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> EltArr:
@@ -48,17 +48,18 @@ def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> EltAr
 
 
 def per_set_empirical(win: EtaWindow, outer: EltArr, gammas: EltArr, core: EltArr,
-                      alphas: np.ndarray | None = None) -> np.ndarray:
+                      alphas: np.ndarray) -> np.ndarray:
     """Masks of the core positions h whose whole visible Gamma-orbit reads
-    one symbol, for a batch of points x_s(w) = eta(a_s w) of the window,
-    a_s = outer[s]: x_s(h) is alphas[s] (any readable symbol when alphas is
-    None) and each x_s(gamma^-1 h) is x_s(h) or cannot be read.
+    alphas[s], for a batch of points x_s(w) = eta(a_s w) of the window,
+    a_s = outer[s]: x_s(h) is alphas[s] and each x_s(gamma^-1 h) is alphas[s]
+    or cannot be read.
 
     ``outer`` holds one element per sample, lattice parts (S, r) and finite
-    parts (S,); ``gammas`` (K elements) and ``core`` (C elements) are either
-    shared, (K, r) and (K,), or per sample, (S, K, r) and (S, K).  Returns
-    (S, C) booleans.  Tests only the translates that fall inside the window,
-    so each row is a superset of the true period set restricted to it.
+    parts (S,); the K elements ``gammas``, (K, r) and (K,), and the C cells
+    ``core``, (C, r) and (C,), are shared by the samples.  Returns (S, C)
+    booleans.  Tests only the translates that fall inside the window, so
+    each row is a superset of the exact period set (``per_set_exact``)
+    restricted to it.
 
     Every read is at a product a t h, t = e or gamma^-1, whose lattice part
     a_v + M_{a_f} t_v + M_{a_f t_f} h_v separates into a per-(sample, t_f,
@@ -70,63 +71,26 @@ def per_set_empirical(win: EtaWindow, outer: EltArr, gammas: EltArr, core: EltAr
     """
     spec = win.spec
     ov, of = outer
-    S, rank = len(of), spec.rank
-    iv, i_f = spec.inv_arr(*gammas)
-    reads = i_f.shape[-1] + 1
-    tv = np.zeros((S, reads, rank), dtype=np.int64)  # translates e, gamma^-1
-    tf = np.zeros((S, reads), dtype=np.intp)
-    tv[:, 1:], tf[:, 1:] = iv, i_f
-    hv = np.broadcast_to(core[0], (S,) + np.shape(core[0])[-2:])
-    hf = np.broadcast_to(core[1], hv.shape[:-1])
-    fs = np.arange(spec.finite_order)[:, None]  # every finite part t_f
-    if alphas is not None:
-        alphas = np.asarray(alphas)[:, None]
-    out = np.empty(hf.shape, dtype=bool)
-    step = max(1, _CHUNK_CELLS // (reads * hf.shape[1]))
-    for lo in range(0, S, step):
+    # the translates e and gamma^-1
+    tv, tf = spec.inv_arr(np.insert(gammas[0], 0, 0, axis=0), np.insert(gammas[1], 0, 0))
+    # M_{t_f} h_v and t_f h_f for every finite part t_f, shapes (|F|, C, r), (|F|, C)
+    moved = spec.mul_arr(0, np.arange(spec.finite_order)[:, None], *core)
+    out = np.empty((len(of), len(core[1])), dtype=bool)
+    step = max(1, _CHUNK_CELLS // (len(tf) * len(core[1])))
+    for lo in range(0, len(of), step):
         sl = slice(lo, lo + step)
-        av, af = ov[sl], of[sl]
-        trans = spec.mul_arr(av[:, None], af[:, None], tv[sl], tf[sl])[0]
-        cell_v, cell_f = spec.mul_arr(0, af[:, None, None],
-                                      *spec.mul_arr(0, fs, hv[sl][:, None], hf[sl][:, None]))
+        trans = spec.mul_arr(ov[sl, None], of[sl, None], tv, tf)[0]
+        cell_v, cell_f = spec.mul_arr(0, of[sl, None, None], *moved)
         low = cell_v.min(axis=(0, 1, 2)) + trans.min(axis=(0, 1))
         syms = win.symbol_box(low, cell_v.max(axis=(0, 1, 2)) + trans.max(axis=(0, 1)))
         ext = syms.shape[1:]
-        strides = np.array([math.prod(ext[k + 1:]) for k in range(rank)], dtype=np.int64)
+        strides = np.array([math.prod(ext[k + 1:]) for k in range(spec.rank)], dtype=np.int64)
         cell_flat = cell_f * math.prod(ext) + (cell_v - low) @ strides
-        idx = cell_flat[np.arange(len(af))[:, None], tf[sl]]
-        idx += (trans @ strides)[..., None]
+        idx = cell_flat[:, tf] + (trans @ strides)[..., None]
         vals = syms.ravel()[idx]
-        base = vals[:, 0]
-        ok = base >= 0 if alphas is None else base == alphas[sl]
-        out[sl] = ok & np.all((vals[:, 1:] < 0) | (vals[:, 1:] == base[:, None]), axis=1)
+        hit = vals == alphas[sl, None, None]
+        out[sl] = hit[:, 0] & np.all(hit[:, 1:] | (vals[:, 1:] < 0), axis=1)
     return out
-
-
-def conjugation_identity_check(win: EtaWindow, shifts: EltArr, gs: EltArr,
-                               gammas: EltArr, alphas: np.ndarray,
-                               core: EltArr) -> np.ndarray:
-    """Window check of Per(sigma^g x, Gamma, a) = g Per(x, g^-1 Gamma g, a),
-    x = sigma^s eta, for a batch of samples: one shift s, element g and
-    symbol a per sample, lattice parts (S, r) and finite parts (S,).
-    Returns (S,) booleans, True where the two sides agree on the core.
-
-    Both sides are computed empirically with the translate families the
-    window supports, on distinct routes.  The left side reads x at g^-1
-    times the core and its gamma^-1 translates (outer element s^-1 g^-1).
-    The right side reads x (outer element s^-1) at the translated core
-    g^-1 h with the conjugates g^-1 gamma g, so its mask is indexed by the
-    core like the left side's.
-    """
-    spec = win.spec
-    sv, sf = spec.inv_arr(*shifts)
-    gv, gf = spec.inv_arr(*gs)
-    left = per_set_empirical(win, spec.mul_arr(sv, sf, gv, gf), gammas, core, alphas)
-    conj = spec.mul_arr(*spec.mul_arr(gv[:, None], gf[:, None], *gammas),
-                        gs[0][:, None], gs[1][:, None])
-    core_right = spec.mul_arr(gv[:, None], gf[:, None], *core)
-    right = per_set_empirical(win, (sv, sf), conj, core_right, alphas)
-    return np.all(left == right, axis=1)
 
 
 # -- tower pieces, the aperiodic part and fibers -------------------------------

@@ -85,6 +85,11 @@ def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
 
     The first window cell, in window order, that is out of the source
     patch's reach (SpecError) or carries different symbols (False) decides.
+
+    The two sides read the source at w . M_{f^-1}(h - g) and at w . h -
+    phi(g), g = (g_v, f): the same integer whenever M_f^T w = w for every f,
+    that is whenever ``validate_hom`` accepts.  So on an accepted
+    homomorphism the check cannot fail; it certifies the window arithmetic.
     """
     w = np.array(spec.w, dtype=np.int64)
     hv = np.array([v for v, _ in window], dtype=np.int64).reshape(len(window), group.rank)

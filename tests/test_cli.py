@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import toeplitz_lab
 from toeplitz_lab import decks, measures, periods, verify
+from toeplitz_lab import independence as ind
 from toeplitz_lab.cli import main
 from toeplitz_lab.lattice import SpecError
-from toeplitz_lab.toeplitz import Construction
+from toeplitz_lab.toeplitz import Construction, ConstructionError
 
 
 def run(args):
@@ -192,6 +193,71 @@ def test_verify_all_writes_timings_beside_a_deterministic_verdict(
          "11 conjugation identity"]
     assert [ch["name"] for c in doc["criteria"] for ch in c["checks"]] == list(picked)
     assert doc["passed"] and "seconds" not in verdicts[0].decode()
+
+
+def test_a_raising_check_does_not_hide_the_others(tmp_path, monkeypatch, capsys):
+    """The class table of z2-m2 raises ConstructionError: the three checks
+    that read it fail, naming the exception, and every other check still
+    runs and passes; all three files are written and the exit code is 1."""
+    real = measures.class_levels
+    z2 = decks.construction(decks.bundled_deck("z2-m2"))
+
+    def broken(cons, n, N):
+        if cons is z2:
+            raise ConstructionError("the class table is not constant")
+        return real(cons, n, N)
+
+    monkeypatch.setattr(measures, "class_levels", broken)
+    verify.fiber_census.cache_clear()  # a census built before would not read it
+    assert run(["verify-all", "--out", str(tmp_path)]) == 1
+    out = tmp_path / "verify-all"
+    doc = json.loads((out / "verdict.json").read_text())
+    rows = [check for block in doc["criteria"] for check in block["checks"]]
+    assert len(rows) == 38 and not doc["passed"]
+    failed = {row["name"]: row for row in rows if not row["passed"]}
+    assert sorted(failed) == ["fiber-scan[z2-m2]", "matrix-recursions[z2-m2]",
+                              "tower-pieces[z2-m2]"]
+    for row in failed.values():
+        assert row["provenance"] == "raised"
+        assert row["details"] == {"error": "ConstructionError",
+                                  "message": "the class table is not constant"}
+    assert sorted(json.loads((out / "timings.json").read_text())) == \
+        sorted(row["name"] for row in rows)
+    log = (out / "run.log").read_text().splitlines()
+    assert len(log) == 40 and log[-1].endswith("verify-all finished passed=False")
+    assert [line.split()[1] for line in log if " FAILED in " in line] == \
+        ["matrix-recursions[z2-m2]", "fiber-scan[z2-m2]", "tower-pieces[z2-m2]"]
+
+
+def test_a_raising_search_fails_the_entropy_bounds_row(monkeypatch):
+    real = verify.check_independence_deck
+
+    def broken(name, *args):
+        if name == "z2-m2":
+            raise ind.CertificateWindowError("a witness read left the window")
+        return real(name, *args)
+
+    monkeypatch.setattr(verify, "check_independence_deck", broken)
+    rows = {name: verify.run_check(name, check)
+            for _, name, check in verify.acceptance_table() if "independence" in name
+            or name == "entropy-bounds"}
+    assert not rows["independence[z2-m2]"].passed
+    assert rows["independence[z2-m2]"].details["error"] == "CertificateWindowError"
+    bounds = rows["entropy-bounds"]
+    assert not bounds.passed and bounds.provenance == "search"
+    assert bounds.details["z2-m2"] == {"search": "independence[z2-m2]",
+                                       "raised": "CertificateWindowError"}
+    assert all(rows[f"independence[{n}]"].passed and "lower_bits" in bounds.details[n]
+               for n in verify.INDEPENDENCE_DECKS if n != "z2-m2")
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt, ZeroDivisionError])
+def test_other_exceptions_of_a_check_propagate(error):
+    def check():
+        raise error("not a check failure")
+
+    with pytest.raises(error):
+        verify.run_check("any", check)
 
 
 def test_verify_all_refuses_a_deck_file(tmp_path, capsys):

@@ -416,6 +416,9 @@ def test_entropy_bounds():
     assert lo == 1.0 and hi == 4.0
     with pytest.raises(AssertionError):
         entropy_bounds_bits(5, 2)
+    # decided on the integers: their log2 floats are equal
+    with pytest.raises(AssertionError):
+        entropy_bounds_bits(2**53 + 1, 2**53)
 
 
 # -- the search against its numpy reference -------------------------------------

@@ -10,7 +10,9 @@ of another module does not hide it.  A public method (properties excluded)
 is matched by name alone, since the type of its receiver is not known
 without running the code.  The only exceptions are check-only references:
 second implementations that tests compare a production function against,
-each saying so in its docstring.
+each saying so in its docstring.  Conversely, a check-only reference has no
+caller in src/, and every function whose docstring says "check-only" is
+listed as one.
 
 No numpy call in src/ takes a slow route to rows or matrix actions:
 ``np.unique(..., axis=...)`` sorts through a structured dtype, and
@@ -32,9 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "toeplitz_lab"
 
 # (module, check-only function, the production function it is checked against)
-CHECK_ONLY = (
-    ("periods", "per_set_exact", "per_set_empirical"),
-)
+CHECK_ONLY = ()
 
 
 def _is_property(node) -> bool:
@@ -42,29 +42,32 @@ def _is_property(node) -> bool:
                for dec in node.decorator_list)
 
 
-def _public_defs():
+def _src_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_defs(trees):
     """(module, name, def node, is method) for public functions and methods
-    in src/."""
+    in the parsed modules."""
     out = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for stem, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                out.append((path.stem, node.name, node, False))
+                out.append((stem, node.name, node, False))
             elif isinstance(node, ast.ClassDef):
-                out.extend((path.stem, sub.name, sub, True) for sub in node.body
+                out.extend((stem, sub.name, sub, True) for sub in node.body
                            if isinstance(sub, ast.FunctionDef)
                            and not _is_property(sub))
     return [d for d in out if not d[1].startswith("_")]
 
 
-def _src_references():
-    """name -> [(module, line, home)] for every identifier reference in
-    src/.  ``home`` is the module that a bare or imported name refers to: the
-    module it was imported from, else its own.  It is None for an attribute."""
+def _src_references(trees):
+    """name -> [(module, line, home)] for every identifier reference in the
+    parsed modules.  ``home`` is the module that a bare or imported name
+    refers to: the module it was imported from, else its own.  It is None
+    for an attribute."""
     refs: dict[str, list[tuple[str, int, str | None]]] = {}
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for stem, tree in trees.items():
         imports = [node for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.module]
         imported = {alias.asname or alias.name: node.module.rsplit(".", 1)[-1]
@@ -73,11 +76,11 @@ def _src_references():
                  for node in imports for alias in node.names]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                found.append((node.id, node.lineno, imported.get(node.id, path.stem)))
+                found.append((node.id, node.lineno, imported.get(node.id, stem)))
             elif isinstance(node, ast.Attribute):
                 found.append((node.attr, node.lineno, None))
         for name, line, home in found:
-            refs.setdefault(name, []).append((path.stem, line, home))
+            refs.setdefault(name, []).append((stem, line, home))
     return refs
 
 
@@ -89,10 +92,10 @@ def _script_words() -> set[str]:
     return words
 
 
-def _uncalled():
-    refs, words = _src_references(), _script_words()
+def _uncalled(trees, words):
+    refs = _src_references(trees)
     out = {}
-    for mod, name, node, method in _public_defs():
+    for mod, name, node, method in _public_defs(trees):
         outside = [(m, line) for m, line, home in refs.get(name, [])
                    if not (m == mod and node.lineno <= line <= node.end_lineno)
                    and (method or home in (None, mod))]
@@ -103,22 +106,59 @@ def _uncalled():
 
 def test_every_public_function_has_a_library_caller():
     check_only = {(mod, name) for mod, name, _ in CHECK_ONLY}
-    dead = sorted(f"{mod}.{name}" for mod, name in _uncalled()
+    dead = sorted(f"{mod}.{name}" for mod, name in _uncalled(_src_trees(), _script_words())
                   if (mod, name) not in check_only)
     assert dead == [], f"public functions only tests call: {dead}"
 
 
-def test_check_only_references_are_labelled_and_uncalled():
-    uncalled = _uncalled()
-    defs = {(mod, name): node for mod, name, node, _ in _public_defs()}
-    for mod, name, counterpart in CHECK_ONLY:
-        assert (mod, name) in defs, f"{mod}.{name} no longer exists"
-        # a check-only reference that gains a caller leaves this list
-        assert (mod, name) in uncalled, f"{mod}.{name} has a library caller"
+def _check_only_faults(check_only, trees) -> list[str]:
+    """Breaches of the check-only rules in the parsed modules: a listed
+    function that is gone, has a caller in them (a check-only reference that
+    production code calls is no longer independent: move the caller to the
+    production function, or drop the entry), does not name its production
+    counterpart, or whose counterpart is gone; and a function whose
+    docstring says "check-only" but is not listed."""
+    uncalled = _uncalled(trees, set())
+    defs = {(mod, name): node for mod, name, node, _ in _public_defs(trees)}
+    faults = []
+    for mod, name, counterpart in check_only:
+        if (mod, name) not in defs:
+            faults.append(f"{mod}.{name} no longer exists")
+            continue
+        if (mod, name) not in uncalled:
+            faults.append(f"{mod}.{name} is check-only but has a caller in src/")
         doc = ast.get_docstring(defs[(mod, name)]) or ""
-        assert "check-only" in doc and counterpart in doc, \
-            f"{mod}.{name} must say it is the check-only reference for {counterpart}"
-        assert (mod, counterpart) in defs
+        if not ("check-only" in doc and counterpart in doc):
+            faults.append(f"{mod}.{name} must say it is the check-only reference "
+                          f"for {counterpart}")
+        if (mod, counterpart) not in defs:
+            faults.append(f"{mod}.{counterpart} no longer exists")
+    listed = {(mod, name) for mod, name, _ in check_only}
+    faults += [f"{mod}.{name} says it is check-only but is not listed"
+               for (mod, name), node in defs.items()
+               if "check-only" in (ast.get_docstring(node) or "")
+               and (mod, name) not in listed]
+    return faults
+
+
+def test_check_only_references_are_labelled_and_uncalled():
+    assert _check_only_faults(CHECK_ONLY, _src_trees()) == []
+
+
+def test_check_only_guard_sees_a_production_caller():
+    modules = {
+        "a": 'def slow(x):\n    """The check-only reference for fast."""\n    return x\n\n\n'
+             'def fast(x):\n    return x\n',
+        "b": "from . import a\n\n\ndef use():\n    return a.fast(1)\n",
+    }
+    listed = (("a", "slow", "fast"),)
+    trees = {stem: ast.parse(text) for stem, text in modules.items()}
+    assert _check_only_faults(listed, trees) == []
+    assert _check_only_faults((), trees) == \
+        ["a.slow says it is check-only but is not listed"]
+    trees["b"] = ast.parse(modules["b"] + "\n\ndef drift():\n    return a.slow(2)\n")
+    assert _check_only_faults(listed, trees) == \
+        ["a.slow is check-only but has a caller in src/"]
 
 
 def _slow_numpy_calls(source: str, name: str) -> list[str]:

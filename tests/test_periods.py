@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -10,11 +11,17 @@ from hypothesis import given, settings, strategies as st
 from test_toeplitz import shifted_constructions
 
 from toeplitz_lab import decks, periods, verify
-from toeplitz_lab.lattice import SpecError, Vec, cube, decompose_right
+from toeplitz_lab.lattice import (
+    DomainChain,
+    SpecError,
+    SubgroupChain,
+    Vec,
+    cube,
+    decompose_right,
+)
 from toeplitz_lab.periods import (
     _Batch,
     census,
-    conjugation_identity_check,
     per_set_empirical,
     per_set_exact,
     subgroup_elements_in_window,
@@ -117,21 +124,49 @@ def _one(elt, rank):
     return _elt_arrays([elt], rank)
 
 
+def _exact_mask(cons, positions, i, alpha):
+    """``per_set_exact`` at the given positions as one sample."""
+    pv, pf = positions
+    return per_set_exact(cons, (pv[None], pf[None]), i, np.array([alpha]))[0]
+
+
 def test_empirical_per_is_superset_with_interior_equality():
     cons = dihedral()
     win = cons.window(3)
     spec = cons.group
     positions = [(tuple(v), f) for f in range(spec.finite_order)
                  for v in cons.domains.box_coords(3).tolist()]
+    arrays = _elt_arrays(positions, spec.rank)
+    interior = np.array([abs(g[0][0]) <= 30 for g in positions])
     for i in (1, 2):
         gammas = subgroup_elements_in_window(cons, i, 3)
-        mask = per_set_empirical(win, _one(spec.identity, 1), gammas,
-                                 _elt_arrays(positions, spec.rank))[0]
-        emp = {g for g, hit in zip(positions, mask) if hit}
-        exact = per_set_exact(win, i)
-        assert emp >= exact
-        interior = {g for g in positions if abs(g[0][0]) <= 30}
-        assert emp & interior == exact & interior
+        for alpha in cons.alphabet:
+            emp = per_set_empirical(win, _one(spec.identity, 1), gammas, arrays,
+                                    np.array([alpha]))[0]
+            exact = _exact_mask(cons, arrays, i, alpha)
+            assert (emp >= exact).all()
+            assert np.array_equal(emp[interior], exact[interior])
+
+
+@pytest.mark.parametrize("deck_name", decks.BUNDLED)
+def test_exact_period_sets_read_no_window_array(deck_name, monkeypatch):
+    """``per_set_exact`` reads levels through ``levels_at``: with the level
+    arrays and window symbol arrays refused, it still gives the cells of the
+    level-3 window of level <= i that read each symbol, per finite part."""
+    cons = decks.construction(decks.bundled_deck(deck_name))
+    win = cons.window(3)
+    F = cons.group.finite_order
+    box = cons.domains.box_coords(3)
+    want = {(i, alpha): np.stack([(win.levels <= i) & (win.symbol_array(f) == alpha)
+                                  for f in range(F)])
+            for i in (1, 2, 3) for alpha in cons.alphabet}
+    refuse = lambda *a: pytest.fail("a window array was read")
+    monkeypatch.setattr(Construction, "level_array", refuse)
+    monkeypatch.setattr(EtaWindow, "symbol_array", refuse)
+    fparts = np.repeat(np.arange(F)[:, None], len(box), axis=1)
+    points = (np.broadcast_to(box, (F,) + box.shape), fparts)
+    for (i, alpha), mask in want.items():
+        assert np.array_equal(per_set_exact(cons, points, i, np.full(F, alpha)), mask)
 
 
 def test_constant_patch_is_everywhere_periodic():
@@ -146,38 +181,63 @@ def test_constant_patch_is_everywhere_periodic():
     assert {g for g, hit in zip(window, mask) if hit} == set(window)
 
 
-def _conjugation_one(win, shift, g, gammas, alpha, core):
+# -- criterion 11: both sides of the batched check ----------------------------
+
+
+def _sides(win, shifts, gs, i, alphas, core, translate=True):
+    """Both sides of ``verify.check_conjugation`` for samples of level i, as
+    masks over the core: the empirical period set of the window read at
+    s^-1 g^-1 h, and the exact one at the points s^-1 g^-1 h (at s^-1 h,
+    the g^-1 translate dropped, without ``translate``)."""
+    spec, cons = win.spec, win.cons
+    sinv = spec.inv_arr(*shifts)
+    outer = spec.mul_arr(*sinv, *spec.inv_arr(*gs))
+    left = per_set_empirical(win, outer, subgroup_elements_in_window(cons, i, i + 1),
+                             core, alphas)
+    at = outer if translate else sinv
+    points = spec.mul_arr(at[0][:, None], at[1][:, None], *core)
+    return left, per_set_exact(cons, points, i, alphas)
+
+
+def _conjugation_one(win, shift, g, i, alpha, core):
     """The batched check on a batch of one sample."""
     rank = win.spec.rank
-    return bool(conjugation_identity_check(win, _one(shift, rank), _one(g, rank), gammas,
-                                           np.array([alpha]), core)[0])
+    left, right = _sides(win, _one(shift, rank), _one(g, rank), i, np.array([alpha]), core)
+    return np.array_equal(left, right)
 
 
-def test_conjugation_identity():
+def test_conjugation_identity(monkeypatch):
     cons = dihedral()
     spec = cons.group
     win = cons.window(3)
-    core = _elt_arrays([((v,), f) for v in range(-20, 21) for f in (0, 1)], 1)
-    gammas = subgroup_elements_in_window(cons, 1, 2)
-    gamma_list = _elt_list(gammas)
+    core = _elt_arrays([((v,), f) for v in range(-6, 7) for f in (0, 1)], 1)
+    gamma_list = _elt_list(subgroup_elements_in_window(cons, 1, 2))
     e = spec.identity
-    # identity shift is trivially fine
-    assert _conjugation_one(win, e, e, gammas, 1, core)
-    # flip conjugation fixes the diagonal subgroup, the identity still holds
+    assert _conjugation_one(win, e, e, 1, 1, core)
+    # flip conjugation fixes the diagonal subgroup, which the check's guard
+    # asks of every action matrix
     flip = ((0,), 1)
     conj = {spec.mul(spec.mul(spec.inv(flip), t), flip) for t in gamma_list}
     assert conj == set(gamma_list)
     for alpha in (0, 1, 2):
-        assert _conjugation_one(win, e, flip, gammas, alpha, core)
+        assert _conjugation_one(win, e, flip, 1, alpha, core)
     rng = random.Random(5)
-    gs = [((rng.randint(-5, 5),), rng.choice((0, 1))) for _ in range(25)]
-    alphas = np.array([rng.choice(cons.alphabet) for _ in gs])
-    shifts = _elt_arrays([e] * len(gs), 1)
-    assert conjugation_identity_check(win, shifts, _elt_arrays(gs, 1), gammas, alphas,
-                                      core).all()
+    for _ in range(25):
+        g = ((rng.randint(-5, 5),), rng.choice((0, 1)))
+        assert _conjugation_one(win, e, g, rng.choice((1, 2)), rng.choice(cons.alphabet),
+                                core)
+    assert verify.check_conjugation("dihedral-m2").passed
+    # the swap does not map Gamma_1 = 5Z x 10Z onto itself: refused before
+    # any sample is drawn
+    swap = decks.bundled_deck("swap-m2")
+    chain = SubgroupChain(tuple((p, 2 * q) for p, q in swap.chain.moduli))
+    skew = dataclasses.replace(swap, chain=chain, domains=DomainChain.auto(chain))
+    monkeypatch.setattr(decks, "bundled_deck", lambda name: skew)
+    with pytest.raises(SpecError, match=r"finite part 1 does not map Gamma_1 = \(5, 10\)"):
+        verify.check_conjugation("swap-m2")
 
 
-# -- test-local references: the per-sample route the batched check replaced ------
+# -- test-local references: one sample at a time ---------------------------------
 
 
 def _get_arr(win, v, f):
@@ -198,28 +258,37 @@ def _per_set_reference(spec, get_arr, positions, gammas, alpha):
     """One sample's period-set mask, every read through ``get_arr``."""
     pv, pf = positions
     base = get_arr(pv, pf)
-    ok = base >= 0 if alpha is None else base == alpha
+    ok = base == alpha
     iv, i_f = spec.inv_arr(*gammas)
     vals = get_arr(*spec.mul_arr(iv[:, None], i_f[:, None], pv[None], pf[None]))
     return ok & np.all((vals < 0) | (vals == base), axis=0)
 
 
-def _conjugation_reference(win, shift, g, gammas, alpha, core):
-    """Both sides of one sample as masks over the core, the left side
-    through sigma^g sigma^s eta and the right through the conjugates."""
+def _left_reference(win, shift, g, i, alpha, core):
+    """The left side of one sample, read through sigma^g sigma^s eta."""
     spec = win.spec
     x_get = _shifted_get(spec, lambda v, f: _get_arr(win, v, f), shift)
-    left = _per_set_reference(spec, _shifted_get(spec, x_get, g), core, gammas, alpha)
-    gv, gf = spec.inv(g)
-    conj = spec.mul_arr(*spec.mul_arr(gv, gf, *gammas), *g)
-    right = _per_set_reference(spec, x_get, spec.mul_arr(gv, gf, *core), conj, alpha)
-    return left, right
+    gammas = subgroup_elements_in_window(win.cons, i, i + 1)
+    return _per_set_reference(spec, _shifted_get(spec, x_get, g),
+                              _elt_arrays(core, spec.rank), gammas, alpha)
+
+
+def _right_reference(cons, shift, g, i, alpha, core):
+    """The right side of one sample: its points s^-1 g^-1 h by the scalar
+    group law, their levels through ``levels_at`` and their symbols by
+    ``symbol_from_level``."""
+    spec = cons.group
+    outer = spec.mul(spec.inv(shift), spec.inv(g))
+    points = [spec.mul(outer, h) for h in core]
+    levels = cons.levels_at(np.array([v for v, _ in points])).tolist()
+    return np.array([l <= i and cons.symbol_from_level(l, f) == alpha
+                     for l, (_, f) in zip(levels, points)])
 
 
 def _conjugation_samples(deck_name: str, samples: int, seed: int = 7, spread=(3, 4)):
     """The sampled arguments of ``verify.check_conjugation``, drawn in its
-    order: (window, shift of the array, g, Gamma_i elements, alpha, core
-    cells).  ``spread`` bounds the shift and g coordinates."""
+    order: (window, shift of the array, g, level i, alpha, core cells).
+    ``spread`` bounds the shift and g coordinates."""
     cons = decks.construction(decks.bundled_deck(deck_name))
     spec = cons.group
     rng = random.Random(seed)
@@ -231,77 +300,60 @@ def _conjugation_samples(deck_name: str, samples: int, seed: int = 7, spread=(3,
                      rng.randrange(spec.finite_order)) for x in spread)
         i = rng.choice((1, 2))
         alpha = rng.choice(cons.alphabet)
-        yield (cons.window(3), shift, g, _elt_list(subgroup_elements_in_window(cons, i, i + 1)),
-               alpha, core)
+        yield cons.window(3), shift, g, i, alpha, core
 
 
 def _arrays(draws):
-    """Samples that share their window, Gamma_i and core as the arrays of
-    the batched check: (window, shifts, gs, gammas, alphas, core)."""
-    win, _, _, gammas, _, core = draws[0]
+    """Samples of one level as the arguments of ``_sides``: (window,
+    shifts, gs, i, alphas, core)."""
+    win, _, _, i, _, core = draws[0]
     rank = win.spec.rank
     shifts = _elt_arrays([d[1] for d in draws], rank)
     gs = _elt_arrays([d[2] for d in draws], rank)
-    return (win, shifts, gs, _elt_arrays(gammas, rank), np.array([d[4] for d in draws]),
-            _elt_arrays(core, rank))
+    return win, shifts, gs, i, np.array([d[4] for d in draws]), _elt_arrays(core, rank)
 
 
-def _sides(win, shifts, gs, gammas, alphas, core, translate_core=True):
-    """Both sides of the batched check as masks over the core; without
-    ``translate_core`` the right side reads the core itself, not g^-1 h."""
-    spec = win.spec
-    sv, sf = spec.inv_arr(*shifts)
-    gv, gf = spec.inv_arr(*gs)
-    left = per_set_empirical(win, spec.mul_arr(sv, sf, gv, gf), gammas, core, alphas)
-    conj = spec.mul_arr(*spec.mul_arr(gv[:, None], gf[:, None], *gammas),
-                        gs[0][:, None], gs[1][:, None])
-    if translate_core:
-        core = spec.mul_arr(gv[:, None], gf[:, None], *core)
-    return left, per_set_empirical(win, (sv, sf), conj, core, alphas)
-
-
-def _by_gamma(draws):
-    """The draws split by their Gamma_i, each part in draw order."""
-    parts: dict[tuple, list] = {}
+def _by_level(draws):
+    """The draws split by their level i, each part in draw order."""
+    parts: dict[int, list] = {}
     for d in draws:
-        parts.setdefault(tuple(d[3]), []).append(d)
+        parts.setdefault(d[3], []).append(d)
     return list(parts.values())
 
 
 def _assert_matches_reference(draws):
-    """Masks and verdicts of the batched route equal the per-sample
-    reference, sample by sample; returns how many samples passed."""
-    args = _arrays(draws)
-    left, right = _sides(*args)
-    verdicts = conjugation_identity_check(*args)
-    for n, (win, shift, g, gammas, alpha, core) in enumerate(draws):
-        rank = win.spec.rank
-        ref_left, ref_right = _conjugation_reference(
-            win, shift, g, _elt_arrays(gammas, rank), alpha, _elt_arrays(core, rank))
+    """Both sides of the batched route equal the per-sample references,
+    sample by sample; returns how many samples the references pass."""
+    left, right = _sides(*_arrays(draws))
+    agreed = 0
+    for n, (win, shift, g, i, alpha, core) in enumerate(draws):
+        ref_left = _left_reference(win, shift, g, i, alpha, core)
+        ref_right = _right_reference(win.cons, shift, g, i, alpha, core)
         assert np.array_equal(left[n], ref_left), n
         assert np.array_equal(right[n], ref_right), n
-        assert verdicts[n] == np.array_equal(ref_left, ref_right), n
-    return int(verdicts.sum())
+        agreed += np.array_equal(ref_left, ref_right)
+    return agreed
 
 
 @pytest.mark.parametrize("deck_name", decks.BUNDLED)
 def test_batched_conjugation_matches_per_sample_reference(deck_name):
     """All samples of ``check_conjugation`` at seeds 1-3, batched, against
-    the per-sample route; the check's count is the reference's."""
+    the per-sample references; the check's count is the references'."""
     for seed in (1, 2, 3):
         draws = list(_conjugation_samples(deck_name, 100, seed))
-        agreed = sum(_assert_matches_reference(part) for part in _by_gamma(draws))
+        agreed = sum(_assert_matches_reference(part) for part in _by_level(draws))
         assert verify.check_conjugation(deck_name, seed=seed).details == \
             {"passed": agreed, "samples": 100}
 
 
 def _scalar_reader(cons, N):
-    """eta on the D_N R box one cell at a time, None outside, its levels
-    read through ``Construction.levels_at``."""
+    """eta on the D_N R box one cell at a time as (symbol, level), None
+    outside, its levels read through ``Construction.levels_at``."""
     box = cons.domains.box_coords(N)
-    syms = cons.symbol_table()[:, cons.levels_at(box)].tolist()
-    return {(tuple(v), f): s for f, row in enumerate(syms)
-            for v, s in zip(box.tolist(), row)}.get
+    levels = cons.levels_at(box).tolist()
+    return {(tuple(v), f): (cons.symbol_from_level(l, f), l)
+            for f in range(cons.group.finite_order)
+            for v, l in zip(box.tolist(), levels)}.get
 
 
 def _per_set_scalar(spec, patch_get, positions, gammas, alpha):
@@ -317,51 +369,66 @@ def _per_set_scalar(spec, patch_get, positions, gammas, alpha):
     return out
 
 
-def _conjugation_scalar(spec, patch_get, g, gammas, alpha, core):
-    """Reference: both sides of the identity as sets of group elements."""
-    ginv = spec.inv(g)
-    left = _per_set_scalar(spec, lambda h: patch_get(spec.mul(ginv, h)), core,
-                           gammas, alpha)
-    conj = [spec.mul(spec.mul(ginv, t), g) for t in gammas]
-    right_raw = _per_set_scalar(spec, patch_get, [spec.mul(ginv, h) for h in core],
-                                conj, alpha)
-    return left == set(core) & {spec.mul(g, h) for h in right_raw}
-
-
 @pytest.mark.parametrize("deck_name,samples", [("dihedral-m2", 40), ("swap-m2", 4)])
 def test_conjugation_check_matches_scalar_reference(deck_name, samples):
-    for win, shift, g, gammas, alpha, core in _conjugation_samples(deck_name, samples):
-        spec = win.spec
+    for win, shift, g, i, alpha, core in _conjugation_samples(deck_name, samples):
+        spec, cons = win.spec, win.cons
         sinv, ginv = spec.inv(shift), spec.inv(g)
-        eta_at = _scalar_reader(win.cons, win.N)
-        x_scalar = lambda h: eta_at(spec.mul(sinv, h))
-        core_arr, gammas_arr = _elt_arrays(core, spec.rank), _elt_arrays(gammas, spec.rank)
+        eta_at = _scalar_reader(cons, win.N)
+        x_scalar = lambda h: (eta_at(spec.mul(sinv, h)) or (None,))[0]
+        core_arr = _elt_arrays(core, spec.rank)
         no_gammas = _elt_arrays([], spec.rank)
         # x read at the core: the cells where it reads each symbol
         read = np.full(len(core), -1)
-        for sym in win.cons.alphabet:
+        for sym in cons.alphabet:
             read[per_set_empirical(win, _one(sinv, spec.rank), no_gammas, core_arr,
                                    np.array([sym]))[0]] = sym
         assert read.tolist() == [-1 if x_scalar(h) is None else x_scalar(h) for h in core]
-        left = per_set_empirical(win, _one(spec.mul(sinv, ginv), spec.rank), gammas_arr,
-                                 core_arr, np.array([alpha]))[0]
-        assert {h for h, hit in zip(core, left) if hit} == _per_set_scalar(
+        left, right = _sides(win, _one(shift, spec.rank), _one(g, spec.rank), i,
+                             np.array([alpha]), core_arr)
+        gammas = _elt_list(subgroup_elements_in_window(cons, i, i + 1))
+        assert {h for h, hit in zip(core, left[0]) if hit} == _per_set_scalar(
             spec, lambda h: x_scalar(spec.mul(ginv, h)), core, gammas, alpha)
-        assert _conjugation_one(win, shift, g, gammas_arr, alpha, core_arr) \
-            == _conjugation_scalar(spec, x_scalar, g, gammas, alpha, core)
+        # the points s^-1 g^-1 h stay inside the box the reader covers
+        at = [eta_at(spec.mul(sinv, spec.mul(ginv, h))) for h in core]
+        assert None not in at
+        assert {h for h, hit in zip(core, right[0]) if hit} == \
+            {h for h, (sym, level) in zip(core, at) if sym == alpha and level <= i}
 
 
 @pytest.mark.parametrize("deck_name", ["z2-m2", "swap-m2"])
 def test_conjugation_check_detects_a_dropped_core_translate(deck_name):
-    """The check is not vacuous: reading the right side at the core itself
-    instead of at its g^-1 translate fails on some samples."""
+    """The check is not vacuous: reading the exact side at s^-1 h instead of
+    at its g^-1 translate s^-1 g^-1 h fails on some samples."""
     broken_fails = 0
-    for part in _by_gamma(list(_conjugation_samples(deck_name, 60))):
+    for part in _by_level(list(_conjugation_samples(deck_name, 60))):
         args = _arrays(part)
-        assert conjugation_identity_check(*args).all()
-        left, untranslated = _sides(*args, translate_core=False)
+        left, right = _sides(*args)
+        assert np.array_equal(left, right)
+        _, untranslated = _sides(*args, translate=False)
         broken_fails += int(np.any(left != untranslated, axis=1).sum())
     assert broken_fails > 0
+
+
+@pytest.mark.parametrize("deck_name", verify.GROUP_DECKS)
+def test_conjugation_check_fails_on_a_corrupted_window(deck_name, monkeypatch):
+    """The check sees eta: in a level-3 window whose Gamma_1 cells within 6
+    of the origin, the origin excluded, read level 2, samples fail on every
+    bundled deck, while the stratification keeps the right side."""
+    real = Construction.window
+
+    def corrupted(self, N):
+        win = real(self, N)
+        box = self.domains.box_coords(N)
+        reach = np.abs(box).max(axis=1)
+        hit = np.all(box % np.array(self.chain.level(1)) == 0, axis=1) & \
+            (reach > 0) & (reach <= 6)
+        return EtaWindow(self, N, np.where(hit, np.int16(2), win.levels))
+
+    assert verify.check_conjugation(deck_name).passed
+    monkeypatch.setattr(Construction, "window", corrupted)
+    result = verify.check_conjugation(deck_name)
+    assert not result.passed and result.details["passed"] < result.details["samples"]
 
 
 @pytest.mark.parametrize("deck_name", ["z2-m2", "swap-m2"])
@@ -375,16 +442,17 @@ def test_conjugation_batches_split_at_the_chunk_size(deck_name, monkeypatch):
     real = EtaWindow.symbol_box
     monkeypatch.setattr(EtaWindow, "symbol_box",
                         lambda self, low, high: boxes.append(1) or real(self, low, high))
-    for part in _by_gamma(draws):
-        reads = (len(part[0][3]) + 1) * len(part[0][5])
+    for part in _by_level(draws):
+        win, _, _, i, _, core = part[0]
+        reads = (len(subgroup_elements_in_window(win.cons, i, i + 1)[1]) + 1) * len(core)
         batch = periods._CHUNK_CELLS // reads
         assert batch >= 1 and len(part) > batch + 1
         for count in (1, batch - 1, batch, batch + 1):
             boxes.clear()
             _assert_matches_reference(part[:count])
-            # one window box per batch and side, twice over: masks, then verdicts
-            assert len(boxes) == 4 * -(-count // batch), count
-    assert len(_by_gamma(draws)) == 2
+            # one window box per batch of the empirical side
+            assert len(boxes) == -(-count // batch), count
+    assert len(_by_level(draws)) == 2
 
 
 @pytest.mark.parametrize("deck_name", decks.BUNDLED)
@@ -393,13 +461,13 @@ def test_conjugation_reads_far_elements_as_unreadable(deck_name):
     window: they read -1, never a wrapped row, so the masks equal the
     per-sample reference."""
     draws = list(_conjugation_samples(deck_name, 30, seed=11, spread=(200, 200)))
-    for part in _by_gamma(draws):
+    for part in _by_level(draws):
         _assert_matches_reference(part)
-    win, _, _, gammas, _, core = draws[0]
+    win, _, _, i, _, core = draws[0]
     spec = win.spec
-    far = _one(((300,) * spec.rank, 0), spec.rank)
-    mask = per_set_empirical(win, far, _elt_arrays(gammas, spec.rank),
-                             _elt_arrays(core, spec.rank))
+    far = _elt_arrays([((300,) * spec.rank, 0)] * len(win.cons.alphabet), spec.rank)
+    mask = per_set_empirical(win, far, subgroup_elements_in_window(win.cons, i, i + 1),
+                             _elt_arrays(core, spec.rank), np.array(win.cons.alphabet))
     assert not mask.any()
 
 

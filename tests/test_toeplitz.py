@@ -55,6 +55,17 @@ def _cells(cons, N):
             for v, cell in zip(box, _values(cons, box, f))}
 
 
+def _period_set(cons, N, i, alpha):
+    """The elements of the D_N R box in the Gamma_i-periodic part of eta
+    that reads alpha (``per_set_exact``, one sample per finite part)."""
+    box = cons.domains.box_coords(N)
+    F = cons.group.finite_order
+    points = (np.broadcast_to(box, (F,) + box.shape),
+              np.repeat(np.arange(F)[:, None], len(box), axis=1))
+    mask = per_set_exact(cons, points, i, np.full(F, alpha))
+    return {(tuple(v), f) for f in range(F) for v in box[mask[f]].tolist()}
+
+
 def test_fresh_cells_base_cases():
     cons = dihedral()
     # level 0 has the origin alone: level 1 claims just the origin of D_1
@@ -433,10 +444,9 @@ def test_rep_factorization_of_period_sets():
     # on the strata from level 2 up and fails on level 1 exactly.
     cons = dihedral()
     for n in (2, 3, 4):
-        win = cons.window(n)
         level1 = {g for g, (_, lvl) in _cells(cons, n).items() if lvl == 1}
         for alpha in (1, 2):
-            per = per_set_exact(win, n, alpha)
+            per = _period_set(cons, n, n, alpha)
             base = {g[0] for g in per if g[1] == 0}
             rebuilt = {(v, f) for v in base for f in (0, 1)}
             if alpha == cons.alpha(1):
@@ -452,7 +462,6 @@ def test_essentiality_spot_check():
     # period class on a window
     cons = dihedral()
     spec = cons.group
-    win = cons.window(3)
     read = {g: sym for g, (sym, _) in _cells(cons, 3).items()}.get
     for w in cons.domains.enumerate_box(2):
         for f in (0, 1):
@@ -461,7 +470,7 @@ def test_essentiality_spot_check():
                 continue  # inside Gamma_1
             witness = False
             for alpha in cons.alphabet:
-                exact = {h for h in per_set_exact(win, 1, alpha)}
+                exact = _period_set(cons, 3, 1, alpha)
                 for h in exact:
                     val = read(spec.mul(spec.inv(g), h))
                     if val is not None and val != alpha:
