@@ -172,7 +172,7 @@ def cmd_measures(deck, args) -> int:
     good = measures.verify_projection(cons, N)
     verdicts["projection"] = {"equal": good, "provenance": "counted"}
     ok = ok and good
-    if measures.has_marker(cons):
+    if BETA in cons.alphabet:
         want = measures.marker_mass_closed(cons)
         got = freqs[-1].get(BETA, Fraction(0))
         verdicts["marker_mass"] = {
@@ -194,11 +194,11 @@ def cmd_fibers(deck, args) -> int:
     rows = [{"coords": c, "fiber_count": n, "pieces": p, aperiodic: a}
             for c, n, p, a in zip(census.coords, census.fibers.tolist(),
                                   census.pieces.tolist(), census.aperiodic.tolist())]
-    worst = int(census.fibers.max())
-    passed = worst <= census.fiber_bound
+    worst, bound = int(census.fibers.max()), deck.entropy_fiber_bound()
+    passed = worst <= bound
     _write_json(out / "fibers.json", {
         "deck": deck.name, "depth": 2, "rows": rows,
-        "fiber_bound": census.fiber_bound, "piece_bound": census.piece_bound,
+        "fiber_bound": bound, "piece_bound": deck.piece_bound(),
         "max_fiber_count": worst, "passed": passed, "provenance": "counted"})
     print(f"wrote {out}/fibers.json")
     return EXIT_OK if passed else EXIT_INVARIANT

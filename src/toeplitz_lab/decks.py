@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .lattice import DomainChain, GroupSpec, SpecError, SubgroupChain, identity_matrix
@@ -20,26 +20,42 @@ from .williams import WilliamsParams
 
 @dataclass(frozen=True)
 class Deck:
+    """One experiment, each fact stored once: the chain is the one the boxes
+    are built on, and the classical 1-d construction reads the deck's m."""
+
     name: str
     group: GroupSpec
-    chain: SubgroupChain
     domains: DomainChain
     m: int
     variant: str
-    williams: WilliamsParams | None = None
+    williams_periods: tuple[int, ...] | None = None
+
+    @property
+    def chain(self) -> SubgroupChain:
+        return self.domains.chain
+
+    @cached_property
+    def williams(self) -> WilliamsParams | None:
+        """The classical 1-d construction on the deck's m, if it has periods."""
+        if self.williams_periods is None:
+            return None
+        return WilliamsParams(self.m, self.williams_periods)
 
     def params(self) -> ConstructionParams:
-        return ConstructionParams(self.group, self.chain, self.domains,
-                                  self.m, self.variant)
+        return ConstructionParams(self.group, self.domains, self.m, self.variant)
 
     def validate(self) -> None:
         self.params().validate()
         if self.williams is not None:
             self.williams.validate()
 
+    def piece_bound(self) -> int:
+        """2^r [G:G']: the tower bound on the pieces a window meets."""
+        return 2 ** self.group.rank * self.group.finite_order
+
     def group_fiber_bound(self) -> int:
         """m^(2^r [G:G']): the tower bound on odometer fibers."""
-        return self.m ** (2 ** self.group.rank * self.group.finite_order)
+        return self.m ** self.piece_bound()
 
     def entropy_fiber_bound(self) -> int:
         """Fiber bound feeding the sequence-entropy upper bound.
@@ -73,49 +89,44 @@ def _chain(*rows) -> SubgroupChain:
 
 def _williams_deck(name: str, m: int) -> Deck:
     periods = (6, 36, 432, 10368, 124416)
-    chain = _chain(*[(p,) for p in periods])
     return Deck(
         name=name,
         group=_trivial_group(1, "Z"),
-        chain=chain,
-        domains=DomainChain.auto(chain),
+        domains=DomainChain.auto(_chain(*[(p,) for p in periods])),
         m=m,
         variant=VARIANT_NORMAL,
-        williams=WilliamsParams(m=m, periods=periods),
+        williams_periods=periods,
     )
 
 
 def _z2_deck() -> Deck:
-    chain = _chain((5, 5), (25, 25), (125, 125), (625, 625), (3125, 3125))
     return Deck(
         name="z2-m2",
         group=_trivial_group(2, "Z^2"),
-        chain=chain,
-        domains=DomainChain.auto(chain),
+        domains=DomainChain.auto(
+            _chain((5, 5), (25, 25), (125, 125), (625, 625), (3125, 3125))),
         m=2,
         variant=VARIANT_NORMAL,
     )
 
 
 def _dihedral_deck() -> Deck:
-    chain = _chain((5,), (25,), (125,), (625,), (3125,), (15625,), (78125,))
     return Deck(
         name="dihedral-m2",
         group=_order_two_group(1, ((-1,),), "Z x| Z/2 (flip)"),
-        chain=chain,
-        domains=DomainChain.auto(chain),
+        domains=DomainChain.auto(
+            _chain((5,), (25,), (125,), (625,), (3125,), (15625,), (78125,))),
         m=2,
         variant=VARIANT_VIRTUALLY,
     )
 
 
 def _swap_deck() -> Deck:
-    chain = _chain((5, 5), (25, 25), (125, 125), (625, 625), (3125, 3125))
     return Deck(
         name="swap-m2",
         group=_order_two_group(2, ((0, 1), (1, 0)), "Z^2 x| Z/2 (swap)"),
-        chain=chain,
-        domains=DomainChain.auto(chain),
+        domains=DomainChain.auto(
+            _chain((5, 5), (25, 25), (125, 125), (625, 625), (3125, 3125))),
         m=2,
         variant=VARIANT_VIRTUALLY,
     )
@@ -153,7 +164,7 @@ def deck_to_config(deck: Deck) -> dict:
         "chain": [list(r) for r in deck.chain.moduli],
         "offsets": [list(r) for r in deck.domains.q1],
         "williams_periods":
-            list(deck.williams.periods) if deck.williams else None,
+            None if deck.williams_periods is None else list(deck.williams_periods),
     }
 
 
@@ -198,16 +209,13 @@ def deck_from_config(doc: dict) -> Deck:
         else:
             domains = DomainChain(chain, _integers(doc["offsets"], "offsets", 2))
         wp = doc.get("williams_periods")
-        williams = None if wp is None else WilliamsParams(
-            m, _integers(wp, "williams_periods", 1))
         deck = Deck(
             name=str(doc["name"]),
             group=group,
-            chain=chain,
             domains=domains,
             m=m,
             variant=str(doc["variant"]),
-            williams=williams,
+            williams_periods=None if wp is None else _integers(wp, "williams_periods", 1),
         )
     except KeyError as exc:
         raise SpecError(f"malformed deck configuration: missing field {exc}") from exc

@@ -30,7 +30,7 @@ from itertools import product, tee
 
 import numpy as np
 
-from .lattice import Elt, GroupSpec, SpecError, cube, search_key
+from .lattice import Elt, GroupSpec, SpecError, box_elements, cube, search_key
 from .toeplitz import EtaWindow
 from .williams import ZPatch
 from .pullback import HomSpec, section_element
@@ -172,9 +172,7 @@ class GOracle:
         if win.N < 2:
             raise SpecError("oracle window too shallow for a safe core")
         self.core = dom.box_coords(win.N - 1)
-        F = spec.finite_order
-        self.grid = (np.tile(self.core, (F, 1)),
-                     np.repeat(np.arange(F, dtype=np.intp), len(self.core)))
+        self.grid = box_elements(self.core, spec.finite_order)
         self._box = dom.chain.level(win.N)
         self._core_box = dom.chain.level(win.N - 1)
         # window-array index of the core's low corner, per axis
@@ -211,10 +209,7 @@ class PullbackOracle:
         self.hom = hom
         self.group = group
         self.source = source
-        F = group.finite_order
-        box = cube(group.rank, radius)
-        self.grid = (np.tile(box, (F, 1)),
-                     np.repeat(np.arange(F, dtype=np.intp), len(box)))
+        self.grid = box_elements(cube(group.rank, radius), group.finite_order)
         self._w = np.array(hom.w, dtype=np.int64)
         self._phi = self.grid[0] @ self._w
         self.symbols = source.symbols.astype(np.int16)

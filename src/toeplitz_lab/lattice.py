@@ -48,7 +48,7 @@ def instance_cache(method):
     The results live in the instance's ``__dict__`` (a frozen dataclass has
     one too), so they go when the instance goes, where a class-level
     ``lru_cache`` would keep every instance alive.  Repeated calls return the
-    same object, which ``measures._once_per_array`` relies on.
+    same object, which ``measures.once_per_array`` relies on.
     """
     slot = f"_cache_{method.__name__}"
 
@@ -342,11 +342,8 @@ class DomainChain:
     def box_coords(self, i: int) -> np.ndarray:
         """All box coordinates at level i, shape (size, rank), canonical
         order; read-only."""
-        p = self.chain.level(i)
-        q1 = self.q1[i - 1]
-        axes = [np.arange(-a, m - a, dtype=np.int64) for a, m in zip(q1, p)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return read_only(np.stack([g.ravel() for g in grids], axis=-1))
+        return read_only(product_grid([np.arange(-a, m - a, dtype=np.int64) for a, m in
+                                       zip(self.q1[i - 1], self.chain.level(i))]))
 
     @instance_cache
     def translates(self, n: int, N: int) -> np.ndarray:
@@ -355,10 +352,9 @@ class DomainChain:
 
         Since q1^N = q1^n mod p^n, they are b p^n - (q1^N - q1^n) for the
         block index b of every p^n block of the D_N box."""
-        axes = [np.arange(P // p, dtype=np.int64) * p - (qN - qn) for p, P, qN, qn in
-                zip(self.chain.level(n), self.chain.level(N), self.q1[N - 1], self.q1[n - 1])]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return read_only(np.stack([g.ravel() for g in grids], axis=-1))
+        return read_only(product_grid(
+            [np.arange(P // p, dtype=np.int64) * p - (qN - qn) for p, P, qN, qn in
+             zip(self.chain.level(n), self.chain.level(N), self.q1[N - 1], self.q1[n - 1])]))
 
     def enumerate_box(self, i: int):
         q1 = self.q1[i - 1]
@@ -401,6 +397,20 @@ def decompose_right(spec: GroupSpec, domains: DomainChain, g: Elt,
     return gamma, d, f
 
 
+def product_grid(axes) -> np.ndarray:
+    """Every point of the product of the 1-d integer axes, shape (n,
+    len(axes)), in product order (last axis fastest)."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def box_elements(box: np.ndarray, F: int) -> EltArr:
+    """The elements (u, f) of a box of lattice parts times a finite group of
+    order F: lattice parts (F * len(box), ...) and finite parts (F * len(box),),
+    finite part first, then the box order, as in ``enumerate_domain``."""
+    return (np.tile(box, (F,) + (1,) * (box.ndim - 1)),
+            np.repeat(np.arange(F, dtype=np.intp), len(box)))
+
+
 def enumerate_domain(spec: GroupSpec, domains: DomainChain, i: int,
                      with_reps: bool) -> list[Elt]:
     """D_i (or D_i R) in canonical order: finite part, then lattice lex."""
@@ -425,9 +435,7 @@ def cube(rank: int, radius: int) -> np.ndarray:
     order (last axis fastest); read-only."""
     if radius < 0:
         raise SpecError(f"window radius must be non-negative, got {radius}")
-    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * rank
-    grids = np.meshgrid(*axes, indexing="ij")
-    return read_only(np.stack([g.ravel() for g in grids], axis=-1))
+    return read_only(product_grid([np.arange(-radius, radius + 1, dtype=np.int64)] * rank))
 
 
 def corner_count_check(domains: DomainChain, n: int, s: int,

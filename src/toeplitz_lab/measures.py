@@ -14,17 +14,19 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import TypeVar
 
 import numpy as np
 
 from .lattice import SpecError, int_det, read_only, unique_rows
-from .toeplitz import BETA, Construction, ConstructionError, VARIANT_VIRTUALLY
+from .toeplitz import BETA, Construction, ConstructionError
 
 MeasureVector = dict[int, Fraction]
+T = TypeVar("T")
 
 
-def _once_per_array(cons: Construction, key: tuple, arrays: tuple[np.ndarray, ...],
-                    compute: Callable[..., np.ndarray]) -> np.ndarray:
+def once_per_array(cons: Construction, key: tuple, arrays: tuple[np.ndarray, ...],
+                   compute: Callable[..., T]) -> T:
     """``compute(*arrays)``, once per read-only array of the construction.
 
     The result is kept on the construction under ``key`` and served again
@@ -47,13 +49,13 @@ def _level_counts(cons: Construction, n: int) -> np.ndarray:
     """Cells of the level-n array at each level 0 .. n+1 (entry 0 stays 0),
     read-only.
 
-    Counted once per read-only level array (``_once_per_array``):
+    Counted once per read-only level array (``once_per_array``):
     every identity that reads these counts certifies the array as it stands,
     and it can no longer change.  A writeable or substituted array is
     counted again.  The gen-group summary reports these counts too.
     """
-    return _once_per_array(cons, ("level_counts", n), (cons.level_array(n),),
-                           partial(_count_levels, n))
+    return once_per_array(cons, ("level_counts", n), (cons.level_array(n),),
+                          partial(_count_levels, n))
 
 
 def _count_levels(n: int, lvl: np.ndarray) -> np.ndarray:
@@ -86,21 +88,15 @@ def fresh_count(cons: Construction, n: int) -> int:
     return count
 
 
-def has_marker(cons: Construction) -> bool:
-    return cons.variant == VARIANT_VIRTUALLY and cons.group.finite_order > 1
-
-
 def mu_freq_counted(cons: Construction, n: int) -> MeasureVector:
-    """Symbol frequencies of the level-n periodization by direct counting."""
-    counts = _level_counts(cons, n)
-    F = cons.group.finite_order
-    total = cons.domains.size(n) * F
+    """Symbol frequencies of the level-n periodization by direct counting,
+    each level's cells read once per finite part through ``symbol_table``."""
+    counts = _level_counts(cons, n).tolist()
+    total = cons.domains.size(n) * cons.group.finite_order
     out: dict[int, int] = {sym: 0 for sym in cons.alphabet}
-    out[cons.alpha(1)] += int(counts[1])
-    if F > 1:
-        out[BETA] += int(counts[1]) * (F - 1)
-    for l in range(2, n + 2):
-        out[cons.alpha(l)] += int(counts[l]) * F
+    for row in cons.symbol_table()[:, :n + 2].tolist():
+        for sym, c in zip(row, counts):
+            out[sym] += c
     return {sym: Fraction(c, total) for sym, c in sorted(out.items())}
 
 
@@ -168,15 +164,15 @@ def class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
     read-only.  At N = n the one class is D_n itself, at level n + 1.
 
     Built once per read-only pair of ``level_array(N)`` and ``fresh_bool(n)``
-    (``_once_per_array``), so every identity that reads the table
+    (``once_per_array``), so every identity that reads the table
     certifies those arrays as they stand, and they can no longer change.  A
     writeable or substituted array is read again.
     """
     if N < n:
         raise SpecError(f"a level-{N} box is shallower than the level-{n} classes")
-    return _once_per_array(cons, ("class_levels", n, N),
-                           (cons.level_array(N), cons.fresh_bool(n)),
-                           partial(_class_table, cons, n, N))
+    return once_per_array(cons, ("class_levels", n, N),
+                          (cons.level_array(N), cons.fresh_bool(n)),
+                          partial(_class_table, cons, n, N))
 
 
 def _class_table(cons: Construction, n: int, N: int, levels: np.ndarray,
@@ -220,17 +216,6 @@ def _class_table(cons: Construction, n: int, N: int, levels: np.ndarray,
             gamma = tuple(cons.domains.translates(n, N)[int(np.argmax(bad))].tolist())
             raise ConstructionError(f"cell of gamma={gamma} {what}")
     return read_only(lo)
-
-
-def cell_symbols(cons: Construction, n: int, N: int) -> list[tuple[tuple[int, ...], int]]:
-    """(gamma, class symbol) for every gamma in Gamma_n inside the D_N box.
-
-    The class symbol is the constant of the array on gamma * fresh(n) * R;
-    non-constancy aborts, it would break the partition the measures rely on.
-    """
-    gammas = cons.domains.translates(n, N)
-    return [(g, cons.alpha(l)) for g, l in
-            zip(map(tuple, gammas.tolist()), class_levels(cons, n, N).tolist())]
 
 
 def mu_cell_vector(cons: Construction, n: int, N: int) -> tuple[Fraction, ...]:
@@ -345,7 +330,7 @@ def simplex_vertices(cons: Construction, N: int) -> list[tuple[Fraction, ...]]:
     """
     m = cons.m
     t = [stratum_frequency(cons, N, a) for a in range(1, m + 1)]
-    t_beta = marker_mass_closed(cons) if has_marker(cons) else Fraction(0)
+    t_beta = marker_mass_closed(cons) if BETA in cons.alphabet else Fraction(0)
     d = periodic_density_closed(cons, N)
     free = 1 - d
     out = []
@@ -366,9 +351,8 @@ def dominant_class_mass(cons: Construction, i: int, k: int, s: int) -> tuple[Fra
     m = cons.m
     l = i + k * m - 1
     n = i + s * m - 1
-    cells = cell_symbols(cons, l, n)
-    hits = sum(1 for _, sym in cells if sym == i)
-    mass = Fraction(hits, len(cells))
+    syms = cons.symbol_table()[0][class_levels(cons, l, n)]
+    mass = Fraction(int(np.count_nonzero(syms == i)), len(syms))
     bound = Fraction(1, cons.domains.size(l) * cons.group.finite_order)
     return mass, bound
 

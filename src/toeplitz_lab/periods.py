@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .lattice import EltArr, cube, unique_rows
+from .lattice import EltArr, box_elements, cube, product_grid, unique_rows
 from .toeplitz import Construction, EtaWindow
 
 
@@ -38,13 +38,6 @@ def per_set_exact(cons: Construction, points: EltArr, i: int,
     pv, pf = points
     levels = cons.levels_at(pv.reshape(-1, cons.group.rank)).reshape(pf.shape)
     return (levels <= i) & (cons.symbol_table()[pf, levels] == alphas[:, None])
-
-
-def subgroup_elements_in_window(cons: Construction, i: int, level: int) -> EltArr:
-    """Gamma_i elements whose vector lies in the level box, canonical order
-    (``DomainChain.translates``), each with finite part 0."""
-    v = cons.domains.translates(i, level)
-    return v, np.zeros(len(v), dtype=np.intp)
 
 
 def per_set_empirical(win: EtaWindow, outer: EltArr, gammas: EltArr, core: EltArr,
@@ -184,8 +177,8 @@ class _Batch:
         high = np.stack([x.max(axis=1) for x in self.pos], axis=-1)
         first = -(np.minimum(a, a + low) // p)
         last = (np.minimum(b, b - high) - 1) // p
-        axes = [np.arange(lo, hi + 1) for lo, hi in zip(first.min(axis=0), last.max(axis=0))]
-        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        grid = product_grid([np.arange(lo, hi + 1) for lo, hi in
+                             zip(first.min(axis=0), last.max(axis=0))])
         valid = np.all((grid >= first[:, None]) & (grid <= last[:, None]), axis=-1)
 
         nb = np.array(self.cons.chain.level(N)) // p
@@ -238,10 +231,9 @@ def census(cons: Construction, depth: int, radius: int, N: int | None = None) ->
     """
     spec, dom = cons.group, cons.domains
     box = dom.box_coords(depth)
-    F = spec.finite_order
-    reps = np.tile(np.stack([dom.rep_arr(box, i) for i in range(1, depth + 1)], axis=1),
-                   (F, 1, 1))
-    fparts = np.repeat(np.arange(F, dtype=np.intp), len(box))
+    reps, fparts = box_elements(
+        np.stack([dom.rep_arr(box, i) for i in range(1, depth + 1)], axis=1),
+        spec.finite_order)
     table = None if N is None else cons.symbol_table()[0][measures.class_levels(cons, depth, N)]
     cells = len(cube(spec.rank, radius))
     # a point has at most one approximant per translate in the table

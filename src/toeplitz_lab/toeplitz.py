@@ -36,19 +36,22 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstructionParams:
+    """The group, the boxes D_i on their chain Gamma_i, the number m of plain
+    symbols and the variant; the chain is the one the boxes are built on."""
+
     group: GroupSpec
-    chain: SubgroupChain
     domains: DomainChain
     m: int
     variant: str = VARIANT_NORMAL
+
+    @property
+    def chain(self) -> SubgroupChain:
+        return self.domains.chain
 
     def validate(self) -> None:
         self.group.validate()
         self.chain.validate(self.group.rank)
         self.domains.validate()
-        if self.domains.chain != self.chain:
-            raise SpecError(f"the domains are built on the chain {self.domains.chain.moduli}, "
-                            f"not on the construction's chain {self.chain.moduli}")
         if self.m < 1:
             raise SpecError("need at least one plain symbol")
         if self.variant not in (VARIANT_NORMAL, VARIANT_VIRTUALLY):
@@ -69,7 +72,7 @@ class Construction:
         self.m = params.m
         self.variant = params.variant
         # results computed once per read-only array of this construction,
-        # with the arrays they were computed from (``measures._once_per_array``)
+        # with the arrays they were computed from (``measures.once_per_array``)
         self.kept: dict[tuple, tuple[tuple[np.ndarray, ...], object]] = {}
 
     @property

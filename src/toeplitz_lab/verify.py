@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import decks as deckmod
 from . import independence as ind
 from . import measures, periods, pullback as pb, williams
-from .lattice import DepthExhausted, SpecError
+from .lattice import DepthExhausted, SpecError, box_elements
 from .toeplitz import Construction, ConstructionError
 
 
@@ -197,11 +197,10 @@ def check_class_mass(deck_name: str = "dihedral-m2") -> CheckResult:
 @dataclass(frozen=True)
 class FiberCensus:
     """Per depth-2 odometer point, in canonical order: its coordinates, fiber
-    count, tower pieces and aperiodic part, as read-only columns."""
+    count, tower pieces and aperiodic part, as read-only columns, held to the
+    deck's ``entropy_fiber_bound`` and ``piece_bound``."""
 
     fiber_radius: int
-    fiber_bound: int
-    piece_bound: int
     aperiodic_unit: str  # "cells" or "pieces", what ``aperiodic`` counts
     coords: tuple        # residues mod p_1, p_2 (1-d decks) or reps t_1, t_2
     fibers: np.ndarray
@@ -213,11 +212,13 @@ def _histogram(column: np.ndarray) -> dict[int, int]:
     return dict(sorted(Counter(column.tolist()).items()))
 
 
-@lru_cache(maxsize=None)
 def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     """Fiber count, tower pieces and aperiodic part of every depth-2 odometer
-    point, in canonical order, as the columns of one cached, read-only
-    record.
+    point, in canonical order, as the columns of one read-only record.
+
+    It is kept on the deck's construction while the arrays it read,
+    ``level_array(2)`` and on group decks the class table fetched on every
+    call, are the same read-only objects (``measures.once_per_array``).
 
     Tower pieces are counted on the radius window by ``periods.census``.
     Fibers of 1-d decks come from one ``williams.fiber_scan`` of every
@@ -239,20 +240,28 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
     if wp is None and 2 * radius + 1 > min(cons.chain.level(3)):
         raise SpecError(f"no orbit approximant fits a window of radius {radius} "
                         f"inside the level-3 box {cons.chain.level(3)}")
+    read = (cons.level_array(2),) if wp else \
+        (cons.level_array(2), measures.class_levels(cons, 2, 3))
+    return measures.once_per_array(cons, ("fiber_census", radius), read,
+                                   lambda *_: _build_fiber_census(deck, radius))
+
+
+def _build_fiber_census(deck: deckmod.Deck, radius: int) -> FiberCensus:
+    """The record of ``fiber_census``, built afresh."""
+    wp = deck.williams
+    cons = deckmod.construction(deck)
     counts = periods.census(cons, 2, radius, None if wp else 3)
     if wp is not None:
         # at depth 2 the safe radius is at most p_1, so the probe patch also
         # holds every fiber window; fiber_scan refuses one too small
         eta = williams.generate(wp, wp.periods[-1] + wp.periods[0])
-        fiber_radius = williams.max_safe_fiber_radius(eta, 2)
-        fiber_bound, unit = wp.m, "cells"
+        fiber_radius, unit = williams.max_safe_fiber_radius(eta, 2), "cells"
         t2 = counts.reps[:, 1, 0]
         scan = williams.fiber_scan(wp, eta, 2, t2, fiber_radius)
         coords = tuple(williams.coords_of_int(wp, t, 2) for t in t2.tolist())
         fibers, aperiodic = scan.counts, scan.aperiodic_cells
     else:
-        fiber_radius = radius
-        fiber_bound, unit = deck.group_fiber_bound(), "pieces"
+        fiber_radius, unit = radius, "pieces"
         coords = tuple(tuple((tuple(v), f) for v in row)
                        for row, f in zip(counts.reps.tolist(), counts.fparts.tolist()))
         fibers, aperiodic = counts.fibers, counts.aperiodic_pieces
@@ -262,9 +271,7 @@ def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
                         f"{coords[empty[0]]} at fiber radius {fiber_radius}")
     for column in (fibers, counts.pieces, aperiodic):
         column.flags.writeable = False
-    return FiberCensus(fiber_radius, fiber_bound,
-                       2 ** deck.group.rank * deck.group.finite_order, unit,
-                       coords, fibers, counts.pieces, aperiodic)
+    return FiberCensus(fiber_radius, unit, coords, fibers, counts.pieces, aperiodic)
 
 
 FIBER_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2")
@@ -272,11 +279,11 @@ TOWER_DECKS = ("williams-m2", "z2-m2", "dihedral-m2")
 
 
 def check_fiber_scan(deck_name: str) -> CheckResult:
-    census = fiber_census(deckmod.bundled_deck(deck_name))
-    hist = _histogram(census.fibers)
-    passed = max(hist) <= census.fiber_bound
-    details = {"radius": census.fiber_radius, "histogram": hist,
-               "bound": census.fiber_bound}
+    deck = deckmod.bundled_deck(deck_name)
+    census = fiber_census(deck)
+    hist, bound = _histogram(census.fibers), deck.entropy_fiber_bound()
+    passed = max(hist) <= bound
+    details = {"radius": census.fiber_radius, "histogram": hist, "bound": bound}
     if deck_name == "williams-m2":
         # the scan must also witness a genuinely split fiber
         details["split_fibers"] = hist.get(2, 0)
@@ -285,11 +292,11 @@ def check_fiber_scan(deck_name: str) -> CheckResult:
 
 
 def check_tower_piece(deck_name: str) -> CheckResult:
-    census = fiber_census(deckmod.bundled_deck(deck_name))
-    hist = _histogram(census.pieces)
-    return CheckResult(f"tower-pieces[{deck_name}]",
-                       max(hist) <= census.piece_bound, "counted",
-                       {"histogram": hist, "bound": census.piece_bound})
+    deck = deckmod.bundled_deck(deck_name)
+    hist = _histogram(fiber_census(deck).pieces)
+    bound = deck.piece_bound()
+    return CheckResult(f"tower-pieces[{deck_name}]", max(hist) <= bound, "counted",
+                       {"histogram": hist, "bound": bound})
 
 
 def check_fiber_scans() -> list[CheckResult]:
@@ -476,9 +483,8 @@ def check_conjugation(deck_name: str, seed: int = 7) -> CheckResult:
     rng = random.Random(seed)
     reach = min(6, cons.domains.q1[1][0])
     box = cons.domains.box_coords(2)
-    box = box[np.all(np.abs(box) <= reach, axis=1)]
     F = spec.finite_order
-    core = (np.repeat(box, F, axis=0), np.tile(np.arange(F), len(box)))
+    core = box_elements(box[np.all(np.abs(box) <= reach, axis=1)], F)
     samples = 100
     # per sample, in draw order: s, g, the level i and the symbol a
     draws = [([rng.randint(-3, 3) for _ in range(spec.rank)], rng.randrange(F),
@@ -490,7 +496,7 @@ def check_conjugation(deck_name: str, seed: int = 7) -> CheckResult:
     passed = 0
     for i in (1, 2):
         pick = level == i
-        gammas = periods.subgroup_elements_in_window(cons, i, i + 1)
+        gammas = box_elements(cons.domains.translates(i, i + 1), 1)
         left = periods.per_set_empirical(win, (ov[pick], of[pick]), gammas, core,
                                          alphas[pick])
         right = periods.per_set_exact(cons, (pv[pick], pf[pick]), i, alphas[pick])

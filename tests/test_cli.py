@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -208,7 +209,6 @@ def test_a_raising_check_does_not_hide_the_others(tmp_path, monkeypatch, capsys)
         return real(cons, n, N)
 
     monkeypatch.setattr(measures, "class_levels", broken)
-    verify.fiber_census.cache_clear()  # a census built before would not read it
     assert run(["verify-all", "--out", str(tmp_path)]) == 1
     out = tmp_path / "verify-all"
     doc = json.loads((out / "verdict.json").read_text())
@@ -430,6 +430,17 @@ def test_mutated_configs_load_or_raise_spec_error(doc):
     deck.validate()
     hash(deck)
     assert decks.deck_from_config(json.loads(json.dumps(decks.deck_to_config(deck)))) == deck
+
+
+def test_a_deck_has_one_alphabet_size(monkeypatch):
+    """Changing a deck's m changes its 1-d construction, its configuration
+    and the bound its fiber scan is held to, all together."""
+    d = dataclasses.replace(decks.bundled_deck("williams-m2"), name="williams-m3x", m=3)
+    assert d.williams.m == 3
+    assert decks.deck_from_config(json.loads(json.dumps(decks.deck_to_config(d)))) == d
+    monkeypatch.setattr(decks, "bundled_deck", lambda name: d)
+    row = verify.check_fiber_scan("williams-m3x")
+    assert row.details["bound"] == d.entropy_fiber_bound() == 3 and row.passed
 
 
 def test_gen_z_outputs(tmp_path):

@@ -22,8 +22,14 @@ sum.
 No method in src/ is memoised by ``functools.lru_cache`` or
 ``functools.cache``: their cache lives on the class and keeps every instance
 alive, so a method keeps its results on its instance
-(``lattice.instance_cache``).  Module-level memos keyed by value, such as
-``decks.construction``, stay allowed.
+(``lattice.instance_cache``).  A module-level memo is allowed only for the
+functions listed in ``MODULE_MEMOS``, each keyed by immutable values: a
+result computed from arrays and cached for the life of the process would
+keep serving after the arrays it read were replaced, so such a result is
+kept on its construction (``measures.once_per_array``) instead.
+
+Product grids come from ``lattice.product_grid``: ``np.meshgrid`` appears
+only in lattice.py.
 """
 
 import ast
@@ -240,3 +246,55 @@ def test_class_cache_guard_sees_every_form():
     hits = _class_cached_methods(source, "x.py")
     assert [h.split(":")[1] for h in hits] == ["7", "9", "11", "13"]
     assert all("lattice.instance_cache" in h for h in hits)
+
+
+# module-level memos, each keyed by immutable values only
+MODULE_MEMOS = (("decks", "construction"), ("decks", "bundled_deck"), ("lattice", "cube"))
+
+
+def _module_memos(source: str, stem: str) -> list[tuple[str, str]]:
+    """(module, function) for each top-level function in the source decorated
+    by ``lru_cache`` or ``cache``, bare, called or reached as
+    ``functools.<name>``."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(target, "id", getattr(target, "attr", None)) in _CLASS_CACHES:
+                out.append((stem, node.name))
+    return out
+
+
+def test_module_level_memos_are_listed():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _module_memos(path.read_text(), path.stem)]
+    assert [hit for hit in found if hit not in MODULE_MEMOS] == []
+
+
+def test_module_memo_guard_sees_every_form():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=None)\n"
+              "def a(x): ...\n"
+              "@functools.lru_cache\n"
+              "def b(x): ...\n"
+              "@cache\n"
+              "def c(x): ...\n"
+              "@functools.cache\n"
+              "def d(x): ...\n"
+              "@staticmethod\n"
+              "def e(x): ...\n"
+              "class A:\n"
+              "    @lru_cache(maxsize=None)\n"
+              "    def f(self): ...\n")
+    assert _module_memos(source, "x") == [("x", "a"), ("x", "b"), ("x", "c"), ("x", "d")]
+
+
+def test_meshgrid_only_in_lattice():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "lattice.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "meshgrid"]
+    assert found == [], f"np.meshgrid outside lattice.py (use lattice.product_grid): {found}"

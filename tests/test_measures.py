@@ -117,9 +117,17 @@ def test_dominant_class_mass_values():
         measures.dominant_class_mass(cons, 1, 2, 2)  # needs s > k
 
 
+def _class_symbols(cons, n, N):
+    """(gamma, class symbol) for every gamma in Gamma_n inside the D_N box,
+    from the class table."""
+    gammas = map(tuple, cons.domains.translates(n, N).tolist())
+    syms = cons.symbol_table()[0][measures.class_levels(cons, n, N)]
+    return list(zip(gammas, syms.tolist()))
+
+
 def test_cell_symbols_constancy_and_counts():
     cons = dihedral()
-    cells = measures.cell_symbols(cons, 1, 3)
+    cells = _class_symbols(cons, 1, 3)
     assert len(cells) == 25
     from collections import Counter
     hist = Counter(sym for _, sym in cells)
@@ -151,7 +159,7 @@ def test_cell_symbols_match_point_recount():
                         (z2(), ((1, 2), (1, 3), (2, 3))),
                         (swap, ((1, 2), (1, 3)))):
         for n, N in pairs:
-            assert measures.cell_symbols(cons, n, N) == _recount(cons, n, N), (n, N)
+            assert _class_symbols(cons, n, N) == _recount(cons, n, N), (n, N)
 
 
 GROUP_DECKS = ("z2-m2", "swap-m2", "dihedral-m2")
@@ -263,11 +271,11 @@ ROUTES = ((1, 3), (3, 4))
 def test_corrupted_level_array_names_the_witness(monkeypatch, level, message):
     for (n, N), index in zip(ROUTES, (37, 11)):
         cons = Construction(decks.bundled_deck("z2-m2").params())
-        gamma, _ = measures.cell_symbols(cons, n, N)[index]
+        gamma, _ = _class_symbols(cons, n, N)[index]
         cell = _fresh_cells(cons, n)[5]
         _corrupt(monkeypatch, cons, N, [(vec_add(gamma, cell), level)])
         with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma} {message}")):
-            measures.cell_symbols(cons, n, N)
+            measures.class_levels(cons, n, N)
         with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma}")):
             measures.mu_cell_vector(cons, n, N)
 
@@ -275,14 +283,14 @@ def test_corrupted_level_array_names_the_witness(monkeypatch, level, message):
 @pytest.mark.parametrize("n,N", ROUTES)
 def test_marker_outranks_an_earlier_varying_class(monkeypatch, n, N):
     cons = Construction(decks.bundled_deck("z2-m2").params())
-    classes = measures.cell_symbols(cons, n, N)
+    classes = _class_symbols(cons, n, N)
     early, late = classes[2][0], classes[20][0]
     cells = _fresh_cells(cons, n)
     _corrupt(monkeypatch, cons, N, [(vec_add(early, cells[-1]), 3),
                                     (vec_add(late, cells[-1]), 1)])
     with pytest.raises(ConstructionError,
                        match=re.escape(f"gamma={late} touched the marker stratum")):
-        measures.cell_symbols(cons, n, N)
+        measures.class_levels(cons, n, N)
 
 
 def test_complexity_profile():

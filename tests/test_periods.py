@@ -16,6 +16,7 @@ from toeplitz_lab.lattice import (
     SpecError,
     SubgroupChain,
     Vec,
+    box_elements,
     cube,
     decompose_right,
 )
@@ -24,7 +25,6 @@ from toeplitz_lab.periods import (
     census,
     per_set_empirical,
     per_set_exact,
-    subgroup_elements_in_window,
 )
 from toeplitz_lab.toeplitz import Construction, ConstructionError, EtaWindow
 
@@ -139,7 +139,7 @@ def test_empirical_per_is_superset_with_interior_equality():
     arrays = _elt_arrays(positions, spec.rank)
     interior = np.array([abs(g[0][0]) <= 30 for g in positions])
     for i in (1, 2):
-        gammas = subgroup_elements_in_window(cons, i, 3)
+        gammas = box_elements(cons.domains.translates(i, 3), 1)
         for alpha in cons.alphabet:
             emp = per_set_empirical(win, _one(spec.identity, 1), gammas, arrays,
                                     np.array([alpha]))[0]
@@ -192,8 +192,8 @@ def _sides(win, shifts, gs, i, alphas, core, translate=True):
     spec, cons = win.spec, win.cons
     sinv = spec.inv_arr(*shifts)
     outer = spec.mul_arr(*sinv, *spec.inv_arr(*gs))
-    left = per_set_empirical(win, outer, subgroup_elements_in_window(cons, i, i + 1),
-                             core, alphas)
+    gammas = box_elements(cons.domains.translates(i, i + 1), 1)
+    left = per_set_empirical(win, outer, gammas, core, alphas)
     at = outer if translate else sinv
     points = spec.mul_arr(at[0][:, None], at[1][:, None], *core)
     return left, per_set_exact(cons, points, i, alphas)
@@ -211,7 +211,7 @@ def test_conjugation_identity(monkeypatch):
     spec = cons.group
     win = cons.window(3)
     core = _elt_arrays([((v,), f) for v in range(-6, 7) for f in (0, 1)], 1)
-    gamma_list = _elt_list(subgroup_elements_in_window(cons, 1, 2))
+    gamma_list = _elt_list(box_elements(cons.domains.translates(1, 2), 1))
     e = spec.identity
     assert _conjugation_one(win, e, e, 1, 1, core)
     # flip conjugation fixes the diagonal subgroup, which the check's guard
@@ -231,7 +231,7 @@ def test_conjugation_identity(monkeypatch):
     # any sample is drawn
     swap = decks.bundled_deck("swap-m2")
     chain = SubgroupChain(tuple((p, 2 * q) for p, q in swap.chain.moduli))
-    skew = dataclasses.replace(swap, chain=chain, domains=DomainChain.auto(chain))
+    skew = dataclasses.replace(swap, domains=DomainChain.auto(chain))
     monkeypatch.setattr(decks, "bundled_deck", lambda name: skew)
     with pytest.raises(SpecError, match=r"finite part 1 does not map Gamma_1 = \(5, 10\)"):
         verify.check_conjugation("swap-m2")
@@ -268,7 +268,7 @@ def _left_reference(win, shift, g, i, alpha, core):
     """The left side of one sample, read through sigma^g sigma^s eta."""
     spec = win.spec
     x_get = _shifted_get(spec, lambda v, f: _get_arr(win, v, f), shift)
-    gammas = subgroup_elements_in_window(win.cons, i, i + 1)
+    gammas = box_elements(win.cons.domains.translates(i, i + 1), 1)
     return _per_set_reference(spec, _shifted_get(spec, x_get, g),
                               _elt_arrays(core, spec.rank), gammas, alpha)
 
@@ -386,7 +386,7 @@ def test_conjugation_check_matches_scalar_reference(deck_name, samples):
         assert read.tolist() == [-1 if x_scalar(h) is None else x_scalar(h) for h in core]
         left, right = _sides(win, _one(shift, spec.rank), _one(g, spec.rank), i,
                              np.array([alpha]), core_arr)
-        gammas = _elt_list(subgroup_elements_in_window(cons, i, i + 1))
+        gammas = _elt_list(box_elements(cons.domains.translates(i, i + 1), 1))
         assert {h for h, hit in zip(core, left[0]) if hit} == _per_set_scalar(
             spec, lambda h: x_scalar(spec.mul(ginv, h)), core, gammas, alpha)
         # the points s^-1 g^-1 h stay inside the box the reader covers
@@ -444,7 +444,7 @@ def test_conjugation_batches_split_at_the_chunk_size(deck_name, monkeypatch):
                         lambda self, low, high: boxes.append(1) or real(self, low, high))
     for part in _by_level(draws):
         win, _, _, i, _, core = part[0]
-        reads = (len(subgroup_elements_in_window(win.cons, i, i + 1)[1]) + 1) * len(core)
+        reads = (len(win.cons.domains.translates(i, i + 1)) + 1) * len(core)
         batch = periods._CHUNK_CELLS // reads
         assert batch >= 1 and len(part) > batch + 1
         for count in (1, batch - 1, batch, batch + 1):
@@ -466,8 +466,9 @@ def test_conjugation_reads_far_elements_as_unreadable(deck_name):
     win, _, _, i, _, core = draws[0]
     spec = win.spec
     far = _elt_arrays([((300,) * spec.rank, 0)] * len(win.cons.alphabet), spec.rank)
-    mask = per_set_empirical(win, far, subgroup_elements_in_window(win.cons, i, i + 1),
-                             _elt_arrays(core, spec.rank), np.array(win.cons.alphabet))
+    gammas = box_elements(win.cons.domains.translates(i, i + 1), 1)
+    mask = per_set_empirical(win, far, gammas, _elt_arrays(core, spec.rank),
+                             np.array(win.cons.alphabet))
     assert not mask.any()
 
 
@@ -485,7 +486,7 @@ def test_subgroup_elements_match_member_scan(deck_name):
             p = cons.chain.level(i)
             scan = [(v, 0) for v in dom.enumerate_box(level)
                     if all(x % q == 0 for x, q in zip(v, p))]
-            v, f = subgroup_elements_in_window(cons, i, level)
+            v, f = box_elements(cons.domains.translates(i, level), 1)
             assert v.shape == (len(scan), cons.group.rank) and f.shape == (len(scan),)
             assert _elt_list((v, f)) == scan
 

@@ -182,7 +182,7 @@ def shifted_constructions(draw):
     chain = SubgroupChain(tuple(moduli))
     group = GroupSpec(rank=rank, table=((0,),), action=(identity_matrix(rank),))
     return Construction(ConstructionParams(
-        group, chain, DomainChain(chain, tuple(offsets)), 2))
+        group, DomainChain(chain, tuple(offsets)), 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,7 +239,7 @@ def _deep_z2():
     """z2-m2 with the chain Gamma_i = 5^i Z^2 extended to i = 10."""
     deck = decks.bundled_deck("z2-m2")
     chain = SubgroupChain(tuple((5 ** i, 5 ** i) for i in range(1, 11)))
-    return Construction(ConstructionParams(deck.group, chain, DomainChain.auto(chain),
+    return Construction(ConstructionParams(deck.group, DomainChain.auto(chain),
                                            deck.m, deck.variant))
 
 
@@ -357,8 +357,7 @@ def test_cached_arrays_go_with_their_instance(name):
     with its arrays."""
     deck = decks.bundled_deck(name)
     domains = DomainChain(deck.chain, deck.domains.q1)
-    cons = Construction(ConstructionParams(deck.group, deck.chain, domains, deck.m,
-                                           deck.variant))
+    cons = Construction(ConstructionParams(deck.group, domains, deck.m, deck.variant))
     win = cons.window(3)
     for read in (lambda: cons.level_array(3), lambda: cons.fresh_bool(2),
                  cons.symbol_table, lambda: win.symbol_array(0),
@@ -372,19 +371,8 @@ def test_cached_arrays_go_with_their_instance(name):
 
 def test_normal_variant_requires_trivial_finite_part():
     deck = decks.bundled_deck("dihedral-m2")
-    params = ConstructionParams(deck.group, deck.chain, deck.domains, 2, "normal")
+    params = ConstructionParams(deck.group, deck.domains, 2, "normal")
     with pytest.raises(SpecError):
-        Construction(params)
-
-
-def test_domains_on_another_chain_are_refused():
-    """Domains built on a chain other than the construction's would tile
-    boxes of the wrong shape; both chains are named."""
-    deck = decks.bundled_deck("z2-m2")
-    other = SubgroupChain(((7, 7), (49, 49), (343, 343)))
-    params = ConstructionParams(deck.group, deck.chain, DomainChain.auto(other), deck.m)
-    with pytest.raises(SpecError, match=re.escape(
-            f"chain {other.moduli}, not on the construction's chain {deck.chain.moduli}")):
         Construction(params)
 
 

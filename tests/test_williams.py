@@ -434,7 +434,7 @@ def test_census_refuses_the_first_point_with_an_empty_fiber(name, module, fn, co
 
     monkeypatch.setattr(module, fn, emptied)
     with pytest.raises(SpecError) as exc:
-        verify.fiber_census.__wrapped__(deck)
+        verify._build_fiber_census(deck, 8)
     assert str(exc.value) == (f"no orbit approximant reaches odometer point {coords[3]} "
                               f"at fiber radius {verify.fiber_census(deck).fiber_radius}")
 
