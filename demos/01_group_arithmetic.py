@@ -34,7 +34,7 @@ print("\nleft Folner ratios |D_i R g \\ D_i R| / |D_i R| for g = (1, id):")
 for i in (1, 2, 3, 4):
     print(f"  level {i}: {folner_ratio(spec, dom, i, ((1,), 0))}")
 
-print("\nchain index condition (certified float upper bound on the target):")
+print("\nchain index condition (decided exactly in integer arithmetic):")
 for i in (1, 2):
     print(f"  level {i} -> {i + 1}: index {chain.index_between(i)}, "
           f"satisfied: {check_index_condition(chain, i)}")

@@ -233,6 +233,9 @@ def cmd_pullback(deck, args) -> int:
     except ValueError:
         raise SpecError(f"weights must be comma-separated integers, "
                         f"got {args.weights!r}") from None
+    if len(weights) != deck.group.rank:
+        raise SpecError(f"--weights needs one weight per axis of the rank-{deck.group.rank} "
+                        f"group of {deck.name}, got {len(weights)}")
     source = deckmod.load_deck(args.source)
     if source.williams is None:
         raise SpecError("source deck has no 1-d construction")

@@ -345,16 +345,20 @@ class DomainChain:
         return read_only(product_grid([np.arange(-a, m - a, dtype=np.int64) for a, m in
                                        zip(self.q1[i - 1], self.chain.level(i))]))
 
-    @instance_cache
-    def translates(self, n: int, N: int) -> np.ndarray:
-        """The Gamma_n elements whose D_n translates tile the D_N box, n <= N:
-        shape (count, rank), lexicographic order; read-only.
+    def translate_axes(self, n: int, N: int) -> list[np.ndarray]:
+        """Per axis, the coordinates of the Gamma_n elements whose D_n
+        translates tile the D_N box, n <= N, in increasing order.
 
         Since q1^N = q1^n mod p^n, they are b p^n - (q1^N - q1^n) for the
         block index b of every p^n block of the D_N box."""
-        return read_only(product_grid(
-            [np.arange(P // p, dtype=np.int64) * p - (qN - qn) for p, P, qN, qn in
-             zip(self.chain.level(n), self.chain.level(N), self.q1[N - 1], self.q1[n - 1])]))
+        return [np.arange(P // p, dtype=np.int64) * p - (qN - qn) for p, P, qN, qn in
+                zip(self.chain.level(n), self.chain.level(N), self.q1[N - 1], self.q1[n - 1])]
+
+    @instance_cache
+    def translates(self, n: int, N: int) -> np.ndarray:
+        """The product grid of ``translate_axes(n, N)``: shape (count, rank),
+        lexicographic order; read-only."""
+        return read_only(product_grid(self.translate_axes(n, N)))
 
     def enumerate_box(self, i: int):
         q1 = self.q1[i - 1]

@@ -3,8 +3,9 @@
 The level-n periodization has a uniform measure on its finite orbit; every
 frequency here is an exact rational obtained by counting cells of a box
 window.  The cell classes at level n are indexed by the subgroup elements
-gamma inside the deeper box: the class symbol is the constant the array takes
-on gamma * fresh(n) * R, and that constancy is verified, never assumed.
+gamma inside the deeper box: the class level is the one the claim rule gives
+gamma * fresh(n) * R, and the array is verified to hold it on every one of
+those cells, never assumed to.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import TypeVar
 
 import numpy as np
@@ -163,10 +164,11 @@ def class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
     n <= N, in the lexicographic order of ``DomainChain.translates``,
     read-only.  At N = n the one class is D_n itself, at level n + 1.
 
-    Built once per read-only pair of ``level_array(N)`` and ``fresh_bool(n)``
-    (``once_per_array``), so every identity that reads the table
-    certifies those arrays as they stand, and they can no longer change.  A
-    writeable or substituted array is read again.
+    The levels come from the claim rule (``_claim_levels``), and the level-N
+    array is certified to hold them on every level-n fresh cell, once per
+    read-only pair of ``level_array(N)`` and ``fresh_bool(n)``
+    (``once_per_array``): what is certified is those arrays as they stand,
+    and a writeable or substituted array is read again.
     """
     if N < n:
         raise SpecError(f"a level-{N} box is shallower than the level-{n} classes")
@@ -175,47 +177,48 @@ def class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
                           partial(_class_table, cons, n, N))
 
 
+def _claim_levels(cons: Construction, n: int, N: int) -> np.ndarray:
+    """The class level of every Gamma_n translate gamma + D_n of the D_N box
+    by the claim rule of ``Construction.levels_at``: shape p^N / p^n, int16.
+
+    A level-n fresh cell c is claimed at no level <= n, and neither is
+    gamma + c, congruent to c modulo every such Gamma_l.  For l > n, per axis
+    the Gamma_l rep of gamma's p^n block and the D_(l-1) box are unions of
+    p^n blocks aligned with it (q1^l = q1^n mod p^n), so the rep of gamma + c
+    lies in D_(l-1) exactly when the rep of gamma does.  The class level is
+    the first l in n+1 .. N whose box test gamma passes, N + 1 if none does:
+    per level one rep and box test per axis and one outer AND.  No level
+    array or fresh mask is read.
+    """
+    dom = cons.domains
+    axes = dom.translate_axes(n, N)
+    out = np.full(tuple(len(x) for x in axes), N + 1, dtype=np.int16)
+    for l in range(N, n, -1):  # the first level that claims gamma is written last
+        reps = [(x + q) % p - q for x, p, q in zip(axes, cons.chain.level(l), dom.q1[l - 1])]
+        hits = [(s >= -lo) & (s < hi) for s, lo, hi in zip(reps, dom.q1[l - 2], dom.q2(l - 1))]
+        out[reduce(np.logical_and.outer, hits)] = l
+    return out
+
+
 def _class_table(cons: Construction, n: int, N: int, levels: np.ndarray,
                  fresh: np.ndarray) -> np.ndarray:
-    """The table of ``class_levels`` from the level-N array and the level-n
-    fresh mask themselves.
-
-    The class of gamma is its block of ``Construction.translate_blocks`` read
-    at the level-n fresh cells.  Both routes read the int16 level array where
-    it lies; the shape of the class table alone picks one:
-
-    - a class has more fresh cells than there are classes (few wide rows,
-      e.g. z2-m2 (3, 5) and (4, 5)): every block is compared with its own
-      first fresh cell under the fresh mask, with no gather;
-    - otherwise (many short rows): the fresh cells are gathered into rows
-      and reduced by min and max, which is cheaper there than the block-wide
-      comparison.
-
-    A class touching level 1 (the marker stratum) is refused first, then a
-    class that is not constant, each at its first gamma in lex order.
+    """The table of ``class_levels``, certified in one broadcast: the level-N
+    array cut into its p^n blocks, (blocks_1, p_1, blocks_2, p_2, ...), is
+    compared with the table and masked by the level-n fresh cells.  Only a
+    disagreement is located, and its first gamma in lex order is refused with
+    ConstructionError naming it.
     """
-    fresh = fresh.reshape(cons.chain.level(n))
-    blocks = cons.translate_blocks(levels, n, N)
-    cell_axes = tuple(range(-fresh.ndim, 0))
-    if np.count_nonzero(fresh) * fresh.size > levels.size:
-        first = blocks[(...,) + np.unravel_index(int(np.argmax(fresh)), fresh.shape)]
-        off = blocks != np.expand_dims(first, cell_axes)
-        off &= fresh
-        varies = off.any(axis=cell_axes).ravel()
-        lo = first.ravel()
-        marker = lo <= 1
-        if varies.any():  # a varying class may touch level 1 past its first cell
-            marker = ((blocks <= 1) & fresh).any(axis=cell_axes).ravel()
-    else:
-        cells = blocks[..., fresh].reshape(-1, np.count_nonzero(fresh))
-        lo, hi = cells.min(axis=1), cells.max(axis=1)
-        marker, varies = lo <= 1, lo != hi
-    for bad, what in ((marker, "touched the marker stratum"),
-                      (varies, "is not constant on the fresh set")):
-        if bad.any():
-            gamma = tuple(cons.domains.translates(n, N)[int(np.argmax(bad))].tolist())
-            raise ConstructionError(f"cell of gamma={gamma} {what}")
-    return read_only(lo)
+    table = _claim_levels(cons, n, N)
+    p = cons.chain.level(n)
+    split = [x for pair in zip(table.shape, p) for x in pair]
+    off = levels.reshape(split) != table.reshape([x for b in table.shape for x in (b, 1)])
+    off &= fresh.reshape([x for a in p for x in (1, a)])
+    if off.any():
+        i = int(np.argmax(off.any(axis=tuple(range(1, len(split), 2))).ravel()))
+        gamma = tuple(cons.domains.translates(n, N)[i].tolist())
+        raise ConstructionError(f"a level-{n} fresh cell of gamma={gamma} is off its "
+                                f"class level {table.ravel()[i]} in the level-{N} array")
+    return read_only(table.ravel())
 
 
 def mu_cell_vector(cons: Construction, n: int, N: int) -> tuple[Fraction, ...]:

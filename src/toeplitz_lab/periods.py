@@ -225,9 +225,10 @@ def census(cons: Construction, depth: int, radius: int, N: int | None = None) ->
     D_N box (``measures.class_levels``), mapped to symbols: class levels are
     at least 2, so a class symbol does not depend on the finite part.  It is
     read once per (point, approximant, aperiodic piece).  Building it
-    certifies every translate constant on its level-K fresh cells x R, a
-    superset of the cells any window sees; a translate that is not raises
-    ConstructionError naming its gamma, and N < K raises SpecError.
+    certifies that the level-N array holds every translate's class level on
+    all of its level-K fresh cells x R, a superset of the cells any window
+    sees; a translate where it does not raises ConstructionError naming its
+    gamma, and N < K raises SpecError.
     """
     spec, dom = cons.group, cons.domains
     box = dom.box_coords(depth)

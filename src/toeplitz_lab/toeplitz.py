@@ -198,21 +198,6 @@ class Construction:
                 f"chain prefix (depth {self.depth})")
         return out
 
-    def translate_blocks(self, levels: np.ndarray, n: int, N: int) -> np.ndarray:
-        """A level array of the D_N box cut into one p^n block per Gamma_n
-        translate of D_n inside it, n <= N: a view of shape nblocks + p^n,
-        the block axes in lexicographic order of the translate.
-
-        Since q1^N = q1^n mod p^n, block b holds gamma + D_n for gamma = b p^n
-        - (q1^N - q1^n), in the canonical order of the D_n box.
-        """
-        p, P = self.chain.level(n), self.chain.level(N)
-        nblocks = tuple(b // a for a, b in zip(p, P))
-        rank = len(p)
-        split = [x for pair in zip(nblocks, p) for x in pair]
-        order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
-        return np.asarray(levels).reshape(split).transpose(order)
-
     # -- windows --------------------------------------------------------------
 
     def window(self, N: int) -> "EtaWindow":

@@ -45,6 +45,8 @@ def test_unknown_deck_is_config_error():
     ["gen-group", "--config", "dihedral-m2", "--level", "99"],
     ["measures", "--config", "z2-m2", "--level", "9"],
     ["pullback", "--config", "swap-m2", "--weights", "a,b"],
+    ["pullback", "--config", "swap-m2", "--weights", "1"],
+    ["pullback", "--config", "swap-m2", "--weights", "1,1,1"],
     ["pullback", "--config", "swap-m2", "--source", "nosuch"],
     ["fibers", "--config", "dihedral-m2", "--radius", "-1"],
     ["fibers", "--config", "z2-m2", "--radius", "150"],
@@ -98,6 +100,8 @@ OUT_OF_RANGE = [
     (["gen-z", "--config", "williams-m2", "--window", "-5"], "--window", "at least p_1 = 6"),
     (["fibers", "--config", "z2-m2", "--radius", "-1"], "--radius", "at least 0"),
     (["independence", "--config", "z2-m2", "--size", "0"], "--size", "at least 1"),
+    (["pullback", "--config", "swap-m2", "--weights", "1"], "--weights", "rank-2"),
+    (["pullback", "--config", "swap-m2", "--weights", "1,1,1"], "--weights", "rank-2"),
 ]
 
 

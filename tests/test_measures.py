@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from test_toeplitz import CLASS_DECKS, construction_named
+
 from toeplitz_lab import decks, measures
 from toeplitz_lab.lattice import SpecError, vec_add
+from toeplitz_lab.periods import census
 from toeplitz_lab.toeplitz import BETA, Construction, ConstructionError
 
 
@@ -166,11 +169,17 @@ GROUP_DECKS = ("z2-m2", "swap-m2", "dihedral-m2")
 
 
 def _class_levels_reference(cons, n, N):
-    """Class levels by gathering every class row off the translate blocks and
-    reducing it by min and max."""
+    """Class levels by cutting the level-N array into one p^n block per
+    translate (block axes first, in lex order of the translate), gathering
+    every class row at the level-n fresh cells and reducing it by min and
+    max."""
+    p, P = cons.chain.level(n), cons.chain.level(N)
+    rank = len(p)
+    split = [x for a, b in zip(p, P) for x in (b // a, a)]
+    blocks = cons.level_array(N).reshape(split).transpose(
+        tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2)))
     fresh = cons.fresh_bool(n)
-    blocks = cons.translate_blocks(cons.level_array(N), n, N)
-    cells = blocks[..., fresh.reshape(cons.chain.level(n))].reshape(-1, np.count_nonzero(fresh))
+    cells = blocks[..., fresh.reshape(p)].reshape(-1, np.count_nonzero(fresh))
     lo, hi = cells.min(axis=1), cells.max(axis=1)
     assert (lo > 1).all() and (lo == hi).all()
     return lo
@@ -226,16 +235,28 @@ def test_identities_count_each_level_array_once(monkeypatch):
     assert sorted(built) == [(1, N), (2, N), (3, N), (4, N)]
 
 
-@pytest.mark.parametrize("name", GROUP_DECKS)
-def test_class_levels_match_gathered_rows(name):
-    # covers both routes: wide rows (few classes, many fresh cells) compare
-    # blocks in place, short rows gather
-    cons = decks.construction(decks.bundled_deck(name))
+def _refuse(self, *args):
+    raise AssertionError("the claim rule reads no level array or fresh mask")
+
+
+@pytest.mark.parametrize("name", CLASS_DECKS)
+def test_class_levels_match_gathered_rows(name, monkeypatch):
+    """The claim rule's table equals the class rows gathered off the tiled
+    array at every (n, N), and it is built with the level arrays and fresh
+    masks refused."""
+    cons = construction_named(name)
     for N in range(2, cons.depth + 1):
         for n in range(1, N):
             got = measures.class_levels(cons, n, N)
             want = _class_levels_reference(cons, n, N)
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, N)
+    with monkeypatch.context() as patch:
+        for method in ("level_array", "fresh_bool"):
+            patch.setattr(Construction, method, _refuse)
+        claimed = {(n, N): measures._claim_levels(cons, n, N).ravel()
+                   for N in range(2, cons.depth + 1) for n in range(1, N)}
+    for (n, N), table in claimed.items():
+        assert np.array_equal(table, measures.class_levels(cons, n, N)), (n, N)
 
 
 @pytest.mark.parametrize("name", GROUP_DECKS)
@@ -261,36 +282,52 @@ def _corrupt(monkeypatch, cons, N, cells):
     monkeypatch.setattr(cons, "level_array", lambda M: bad if M == N else real(M))
 
 
-# (1, 3) has 625 classes of 24 fresh cells (gathered rows), (3, 4) has 25
-# classes of 13,824 fresh cells (compared in place)
-ROUTES = ((1, 3), (3, 4))
+# (1, 3) has 625 classes of 24 fresh cells, (3, 4) has 25 classes of 13,824
+PAIRS = ((1, 3), (3, 4))
 
 
-@pytest.mark.parametrize("level,message", [(1, "touched the marker stratum"),
-                                           (3, "is not constant on the fresh set")])
-def test_corrupted_level_array_names_the_witness(monkeypatch, level, message):
-    for (n, N), index in zip(ROUTES, (37, 11)):
+@pytest.mark.parametrize("level", [1, 3])
+def test_corrupted_level_array_names_the_witness(monkeypatch, level):
+    for (n, N), index in zip(PAIRS, (37, 11)):
         cons = Construction(decks.bundled_deck("z2-m2").params())
         gamma, _ = _class_symbols(cons, n, N)[index]
         cell = _fresh_cells(cons, n)[5]
         _corrupt(monkeypatch, cons, N, [(vec_add(gamma, cell), level)])
-        with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma} {message}")):
-            measures.class_levels(cons, n, N)
-        with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma}")):
-            measures.mu_cell_vector(cons, n, N)
+        for fn in (measures.class_levels, measures.mu_cell_vector):
+            with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma} ")):
+                fn(cons, n, N)
 
 
-@pytest.mark.parametrize("n,N", ROUTES)
-def test_marker_outranks_an_earlier_varying_class(monkeypatch, n, N):
+@pytest.mark.parametrize("n,N", PAIRS)
+def test_the_first_disagreeing_class_is_named(monkeypatch, n, N):
+    """A cell at the marker level has no priority: it is one more
+    disagreement, and the first class in lex order that holds one is named."""
     cons = Construction(decks.bundled_deck("z2-m2").params())
     classes = _class_symbols(cons, n, N)
     early, late = classes[2][0], classes[20][0]
     cells = _fresh_cells(cons, n)
     _corrupt(monkeypatch, cons, N, [(vec_add(early, cells[-1]), 3),
                                     (vec_add(late, cells[-1]), 1)])
-    with pytest.raises(ConstructionError,
-                       match=re.escape(f"gamma={late} touched the marker stratum")):
+    with pytest.raises(ConstructionError, match=re.escape(f"gamma={early} ")):
         measures.class_levels(cons, n, N)
+
+
+@pytest.mark.parametrize("n,N", PAIRS)
+def test_a_constant_class_at_a_wrong_level_is_refused(monkeypatch, n, N):
+    """Every fresh cell of one translate moved to the same wrong level, at
+    least 2: the class is still constant, but not at the level the claim rule
+    gives it, so the class table, the cell vector and the census refuse it,
+    naming that gamma."""
+    cons = Construction(decks.bundled_deck("z2-m2").params())
+    gamma, _ = _class_symbols(cons, n, N)[7]
+    right = int(measures.class_levels(cons, n, N)[7])
+    wrong = 2 if right != 2 else 3
+    _corrupt(monkeypatch, cons, N, [(vec_add(gamma, cell), wrong)
+                                    for cell in _fresh_cells(cons, n)])
+    for fn in (measures.class_levels, measures.mu_cell_vector,
+               lambda cons, n, N: census(cons, n, 0, N)):
+        with pytest.raises(ConstructionError, match=re.escape(f"gamma={gamma} ")):
+            fn(cons, n, N)
 
 
 def test_complexity_profile():

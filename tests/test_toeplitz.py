@@ -157,6 +157,22 @@ def test_claim_pass_counts_every_claim_and_keeps_the_first(monkeypatch):
     assert np.array_equal(first[~gamma2], np.where(levels < 4, levels, 0)[~gamma2])
 
 
+# every bundled deck (the group construction of a 1-d deck too) and z2-idx
+CLASS_DECKS = decks.BUNDLED + ("z2-idx",)
+
+
+def construction_named(name):
+    """The construction of a bundled deck, or of "z2-idx": z2-m2 on the
+    chain 5, 15, 60, 300, 2100 per axis (ratios 3, 4, 5, 7) with auto
+    offsets, which meets the index condition at every level."""
+    if name != "z2-idx":
+        return decks.construction(decks.bundled_deck(name))
+    deck = decks.bundled_deck("z2-m2")
+    chain = SubgroupChain(tuple((p, p) for p in (5, 15, 60, 300, 2100)))
+    return Construction(ConstructionParams(deck.group, DomainChain.auto(chain), deck.m,
+                                           deck.variant))
+
+
 @st.composite
 def shifted_constructions(draw):
     """Chains of rank 1-3 and depth 2-3 whose deeper offsets are the previous
@@ -297,7 +313,7 @@ def test_rep_route_shares_nothing_with_the_tiling(monkeypatch):
         deck = decks.bundled_deck(name)
         expected = Construction(deck.params()).level_array(N)
         with monkeypatch.context() as patch:
-            for method in ("level_array", "fresh_bool", "translate_blocks"):
+            for method in ("level_array", "fresh_bool"):
                 patch.setattr(Construction, method, refuse)
             cons = Construction(deck.params())
             by_points = cons.levels_at(cons.domains.box_coords(N))
