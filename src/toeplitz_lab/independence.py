@@ -176,7 +176,7 @@ class GOracle:
         self._box = dom.chain.level(win.N)
         self._core_box = dom.chain.level(win.N - 1)
         # window-array index of the core's low corner, per axis
-        self._corner = tuple(a - b for a, b in zip(dom.q1[win.N - 1], dom.q1[win.N - 2]))
+        self._corner = tuple(a - b for a, b in zip(dom.low(win.N), dom.low(win.N - 1)))
 
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Read through ``Construction.levels_at``, not the window arrays

@@ -5,10 +5,10 @@ through integer matrices of determinant +-1.  An element is a plain tuple
 ``(v, f)`` with ``v`` an integer vector of length r and ``f`` an index into F
 (0 is the identity of F).  All arithmetic is exact integer arithmetic.
 
-The chain Gamma_1 > Gamma_2 > ... consists of diagonal sublattices of Z^r,
-and each level carries a half-open box D_i that is a fundamental domain for
-the right cosets Gamma_i \\ G' together with its extension D_i R by the
-finite-part representatives.
+The chain Gamma_0 = Z^r > Gamma_1 > Gamma_2 > ... consists of diagonal
+sublattices of Z^r, and each level carries a half-open box D_i that is a
+fundamental domain for the right cosets Gamma_i \\ G' together with its
+extension D_i R by the finite-part representatives; D_0 is the origin.
 """
 
 from __future__ import annotations
@@ -220,7 +220,8 @@ class GroupSpec:
 class SubgroupChain:
     """Nested diagonal sublattices Gamma_i = <p^i_j e_j> of Z^rank.
 
-    ``moduli[i-1]`` holds the vector (p^i_1, ..., p^i_r) of level i >= 1.
+    ``moduli[i-1]`` holds the vector (p^i_1, ..., p^i_r) of level i >= 1;
+    level 0 is Gamma_0 = Z^rank, with every modulus 1.
     """
 
     moduli: tuple[Vec, ...]
@@ -230,9 +231,9 @@ class SubgroupChain:
         return len(self.moduli)
 
     def level(self, i: int) -> Vec:
-        if not 1 <= i <= self.depth:
+        if not 0 <= i <= self.depth:
             raise DepthExhausted(f"chain level {i} not configured (depth {self.depth})")
-        return self.moduli[i - 1]
+        return self.moduli[i - 1] if i else (1,) * len(self.moduli[0])
 
     def index_between(self, i: int) -> int:
         lo, hi = self.level(i), self.level(i + 1)
@@ -283,36 +284,40 @@ def _closest_congruent(target: float, base: int, mod: int) -> int:
 
 @dataclass(frozen=True)
 class DomainChain:
-    """Box fundamental domains D_i = prod_j [-q1_j, p_j - q1_j) for the chain."""
+    """Box fundamental domains D_i = prod_j [-q1_j, p_j - q1_j) for the chain.
+
+    ``q1[i-1]`` holds the offsets of level i >= 1; read them through ``low``,
+    which also serves level 0.
+    """
 
     chain: SubgroupChain
     q1: tuple[Vec, ...]
 
     @staticmethod
     def auto(chain: SubgroupChain) -> "DomainChain":
-        """Near-centered offsets: q1^1 = floor(p/2); deeper levels stay
-        congruent to the previous offset mod the previous modulus."""
-        qs: list[Vec] = []
-        for i, p in enumerate(chain.moduli, start=1):
-            if i == 1:
-                qs.append(tuple(q // 2 for q in p))
-                continue
-            prev_p = chain.moduli[i - 2]
-            prev_q = qs[-1]
-            row = tuple(
-                _closest_congruent(p[j] / 2, prev_q[j], prev_p[j])
-                for j in range(len(p))
-            )
-            qs.append(row)
-        return DomainChain(chain, tuple(qs))
+        """Near-centered offsets: each level's offset is the one closest to
+        p/2 (the lower on a tie) congruent to the previous level's offset mod
+        the previous modulus, so q1^1 = floor(p/2) from q1^0 = 0 mod 1."""
+        qs = [(0,) * len(chain.level(0))]
+        for i in range(1, chain.depth + 1):
+            qs.append(tuple(_closest_congruent(p / 2, q, m) for p, q, m in
+                            zip(chain.level(i), qs[-1], chain.level(i - 1))))
+        return DomainChain(chain, tuple(qs[1:]))
 
     @property
     def rank(self) -> int:
         return len(self.chain.moduli[0])
 
+    def low(self, i: int) -> Vec:
+        """The offsets q1^i of the level-i box, D_i = prod_j [-q1^i_j,
+        p^i_j - q1^i_j): the stored ``q1[i-1]``, and 0 at level 0, whose box
+        is the origin."""
+        p = self.chain.level(i)
+        return self.q1[i - 1] if i else (0,) * len(p)
+
     def q2(self, i: int) -> Vec:
         p = self.chain.level(i)
-        return tuple(a - b for a, b in zip(p, self.q1[i - 1]))
+        return tuple(a - b for a, b in zip(p, self.low(i)))
 
     def size(self, i: int) -> int:
         return math.prod(self.chain.level(i))
@@ -320,30 +325,28 @@ class DomainChain:
     def rep(self, v: Vec, i: int) -> Vec:
         """Representative of v modulo Gamma_i inside the level-i box."""
         p = self.chain.level(i)
-        q = self.q1[i - 1]
+        q = self.low(i)
         return tuple((x + a) % m - a for x, a, m in zip(v, q, p))
 
     def rep_arr(self, arr: np.ndarray, i: int) -> np.ndarray:
         p = np.array(self.chain.level(i), dtype=np.int64)
-        q = np.array(self.q1[i - 1], dtype=np.int64)
+        q = np.array(self.low(i), dtype=np.int64)
         return (arr + q) % p - q
 
     def in_box(self, v: Vec, i: int) -> bool:
-        q1 = self.q1[i - 1]
+        q1 = self.low(i)
         q2 = self.q2(i)
         return all(-a <= x < b for x, a, b in zip(v, q1, q2))
 
     def in_box_arr(self, arr: np.ndarray, i: int) -> np.ndarray:
-        q1 = np.array(self.q1[i - 1], dtype=np.int64)
+        q1 = np.array(self.low(i), dtype=np.int64)
         q2 = np.array(self.q2(i), dtype=np.int64)
         return np.all((arr >= -q1) & (arr < q2), axis=-1)
 
-    @instance_cache
     def box_coords(self, i: int) -> np.ndarray:
         """All box coordinates at level i, shape (size, rank), canonical
-        order; read-only."""
-        return read_only(product_grid([np.arange(-a, m - a, dtype=np.int64) for a, m in
-                                       zip(self.q1[i - 1], self.chain.level(i))]))
+        order; read-only: the translates of D_0, the origin."""
+        return self.translates(0, i)
 
     def translate_axes(self, n: int, N: int) -> list[np.ndarray]:
         """Per axis, the coordinates of the Gamma_n elements whose D_n
@@ -352,7 +355,7 @@ class DomainChain:
         Since q1^N = q1^n mod p^n, they are b p^n - (q1^N - q1^n) for the
         block index b of every p^n block of the D_N box."""
         return [np.arange(P // p, dtype=np.int64) * p - (qN - qn) for p, P, qN, qn in
-                zip(self.chain.level(n), self.chain.level(N), self.q1[N - 1], self.q1[n - 1])]
+                zip(self.chain.level(n), self.chain.level(N), self.low(N), self.low(n))]
 
     @instance_cache
     def translates(self, n: int, N: int) -> np.ndarray:
@@ -361,7 +364,7 @@ class DomainChain:
         return read_only(product_grid(self.translate_axes(n, N)))
 
     def enumerate_box(self, i: int):
-        q1 = self.q1[i - 1]
+        q1 = self.low(i)
         q2 = self.q2(i)
         yield from product(*(range(-a, b) for a, b in zip(q1, q2)))
 
@@ -371,7 +374,7 @@ class DomainChain:
             raise SpecError("need one offset vector per chain level")
         for i in range(1, chain.depth + 1):
             p = chain.level(i)
-            q1 = self.q1[i - 1]
+            q1 = self.low(i)
             if len(q1) != len(p):
                 raise SpecError(f"level {i} offsets have wrong rank")
             q2 = self.q2(i)
@@ -379,17 +382,15 @@ class DomainChain:
                 if a <= i or b <= i:
                     raise SpecError(
                         f"level {i} offsets ({a},{b}) must both exceed the level index")
-            if i > 1:
-                pp = chain.level(i - 1)
-                qq = self.q1[i - 2]
-                for a, c, m in zip(q1, qq, pp):
-                    if (a - c) % m != 0:
-                        raise SpecError(
-                            f"level {i} offsets must align with level {i - 1} mod {m}")
-                if any(a < c for a, c in zip(q1, qq)):
-                    raise SpecError("boxes must be nested (lower side)")
-                if any(a < c for a, c in zip(q2, self.q2(i - 1))):
-                    raise SpecError("boxes must be nested (upper side)")
+            qq = self.low(i - 1)
+            for a, c, m in zip(q1, qq, chain.level(i - 1)):
+                if (a - c) % m != 0:
+                    raise SpecError(
+                        f"level {i} offsets must align with level {i - 1} mod {m}")
+            if any(a < c for a, c in zip(q1, qq)):
+                raise SpecError("boxes must be nested (lower side)")
+            if any(a < c for a, c in zip(q2, self.q2(i - 1))):
+                raise SpecError("boxes must be nested (upper side)")
 
 
 def decompose_right(spec: GroupSpec, domains: DomainChain, g: Elt,

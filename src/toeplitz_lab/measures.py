@@ -14,7 +14,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from typing import TypeVar
 
 import numpy as np
@@ -80,11 +80,10 @@ def _count_levels(n: int, lvl: np.ndarray) -> np.ndarray:
 
 
 def fresh_count(cons: Construction, n: int) -> int:
-    """|fresh(n)| by the closed recursion; the box mask must agree."""
-    if n == 0:
-        return 1
-    count = cons.domains.size(1) - 1
-    for l in range(2, n + 1):
+    """|fresh(n)| by the closed recursion from |fresh(0)| = |D_0| = 1; the
+    box mask must agree."""
+    count = 1
+    for l in range(1, n + 1):
         count *= cons.domains.size(l) // cons.domains.size(l - 1) - 1
     return count
 
@@ -131,11 +130,11 @@ def periodic_density_counted(cons: Construction, n: int) -> Fraction:
 
 
 def periodic_density_closed(cons: Construction, n: int) -> Fraction:
-    """Product formula: 1 - d_{n+1} = (1 - 1/|D_1|) prod (1 - |D_j|/|D_{j+1}|)."""
-    sizes = [cons.domains.size(i) for i in range(1, n + 1)]
-    out = 1 - Fraction(1, sizes[0])
-    for j in range(1, n):
-        out *= 1 - Fraction(sizes[j - 1], sizes[j])
+    """Product formula: 1 - d_n = prod_{j < n} (1 - |D_j|/|D_{j+1}|), with
+    |D_0| = 1."""
+    out = Fraction(1)
+    for j in range(n):
+        out *= 1 - Fraction(cons.domains.size(j), cons.domains.size(j + 1))
     return 1 - out
 
 
@@ -164,9 +163,15 @@ def class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
     n <= N, in the lexicographic order of ``DomainChain.translates``,
     read-only.  At N = n the one class is D_n itself, at level n + 1.
 
-    The levels come from the claim rule (``_claim_levels``), and the level-N
-    array is certified to hold them on every level-n fresh cell, once per
-    read-only pair of ``level_array(N)`` and ``fresh_bool(n)``
+    A level-n fresh cell c is claimed at no level <= n, and neither is
+    gamma + c, congruent to c modulo every such Gamma_l.  For l > n, per axis
+    the Gamma_l rep of gamma's p^n block and the D_(l-1) box are unions of
+    p^n blocks aligned with it (q1^l = q1^n mod p^n), so the rep of gamma + c
+    lies in D_(l-1) exactly when the rep of gamma does.  The class level is
+    therefore the claim rule's on the translates themselves,
+    ``Construction.first_claims`` over levels n+1 .. N on their open grid.
+    The level-N array is certified to hold it on every level-n fresh cell,
+    once per read-only pair of ``level_array(N)`` and ``fresh_bool(n)``
     (``once_per_array``): what is certified is those arrays as they stand,
     and a writeable or substituted array is read again.
     """
@@ -177,45 +182,29 @@ def class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
                           partial(_class_table, cons, n, N))
 
 
-def _claim_levels(cons: Construction, n: int, N: int) -> np.ndarray:
-    """The class level of every Gamma_n translate gamma + D_n of the D_N box
-    by the claim rule of ``Construction.levels_at``: shape p^N / p^n, int16.
-
-    A level-n fresh cell c is claimed at no level <= n, and neither is
-    gamma + c, congruent to c modulo every such Gamma_l.  For l > n, per axis
-    the Gamma_l rep of gamma's p^n block and the D_(l-1) box are unions of
-    p^n blocks aligned with it (q1^l = q1^n mod p^n), so the rep of gamma + c
-    lies in D_(l-1) exactly when the rep of gamma does.  The class level is
-    the first l in n+1 .. N whose box test gamma passes, N + 1 if none does:
-    per level one rep and box test per axis and one outer AND.  No level
-    array or fresh mask is read.
-    """
-    dom = cons.domains
-    axes = dom.translate_axes(n, N)
-    out = np.full(tuple(len(x) for x in axes), N + 1, dtype=np.int16)
-    for l in range(N, n, -1):  # the first level that claims gamma is written last
-        reps = [(x + q) % p - q for x, p, q in zip(axes, cons.chain.level(l), dom.q1[l - 1])]
-        hits = [(s >= -lo) & (s < hi) for s, lo, hi in zip(reps, dom.q1[l - 2], dom.q2(l - 1))]
-        out[reduce(np.logical_and.outer, hits)] = l
-    return out
-
-
 def _class_table(cons: Construction, n: int, N: int, levels: np.ndarray,
                  fresh: np.ndarray) -> np.ndarray:
     """The table of ``class_levels``, certified in one broadcast: the level-N
-    array cut into its p^n blocks, (blocks_1, p_1, blocks_2, p_2, ...), is
-    compared with the table and masked by the level-n fresh cells.  Only a
-    disagreement is located, and its first gamma in lex order is refused with
-    ConstructionError naming it.
+    array cut into its p^n blocks, (blocks_1, p_1, ..., blocks_r * p_r), is
+    compared with the table and masked by the level-n fresh cells.  The last
+    block axis stays merged with its cell axis, the table repeated and the
+    mask tiled along it, so the innermost loop runs over a whole row of the
+    box.  Only a disagreement is located, and its first gamma in lex order is
+    refused with ConstructionError naming it.
     """
-    table = _claim_levels(cons, n, N)
+    dom = cons.domains
+    table = cons.first_claims(np.ix_(*dom.translate_axes(n, N)), n + 1, N)
     p = cons.chain.level(n)
     split = [x for pair in zip(table.shape, p) for x in pair]
-    off = levels.reshape(split) != table.reshape([x for b in table.shape for x in (b, 1)])
-    off &= fresh.reshape([x for a in p for x in (1, a)])
+    rows = [x for b in table.shape[:-1] for x in (b, 1)]
+    cols = [x for a in p[:-1] for x in (1, a)]
+    off = levels.reshape(split[:-2] + [-1]) != np.repeat(
+        table.reshape(rows + [-1]), p[-1], axis=-1)
+    off &= np.tile(fresh.reshape(cols + [p[-1]]), table.shape[-1])
     if off.any():
+        off = off.reshape(split)
         i = int(np.argmax(off.any(axis=tuple(range(1, len(split), 2))).ravel()))
-        gamma = tuple(cons.domains.translates(n, N)[i].tolist())
+        gamma = tuple(dom.translates(n, N)[i].tolist())
         raise ConstructionError(f"a level-{n} fresh cell of gamma={gamma} is off its "
                                 f"class level {table.ravel()[i]} in the level-{N} array")
     return read_only(table.ravel())

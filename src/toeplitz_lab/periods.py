@@ -122,7 +122,7 @@ class _Batch:
         self.pos = [moved[reps_f, k] + reps_v[:, k, None] for k in range(spec.rank)]
         low, code, ext = [], 0, []
         flat = 0  # of the rep of each position in the D_K box
-        for x, a, m in zip(self.pos, cons.domains.q1[K - 1], cons.chain.level(K)):
+        for x, a, m in zip(self.pos, cons.domains.low(K), cons.chain.level(K)):
             s, rem = np.divmod(x + a, m)
             low.append(s.min(axis=1))
             s -= low[-1][:, None]
@@ -167,9 +167,9 @@ class _Batch:
         slot = np.arange(len(pt)) - (np.cumsum(count) - count)[pt]
         # block coordinates of each aperiodic piece in the D_N box, whose
         # block b holds the translate b p - (q1^N - q1^K)
-        a, b = np.array(dom.q1[N - 1]), np.array(dom.q2(N))
+        a, b = np.array(dom.low(N)), np.array(dom.q2(N))
         blocks = np.zeros((n, int(count.max(initial=0)), len(p)), dtype=np.int64)
-        blocks[pt, slot] = self.units(pt, code) + (a - np.array(dom.q1[K - 1])) // p
+        blocks[pt, slot] = self.units(pt, code) + (a - np.array(dom.low(K))) // p
         real = np.zeros(blocks.shape[:2], dtype=bool)
         real[pt, slot] = True
 

@@ -119,35 +119,31 @@ class Construction:
 
         Level l <= N marks the Gamma_l-translates of the level-(l-1) fresh
         cells; the remaining cells are the level-N fresh cells and will be
-        filled at step N+1.
+        filled at step N+1.  The D_0 box is the origin, fresh at level 0.
 
         Built by tiling: q1^N = q1^(N-1) mod p^(N-1), so every p^(N-1) block
         of the D_N box repeats the D_(N-1) array, and a level-(N-1) fresh cell
         is filled at step N exactly when it sits in the central block (the
         D_(N-1) box itself).  Everywhere else it stays fresh (level N+1).
         """
-        if not 1 <= N <= self.depth:
+        if not 0 <= N <= self.depth:
             raise DepthExhausted(
-                f"level array needs a configured level 1..{self.depth}, got {N}")
-        p = self.chain.level(N)
-        if N == 1:
-            lvl = np.full(p, 2, dtype=np.int16)
-            lvl[self.domains.q1[0]] = 1
-            return read_only(lvl.ravel())
-        pp = self.chain.level(N - 1)
+                f"level array needs a configured level 0..{self.depth}, got {N}")
+        if N == 0:
+            return read_only(np.ones(1, dtype=np.int16))
+        p, pp = self.chain.level(N), self.chain.level(N - 1)
         prev = self.level_array(N - 1).reshape(pp)
         grid = np.tile(np.where(prev == N, N + 1, prev).astype(np.int16),
                        tuple(a // b for a, b in zip(p, pp)))
         centre = tuple(slice(a - c, a - c + b) for a, c, b in
-                       zip(self.domains.q1[N - 1], self.domains.q1[N - 2], pp))
+                       zip(self.domains.low(N), self.domains.low(N - 1), pp))
         grid[centre] = prev
         return read_only(grid.ravel())
 
     def stratum_claims(self, N: int) -> Iterator[np.ndarray]:
         """Per level l = 1 .. N, the mask over the D_N box (shape p^N) of the
         cells that level l claims: those whose rep modulo Gamma_l is a
-        level-(l-1) fresh cell of the tiled ``fresh_bool(l - 1)`` (level 0 has
-        the origin alone, so level 1 claims Gamma_1 and reads no tiled mask).
+        level-(l-1) fresh cell of the tiled ``fresh_bool(l - 1)``.
 
         The box, the rep modulo the diagonal Gamma_l, the test against the
         D_(l-1) box and the index into it are all per axis, so the fresh mask
@@ -155,43 +151,51 @@ class Construction:
         into a False slot padded there, stands for a rep outside D_(l-1).
         """
         dom, chain, rank = self.domains, self.chain, self.group.rank
-        axes = [np.arange(-a, p - a, dtype=np.int64)
-                for p, a in zip(chain.level(N), dom.q1[N - 1])]
+        axes = dom.translate_axes(0, N)
         for l in range(1, N + 1):
-            if l == 1:  # the D_0 box is the origin alone
-                pbs, qbs, fresh = (1,) * rank, (0,) * rank, np.ones((1,) * rank, dtype=bool)
-            else:
-                pbs, qbs = chain.level(l - 1), dom.q1[l - 2]
-                fresh = self.fresh_bool(l - 1).reshape(pbs)
-            hit = np.pad(fresh, [(0, 1)] * rank)
+            pbs = chain.level(l - 1)
+            hit = np.pad(self.fresh_bool(l - 1).reshape(pbs), [(0, 1)] * rank)
             for k, (x, p, q, pb, qb) in enumerate(
-                    zip(axes, chain.level(l), dom.q1[l - 1], pbs, qbs)):
+                    zip(axes, chain.level(l), dom.low(l), pbs, dom.low(l - 1))):
                 s = (x + q) % p - q + qb  # rep mod Gamma_l, offset into D_(l-1)
                 hit = hit.take(np.where((s >= 0) & (s < pb), s, pb), axis=k)
             yield hit
 
+    def first_claims(self, coords, first: int, last: int) -> np.ndarray:
+        """The claim rule: the first level l in first .. last (int16) whose
+        Gamma_l claims each lattice point, last + 1 where none does, for
+        points given by their per-axis coordinates, broadcast together.
+
+        Level l claims v when v, unclaimed below level l, has its rep modulo
+        Gamma_l in a level-(l-1) fresh cell.  That rep is congruent to v
+        modulo every coarser Gamma_k, so its claims below level l are those of
+        v: while v is unclaimed, its rep is fresh exactly when it lies in the
+        D_(l-1) box.  Gamma_l is diagonal and the boxes are products, so per
+        level one rep and one box test per axis decide; no level array or
+        fresh mask is read.
+        """
+        dom = self.domains
+        out = np.full(np.broadcast_shapes(*(np.shape(x) for x in coords)), last + 1,
+                      dtype=np.int16)
+        for l in range(last, first - 1, -1):  # the first level that claims is written last
+            hit = True
+            for x, p, q, lo, hi in zip(coords, self.chain.level(l), dom.low(l),
+                                       dom.low(l - 1), dom.q2(l - 1)):
+                s = (x + q) % p - q
+                hit = hit & (s >= -lo) & (s < hi)
+            out[hit] = l
+        return out
+
     def levels_at(self, points: np.ndarray) -> np.ndarray:
         """Stratum level (int16) of each row of an (n, r) array of lattice
-        points: depth+1 for a point of the D_depth box that no level claims,
+        points by the claim rule (``first_claims`` over levels 1 .. depth):
+        depth+1 for a point of the D_depth box that no level claims,
         DepthExhausted naming the first point outside it that none claims.
-
-        A point v is claimed at level 1 when it lies in Gamma_1, and at level
-        l >= 2 when its rep modulo Gamma_l is a level-(l-1) fresh cell.  That
-        rep is congruent to v modulo every coarser Gamma_k, so its claims
-        below level l are those of v: while v is unclaimed, its rep is fresh
-        exactly when it lies in the D_(l-1) box.  One rep and one box test per
-        level decide every point; no level array or fresh mask is read.
         """
         dom = self.domains
         pts = np.asarray(points, dtype=np.int64).reshape(-1, self.group.rank)
-        out = np.full(len(pts), self.depth + 1, dtype=np.int16)
-        unclaimed = np.arange(len(pts))
-        for l in range(1, self.depth + 1):
-            rep = dom.rep_arr(pts[unclaimed], l)
-            hit = np.all(rep == 0, axis=-1) if l == 1 else dom.in_box_arr(rep, l - 1)
-            out[unclaimed[hit]] = l
-            unclaimed = unclaimed[~hit]
-        outside = unclaimed[~dom.in_box_arr(pts[unclaimed], self.depth)]
+        out = self.first_claims(pts.T, 1, self.depth)
+        outside = np.flatnonzero((out > self.depth) & ~dom.in_box_arr(pts, self.depth))
         if len(outside):
             raise DepthExhausted(
                 f"{tuple(pts[outside[0]].tolist())} is not covered by the configured "
@@ -227,7 +231,7 @@ class EtaWindow:
         window: shape (|F|,) + extent.  The box may pad the window on any
         side, crop it, or miss it."""
         dom = self.cons.domains
-        p, q1 = dom.chain.level(self.N), dom.q1[self.N - 1]
+        p, q1 = dom.chain.level(self.N), dom.low(self.N)
         F = self.spec.finite_order
         out = np.full((F,) + tuple(int(b - a) + 1 for a, b in zip(low, high)), -1,
                       dtype=np.int16)

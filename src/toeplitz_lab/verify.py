@@ -54,11 +54,11 @@ def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool
     <= n claims in ``Construction.stratum_claims(n)``) and the closed-form
     count agree at every level.
 
-    The verdict is that of a rep route fed by its own masks: level 1 reads
-    no tiled mask, and level n reads only tiled masks of levels below n, which
-    this ascending loop has already compared.  While they agree, level n
-    reads what a self-fed route would, so the first disagreement is found
-    at the same level."""
+    The verdict is that of a rep route fed by its own masks: level n reads
+    only tiled masks of levels below n, the origin alone at level 0, and
+    this ascending loop has already compared the others.  While they agree,
+    level n reads what a self-fed route would, so the first disagreement is
+    found at the same level."""
     sizes = {}
     agreed = True
     for n in range(1, max_level + 1):
@@ -85,7 +85,10 @@ def check_fresh_dual(deck_name: str) -> CheckResult:
 def claim_pass(cons: Construction, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Per cell of the D_N box (shape p^N): how many of the levels 1 .. N
     claim it, and the first that does (0 where none does), from one run of
-    ``Construction.stratum_claims(N)`` on the tiled fresh masks."""
+    ``Construction.stratum_claims(N)`` on the tiled fresh masks of levels
+    0 .. N-1.  Counting every claim, not only the first, is what lets
+    criterion 2 see a cell claimed twice; ``Construction.first_claims``
+    stops at the first."""
     shape = cons.chain.level(N)
     count = np.zeros(shape, dtype=np.uint8)
     first = np.zeros(shape, dtype=np.int16)
@@ -99,10 +102,10 @@ def check_strata_partition(deck_name: str, N: int = 3) -> CheckResult:
     """Every cell of the D_N box claims exactly one stratum, and that is its
     level in ``level_array(N)`` with a symbol of the alphabet.
 
-    Cell v claims level 1 when v is in Gamma_1, level l in 2..N when its rep
-    modulo Gamma_l is a level-(l-1) fresh cell of the tiled ``fresh_bool``,
-    and level N+1 when it is a level-N fresh cell itself.  The claims of
-    levels 1..N come from ``claim_pass``."""
+    Cell v claims level l in 1..N when its rep modulo Gamma_l is a
+    level-(l-1) fresh cell of the tiled ``fresh_bool`` (at l = 1, the origin
+    of D_0: v is in Gamma_1), and level N+1 when it is a level-N fresh cell
+    itself.  The claims of levels 1..N come from ``claim_pass``."""
     cons = _cons(deck_name)
     count, claimed = claim_pass(cons, N)
     top = cons.fresh_bool(N).reshape(count.shape)
@@ -481,7 +484,7 @@ def check_conjugation(deck_name: str, seed: int = 7) -> CheckResult:
                                 f"Gamma_{i} = {p} onto itself")
     win = cons.window(3)
     rng = random.Random(seed)
-    reach = min(6, cons.domains.q1[1][0])
+    reach = min(6, cons.domains.low(2)[0])
     box = cons.domains.box_coords(2)
     F = spec.finite_order
     core = box_elements(box[np.all(np.abs(box) <= reach, axis=1)], F)

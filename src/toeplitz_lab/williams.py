@@ -146,9 +146,9 @@ def coords_of_int(params: WilliamsParams, g: int, depth: int) -> tuple[int, ...]
 
 @dataclass(frozen=True, eq=False)
 class ZFiberScan:
-    """Per-residue fiber counts of a batch of depth-k odometer points."""
+    """Per-residue fiber counts of a batch of depth-k odometer points, in the
+    order of the residues given to ``fiber_scan``."""
 
-    residues: np.ndarray         # the points' residues mod p_k, in batch order
     counts: np.ndarray           # distinct fully-defined window restrictions
     aperiodic_cells: np.ndarray  # window cells not yet periodic at depth k
     immature: np.ndarray         # approximants whose window holds Undefined cells
@@ -241,7 +241,7 @@ def fiber_scan(params: WilliamsParams, eta: ZPatch, k: int, residues,
     for key in keys:
         new[1:] |= key[1:] != key[:-1]
     counts = (new & (keys[0] != immature_key)).sum(axis=0)[residues]
-    return ZFiberScan(residues, counts, aper.sum(axis=0)[residues],
+    return ZFiberScan(counts, aper.sum(axis=0)[residues],
                       (~mature).sum(axis=0)[residues])
 
 

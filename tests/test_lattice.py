@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from toeplitz_lab import decks
 from toeplitz_lab.lattice import (
+    DepthExhausted,
     DomainChain,
     GroupSpec,
     SpecError,
@@ -208,6 +209,69 @@ def test_auto_offsets_and_validation():
     chain = deck.chain
     with pytest.raises(SpecError):
         DomainChain(chain, ((2,), (13,)) + deck.domains.q1[2:]).validate()
+
+
+def _auto_two_branch(chain):
+    """Reference for ``DomainChain.auto`` as first written, with level 1 a
+    case of its own: floor(p/2) there, and deeper the offset closest to p/2
+    (the lower on a tie) congruent to the previous offset mod the previous
+    modulus, in exact arithmetic."""
+    qs = []
+    for i, p in enumerate(chain.moduli, start=1):
+        if i == 1:
+            qs.append(tuple(x // 2 for x in p))
+            continue
+        row = []
+        for x, c, m in zip(p, qs[-1], chain.moduli[i - 2]):
+            k = math.floor((Fraction(x, 2) - c) / m)
+            row.append(min((c + k * m, c + (k + 1) * m),
+                           key=lambda q: (abs(q - Fraction(x, 2)), q)))
+        qs.append(tuple(row))
+    return tuple(qs)
+
+
+@st.composite
+def chains(draw):
+    """Chains of rank 1-3 and depth 1-5: a first modulus 2-40 per axis and
+    ratios 2-6 per axis and level, odd and even alike."""
+    rank = draw(st.integers(1, 3))
+    moduli = [tuple(draw(st.integers(2, 40)) for _ in range(rank))]
+    for _ in range(draw(st.integers(0, 4))):
+        moduli.append(tuple(p * draw(st.integers(2, 6)) for p in moduli[-1]))
+    return SubgroupChain(tuple(moduli))
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_auto_offsets_match_the_two_branch_rule_on_bundled_chains(name):
+    chain = decks.bundled_deck(name).chain
+    assert DomainChain.auto(chain).q1 == _auto_two_branch(chain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_auto_offsets_match_the_two_branch_rule(chain):
+    assert DomainChain.auto(chain).q1 == _auto_two_branch(chain)
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_level_zero_is_z_r_with_the_origin_as_box(name):
+    """Gamma_0 = Z^r and D_0 = {0}; ``low`` serves the stored offsets above
+    it, and levels outside 0 .. depth stay unconfigured."""
+    dom = decks.bundled_deck(name).domains
+    chain, r = dom.chain, dom.rank
+    assert chain.level(0) == (1,) * r
+    assert dom.low(0) == (0,) * r and dom.q2(0) == (1,) * r and dom.size(0) == 1
+    assert [dom.low(i) for i in range(1, chain.depth + 1)] == list(dom.q1)
+    assert dom.box_coords(0).tolist() == [[0] * r]
+    for i in range(chain.depth + 1):
+        if dom.size(i) <= 20_000:
+            assert np.array_equal(dom.box_coords(i), dom.translates(0, i)), i
+            assert dom.box_coords(i).tolist() == [list(v) for v in dom.enumerate_box(i)], i
+    for i in (-1, chain.depth + 1):
+        with pytest.raises(DepthExhausted, match=f"chain level {i} not configured"):
+            chain.level(i)
+        with pytest.raises(DepthExhausted, match=f"chain level {i} not configured"):
+            dom.low(i)
 
 
 @pytest.mark.parametrize("name", decks.BUNDLED)

@@ -30,6 +30,9 @@ kept on its construction (``measures.once_per_array``) instead.
 
 Product grids come from ``lattice.product_grid``: ``np.meshgrid`` appears
 only in lattice.py.
+
+Box offsets are read through ``DomainChain.low(i)``, which also serves level
+0: the stored field ``q1`` is indexed only in lattice.py.
 """
 
 import ast
@@ -298,3 +301,24 @@ def test_meshgrid_only_in_lattice():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "meshgrid"]
     assert found == [], f"np.meshgrid outside lattice.py (use lattice.product_grid): {found}"
+
+
+def _q1_indexing(source: str, name: str) -> list[str]:
+    """Each place in the source that indexes an attribute ``q1``."""
+    return [f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "q1"]
+
+
+def test_q1_indexed_only_in_lattice():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "lattice.py"
+             for hit in _q1_indexing(path.read_text(), path.name)]
+    assert found == [], f"q1 indexed outside lattice.py (use DomainChain.low): {found}"
+
+
+def test_q1_guard_sees_an_index():
+    source = ("a = dom.q1[n - 1]\n"
+              "b = dom.low(n)\n"
+              "c = [list(row) for row in deck.domains.q1]\n"
+              "d = cons.domains.q1[1][0]\n")
+    assert _q1_indexing(source, "x.py") == ["x.py:1", "x.py:4"]

@@ -253,7 +253,8 @@ def test_class_levels_match_gathered_rows(name, monkeypatch):
     with monkeypatch.context() as patch:
         for method in ("level_array", "fresh_bool"):
             patch.setattr(Construction, method, _refuse)
-        claimed = {(n, N): measures._claim_levels(cons, n, N).ravel()
+        claimed = {(n, N): cons.first_claims(
+                       np.ix_(*cons.domains.translate_axes(n, N)), n + 1, N).ravel()
                    for N in range(2, cons.depth + 1) for n in range(1, N)}
     for (n, N), table in claimed.items():
         assert np.array_equal(table, measures.class_levels(cons, n, N)), (n, N)

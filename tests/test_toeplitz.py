@@ -73,6 +73,39 @@ def test_fresh_cells_base_cases():
     assert _fresh_cells(cons, 1) == [(-2,), (-1,), (1,), (2,)]
 
 
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_level_zero_is_the_origin_fresh_at_level_zero(name):
+    """The tiling starts from D_0, the origin, fresh at level 0; levels
+    outside 0 .. depth stay unconfigured."""
+    cons = decks.construction(decks.bundled_deck(name))
+    assert cons.level_array(0).tolist() == [1] and cons.level_array(0).dtype == np.int16
+    assert cons.fresh_bool(0).tolist() == [True]
+    assert fresh_count(cons, 0) == 1
+    for N in (-1, cons.depth + 1):
+        with pytest.raises(DepthExhausted, match=f"configured level 0..{cons.depth}, got {N}"):
+            cons.level_array(N)
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_first_claims_on_a_translate_grid_reads_the_translated_fresh_cells(name):
+    """On the open grid of the Gamma_n translates of the D_N box, the claim
+    rule over levels n+1 .. N gives each gamma the level that ``levels_at``
+    gives gamma + c, for the first and the last level-n fresh cell c."""
+    cons = decks.construction(decks.bundled_deck(name))
+    dom = cons.domains
+    for N in range(1, cons.depth + 1):
+        if dom.size(N) > 400_000:
+            break
+        for n in range(N + 1):
+            grid = cons.first_claims(np.ix_(*dom.translate_axes(n, N)), n + 1, N)
+            gammas = dom.translates(n, N)
+            assert grid.dtype == np.int16 and grid.size == len(gammas)
+            fresh = dom.box_coords(n)[cons.fresh_bool(n)]
+            for c in (fresh[0], fresh[-1]):
+                want = cons.levels_at(gammas + c)
+                assert np.array_equal(grid.ravel(), want), (name, n, N, c)
+
+
 def test_fresh_cells_dual_routes_small():
     cons = dihedral()
     sizes, agreed = fresh_dual(cons, 4)
