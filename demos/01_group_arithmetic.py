@@ -7,10 +7,10 @@ the box windows.
 
 from toeplitz_lab import bundled_deck
 from toeplitz_lab.lattice import (
+    box_elements,
     check_index_condition,
     corner_count_check,
     decompose_right,
-    enumerate_domain,
     folner_ratio,
 )
 
@@ -27,7 +27,8 @@ g = ((7,), 1)
 gamma, d, r = decompose_right(spec, dom, g, 1)
 print(f"\n{g} = {gamma} * ({d}, id) * (0, rep {r})  with the box rep in D_1")
 
-cells = enumerate_domain(spec, dom, 1, with_reps=True)
+v, f = box_elements(dom.box_coords(1), spec.finite_order)
+cells = [(tuple(x), y) for x, y in zip(v.tolist(), f.tolist())]
 print(f"|D_1 R| = {len(cells)}; first cells: {cells[:4]}")
 
 print("\nleft Folner ratios |D_i R g \\ D_i R| / |D_i R| for g = (1, id):")

@@ -30,7 +30,7 @@ print("\npartial sums of the period-ratio series:",
 
 big = generate(wp, wp.periods[-1] + wp.periods[0] + 10)
 radius = max_safe_fiber_radius(big, 2)
-scan = fiber_scan(wp, big, 2, range(wp.periods[1]), radius)
+scan = fiber_scan(big, 2, range(wp.periods[1]), radius)
 counts = scan.counts.tolist()
 hist = dict(sorted(Counter(counts).items()))
 

@@ -19,7 +19,7 @@ cons = construction(deck)
 counts = census(cons, 2, 8, 3)
 
 # the point of (13, -4): t_2 is its rep modulo Gamma_2, with finite part 0
-t2 = cons.domains.rep((13, -4), 2)
+t2 = cons.domains.rep_arr(np.array((13, -4)), 2)
 row = np.flatnonzero((counts.fparts == 0) & np.all(counts.reps[:, -1] == t2, axis=1))[0]
 coords = tuple((tuple(v), int(counts.fparts[row])) for v in counts.reps[row].tolist())
 print("coords of (13, -4) at depth 2:", coords)

@@ -12,7 +12,7 @@ from .lattice import (
     SpecError,
     SubgroupChain,
 )
-from .toeplitz import Construction, ConstructionParams, EtaWindow
+from .toeplitz import Construction, EtaWindow
 from .williams import WilliamsParams, ZPatch
 from .decks import BUNDLED, Deck, bundled_deck, construction, load_deck
 
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BUNDLED",
     "Construction",
-    "ConstructionParams",
     "Deck",
     "DepthExhausted",
     "DomainChain",

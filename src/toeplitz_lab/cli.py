@@ -21,6 +21,7 @@ import numpy as np
 
 from . import decks as deckmod
 from . import measures, pullback as pb, verify, williams
+from .independence import MAX_STEPS
 from .lattice import DepthExhausted, SpecError, cube
 from .toeplitz import BETA
 from .verify import frac
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--budget", type=float, default=None,
                     help="wall-clock budget in seconds for searches")
-    ap.add_argument("--max-steps", type=int, default=2_000_000,
+    ap.add_argument("--max-steps", type=int, default=MAX_STEPS,
                     help="deterministic step budget for searches")
     ap.add_argument("--window", type=int, default=None,
                     help="gen-z window radius")

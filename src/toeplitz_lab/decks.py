@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .lattice import DomainChain, GroupSpec, SpecError, SubgroupChain, identity_matrix
-from .toeplitz import Construction, ConstructionParams, VARIANT_NORMAL, VARIANT_VIRTUALLY
+from .toeplitz import Construction, VARIANT_NORMAL, VARIANT_VIRTUALLY
 from .williams import WilliamsParams
 
 
@@ -41,11 +41,9 @@ class Deck:
             return None
         return WilliamsParams(self.m, self.williams_periods)
 
-    def params(self) -> ConstructionParams:
-        return ConstructionParams(self.group, self.domains, self.m, self.variant)
-
     def validate(self) -> None:
-        self.params().validate()
+        """SpecError unless the deck builds its constructions."""
+        Construction(self.group, self.domains, self.m, self.variant)
         if self.williams is not None:
             self.williams.validate()
 
@@ -70,7 +68,7 @@ class Deck:
 
 @lru_cache(maxsize=None)
 def construction(deck: Deck) -> Construction:
-    return Construction(deck.params())
+    return Construction(deck.group, deck.domains, deck.m, deck.variant)
 
 
 def _trivial_group(rank: int, name: str) -> GroupSpec:

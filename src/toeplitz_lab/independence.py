@@ -35,6 +35,8 @@ from .toeplitz import EtaWindow
 from .williams import ZPatch
 from .pullback import HomSpec, section_element
 
+MAX_STEPS = 2_000_000  # default step budget of a search
+
 
 @dataclass(frozen=True)
 class Cylinder:
@@ -308,7 +310,7 @@ def _first_true_index(mask: int) -> int:
 
 def find_independence_set(cylinders, target_size: int, oracle,
                           candidates: list[Elt], spec: GroupSpec,
-                          max_steps: int = 2_000_000,
+                          max_steps: int = MAX_STEPS,
                           deadline: float | None = None) -> SearchResult:
     """Backtracking search for an independence set of the target size.
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from itertools import product
 
 import numpy as np
 
@@ -93,10 +92,6 @@ def identity_matrix(r: int) -> Mat:
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -322,21 +317,12 @@ class DomainChain:
     def size(self, i: int) -> int:
         return math.prod(self.chain.level(i))
 
-    def rep(self, v: Vec, i: int) -> Vec:
-        """Representative of v modulo Gamma_i inside the level-i box."""
-        p = self.chain.level(i)
-        q = self.low(i)
-        return tuple((x + a) % m - a for x, a, m in zip(v, q, p))
-
     def rep_arr(self, arr: np.ndarray, i: int) -> np.ndarray:
+        """Representative of each lattice point (last axis) modulo Gamma_i
+        inside the level-i box."""
         p = np.array(self.chain.level(i), dtype=np.int64)
         q = np.array(self.low(i), dtype=np.int64)
         return (arr + q) % p - q
-
-    def in_box(self, v: Vec, i: int) -> bool:
-        q1 = self.low(i)
-        q2 = self.q2(i)
-        return all(-a <= x < b for x, a, b in zip(v, q1, q2))
 
     def in_box_arr(self, arr: np.ndarray, i: int) -> np.ndarray:
         q1 = np.array(self.low(i), dtype=np.int64)
@@ -362,11 +348,6 @@ class DomainChain:
         """The product grid of ``translate_axes(n, N)``: shape (count, rank),
         lexicographic order; read-only."""
         return read_only(product_grid(self.translate_axes(n, N)))
-
-    def enumerate_box(self, i: int):
-        q1 = self.low(i)
-        q2 = self.q2(i)
-        yield from product(*(range(-a, b) for a, b in zip(q1, q2)))
 
     def validate(self) -> None:
         chain = self.chain
@@ -397,9 +378,9 @@ def decompose_right(spec: GroupSpec, domains: DomainChain, g: Elt,
                     i: int) -> tuple[Elt, Vec, int]:
     """Unique g = gamma * (d, 0) * (0, r) with gamma in Gamma_i, d in D_i."""
     v, f = g
-    d = domains.rep(v, i)
-    gamma: Elt = (vec_sub(v, d), 0)
-    return gamma, d, f
+    v = np.array(v, dtype=np.int64)
+    d = domains.rep_arr(v, i)
+    return (tuple((v - d).tolist()), 0), tuple(d.tolist()), f
 
 
 def product_grid(axes) -> np.ndarray:
@@ -411,27 +392,19 @@ def product_grid(axes) -> np.ndarray:
 def box_elements(box: np.ndarray, F: int) -> EltArr:
     """The elements (u, f) of a box of lattice parts times a finite group of
     order F: lattice parts (F * len(box), ...) and finite parts (F * len(box),),
-    finite part first, then the box order, as in ``enumerate_domain``."""
+    finite part first, then the box order."""
     return (np.tile(box, (F,) + (1,) * (box.ndim - 1)),
             np.repeat(np.arange(F, dtype=np.intp), len(box)))
 
 
-def enumerate_domain(spec: GroupSpec, domains: DomainChain, i: int,
-                     with_reps: bool) -> list[Elt]:
-    """D_i (or D_i R) in canonical order: finite part, then lattice lex."""
-    fs = range(spec.finite_order) if with_reps else (0,)
-    return [(v, f) for f in fs for v in domains.enumerate_box(i)]
-
-
 def folner_ratio(spec: GroupSpec, domains: DomainChain, i: int, g: Elt) -> Fraction:
-    """|D_i R g \\ D_i R| / |D_i R| by exhaustive set arithmetic."""
-    cells = set(enumerate_domain(spec, domains, i, with_reps=True))
-    moved = {spec.mul(x, g) for x in cells}
-    return Fraction(len(moved - cells), len(cells))
-
-
-def box_size(rank: int, m: int) -> int:
-    return (2 * m + 1) ** rank
+    """|D_i R g \\ D_i R| / |D_i R|.  Right multiplication keeps the finite
+    part in R, so a cell leaves D_i R exactly when its lattice part leaves
+    D_i."""
+    moved, _ = spec.mul_arr(*box_elements(domains.box_coords(i), spec.finite_order),
+                            np.array(g[0], dtype=np.int64), g[1])
+    left = np.count_nonzero(~domains.in_box_arr(moved, i))
+    return Fraction(int(left), len(moved))
 
 
 @lru_cache(maxsize=16)
@@ -446,17 +419,16 @@ def cube(rank: int, radius: int) -> np.ndarray:
 def corner_count_check(domains: DomainChain, n: int, s: int,
                        d: Vec) -> tuple[bool, int, Fraction]:
     """Count |B(d, s) cap (gamma + D_{n+s})| for the translate containing d
-    and compare with b(s) / 2^rank.  Returns (ok, count, bound)."""
-    rank = domains.rank
-    if not domains.in_box(d, n):
+    and compare with b(s) / 2^rank.  Returns (ok, count, bound).
+
+    With gamma = d - rep(d), B(d, s) - gamma is the cube of radius s around
+    rep(d), so the count is one box test over that cube."""
+    d = np.array(d, dtype=np.int64)
+    if not domains.in_box_arr(d, n):
         raise SpecError("reference point must lie in the level-n box")
-    rep = domains.rep(d, n + s)
-    gamma = vec_sub(d, rep)
-    count = 0
-    for z in product(*(range(x - s, x + s + 1) for x in d)):
-        if domains.in_box(vec_sub(z, gamma), n + s):
-            count += 1
-    bound = Fraction(box_size(rank, s), 2 ** rank)
+    around = cube(domains.rank, s) + domains.rep_arr(d, n + s)
+    count = int(np.count_nonzero(domains.in_box_arr(around, n + s)))
+    bound = Fraction(len(around), 2 ** domains.rank)
     return count >= bound, count, bound
 
 

@@ -19,7 +19,6 @@ from .lattice import (
     DomainChain,
     GroupSpec,
     SpecError,
-    SubgroupChain,
     instance_cache,
     read_only,
 )
@@ -34,43 +33,26 @@ class ConstructionError(RuntimeError):
     """An internal invariant of the inductive construction failed."""
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """The group, the boxes D_i on their chain Gamma_i, the number m of plain
-    symbols and the variant; the chain is the one the boxes are built on."""
-
-    group: GroupSpec
-    domains: DomainChain
-    m: int
-    variant: str = VARIANT_NORMAL
-
-    @property
-    def chain(self) -> SubgroupChain:
-        return self.domains.chain
-
-    def validate(self) -> None:
-        self.group.validate()
-        self.chain.validate(self.group.rank)
-        self.domains.validate()
-        if self.m < 1:
-            raise SpecError("need at least one plain symbol")
-        if self.variant not in (VARIANT_NORMAL, VARIANT_VIRTUALLY):
-            raise SpecError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_NORMAL and self.group.finite_order != 1:
-            raise SpecError("the normal variant is only supported for trivial F")
-
-
 class Construction:
-    """Level stratification and point evaluation of the Toeplitz array."""
+    """Level stratification and point evaluation of the Toeplitz array over
+    the group, the boxes D_i on their chain Gamma_i, m plain symbols and the
+    variant; the chain is the one the boxes are built on."""
 
-    def __init__(self, params: ConstructionParams):
-        params.validate()
-        self.params = params
-        self.group = params.group
-        self.chain = params.chain
-        self.domains = params.domains
-        self.m = params.m
-        self.variant = params.variant
+    def __init__(self, group: GroupSpec, domains: DomainChain, m: int, variant: str):
+        group.validate()
+        domains.chain.validate(group.rank)
+        domains.validate()
+        if not 1 <= m <= np.iinfo(np.int16).max:  # symbols are stored as int16
+            raise SpecError(f"m = {m} must lie in 1 .. {np.iinfo(np.int16).max}")
+        if variant not in (VARIANT_NORMAL, VARIANT_VIRTUALLY):
+            raise SpecError(f"unknown variant {variant!r}")
+        if variant == VARIANT_NORMAL and group.finite_order != 1:
+            raise SpecError("the normal variant is only supported for trivial F")
+        self.group = group
+        self.chain = domains.chain
+        self.domains = domains
+        self.m = m
+        self.variant = variant
         # results computed once per read-only array of this construction,
         # with the arrays they were computed from (``measures.once_per_array``)
         self.kept: dict[tuple, tuple[tuple[np.ndarray, ...], object]] = {}

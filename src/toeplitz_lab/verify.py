@@ -260,7 +260,7 @@ def _build_fiber_census(deck: deckmod.Deck, radius: int) -> FiberCensus:
         eta = williams.generate(wp, wp.periods[-1] + wp.periods[0])
         fiber_radius, unit = williams.max_safe_fiber_radius(eta, 2), "cells"
         t2 = counts.reps[:, 1, 0]
-        scan = williams.fiber_scan(wp, eta, 2, t2, fiber_radius)
+        scan = williams.fiber_scan(eta, 2, t2, fiber_radius)
         coords = tuple(williams.coords_of_int(wp, t, 2) for t in t2.tolist())
         fibers, aperiodic = scan.counts, scan.aperiodic_cells
     else:
@@ -323,7 +323,7 @@ class IndependenceSearch:
 
 
 def independence_search(deck: deckmod.Deck, target: int | None = None,
-                        max_steps: int = 2_000_000,
+                        max_steps: int = ind.MAX_STEPS,
                         deadline: float | None = None) -> IndependenceSearch:
     """Search the single-site symbol cylinders of a deck for an independence
     set of the target size (default 3 on two-symbol 1-d decks, else 2).
@@ -369,7 +369,7 @@ def entropy_bracket(deck: deckmod.Deck, k: int, status: str) -> tuple[float, flo
 INDEPENDENCE_DECKS = ("williams-m2", "williams-m3", "z2-m2", "dihedral-m2")
 
 
-def check_independence_deck(name: str, max_steps: int = 2_000_000,
+def check_independence_deck(name: str, max_steps: int = ind.MAX_STEPS,
                             deadline: float | None = None) -> CheckResult:
     deck = deckmod.bundled_deck(name)
     search = independence_search(deck, max_steps=max_steps, deadline=deadline)
@@ -554,7 +554,7 @@ def run_check(name: str, check: Check) -> CheckResult:
                            {"error": type(exc).__name__, "message": str(exc)})
 
 
-def acceptance_table(max_steps: int = 2_000_000,
+def acceptance_table(max_steps: int = ind.MAX_STEPS,
                      deadline: float | None = None) -> list[tuple[str, str, Check]]:
     """Every acceptance check as (criterion, check name, thunk), in report
     order.  Each thunk runs one check; the independence searches and their

@@ -158,8 +158,7 @@ def _not_captured(levels: np.ndarray, k: int) -> np.ndarray:
     return (levels == 0) | (levels > k)  # level 0 marks still-Undefined cells
 
 
-def fiber_scan(params: WilliamsParams, eta: ZPatch, k: int, residues,
-               N: int) -> ZFiberScan:
+def fiber_scan(eta: ZPatch, k: int, residues, N: int) -> ZFiberScan:
     """Fiber counts of the depth-k odometer points given by their residues
     (read mod p_k), through the [-N, N] restrictions of their approximants.
 
@@ -170,6 +169,7 @@ def fiber_scan(params: WilliamsParams, eta: ZPatch, k: int, residues,
     are checked, in order: the first one that fails decides, and within it
     the first fully defined approximant that fails decides the error.
     """
+    params = eta.params
     if not 1 <= k <= params.depth:
         raise SpecError("coords depth out of range")
     pk, p_top = params.periods[k - 1], params.periods[-1]

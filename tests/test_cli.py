@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_toeplitz import new_construction
 
 import toeplitz_lab
 from toeplitz_lab import decks, measures, periods, verify
@@ -357,6 +358,7 @@ def test_invalid_chain_is_config_error(tmp_path):
     pytest.param({"williams_periods": ["6", "36"]}, "williams_periods",
                  id="periods-strings"),
     pytest.param({"m": 2.7}, "m must be", id="m-float"),
+    pytest.param({"m": 32768}, "m = 32768", id="m-past-int16"),
 ])
 def test_malformed_deck_file_is_config_error(edits, named, tmp_path, capsys):
     """A deck file with a string, a float, a boolean or a list one level too
@@ -498,7 +500,7 @@ def test_pullback_patch_is_pinned(name, reach, tmp_path):
 def test_measures_counts_each_level_once(tmp_path, monkeypatch):
     """The frequencies, the density products and the projection identity all
     read one count of each level array."""
-    cons = Construction(decks.bundled_deck("swap-m2").params())
+    cons = new_construction(decks.bundled_deck("swap-m2"))
     monkeypatch.setattr(decks, "construction", lambda deck: cons)
     counted = []
     real = measures._count_levels
@@ -516,7 +518,7 @@ def test_measures_counts_each_level_once(tmp_path, monkeypatch):
 def test_gen_group_reports_the_measures_level_counts(tmp_path, monkeypatch):
     """The strata of the gen-group summary are the measures' level counts of
     the level array, counted once."""
-    cons = Construction(decks.bundled_deck("dihedral-m2").params())
+    cons = new_construction(decks.bundled_deck("dihedral-m2"))
     monkeypatch.setattr(decks, "construction", lambda deck: cons)
     counted = []
     real = measures._count_levels

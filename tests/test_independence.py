@@ -425,7 +425,8 @@ def test_entropy_bounds():
 
 
 def _find_independence_set_reference(cylinders, target_size, oracle, candidates,
-                                     spec, max_steps=2_000_000, deadline=None):
+                                     spec, max_steps=independence.MAX_STEPS,
+                                     deadline=None):
     """``find_independence_set`` with witness masks as ``np.packbits`` arrays
     (most significant bit first) read through ``symbols_at`` by
     ``_shift_reader``, a table keyed by assignment tuples, and every candidate

@@ -14,12 +14,11 @@ from toeplitz_lab.lattice import (
     GroupSpec,
     SpecError,
     SubgroupChain,
-    box_size,
+    box_elements,
     check_index_condition,
     corner_count_check,
     cube,
     decompose_right,
-    enumerate_domain,
     folner_ratio,
     identity_matrix,
     unique_rows,
@@ -38,6 +37,28 @@ def _elt_arrays(elts, rank):
 
 def z_deck():
     return decks.bundled_deck("williams-m2")
+
+
+def box_reference(dom, i):
+    """The D_i box one point at a time, as tuples in product order: the
+    reference for ``DomainChain.box_coords``."""
+    return list(product(*(range(-a, b) for a, b in zip(dom.low(i), dom.q2(i)))))
+
+
+def in_box_reference(dom, v, i):
+    """Whether the lattice point v lies in D_i, one coordinate at a time."""
+    return all(-a <= x < b for x, a, b in zip(v, dom.low(i), dom.q2(i)))
+
+
+def rep_reference(dom, v, i):
+    """The rep of the lattice point v modulo Gamma_i in D_i, one coordinate
+    at a time: the reference for ``DomainChain.rep_arr``."""
+    return tuple((x + a) % m - a for x, a, m in zip(v, dom.low(i), dom.chain.level(i)))
+
+
+def domain_reference(spec, dom, i):
+    """D_i R as a list of elements: finite part, then the box order."""
+    return [(v, f) for f in range(spec.finite_order) for v in box_reference(dom, i)]
 
 
 def test_semidirect_product_law():
@@ -75,7 +96,8 @@ def test_subgroup_membership():
     for i in (1, 2, 3):
         p = chain.level(i)[0]
         for v in range(-3 * p, 3 * p + 1):
-            assert (dom.rep((v,), i) == (0,)) == (v % p == 0), (i, v)
+            assert (rep_reference(dom, (v,), i) == (0,)) == (v % p == 0), (i, v)
+            assert dom.rep_arr(np.array([v]), i).tolist() == list(rep_reference(dom, (v,), i))
     # a nontrivial finite part keeps (5, flip) out of Gamma_1
     assert decompose_right(deck.group, dom, ((5,), 1), 1) == (((5,), 0), (0,), 1)
 
@@ -98,34 +120,51 @@ def test_decompose_right_examples():
     assert (gamma, d, r) == (((5,), 0), (2,), 1)
 
 
-def test_decompose_right_is_bijective_on_window():
-    deck = dihedral()
+def _decompose_right_is_bijective(deck, level, radius):
+    """Every element of the window [-radius, radius]^r times F decomposes as
+    gamma * (d, 0) * (0, r) with gamma in Gamma_level and d in D_level, the
+    product gives it back, and no two elements share a decomposition."""
     spec, dom = deck.group, deck.domains
     seen = set()
-    for v in range(-40, 41):
-        for f in (0, 1):
-            g = ((v,), f)
-            gamma, d, r = decompose_right(spec, dom, g, 2)
-            assert gamma[1] == 0 and gamma[0][0] % deck.chain.level(2)[0] == 0
-            assert dom.in_box(d, 2)
-            back = spec.mul(spec.mul(gamma, (d, 0)), ((0,), r))
+    for v in product(range(-radius, radius + 1), repeat=spec.rank):
+        for f in range(spec.finite_order):
+            g = (v, f)
+            gamma, d, r = decompose_right(spec, dom, g, level)
+            assert gamma[1] == 0 and all(
+                x % p == 0 for x, p in zip(gamma[0], deck.chain.level(level)))
+            assert in_box_reference(dom, d, level)
+            assert d == rep_reference(dom, v, level)
+            back = spec.mul(spec.mul(gamma, (d, 0)), ((0,) * spec.rank, r))
             assert back == g
             key = (gamma, d, r)
             assert key not in seen
             seen.add(key)
 
 
+def test_decompose_right_is_bijective_on_window():
+    _decompose_right_is_bijective(dihedral(), 2, 40)
+
+
+@pytest.mark.parametrize("name", ["swap-m2", "z2-m2"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_decompose_right_is_bijective_on_rank_two_windows(name, level):
+    _decompose_right_is_bijective(decks.bundled_deck(name), level, 30)
+
+
 def test_enumerate_domain():
     deck = dihedral()
-    cells = enumerate_domain(deck.group, deck.domains, 1, with_reps=False)
-    assert [c[0][0] for c in cells] == [-2, -1, 0, 1, 2]
+    spec, dom = deck.group, deck.domains
+    v, f = box_elements(dom.box_coords(1), 1)
+    assert v[:, 0].tolist() == [-2, -1, 0, 1, 2] and f.tolist() == [0] * 5
     z2 = decks.bundled_deck("z2-m2")
-    assert len(enumerate_domain(z2.group, z2.domains, 1, False)) == 25
-    with_r = enumerate_domain(deck.group, deck.domains, 1, with_reps=True)
+    assert len(box_elements(z2.domains.box_coords(1), 1)[0]) == 25
+    v, f = box_elements(dom.box_coords(1), spec.finite_order)
+    with_r = [(tuple(x), y) for x, y in zip(v.tolist(), f.tolist())]
     assert len(with_r) == 10
-    assert deck.group.identity in with_r
+    assert spec.identity in with_r
     # report order: finite part, then lattice coordinates
     assert with_r == sorted(with_r, key=lambda g: (g[1],) + g[0])
+    assert with_r == domain_reference(spec, dom, 1)
 
 
 def test_box_nesting_partition():
@@ -134,14 +173,14 @@ def test_box_nesting_partition():
     dom, chain = deck.domains, deck.chain
     for i in (1, 2, 3):
         cover = set()
-        for g in dom.enumerate_box(i + 1):
+        for g in box_reference(dom, i + 1):
             if g[0] % chain.level(i)[0]:
                 continue  # not in Gamma_i
             block = {tuple(x + y for x, y in zip(g, d))
-                     for d in dom.enumerate_box(i)}
+                     for d in box_reference(dom, i)}
             assert not block & cover
             cover |= block
-        assert cover == set(dom.enumerate_box(i + 1))
+        assert cover == set(box_reference(dom, i + 1))
 
 
 def test_folner_ratio():
@@ -150,11 +189,50 @@ def test_folner_ratio():
     assert folner_ratio(spec, dom, 1, spec.identity) == 0
     assert folner_ratio(spec, dom, 1, ((1,), 0)) == Fraction(1, 5)
     # translate by (1, e) leaks (3, e) and (-3, s): two of ten cells
-    moved = {spec.mul(x, ((1,), 0))
-             for x in enumerate_domain(spec, dom, 1, True)}
-    cells = set(enumerate_domain(spec, dom, 1, True))
-    assert folner_ratio(spec, dom, 1, ((1,), 0)) == Fraction(
-        len(moved - cells), len(cells))
+    assert folner_ratio(spec, dom, 1, ((1,), 0)) == _folner_reference(
+        spec, dom, 1, ((1,), 0))
+
+
+def _folner_reference(spec, dom, i, g):
+    """|D_i R g \\ D_i R| / |D_i R| by set arithmetic on scalar elements."""
+    cells = set(domain_reference(spec, dom, i))
+    moved = {spec.mul(x, g) for x in cells}
+    return Fraction(len(moved - cells), len(cells))
+
+
+# the first three levels of a bundled chain with off-centre offsets: the
+# finite part does not map these boxes onto themselves, and nested boxes
+# share an edge, so a cube around a corner of D_n sticks out of D_(n+s)
+OFF_CENTRE = {
+    "dihedral-off-centre": ("dihedral-m2", ((3,), (3,), (28,))),
+    "swap-off-centre": ("swap-m2", ((3, 2), (3, 22), (28, 22))),
+}
+BOX_CASES = decks.BUNDLED + tuple(OFF_CENTRE)
+
+
+def _group_and_boxes(name):
+    """The group and boxes of a bundled deck or of an ``OFF_CENTRE`` case."""
+    deck_name, offsets = OFF_CENTRE.get(name, (name, None))
+    deck = decks.bundled_deck(deck_name)
+    if offsets is None:
+        return deck.group, deck.domains
+    dom = DomainChain(SubgroupChain(deck.chain.moduli[:len(offsets)]), offsets)
+    dom.validate()
+    return deck.group, dom
+
+
+@pytest.mark.parametrize("name", BOX_CASES)
+def test_folner_ratio_matches_set_arithmetic(name):
+    """Levels 1-3, with every finite part on the right: on the swap and
+    dihedral groups the cells of each finite part then move differently."""
+    spec, dom = _group_and_boxes(name)
+    shifts = [(1,) * spec.rank, (3,) + (-2,) * (spec.rank - 1),
+              (-7,) + (4,) * (spec.rank - 1)]
+    for i in (1, 2, 3):
+        for v in shifts:
+            for f in range(spec.finite_order):
+                got = folner_ratio(spec, dom, i, (v, f))
+                assert got == _folner_reference(spec, dom, i, (v, f)), (i, v, f)
 
 
 def test_folner_ratio_decays():
@@ -194,12 +272,38 @@ def test_index_condition_agrees_with_float_bound_near_threshold():
 def test_corner_lemma():
     z2 = decks.bundled_deck("z2-m2")
     ok, count, bound = corner_count_check(z2.domains, 1, 1, (0, 0))
-    assert ok and count == box_size(2, 1)  # fully contained
+    assert ok and count == (2 * 1 + 1) ** 2  # fully contained
     ok, count, bound = corner_count_check(z2.domains, 1, 2, (-2, -2))
     assert ok and count >= bound
     dih = dihedral()
     ok, count, bound = corner_count_check(dih.domains, 1, 3, (0,))
     assert ok and Fraction(count) >= Fraction(2 * 3 + 1, 2)
+
+
+def _corner_reference(dom, n, s, d):
+    """The corner count by scalar arithmetic: every z of B(d, s) tested
+    against the translate gamma + D_(n+s) holding d, gamma = d - rep(d)."""
+    rep = rep_reference(dom, d, n + s)
+    count = sum(in_box_reference(dom, tuple(a - x + y for a, x, y in zip(z, d, rep)), n + s)
+                for z in product(*(range(x - s, x + s + 1) for x in d)))
+    bound = Fraction((2 * s + 1) ** len(d), 2 ** len(d))
+    return count >= bound, count, bound
+
+
+@pytest.mark.parametrize("name", BOX_CASES)
+def test_corner_count_matches_the_scalar_count(name):
+    """Every corner of D_n, the origin and a point next to the lower corner,
+    at several (n, s); a point outside D_n is refused."""
+    _, dom = _group_and_boxes(name)
+    for n, s in ((1, 1), (1, 2), (2, 1)):
+        lo, hi = dom.low(n), dom.q2(n)
+        points = list(product(*((-a, b - 1) for a, b in zip(lo, hi))))
+        points += [(0,) * dom.rank, tuple(1 - a for a in lo)]
+        for d in points:
+            assert corner_count_check(dom, n, s, d) == _corner_reference(dom, n, s, d), \
+                (n, s, d)
+        with pytest.raises(SpecError, match="must lie in the level-n box"):
+            corner_count_check(dom, n, s, hi)
 
 
 def test_auto_offsets_and_validation():
@@ -266,7 +370,7 @@ def test_level_zero_is_z_r_with_the_origin_as_box(name):
     for i in range(chain.depth + 1):
         if dom.size(i) <= 20_000:
             assert np.array_equal(dom.box_coords(i), dom.translates(0, i)), i
-            assert dom.box_coords(i).tolist() == [list(v) for v in dom.enumerate_box(i)], i
+            assert dom.box_coords(i).tolist() == [list(v) for v in box_reference(dom, i)], i
     for i in (-1, chain.depth + 1):
         with pytest.raises(DepthExhausted, match=f"chain level {i} not configured"):
             chain.level(i)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from test_toeplitz import CLASS_DECKS, construction_named
+from test_lattice import box_reference
+from test_toeplitz import CLASS_DECKS, construction_named, new_construction
 
 from toeplitz_lab import decks, measures
 from toeplitz_lab.lattice import SpecError, vec_add
@@ -147,7 +148,7 @@ def _recount(cons, n, N):
     """(gamma, class symbol) by point evaluation of every cell of every class."""
     out = []
     cells = np.array(_fresh_cells(cons, n))
-    for gamma in cons.domains.enumerate_box(N):
+    for gamma in box_reference(cons.domains, N):
         if any(x % p for x, p in zip(gamma, cons.chain.level(n))):
             continue  # not in Gamma_n
         syms = set(cons.symbol_table()[:, cons.levels_at(cells + gamma)].ravel().tolist())
@@ -195,7 +196,7 @@ def test_level_counts_match_bincount(name):
 
 @pytest.mark.parametrize("value", ["zero", "past-top"])
 def test_level_counts_refuse_a_level_outside_the_range(monkeypatch, value):
-    cons = Construction(decks.bundled_deck("z2-m2").params())
+    cons = new_construction(decks.bundled_deck("z2-m2"))
     n, flat = 3, 4321
     fns = (measures.mu_freq_counted, measures.periodic_density_counted)
     for fn in fns:  # the clean array is counted, and its counts are kept
@@ -210,7 +211,7 @@ def test_level_counts_refuse_a_level_outside_the_range(monkeypatch, value):
 
 
 def test_identities_count_each_level_array_once(monkeypatch):
-    cons = Construction(decks.bundled_deck("z2-m2").params())
+    cons = new_construction(decks.bundled_deck("z2-m2"))
     counted, built = [], []
     count_levels, class_table = measures._count_levels, measures._class_table
 
@@ -290,7 +291,7 @@ PAIRS = ((1, 3), (3, 4))
 @pytest.mark.parametrize("level", [1, 3])
 def test_corrupted_level_array_names_the_witness(monkeypatch, level):
     for (n, N), index in zip(PAIRS, (37, 11)):
-        cons = Construction(decks.bundled_deck("z2-m2").params())
+        cons = new_construction(decks.bundled_deck("z2-m2"))
         gamma, _ = _class_symbols(cons, n, N)[index]
         cell = _fresh_cells(cons, n)[5]
         _corrupt(monkeypatch, cons, N, [(vec_add(gamma, cell), level)])
@@ -303,7 +304,7 @@ def test_corrupted_level_array_names_the_witness(monkeypatch, level):
 def test_the_first_disagreeing_class_is_named(monkeypatch, n, N):
     """A cell at the marker level has no priority: it is one more
     disagreement, and the first class in lex order that holds one is named."""
-    cons = Construction(decks.bundled_deck("z2-m2").params())
+    cons = new_construction(decks.bundled_deck("z2-m2"))
     classes = _class_symbols(cons, n, N)
     early, late = classes[2][0], classes[20][0]
     cells = _fresh_cells(cons, n)
@@ -319,7 +320,7 @@ def test_a_constant_class_at_a_wrong_level_is_refused(monkeypatch, n, N):
     least 2: the class is still constant, but not at the level the claim rule
     gives it, so the class table, the cell vector and the census refuse it,
     naming that gamma."""
-    cons = Construction(decks.bundled_deck("z2-m2").params())
+    cons = new_construction(decks.bundled_deck("z2-m2"))
     gamma, _ = _class_symbols(cons, n, N)[7]
     right = int(measures.class_levels(cons, n, N)[7])
     wrong = 2 if right != 2 else 3

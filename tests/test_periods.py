@@ -8,7 +8,13 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_toeplitz import CLASS_DECKS, construction_named, shifted_constructions
+from test_lattice import box_reference, rep_reference
+from test_toeplitz import (
+    CLASS_DECKS,
+    construction_named,
+    new_construction,
+    shifted_constructions,
+)
 
 from toeplitz_lab import decks, periods, verify
 from toeplitz_lab.lattice import (
@@ -59,7 +65,7 @@ def _code(cons, g, depth):
     """The odometer point of g = (v, f): the reps (rep of v mod Gamma_i, f)
     for i = 1 .. depth, one level at a time."""
     v, f = g
-    return tuple((cons.domains.rep(v, i), f) for i in range(1, depth + 1))
+    return tuple((rep_reference(cons.domains, v, i), f) for i in range(1, depth + 1))
 
 
 def _coords_compatible(cons, coords):
@@ -293,7 +299,7 @@ def _conjugation_samples(deck_name: str, samples: int, seed: int = 7, spread=(3,
     spec = cons.group
     rng = random.Random(seed)
     reach = min(6, cons.domains.q1[1][0])
-    core = [(v, f) for v in cons.domains.enumerate_box(2)
+    core = [(v, f) for v in box_reference(cons.domains, 2)
             if all(abs(x) <= reach for x in v) for f in range(spec.finite_order)]
     for _ in range(samples):
         shift, g = ((tuple(rng.randint(-x, x) for _ in range(spec.rank)),
@@ -484,7 +490,7 @@ def test_subgroup_elements_match_member_scan(deck_name):
             break
         for i in range(1, level + 1):
             p = cons.chain.level(i)
-            scan = [(v, 0) for v in dom.enumerate_box(level)
+            scan = [(v, 0) for v in box_reference(dom, level)
                     if all(x % q == 0 for x, q in zip(v, p))]
             v, f = box_elements(cons.domains.translates(i, level), 1)
             assert v.shape == (len(scan), cons.group.rank) and f.shape == (len(scan),)
@@ -564,7 +570,7 @@ def _window_reference(cons, coords, radius):
     moved = [spec.mul(coords[K - 1], w) for w in cells]
     pos = np.array([v for v, _ in moved], dtype=np.int64)
     fparts = np.array([f for _, f in moved])
-    levels = cons.levels_at(np.array([cons.domains.rep(v, K) for v, _ in moved]))
+    levels = cons.levels_at(np.array([rep_reference(cons.domains, v, K) for v, _ in moved]))
     return cells, pos, fparts, levels
 
 
@@ -660,7 +666,7 @@ def _all_coords_reference(cons, depth):
     """Every point coded one group element at a time, then sorted by finite
     part and lattice coordinates."""
     out = [_code(cons, (v, f), depth)
-           for v in cons.domains.enumerate_box(depth)
+           for v in box_reference(cons.domains, depth)
            for f in range(cons.group.finite_order)]
     return sorted(out, key=lambda c: (c[-1][1],) + c[-1][0])
 
@@ -802,7 +808,7 @@ def test_census_at_the_depth_of_its_points():
 
 
 def test_corrupted_oracle_is_not_constant_on_a_piece(monkeypatch):
-    cons = Construction(decks.bundled_deck("z2-m2").params())
+    cons = new_construction(decks.bundled_deck("z2-m2"))
     counts = census(cons, 2, 8, 3)
     for i, coords in enumerate(_census_points(counts)):
         _, pos, _, levels = _window_reference(cons, coords, 8)

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_lattice import box_reference, rep_reference
 
 from toeplitz_lab import decks, measures
 from toeplitz_lab.lattice import (
@@ -19,7 +20,7 @@ from toeplitz_lab.lattice import (
 )
 from toeplitz_lab.measures import fresh_count
 from toeplitz_lab.periods import per_set_exact
-from toeplitz_lab.toeplitz import BETA, Construction, ConstructionParams
+from toeplitz_lab.toeplitz import BETA, Construction
 from toeplitz_lab.verify import (
     check_fresh_dual,
     check_strata_partition,
@@ -30,6 +31,12 @@ from toeplitz_lab.verify import (
 
 def dihedral():
     return decks.construction(decks.bundled_deck("dihedral-m2"))
+
+
+def new_construction(deck, domains=None):
+    """The deck's construction built afresh, not the cached
+    ``decks.construction``; on other boxes when ``domains`` is given."""
+    return Construction(deck.group, domains or deck.domains, deck.m, deck.variant)
 
 
 def z2():
@@ -202,8 +209,7 @@ def construction_named(name):
         return decks.construction(decks.bundled_deck(name))
     deck = decks.bundled_deck("z2-m2")
     chain = SubgroupChain(tuple((p, p) for p in (5, 15, 60, 300, 2100)))
-    return Construction(ConstructionParams(deck.group, DomainChain.auto(chain), deck.m,
-                                           deck.variant))
+    return new_construction(deck, DomainChain.auto(chain))
 
 
 @st.composite
@@ -230,8 +236,7 @@ def shifted_constructions(draw):
         moduli.append(tuple(p * c for p, (c, _) in zip(moduli[-1], pairs)))
     chain = SubgroupChain(tuple(moduli))
     group = GroupSpec(rank=rank, table=((0,),), action=(identity_matrix(rank),))
-    return Construction(ConstructionParams(
-        group, DomainChain(chain, tuple(offsets)), 2))
+    return Construction(group, DomainChain(chain, tuple(offsets)), 2, "normal")
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,8 +293,7 @@ def _deep_z2():
     """z2-m2 with the chain Gamma_i = 5^i Z^2 extended to i = 10."""
     deck = decks.bundled_deck("z2-m2")
     chain = SubgroupChain(tuple((5 ** i, 5 ** i) for i in range(1, 11)))
-    return Construction(ConstructionParams(deck.group, DomainChain.auto(chain),
-                                           deck.m, deck.variant))
+    return new_construction(deck, DomainChain.auto(chain))
 
 
 def _balanced_digit_levels(points, depth):
@@ -332,7 +336,7 @@ def test_level_array_builds_no_coordinates(monkeypatch):
     def refuse(self, i):
         raise AssertionError("the tiled stratification needs no coordinates")
 
-    cons = Construction(decks.bundled_deck("z2-m2").params())
+    cons = new_construction(decks.bundled_deck("z2-m2"))
     monkeypatch.setattr(DomainChain, "box_coords", refuse)
     assert len(cons.level_array(3)) == cons.domains.size(3)
     assert int(cons.fresh_bool(2).sum()) == fresh_count(cons, 2)
@@ -344,11 +348,11 @@ def test_rep_route_shares_nothing_with_the_tiling(monkeypatch):
 
     for name, N in (("z2-m2", 4), ("swap-m2", 3), ("dihedral-m2", 6)):
         deck = decks.bundled_deck(name)
-        expected = Construction(deck.params()).level_array(N)
+        expected = new_construction(deck).level_array(N)
         with monkeypatch.context() as patch:
             for method in ("level_array", "fresh_bool"):
                 patch.setattr(Construction, method, refuse)
-            cons = Construction(deck.params())
+            cons = new_construction(deck)
             by_points = cons.levels_at(cons.domains.box_coords(N))
         assert np.array_equal(by_points, expected), name
 
@@ -406,7 +410,7 @@ def test_cached_arrays_go_with_their_instance(name):
     with its arrays."""
     deck = decks.bundled_deck(name)
     domains = DomainChain(deck.chain, deck.domains.q1)
-    cons = Construction(ConstructionParams(deck.group, domains, deck.m, deck.variant))
+    cons = new_construction(deck, domains)
     win = cons.window(3)
     for read in (lambda: cons.level_array(3), lambda: cons.fresh_bool(2),
                  cons.symbol_table, lambda: win.symbol_array(0),
@@ -420,9 +424,8 @@ def test_cached_arrays_go_with_their_instance(name):
 
 def test_normal_variant_requires_trivial_finite_part():
     deck = decks.bundled_deck("dihedral-m2")
-    params = ConstructionParams(deck.group, deck.domains, 2, "normal")
     with pytest.raises(SpecError):
-        Construction(params)
+        Construction(deck.group, deck.domains, 2, "normal")
 
 
 def test_eta_values_first_strata():
@@ -500,7 +503,7 @@ def test_essentiality_spot_check():
     cons = dihedral()
     spec = cons.group
     read = {g: sym for g, (sym, _) in _cells(cons, 3).items()}.get
-    for w in cons.domains.enumerate_box(2):
+    for w in box_reference(cons.domains, 2):
         for f in (0, 1):
             g = (w, f)
             if f == 0 and w[0] % 5 == 0:
@@ -548,11 +551,11 @@ def _strata_partition_reference(cons, N):
     dom = cons.domains
     zero = (0,) * cons.group.rank
     fresh = [{zero}] + [set(_fresh_cells(cons, n)) for n in range(1, N + 1)]
-    cells = list(dom.enumerate_box(N))
+    cells = box_reference(dom, N)
     levels = cons.levels_at(np.array(cells, dtype=np.int64)).tolist()
     bad = undefined = total = 0
     for v, lvl in zip(cells, levels):
-        claims = [l for l in range(1, N + 1) if dom.rep(v, l) in fresh[l - 1]]
+        claims = [l for l in range(1, N + 1) if rep_reference(dom, v, l) in fresh[l - 1]]
         if v in fresh[N]:
             claims.append(N + 1)
         total += 1

@@ -179,7 +179,7 @@ def test_toeplitz_coords_have_singleton_fiber():
     radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
     # the array's own residue at full depth
-    assert fiber_scan(wp, eta, wp.depth, [0], radius).counts.tolist() == [1]
+    assert fiber_scan(eta, wp.depth, [0], radius).counts.tolist() == [1]
 
 
 def test_depth2_fiber_scan_bound_and_split():
@@ -187,7 +187,7 @@ def test_depth2_fiber_scan_bound_and_split():
     wp = deck.williams
     radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
-    counts = fiber_scan(wp, eta, 2, range(wp.periods[1]), radius).counts.tolist()
+    counts = fiber_scan(eta, 2, range(wp.periods[1]), radius).counts.tolist()
     assert max(counts) <= wp.m
     split = [b for b, n in enumerate(counts) if n == 2]
     assert split
@@ -241,10 +241,10 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def _one_residue(wp, eta, coords, radius):
+def _one_residue(eta, coords, radius):
     """``fiber_scan`` of the coords' last residue alone: (count, aperiodic
     cells, immature approximants), or the refusal message."""
-    return _scan_outcome(wp, eta, len(coords), coords[-1:], radius)
+    return _scan_outcome(eta, len(coords), coords[-1:], radius)
 
 
 def _reference_outcome(wp, eta, coords, radius):
@@ -267,7 +267,7 @@ def test_fiber_patches_match_scalar_reference(name):
     outcomes = set()
     for k, g, radius in cases:
         coords = coords_of_int(wp, g, k)
-        got = _one_residue(wp, eta, coords, radius)
+        got = _one_residue(eta, coords, radius)
         assert got == _reference_outcome(wp, eta, coords, radius)
         outcomes.add(type(got))
     assert outcomes == {tuple, str}  # both counts and refusals were compared
@@ -278,7 +278,7 @@ def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
     radius = max_safe_fiber_radius(_probe(wp), 2)
     eta = generate(wp, wp.periods[-1] + radius + 10)
     coords = coords_of_int(wp, 7, 2)
-    assert _one_residue(wp, eta, coords, radius)[0][0] > 0
+    assert _one_residue(eta, coords, radius)[0][0] > 0
     # a later fully defined approximant reads one captured cell as still
     # aperiodic; its symbol is kept, so only the level map gives it away
     offsets = range(-radius, radius + 1)
@@ -288,7 +288,7 @@ def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
     levels = eta.levels.copy()
     levels[eta.index(g_t + n)] = 3
     bad = ZPatch(wp, eta.N, eta.symbols, levels)
-    assert _one_residue(wp, bad, coords, radius) == \
+    assert _one_residue(bad, coords, radius) == \
         _reference_outcome(wp, bad, coords, radius) == \
         "aperiodic part is not determined by the coords"
 
@@ -348,7 +348,7 @@ def test_fiber_census_windows_fit_the_probe_patch():
     wide = generate(wp, 2 * (wp.periods[-1] + wp.periods[0]))
     residues = [c[-1] for c in census.coords]
     assert census.fibers.tolist() == \
-        fiber_scan(wp, wide, 2, residues, census.fiber_radius).counts.tolist()
+        fiber_scan(wide, 2, residues, census.fiber_radius).counts.tolist()
 
 
 CENSUS_DECKS = {
@@ -367,9 +367,9 @@ def _census_setup(name):
     return deck.williams, _probe(deck.williams), census.fiber_radius, residues, census
 
 
-def _scan_outcome(wp, eta, k, residues, radius):
+def _scan_outcome(eta, k, residues, radius):
     try:
-        scan = fiber_scan(wp, eta, k, residues, radius)
+        scan = fiber_scan(eta, k, residues, radius)
     except SpecError as exc:
         return str(exc)
     return scan.counts.tolist(), scan.aperiodic_cells.tolist(), scan.immature.tolist()
@@ -399,7 +399,7 @@ def test_census_rows_match_per_point_fiber_patches(name):
     assert len(census.coords) == wp.periods[1]
     for coords, fibers, aperiodic in zip(census.coords, census.fibers.tolist(),
                                          census.aperiodic.tolist()):
-        got = _one_residue(wp, eta, coords, radius)
+        got = _one_residue(eta, coords, radius)
         assert got == _reference_outcome(wp, eta, coords, radius)
         assert (fibers, aperiodic) == (got[0][0], got[1][0])
 
@@ -447,7 +447,7 @@ def test_wide_windows_span_several_keys():
     eta = generate(wp, wp.periods[-1] + 40)
     residues = list(range(0, wp.periods[1], 5))
     for radius in (25, 40):
-        got = _scan_outcome(wp, eta, 2, residues, radius)
+        got = _scan_outcome(eta, 2, residues, radius)
         assert got == _reference_census_outcome(wp, eta, residues, radius)
         assert not isinstance(got, str) and max(got[0]) > 1
 
@@ -482,11 +482,11 @@ def test_corrupted_patches_read_the_same_through_the_batch_core(name):
     wp, eta, radius, residues, _ = _census_setup(name)
 
     def both(patch):
-        got = _scan_outcome(wp, patch, 2, residues, radius)
+        got = _scan_outcome(patch, 2, residues, radius)
         assert got == _reference_census_outcome(wp, patch, residues, radius)
         return got
 
-    clean = _scan_outcome(wp, eta, 2, residues, radius)
+    clean = _scan_outcome(eta, 2, residues, radius)
     late, early = residues[-3], residues[1]
     # a captured cell read as aperiodic by a late point of the census order
     undetermined = {_read_cells(wp, eta, late, radius, True)[-1]: wp.depth + 1}
@@ -518,11 +518,11 @@ def test_single_point_checks_only_its_own_residue(name):
                 if radius < (cell - eta.N - b) % p2 < p2 - radius)
     bad = _corrupted(eta, levels={cell: wp.depth + 1})
     with pytest.raises(SpecError, match="not determined"):
-        fiber_scan(wp, bad, 2, residues, radius)
+        fiber_scan(bad, 2, residues, radius)
     with pytest.raises(SpecError, match="not determined"):
-        fiber_scan(wp, bad, 2, [sick], radius)
+        fiber_scan(bad, 2, [sick], radius)
     coords = coords_of_int(wp, well, 2)
-    assert _one_residue(wp, bad, coords, radius) == _one_residue(wp, eta, coords, radius)
+    assert _one_residue(bad, coords, radius) == _one_residue(eta, coords, radius)
     assert _reference_outcome(wp, bad, coords, radius) == \
         _reference_outcome(wp, eta, coords, radius)
 
