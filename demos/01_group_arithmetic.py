@@ -24,7 +24,7 @@ print(f"({a}) * ({b}) = {spec.mul(a, b)}   (the flip negates the translation)")
 print(f"inverse of ((3,), flip) = {spec.inv(((3,), 1))}")
 
 g = ((7,), 1)
-gamma, d, r = decompose_right(spec, dom, g, 1)
+gamma, d, r = decompose_right(dom, g, 1)
 print(f"\n{g} = {gamma} * ({d}, id) * (0, rep {r})  with the box rep in D_1")
 
 v, f = box_elements(dom.box_coords(1), spec.finite_order)

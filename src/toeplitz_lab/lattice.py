@@ -374,8 +374,7 @@ class DomainChain:
                 raise SpecError("boxes must be nested (upper side)")
 
 
-def decompose_right(spec: GroupSpec, domains: DomainChain, g: Elt,
-                    i: int) -> tuple[Elt, Vec, int]:
+def decompose_right(domains: DomainChain, g: Elt, i: int) -> tuple[Elt, Vec, int]:
     """Unique g = gamma * (d, 0) * (0, r) with gamma in Gamma_i, d in D_i."""
     v, f = g
     v = np.array(v, dtype=np.int64)
@@ -418,15 +417,13 @@ def cube(rank: int, radius: int) -> np.ndarray:
 
 def corner_count_check(domains: DomainChain, n: int, s: int,
                        d: Vec) -> tuple[bool, int, Fraction]:
-    """Count |B(d, s) cap (gamma + D_{n+s})| for the translate containing d
-    and compare with b(s) / 2^rank.  Returns (ok, count, bound).
+    """Count |B(d, s) cap (gamma + D_{n+s})| for the Gamma_(n+s) translate
+    gamma + D_(n+s) that holds d, any d in Z^r, and compare with b(s) /
+    2^rank.  Returns (ok, count, bound).
 
     With gamma = d - rep(d), B(d, s) - gamma is the cube of radius s around
     rep(d), so the count is one box test over that cube."""
-    d = np.array(d, dtype=np.int64)
-    if not domains.in_box_arr(d, n):
-        raise SpecError("reference point must lie in the level-n box")
-    around = cube(domains.rank, s) + domains.rep_arr(d, n + s)
+    around = cube(domains.rank, s) + domains.rep_arr(np.array(d, dtype=np.int64), n + s)
     count = int(np.count_nonzero(domains.in_box_arr(around, n + s)))
     bound = Fraction(len(around), 2 ** domains.rank)
     return count >= bound, count, bound

@@ -19,7 +19,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .lattice import SpecError, int_det, read_only, unique_rows
+from .lattice import SpecError, read_only, unique_rows
 from .toeplitz import BETA, Construction, ConstructionError
 
 MeasureVector = dict[int, Fraction]
@@ -223,7 +223,8 @@ def mu_cell_vector(cons: Construction, n: int, N: int) -> tuple[Fraction, ...]:
 
 
 def transition_matrix(cons: Construction, n: int) -> tuple[tuple[int, ...], ...]:
-    """The m x m level transition matrix between cell-class vectors."""
+    """The m x m level transition matrix between cell-class vectors, m^2
+    entries; the identities apply its closed form (``_apply_transition``)."""
     q = cons.domains.size(n + 1) // cons.domains.size(n)
     a = cons.alpha(n + 1)
     m = cons.m
@@ -239,21 +240,29 @@ def transition_matrix(cons: Construction, n: int) -> tuple[tuple[int, ...], ...]
     return tuple(rows)
 
 
+def _apply_transition(cons: Construction, n: int,
+                      vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """A_n vec from the closed form of ``transition_matrix``: (q - 1) times
+    the identity plus a row of ones at the symbol alpha(n+1), O(m) work."""
+    q = cons.domains.size(n + 1) // cons.domains.size(n)
+    a = cons.alpha(n + 1) - 1
+    out = [(q - 1) * x for x in vec]
+    out[a] += sum(vec)
+    return tuple(out)
+
+
 def verify_transition(cons: Construction, n: int, N: int) -> bool:
     """A_n applied to the level-(n+1) cell vector must give the level-n one."""
     if not N > n + 1:
         raise SpecError("window must be deeper than n + 1")
-    A = transition_matrix(cons, n)
     mu_lo = mu_cell_vector(cons, n, N)
-    mu_hi = mu_cell_vector(cons, n + 1, N)
-    lhs = tuple(sum(Fraction(A[i][j]) * mu_hi[j] for j in range(cons.m))
-                for i in range(cons.m))
-    return lhs == mu_lo
+    return _apply_transition(cons, n, mu_cell_vector(cons, n + 1, N)) == mu_lo
 
 
 def projection_matrix(cons: Construction) -> tuple[tuple[int, ...], ...]:
     """The (m+1) x m matrix sending the level-1 cell vector to the symbol
-    frequency vector (plain symbols first, marker last)."""
+    frequency vector (plain symbols first, marker last), m^2 entries; the
+    identity applies its closed form (``_apply_projection``)."""
     m = cons.m
     F = cons.group.finite_order
     jr = fresh_count(cons, 1) * F
@@ -275,31 +284,41 @@ def projection_matrix(cons: Construction) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _apply_projection(cons: Construction, vec: tuple[Fraction, ...]) -> list[Fraction]:
+    """A_0 vec from the closed form of ``projection_matrix``: |fresh(1) R|
+    times the identity plus a row of ones at symbol 1, over a marker row of
+    F - 1, O(m) work."""
+    F = cons.group.finite_order
+    total = sum(vec)
+    out = [fresh_count(cons, 1) * F * x for x in vec]
+    out[0] += total
+    out.append((F - 1) * total)
+    return out
+
+
 def verify_projection(cons: Construction, N: int) -> bool:
     """Counted symbol frequencies must equal the projection of the level-1
     cell vector."""
-    A0 = projection_matrix(cons)
-    mu1 = mu_cell_vector(cons, 1, N)
+    lhs = _apply_projection(cons, mu_cell_vector(cons, 1, N))
     freqs = mu_freq_counted(cons, N)
-    m = cons.m
-    lhs = [sum(Fraction(A0[i][j]) * mu1[j] for j in range(m)) for i in range(m + 1)]
-    rhs = [freqs.get(sym, Fraction(0)) for sym in range(1, m + 1)]
+    rhs = [freqs.get(sym, Fraction(0)) for sym in range(1, cons.m + 1)]
     rhs.append(freqs.get(BETA, Fraction(0)))
     return lhs == rhs
 
 
 def transition_chain_check(cons: Construction, n: int, N: int) -> bool:
     """Rebuild the level-1 vector from level n through A_1 ... A_{n-1}."""
-    vec = list(mu_cell_vector(cons, n, N))
+    vec = mu_cell_vector(cons, n, N)
     for l in range(n - 1, 0, -1):
-        A = transition_matrix(cons, l)
-        vec = [sum(Fraction(A[i][j]) * vec[j] for j in range(cons.m))
-               for i in range(cons.m)]
-    return tuple(vec) == mu_cell_vector(cons, 1, N)
+        vec = _apply_transition(cons, l, vec)
+    return vec == mu_cell_vector(cons, 1, N)
 
 
 def transition_det(cons: Construction, n: int) -> int:
-    return int_det(transition_matrix(cons, n))
+    """det A_n = q (q - 1)^(m - 1), q = |D_(n+1)| / |D_n|: the identity
+    times q - 1 plus a rank-one row of ones."""
+    q = cons.domains.size(n + 1) // cons.domains.size(n)
+    return q * (q - 1) ** (cons.m - 1)
 
 
 # -- simplex and limit-measure approximants -----------------------------------

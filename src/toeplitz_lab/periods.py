@@ -18,8 +18,9 @@ from .lattice import EltArr, box_elements, cube, product_grid, unique_rows
 from .toeplitz import Construction, EtaWindow
 
 
-# (point, window cell) and (point, approximant) pairs per census batch, and
-# (sample, translate, cell) reads per period-set batch: 512 KB per int64 array
+# (point, window cell) pairs per census batch, (fiber key, approximant) pairs
+# per fiber evaluation, and (sample, translate, cell) reads per period-set
+# batch: 512 KB per int64 array
 _CHUNK_CELLS = 1 << 16
 
 
@@ -89,6 +90,10 @@ def per_set_empirical(win: EtaWindow, outer: EltArr, gammas: EltArr, core: EltAr
 # -- tower pieces, the aperiodic part and fibers -------------------------------
 
 
+# the block coordinate of a missing piece slot in a fiber key
+_NO_BLOCK = np.iinfo(np.int64).min
+
+
 class _Batch:
     """Window bookkeeping of a batch of odometer points of one depth K,
     given by the lattice parts (points, r) and finite parts (points,) of
@@ -145,50 +150,66 @@ class _Batch:
         seen[key if mask is None else key[mask]] = True
         return seen.reshape(len(key), size)
 
-    def fiber_rows(self, N: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rows (point, constant of each aperiodic piece) that the
-        orbit approximants realize, in lexicographic order, and the number of
-        approximants of each point, given the symbol of every Gamma_K
-        translate of D_K inside the D_N box (``census``).
+    def fiber_keys(self, N: int, aperiodic: np.ndarray) -> np.ndarray:
+        """One row per point holding everything its fiber inside the D_N box
+        depends on (``_fiber_counts``), given the flags of its aperiodic pieces
+        (``pieces(self.aperiodic)``): its approximant range, ``first`` then
+        ``last`` per axis, then the block coordinates of its aperiodic pieces
+        in the D_N box, in code order, with ``_NO_BLOCK`` in the slots past
+        its last piece.
 
         The approximants of a point are the gamma in Gamma_K that keep gamma
         and the whole window inside the D_N box: per axis the multiples of
         p_K in [max(-q1, -q1 - lo), min(q2, q2 - hi)), with lo and hi the
-        extremes of the window positions.  One grid covers the approximants
-        of every point, with a mask per point.  Under gamma an aperiodic
-        piece, a Gamma_K translate tau + D_K, reads the table entry of
-        tau + gamma.
+        extremes of the window positions, that is gamma / p_K in [first,
+        last].  Block b of the D_N box holds the translate b p_K - (q1^N -
+        q1^K).
         """
         dom, K = self.cons.domains, self.depth
         p = np.array(self.cons.chain.level(K))
-        n = len(self.code)
-        pt, code = np.nonzero(self.pieces(self.aperiodic))
-        count = np.bincount(pt, minlength=n)
-        slot = np.arange(len(pt)) - (np.cumsum(count) - count)[pt]
-        # block coordinates of each aperiodic piece in the D_N box, whose
-        # block b holds the translate b p - (q1^N - q1^K)
         a, b = np.array(dom.low(N)), np.array(dom.q2(N))
-        blocks = np.zeros((n, int(count.max(initial=0)), len(p)), dtype=np.int64)
-        blocks[pt, slot] = self.units(pt, code) + (a - np.array(dom.low(K))) // p
-        real = np.zeros(blocks.shape[:2], dtype=bool)
-        real[pt, slot] = True
-
         low = np.stack([x.min(axis=1) for x in self.pos], axis=-1)
         high = np.stack([x.max(axis=1) for x in self.pos], axis=-1)
         first = -(np.minimum(a, a + low) // p)
         last = (np.minimum(b, b - high) - 1) // p
-        grid = product_grid([np.arange(lo, hi + 1) for lo, hi in
-                             zip(first.min(axis=0), last.max(axis=0))])
-        valid = np.all((grid >= first[:, None]) & (grid <= last[:, None]), axis=-1)
+        pt, code = np.nonzero(aperiodic)
+        count = np.bincount(pt, minlength=len(aperiodic))
+        slot = np.arange(len(pt)) - (np.cumsum(count) - count)[pt]
+        blocks = np.full((len(aperiodic), int(count.max(initial=0)), len(p)), _NO_BLOCK)
+        blocks[pt, slot] = self.units(pt, code) + (a - np.array(dom.low(K))) // p
+        return np.concatenate([first, last, blocks.reshape(len(aperiodic), -1)], axis=1)
 
-        nb = np.array(self.cons.chain.level(N)) // p
-        at = np.clip(blocks[:, None] + grid[None, :, None], 0, nb - 1)
-        flat = at[..., 0]
-        for j in range(1, len(p)):
-            flat = flat * nb[j] + at[..., j]
-        syms = np.where(real[:, None], table[flat], 0)[valid]
-        rows = np.column_stack([np.nonzero(valid)[0], syms])
-        return unique_rows(rows)[0], valid.sum(axis=1)
+
+def _fiber_counts(cons: Construction, depth: int, N: int, table: np.ndarray,
+                  keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fiber count and the number of approximants of each key row
+    (``_Batch.fiber_keys``), given the symbol of every Gamma_K translate of
+    D_K inside the D_N box (``census``).
+
+    A fiber count is the number of distinct rows of aperiodic piece
+    constants that the key's approximants realize: under gamma an aperiodic
+    piece, a Gamma_K translate tau + D_K, reads the table entry of tau +
+    gamma.  The count reads the key and the table alone.  One grid covers
+    the approximants of every key, with a mask per key.
+    """
+    p = np.array(cons.chain.level(depth))
+    r = len(p)
+    first, last = keys[:, :r], keys[:, r:2 * r]
+    blocks = keys[:, 2 * r:].reshape(len(keys), -1, r)
+    real = blocks[..., 0] != _NO_BLOCK
+    grid = product_grid([np.arange(lo, hi + 1) for lo, hi in
+                         zip(first.min(axis=0), last.max(axis=0))])
+    valid = np.all((grid >= first[:, None]) & (grid <= last[:, None]), axis=-1)
+
+    nb = np.array(cons.chain.level(N)) // p
+    at = np.clip(np.where(real[..., None], blocks, 0)[:, None] + grid[None, :, None],
+                 0, nb - 1)
+    flat = at[..., 0]
+    for j in range(1, r):
+        flat = flat * nb[j] + at[..., j]
+    syms = np.where(real[:, None], table[flat], 0)[valid]
+    rows = unique_rows(np.column_stack([np.nonzero(valid)[0], syms]))[0]
+    return np.bincount(rows[:, 0], minlength=len(keys)), valid.sum(axis=1)
 
 
 # -- the census -----------------------------------------------------------------
@@ -199,7 +220,7 @@ class Census:
     """The odometer points of one depth K in canonical order (finite part,
     then the lattice part of t_K), and their counts.  The fiber counts and
     approximants are read inside the D_N box of an oracle level N, and are
-    None when ``census`` is given none."""
+    None when ``census`` is given none, and so is ``groups``."""
 
     reps: np.ndarray                 # lattice parts of t_1 .. t_K, (points, K, r)
     fparts: np.ndarray               # the finite part shared by t_1 .. t_K
@@ -207,11 +228,12 @@ class Census:
     aperiodic_pieces: np.ndarray     # pieces that hold an aperiodic cell
     fibers: np.ndarray | None        # realized patches, given an oracle level
     approximants: np.ndarray | None  # orbit approximants, given an oracle level
+    groups: int | None               # distinct fiber keys evaluated, given one
 
 
 def census(cons: Construction, depth: int, radius: int, N: int | None = None) -> Census:
     """Tower pieces, aperiodic pieces and, given an oracle level N, the fiber
-    count of every odometer point of the given depth, in batches.
+    count of every odometer point of the given depth.
 
     The point (t_1, .., t_K) with t_K = (v, f) has t_i = (rep of v mod
     Gamma_i, f).  Its tower pieces are the Gamma_K translates that hold a
@@ -221,10 +243,22 @@ def census(cons: Construction, depth: int, radius: int, N: int | None = None) ->
     piece constants that its orbit approximants realize inside the D_N box.
     A single point is read as its row of the census.
 
+    The window work runs in batches of at most ``_CHUNK_CELLS`` (point,
+    window cell) pairs and gives each point its fiber key
+    (``_Batch.fiber_keys``): its approximant range and the D_N-box blocks of
+    its aperiodic pieces.  The fiber count and the approximants read the key
+    and the table alone (``_fiber_counts``), so points with one key have one
+    fiber count, and each distinct key of the whole census is evaluated once
+    and scattered back to its points: the grouping is exact by construction.
+    ``groups`` is the number of distinct keys.  The evaluation runs in
+    batches of at most ``_CHUNK_CELLS`` (key, approximant) pairs, and at
+    least one key, since a key has at most one approximant per translate in
+    the table.
+
     The oracle is the class table of the Gamma_K translates of D_K inside the
     D_N box (``measures.class_levels``), mapped to symbols: class levels are
     at least 2, so a class symbol does not depend on the finite part.  It is
-    read once per (point, approximant, aperiodic piece).  Building it
+    read once per (key, approximant, aperiodic piece).  Building it
     certifies that the level-N array holds every translate's class level on
     all of its level-K fresh cells x R, a superset of the cells any window
     sees; a translate where it does not raises ConstructionError naming its
@@ -236,17 +270,26 @@ def census(cons: Construction, depth: int, radius: int, N: int | None = None) ->
         np.stack([dom.rep_arr(box, i) for i in range(1, depth + 1)], axis=1),
         spec.finite_order)
     table = None if N is None else cons.symbol_table()[0][measures.class_levels(cons, depth, N)]
-    cells = len(cube(spec.rank, radius))
-    # a point has at most one approximant per translate in the table
-    step = max(1, _CHUNK_CELLS // max(cells, 0 if table is None else len(table)))
-    parts = []
+    step = max(1, _CHUNK_CELLS // len(cube(spec.rank, radius)))
+    pieces, aperiodic, keys = [], [], []
     for start in range(0, len(reps), step):
         chunk = slice(start, start + step)
         batch = _Batch(cons, reps[chunk, -1], fparts[chunk], depth, radius)
-        part = [batch.pieces().sum(axis=1), batch.pieces(batch.aperiodic).sum(axis=1)]
+        flags = batch.pieces(batch.aperiodic)
+        pieces.append(batch.pieces().sum(axis=1))
+        aperiodic.append(flags.sum(axis=1))
         if table is not None:
-            rows, approximants = batch.fiber_rows(N, table)
-            part += [np.bincount(rows[:, 0], minlength=len(approximants)), approximants]
-        parts.append(part)
-    pieces, aperiodic, *fibers = (np.concatenate(col) for col in zip(*parts))
-    return Census(reps, fparts, pieces, aperiodic, *(fibers or (None, None)))
+            keys.append(batch.fiber_keys(N, flags))
+    pieces, aperiodic = np.concatenate(pieces), np.concatenate(aperiodic)
+    if table is None:
+        return Census(reps, fparts, pieces, aperiodic, None, None, None)
+    width = max(k.shape[1] for k in keys)
+    keys, inverse = unique_rows(np.concatenate(
+        [np.pad(k, ((0, 0), (0, width - k.shape[1])), constant_values=_NO_BLOCK)
+         for k in keys]))
+    step = max(1, _CHUNK_CELLS // len(table))
+    fibers, approximants = (np.concatenate(col) for col in zip(*(
+        _fiber_counts(cons, depth, N, table, keys[start:start + step])
+        for start in range(0, len(keys), step))))
+    return Census(reps, fparts, pieces, aperiodic, fibers[inverse], approximants[inverse],
+                  len(keys))

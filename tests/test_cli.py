@@ -168,6 +168,32 @@ def test_a_deck_too_big_for_memory_is_config_error(command, tmp_path):
     assert "Traceback" not in child.stderr
 
 
+def test_measures_of_the_largest_alphabet_fit_in_linear_work(tmp_path):
+    """The transition and projection identities apply the closed forms of
+    A_n and A_0, O(m) work each: a williams-m2 deck file with m = 32767, the
+    largest valid alphabet, passes ``measures`` at its deepest level inside a
+    512 MiB address space and a minute.  Dense m x m products in Fractions
+    run out of memory there."""
+    doc = decks.deck_to_config(decks.bundled_deck("williams-m2"))
+    doc["m"] = 32767
+    path = tmp_path / "deck.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(toeplitz_lab.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "toeplitz_lab.cli", "measures", "--config", str(path),
+         "--level", "5", "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=partial(_capped_child, 512 << 20))
+    assert child.returncode == 0, child.stderr
+    out = tmp_path / "o" / "williams-m2" / "measures"
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert verdicts["passed"] and verdicts["level"] == 5
+    assert {"transition_1", "transition_2", "projection"} <= set(verdicts["checks"])
+    with open(out / "frequencies.csv", newline="") as fh:
+        assert sum(1 for _ in fh) == 1 + 5 * 32767
+
+
 def test_smallest_reach_is_accepted(tmp_path):
     assert run(["pullback", "--config", "swap-m2", "--reach", "2",
                 "--out", str(tmp_path)]) == 0

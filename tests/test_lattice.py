@@ -99,7 +99,7 @@ def test_subgroup_membership():
             assert (rep_reference(dom, (v,), i) == (0,)) == (v % p == 0), (i, v)
             assert dom.rep_arr(np.array([v]), i).tolist() == list(rep_reference(dom, (v,), i))
     # a nontrivial finite part keeps (5, flip) out of Gamma_1
-    assert decompose_right(deck.group, dom, ((5,), 1), 1) == (((5,), 0), (0,), 1)
+    assert decompose_right(dom, ((5,), 1), 1) == (((5,), 0), (0,), 1)
 
 
 def test_chain_validation():
@@ -110,13 +110,12 @@ def test_chain_validation():
 
 
 def test_decompose_right_examples():
-    deck = dihedral()
-    spec, dom = deck.group, deck.domains
-    gamma, d, r = decompose_right(spec, dom, ((7,), 0), 1)
+    dom = dihedral().domains
+    gamma, d, r = decompose_right(dom, ((7,), 0), 1)
     assert (gamma, d, r) == (((5,), 0), (2,), 0)
-    gamma, d, r = decompose_right(spec, dom, ((-3,), 0), 1)
+    gamma, d, r = decompose_right(dom, ((-3,), 0), 1)
     assert (gamma, d, r) == (((-5,), 0), (2,), 0)
-    gamma, d, r = decompose_right(spec, dom, ((7,), 1), 1)
+    gamma, d, r = decompose_right(dom, ((7,), 1), 1)
     assert (gamma, d, r) == (((5,), 0), (2,), 1)
 
 
@@ -129,7 +128,7 @@ def _decompose_right_is_bijective(deck, level, radius):
     for v in product(range(-radius, radius + 1), repeat=spec.rank):
         for f in range(spec.finite_order):
             g = (v, f)
-            gamma, d, r = decompose_right(spec, dom, g, level)
+            gamma, d, r = decompose_right(dom, g, level)
             assert gamma[1] == 0 and all(
                 x % p == 0 for x, p in zip(gamma[0], deck.chain.level(level)))
             assert in_box_reference(dom, d, level)
@@ -292,18 +291,40 @@ def _corner_reference(dom, n, s, d):
 
 @pytest.mark.parametrize("name", BOX_CASES)
 def test_corner_count_matches_the_scalar_count(name):
-    """Every corner of D_n, the origin and a point next to the lower corner,
-    at several (n, s); a point outside D_n is refused."""
+    """Every corner of D_n, the origin, a point next to the lower corner and
+    the point just past the upper corner, at several (n, s)."""
     _, dom = _group_and_boxes(name)
     for n, s in ((1, 1), (1, 2), (2, 1)):
         lo, hi = dom.low(n), dom.q2(n)
         points = list(product(*((-a, b - 1) for a, b in zip(lo, hi))))
-        points += [(0,) * dom.rank, tuple(1 - a for a in lo)]
+        points += [(0,) * dom.rank, tuple(1 - a for a in lo), hi]
         for d in points:
             assert corner_count_check(dom, n, s, d) == _corner_reference(dom, n, s, d), \
                 (n, s, d)
-        with pytest.raises(SpecError, match="must lie in the level-n box"):
-            corner_count_check(dom, n, s, hi)
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_corner_count_over_the_box_and_its_translates(name):
+    """The lemma ranges over every d.  Points d of the whole D_(n+s) box
+    (up to 400 of them, drawn with a fixed seed), where gamma = 0 though
+    rep(d) mod Gamma_n need not be d, and the same points moved into three
+    other Gamma_(n+s) translates, where gamma != 0, at several (n, s).  Near
+    the edges of D_(n+s) the count is partial, and on the asymmetric boxes
+    of the 1-d decks it tells B(d, s) from its mirror image."""
+    dom = decks.bundled_deck(name).domains
+    rng = np.random.default_rng(0)
+    partial = 0
+    for n, s in ((1, 1), (1, 2), (2, 1)):
+        box = dom.box_coords(n + s)
+        if len(box) > 400:
+            box = box[np.sort(rng.choice(len(box), 400, replace=False))]
+        p = np.array(dom.chain.level(n + s))
+        for gamma in (0 * p, p, -2 * p, p * (-1) ** np.arange(dom.rank)):
+            for d in map(tuple, (box + gamma).tolist()):
+                got = corner_count_check(dom, n, s, d)
+                assert got == _corner_reference(dom, n, s, d), (n, s, d)
+                partial += got[1] < (2 * s + 1) ** dom.rank
+    assert partial > 0
 
 
 def test_auto_offsets_and_validation():

@@ -8,7 +8,7 @@ from test_lattice import box_reference
 from test_toeplitz import CLASS_DECKS, construction_named, new_construction
 
 from toeplitz_lab import decks, measures
-from toeplitz_lab.lattice import SpecError, vec_add
+from toeplitz_lab.lattice import SpecError, int_det, vec_add
 from toeplitz_lab.periods import census
 from toeplitz_lab.toeplitz import BETA, Construction, ConstructionError
 
@@ -71,6 +71,46 @@ def test_transition_identities():
         assert measures.verify_transition(cons, 2, 4)
         assert measures.verify_projection(cons, 4)
         assert measures.transition_chain_check(cons, 3, 4)
+
+
+def _with_m(cons, m):
+    """The construction on the same group and chain with m plain symbols."""
+    return Construction(cons.group, cons.domains, m, cons.variant)
+
+
+def _dense(mat, vec):
+    return [sum(Fraction(a) * x for a, x in zip(row, vec)) for row in mat]
+
+
+@pytest.mark.parametrize("name", CLASS_DECKS)
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_closed_forms_match_the_dense_matrices(name, m):
+    """A_n and A_0 applied through their closed forms, and det A_n, equal the
+    dense matrices' products and determinant, on a vector of distinct
+    entries so that every column counts."""
+    cons = _with_m(construction_named(name), m)
+    vec = tuple(Fraction(7 * j + 2, 3 * j + 11) for j in range(m))
+    for n in (1, 2, 3):
+        A = measures.transition_matrix(cons, n)
+        assert list(measures._apply_transition(cons, n, vec)) == _dense(A, vec), n
+        assert measures.transition_det(cons, n) == int_det(A), n
+    assert measures._apply_projection(cons, vec) == \
+        _dense(measures.projection_matrix(cons), vec)
+
+
+def test_identities_hold_on_a_wider_alphabet():
+    """The transition, chain and projection identities on z2-m2 and
+    dihedral-m2 with m = 3 and 4, and a perturbed cell vector is refused."""
+    for cons in (dihedral(), z2()):
+        for m in (3, 4):
+            other = _with_m(cons, m)
+            assert measures.verify_transition(other, 1, 4)
+            assert measures.verify_transition(other, 2, 4)
+            assert measures.verify_projection(other, 4)
+            assert measures.transition_chain_check(other, 3, 4)
+    vec = measures.mu_cell_vector(z2(), 2, 4)
+    bent = (vec[0] + Fraction(1, 625), vec[1] - Fraction(1, 625))
+    assert measures._apply_transition(z2(), 1, bent) != measures.mu_cell_vector(z2(), 1, 4)
 
 
 def test_projection_matrix_examples():

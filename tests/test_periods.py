@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_lattice import box_reference, rep_reference
+from test_lattice import _group_and_boxes, box_reference, rep_reference
 from test_toeplitz import (
     CLASS_DECKS,
     construction_named,
@@ -16,7 +16,7 @@ from test_toeplitz import (
     shifted_constructions,
 )
 
-from toeplitz_lab import decks, periods, verify
+from toeplitz_lab import decks, measures, periods, verify
 from toeplitz_lab.lattice import (
     DomainChain,
     SpecError,
@@ -106,7 +106,7 @@ def test_orbit_coding_examples():
 
 def test_coding_matches_decomposition():
     cons = dihedral()
-    spec, dom = cons.group, cons.domains
+    dom = cons.domains
     points = set(_census_points(census(cons, 4, 0)))
     assert all(_coords_compatible(cons, c) for c in points)
     for v in range(-60, 61, 7):
@@ -114,7 +114,7 @@ def test_coding_matches_decomposition():
             coords = _code(cons, ((v,), f), 4)
             assert coords in points
             for i in (1, 2, 3, 4):
-                _, d, r = decompose_right(spec, dom, ((v,), f), i)
+                _, d, r = decompose_right(dom, ((v,), f), i)
                 assert coords[i - 1] == (d, r)
 
 
@@ -690,6 +690,130 @@ def test_depth3_census_of_z2():
     assert counts.approximants.min() > 0
 
 
+# -- the grouped census -----------------------------------------------------------
+
+
+def _fiber_rows_reference(batch, N, table):
+    """The fiber rows of every point of a batch, one approximant grid per
+    batch and no grouping: the census's per-point evaluation before it
+    grouped its points by fiber key.  Returns the fiber count and the
+    number of approximants of each point."""
+    cons, K = batch.cons, batch.depth
+    dom = cons.domains
+    p = np.array(cons.chain.level(K))
+    n = len(batch.code)
+    pt, code = np.nonzero(batch.pieces(batch.aperiodic))
+    count = np.bincount(pt, minlength=n)
+    slot = np.arange(len(pt)) - (np.cumsum(count) - count)[pt]
+    a, b = np.array(dom.low(N)), np.array(dom.q2(N))
+    blocks = np.zeros((n, int(count.max(initial=0)), len(p)), dtype=np.int64)
+    blocks[pt, slot] = batch.units(pt, code) + (a - np.array(dom.low(K))) // p
+    real = np.zeros(blocks.shape[:2], dtype=bool)
+    real[pt, slot] = True
+
+    low = np.stack([x.min(axis=1) for x in batch.pos], axis=-1)
+    high = np.stack([x.max(axis=1) for x in batch.pos], axis=-1)
+    first = -(np.minimum(a, a + low) // p)
+    last = (np.minimum(b, b - high) - 1) // p
+    grid = np.array(list(product(*(range(lo, hi + 1) for lo, hi in
+                                   zip(first.min(axis=0), last.max(axis=0))))),
+                    dtype=np.int64).reshape(-1, len(p))
+    valid = np.all((grid >= first[:, None]) & (grid <= last[:, None]), axis=-1)
+
+    nb = np.array(cons.chain.level(N)) // p
+    at = np.clip(blocks[:, None] + grid[None, :, None], 0, nb - 1)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(at, -1, 0)), tuple(nb))
+    syms = np.where(real[:, None], table[flat], 0)
+    fibers = [len({tuple(row) for row in syms[i][valid[i]].tolist()}) for i in range(n)]
+    return np.array(fibers, dtype=np.int64), valid.sum(axis=1)
+
+
+def _per_point_census(cons, depth, radius, N, step=2_000):
+    """Every census column, each point evaluated on its own: the pieces and
+    aperiodic pieces of its window and ``_fiber_rows_reference``."""
+    counts = census(cons, depth, radius)
+    table = cons.symbol_table()[0][measures.class_levels(cons, depth, N)]
+    cols = []
+    for lo in range(0, len(counts.fparts), step):
+        batch = _Batch(cons, counts.reps[lo:lo + step, -1], counts.fparts[lo:lo + step],
+                       depth, radius)
+        cols.append((batch.pieces().sum(axis=1), batch.pieces(batch.aperiodic).sum(axis=1),
+                     *_fiber_rows_reference(batch, N, table)))
+    return counts, [np.concatenate(col) for col in zip(*cols)]
+
+
+def _assert_census_matches_per_point(cons, depth, radius, N):
+    counts, (pieces, aperiodic, fibers, approximants) = _per_point_census(cons, depth, radius, N)
+    got = census(cons, depth, radius, N)
+    assert np.array_equal(got.reps, counts.reps) and np.array_equal(got.fparts, counts.fparts)
+    for name, want in (("pieces", pieces), ("aperiodic_pieces", aperiodic),
+                       ("fibers", fibers), ("approximants", approximants)):
+        assert np.array_equal(getattr(got, name), want), (depth, radius, N, name)
+    # points of one group share both counts
+    pairs = set(zip(fibers.tolist(), approximants.tolist()))
+    assert len(pairs) <= got.groups <= len(fibers)
+    assert counts.fibers is counts.approximants is counts.groups is None
+
+
+@pytest.mark.parametrize("deck_name", ["z2-m2", "swap-m2", "dihedral-m2"])
+@pytest.mark.parametrize("depth,N", [(2, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("radius", [0, 5, 8])
+def test_grouped_census_matches_per_point_evaluation(deck_name, depth, N, radius):
+    """Grouping the points by fiber key changes no column: every point's
+    fiber count and approximants equal its own evaluation."""
+    _assert_census_matches_per_point(construction_named(deck_name), depth, radius, N)
+
+
+@pytest.mark.parametrize("name", ["dihedral-off-centre", "swap-off-centre"])
+@pytest.mark.parametrize("depth,N", [(2, 2), (2, 3), (3, 3)])
+def test_grouped_census_matches_per_point_evaluation_off_centre(name, depth, N):
+    """On off-centre boxes a window piece may hold no aperiodic cell, so two
+    points with the same aperiodic blocks can differ in approximant range:
+    the fiber key needs both."""
+    group, dom = _group_and_boxes(name)
+    cons = Construction(group, dom, 2, "virtually")
+    for radius in (0, 1, 2, 5, 8):
+        _assert_census_matches_per_point(cons, depth, radius, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shifted_constructions(), st.integers(0, 3))
+def test_grouped_census_matches_per_point_evaluation_on_shifted_chains(cons, radius):
+    """On off-centre chains of rank 1-3 and depth 2-3, at every K <= N whose
+    D_N box has at most 20,000 cells."""
+    for K, N in _table_pairs(cons, 20_000):
+        if K >= 2:
+            _assert_census_matches_per_point(cons, K, radius, N)
+
+
+@pytest.mark.parametrize("deck_name,depth,Ns,groups", [
+    ("z2-m2", 2, (3, 4, 5), 9),
+    ("z2-m2", 3, (4, 5), 10),
+    ("swap-m2", 2, (3, 4, 5), 9),
+    ("dihedral-m2", 2, (3, 4, 5), 3),
+])
+def test_census_evaluates_one_fiber_per_group(deck_name, depth, Ns, groups):
+    """The number of distinct fiber keys at radius 8, a deterministic count of
+    the census's fiber work; without an oracle level there is none."""
+    cons = construction_named(deck_name)
+    for N in Ns:
+        assert census(cons, depth, 8, N).groups == groups, N
+    assert census(cons, depth, 8).groups is None
+
+
+@pytest.mark.parametrize("deck_name,depth,hist", [
+    ("z2-m2", 2, {2: 81, 4: 288, 14: 256}),
+    ("swap-m2", 2, {2: 162, 4: 576, 14: 512}),
+    ("z2-m2", 3, {1: 81, 2: 11800, 4: 3488, 14: 256}),
+])
+def test_census_on_the_level_5_window(deck_name, depth, hist):
+    """The fiber histograms at radius 8 inside the D_5 box, the deepest the
+    rank-2 decks hold."""
+    counts = census(construction_named(deck_name), depth, 8, 5)
+    assert dict(Counter(counts.fibers.tolist())) == hist
+    assert counts.approximants.min() > 0
+
+
 def test_incompatible_coords_do_not_merge():
     """t_1 = 0 is not t_2 = (12, 0) mod Gamma_1, so a stage-1 translate of
     the window straddles the stage-2 boundary at u_1 = 1.  The census never
@@ -743,17 +867,17 @@ def _translate_table_reference(cons, K, oracle):
 
 
 def _census_table(cons, K, N):
-    """The table ``census`` hands its batches at depth K and oracle level N,
-    caught on its way into ``_Batch.fiber_rows`` (radius 0)."""
+    """The table ``census`` hands its fiber evaluation at depth K and oracle
+    level N, caught on its way into ``periods._fiber_counts`` (radius 0)."""
     seen = []
-    real = _Batch.fiber_rows
+    real = periods._fiber_counts
 
-    def spy(self, level, table):
+    def spy(cons, depth, level, table, keys):
         seen.append(table)
-        return real(self, level, table)
+        return real(cons, depth, level, table, keys)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Batch, "fiber_rows", spy)
+        mp.setattr(periods, "_fiber_counts", spy)
         census(cons, K, 0, N)
     assert seen and all(t is seen[0] for t in seen)
     return seen[0]
