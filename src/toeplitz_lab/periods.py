@@ -128,7 +128,9 @@ class _Batch:
         low, code, ext = [], 0, []
         flat = 0  # of the rep of each position in the D_K box
         for x, a, m in zip(self.pos, cons.domains.low(K), cons.chain.level(K)):
-            s, rem = np.divmod(x + a, m)
+            rem = x + a
+            s = rem // m
+            rem -= s * m  # np.divmod takes twice as long
             low.append(s.min(axis=1))
             s -= low[-1][:, None]
             ext.append(int(s.max()) + 1)
