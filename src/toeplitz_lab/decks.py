@@ -1,9 +1,9 @@
 """Bundled experiment decks and the on-disk configuration format.
 
 A deck fixes the whole experiment identity: the group, the chain of moduli,
-the box offsets, the alphabet size and the construction variant, plus the
-1-d period sequence when the classical construction is part of the deck.
-Configurations are single JSON documents with explicit integer matrices.
+the box offsets and the alphabet size, plus the 1-d period sequence when the
+classical construction is part of the deck.  Configurations are single JSON
+documents with explicit integer matrices; "variant" is "normal" when F is trivial.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .lattice import DomainChain, GroupSpec, SpecError, SubgroupChain, identity_matrix
-from .toeplitz import Construction, VARIANT_NORMAL, VARIANT_VIRTUALLY
+from .toeplitz import Construction
 from .williams import WilliamsParams
+
+_VARIANTS = ("normal", "virtually")  # the "variant" of a trivial and a nontrivial F
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,6 @@ class Deck:
     group: GroupSpec
     domains: DomainChain
     m: int
-    variant: str
     williams_periods: tuple[int, ...] | None = None
 
     @property
@@ -42,10 +43,17 @@ class Deck:
         return WilliamsParams(self.m, self.williams_periods)
 
     def validate(self) -> None:
-        """SpecError unless the deck builds its constructions."""
-        Construction(self.group, self.domains, self.m, self.variant)
-        if self.williams is not None:
-            self.williams.validate()
+        """SpecError unless the deck builds its constructions on its one chain."""
+        Construction(self.group, self.domains, self.m)
+        if self.williams is None:
+            return
+        if self.group.rank != 1 or self.group.finite_order != 1:
+            raise SpecError("williams_periods need the group Z (rank 1, trivial F)")
+        self.williams.validate()
+        for level, (p, (q,)) in enumerate(zip(self.williams_periods, self.chain.moduli), 1):
+            if p != q:
+                raise SpecError(f"williams_periods differ from the chain at level "
+                                f"{level}: {p} against {q}")
 
     def piece_bound(self) -> int:
         """2^r [G:G']: the tower bound on the pieces a window meets."""
@@ -68,7 +76,7 @@ class Deck:
 
 @lru_cache(maxsize=None)
 def construction(deck: Deck) -> Construction:
-    return Construction(deck.group, deck.domains, deck.m, deck.variant)
+    return Construction(deck.group, deck.domains, deck.m)
 
 
 def _trivial_group(rank: int, name: str) -> GroupSpec:
@@ -92,7 +100,6 @@ def _williams_deck(name: str, m: int) -> Deck:
         group=_trivial_group(1, "Z"),
         domains=DomainChain.auto(_chain(*[(p,) for p in periods])),
         m=m,
-        variant=VARIANT_NORMAL,
         williams_periods=periods,
     )
 
@@ -104,7 +111,6 @@ def _z2_deck() -> Deck:
         domains=DomainChain.auto(
             _chain((5, 5), (25, 25), (125, 125), (625, 625), (3125, 3125))),
         m=2,
-        variant=VARIANT_NORMAL,
     )
 
 
@@ -115,7 +121,6 @@ def _dihedral_deck() -> Deck:
         domains=DomainChain.auto(
             _chain((5,), (25,), (125,), (625,), (3125,), (15625,), (78125,))),
         m=2,
-        variant=VARIANT_VIRTUALLY,
     )
 
 
@@ -126,7 +131,6 @@ def _swap_deck() -> Deck:
         domains=DomainChain.auto(
             _chain((5, 5), (25, 25), (125, 125), (625, 625), (3125, 3125))),
         m=2,
-        variant=VARIANT_VIRTUALLY,
     )
 
 
@@ -152,7 +156,7 @@ def deck_to_config(deck: Deck) -> dict:
     return {
         "name": deck.name,
         "m": deck.m,
-        "variant": deck.variant,
+        "variant": _VARIANTS[deck.group.finite_order > 1],
         "group": {
             "rank": deck.group.rank,
             "table": [list(r) for r in deck.group.table],
@@ -206,18 +210,21 @@ def deck_from_config(doc: dict) -> Deck:
             domains = DomainChain.auto(chain)
         else:
             domains = DomainChain(chain, _integers(doc["offsets"], "offsets", 2))
+        variant = str(doc["variant"])
         wp = doc.get("williams_periods")
         deck = Deck(
             name=str(doc["name"]),
             group=group,
             domains=domains,
             m=m,
-            variant=str(doc["variant"]),
             williams_periods=None if wp is None else _integers(wp, "williams_periods", 1),
         )
     except KeyError as exc:
         raise SpecError(f"malformed deck configuration: missing field {exc}") from exc
     deck.validate()
+    if variant not in _VARIANTS[group.finite_order > 1:]:  # a trivial F allows both
+        raise SpecError(f"unknown variant {variant!r}" if variant not in _VARIANTS
+                        else "the normal variant is only supported for trivial F")
     return deck
 
 

@@ -9,14 +9,16 @@ The searcher walks candidates in canonical order; its step counter is the
 deterministic "search time" reported in summaries.  Witness masks are Python
 int bitsets over the oracle's witness grid: bit i stands for grid cell i, so
 extending an assignment by one candidate is one integer AND and a truth test.
-Each oracle reads a site as such a bitset (site_bits), from a whole-patch
-bitset per symbol or a box slice of the window, and the grid is an element
-array; an element tuple is built only for a witness a certificate names.
+Only the search multiplies: it forms every (0, h) g^-1 s once, and each
+oracle reads a site's translates as such a bitset (site_bits), from a
+whole-patch bitset per symbol or a box slice of the window.  The grid is an
+element array; an element tuple is built only for a witness a certificate names.
 
 A candidate that fails at a node fails at every node below it, since the
 masks there only shrink.  So each node tests only its pool, the candidates
 after its choice that passed its parent, drawn from one lazy stream in
-candidate order; masks are built when the first node reaches a candidate.
+candidate order; masks are built when the first node reaches a candidate,
+which is dropped at its first empty mask.
 Steps still count every candidate after the parent's choice, tested or not.
 """
 
@@ -30,7 +32,7 @@ from itertools import product, tee
 
 import numpy as np
 
-from .lattice import Elt, GroupSpec, SpecError, box_elements, cube, search_key
+from .lattice import Elt, GroupSpec, SpecError, box_elements, cube, elt_arrays, search_key
 from .toeplitz import EtaWindow
 from .williams import ZPatch
 from .pullback import HomSpec, section_element
@@ -103,9 +105,10 @@ class CertificateWindowError(RuntimeError):
 
 # -- oracles -------------------------------------------------------------------
 # An oracle's witness grid is an element array (lattice parts (n, r), finite
-# parts (n,)); site_bits(a, sym) is the search's read, the grid cells i with
-# eta(grid[i] a) == sym as an int bitset (bit i for cell i), and refuses with
-# CertificateWindowError a shift a that moves the grid out of the window.
+# parts (n,)), finite part first.  site_bits(moved, sym) reads a shift a from
+# its translates moved[h] = (0, h) a, rows [v_1, .., v_r, f]: the grid cells i
+# with eta(grid[i] a) == sym as an int bitset (bit i for cell i), refusing with
+# CertificateWindowError a shift that moves the grid out of the window.
 # symbols_at reads any batch of elements for the re-check: OUTSIDE where the
 # window does not hold the element, UNDEFINED (-1) on a cell the window holds
 # but the construction leaves empty.
@@ -148,8 +151,8 @@ class ZOracle:
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         return _gather(self.symbols, v[:, 0] + self.patch.N)
 
-    def site_bits(self, a: Elt, sym: int) -> int:
-        shift = a[0][0]
+    def site_bits(self, moved: list, sym: int) -> int:
+        shift = moved[0][0]
         start = self.lo + shift + self.patch.N
         if start < 0 or start + (self.hi - self.lo + 1) > len(self.symbols):
             raise CertificateWindowError(f"shift {shift} leaves the oracle window")
@@ -162,9 +165,8 @@ class GOracle:
     """Occurrence oracle over a box window of the group construction.
 
     The grid is the core box D_(N-1) once per finite part h.  Grid cell
-    (v, h) times a is (v + M_h a_v, h a_f), so finite part h of a site reads
-    the core moved by M_h a_v: a box, hence a slice of the window's symbol
-    array, with no index array."""
+    (v, h) times a is v + (0, h) a, so finite part h reads the core moved by
+    that translate: a box slice of its finite part's symbol array."""
 
     def __init__(self, win: EtaWindow):
         self.win = win
@@ -188,19 +190,17 @@ class GOracle:
         out[inside] = self.cons.symbol_table()[f[inside], self.cons.levels_at(v[inside])]
         return out
 
-    def site_bits(self, a: Elt, sym: int) -> int:
-        spec = self.win.spec
+    def site_bits(self, moved: list, sym: int) -> int:
         n = len(self.core)
         out = np.empty(len(self.grid[1]), dtype=bool)
-        for hf in range(spec.finite_order):
+        for h, (*v, f) in enumerate(moved):
             box = []
-            for c, s, w, p in zip(self._corner, spec.apply(hf, a[0]),
-                                  self._core_box, self._box):
+            for c, s, w, p in zip(self._corner, v, self._core_box, self._box):
                 if not 0 <= c + s <= p - w:
                     raise CertificateWindowError("shifted core leaves the oracle window")
                 box.append(slice(c + s, c + s + w))
-            syms = self.win.symbol_array(spec.table[hf][a[1]]).reshape(self._box)
-            np.equal(syms[tuple(box)], sym, out=out[hf * n:(hf + 1) * n].reshape(self._core_box))
+            syms = self.win.symbol_array(f).reshape(self._box)
+            np.equal(syms[tuple(box)], sym, out=out[h * n:(h + 1) * n].reshape(self._core_box))
         return _pack(out)
 
 
@@ -209,7 +209,6 @@ class PullbackOracle:
 
     def __init__(self, hom: HomSpec, group: GroupSpec, source: ZPatch, radius: int):
         self.hom = hom
-        self.group = group
         self.source = source
         self.grid = box_elements(cube(group.rank, radius), group.finite_order)
         self._w = np.array(hom.w, dtype=np.int64)
@@ -219,11 +218,9 @@ class PullbackOracle:
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         return _gather(self.symbols, v @ self._w + self.source.N)
 
-    def site_bits(self, a: Elt, sym: int) -> int:
-        F = self.group.finite_order
-        shifts = np.repeat([self.hom.phi(self.group.mul(((0,) * self.group.rank, f), a))
-                            for f in range(F)], len(self._phi) // F)
-        idx = self._phi + shifts + self.source.N
+    def site_bits(self, moved: list, sym: int) -> int:
+        shifts = np.array(moved, dtype=np.int64)[:, :-1] @ self._w
+        idx = self._phi + np.repeat(shifts, len(self._phi) // len(shifts)) + self.source.N
         if idx.min() < 0 or idx.max() >= len(self.symbols):
             raise CertificateWindowError("pullback sites leave the source window")
         return _pack(self.symbols[idx] == sym)
@@ -235,11 +232,9 @@ class PullbackOracle:
 def _read_products(oracle, spec: GroupSpec, reads: list) -> np.ndarray:
     """oracle.symbols_at every h g^-1 site of a list of (h, g, site): one
     inv_arr, two mul_arr and one oracle read."""
-    v = np.array([[e[0] for e in r] for r in reads],
-                 dtype=np.int64).reshape(-1, 3, spec.rank)
-    f = np.array([[e[1] for e in r] for r in reads], dtype=np.intp).reshape(-1, 3)
-    hg = spec.mul_arr(v[:, 0], f[:, 0], *spec.inv_arr(v[:, 1], f[:, 1]))
-    return oracle.symbols_at(*spec.mul_arr(*hg, v[:, 2], f[:, 2]))
+    v, f = elt_arrays([e for r in reads for e in r], spec.rank)
+    hg = spec.mul_arr(v[0::3], f[0::3], *spec.inv_arr(v[1::3], f[1::3]))
+    return oracle.symbols_at(*spec.mul_arr(*hg, v[2::3], f[2::3]))
 
 
 def check_certificate(cert: Certificate, oracle, spec: GroupSpec) -> bool:
@@ -287,16 +282,26 @@ class SearchResult:
     steps: int
 
 
-def _packed_masks(oracle, spec: GroupSpec, cylinders, g: Elt) -> list[int]:
-    """Witness masks (one per cylinder) for a single candidate, as int
-    bitsets: bit i is set when grid cell i is a witness, the AND of the
-    cylinder's site bitsets."""
-    ginv = spec.inv(g)
+def _site_translates(spec: GroupSpec, cand: list[Elt], sites: list[Elt]) -> list:
+    """``out[c][s][h]`` is (0, h) g^-1 s for g = cand[c] and s = sites[s], as
+    a row [v_1, .., v_r, f]: one inv_arr, two mul_arr calls and one tolist."""
+    (gv, gf), (sv, sf) = (elt_arrays(x, spec.rank) for x in (cand, sites))
+    av, af = spec.mul_arr(*(x[:, None] for x in spec.inv_arr(gv, gf)), sv, sf)
+    tv, tf = spec.mul_arr(0, np.arange(spec.finite_order), av[:, :, None], af[:, :, None])
+    return np.concatenate([tv, tf[..., None]], axis=-1).tolist()
+
+
+def _packed_masks(oracle, reads, moved: list) -> list[int] | None:
+    """Witness masks of one candidate, one per cylinder j: the AND of the
+    site bitsets of its (site index s, symbol) pairs ``reads[j]``, read from
+    the site's translates ``moved[s]``; None at the first empty mask."""
     out = []
-    for cyl in cylinders:
+    for pairs in reads:
         mask = -1
-        for site, sym in zip(cyl.shape, cyl.pattern):
-            mask &= oracle.site_bits(spec.mul(ginv, site), sym)
+        for s, sym in pairs:
+            mask &= oracle.site_bits(moved[s], sym)
+        if not mask:
+            return None
         out.append(mask)
     return out
 
@@ -322,25 +327,27 @@ def find_independence_set(cylinders, target_size: int, oracle,
     cylinders = tuple(cylinders)
     k = len(cylinders)
     cand = sorted(set(candidates), key=search_key)
-    # individually inadmissible cylinders can never produce witnesses
+    index = {s: i for i, s in enumerate(dict.fromkeys(s for c in cylinders for s in c.shape))}
+    reads = [[(index[s], sym) for s, sym in zip(c.shape, c.pattern)] for c in cylinders]
+    moved = _site_translates(spec, cand, list(index))
     root = (1 << len(oracle.grid[1])) - 1
     steps = 0
     out_of_time = False
     horizon = max_steps  # the last candidate the pulling node can still step to
 
     def readable():
-        """(index, masks) of every candidate whose masks stay inside the
-        window, in order; each is built once, when a node first reaches it.
-        Ends at the first candidate past the horizon, which would end the
-        search on the budget anyway."""
-        for idx, g in enumerate(cand):
+        """(index, masks) of every candidate whose masks stay in the window and
+        are not empty, in order, built when a node first reaches it; ends past
+        the horizon, where the budget would end the search anyway."""
+        for idx, row in enumerate(moved):
             if idx > horizon:
                 return
             try:
-                masks = _packed_masks(oracle, spec, cylinders, g)
+                masks = _packed_masks(oracle, reads, row)
             except CertificateWindowError:
                 continue
-            yield idx, masks
+            if masks is not None:
+                yield idx, masks
 
     def advance(n: int) -> bool:
         """Count n more steps; False, with the step a one-by-one count
@@ -443,7 +450,8 @@ def regional_witness_from_certificate(cert: Certificate, oracle,
         raise SpecError("need an independence set with two elements")
     g, h = cert.independence_set[0], cert.independence_set[1]
     k = len(cert.cylinders)
-    g0 = spec.mul(h, spec.inv(g))
+    v, f = spec.mul_arr(h[0], h[1], *spec.inv_arr(g[0], g[1]))
+    g0 = tuple(v.tolist()), int(f)
     rest = [1] * (cert.size - 2)
     target = cert.cylinders[0]
     reads = [(cert.witnesses[tuple([i, 1] + rest)], h, site)

@@ -65,14 +65,6 @@ def matvec(mat: Mat, v: Vec) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in mat)
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def int_det(mat: Mat) -> int:
     n = len(mat)
     if n == 1:
@@ -113,26 +105,28 @@ class GroupSpec:
 
     @cached_property
     def finite_inverse(self) -> Vec:
-        inv = []
-        for a in range(self.finite_order):
-            found = [b for b in range(self.finite_order)
-                     if self.table[a][b] == 0 and self.table[b][a] == 0]
-            if len(found) != 1:
-                raise SpecError(f"finite part index {a} has no unique inverse")
-            inv.append(found[0])
-        return tuple(inv)
+        table = np.array(self.table)
+        both = (table == 0) & (table.T == 0)
+        bad = np.flatnonzero(both.sum(axis=1) != 1)
+        if len(bad):
+            raise SpecError(f"finite part index {bad[0]} has no unique inverse")
+        return tuple(np.argmax(both, axis=1).tolist())
 
     @property
     def identity(self) -> Elt:
         return ((0,) * self.rank, 0)
 
     def mul(self, a: Elt, b: Elt) -> Elt:
+        """The product ab of two elements: the check-only reference for
+        ``mul_arr``, one element in Python integers."""
         (v1, f1), (v2, f2) = a, b
         if len(v1) != self.rank or len(v2) != self.rank:
             raise SpecError("element rank does not match the group")
         return vec_add(v1, matvec(self.action[f1], v2)), self.table[f1][f2]
 
     def inv(self, a: Elt) -> Elt:
+        """The inverse of an element: the check-only reference for
+        ``inv_arr``, one element in Python integers."""
         v, f = a
         fi = self.finite_inverse[f]
         return tuple(-x for x in matvec(self.action[fi], v)), fi
@@ -173,9 +167,6 @@ class GroupSpec:
         fi = self._arrays[2][np.asarray(f, dtype=np.intp)]
         return -self._act_arr(fi, v), fi
 
-    def apply(self, f: int, v: Vec) -> Vec:
-        return matvec(self.action[f], v)
-
     def validate(self) -> None:
         n = self.finite_order
         if self.rank < 1:
@@ -186,14 +177,11 @@ class GroupSpec:
             raise SpecError("finite-part table is not square")
         if any(not (0 <= e < n) for row in self.table for e in row):
             raise SpecError("finite-part table entry out of range")
-        for a in range(n):
-            if self.table[0][a] != a or self.table[a][0] != a:
-                raise SpecError("index 0 is not the identity of F")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise SpecError("finite-part table is not associative")
+        table, ids = np.array(self.table, dtype=np.intp), np.arange(n)
+        if (table[0] != ids).any() or (table[:, 0] != ids).any():
+            raise SpecError("index 0 is not the identity of F")
+        if not np.array_equal(table[table], table[:, table]):  # (ab)c against a(bc)
+            raise SpecError("finite-part table is not associative")
         _ = self.finite_inverse
         if len(self.action) != n:
             raise SpecError("need one action matrix per finite-part element")
@@ -205,10 +193,12 @@ class GroupSpec:
         for f, mat in enumerate(self.action):
             if abs(int_det(mat)) != 1:
                 raise SpecError(f"action matrix of index {f} is not unimodular")
-        for a in range(n):
-            for b in range(n):
-                if matmul(self.action[a], self.action[b]) != self.action[self.table[a][b]]:
-                    raise SpecError("action is not a homomorphism")
+        try:
+            action, table, _ = self._arrays
+        except OverflowError:
+            raise SpecError("action matrix entries do not fit in 64 bits") from None
+        if not np.array_equal(action[:, None] @ action, action[table]):
+            raise SpecError("action is not a homomorphism")
 
 
 @dataclass(frozen=True)
@@ -386,6 +376,12 @@ def product_grid(axes) -> np.ndarray:
     """Every point of the product of the 1-d integer axes, shape (n,
     len(axes)), in product order (last axis fastest)."""
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def elt_arrays(elts: list[Elt], rank: int) -> EltArr:
+    """A list of elements as arrays: lattice parts (n, rank), finite parts (n,)."""
+    return (np.array([e[0] for e in elts], dtype=np.int64).reshape(len(elts), rank),
+            np.array([e[1] for e in elts], dtype=np.intp))
 
 
 def box_elements(box: np.ndarray, F: int) -> EltArr:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Elt, GroupSpec, SpecError, Vec
+from .lattice import Elt, GroupSpec, SpecError, Vec, elt_arrays
 from .williams import ZPatch
 
 
@@ -92,9 +92,8 @@ def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
     homomorphism the check cannot fail; it certifies the window arithmetic.
     """
     w = np.array(spec.w, dtype=np.int64)
-    hv = np.array([v for v, _ in window], dtype=np.int64).reshape(len(window), group.rank)
-    hf = np.array([f for _, f in window], dtype=np.intp)
-    gv, gf = group.inv(g)
+    hv, hf = elt_arrays(window, group.rank)
+    gv, gf = group.inv_arr(g[0], g[1])
     lhs = group.mul_arr(gv, gf, hv, hf)[0] @ w
     rhs = hv @ w - spec.phi(g)
     reach = source.N

@@ -1,7 +1,7 @@
 """Inductive Toeplitz arrays over G = Z^r semidirect F.
 
 The array eta assigns, level by level, the cyclic symbol alpha_l to the fresh
-cells of level l - 1 translated by Gamma_l, and in the virtually variant the
+cells of level l - 1 translated by Gamma_l, and when F is nontrivial the
 marker symbol (encoded 0) to Gamma_1-translates of the nontrivial finite-part
 representatives.  Everything here is window-exact: values come from the level
 stratification of a box, never from extrapolated moduli.
@@ -23,10 +23,7 @@ from .lattice import (
     read_only,
 )
 
-VARIANT_NORMAL = "normal"
-VARIANT_VIRTUALLY = "virtually"
-
-BETA = 0  # marker symbol of the virtually variant; never used by "normal"
+BETA = 0  # marker symbol of the nontrivial finite-part representatives
 
 
 class ConstructionError(RuntimeError):
@@ -35,24 +32,20 @@ class ConstructionError(RuntimeError):
 
 class Construction:
     """Level stratification and point evaluation of the Toeplitz array over
-    the group, the boxes D_i on their chain Gamma_i, m plain symbols and the
-    variant; the chain is the one the boxes are built on."""
+    the group, the boxes D_i on their chain Gamma_i and m plain symbols, plus
+    the marker when F is nontrivial; the chain is the one the boxes are
+    built on."""
 
-    def __init__(self, group: GroupSpec, domains: DomainChain, m: int, variant: str):
+    def __init__(self, group: GroupSpec, domains: DomainChain, m: int):
         group.validate()
         domains.chain.validate(group.rank)
         domains.validate()
         if not 1 <= m <= np.iinfo(np.int16).max:  # symbols are stored as int16
             raise SpecError(f"m = {m} must lie in 1 .. {np.iinfo(np.int16).max}")
-        if variant not in (VARIANT_NORMAL, VARIANT_VIRTUALLY):
-            raise SpecError(f"unknown variant {variant!r}")
-        if variant == VARIANT_NORMAL and group.finite_order != 1:
-            raise SpecError("the normal variant is only supported for trivial F")
         self.group = group
         self.chain = domains.chain
         self.domains = domains
         self.m = m
-        self.variant = variant
         # results computed once per read-only array of this construction,
         # with the arrays they were computed from (``measures.once_per_array``)
         self.kept: dict[tuple, tuple[tuple[np.ndarray, ...], object]] = {}
@@ -63,10 +56,7 @@ class Construction:
 
     @property
     def alphabet(self) -> tuple[int, ...]:
-        syms = tuple(range(1, self.m + 1))
-        if self.variant == VARIANT_VIRTUALLY and self.group.finite_order > 1:
-            return (BETA,) + syms
-        return syms
+        return (BETA,) * (self.group.finite_order > 1) + tuple(range(1, self.m + 1))
 
     def alpha(self, level: int) -> int:
         """Cyclic symbol schedule: level l carries ((l-1) mod m) + 1."""

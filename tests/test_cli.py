@@ -139,6 +139,50 @@ def test_short_period_lists_are_config_errors(command, periods, needed, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("deck,periods,error", [
+    pytest.param("williams-m2", [4, 12, 36], "differ from the chain at level 1: 4 against 6",
+                 id="williams-m2-other-chain"),
+    pytest.param("z2-m2", [6, 36, 432, 10368], "need the group Z (rank 1, trivial F)",
+                 id="z2-m2"),
+    pytest.param("dihedral-m2", [5, 25, 125, 625], "need the group Z (rank 1, trivial F)",
+                 id="dihedral-m2"),
+])
+def test_classical_periods_must_describe_the_decks_chain(deck, periods, error, tmp_path,
+                                                         capsys):
+    """williams_periods describe a 1-d deck's own chain: on a group that is
+    not Z, or differing from the chain moduli on a level both define, the
+    deck file exits 2 naming why."""
+    doc = decks.deck_to_config(decks.bundled_deck(deck))
+    doc["williams_periods"] = periods
+    path = tmp_path / "deck.json"
+    path.write_text(json.dumps(doc))
+    assert run(["show-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and error in err
+
+
+def test_classical_periods_may_run_past_the_chain():
+    """Periods beyond the chain's depth agree with it on every level both
+    define, so the deck loads."""
+    doc = decks.deck_to_config(decks.bundled_deck("williams-m2"))
+    doc["williams_periods"].append(124416 * 3)
+    assert decks.deck_from_config(doc).williams.depth == 6
+
+
+@pytest.mark.parametrize("variant,error", [
+    ("normal", "the normal variant is only supported for trivial F"),
+    ("twisted", "unknown variant 'twisted'"),
+])
+def test_deck_variant_is_checked_on_loading(variant, error, tmp_path, capsys):
+    doc = decks.deck_to_config(decks.bundled_deck("swap-m2"))
+    doc["variant"] = variant
+    path = tmp_path / "deck.json"
+    path.write_text(json.dumps(doc))
+    assert run(["show-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and error in err
+
+
 def _capped_child(limit):
     """Cap the address space of a child process at ``limit`` bytes."""
     import resource
@@ -192,6 +236,31 @@ def test_measures_of_the_largest_alphabet_fit_in_linear_work(tmp_path):
     assert {"transition_1", "transition_2", "projection"} <= set(verdicts["checks"])
     with open(out / "frequencies.csv", newline="") as fh:
         assert sum(1 for _ in fh) == 1 + 5 * 32767
+
+
+def test_independence_of_the_largest_alphabet_searches_in_linear_work(tmp_path):
+    """The search forms each candidate's site products once, however many
+    cylinders share the site, and drops a candidate at its first empty
+    mask: the williams-m2 deck file with m = 32767 searches its 32,767
+    single-site cylinders over 865 candidates inside a 512 MiB address space
+    and a minute, and finds no pair (the sequence writes 5 of the symbols)."""
+    doc = decks.deck_to_config(decks.bundled_deck("williams-m2"))
+    doc["m"] = 32767
+    path = tmp_path / "deck.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(toeplitz_lab.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "toeplitz_lab.cli", "independence", "--config", str(path),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=partial(_capped_child, 512 << 20))
+    assert child.returncode == 1, child.stderr
+    with open(tmp_path / "o" / "williams-m2" / "independence" / "summary.csv",
+              newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["k", "L", "radius", "verdict", "steps"],
+                    ["32767", "2", "432", "none", "865"]]
 
 
 def test_smallest_reach_is_accepted(tmp_path):
@@ -380,6 +449,9 @@ def test_invalid_chain_is_config_error(tmp_path):
                  id="table-empty"),
     pytest.param({"group.action": [[[1.0, 0.0], [0.0, 1.0]]]}, "group.action",
                  id="action-floats"),
+    pytest.param({"group.table": [[0, 1], [1, 0]],
+                  "group.action": [[[1, 0], [0, 1]], [[1, 0], [2 ** 70, -1]]]},
+                 "entries do not fit in 64 bits", id="action-past-int64"),
     pytest.param({"group.rank": True}, "group.rank", id="rank-boolean"),
     pytest.param({"williams_periods": ["6", "36"]}, "williams_periods",
                  id="periods-strings"),

@@ -11,6 +11,7 @@ from toeplitz_lab.independence import (
     _first_true_index,
     _pack,
     _packed_masks,
+    _site_translates,
     Certificate,
     CertificateWindowError,
     Cylinder,
@@ -139,10 +140,11 @@ def test_group_deck_search():
 
 @pytest.mark.parametrize("name", ["z2-m2", "dihedral-m2", "swap-m2"])
 def test_group_site_values_match_pointwise_reads(name):
-    """site_bits of sampled shifts a against eta read through levels_at:
-    finite part h reads the core moved by h acting on a, with finite part
-    h a_f, and bit i is set where grid cell i reads the symbol.  Shifts
-    that move the core out of the window are refused."""
+    """site_bits of the translates of sampled shifts a against eta read
+    through levels_at: finite part h reads the core moved by the lattice
+    part of (0, h) a, at that translate's finite part, and bit i is set
+    where grid cell i reads the symbol.  Shifts that move the core out of
+    the window are refused."""
     cons = decks.construction(decks.bundled_deck(name))
     spec, dom = cons.group, cons.domains
     win = cons.window(3)
@@ -152,26 +154,33 @@ def test_group_site_values_match_pointwise_reads(name):
     for _ in range(40):
         a = (tuple(rng.randint(-60, 60) for _ in range(spec.rank)),
              rng.randrange(spec.finite_order))
+        moved = _translates(spec, a)
         want = []
         inside = True
-        for hf in range(spec.finite_order):
-            pos = oracle.core + np.asarray(spec.apply(hf, a[0]))
+        for *v, fpart in moved:
+            pos = oracle.core + np.asarray(v)
             if not dom.in_box_arr(pos, win.N).all():
                 inside = False
                 break
-            fpart = spec.table[hf][a[1]]
             want.extend(cons.symbol_table()[fpart, cons.levels_at(pos)].tolist())
         for sym in (0, *cons.alphabet):
             if not inside:
                 with pytest.raises(CertificateWindowError):
-                    oracle.site_bits(a, sym)
+                    oracle.site_bits(moved, sym)
                 continue
-            bits = oracle.site_bits(a, sym)
+            bits = oracle.site_bits(moved, sym)
             assert [bits >> i & 1 for i in range(len(want))] == \
                 [int(x == sym) for x in want]
             assert bits >> len(want) == 0
         refused += not inside
     assert 0 < refused < 40
+
+
+def _translates(spec, a):
+    """What site_bits reads for a shift a, by the check-only reference: the
+    translate (0, h) a for every finite part h, as a row [v_1, .., v_r, f]."""
+    zero = (0,) * spec.rank
+    return [[*v, f] for v, f in (spec.mul((zero, h), a) for h in range(spec.finite_order))]
 
 
 def _z_oracle(name):
@@ -251,10 +260,11 @@ def _shift_reader(oracle, spec):
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_site_values_match_symbols_at(case):
-    """The search's read site_bits(a, sym) is the re-check's read symbols_at
-    at every grid element times a, compared with sym and packed (bit i for
-    grid cell i); site_bits refuses a shift exactly when the window does not
-    hold every such element, and then symbols_at misses a cell."""
+    """The search's read site_bits of the translates of a shift a is the
+    re-check's read symbols_at at every grid element times a, compared with
+    sym and packed (bit i for grid cell i); site_bits refuses a shift exactly
+    when the window does not hold every such element, and then symbols_at
+    misses a cell."""
     oracle, spec, reach = ORACLE_CASES[case]()
     rng = random.Random(5)
     refused = 0
@@ -263,18 +273,35 @@ def test_site_values_match_symbols_at(case):
              rng.randrange(spec.finite_order))
         got, inside = _grid_read(oracle, spec, a)
         assert got.dtype == np.int16
+        moved = _translates(spec, a)
         for sym in (0, 1, 2, 3):
             if not inside:
                 with pytest.raises(CertificateWindowError):
-                    oracle.site_bits(a, sym)
+                    oracle.site_bits(moved, sym)
                 continue
             want = int.from_bytes(np.packbits(got == sym, bitorder="little").tobytes(),
                                   "little")
-            assert oracle.site_bits(a, sym) == want
+            assert oracle.site_bits(moved, sym) == want
         if not inside:
             refused += 1
             assert (got < 0).any()
     assert 0 < refused < 40
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_site_translates_match_the_reference(name):
+    """The search's products: row [c][s] holds the translates (0, h) g^-1 s of
+    candidate g = cand[c] and site s = sites[s], by the check-only reference."""
+    spec = decks.bundled_deck(name).group
+    rng = random.Random(11)
+
+    def draw():
+        return (tuple(rng.randint(-50, 50) for _ in range(spec.rank)),
+                rng.randrange(spec.finite_order))
+    cand, sites = [draw() for _ in range(7)], [draw() for _ in range(3)]
+    assert _site_translates(spec, cand, sites) == \
+        [[_translates(spec, spec.mul(spec.inv(g), s)) for s in sites] for g in cand]
+    assert _site_translates(spec, [], sites) == []
 
 
 def _z_certificate():
@@ -606,10 +633,11 @@ def test_search_matches_numpy_reference(case):
 
 def test_refusal_cases_have_refused_and_accepted_shifts():
     (cyls, _, oracle, cands, spec), _ = _group_case("dihedral-m2", 2, 3, radius=40)
+    reads = [[(0, cyl.pattern[0])] for cyl in cyls]  # the one site, the identity
     refused = 0
-    for g in cands:
+    for moved in _site_translates(spec, cands, [spec.identity]):
         try:
-            _packed_masks(oracle, spec, cyls, g)
+            _packed_masks(oracle, reads, moved)
         except CertificateWindowError:
             refused += 1
     assert 0 < refused < len(cands)
@@ -624,9 +652,9 @@ def test_masks_are_built_on_demand(name, target, builds, monkeypatch):
     before a node reaches it."""
     built = []
 
-    def counted(oracle, spec, cylinders, g):
-        built.append(g)
-        return _packed_masks(oracle, spec, cylinders, g)
+    def counted(oracle, reads, moved):
+        built.append(repr(moved))
+        return _packed_masks(oracle, reads, moved)
 
     monkeypatch.setattr(independence, "_packed_masks", counted)
     search = verify.independence_search(decks.bundled_deck(name), target)
@@ -641,9 +669,9 @@ def test_a_budget_ends_mask_builds_at_its_stop(max_steps, monkeypatch):
     the budget cannot reach, with the status and steps unchanged."""
     built = []
 
-    def counted(oracle, spec, cylinders, g):
-        built.append(g)
-        return _packed_masks(oracle, spec, cylinders, g)
+    def counted(oracle, reads, moved):
+        built.append(repr(moved))
+        return _packed_masks(oracle, reads, moved)
 
     monkeypatch.setattr(independence, "_packed_masks", counted)
     args, kw = _group_case("dihedral-m2", 3, 5, max_steps=max_steps)
@@ -657,9 +685,9 @@ def test_refused_shifts_are_built_once(monkeypatch):
     visit: 162 candidates, 120 of them refused, in 5,717 steps."""
     built = []
 
-    def counted(oracle, spec, cylinders, g):
-        built.append(g)
-        return _packed_masks(oracle, spec, cylinders, g)
+    def counted(oracle, reads, moved):
+        built.append(repr(moved))
+        return _packed_masks(oracle, reads, moved)
 
     monkeypatch.setattr(independence, "_packed_masks", counted)
     args, kw = _group_case("dihedral-m2", 2, 3, radius=40)
@@ -675,8 +703,12 @@ class _ArrayOracle:
         self.vals = np.asarray(vals, dtype=np.int16)
         self.grid = (np.arange(len(vals))[:, None], np.zeros(len(vals), dtype=np.intp))
 
-    def site_bits(self, a, sym):
+    def site_bits(self, moved, sym):
         return _pack(self.vals == sym)
+
+
+# one cylinder reading symbol 1 at its one site, moved nowhere
+ONE_READ, UNMOVED = [[(0, 1)]], [[[0, 0]]]
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=300)
@@ -684,18 +716,27 @@ class _ArrayOracle:
 def test_int_masks_and_first_true_index_match_flatnonzero(mask):
     """Bit i of a witness mask is grid cell i, with nothing set past the grid,
     also when the grid is not a whole number of bytes."""
-    spec = wdeck().group
-    bits, = _packed_masks(_ArrayOracle(mask), spec, [Cylinder.single_site(1, 1)],
-                          ((0,), 0))
+    bits, = _packed_masks(_ArrayOracle(mask), ONE_READ, UNMOVED)
     assert bits >> len(mask) == 0
     assert [bool(bits >> i & 1) for i in range(len(mask))] == mask
     assert _first_true_index(bits) == int(np.flatnonzero(mask)[0])
 
 
 def test_first_true_index_refuses_an_empty_mask():
-    spec = wdeck().group
-    bits, = _packed_masks(_ArrayOracle([0] * 13), spec,
-                          [Cylinder.single_site(1, 1)], ((0,), 0))
-    assert bits == 0
+    """An empty mask drops its candidate when it is built, and the witness
+    read refuses one."""
+    assert _packed_masks(_ArrayOracle([0] * 13), ONE_READ, UNMOVED) is None
+    assert _packed_masks(_ArrayOracle([1] * 13), ONE_READ * 2, UNMOVED) == [(1 << 13) - 1] * 2
     with pytest.raises(AssertionError, match="empty mask"):
-        _first_true_index(bits)
+        _first_true_index(0)
+
+
+def test_a_candidate_stops_at_its_first_empty_mask():
+    """Once a cylinder's mask is empty the candidate is dropped, and the
+    cylinders after it are not read: the m single-site cylinders of a 1-d
+    deck cost a candidate a few site reads, not m."""
+    oracle = _ArrayOracle([1] * 13)
+    calls = []
+    oracle.site_bits = lambda moved, sym: calls.append(sym) or _pack(oracle.vals == sym)
+    assert _packed_masks(oracle, [[(0, 1)], [(0, 2)], [(0, 1)]], UNMOVED) is None
+    assert calls == [1, 2]

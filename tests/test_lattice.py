@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -421,6 +422,83 @@ def test_array_arithmetic_matches_scalar(name, data):
         [spec.mul(pairs[0][0], q) for _, q in pairs]
     v, f = spec.inv_arr(*pairs[0][0])
     assert (tuple(v.tolist()), int(f)) == spec.inv(pairs[0][0])
+
+
+def _powers_group(name, gen, order):
+    """Z^r x| Z/order, with 1 acting by the integer matrix gen."""
+    mats = [np.linalg.matrix_power(np.array(gen), k) for k in range(order)]
+    return GroupSpec(rank=len(gen),
+                     table=tuple(tuple((a + b) % order for b in range(order))
+                                 for a in range(order)),
+                     action=tuple(tuple(map(tuple, m.tolist())) for m in mats), name=name)
+
+
+def _d4_group():
+    """Z^2 x| D_4: index k + 4s acts by R^k S^s, with R the quarter turn and
+    S the reflection in the first axis, and (a, s)(b, t) = (a + (-1)^s b, s + t)."""
+    R, S = np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])
+    mats = [np.linalg.matrix_power(R, k) @ np.linalg.matrix_power(S, s)
+            for s in (0, 1) for k in range(4)]
+    table = tuple(tuple((a + (-1) ** s * b) % 4 + 4 * ((s + t) % 2)
+                        for t in (0, 1) for b in range(4))
+                  for s in (0, 1) for a in range(4))
+    return GroupSpec(rank=2, table=table,
+                     action=tuple(tuple(map(tuple, m.tolist())) for m in mats),
+                     name="Z^2 x| D_4")
+
+
+WIDER_GROUPS = {
+    "Z^2 x| Z/4": _powers_group("Z^2 x| Z/4", [[0, -1], [1, 0]], 4),
+    "Z^2 x| D_4": _d4_group(),
+    "Z^3 x| Z/3": _powers_group("Z^3 x| Z/3", [[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3),
+}
+
+
+def _as_elts(v, f):
+    return [(tuple(x), int(y)) for x, y in zip(v.tolist(), f.tolist())]
+
+
+@pytest.mark.parametrize("name", WIDER_GROUPS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_array_law_on_a_wider_group_family(name, data):
+    """mul_arr and inv_arr against the check-only references, associativity
+    and inverses, beyond the bundled decks: rotations of Z^2 by Z/4, its
+    dihedral group D_4 and the cyclic permutation of the axes of Z^3."""
+    spec = WIDER_GROUPS[name]
+    spec.validate()
+    elt = st.tuples(st.tuples(*[st.integers(-10**6, 10**6)] * spec.rank),
+                    st.integers(0, spec.finite_order - 1))
+    triples = data.draw(st.lists(st.tuples(elt, elt, elt), min_size=1, max_size=12))
+    a, b, c = (_elt_arrays([t[i] for t in triples], spec.rank) for i in range(3))
+    ab = spec.mul_arr(*a, *b)
+    assert _as_elts(*ab) == [spec.mul(x, y) for x, y, _ in triples]
+    assert _as_elts(*spec.inv_arr(*a)) == [spec.inv(x) for x, _, _ in triples]
+    assert _as_elts(*spec.mul_arr(*ab, *c)) == _as_elts(*spec.mul_arr(*a, *spec.mul_arr(*b, *c)))
+    for left, right in ((a, spec.inv_arr(*a)), (spec.inv_arr(*a), a)):
+        v, f = spec.mul_arr(*left, *right)
+        assert not v.any() and not f.any()
+
+
+@pytest.mark.parametrize("name,i,j", [("Z^2 x| Z/4", 1, 2), ("Z^2 x| D_4", 1, 2),
+                                      ("Z^2 x| D_4", 1, 4)])
+def test_swapped_action_matrices_are_not_a_homomorphism(name, i, j):
+    spec = WIDER_GROUPS[name]
+    action = list(spec.action)
+    action[i], action[j] = action[j], action[i]
+    with pytest.raises(SpecError, match="not a homomorphism"):
+        dataclasses.replace(spec, action=tuple(action)).validate()
+
+
+def test_the_one_swap_of_z3_is_an_automorphism():
+    """Z/3 has one pair of nontrivial elements, and swapping their matrices
+    composes the action with the inversion of Z/3: still a homomorphism.
+    Giving both the same matrix is not one."""
+    spec = WIDER_GROUPS["Z^3 x| Z/3"]
+    one, two = spec.action[1:]
+    dataclasses.replace(spec, action=(spec.action[0], two, one)).validate()
+    with pytest.raises(SpecError, match="not a homomorphism"):
+        dataclasses.replace(spec, action=(spec.action[0], one, one)).validate()
 
 
 @settings(max_examples=60, deadline=None)

@@ -43,7 +43,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "toeplitz_lab"
 
 # (module, check-only function, the production function it is checked against)
-CHECK_ONLY = ()
+CHECK_ONLY = (
+    ("lattice", "mul", "mul_arr"),
+    ("lattice", "inv", "inv_arr"),
+)
 
 
 def _is_property(node) -> bool:

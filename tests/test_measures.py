@@ -75,7 +75,7 @@ def test_transition_identities():
 
 def _with_m(cons, m):
     """The construction on the same group and chain with m plain symbols."""
-    return Construction(cons.group, cons.domains, m, cons.variant)
+    return Construction(cons.group, cons.domains, m)
 
 
 def _dense(mat, vec):

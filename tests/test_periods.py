@@ -771,7 +771,7 @@ def test_grouped_census_matches_per_point_evaluation_off_centre(name, depth, N):
     points with the same aperiodic blocks can differ in approximant range:
     the fiber key needs both."""
     group, dom = _group_and_boxes(name)
-    cons = Construction(group, dom, 2, "virtually")
+    cons = Construction(group, dom, 2)
     for radius in (0, 1, 2, 5, 8):
         _assert_census_matches_per_point(cons, depth, radius, N)
 

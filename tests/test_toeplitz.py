@@ -36,7 +36,7 @@ def dihedral():
 def new_construction(deck, domains=None):
     """The deck's construction built afresh, not the cached
     ``decks.construction``; on other boxes when ``domains`` is given."""
-    return Construction(deck.group, domains or deck.domains, deck.m, deck.variant)
+    return Construction(deck.group, domains or deck.domains, deck.m)
 
 
 def z2():
@@ -236,7 +236,7 @@ def shifted_constructions(draw):
         moduli.append(tuple(p * c for p, (c, _) in zip(moduli[-1], pairs)))
     chain = SubgroupChain(tuple(moduli))
     group = GroupSpec(rank=rank, table=((0,),), action=(identity_matrix(rank),))
-    return Construction(group, DomainChain(chain, tuple(offsets)), 2, "normal")
+    return Construction(group, DomainChain(chain, tuple(offsets)), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -423,9 +423,21 @@ def test_cached_arrays_go_with_their_instance(name):
 
 
 def test_normal_variant_requires_trivial_finite_part():
-    deck = decks.bundled_deck("dihedral-m2")
-    with pytest.raises(SpecError):
-        Construction(deck.group, deck.domains, 2, "normal")
+    """A deck file's "variant" is checked when the deck loads: "normal"
+    needs a trivial F, and no other name than the two is known.  The
+    construction reads the marker off F alone, and a deck shows the variant
+    its group implies."""
+    dihedral, z2 = decks.bundled_deck("dihedral-m2"), decks.bundled_deck("z2-m2")
+    doc = decks.deck_to_config(dihedral)
+    assert doc["variant"] == "virtually"
+    with pytest.raises(SpecError, match="normal variant is only supported for trivial F"):
+        decks.deck_from_config({**doc, "variant": "normal"})
+    with pytest.raises(SpecError, match="unknown variant 'twisted'"):
+        decks.deck_from_config({**doc, "variant": "twisted"})
+    assert Construction(dihedral.group, dihedral.domains, 2).alphabet == (BETA, 1, 2)
+    assert Construction(z2.group, z2.domains, 2).alphabet == (1, 2)
+    trivial = decks.deck_from_config({**decks.deck_to_config(z2), "variant": "virtually"})
+    assert decks.deck_to_config(trivial)["variant"] == "normal"
 
 
 def test_eta_values_first_strata():
