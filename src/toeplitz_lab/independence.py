@@ -32,7 +32,8 @@ from itertools import product, tee
 
 import numpy as np
 
-from .lattice import Elt, GroupSpec, SpecError, box_elements, cube, elt_arrays, search_key
+from .lattice import (Elt, GroupSpec, SpecError, box_elements, cube, elt_arrays,
+                      search_order)
 from .toeplitz import EtaWindow
 from .williams import ZPatch
 from .pullback import HomSpec, section_element
@@ -313,20 +314,27 @@ def _first_true_index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _in_search_order(candidates: list[Elt], rank: int) -> list[Elt]:
+    """The distinct candidates in search order (``lattice.search_order``),
+    as the caller's own tuples."""
+    cand = list(dict.fromkeys(candidates))
+    return [cand[i] for i in search_order(*elt_arrays(cand, rank)).tolist()]
+
+
 def find_independence_set(cylinders, target_size: int, oracle,
                           candidates: list[Elt], spec: GroupSpec,
                           max_steps: int = MAX_STEPS,
                           deadline: float | None = None) -> SearchResult:
     """Backtracking search for an independence set of the target size.
 
-    Candidates are tried in the given (canonical) order; "none" reports a
+    The distinct candidates are tried in search order; "none" reports a
     window-complete failure, "exhausted" that a budget ended the search.
     A node's steps are the candidates after the one that made it; it tests
     only those in its pool and counts the others without testing them.
     """
     cylinders = tuple(cylinders)
     k = len(cylinders)
-    cand = sorted(set(candidates), key=search_key)
+    cand = _in_search_order(candidates, spec.rank)
     index = {s: i for i, s in enumerate(dict.fromkeys(s for c in cylinders for s in c.shape))}
     reads = [[(index[s], sym) for s, sym in zip(c.shape, c.pattern)] for c in cylinders]
     moved = _site_translates(spec, cand, list(index))
@@ -423,7 +431,7 @@ def transport_certificate(hom: HomSpec, group: GroupSpec, cert: Certificate,
     is a fatal oracle inconsistency.
     """
     def lift(n: int) -> Elt:
-        return section_element(hom, group, n)
+        return section_element(hom, n)
 
     cyls = tuple(
         Cylinder(tuple(lift(s[0][0]) for s in c.shape), c.pattern)
@@ -471,10 +479,14 @@ def entropy_bounds_bits(max_certified: int, fiber_bound: int) -> tuple[float, fl
 
 
 def z_candidates(radius: int) -> list[Elt]:
-    return sorted((((n,), 0) for n in range(-radius, radius + 1)), key=search_key)
+    """Every element of Z with |n| <= radius, in search order."""
+    n = cube(1, radius)
+    return [((x,), 0) for x in n[search_order(n, np.zeros(len(n), dtype=np.intp)), 0].tolist()]
 
 
 def g_candidates(spec: GroupSpec, radius: int) -> list[Elt]:
-    axes = [range(-radius, radius + 1)] * spec.rank
-    return sorted(((v, f) for f in range(spec.finite_order)
-                   for v in product(*axes)), key=search_key)
+    """Every element with lattice part in the cube of the radius, in search
+    order (``lattice.search_order``)."""
+    v, f = box_elements(cube(spec.rank, radius), spec.finite_order)
+    order = search_order(v, f)
+    return list(zip(zip(*v[order].T.tolist()), f[order].tolist()))

@@ -440,7 +440,14 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return srt[new], inverse
 
 
+def search_order(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The indices that put elements, lattice parts (n, r) and finite parts
+    (n,), in search order: finite part, max-norm, then lattice coordinates."""
+    keys = [v[:, k] for k in range(v.shape[1] - 1, -1, -1)]
+    return np.lexsort(keys + [np.abs(v).max(axis=1, initial=0), f])
+
+
 def search_key(g: Elt) -> tuple:
-    """Search order: finite part, max-norm, then lattice coordinates."""
+    """The check-only reference for search_order: the sort key of one element."""
     v, f = g
     return (f, max(abs(x) for x in v)) + v

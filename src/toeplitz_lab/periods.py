@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .lattice import EltArr, box_elements, cube, product_grid, unique_rows
+from .lattice import EltArr, SpecError, box_elements, cube, product_grid, unique_rows
 from .toeplitz import Construction, EtaWindow
 
 
-# (point, window cell) pairs per census batch, (fiber key, approximant) pairs
-# per fiber evaluation, and (sample, translate, cell) reads per period-set
-# batch: 512 KB per int64 array
+# (point, window cell) pairs per census batch and (fiber key, approximant)
+# pairs per fiber evaluation: 512 KB per int64 array
 _CHUNK_CELLS = 1 << 16
 
 
@@ -49,42 +48,71 @@ def per_set_empirical(win: EtaWindow, outer: EltArr, gammas: EltArr, core: EltAr
     or cannot be read.
 
     ``outer`` holds one element per sample, lattice parts (S, r) and finite
-    parts (S,); the K elements ``gammas``, (K, r) and (K,), and the C cells
-    ``core``, (C, r) and (C,), are shared by the samples.  Returns (S, C)
-    booleans.  Tests only the translates that fall inside the window, so
-    each row is a superset of the exact period set (``per_set_exact``)
-    restricted to it.
+    parts (S,); the K lattice translates ``gammas``, (K, r) and (K,), and the
+    C cells ``core``, (C, r) and (C,), are shared by the samples.  Returns
+    (S, C) booleans.  Tests only the translates that fall inside the window,
+    so each row is a superset of the exact period set (``per_set_exact``)
+    restricted to it.  A gamma with a nonzero finite part raises SpecError.
 
-    Every read is at a product a t h, t = e or gamma^-1, whose lattice part
-    a_v + M_{a_f} t_v + M_{a_f t_f} h_v separates into a per-(sample, t_f,
-    cell) term and a per-(sample, translate) term, and so does its flat index
-    into the symbols over the lattice box the batch's reads span (-1 outside
-    the window; ``EtaWindow.symbol_box``): a read copies its cell term, adds
-    its translate term and gathers.
-    A batch holds at most ``_CHUNK_CELLS`` reads and at least one sample.
+    With a_s = (a_v, f) and a_s h = (w, f'), the read x_s(gamma^-1 h) is eta
+    at (w - M_f gamma, f').  So whether a cell (w, f') agrees with every
+    visible translate depends on f alone: one ``EtaWindow.symbol_box`` call
+    reads the box B of the cells a_s h, clipped to the window and widened by
+    the largest M_f gamma, each finite part f of a sample makes one shifted
+    comparison per gamma over B, and each (sample, cell) gathers one entry:
+    the cell's symbol where it agrees, -1 where it does not or lies outside
+    the window.
     """
     spec = win.spec
+    F = spec.finite_order
     ov, of = outer
-    # the translates e and gamma^-1
-    tv, tf = spec.inv_arr(np.insert(gammas[0], 0, 0, axis=0), np.insert(gammas[1], 0, 0))
-    # M_{t_f} h_v and t_f h_f for every finite part t_f, shapes (|F|, C, r), (|F|, C)
-    moved = spec.mul_arr(0, np.arange(spec.finite_order)[:, None], *core)
-    out = np.empty((len(of), len(core[1])), dtype=bool)
-    step = max(1, _CHUNK_CELLS // (len(tf) * len(core[1])))
-    for lo in range(0, len(of), step):
-        sl = slice(lo, lo + step)
-        trans = spec.mul_arr(ov[sl, None], of[sl, None], tv, tf)[0]
-        cell_v, cell_f = spec.mul_arr(0, of[sl, None, None], *moved)
-        low = cell_v.min(axis=(0, 1, 2)) + trans.min(axis=(0, 1))
-        syms = win.symbol_box(low, cell_v.max(axis=(0, 1, 2)) + trans.max(axis=(0, 1)))
-        ext = syms.shape[1:]
-        strides = np.array([math.prod(ext[k + 1:]) for k in range(spec.rank)], dtype=np.int64)
-        cell_flat = cell_f * math.prod(ext) + (cell_v - low) @ strides
-        idx = cell_flat[:, tf] + (trans @ strides)[..., None]
-        vals = syms.ravel()[idx]
-        hit = vals == alphas[sl, None, None]
-        out[sl] = hit[:, 0] & np.all(hit[:, 1:] | (vals[:, 1:] < 0), axis=1)
-    return out
+    if gammas[1].any():
+        k = int(np.argmax(gammas[1] != 0))
+        raise SpecError(f"gamma {tuple(gammas[0][k].tolist())} has finite part "
+                        f"{int(gammas[1][k])}: the translates must be lattice elements")
+    out = np.zeros((len(of), len(core[1])), dtype=bool)
+    if out.size == 0:
+        return out
+    fparts = np.arange(F)[:, None]
+    # M_f h_v and f h_f for every finite part f, shapes (|F|, C, r), (|F|, C)
+    cell_v, cell_f = spec.mul_arr(0, fparts, *core)
+    # the read offsets -M_f gamma, shape (|F|, K, r)
+    offsets = -spec.mul_arr(0, fparts, gammas[0], 0)[0]
+    used = np.zeros(F, dtype=bool)
+    used[of] = True
+    low = ov.min(axis=0) + cell_v[used].min(axis=(0, 1))
+    high = ov.max(axis=0) + cell_v[used].max(axis=(0, 1))
+    dom = win.cons.domains
+    q1 = np.array(dom.low(win.N))
+    clip_low = np.maximum(low, -q1)
+    clip_high = np.minimum(high, np.array(dom.chain.level(win.N)) - q1 - 1)
+    if np.any(clip_low > clip_high):
+        return out  # no cell a_s h lies in the window
+    pad_low = offsets[used].min(axis=(0, 1), initial=0)
+    pad_high = offsets[used].max(axis=(0, 1), initial=0)
+    syms = win.symbol_box(clip_low + pad_low, clip_high + pad_high)
+    ext = clip_high - clip_low + 1
+
+    def at(shift):
+        return syms[(slice(None),) + tuple(slice(int(a), int(a + e))
+                                           for a, e in zip(shift - pad_low, ext))]
+
+    own = at(0)
+    # the entries over the clipped box and a ring of -1 around it, where the
+    # cells a_s h outside the window land
+    codes = np.full((F, F) + tuple((ext + 2).tolist()), -1, dtype=np.int16)
+    inner = tuple(slice(1, int(e) + 1) for e in ext)
+    for f in np.flatnonzero(used):
+        agree = np.ones(own.shape, dtype=bool)
+        for shift in offsets[f]:
+            seen = at(shift)
+            agree &= (seen == own) | (seen < 0)
+        codes[(f, slice(None)) + inner] = np.where(agree, own, -1)
+    idx = (fparts * F + cell_f)[of]
+    for k, e in enumerate(ext.tolist()):
+        x = cell_v[..., k][of] + (ov[:, k] - clip_low[k] + 1)[:, None]
+        idx = idx * (e + 2) + np.clip(x, 0, e + 1, out=x)
+    return codes.ravel()[idx] == alphas[:, None]
 
 
 # -- tower pieces, the aperiodic part and fibers -------------------------------

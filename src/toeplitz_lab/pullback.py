@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Elt, GroupSpec, SpecError, Vec, elt_arrays
+from .lattice import Elt, EltArr, GroupSpec, SpecError, Vec, elt_arrays
 from .williams import ZPatch
 
 
@@ -61,7 +61,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
-def section_element(spec: HomSpec, group: GroupSpec, n: int) -> Elt:
+def section_element(spec: HomSpec, n: int) -> Elt:
     """The chosen preimage of n: (n * u, identity)."""
     u = section_vector(spec)
     return tuple(n * x for x in u), 0
@@ -80,30 +80,33 @@ def pullback_window(spec: HomSpec, source: ZPatch, v: np.ndarray) -> np.ndarray:
 
 
 def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
-                       g: Elt, window: list[Elt]) -> bool:
-    """sigma^g (phi* x) must equal phi* (sigma^{phi(g)} x) on the window.
+                       g: EltArr, window: list[Elt]) -> np.ndarray:
+    """sigma^g (phi* x) must equal phi* (sigma^{phi(g)} x) on the window,
+    for a batch of g: lattice parts (S, r) and finite parts (S,).  Returns
+    one verdict per g.
 
-    The first window cell, in window order, that is out of the source
-    patch's reach (SpecError) or carries different symbols (False) decides.
+    For each g the first window cell, in window order, that is out of the
+    source patch's reach or carries different symbols decides: the verdict
+    is False on different symbols, and SpecError is raised when that cell is
+    out of reach for any g of the batch.
 
-    The two sides read the source at w . M_{f^-1}(h - g) and at w . h -
+    The two sides read the source at w . M_{f^-1}(h - g_v) and at w . h -
     phi(g), g = (g_v, f): the same integer whenever M_f^T w = w for every f,
     that is whenever ``validate_hom`` accepts.  So on an accepted
     homomorphism the check cannot fail; it certifies the window arithmetic.
     """
     w = np.array(spec.w, dtype=np.int64)
     hv, hf = elt_arrays(window, group.rank)
-    gv, gf = group.inv_arr(g[0], g[1])
-    lhs = group.mul_arr(gv, gf, hv, hf)[0] @ w
-    rhs = hv @ w - spec.phi(g)
+    gv, gf = group.inv_arr(*g)
+    lhs = group.mul_arr(gv[:, None], gf[:, None], hv, hf)[0] @ w
+    rhs = (hv @ w)[None] - (g[0] @ w)[:, None]
     reach = source.N
     inside = (np.abs(lhs) <= reach) & (np.abs(rhs) <= reach)
     syms = source.symbols
     differ = (syms[np.clip(lhs, -reach, reach) + reach]
               != syms[np.clip(rhs, -reach, reach) + reach])
     fails = ~inside | differ
-    if not fails.any():
-        return True
-    if not inside[int(np.argmax(fails))]:
+    first = np.argmax(fails, axis=1)
+    if not inside[np.arange(len(first)), first].all():
         raise SpecError("window exceeds the source patch reach")
-    return False
+    return ~fails.any(axis=1)

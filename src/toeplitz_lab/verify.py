@@ -22,7 +22,7 @@ import numpy as np
 from . import decks as deckmod
 from . import independence as ind
 from . import measures, periods, pullback as pb, williams
-from .lattice import DepthExhausted, SpecError, box_elements
+from .lattice import DepthExhausted, SpecError, box_elements, elt_arrays
 from .toeplitz import Construction, ConstructionError
 
 
@@ -437,11 +437,10 @@ def check_pullback() -> CheckResult:
     rng = random.Random(20240809)
     window = [((a, b), f) for a in range(-4, 5) for b in range(-4, 5)
               for f in (0, 1)]
-    equiv = 0
-    for _ in range(100):
-        g = ((rng.randint(-30, 30), rng.randint(-30, 30)), rng.choice((0, 1)))
-        if pb.equivariance_check(hom, swap.group, eta, g, window):
-            equiv += 1
+    draws = [((rng.randint(-30, 30), rng.randint(-30, 30)), rng.choice((0, 1)))
+             for _ in range(100)]
+    gs = elt_arrays(draws, swap.group.rank)
+    equiv = int(pb.equivariance_check(hom, swap.group, eta, gs, window).sum())
 
     zo = ind.ZOracle(eta, margin=600)
     cyls = [ind.Cylinder.single_site(1, 0), ind.Cylinder.single_site(1, 1)]

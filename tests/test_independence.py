@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from toeplitz_lab import decks, independence, verify
 from toeplitz_lab.independence import (
     _first_true_index,
+    _in_search_order,
     _pack,
     _packed_masks,
     _site_translates,
@@ -383,7 +385,7 @@ def test_undefined_cell_is_a_wrong_witness_not_a_window_miss(case):
     assert all(c.shape == (spec.identity,) for c in cert.cylinders)
 
     def moved(target):
-        h = section_element(hom, spec, target + hom.phi(g))
+        h = section_element(hom, target + hom.phi(g))
         wits = {**cert.witnesses, (1, 1): h}
         return Certificate(cert.cylinders, cert.independence_set, wits)
 
@@ -740,3 +742,27 @@ def test_a_candidate_stops_at_its_first_empty_mask():
     oracle.site_bits = lambda moved, sym: calls.append(sym) or _pack(oracle.vals == sym)
     assert _packed_masks(oracle, [[(0, 1)], [(0, 2)], [(0, 1)]], UNMOVED) is None
     assert calls == [1, 2]
+
+
+@pytest.mark.parametrize("deck_name", decks.BUNDLED)
+def test_candidates_come_in_search_order(deck_name):
+    """``g_candidates`` and ``z_candidates`` at radii 0, 1 and 15 against
+    the scalar sort key, and shuffled lists with duplicates put in order by
+    the search, which keeps the caller's tuples."""
+    spec = decks.bundled_deck(deck_name).group
+    rng = random.Random(deck_name)
+    for radius in (0, 1, 15):
+        axes = [range(-radius, radius + 1)] * spec.rank
+        elts = [(v, f) for f in range(spec.finite_order) for v in product(*axes)]
+        want = sorted(set(elts), key=search_key)
+        assert g_candidates(spec, radius) == want
+        assert z_candidates(radius) == sorted({((n,), 0) for n in range(-radius, radius + 1)},
+                                              key=search_key)
+        # equal elements as distinct tuples
+        copies = [(tuple(list(v)), f) for v, f in rng.sample(elts, len(elts) // 3 + 1)]
+        shuffled = elts + copies
+        rng.shuffle(shuffled)
+        got = _in_search_order(shuffled, spec.rank)
+        assert got == want
+        first = {e: e for e in reversed(shuffled)}  # each element's first tuple
+        assert all(g is first[g] for g in got)

@@ -17,7 +17,9 @@ listed as one.
 No numpy call in src/ takes a slow route to rows or matrix actions:
 ``np.unique(..., axis=...)`` sorts through a structured dtype, and
 ``np.einsum`` over gathered matrices loses to a matrix product or a column
-sum.
+sum.  No form of ``np.unique`` is called at all: the first call in a process
+imports ``numpy.ma`` (over 10 ms with numpy 2.4), a cost that lands inside
+whichever computation calls it first.
 
 No method in src/ is memoised by ``functools.lru_cache`` or
 ``functools.cache``: their cache lives on the class and keeps every instance
@@ -46,6 +48,7 @@ SRC = ROOT / "src" / "toeplitz_lab"
 CHECK_ONLY = (
     ("lattice", "mul", "mul_arr"),
     ("lattice", "inv", "inv_arr"),
+    ("lattice", "search_key", "search_order"),
 )
 
 
@@ -174,8 +177,8 @@ def test_check_only_guard_sees_a_production_caller():
 
 
 def _slow_numpy_calls(source: str, name: str) -> list[str]:
-    """Each ``np.unique(..., axis=...)`` and ``np.einsum`` call in the
-    source, with the form to use instead."""
+    """Each ``np.unique`` and ``np.einsum`` call in the source, with the
+    form to use instead."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -186,6 +189,9 @@ def _slow_numpy_calls(source: str, name: str) -> list[str]:
                        f"sum over the columns (GroupSpec._act_arr)")
         elif node.func.attr == "unique" and any(k.arg == "axis" for k in node.keywords):
             out.append(f"{where}: np.unique(..., axis=...); use lattice.unique_rows")
+        elif node.func.attr == "unique":
+            out.append(f"{where}: np.unique imports numpy.ma on its first call; sort, "
+                       f"or use np.bincount or lattice.unique_rows")
     return out
 
 
@@ -201,8 +207,9 @@ def test_slow_numpy_guard_sees_both_forms():
               "np.unique(a)\n"
               "np.einsum('...ij,...j->...i', m, v)\n")
     hits = _slow_numpy_calls(source, "x.py")
-    assert [h.split(":")[1] for h in hits] == ["2", "4"]
-    assert "lattice.unique_rows" in hits[0] and "v @ M.T" in hits[1]
+    assert [h.split(":")[1] for h in hits] == ["2", "3", "4"]
+    assert "lattice.unique_rows" in hits[0] and "numpy.ma" in hits[1]
+    assert "v @ M.T" in hits[2]
 
 
 _CLASS_CACHES = ("lru_cache", "cache")

@@ -438,27 +438,61 @@ def test_conjugation_check_fails_on_a_corrupted_window(deck_name, monkeypatch):
 
 
 @pytest.mark.parametrize("deck_name", ["z2-m2", "swap-m2"])
-def test_conjugation_batches_split_at_the_chunk_size(deck_name, monkeypatch):
-    """Sample counts of 1 and one batch - 1, + 0 and + 1 under both Gamma_1
-    and Gamma_2: a batch holds at most ``_CHUNK_CELLS`` (sample, translate,
-    cell) reads and at least one sample, and every mask still equals the
+def test_conjugation_reads_one_symbol_box_per_call(deck_name, monkeypatch):
+    """1, 7, 100 and 200 samples of one level under both Gamma_1 and
+    Gamma_2: the empirical side reads the window through one symbol box per
+    call, whatever the sample count, and every mask still equals the
     per-sample reference."""
-    draws = list(_conjugation_samples(deck_name, 200))
+    draws = list(_conjugation_samples(deck_name, 500))
     boxes = []
     real = EtaWindow.symbol_box
     monkeypatch.setattr(EtaWindow, "symbol_box",
                         lambda self, low, high: boxes.append(1) or real(self, low, high))
-    for part in _by_level(draws):
-        win, _, _, i, _, core = part[0]
-        reads = (len(win.cons.domains.translates(i, i + 1)) + 1) * len(core)
-        batch = periods._CHUNK_CELLS // reads
-        assert batch >= 1 and len(part) > batch + 1
-        for count in (1, batch - 1, batch, batch + 1):
+    parts = _by_level(draws)
+    assert len(parts) == 2
+    for part in parts:
+        assert len(part) >= 200
+        for count in (1, 7, 100, 200):
             boxes.clear()
             _assert_matches_reference(part[:count])
-            # one window box per batch of the empirical side
-            assert len(boxes) == -(-count // batch), count
-    assert len(_by_level(draws)) == 2
+            assert len(boxes) == 1, count
+
+
+@pytest.mark.parametrize("deck_name", ["dihedral-m2", "swap-m2", "williams-m2"])
+def test_empirical_period_sets_under_uneven_translates(deck_name):
+    """Translate sets that are not closed under inverses, so a read at
+    w + M_f gamma instead of w - M_f gamma shows, and samples of every finite
+    part near the window's edge and past it: each mask equals the per-sample
+    reference."""
+    cons = decks.construction(decks.bundled_deck(deck_name))
+    spec, win = cons.group, cons.window(2)
+    rng = np.random.default_rng(3)
+    p = np.array(cons.chain.level(1))
+    core = box_elements(cube(spec.rank, 3), spec.finite_order)
+    edge = np.array(cons.domains.q2(2))
+    hits = 0
+    for _ in range(6):
+        gv = rng.integers(-2, 4, size=(rng.integers(1, 4), spec.rank)) * p
+        gammas = (gv, np.zeros(len(gv), dtype=np.intp))
+        ov = rng.integers(-edge - 4, edge + 4, size=(12, spec.rank))
+        of = rng.integers(0, spec.finite_order, size=12)
+        alphas = rng.choice(cons.alphabet, size=12)
+        mask = per_set_empirical(win, (ov, of), gammas, core, alphas)
+        hits += int(mask.sum())
+        for s in range(12):
+            # x_s(v, f) = eta(a_s (v, f))
+            x_get = lambda v, f, s=s: _get_arr(win, *spec.mul_arr(ov[s], of[s], v, f))
+            assert np.array_equal(mask[s], _per_set_reference(spec, x_get, core, gammas,
+                                                              alphas[s])), s
+    assert hits > 0
+
+
+def test_empirical_period_sets_refuse_a_finite_part():
+    cons = dihedral()
+    gammas = _elt_arrays([((5,), 0), ((10,), 1)], 1)
+    with pytest.raises(SpecError, match=r"gamma \(10,\) has finite part 1"):
+        per_set_empirical(cons.window(3), _one(cons.group.identity, 1), gammas,
+                          _elt_arrays([((0,), 0)], 1), np.array([1]))
 
 
 @pytest.mark.parametrize("deck_name", decks.BUNDLED)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from toeplitz_lab import decks
-from toeplitz_lab.lattice import SpecError, cube
+from toeplitz_lab.lattice import SpecError, cube, elt_arrays
 from toeplitz_lab.pullback import (
     HomSpec,
     equivariance_check,
@@ -99,6 +99,13 @@ def test_pullback_window_matches_scalar_reference():
     assert outcomes == {list, str}
 
 
+def _check_one(spec, group, source, g, window):
+    """``equivariance_check`` on a batch of one g: its verdict as a bool."""
+    verdicts = equivariance_check(spec, group, source, elt_arrays([g], group.rank), window)
+    assert verdicts.shape == (1,)
+    return bool(verdicts[0])
+
+
 def test_equivariance():
     swap = decks.bundled_deck("swap-m2").group
     hom = HomSpec((1, 1))
@@ -106,12 +113,12 @@ def test_equivariance():
     window = [((a, b), f) for a in range(-3, 4) for b in range(-3, 4)
               for f in (0, 1)]
     # kernel elements act trivially on the pullback
-    assert equivariance_check(hom, swap, eta, ((3, -3), 0), window)
-    assert equivariance_check(hom, swap, eta, ((3, 4), 0), window)
+    assert _check_one(hom, swap, eta, ((3, -3), 0), window)
+    assert _check_one(hom, swap, eta, ((3, 4), 0), window)
     rng = random.Random(2)
     for _ in range(25):
         g = ((rng.randint(-20, 20), rng.randint(-20, 20)), rng.choice((0, 1)))
-        assert equivariance_check(hom, swap, eta, g, window)
+        assert _check_one(hom, swap, eta, g, window)
 
 
 def _equivariance_reference(spec, group, source, g, window):
@@ -158,12 +165,52 @@ def test_equivariance_matches_scalar_reference():
                 r = patch.N
                 g = ((rng.randint(-r, r), rng.randint(-r, r)), rng.choice((0, 1)))
                 want = _outcome(_equivariance_reference, hom, swap, patch, g, window)
-                assert _outcome(equivariance_check, hom, swap, patch, g, window) == want
+                assert _outcome(_check_one, hom, swap, patch, g, window) == want
                 outcomes.add(want)
     assert outcomes == {True, False, "SpecError: window exceeds the source patch reach"}
 
 
+def _swap_batch_case():
+    """swap-m2, the weight (1, 1), a radius-12 patch and the radius-4
+    window: g with |phi(g)| <= 4 stay in reach, larger ones leave it."""
+    swap = decks.bundled_deck("swap-m2").group
+    window = [((a, b), f) for a in range(-4, 5) for b in range(-4, 5)
+              for f in (0, 1)]
+    return HomSpec((1, 1)), swap, generate(WilliamsParams(2, (3, 18, 216)), 12), window
+
+
+def test_equivariance_batch_raises_when_one_g_leaves_the_reach():
+    hom, swap, patch, window = _swap_batch_case()
+    near = [((1, -1), 0), ((2, 0), 1), ((-3, 1), 0)]
+    far = ((20, 3), 1)
+    assert _outcome(_equivariance_reference, hom, swap, patch, far, window) == \
+        "SpecError: window exceeds the source patch reach"
+    for batch in (near + [far], [far] + near, near[:1] + [far] + near[1:]):
+        with pytest.raises(SpecError, match="window exceeds the source patch reach"):
+            equivariance_check(hom, swap, patch, elt_arrays(batch, 2), window)
+
+
+def test_equivariance_batch_matches_the_reference_per_g():
+    # (1, 0) is not a homomorphism on swap-m2: on a patch with one flipped
+    # symbol some g in reach give False, the others True
+    hom, swap, patch, window = _swap_batch_case()
+    flat = replace(patch, symbols=np.ones_like(patch.symbols))
+    flipped = flat.symbols.copy()
+    flipped[flat.index(2)] = 2
+    rng = random.Random(4)
+    for hom, source in ((hom, patch), (HomSpec((1, 0)), replace(flat, symbols=flipped))):
+        batch = []
+        while len(batch) < 40:
+            g = ((rng.randint(-4, 4), rng.randint(-4, 4)), rng.choice((0, 1)))
+            if isinstance(_outcome(_equivariance_reference, hom, swap, source, g, window), bool):
+                batch.append(g)
+        want = [_equivariance_reference(hom, swap, source, g, window) for g in batch]
+        got = equivariance_check(hom, swap, source, elt_arrays(batch, 2), window)
+        assert got.tolist() == want
+    assert set(want) == {True, False}
+
+
 def test_section_element_identity_part():
     hom = HomSpec((1, 1))
-    g = section_element(hom, decks.bundled_deck("swap-m2").group, 5)
+    g = section_element(hom, 5)
     assert g[1] == 0 and hom.phi(g) == 5
