@@ -8,6 +8,7 @@ from collections import Counter
 
 from toeplitz_lab import bundled_deck
 from toeplitz_lab.williams import (
+    UNDEFINED,
     convergence_partial_sums,
     fiber_scan,
     generate,
@@ -19,10 +20,10 @@ wp = deck.williams
 print(f"alphabet {{0..{wp.m - 1}}}, periods {wp.periods}")
 
 eta = generate(wp, 80)
-line = "".join("." if eta.symbol(n) is None else str(eta.symbol(n))
-               for n in range(0, 73))
+cells = eta.at(range(0, 73)).tolist()
+line = "".join("." if s == UNDEFINED else str(s) for s in cells)
 print(f"\neta on [0, 72]:   {line}")
-lvls = "".join(str(eta.level(n)) for n in range(0, 73))
+lvls = "".join(map(str, eta.levels[eta.N:eta.N + 73].tolist()))
 print(f"filling steps:    {lvls}   (0 marks still-empty cells)")
 
 print("\npartial sums of the period-ratio series:",

@@ -14,7 +14,13 @@ from toeplitz_lab.independence import (
     transport_certificate,
     z_candidates,
 )
-from toeplitz_lab.pullback import HomSpec, section_vector, validate_hom
+from toeplitz_lab.lattice import cube
+from toeplitz_lab.pullback import (
+    HomSpec,
+    pullback_window,
+    section_vector,
+    validate_hom,
+)
 from toeplitz_lab.williams import generate
 
 swap = bundled_deck("swap-m2")
@@ -33,9 +39,9 @@ wm2 = bundled_deck("williams-m2")
 eta = generate(wm2.williams, 25000)
 
 print("\npulled-back window (phi* eta)(a, b) = eta(a + b), flip part equal:")
-for a in range(-2, 3):
-    row = " ".join(str(eta.symbol(a + b)) for b in range(-2, 3))
-    print(f"  a={a:+d}:  {row}")
+rows = pullback_window(hom, eta, cube(2, 2)).reshape(5, 5).tolist()
+for a, row in zip(range(-2, 3), rows):
+    print(f"  a={a:+d}:  {' '.join(map(str, row))}")
 
 zo = ZOracle(eta, margin=600)
 cyls = [Cylinder.single_site(1, 0), Cylinder.single_site(1, 1)]

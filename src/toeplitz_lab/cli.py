@@ -95,13 +95,14 @@ def cmd_gen_z(deck, args) -> int:
             fh.write("".join([f"{pos}{tails[c]}" for pos, c in
                               zip(range(lo - N, lo - N + len(pairs)), pairs)]))
     sums = williams.convergence_partial_sums(wp)
+    undefined = int(np.count_nonzero(patch.symbols == williams.UNDEFINED))
     _write_json(out / "summary.json", {
         "deck": deck.name,
         "m": wp.m,
         "periods": list(wp.periods),
         "window": N,
-        "undefined_cells": patch.undefined_count(),
-        "undefined_density": frac(Fraction(patch.undefined_count(), 2 * N + 1)),
+        "undefined_cells": undefined,
+        "undefined_density": frac(Fraction(undefined, 2 * N + 1)),
         "ratio_partial_sums": [frac(s) for s in sums],
         "provenance": "counted",
     })

@@ -35,7 +35,7 @@ import numpy as np
 from .lattice import (Elt, GroupSpec, SpecError, box_elements, cube, elt_arrays,
                       search_order)
 from .toeplitz import EtaWindow
-from .williams import ZPatch
+from .williams import OUTSIDE, ZPatch
 from .pullback import HomSpec, section_element
 
 MAX_STEPS = 2_000_000  # default step budget of a search
@@ -53,9 +53,9 @@ class Cylinder:
             raise SpecError("cylinder needs one symbol per shape site")
 
     @staticmethod
-    def single_site(rank: int, symbol: int) -> "Cylinder":
-        """The symbol at the identity."""
-        return Cylinder((((0,) * rank, 0),), (symbol,))
+    def single_site(rank: int, sym: int) -> "Cylinder":
+        """The symbol sym at the identity."""
+        return Cylinder((((0,) * rank, 0),), (sym,))
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,10 @@ class CertificateWindowError(RuntimeError):
 # its translates moved[h] = (0, h) a, rows [v_1, .., v_r, f]: the grid cells i
 # with eta(grid[i] a) == sym as an int bitset (bit i for cell i), refusing with
 # CertificateWindowError a shift that moves the grid out of the window.
-# symbols_at reads any batch of elements for the re-check: OUTSIDE where the
-# window does not hold the element, UNDEFINED (-1) on a cell the window holds
-# but the construction leaves empty.
-
-OUTSIDE = -2
+# symbols_at reads any batch of elements for the re-check: OUTSIDE (-2,
+# from williams) where the window does not hold the element, UNDEFINED (-1)
+# on a cell the window holds but the construction leaves empty.  The 1-d
+# oracles read their patch through ZPatch.at.
 
 
 def _pack(mask: np.ndarray) -> int:
@@ -122,44 +121,35 @@ def _pack(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _gather(symbols: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """symbols[idx] as int16, OUTSIDE where idx falls outside the array."""
-    out = np.full(len(idx), OUTSIDE, dtype=np.int16)
-    inside = (idx >= 0) & (idx < len(symbols))
-    out[inside] = symbols[idx[inside]]
-    return out
-
-
 class ZOracle:
     """Occurrence oracle over a 1-d window of the classical construction.
 
-    The grid is [lo, hi]; symbols == s is packed over the whole patch once
-    per symbol, so a site's bitset is that int shifted down to the site."""
+    The grid is [-(N - margin), N - margin], so a shift is readable when
+    |shift| <= margin; symbols == s is packed over the whole patch once per
+    symbol, and a site's bitset is that int shifted down by margin + shift."""
 
     def __init__(self, patch: ZPatch, margin: int):
+        if not 0 <= margin < patch.N:
+            raise SpecError(f"margin must lie in 0 .. {patch.N - 1} for a patch "
+                            f"of radius {patch.N}, got {margin}")
         self.patch = patch
-        self.symbols = patch.symbols.astype(np.int16)
-        self.lo = -patch.N + margin
-        self.hi = patch.N - margin
-        if self.lo >= self.hi:
-            raise SpecError("margin swallows the whole window")
-        n = self.hi - self.lo + 1
-        self.grid = (np.arange(self.lo, self.hi + 1, dtype=np.int64)[:, None],
-                     np.zeros(n, dtype=np.intp))
-        self._low = (1 << n) - 1
+        self.margin = margin
+        reach = patch.N - margin
+        self.grid = (np.arange(-reach, reach + 1, dtype=np.int64)[:, None],
+                     np.zeros(2 * reach + 1, dtype=np.intp))
+        self._low = (1 << (2 * reach + 1)) - 1
         self._patch_bits: dict[int, int] = {}
 
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return _gather(self.symbols, v[:, 0] + self.patch.N)
+        return self.patch.at(v[:, 0])
 
     def site_bits(self, moved: list, sym: int) -> int:
         shift = moved[0][0]
-        start = self.lo + shift + self.patch.N
-        if start < 0 or start + (self.hi - self.lo + 1) > len(self.symbols):
+        if abs(shift) > self.margin:
             raise CertificateWindowError(f"shift {shift} leaves the oracle window")
         if sym not in self._patch_bits:
-            self._patch_bits[sym] = _pack(self.symbols == sym)
-        return (self._patch_bits[sym] >> start) & self._low
+            self._patch_bits[sym] = _pack(self.patch.symbols == sym)
+        return (self._patch_bits[sym] >> (self.margin + shift)) & self._low
 
 
 class GOracle:
@@ -214,17 +204,16 @@ class PullbackOracle:
         self.grid = box_elements(cube(group.rank, radius), group.finite_order)
         self._w = np.array(hom.w, dtype=np.int64)
         self._phi = self.grid[0] @ self._w
-        self.symbols = source.symbols.astype(np.int16)
 
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return _gather(self.symbols, v @ self._w + self.source.N)
+        return self.source.at(v @ self._w)
 
     def site_bits(self, moved: list, sym: int) -> int:
         shifts = np.array(moved, dtype=np.int64)[:, :-1] @ self._w
-        idx = self._phi + np.repeat(shifts, len(self._phi) // len(shifts)) + self.source.N
-        if idx.min() < 0 or idx.max() >= len(self.symbols):
+        got = self.source.at(self._phi + np.repeat(shifts, len(self._phi) // len(shifts)))
+        if (got == OUTSIDE).any():
             raise CertificateWindowError("pullback sites leave the source window")
-        return _pack(self.symbols[idx] == sym)
+        return _pack(got == sym)
 
 
 # -- certificate checking ------------------------------------------------------

@@ -14,16 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Elt, EltArr, GroupSpec, SpecError, Vec, elt_arrays
-from .williams import ZPatch
+from .williams import OUTSIDE, ZPatch
 
 
 @dataclass(frozen=True)
 class HomSpec:
     w: Vec
-
-    def phi(self, g: Elt) -> int:
-        v, _ = g
-        return sum(a * x for a, x in zip(self.w, v))
 
 
 def validate_hom(spec: HomSpec, group: GroupSpec) -> tuple[bool, str]:
@@ -69,14 +65,15 @@ def section_element(spec: HomSpec, n: int) -> Elt:
 
 def pullback_window(spec: HomSpec, source: ZPatch, v: np.ndarray) -> np.ndarray:
     """phi* x at the elements with lattice parts v (n, rank), whatever their
-    finite parts, read in one gather as int16 (UNDEFINED on the source's
-    Undefined cells); errors when out of reach, naming the first such element."""
-    n = v @ np.array(spec.w, dtype=np.int64)
-    out = np.abs(n) > source.N
+    finite parts, read through ``ZPatch.at`` as int16 (UNDEFINED on the
+    source's Undefined cells); errors when out of reach, naming the first
+    such element."""
+    got = source.at(v @ np.array(spec.w, dtype=np.int64))
+    out = got == OUTSIDE
     if out.any():
         raise SpecError(f"window position {tuple(v[np.argmax(out)].tolist())} "
                         f"maps outside the source patch")
-    return source.symbols[n + source.N]
+    return got
 
 
 def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
@@ -90,22 +87,19 @@ def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
     is False on different symbols, and SpecError is raised when that cell is
     out of reach for any g of the batch.
 
-    The two sides read the source at w . M_{f^-1}(h - g_v) and at w . h -
-    phi(g), g = (g_v, f): the same integer whenever M_f^T w = w for every f,
-    that is whenever ``validate_hom`` accepts.  So on an accepted
-    homomorphism the check cannot fail; it certifies the window arithmetic.
+    The two sides read the source, through ``ZPatch.at``, at
+    w . M_{f^-1}(h - g_v) and at w . h - phi(g), g = (g_v, f): the same
+    integer whenever M_f^T w = w for every f, that is whenever
+    ``validate_hom`` accepts.  So on an accepted homomorphism the check
+    cannot fail; it certifies the window arithmetic.
     """
     w = np.array(spec.w, dtype=np.int64)
     hv, hf = elt_arrays(window, group.rank)
     gv, gf = group.inv_arr(*g)
-    lhs = group.mul_arr(gv[:, None], gf[:, None], hv, hf)[0] @ w
-    rhs = (hv @ w)[None] - (g[0] @ w)[:, None]
-    reach = source.N
-    inside = (np.abs(lhs) <= reach) & (np.abs(rhs) <= reach)
-    syms = source.symbols
-    differ = (syms[np.clip(lhs, -reach, reach) + reach]
-              != syms[np.clip(rhs, -reach, reach) + reach])
-    fails = ~inside | differ
+    lhs = source.at(group.mul_arr(gv[:, None], gf[:, None], hv, hf)[0] @ w)
+    rhs = source.at((hv @ w)[None] - (g[0] @ w)[:, None])
+    inside = (lhs != OUTSIDE) & (rhs != OUTSIDE)
+    fails = ~inside | (lhs != rhs)
     first = np.argmax(fails, axis=1)
     if not inside[np.arange(len(first)), first].all():
         raise SpecError("window exceeds the source patch reach")

@@ -15,7 +15,8 @@ import numpy as np
 
 from .lattice import SpecError
 
-UNDEFINED = -1
+UNDEFINED = -1  # a cell the configured steps leave empty
+OUTSIDE = -2    # a position the patch does not hold
 
 
 @dataclass(frozen=True)
@@ -43,32 +44,28 @@ class WilliamsParams:
 
 @dataclass(frozen=True, eq=False)
 class ZPatch:
-    """Symbols and filling steps of the sequence on [-N, N]."""
+    """Symbols and filling steps of the sequence on [-N, N]: position n is
+    array index n + N."""
 
     params: WilliamsParams
     N: int
     symbols: np.ndarray = field(repr=False)
     levels: np.ndarray = field(repr=False)
 
-    def index(self, n: int) -> int:
-        return n + self.N
-
-    def in_window(self, n: int) -> bool:
-        return -self.N <= n <= self.N
+    def at(self, n) -> np.ndarray:
+        """The int16 symbols at the integer positions n, of any shape:
+        UNDEFINED on the patch's empty cells, OUTSIDE where |n| > N."""
+        idx = np.asarray(n) + self.N
+        inside = (idx >= 0) & (idx <= 2 * self.N)
+        return np.where(inside, self.symbols.take(idx, mode="clip"), OUTSIDE)
 
     def symbol(self, n: int) -> int | None:
-        if not self.in_window(n):
+        """The symbol at one position, None outside the window or on an
+        empty cell: the check-only reference for ``at``."""
+        if not -self.N <= n <= self.N:
             return None
-        s = int(self.symbols[self.index(n)])
+        s = int(self.symbols[n + self.N])
         return None if s == UNDEFINED else s
-
-    def level(self, n: int) -> int:
-        if not self.in_window(n):
-            raise IndexError(n)
-        return int(self.levels[self.index(n)])
-
-    def undefined_count(self) -> int:
-        return int((self.symbols == UNDEFINED).sum())
 
 
 def _period(params: WilliamsParams, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,35 +88,21 @@ def _period(params: WilliamsParams, depth: int) -> tuple[np.ndarray, np.ndarray]
     return levels, table[levels]
 
 
-def _tile(period: np.ndarray, start: int, size: int) -> np.ndarray:
-    """period[(start + j) % len(period)] for j in range(size), copied in
-    doubling runs."""
-    s = start % len(period)
-    head = np.concatenate((period[s:], period[:s]))[:size]
-    out = np.empty(size, dtype=period.dtype)
-    out[:len(head)] = head
-    done = len(head)
-    while done < size:
-        n = min(done, size - done)
-        out[done:done + n] = out[:n]
-        done += n
-    return out
-
-
 def generate(params: WilliamsParams, N: int) -> ZPatch:
     """Run every configured step on the window [-N, N].
 
-    The deepest period no longer than the window is built and tiled over
-    it, with no position array.  Each later step has a period P longer than
-    the window, so its chosen p-blocks meet the window only in the runs
-    [cP - p, cP + p), at most three of them; their empty cells are filled.
+    The deepest period no longer than the window is built, rotated to start
+    at -N and repeated over the window, with no position array.  Each later
+    step has a period P longer than the window, so its chosen p-blocks meet
+    the window only in the runs [cP - p, cP + p), at most three of them;
+    their empty cells are filled.
     """
     params.validate()
     if N < params.periods[0]:
         raise SpecError("window must cover at least one period")
     size = 2 * N + 1
     depth = sum(p <= size for p in params.periods)
-    levels, symbols = (_tile(a, -N, size) for a in _period(params, depth))
+    levels, symbols = (np.resize(np.roll(a, N), size) for a in _period(params, depth))
     for i in range(depth, params.depth):
         p, P = params.periods[i - 1], params.periods[i]
         for c in range((-N - p) // P + 1, (N + p) // P + 1):

@@ -29,7 +29,7 @@ from toeplitz_lab.independence import (
     z_candidates,
 )
 from toeplitz_lab.lattice import SpecError, search_key
-from toeplitz_lab.pullback import HomSpec, section_element
+from toeplitz_lab.pullback import HomSpec, section_element, section_vector
 from toeplitz_lab.toeplitz import Construction, EtaWindow
 from toeplitz_lab.williams import generate
 
@@ -46,6 +46,29 @@ def build_oracle(margin=433):
 
 def symbol_cylinders(k):
     return [Cylinder.single_site(1, s) for s in range(k)]
+
+
+def test_z_oracle_margin_must_leave_a_grid():
+    """A margin outside 0 .. N - 1 is refused by name.  Margin 0 keeps the
+    whole patch as the grid and reads only the shift 0; margin N - 1 keeps
+    three cells and reads every shift up to N - 1."""
+    eta = generate(wdeck().williams, 2000)
+    for margin in (-1, -5, eta.N, eta.N + 1):
+        with pytest.raises(SpecError, match=f"got {margin}$"):
+            ZOracle(eta, margin=margin)
+    whole, narrow = ZOracle(eta, margin=0), ZOracle(eta, margin=eta.N - 1)
+    assert len(whole.grid[1]) == 2 * eta.N + 1
+    assert narrow.grid[0].ravel().tolist() == [-1, 0, 1]
+    assert whole.site_bits([[0, 0]], 1) == _pack(eta.symbols == 1)
+    for oracle, shift in ((whole, 1), (whole, -1), (narrow, eta.N), (narrow, -eta.N)):
+        with pytest.raises(CertificateWindowError):
+            oracle.site_bits([[shift, 0]], 1)
+    for shift in (eta.N - 1, 1 - eta.N):
+        want = eta.symbols[shift - 1 + eta.N:shift + 2 + eta.N] == 1
+        assert narrow.site_bits([[shift, 0]], 1) == _pack(want)
+    res = find_independence_set(symbol_cylinders(2), 2, ZOracle(eta, margin=5),
+                                z_candidates(40), wdeck().group)
+    assert res.status == "found" and res.steps == 2
 
 
 def test_cylinder_validation():
@@ -290,6 +313,34 @@ def test_site_values_match_symbols_at(case):
     assert 0 < refused < 40
 
 
+@pytest.mark.parametrize("name,w", [("z2-m2", (2, -3)), ("swap-m2", (1, 1))])
+def test_pullback_site_bits_refuse_exactly_the_shifts_leaving_the_source(name, w):
+    """A shift a = n u (u the section vector, so phi(a) = n, and phi((0, h) a)
+    = n for every h under these weights) reads the source at phi(grid) + n,
+    which spans [-reach, reach] + n with reach = 6 (|w_1| + |w_2|).
+    site_bits refuses it exactly when that leaves [-N, N], and otherwise
+    reads what ``ZPatch.symbol`` reads cell by cell."""
+    group = decks.bundled_deck(name).group
+    eta = generate(wdeck().williams, 500)
+    oracle = PullbackOracle(HomSpec(w), group, eta, radius=6)
+    reach = 6 * sum(map(abs, w))
+    phi = (oracle.grid[0] @ np.array(w)).tolist()
+    assert max(phi) == reach
+    u = section_vector(HomSpec(w))
+    edge = eta.N - reach
+    for n in (0, *range(edge - 2, edge + 3), *range(-edge - 2, -edge + 3)):
+        moved = _translates(group, (tuple(n * x for x in u), 1 % group.finite_order))
+        for sym in (0, 1):
+            if abs(n) > edge:
+                with pytest.raises(CertificateWindowError):
+                    oracle.site_bits(moved, sym)
+                continue
+            bits = oracle.site_bits(moved, sym)
+            assert [bits >> i & 1 for i in range(len(phi))] == \
+                [int(eta.symbol(x + n) == sym) for x in phi]
+            assert bits >> len(phi) == 0
+
+
 @pytest.mark.parametrize("name", decks.BUNDLED)
 def test_site_translates_match_the_reference(name):
     """The search's products: row [c][s] holds the translates (0, h) g^-1 s of
@@ -385,7 +436,7 @@ def test_undefined_cell_is_a_wrong_witness_not_a_window_miss(case):
     assert all(c.shape == (spec.identity,) for c in cert.cylinders)
 
     def moved(target):
-        h = section_element(hom, target + hom.phi(g))
+        h = section_element(hom, target + sum(a * x for a, x in zip(hom.w, g[0])))
         wits = {**cert.witnesses, (1, 1): h}
         return Certificate(cert.cylinders, cert.independence_set, wits)
 

@@ -2,11 +2,13 @@
 
 Every public function of the library has a caller outside tests/.  A public
 function counts as used when it is referenced in src/ outside its own
-definition, or when its name appears in a script under bench/ or demos/ (the
-tracer names layers by strings such as "periods.census").  A reference to a
-top-level function is an attribute ``x.name``, or a bare name in its own
-module or in a module that imports it from there, so a same-named function
-of another module does not hide it.  A public method (properties excluded)
+definition, or when a script under bench/ or demos/ references it in code: a
+bare name, an attribute or an imported name.  A word in a string or a comment
+is no caller, so neither printed text nor the tracer's name strings (such as
+"periods.census") keep a function alive.  A reference to a top-level
+function is an attribute ``x.name``, or a bare name in its own module or in
+a module that imports it from there, so a same-named function of another
+module does not hide it.  A public method (properties excluded)
 is matched by name alone, since the type of its receiver is not known
 without running the code.  The only exceptions are check-only references:
 second implementations that tests compare a production function against,
@@ -38,7 +40,6 @@ Box offsets are read through ``DomainChain.low(i)``, which also serves level
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +50,7 @@ CHECK_ONLY = (
     ("lattice", "mul", "mul_arr"),
     ("lattice", "inv", "inv_arr"),
     ("lattice", "search_key", "search_order"),
+    ("williams", "symbol", "at"),
 )
 
 
@@ -99,11 +101,26 @@ def _src_references(trees):
     return refs
 
 
+def _code_names(source: str) -> set[str]:
+    """The names a script's code references: bare names, attributes and
+    imported names (each part of a dotted one).  Words inside strings and
+    comments are not references."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+    return out
+
+
 def _script_words() -> set[str]:
     words: set[str] = set()
     for folder in ("bench", "demos"):
         for path in sorted((ROOT / folder).glob("*.py")):
-            words.update(re.findall(r"\w+", path.read_text()))
+            words |= _code_names(path.read_text())
     return words
 
 
@@ -117,6 +134,15 @@ def _uncalled(trees, words):
         if not outside and name not in words:
             out[(mod, name)] = node
     return out
+
+
+def test_script_callers_are_code_references():
+    trees = {"a": ast.parse("def foo():\n    return 1\n")}
+    printed = _code_names('print("the foo step")\nHOT = {"a.foo": None}  # foo\n')
+    assert ("a", "foo") in _uncalled(trees, printed)
+    for script in ("x.foo()\n", "from toeplitz_lab.a import foo\n",
+                   "from toeplitz_lab.a import foo as bar\n", "f = foo\n"):
+        assert _uncalled(trees, _code_names(script)) == {}, script
 
 
 def test_every_public_function_has_a_library_caller():

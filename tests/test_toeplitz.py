@@ -552,7 +552,7 @@ def test_williams_reduction_level_sets_are_residue_classes():
     p2 = deck.williams.periods[1]
     flags = {}
     for n in range(-2 * p2 * 6, 2 * p2 * 6):
-        flags.setdefault(n % p2, set()).add(eta.level(n) == 2)
+        flags.setdefault(n % p2, set()).add(eta.levels[n + eta.N] == 2)
     assert all(len(v) == 1 for v in flags.values())
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from toeplitz_lab import decks, periods, verify, williams
 from toeplitz_lab.lattice import SpecError
 from toeplitz_lab.williams import (
+    OUTSIDE,
     UNDEFINED,
     WilliamsParams,
     ZPatch,
@@ -23,6 +24,12 @@ def small_params():
     return WilliamsParams(2, (3, 18))
 
 
+def _level(eta, n):
+    """The filling step at window position n, read from the level array."""
+    assert -eta.N <= n <= eta.N, n
+    return int(eta.levels[n + eta.N])
+
+
 def _probe(params):
     """The patch that ``max_safe_fiber_radius`` scans: one full deeper
     period of the level map beyond the first period, on each side."""
@@ -33,16 +40,16 @@ def test_step_one_residues():
     eta = generate(small_params(), 40)
     for n in (0, 2, 3, -1):
         assert eta.symbol(n) == 1
-        assert eta.level(n) == 1
+        assert _level(eta, n) == 1
     # every window position congruent to 0 or -1 mod 3 carries level 1
     for n in range(-eta.N, eta.N + 1):
-        assert (eta.level(n) == 1) == (n % 3 in (0, 2))
+        assert (_level(eta, n) == 1) == (n % 3 in (0, 2))
 
 
 def test_step_two_and_undefined():
     eta = generate(small_params(), 40)
-    assert eta.symbol(1) == 0 and eta.level(1) == 2
-    assert eta.symbol(16) == 0 and eta.level(16) == 2  # block 5 = -1 mod 6
+    assert eta.symbol(1) == 0 and _level(eta, 1) == 2
+    assert eta.symbol(16) == 0 and _level(eta, 16) == 2  # block 5 = -1 mod 6
     assert eta.symbol(4) is None  # block 1 is interior at depth 2
 
 
@@ -106,6 +113,32 @@ def test_generate_matches_five_pass_reference(case):
         assert np.array_equal(a, b)
 
 
+def test_generate_on_a_window_past_two_top_periods():
+    # 2N + 1 = 248,845 cells: two top periods of williams-m3 and 13 cells more
+    wp = decks.bundled_deck("williams-m3").williams
+    got, want = generate(wp, 124422), _generate_reference(wp, 124422)
+    assert 2 * wp.periods[-1] < 2 * got.N + 1 and (2 * got.N + 1) % wp.periods[-1]
+    assert np.array_equal(got.symbols, want.symbols)
+    assert np.array_equal(got.levels, want.levels)
+
+
+def test_at_matches_the_scalar_symbol():
+    """``at`` reads what the check-only ``symbol`` reads, position by
+    position, on a patch with Undefined cells and past both window ends;
+    None is UNDEFINED inside the window and OUTSIDE beyond it."""
+    eta = generate(WilliamsParams(2, (3, 18, 216)), 300)
+    n = np.arange(-eta.N - 3, eta.N + 4)
+    want = [UNDEFINED if abs(x) <= eta.N else OUTSIDE for x in n.tolist()]
+    want = [w if eta.symbol(x) is None else eta.symbol(x)
+            for x, w in zip(n.tolist(), want)]
+    got = eta.at(n)
+    assert got.dtype == np.int16 and got.tolist() == want
+    assert UNDEFINED in want and OUTSIDE in want
+    square = n[:len(n) // 2 * 2].reshape(-1, 2)[::-1]
+    assert eta.at(square).dtype == np.int16
+    assert np.array_equal(eta.at(square), got[:len(square) * 2].reshape(-1, 2)[::-1])
+
+
 @pytest.mark.parametrize("params,N", [
     (WilliamsParams(2, (2, 6)), 10), (WilliamsParams(2, (3, 6)), 10),
     (WilliamsParams(1, (3, 9)), 10), (WilliamsParams(2, ()), 10),
@@ -123,9 +156,9 @@ def test_fill_steps_disjoint_and_level_map():
     eta = generate(WilliamsParams(2, (3, 18, 216)), 500)
     # a position carries a symbol exactly when it carries a level
     for n in range(-eta.N, eta.N + 1):
-        assert (eta.symbol(n) is None) == (eta.level(n) == 0)
-        if eta.level(n):
-            assert eta.symbol(n) == eta.level(n) % 2
+        assert (eta.symbol(n) is None) == (_level(eta, n) == 0)
+        if _level(eta, n):
+            assert eta.symbol(n) == _level(eta, n) % 2
 
 
 def test_period_sets_match_levels():
@@ -138,7 +171,7 @@ def test_period_sets_match_levels():
         translates = [eta.symbol(n + t * p) for t in range(-20, 21)]
         vals = {v for v in translates if v is not None}
         periodic = len(vals) == 1 and None not in translates
-        assert periodic == (1 <= eta.level(n) <= k), n
+        assert periodic == (1 <= _level(eta, n) <= k), n
 
 
 def test_convergence_partial_sums():
@@ -155,9 +188,9 @@ def test_undefined_density_is_block_local():
     eta = generate(params, N)
     # undefined cells live inside interior deepest-level blocks only
     undef = [n for n in range(-eta.N, eta.N + 1) if eta.symbol(n) is None]
-    assert len(undef) == eta.undefined_count()
+    assert len(undef) == np.count_nonzero(eta.symbols == UNDEFINED)
     p_last = params.periods[-1]
-    ratio = Fraction(eta.undefined_count(), 2 * N + 1)
+    ratio = Fraction(len(undef), 2 * N + 1)
     blocks = 2 * N // p_last + 2
     assert ratio <= Fraction(2 * blocks * (p_last - 2), 2 * N + 1)
 
@@ -203,14 +236,14 @@ ZFiberPatch = namedtuple("ZFiberPatch", "offsets symbols aperiodic_symbol")
 def _fiber_patches_reference(params, eta, coords, N):
     """The distinct fully defined [-N, N] restrictions of the approximants
     of the coords' last residue, one approximant and one position at a time
-    through ``ZPatch.symbol`` and ``ZPatch.level``, with the immature
+    through ``ZPatch.symbol`` and the level array, with the immature
     approximants and the aperiodic cells tallied in a dict."""
     k = len(coords)
     pk, p_top = params.periods[k - 1], params.periods[-1]
     base = coords[-1] % pk
 
     def not_captured(n):
-        lvl = eta.level(n)
+        lvl = _level(eta, n)
         return lvl == 0 or lvl > k
 
     offsets = tuple(range(-N, N + 1))
@@ -284,9 +317,9 @@ def test_corrupted_levels_leave_the_aperiodic_part_undetermined():
     offsets = range(-radius, radius + 1)
     g_t = next(g for g in range(coords[-1] + wp.periods[1], wp.periods[-1], wp.periods[1])
                if all(eta.symbol(g + n) is not None for n in offsets))
-    n = next(n for n in offsets if 1 <= eta.level(g_t + n) <= 2)
+    n = next(n for n in offsets if 1 <= _level(eta, g_t + n) <= 2)
     levels = eta.levels.copy()
-    levels[eta.index(g_t + n)] = 3
+    levels[g_t + n + eta.N] = 3
     bad = ZPatch(wp, eta.N, eta.symbols, levels)
     assert _one_residue(bad, coords, radius) == \
         _reference_outcome(wp, bad, coords, radius) == \
@@ -458,7 +491,7 @@ def _read_cells(wp, eta, residue, radius, captured):
     one per approximant that has one, in approximant order."""
     out = []
     for g in range(residue % wp.periods[1], wp.periods[-1], wp.periods[1]):
-        cells = [eta.index(g + n) for n in range(-radius, radius + 1)]
+        cells = [g + n + eta.N for n in range(-radius, radius + 1)]
         if all(eta.symbols[i] != UNDEFINED for i in cells):
             out += [i for i in cells if (1 <= eta.levels[i] <= 2) == captured][:1]
     return out
