@@ -4,6 +4,9 @@ A deck fixes the whole experiment identity: the group, the chain of moduli,
 the box offsets and the alphabet size, plus the 1-d period sequence when the
 classical construction is part of the deck.  Configurations are single JSON
 documents with explicit integer matrices; "variant" is "normal" when F is trivial.
+The bundled decks are such documents, and every deck, bundled or read from a
+file, is built by ``deck_from_config``, which refuses a key the format does
+not define.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
-from .lattice import DomainChain, GroupSpec, SpecError, SubgroupChain, identity_matrix
+from .lattice import DomainChain, GroupSpec, SpecError, SubgroupChain
 from .toeplitz import Construction
 from .williams import WilliamsParams
 
@@ -43,8 +46,9 @@ class Deck:
         return WilliamsParams(self.m, self.williams_periods)
 
     def validate(self) -> None:
-        """SpecError unless the deck builds its constructions on its one chain."""
-        Construction(self.group, self.domains, self.m)
+        """SpecError unless the deck builds its constructions on its one chain;
+        the group construction validated is the one ``construction`` keeps."""
+        construction(self)
         if self.williams is None:
             return
         if self.group.rank != 1 or self.group.finite_order != 1:
@@ -79,77 +83,50 @@ def construction(deck: Deck) -> Construction:
     return Construction(deck.group, deck.domains, deck.m)
 
 
-def _trivial_group(rank: int, name: str) -> GroupSpec:
-    return GroupSpec(rank=rank, table=((0,),), action=(identity_matrix(rank),),
-                     name=name)
+_WILLIAMS_PERIODS = [6, 36, 432, 10368, 124416]
+_Z2_CHAIN = [[5, 5], [25, 25], [125, 125], [625, 625], [3125, 3125]]
 
-
-def _order_two_group(rank: int, mat, name: str) -> GroupSpec:
-    return GroupSpec(rank=rank, table=((0, 1), (1, 0)),
-                     action=(identity_matrix(rank), mat), name=name)
-
-
-def _chain(*rows) -> SubgroupChain:
-    return SubgroupChain(tuple(tuple(r) for r in rows))
-
-
-def _williams_deck(name: str, m: int) -> Deck:
-    periods = (6, 36, 432, 10368, 124416)
-    return Deck(
-        name=name,
-        group=_trivial_group(1, "Z"),
-        domains=DomainChain.auto(_chain(*[(p,) for p in periods])),
-        m=m,
-        williams_periods=periods,
-    )
-
-
-def _z2_deck() -> Deck:
-    return Deck(
-        name="z2-m2",
-        group=_trivial_group(2, "Z^2"),
-        domains=DomainChain.auto(
-            _chain((5, 5), (25, 25), (125, 125), (625, 625), (3125, 3125))),
-        m=2,
-    )
-
-
-def _dihedral_deck() -> Deck:
-    return Deck(
-        name="dihedral-m2",
-        group=_order_two_group(1, ((-1,),), "Z x| Z/2 (flip)"),
-        domains=DomainChain.auto(
-            _chain((5,), (25,), (125,), (625,), (3125,), (15625,), (78125,))),
-        m=2,
-    )
-
-
-def _swap_deck() -> Deck:
-    return Deck(
-        name="swap-m2",
-        group=_order_two_group(2, ((0, 1), (1, 0)), "Z^2 x| Z/2 (swap)"),
-        domains=DomainChain.auto(
-            _chain((5, 5), (25, 25), (125, 125), (625, 625), (3125, 3125))),
-        m=2,
-    )
-
-
-_BUILDERS = {
-    "williams-m2": lambda: _williams_deck("williams-m2", 2),
-    "williams-m3": lambda: _williams_deck("williams-m3", 3),
-    "z2-m2": _z2_deck,
-    "dihedral-m2": _dihedral_deck,
-    "swap-m2": _swap_deck,
+# the bundled decks, each the document a deck file holds (offsets "auto")
+_DOCUMENTS = {
+    "williams-m2": {
+        "name": "williams-m2", "m": 2, "variant": "normal",
+        "group": {"rank": 1, "table": [[0]], "action": [[[1]]], "name": "Z"},
+        "chain": [[p] for p in _WILLIAMS_PERIODS],
+        "williams_periods": _WILLIAMS_PERIODS,
+    },
+    "williams-m3": {
+        "name": "williams-m3", "m": 3, "variant": "normal",
+        "group": {"rank": 1, "table": [[0]], "action": [[[1]]], "name": "Z"},
+        "chain": [[p] for p in _WILLIAMS_PERIODS],
+        "williams_periods": _WILLIAMS_PERIODS,
+    },
+    "z2-m2": {
+        "name": "z2-m2", "m": 2, "variant": "normal",
+        "group": {"rank": 2, "table": [[0]], "action": [[[1, 0], [0, 1]]],
+                  "name": "Z^2"},
+        "chain": _Z2_CHAIN,
+    },
+    "dihedral-m2": {
+        "name": "dihedral-m2", "m": 2, "variant": "virtually",
+        "group": {"rank": 1, "table": [[0, 1], [1, 0]], "action": [[[1]], [[-1]]],
+                  "name": "Z x| Z/2 (flip)"},
+        "chain": [[5], [25], [125], [625], [3125], [15625], [78125]],
+    },
+    "swap-m2": {
+        "name": "swap-m2", "m": 2, "variant": "virtually",
+        "group": {"rank": 2, "table": [[0, 1], [1, 0]],
+                  "action": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                  "name": "Z^2 x| Z/2 (swap)"},
+        "chain": _Z2_CHAIN,
+    },
 }
 
-BUNDLED = tuple(sorted(_BUILDERS))
+BUNDLED = tuple(sorted(_DOCUMENTS))
 
 
 @lru_cache(maxsize=None)
 def bundled_deck(name: str) -> Deck:
-    deck = _BUILDERS[name]()
-    deck.validate()
-    return deck
+    return deck_from_config(_DOCUMENTS[name])
 
 
 def deck_to_config(deck: Deck) -> dict:
@@ -169,6 +146,9 @@ def deck_to_config(deck: Deck) -> dict:
             None if deck.williams_periods is None else list(deck.williams_periods),
     }
 
+
+_FIELDS = ("name", "m", "variant", "group", "chain", "offsets", "williams_periods")
+_GROUP_FIELDS = ("rank", "table", "action", "name")
 
 _SHAPES = ("an integer", "a list of integers", "a list of integer rows",
            "a list of integer matrices")
@@ -191,12 +171,16 @@ def _integers(value, field: str, depth: int):
 
 def deck_from_config(doc: dict) -> Deck:
     """A validated deck from a configuration document; SpecError for a
-    missing field, a field of the wrong type or an invalid deck."""
+    missing or unknown field, a field of the wrong type or an invalid deck."""
     try:
         if not isinstance(doc, dict) or not isinstance(doc["group"], dict):
             raise SpecError("malformed deck configuration: the document and its "
                             "group must be JSON objects")
         g = doc["group"]
+        unknown = [k for k in doc if k not in _FIELDS] + \
+            [f"group.{k}" for k in g if k not in _GROUP_FIELDS]
+        if unknown:
+            raise SpecError(f"malformed deck configuration: unknown field {unknown[0]!r}")
         group = GroupSpec(
             rank=_integers(g["rank"], "group.rank", 0),
             table=_integers(g["table"], "group.table", 2),
@@ -230,7 +214,7 @@ def deck_from_config(doc: dict) -> Deck:
 
 def load_deck(ref: str) -> Deck:
     """A bundled deck name, or a path to a JSON configuration."""
-    if ref in _BUILDERS:
+    if ref in _DOCUMENTS:
         return bundled_deck(ref)
     path = Path(ref)
     if not path.exists():

@@ -63,17 +63,22 @@ class Construction:
         return (level - 1) % self.m + 1
 
     def symbol_from_level(self, level: int, fpart: int) -> int:
+        """The check-only reference for ``symbol_table``: the symbol of one
+        level-``level`` cell at finite part ``fpart``, the marker at level 1
+        off the identity and alpha(level) elsewhere."""
         if level == 1 and fpart != 0:
             return BETA
         return self.alpha(level)
 
     @instance_cache
     def symbol_table(self) -> np.ndarray:
-        """``symbol_table()[f, l]`` is ``symbol_from_level(l, f)``, for every
-        finite part f and every level 0 .. depth+1 a level array can hold."""
-        return read_only(np.array(
-            [[self.symbol_from_level(l, f) for l in range(self.depth + 2)]
-             for f in range(self.group.finite_order)], dtype=np.int16))
+        """``symbol_table()[f, l]`` is the symbol of a level-l cell at finite
+        part f, for every level 0 .. depth+1 a level array can hold: alpha(l)
+        on every row, the marker BETA at level 1 off the identity."""
+        table = np.tile((np.arange(self.depth + 2, dtype=np.int16) - 1) % self.m + 1,
+                        (self.group.finite_order, 1))
+        table[1:, 1] = BETA
+        return read_only(table)
 
     # -- fresh cells ("not yet periodically filled" part of each box) --------
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -25,19 +26,88 @@ def run(args):
     return main(args)
 
 
+# SHA-256 of show-config for each bundled deck, recorded while the decks were
+# still assembled by Python builders; their documents print the same decks
+SHOW_CONFIG_SHA256 = {
+    "dihedral-m2": "5556dfeac8983405a20f8d36fd2614ff9c5ca8f2ca724fe11bf7d5c46d57e06b",
+    "swap-m2": "c2f3dd8786c5dab4f0297e728f75882d0c1b53fccf62655295fcdd177b709f70",
+    "williams-m2": "f99b234d3b20247b696bfc38d3b27deded62e6f6d602fc134b150c9a5c280b0b",
+    "williams-m3": "b63e4500e82535c182fb0b42924a278aac429a33bdca3446650cfbc799206d3f",
+    "z2-m2": "27e6696faa5adab67ed4770b46b99025dfd7f00911dd6f5aab8adf4249c98369",
+}
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_show_config_is_pinned(name, capsys):
+    assert run(["show-config", "--config", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SHOW_CONFIG_SHA256[name]
+
+
 def test_show_config_roundtrip(tmp_path, capsys):
-    assert run(["show-config", "--config", "dihedral-m2"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    deck = decks.deck_from_config(doc)
-    assert deck.name == "dihedral-m2"
-    # a saved configuration loads back through the file path route
+    for name in decks.BUNDLED:
+        assert run(["show-config", "--config", name]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        deck = decks.deck_from_config(doc)
+        assert deck == decks.bundled_deck(name)
+        # a saved configuration loads back through the file path route
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert decks.load_deck(str(path)) == deck
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_a_bundled_deck_is_its_document_loaded(name):
+    """A bundled deck is its document loaded by the deck-file loader, once per
+    process; the document holds what show-config prints, less the automatic
+    offsets and a null williams_periods, and loading leaves it unchanged."""
+    assert decks.load_deck(name) is decks.bundled_deck(name)
+    doc = decks._DOCUMENTS[name]
+    before = copy.deepcopy(doc)
+    assert decks.deck_from_config(doc) == decks.deck_from_config(doc) == \
+        decks.bundled_deck(name)
+    assert doc == before
+    shown = decks.deck_to_config(decks.bundled_deck(name))
+    del shown["offsets"]
+    assert doc == {k: v for k, v in shown.items() if v is not None}
+
+
+def test_a_deck_file_builds_one_construction(tmp_path, monkeypatch):
+    """Loading a deck validates it by building the construction that
+    ``decks.construction`` then keeps: one ``Construction`` per deck."""
+    doc = decks.deck_to_config(decks.bundled_deck("dihedral-m2"))
+    doc["name"] = str(tmp_path)  # a deck no earlier load has built
     path = tmp_path / "deck.json"
     path.write_text(json.dumps(doc))
-    assert decks.load_deck(str(path)).chain == deck.chain
+    built = []
+    init = Construction.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Construction, "__init__", counted)
+    deck = decks.load_deck(str(path))
+    assert decks.construction(deck) is built[0] and len(built) == 1
 
 
 def test_unknown_deck_is_config_error():
     assert run(["gen-z", "--config", "no-such-deck"]) == 2
+
+
+def _bad_deck_files():
+    """Placeholder -> (the file's bytes, the text its error names; None for
+    the file's path)."""
+    renamed = decks.deck_to_config(decks.bundled_deck("williams-m2"))
+    renamed["williams_period"] = renamed.pop("williams_periods")
+    extra = decks.deck_to_config(decks.bundled_deck("williams-m2"))
+    extra["group"]["order"] = 1
+    return {
+        "<truncated-json>": (b"{", None),
+        "<not-utf8>": (b"\xff\xfe{", None),
+        "<renamed-key>": (json.dumps(renamed).encode(), "unknown field 'williams_period'"),
+        "<extra-group-key>": (json.dumps(extra).encode(), "unknown field 'group.order'"),
+    }
 
 
 @pytest.mark.parametrize("argv", [
@@ -56,21 +126,26 @@ def test_unknown_deck_is_config_error():
     ["verify-all", "--config", "<truncated-json>"],
     ["verify-all", "--config", "<not-utf8>"],
     ["verify-all", "--config", "<directory>"],
+    ["fibers", "--config", "<renamed-key>"],
+    ["independence", "--config", "<extra-group-key>"],
 ], ids=" ".join)
 def test_malformed_input_is_config_error(argv, tmp_path, capsys):
-    files = {"<truncated-json>": b"{", "<not-utf8>": b"\xff\xfe{"}
-    paths = {}
+    files = _bad_deck_files()
+    paths, named = {}, []
     for token in argv:
         if token == "<directory>":
             paths[token] = tmp_path
+            named.append(str(tmp_path))
         elif token in files:
+            content, text = files[token]
             paths[token] = tmp_path / "deck.json"
-            paths[token].write_bytes(files[token])
+            paths[token].write_bytes(content)
+            named.append(text or str(paths[token]))
     argv = [str(paths.get(token, token)) for token in argv]
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
-    assert all(str(path) in err for path in paths.values())
+    assert all(text in err for text in named)
 
 
 @pytest.mark.parametrize("command", ["independence", "verify-all"])

@@ -37,6 +37,11 @@ only in lattice.py.
 
 Box offsets are read through ``DomainChain.low(i)``, which also serves level
 0: the stored field ``q1`` is indexed only in lattice.py.
+
+Every deck takes one route: outside lattice.py, ``GroupSpec``,
+``SubgroupChain``, ``DomainChain`` and ``Deck`` are constructed only inside
+``decks.deck_from_config``, which builds the bundled decks from their
+documents as it builds a deck file.
 """
 
 import ast
@@ -51,6 +56,7 @@ CHECK_ONLY = (
     ("lattice", "inv", "inv_arr"),
     ("lattice", "search_key", "search_order"),
     ("williams", "symbol", "at"),
+    ("toeplitz", "symbol_from_level", "symbol_table"),
 )
 
 
@@ -358,3 +364,38 @@ def test_q1_guard_sees_an_index():
               "c = [list(row) for row in deck.domains.q1]\n"
               "d = cons.domains.q1[1][0]\n")
     assert _q1_indexing(source, "x.py") == ["x.py:1", "x.py:4"]
+
+
+_DECK_TYPES = ("GroupSpec", "SubgroupChain", "DomainChain", "Deck")
+
+
+def _deck_type_calls(source: str, stem: str) -> list[str]:
+    """Each call of a deck type in the source outside
+    ``decks.deck_from_config``, bare or reached as an attribute, by line."""
+    tree = ast.parse(source)
+    loader = {id(node) for top in tree.body
+              if stem == "decks" and isinstance(top, ast.FunctionDef)
+              and top.name == "deck_from_config" for node in ast.walk(top)}
+    calls = [(node.lineno, name) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in loader
+             and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+             in _DECK_TYPES]
+    return [f"{stem}.py:{line}: {name}" for line, name in sorted(calls)]
+
+
+def test_decks_are_built_only_by_deck_from_config():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "lattice.py"
+             for hit in _deck_type_calls(path.read_text(), path.stem)]
+    assert found == [], f"a deck type built outside decks.deck_from_config: {found}"
+
+
+def test_deck_route_guard_sees_a_second_route():
+    source = ("def deck_from_config(doc):\n"
+              "    return Deck(GroupSpec(1, ((0,),), ((1,),)), lattice.DomainChain.auto(c))\n"
+              "\n"
+              "def builder():\n"
+              "    return Deck(lattice.SubgroupChain(((5,),)))\n")
+    assert _deck_type_calls(source, "decks") == \
+        ["decks.py:5: Deck", "decks.py:5: SubgroupChain"]
+    assert _deck_type_calls(source, "cli") == \
+        ["cli.py:2: Deck", "cli.py:2: GroupSpec", "cli.py:5: Deck", "cli.py:5: SubgroupChain"]

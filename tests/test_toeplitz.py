@@ -474,6 +474,19 @@ def test_alphabets():
     assert BETA not in set(win.symbol_array(0).tolist())
 
 
+@pytest.mark.parametrize("name", decks.BUNDLED)
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_symbol_table_matches_symbol_from_level(name, m):
+    """The array-built symbol table against its check-only per-cell
+    reference, on every level a level array holds and every finite part."""
+    deck = decks.bundled_deck(name)
+    cons = Construction(deck.group, deck.domains, m)
+    table = cons.symbol_table()
+    assert table.dtype == np.int16
+    assert table.tolist() == [[cons.symbol_from_level(l, f) for l in range(cons.depth + 2)]
+                              for f in range(cons.group.finite_order)]
+
+
 def test_translate_constancy():
     # eta is constant on gamma + fresh(1) x R for every gamma of Gamma_1 in
     # the level-3 box, with the plain symbol alpha_2 at gamma = 0
