@@ -237,6 +237,9 @@ class SubgroupChain:
                 if q <= 2 * i + 1:
                     raise SpecError(
                         f"level {i} modulus p_{j + 1} = {q} must exceed 2i+1 = {2 * i + 1}")
+                if q > 2 ** 62:  # a rep (x + q1) % p sums two coordinates in int64
+                    raise SpecError(f"level {i} modulus p_{j + 1} = {q} exceeds 2**62, "
+                                    f"the largest the int64 box arithmetic holds")
         for i in range(1, self.depth):
             lo, hi = self.moduli[i - 1], self.moduli[i]
             for a, b in zip(lo, hi):

@@ -62,9 +62,10 @@ def _level_counts(cons: Construction, n: int) -> np.ndarray:
 def _count_levels(n: int, lvl: np.ndarray) -> np.ndarray:
     """The counts of ``_level_counts`` from the level-n array itself.
 
-    Each level is counted on the int16 array in place, one comparison per
-    level: ``np.bincount`` would first cast the array to an intp temporary
-    four times its size (78 MB at z2-m2 level 5).  The counts must account
+    Each level is counted on the byte-wide array in place, one comparison
+    per level, each through a bool temporary the size of the array (9.8 MB
+    at z2-m2 level 5): ``np.bincount`` would first cast the array to an intp
+    temporary eight times its size (78 MB there).  The counts must account
     for every cell, so a level outside 1 .. n+1 is refused, naming the value
     and its first flat index.
     """
@@ -159,9 +160,10 @@ def density_product_check(cons: Construction, n: int) -> DensityCheck:
 
 
 def class_levels(cons: Construction, n: int, N: int) -> np.ndarray:
-    """Class level of every Gamma_n translate of D_n inside the D_N box,
-    n <= N, in the lexicographic order of ``DomainChain.translates``,
-    read-only.  At N = n the one class is D_n itself, at level n + 1.
+    """Class level (``LEVEL_DTYPE``) of every Gamma_n translate of D_n
+    inside the D_N box, n <= N, in the lexicographic order of
+    ``DomainChain.translates``, read-only.  At N = n the one class is D_n
+    itself, at level n + 1.
 
     A level-n fresh cell c is claimed at no level <= n, and neither is
     gamma + c, congruent to c modulo every such Gamma_l.  For l > n, per axis

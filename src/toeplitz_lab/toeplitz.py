@@ -24,6 +24,10 @@ from .lattice import (
 )
 
 BETA = 0  # marker symbol of the nontrivial finite-part representatives
+# the dtype of every stratum level (level arrays, claim-rule levels and class
+# tables): levels are only compared and used as indices, never added, and a
+# level is at most depth + 1
+LEVEL_DTYPE = np.uint8
 
 
 class ConstructionError(RuntimeError):
@@ -34,10 +38,19 @@ class Construction:
     """Level stratification and point evaluation of the Toeplitz array over
     the group, the boxes D_i on their chain Gamma_i and m plain symbols, plus
     the marker when F is nontrivial; the chain is the one the boxes are
-    built on."""
+    built on.
+
+    Levels are stored one byte per cell, as ``LEVEL_DTYPE``: a level array
+    holds levels up to depth + 1, so the depth is at most 254 (the chain's
+    modulus bound, 2**62, already caps it at 61).  Symbols are int16.
+    """
 
     def __init__(self, group: GroupSpec, domains: DomainChain, m: int):
         group.validate()
+        top = int(np.iinfo(LEVEL_DTYPE).max)
+        if domains.chain.depth + 1 > top:  # a level array holds levels up to depth + 1
+            raise SpecError(f"chain depth {domains.chain.depth} leaves levels past "
+                            f"{top}, the largest a level cell holds")
         domains.chain.validate(group.rank)
         domains.validate()
         if not 1 <= m <= np.iinfo(np.int16).max:  # symbols are stored as int16
@@ -107,10 +120,10 @@ class Construction:
             raise DepthExhausted(
                 f"level array needs a configured level 0..{self.depth}, got {N}")
         if N == 0:
-            return read_only(np.ones(1, dtype=np.int16))
+            return read_only(np.ones(1, dtype=LEVEL_DTYPE))
         p, pp = self.chain.level(N), self.chain.level(N - 1)
         prev = self.level_array(N - 1).reshape(pp)
-        grid = np.tile(np.where(prev == N, N + 1, prev).astype(np.int16),
+        grid = np.tile(np.where(prev == N, LEVEL_DTYPE(N + 1), prev),
                        tuple(a // b for a, b in zip(p, pp)))
         centre = tuple(slice(a - c, a - c + b) for a, c, b in
                        zip(self.domains.low(N), self.domains.low(N - 1), pp))
@@ -139,9 +152,10 @@ class Construction:
             yield hit
 
     def first_claims(self, coords, first: int, last: int) -> np.ndarray:
-        """The claim rule: the first level l in first .. last (int16) whose
-        Gamma_l claims each lattice point, last + 1 where none does, for
-        points given by their per-axis coordinates, broadcast together.
+        """The claim rule: the first level l in first .. last (byte-wide,
+        ``LEVEL_DTYPE``) whose Gamma_l claims each lattice point, last + 1
+        where none does, for points given by their per-axis coordinates,
+        broadcast together.
 
         Level l claims v when v, unclaimed below level l, has its rep modulo
         Gamma_l in a level-(l-1) fresh cell.  That rep is congruent to v
@@ -153,7 +167,7 @@ class Construction:
         """
         dom = self.domains
         out = np.full(np.broadcast_shapes(*(np.shape(x) for x in coords)), last + 1,
-                      dtype=np.int16)
+                      dtype=LEVEL_DTYPE)
         for l in range(last, first - 1, -1):  # the first level that claims is written last
             hit = True
             for x, p, q, lo, hi in zip(coords, self.chain.level(l), dom.low(l),
@@ -164,10 +178,11 @@ class Construction:
         return out
 
     def levels_at(self, points: np.ndarray) -> np.ndarray:
-        """Stratum level (int16) of each row of an (n, r) array of lattice
-        points by the claim rule (``first_claims`` over levels 1 .. depth):
-        depth+1 for a point of the D_depth box that no level claims,
-        DepthExhausted naming the first point outside it that none claims.
+        """Stratum level (byte-wide, ``LEVEL_DTYPE``) of each row of an (n, r)
+        array of lattice points by the claim rule (``first_claims`` over
+        levels 1 .. depth): depth+1 for a point of the D_depth box that no
+        level claims, DepthExhausted naming the first point outside it that
+        none claims.
         """
         dom = self.domains
         pts = np.asarray(points, dtype=np.int64).reshape(-1, self.group.rank)

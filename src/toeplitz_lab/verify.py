@@ -23,7 +23,7 @@ from . import decks as deckmod
 from . import independence as ind
 from . import measures, periods, pullback as pb, williams
 from .lattice import DepthExhausted, SpecError, box_elements, elt_arrays
-from .toeplitz import Construction, ConstructionError
+from .toeplitz import LEVEL_DTYPE, Construction, ConstructionError
 
 
 @dataclass
@@ -84,14 +84,14 @@ def check_fresh_dual(deck_name: str) -> CheckResult:
 
 def claim_pass(cons: Construction, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Per cell of the D_N box (shape p^N): how many of the levels 1 .. N
-    claim it, and the first that does (0 where none does), from one run of
-    ``Construction.stratum_claims(N)`` on the tiled fresh masks of levels
-    0 .. N-1.  Counting every claim, not only the first, is what lets
-    criterion 2 see a cell claimed twice; ``Construction.first_claims``
-    stops at the first."""
+    claim it, and the first that does (0 where none does; ``LEVEL_DTYPE``),
+    from one run of ``Construction.stratum_claims(N)`` on the tiled fresh
+    masks of levels 0 .. N-1.  Counting every claim, not only the first, is
+    what lets criterion 2 see a cell claimed twice;
+    ``Construction.first_claims`` stops at the first."""
     shape = cons.chain.level(N)
     count = np.zeros(shape, dtype=np.uint8)
-    first = np.zeros(shape, dtype=np.int16)
+    first = np.zeros(shape, dtype=LEVEL_DTYPE)
     for l, hit in enumerate(cons.stratum_claims(N), start=1):
         np.copyto(first, l, where=hit & (count == 0))
         count += hit
@@ -520,7 +520,7 @@ def check_complexity(deck_name: str = "williams-m2") -> CheckResult:
     toeplitz_dec = all(a > b for a, b in zip(ratios, ratios[1:]))
 
     rng = np.random.default_rng(seed)
-    ctrl = rng.integers(0, deck.m, size=length).astype(np.int16)
+    ctrl = rng.integers(0, deck.m, size=length).astype(eta.symbols.dtype)
     prof2 = measures.complexity_profile(ctrl, radii)
     r2 = [r for _, _, r in prof2]
     control_dec = all(a > b for a, b in zip(r2, r2[1:]))

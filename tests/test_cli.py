@@ -267,9 +267,9 @@ def _capped_child(limit):
 @pytest.mark.parametrize("command", ["gen-group", "measures"])
 def test_a_deck_too_big_for_memory_is_config_error(command, tmp_path):
     """A deck whose moduli are valid but whose level-2 box has 7 * 10^12
-    cells loads, and then exits 2 naming the allocation that failed, not 1
-    with a traceback.  The child's address space is capped at 2 GiB, so the
-    allocation fails at once on any host."""
+    cells loads, and then exits 2 naming the allocation that failed, one
+    byte per level cell, not 1 with a traceback.  The child's address space
+    is capped at 2 GiB, so the allocation fails at once on any host."""
     doc = decks.deck_to_config(decks.bundled_deck("dihedral-m2"))
     doc["chain"], doc["offsets"] = [[7], [7_000_000_000_000]], "auto"
     path = tmp_path / "deck.json"
@@ -283,7 +283,7 @@ def test_a_deck_too_big_for_memory_is_config_error(command, tmp_path):
         preexec_fn=partial(_capped_child, 2 << 30))
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith("configuration error:")
-    assert "Unable to allocate 12.7 TiB" in child.stderr
+    assert "Unable to allocate 6.37 TiB" in child.stderr
     assert "Traceback" not in child.stderr
 
 
@@ -510,6 +510,24 @@ def test_invalid_chain_is_config_error(tmp_path):
     assert run(["gen-group", "--config", str(path)]) == 2
     with pytest.raises(SpecError):
         decks.load_deck(str(path))
+
+
+@pytest.mark.parametrize("command", ["show-config", "independence", "measures",
+                                     "gen-group"])
+def test_chain_moduli_past_int64_are_config_error(command, tmp_path, capsys):
+    """A deck file whose chain runs to moduli past int64 (p^i = 5 * 2^(i-1)
+    over 70 levels) exits 2 naming the first level past 2**62, the bound
+    of the box arithmetic, before any int64 sum in the claim rule can
+    overflow."""
+    doc = decks.deck_to_config(decks.bundled_deck("dihedral-m2"))
+    doc["chain"] = [[5 * 2 ** i] for i in range(70)]
+    doc.pop("offsets", None)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert "level 61 modulus p_1" in err and "exceeds 2**62" in err
 
 
 @pytest.mark.parametrize("edits,named", [

@@ -110,6 +110,14 @@ def test_chain_validation():
         SubgroupChain(((5,), (11,))).validate(1)  # 5 does not divide 11
 
 
+def test_chain_moduli_fit_int64_box_arithmetic():
+    """A rep (x + q1) % p sums two box coordinates, so a modulus above 2**62
+    is refused, naming its level; 2**62 itself is accepted."""
+    SubgroupChain(((2 ** 62,),)).validate(1)
+    with pytest.raises(SpecError, match=r"level 2 modulus p_2 = \d+ exceeds 2\*\*62"):
+        SubgroupChain(((5, 5), (25, 2 ** 63))).validate(2)
+
+
 def test_decompose_right_examples():
     dom = dihedral().domains
     gamma, d, r = decompose_right(dom, ((7,), 0), 1)

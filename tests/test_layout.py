@@ -42,6 +42,11 @@ Every deck takes one route: outside lattice.py, ``GroupSpec``,
 ``SubgroupChain``, ``DomainChain`` and ``Deck`` are constructed only inside
 ``decks.deck_from_config``, which builds the bundled decks from their
 documents as it builds a deck file.
+
+A level takes one byte: level arrays, claim-rule levels and class tables
+are ``toeplitz.LEVEL_DTYPE``, so in toeplitz.py, measures.py and verify.py
+``np.int16`` appears only on symbol storage, in the functions listed in
+``SYMBOL_INT16``.
 """
 
 import ast
@@ -399,3 +404,49 @@ def test_deck_route_guard_sees_a_second_route():
         ["decks.py:5: Deck", "decks.py:5: SubgroupChain"]
     assert _deck_type_calls(source, "cli") == \
         ["cli.py:2: Deck", "cli.py:2: GroupSpec", "cli.py:5: Deck", "cli.py:5: SubgroupChain"]
+
+
+# (module, function) whose np.int16 stores symbols: the symbol table, the
+# symbol box of a window and the alphabet bound of the construction
+SYMBOL_INT16 = (("toeplitz", "Construction.__init__"),
+                ("toeplitz", "Construction.symbol_table"),
+                ("toeplitz", "EtaWindow.symbol_box"))
+_LEVEL_MODULES = ("toeplitz", "measures", "verify")
+
+
+def _int16_outside_symbols(source: str, stem: str) -> list[str]:
+    """Each ``np.int16`` in the source outside the functions of
+    ``SYMBOL_INT16``, by line and enclosing function."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else scope
+            name = ".".join(inner)
+            if isinstance(child, ast.Attribute) and child.attr == "int16" \
+                    and (stem, name) not in SYMBOL_INT16:
+                out.append(f"{stem}.py:{child.lineno}: {name or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_int16_only_stores_symbols():
+    found = [hit for stem in _LEVEL_MODULES
+             for hit in _int16_outside_symbols((SRC / f"{stem}.py").read_text(), stem)]
+    assert found == [], f"np.int16 off symbol storage (levels are LEVEL_DTYPE): {found}"
+
+
+def test_int16_guard_sees_an_int16_level_array():
+    source = ("import numpy as np\n"
+              "class Construction:\n"
+              "    def symbol_table(self):\n"
+              "        return np.zeros(3, dtype=np.int16)\n"
+              "    def level_array(self, N):\n"
+              "        return np.ones(1, dtype=np.int16)\n"
+              "ORIGIN = np.int16(1)\n")
+    assert _int16_outside_symbols(source, "toeplitz") == \
+        ["toeplitz.py:6: Construction.level_array", "toeplitz.py:7: <module>"]
+    assert len(_int16_outside_symbols(source, "measures")) == 3

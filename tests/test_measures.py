@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from test_toeplitz import CLASS_DECKS, construction_named, new_construction
 from toeplitz_lab import decks, measures
 from toeplitz_lab.lattice import SpecError, int_det, vec_add
 from toeplitz_lab.periods import census
-from toeplitz_lab.toeplitz import BETA, Construction, ConstructionError
+from toeplitz_lab.toeplitz import BETA, LEVEL_DTYPE, Construction, ConstructionError
 
 
 def dihedral():
@@ -242,12 +243,14 @@ def test_level_counts_refuse_a_level_outside_the_range(monkeypatch, value):
     for fn in fns:  # the clean array is counted, and its counts are kept
         fn(cons, n)
     bad = cons.level_array(n).copy()
+    assert bad.dtype == LEVEL_DTYPE and bad.flags.writeable
     bad[flat] = 0 if value == "zero" else n + 2
     monkeypatch.setattr(cons, "level_array", lambda N: bad)
-    msg = f"level {bad[flat]} at flat index {flat} of the level-{n} array"
-    for fn in fns:
+    msg = f"level {bad[flat]} at flat index {flat} of the level-{n} array is outside 1..{n + 1}"
+    # the identities read the served array; the counter refuses it directly too
+    for call in [partial(fn, cons, n) for fn in fns] + [partial(measures._count_levels, n, bad)]:
         with pytest.raises(ConstructionError, match=re.escape(msg)):
-            fn(cons, n)
+            call()
 
 
 def test_identities_count_each_level_array_once(monkeypatch):

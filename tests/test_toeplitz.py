@@ -20,7 +20,7 @@ from toeplitz_lab.lattice import (
 )
 from toeplitz_lab.measures import fresh_count
 from toeplitz_lab.periods import per_set_exact
-from toeplitz_lab.toeplitz import BETA, Construction
+from toeplitz_lab.toeplitz import BETA, LEVEL_DTYPE, Construction
 from toeplitz_lab.verify import (
     check_fresh_dual,
     check_strata_partition,
@@ -85,12 +85,41 @@ def test_level_zero_is_the_origin_fresh_at_level_zero(name):
     """The tiling starts from D_0, the origin, fresh at level 0; levels
     outside 0 .. depth stay unconfigured."""
     cons = decks.construction(decks.bundled_deck(name))
-    assert cons.level_array(0).tolist() == [1] and cons.level_array(0).dtype == np.int16
+    assert cons.level_array(0).tolist() == [1] and cons.level_array(0).dtype == LEVEL_DTYPE
     assert cons.fresh_bool(0).tolist() == [True]
     assert fresh_count(cons, 0) == 1
     for N in (-1, cons.depth + 1):
         with pytest.raises(DepthExhausted, match=f"configured level 0..{cons.depth}, got {N}"):
             cons.level_array(N)
+
+
+@pytest.mark.parametrize("name", decks.BUNDLED)
+def test_every_level_is_byte_wide(name):
+    """Every group-construction level is stored as LEVEL_DTYPE: the level
+    arrays at every configured level, one byte a cell (z2-m2 at level 5,
+    the largest, is 9,765,625 bytes; 19,531,250 at two bytes a cell), the
+    claim rule on a translate grid, the levels of points, the class tables
+    and the first claims of the claim pass."""
+    cons = decks.construction(decks.bundled_deck(name))
+    dom = cons.domains
+    for N in range(cons.depth + 1):
+        lvl = cons.level_array(N)
+        assert lvl.dtype == LEVEL_DTYPE and lvl.nbytes == dom.size(N), N
+    assert cons.first_claims(np.ix_(*dom.translate_axes(1, 3)), 2, 3).dtype == LEVEL_DTYPE
+    assert cons.levels_at(dom.box_coords(2)).dtype == LEVEL_DTYPE
+    assert measures.class_levels(cons, 1, 3).dtype == LEVEL_DTYPE
+    assert claim_pass(cons, 3)[1].dtype == LEVEL_DTYPE
+
+
+def test_a_chain_deeper_than_a_level_cell_holds_is_refused():
+    """Levels run to depth + 1, so a chain of depth 255 would need a level
+    that LEVEL_DTYPE cannot hold; the construction refuses it before reading
+    its moduli."""
+    deck = decks.bundled_deck("williams-m2")
+    chain = SubgroupChain(tuple((4 << i,) for i in range(255)))
+    domains = DomainChain(chain, tuple((2 << i,) for i in range(255)))
+    with pytest.raises(SpecError, match="chain depth 255 leaves levels past 255"):
+        new_construction(deck, domains)
 
 
 @pytest.mark.parametrize("name", decks.BUNDLED)
@@ -106,7 +135,7 @@ def test_first_claims_on_a_translate_grid_reads_the_translated_fresh_cells(name)
         for n in range(N + 1):
             grid = cons.first_claims(np.ix_(*dom.translate_axes(n, N)), n + 1, N)
             gammas = dom.translates(n, N)
-            assert grid.dtype == np.int16 and grid.size == len(gammas)
+            assert grid.dtype == LEVEL_DTYPE and grid.size == len(gammas)
             fresh = dom.box_coords(n)[cons.fresh_bool(n)]
             for c in (fresh[0], fresh[-1]):
                 want = cons.levels_at(gammas + c)
@@ -162,7 +191,7 @@ def test_tiled_level_array_matches_rep_route_on_bundled_decks():
         cons = decks.construction(decks.bundled_deck(name))
         for N in range(1, cons.depth + 1):
             tiled = cons.level_array(N)
-            assert tiled.dtype == np.int16
+            assert tiled.dtype == LEVEL_DTYPE
             assert np.array_equal(tiled, _levels_by_claims(cons, N)), (name, N)
             if N <= 4:
                 assert np.array_equal(tiled, _level_array_per_cell(cons, N)), (name, N)
@@ -250,7 +279,7 @@ def test_tiled_level_array_matches_rep_route_on_shifted_chains(cons):
         # a cell of D_N that no level up to N claims is its own rep modulo
         # Gamma_(N+1) and lies in D_N, so levels_at needs no clipping at N+1
         levels = cons.levels_at(cons.domains.box_coords(N))
-        assert levels.dtype == np.int16 and np.array_equal(levels, tiled), N
+        assert levels.dtype == LEVEL_DTYPE and np.array_equal(levels, tiled), N
 
 
 # Histogram and SHA-256 of the comma-joined levels of ``_pinned_points``, as
