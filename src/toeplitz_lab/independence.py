@@ -34,8 +34,8 @@ import numpy as np
 
 from .lattice import (Elt, GroupSpec, SpecError, box_elements, cube, elt_arrays,
                       search_order)
-from .toeplitz import EtaWindow
-from .williams import OUTSIDE, ZPatch
+from .toeplitz import OUTSIDE, SYMBOL_DTYPE, EtaWindow
+from .williams import ZPatch
 from .pullback import HomSpec, section_element
 
 MAX_STEPS = 2_000_000  # default step budget of a search
@@ -110,10 +110,9 @@ class CertificateWindowError(RuntimeError):
 # its translates moved[h] = (0, h) a, rows [v_1, .., v_r, f]: the grid cells i
 # with eta(grid[i] a) == sym as an int bitset (bit i for cell i), refusing with
 # CertificateWindowError a shift that moves the grid out of the window.
-# symbols_at reads any batch of elements for the re-check: OUTSIDE (-2,
-# from williams) where the window does not hold the element, UNDEFINED (-1)
-# on a cell the window holds but the construction leaves empty.  The 1-d
-# oracles read their patch through ZPatch.at.
+# symbols_at reads any batch of elements for the re-check: OUTSIDE where the
+# window does not hold the element, UNDEFINED on a cell it holds but leaves
+# empty.  The 1-d oracles read their patch through ZPatch.at.
 
 
 def _pack(mask: np.ndarray) -> int:
@@ -176,7 +175,7 @@ class GOracle:
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Read through ``Construction.levels_at``, not the window arrays
         that site_bits serves from."""
-        out = np.full(len(f), OUTSIDE, dtype=np.int16)
+        out = np.full(len(f), OUTSIDE, dtype=SYMBOL_DTYPE)
         inside = self.cons.domains.in_box_arr(v, self.win.N)
         out[inside] = self.cons.symbol_table()[f[inside], self.cons.levels_at(v[inside])]
         return out

@@ -263,11 +263,10 @@ def check_index_condition(chain: SubgroupChain, i: int) -> bool:
     return k >= 1 and 2 * lo > hi
 
 
-def _closest_congruent(target: float, base: int, mod: int) -> int:
-    k = math.floor((target - base) / mod)
-    cands = [base + k * mod, base + (k + 1) * mod]
-    cands.sort(key=lambda q: (abs(q - target), q))
-    return cands[0]
+def _closest_congruent(p: int, base: int, mod: int) -> int:
+    # the c = base mod `mod` closest to p/2, the lower on a tie, in exact integers
+    k = (p - 2 * base) // (2 * mod)
+    return min(base + k * mod, base + (k + 1) * mod, key=lambda c: (abs(2 * c - p), c))
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ class DomainChain:
         the previous modulus, so q1^1 = floor(p/2) from q1^0 = 0 mod 1."""
         qs = [(0,) * len(chain.level(0))]
         for i in range(1, chain.depth + 1):
-            qs.append(tuple(_closest_congruent(p / 2, q, m) for p, q, m in
+            qs.append(tuple(_closest_congruent(p, q, m) for p, q, m in
                             zip(chain.level(i), qs[-1], chain.level(i - 1))))
         return DomainChain(chain, tuple(qs[1:]))
 

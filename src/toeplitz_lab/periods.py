@@ -15,7 +15,7 @@ import numpy as np
 
 from . import measures
 from .lattice import EltArr, SpecError, box_elements, cube, product_grid, unique_rows
-from .toeplitz import Construction, EtaWindow
+from .toeplitz import OUTSIDE, SYMBOL_DTYPE, UNDEFINED, Construction, EtaWindow
 
 
 # (point, window cell) pairs per census batch and (fiber key, approximant)
@@ -60,8 +60,8 @@ def per_set_empirical(win: EtaWindow, outer: EltArr, gammas: EltArr, core: EltAr
     reads the box B of the cells a_s h, clipped to the window and widened by
     the largest M_f gamma, each finite part f of a sample makes one shifted
     comparison per gamma over B, and each (sample, cell) gathers one entry:
-    the cell's symbol where it agrees, -1 where it does not or lies outside
-    the window.
+    the cell's symbol where it agrees, UNDEFINED where it does not, and
+    OUTSIDE where it lies outside the window.
     """
     spec = win.spec
     F = spec.finite_order
@@ -98,16 +98,16 @@ def per_set_empirical(win: EtaWindow, outer: EltArr, gammas: EltArr, core: EltAr
                                            for a, e in zip(shift - pad_low, ext))]
 
     own = at(0)
-    # the entries over the clipped box and a ring of -1 around it, where the
-    # cells a_s h outside the window land
-    codes = np.full((F, F) + tuple((ext + 2).tolist()), -1, dtype=np.int16)
+    # the entries over the clipped box and a ring of OUTSIDE around it, where
+    # the cells a_s h outside the window land
+    codes = np.full((F, F) + tuple((ext + 2).tolist()), OUTSIDE, dtype=SYMBOL_DTYPE)
     inner = tuple(slice(1, int(e) + 1) for e in ext)
     for f in np.flatnonzero(used):
         agree = np.ones(own.shape, dtype=bool)
         for shift in offsets[f]:
             seen = at(shift)
-            agree &= (seen == own) | (seen < 0)
-        codes[(f, slice(None)) + inner] = np.where(agree, own, -1)
+            agree &= (seen == own) | (seen < 0)  # OUTSIDE cannot be read
+        codes[(f, slice(None)) + inner] = np.where(agree, own, UNDEFINED)
     idx = (fparts * F + cell_f)[of]
     for k, e in enumerate(ext.tolist()):
         x = cell_v[..., k][of] + (ov[:, k] - clip_low[k] + 1)[:, None]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Elt, EltArr, GroupSpec, SpecError, Vec, elt_arrays
-from .williams import OUTSIDE, ZPatch
+from .toeplitz import OUTSIDE
+from .williams import ZPatch
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ def section_element(spec: HomSpec, n: int) -> Elt:
 
 def pullback_window(spec: HomSpec, source: ZPatch, v: np.ndarray) -> np.ndarray:
     """phi* x at the elements with lattice parts v (n, rank), whatever their
-    finite parts, read through ``ZPatch.at`` as int16 (UNDEFINED on the
-    source's Undefined cells); errors when out of reach, naming the first
-    such element."""
+    finite parts, read through ``ZPatch.at`` (UNDEFINED on the source's
+    Undefined cells); errors when out of reach, naming the first such
+    element."""
     got = source.at(v @ np.array(spec.w, dtype=np.int64))
     out = got == OUTSIDE
     if out.any():

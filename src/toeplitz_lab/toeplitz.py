@@ -24,10 +24,12 @@ from .lattice import (
 )
 
 BETA = 0  # marker symbol of the nontrivial finite-part representatives
-# the dtype of every stratum level (level arrays, claim-rule levels and class
-# tables): levels are only compared and used as indices, never added, and a
-# level is at most depth + 1
+# The cell format of both layers, the group array and the 1-d sequence: a level
+# is at most depth + 1, only compared or used as an index; a symbol is 0 .. m.
 LEVEL_DTYPE = np.uint8
+SYMBOL_DTYPE = np.int16
+UNDEFINED = -1  # an empty cell: the configured steps leave it unfilled
+OUTSIDE = -2    # a cell the window or patch does not hold
 
 
 class ConstructionError(RuntimeError):
@@ -42,7 +44,7 @@ class Construction:
 
     Levels are stored one byte per cell, as ``LEVEL_DTYPE``: a level array
     holds levels up to depth + 1, so the depth is at most 254 (the chain's
-    modulus bound, 2**62, already caps it at 61).  Symbols are int16.
+    modulus bound, 2**62, already caps it at 61); symbols, as ``SYMBOL_DTYPE``.
     """
 
     def __init__(self, group: GroupSpec, domains: DomainChain, m: int):
@@ -53,8 +55,8 @@ class Construction:
                             f"{top}, the largest a level cell holds")
         domains.chain.validate(group.rank)
         domains.validate()
-        if not 1 <= m <= np.iinfo(np.int16).max:  # symbols are stored as int16
-            raise SpecError(f"m = {m} must lie in 1 .. {np.iinfo(np.int16).max}")
+        if not 1 <= m <= np.iinfo(SYMBOL_DTYPE).max:
+            raise SpecError(f"m = {m} must lie in 1 .. {np.iinfo(SYMBOL_DTYPE).max}")
         self.group = group
         self.chain = domains.chain
         self.domains = domains
@@ -88,7 +90,7 @@ class Construction:
         """``symbol_table()[f, l]`` is the symbol of a level-l cell at finite
         part f, for every level 0 .. depth+1 a level array can hold: alpha(l)
         on every row, the marker BETA at level 1 off the identity."""
-        table = np.tile((np.arange(self.depth + 2, dtype=np.int16) - 1) % self.m + 1,
+        table = np.tile((np.arange(self.depth + 2, dtype=SYMBOL_DTYPE) - 1) % self.m + 1,
                         (self.group.finite_order, 1))
         table[1:, 1] = BETA
         return read_only(table)
@@ -219,14 +221,14 @@ class EtaWindow:
 
     def symbol_box(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """``symbol_array`` of every finite part over the lattice box
-        low .. high (inclusive per axis), -1 where a cell lies outside the
-        window: shape (|F|,) + extent.  The box may pad the window on any
-        side, crop it, or miss it."""
+        low .. high (inclusive per axis), ``OUTSIDE`` where a cell lies
+        outside the window: shape (|F|,) + extent.  The box may pad the
+        window on any side, crop it, or miss it."""
         dom = self.cons.domains
         p, q1 = dom.chain.level(self.N), dom.low(self.N)
         F = self.spec.finite_order
-        out = np.full((F,) + tuple(int(b - a) + 1 for a, b in zip(low, high)), -1,
-                      dtype=np.int16)
+        out = np.full((F,) + tuple(int(b - a) + 1 for a, b in zip(low, high)), OUTSIDE,
+                      dtype=SYMBOL_DTYPE)
         src, dst = [], []
         for a, b, m, q in zip(low.tolist(), high.tolist(), p, q1):
             lo, hi = max(a, -q), min(b + 1, m - q)  # the window's part of the axis

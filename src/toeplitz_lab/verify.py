@@ -23,7 +23,7 @@ from . import decks as deckmod
 from . import independence as ind
 from . import measures, periods, pullback as pb, williams
 from .lattice import DepthExhausted, SpecError, box_elements, elt_arrays
-from .toeplitz import LEVEL_DTYPE, Construction, ConstructionError
+from .toeplitz import LEVEL_DTYPE, SYMBOL_DTYPE, Construction, ConstructionError
 
 
 @dataclass
@@ -51,7 +51,7 @@ def _cons(name: str) -> Construction:
 def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool]:
     """Fresh-cell count per level 1 .. max_level, and whether the tiled mask
     ``fresh_bool(n)``, the rep route (the cells of the D_n box that no level
-    <= n claims in ``Construction.stratum_claims(n)``) and the closed-form
+    <= n claims, by ``claim_pass(cons, n)``'s count) and the closed-form
     count agree at every level.
 
     The verdict is that of a rep route fed by its own masks: level n reads
@@ -63,9 +63,7 @@ def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool
     agreed = True
     for n in range(1, max_level + 1):
         tiled = cons.fresh_bool(n)
-        unclaimed = np.ones(cons.chain.level(n), dtype=bool)
-        for hit in cons.stratum_claims(n):
-            unclaimed[hit] = False
+        unclaimed = claim_pass(cons, n)[0] == 0
         sizes[n] = int(tiled.sum())
         if not np.array_equal(tiled, unclaimed.ravel()) or \
                 sizes[n] != measures.fresh_count(cons, n):
@@ -90,7 +88,7 @@ def claim_pass(cons: Construction, N: int) -> tuple[np.ndarray, np.ndarray]:
     what lets criterion 2 see a cell claimed twice;
     ``Construction.first_claims`` stops at the first."""
     shape = cons.chain.level(N)
-    count = np.zeros(shape, dtype=np.uint8)
+    count = np.zeros(shape, dtype=LEVEL_DTYPE)  # at most N claims, a level
     first = np.zeros(shape, dtype=LEVEL_DTYPE)
     for l, hit in enumerate(cons.stratum_claims(N), start=1):
         np.copyto(first, l, where=hit & (count == 0))
@@ -520,7 +518,7 @@ def check_complexity(deck_name: str = "williams-m2") -> CheckResult:
     toeplitz_dec = all(a > b for a, b in zip(ratios, ratios[1:]))
 
     rng = np.random.default_rng(seed)
-    ctrl = rng.integers(0, deck.m, size=length).astype(eta.symbols.dtype)
+    ctrl = rng.integers(0, deck.m, size=length).astype(SYMBOL_DTYPE)
     prof2 = measures.complexity_profile(ctrl, radii)
     r2 = [r for _, _, r in prof2]
     control_dec = all(a > b for a, b in zip(r2, r2[1:]))

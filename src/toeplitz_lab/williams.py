@@ -14,9 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import SpecError
-
-UNDEFINED = -1  # a cell the configured steps leave empty
-OUTSIDE = -2    # a position the patch does not hold
+from .toeplitz import LEVEL_DTYPE, OUTSIDE, SYMBOL_DTYPE, UNDEFINED
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,9 @@ class WilliamsParams:
         for a, b in zip(self.periods, self.periods[1:]):
             if b % a != 0 or b // a < 3:
                 raise SpecError("periods must divide with ratio at least 3")
+        if self.depth > np.iinfo(LEVEL_DTYPE).max:  # a patch holds levels 0 .. depth
+            raise SpecError(f"{self.depth} periods leave levels past "
+                            f"{np.iinfo(LEVEL_DTYPE).max}, the largest a level cell holds")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +54,8 @@ class ZPatch:
     levels: np.ndarray = field(repr=False)
 
     def at(self, n) -> np.ndarray:
-        """The int16 symbols at the integer positions n, of any shape:
-        UNDEFINED on the patch's empty cells, OUTSIDE where |n| > N."""
+        """The symbols (``SYMBOL_DTYPE``) at the integer positions n, of any
+        shape: UNDEFINED on the patch's empty cells, OUTSIDE where |n| > N."""
         idx = np.asarray(n) + self.N
         inside = (idx >= 0) & (idx <= 2 * self.N)
         return np.where(inside, self.symbols.take(idx, mode="clip"), OUTSIDE)
@@ -76,7 +77,7 @@ def _period(params: WilliamsParams, depth: int) -> tuple[np.ndarray, np.ndarray]
     tiles the previous one p_{i+1}/p_i times and fills the empty cells of its
     first and last p_i-blocks.  Levels map to symbols through a level table.
     """
-    levels = np.zeros(params.periods[0], dtype=np.int16)
+    levels = np.zeros(params.periods[0], dtype=LEVEL_DTYPE)
     levels[[0, -1]] = 1
     for i in range(1, depth):
         p = params.periods[i - 1]
@@ -84,7 +85,7 @@ def _period(params: WilliamsParams, depth: int) -> tuple[np.ndarray, np.ndarray]
         for block in (levels[:p], levels[-p:]):
             block[block == 0] = i + 1
     table = np.array([UNDEFINED, *(params.alpha(i) for i in range(1, depth + 1))],
-                     dtype=np.int16)
+                     dtype=SYMBOL_DTYPE)
     return levels, table[levels]
 
 

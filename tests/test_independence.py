@@ -30,7 +30,7 @@ from toeplitz_lab.independence import (
 )
 from toeplitz_lab.lattice import SpecError, search_key
 from toeplitz_lab.pullback import HomSpec, section_element, section_vector
-from toeplitz_lab.toeplitz import Construction, EtaWindow
+from toeplitz_lab.toeplitz import OUTSIDE, SYMBOL_DTYPE, Construction, EtaWindow
 from toeplitz_lab.williams import generate
 
 
@@ -251,9 +251,9 @@ def _readable(oracle, v, f):
 
 def _grid_read(oracle, spec, a):
     """symbols_at at every grid element times a, and whether the window holds
-    them all."""
+    each of them."""
     v, f = spec.mul_arr(*oracle.grid, np.array(a[0]), a[1])
-    return oracle.symbols_at(v, f), bool(_readable(oracle, v, f).all())
+    return oracle.symbols_at(v, f), _readable(oracle, v, f)
 
 
 def _shift_reader(oracle, spec):
@@ -267,7 +267,7 @@ def _shift_reader(oracle, spec):
     if not isinstance(oracle, GOracle):
         def read(a):
             got, inside = _grid_read(oracle, spec, a)
-            return got if inside else None
+            return got if inside.all() else None
         return read
     dom, N = oracle.cons.domains, oracle.win.N
     box, F = dom.box_coords(N), spec.finite_order
@@ -288,16 +288,18 @@ def test_site_values_match_symbols_at(case):
     """The search's read site_bits of the translates of a shift a is the
     re-check's read symbols_at at every grid element times a, compared with
     sym and packed (bit i for grid cell i); site_bits refuses a shift exactly
-    when the window does not hold every such element, and then symbols_at
-    misses a cell."""
+    when the window does not hold every such element, and symbols_at reads
+    OUTSIDE exactly on the elements it does not hold."""
     oracle, spec, reach = ORACLE_CASES[case]()
     rng = random.Random(5)
     refused = 0
     for _ in range(40):
         a = (tuple(rng.randint(-reach, reach) for _ in range(spec.rank)),
              rng.randrange(spec.finite_order))
-        got, inside = _grid_read(oracle, spec, a)
-        assert got.dtype == np.int16
+        got, readable = _grid_read(oracle, spec, a)
+        assert got.dtype == SYMBOL_DTYPE
+        assert np.array_equal(got == OUTSIDE, ~readable)
+        inside = readable.all()
         moved = _translates(spec, a)
         for sym in (0, 1, 2, 3):
             if not inside:
@@ -307,9 +309,7 @@ def test_site_values_match_symbols_at(case):
             want = int.from_bytes(np.packbits(got == sym, bitorder="little").tobytes(),
                                   "little")
             assert oracle.site_bits(moved, sym) == want
-        if not inside:
-            refused += 1
-            assert (got < 0).any()
+        refused += not inside
     assert 0 < refused < 40
 
 

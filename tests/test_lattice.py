@@ -387,6 +387,22 @@ def test_auto_offsets_match_the_two_branch_rule(chain):
     assert DomainChain.auto(chain).q1 == _auto_two_branch(chain)
 
 
+@pytest.mark.parametrize("moduli, offsets", [
+    (((2**53 + 3,),), ((2**52 + 1,),)),
+    (((2**60 + 3,),), ((2**59 + 1,),)),
+    # level 2, congruent to 2 mod 5: p/2 = 5 * 2**58 + 7.5, so + 7 and not + 12
+    # (a float p/2 gave 5 * 2**58 + 2)
+    (((5,), (5 * (2**59 + 3),)), ((2,), (5 * 2**58 + 7,))),
+])
+def test_auto_offsets_are_exact_past_float_precision(moduli, offsets):
+    """From 2**53 on p/2 is no longer exact in a float, yet the chain takes
+    moduli up to 2**62: the offsets are still the closest to p/2, the lower
+    on a tie, as the exact reference finds them."""
+    chain = SubgroupChain(moduli)
+    chain.validate(1)
+    assert DomainChain.auto(chain).q1 == offsets == _auto_two_branch(chain)
+
+
 @pytest.mark.parametrize("name", decks.BUNDLED)
 def test_level_zero_is_z_r_with_the_origin_as_box(name):
     """Gamma_0 = Z^r and D_0 = {0}; ``low`` serves the stored offsets above

@@ -43,10 +43,16 @@ Every deck takes one route: outside lattice.py, ``GroupSpec``,
 ``decks.deck_from_config``, which builds the bundled decks from their
 documents as it builds a deck file.
 
-A level takes one byte: level arrays, claim-rule levels and class tables
-are ``toeplitz.LEVEL_DTYPE``, so in toeplitz.py, measures.py and verify.py
-``np.int16`` appears only on symbol storage, in the functions listed in
-``SYMBOL_INT16``.
+Both layers, the group array and the 1-d sequence, store and read cells in
+one format, defined once at the top of toeplitz.py (``CELL_FORMAT``):
+``LEVEL_DTYPE`` and ``SYMBOL_DTYPE``, and the two no-symbol values
+``UNDEFINED`` (an empty cell) and ``OUTSIDE`` (a cell the window or patch
+does not hold).  No other module of src/, williams.py among them, assigns
+these names, and ``np.uint8`` and ``np.int16`` are spelled only in the two
+dtype definitions.  No bare negative literal fills a symbol array, as the
+fill of ``np.full`` or ``np.full_like``, a branch of ``np.where`` or the
+value of a subscript assignment: a no-symbol value is written by its name,
+so -1 and -2 each keep one meaning.
 """
 
 import ast
@@ -406,47 +412,103 @@ def test_deck_route_guard_sees_a_second_route():
         ["cli.py:2: Deck", "cli.py:2: GroupSpec", "cli.py:5: Deck", "cli.py:5: SubgroupChain"]
 
 
-# (module, function) whose np.int16 stores symbols: the symbol table, the
-# symbol box of a window and the alphabet bound of the construction
-SYMBOL_INT16 = (("toeplitz", "Construction.__init__"),
-                ("toeplitz", "Construction.symbol_table"),
-                ("toeplitz", "EtaWindow.symbol_box"))
-_LEVEL_MODULES = ("toeplitz", "measures", "verify")
+# the cell format of both layers: name -> the numpy dtype it names, if any
+CELL_FORMAT = {"LEVEL_DTYPE": "uint8", "SYMBOL_DTYPE": "int16",
+               "UNDEFINED": None, "OUTSIDE": None}
 
 
-def _int16_outside_symbols(source: str, stem: str) -> list[str]:
-    """Each ``np.int16`` in the source outside the functions of
-    ``SYMBOL_INT16``, by line and enclosing function."""
-    out = []
+def _cell_format_faults(trees) -> list[str]:
+    """Breaches of the one cell format in the parsed modules: a name of
+    ``CELL_FORMAT`` not assigned exactly once, at the top of toeplitz.py,
+    and each ``np.uint8`` or ``np.int16`` outside the value of its dtype's
+    definition there."""
+    homes: dict[str, list[str]] = {name: [] for name in CELL_FORMAT}
+    spelled, exempt = [], set()
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+            for name in set(names) & set(CELL_FORMAT):
+                top = stem == "toeplitz" and node in tree.body
+                homes[name].append("toeplitz" if top else f"{stem}.py:{node.lineno}")
+                if top and getattr(node.value, "attr", None) == CELL_FORMAT[name]:
+                    exempt.add(id(node.value))
+            if isinstance(node, ast.Attribute) and node.attr in ("uint8", "int16"):
+                spelled.append((stem, node))
+    faults = [f"{name} is defined at {where}, not once at the top of toeplitz.py"
+              for name, where in homes.items() if where != ["toeplitz"]]
+    faults += [f"{stem}.py:{node.lineno}: np.{node.attr}; use toeplitz."
+               f"{'LEVEL_DTYPE' if node.attr == 'uint8' else 'SYMBOL_DTYPE'}"
+               for stem, node in spelled if id(node) not in exempt]
+    return faults
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope + (child.name,) if isinstance(
-                child, (ast.FunctionDef, ast.ClassDef)) else scope
-            name = ".".join(inner)
-            if isinstance(child, ast.Attribute) and child.attr == "int16" \
-                    and (stem, name) not in SYMBOL_INT16:
-                out.append(f"{stem}.py:{child.lineno}: {name or '<module>'}")
-            visit(child, inner)
 
-    visit(ast.parse(source), ())
-    return out
+def test_cell_format_is_defined_once_in_toeplitz():
+    assert _cell_format_faults(_src_trees()) == []
 
 
-def test_int16_only_stores_symbols():
-    found = [hit for stem in _LEVEL_MODULES
-             for hit in _int16_outside_symbols((SRC / f"{stem}.py").read_text(), stem)]
-    assert found == [], f"np.int16 off symbol storage (levels are LEVEL_DTYPE): {found}"
+def test_cell_format_guard_sees_a_second_home():
+    home = ("import numpy as np\n"
+            "LEVEL_DTYPE = np.uint8\n"
+            "SYMBOL_DTYPE = np.int16\n"
+            "UNDEFINED = -1\n"
+            "OUTSIDE = -2\n")
+    trees = {"toeplitz": ast.parse(home), "williams": ast.parse("from .toeplitz import OUTSIDE\n")}
+    assert _cell_format_faults(trees) == []
+    trees["toeplitz"] = ast.parse(home + "def level_array(N):\n"
+                                  "    return np.ones(1, dtype=np.int16)\n")
+    trees["williams"] = ast.parse("import numpy as np\n"
+                                  "UNDEFINED = -1\n"
+                                  "levels = np.zeros(3, dtype=np.uint8)\n")
+    assert _cell_format_faults(trees) == [
+        "UNDEFINED is defined at ['toeplitz', 'williams.py:2'], not once at the top "
+        "of toeplitz.py",
+        "toeplitz.py:7: np.int16; use toeplitz.SYMBOL_DTYPE",
+        "williams.py:3: np.uint8; use toeplitz.LEVEL_DTYPE"]
+    trees = {"toeplitz": ast.parse(home.replace("OUTSIDE = -2\n", "")),
+             "periods": ast.parse("def f():\n    OUTSIDE = -2\n")}
+    assert _cell_format_faults(trees) == \
+        ["OUTSIDE is defined at ['periods.py:2'], not once at the top of toeplitz.py"]
 
 
-def test_int16_guard_sees_an_int16_level_array():
-    source = ("import numpy as np\n"
-              "class Construction:\n"
-              "    def symbol_table(self):\n"
-              "        return np.zeros(3, dtype=np.int16)\n"
-              "    def level_array(self, N):\n"
-              "        return np.ones(1, dtype=np.int16)\n"
-              "ORIGIN = np.int16(1)\n")
-    assert _int16_outside_symbols(source, "toeplitz") == \
-        ["toeplitz.py:6: Construction.level_array", "toeplitz.py:7: <module>"]
-    assert len(_int16_outside_symbols(source, "measures")) == 3
+def _is_negative_literal(node) -> bool:
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) \
+        and isinstance(node.operand, ast.Constant)
+
+
+def _negative_fills(source: str, name: str) -> list[str]:
+    """Each bare negative literal in the source that fills an array: the fill
+    of ``np.full`` or ``np.full_like``, a branch of ``np.where``, or the value
+    of a subscript assignment."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        fills = []
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            word = node.func.attr
+            if word in ("full", "full_like"):
+                fills = node.args[1:2] + [k.value for k in node.keywords
+                                         if k.arg == "fill_value"]
+            elif word == "where":
+                fills = node.args[1:3]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Subscript) for t in node.targets):
+            fills = [node.value]
+        lines += [node.lineno for fill in fills if _is_negative_literal(fill)]
+    return [f"{name}:{line}" for line in sorted(lines)]
+
+
+def test_no_bare_negative_literal_fills_a_symbol_array():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _negative_fills(path.read_text(), path.name)]
+    assert found == [], f"a bare negative fill (use toeplitz.UNDEFINED or OUTSIDE): {found}"
+
+
+def test_negative_fill_guard_sees_every_form():
+    source = ("out = np.full(3, -1, dtype=SYMBOL_DTYPE)\n"
+              "ring = np.full_like(a, fill_value=-2)\n"
+              "codes = np.where(agree, own, -1)\n"
+              "codes[1:] = -1\n"
+              "ok = np.full(3, OUTSIDE, dtype=SYMBOL_DTYPE)\n"
+              "ok = np.where(agree, own, UNDEFINED)\n"
+              "step = -1\n"
+              "keys = range(n - 1, -1, -1)\n")
+    assert _negative_fills(source, "x.py") == ["x.py:1", "x.py:2", "x.py:3", "x.py:4"]

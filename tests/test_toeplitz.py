@@ -20,7 +20,7 @@ from toeplitz_lab.lattice import (
 )
 from toeplitz_lab.measures import fresh_count
 from toeplitz_lab.periods import per_set_exact
-from toeplitz_lab.toeplitz import BETA, LEVEL_DTYPE, Construction
+from toeplitz_lab.toeplitz import BETA, LEVEL_DTYPE, OUTSIDE, SYMBOL_DTYPE, Construction
 from toeplitz_lab.verify import (
     check_fresh_dual,
     check_strata_partition,
@@ -511,9 +511,26 @@ def test_symbol_table_matches_symbol_from_level(name, m):
     deck = decks.bundled_deck(name)
     cons = Construction(deck.group, deck.domains, m)
     table = cons.symbol_table()
-    assert table.dtype == np.int16
+    assert table.dtype == SYMBOL_DTYPE
     assert table.tolist() == [[cons.symbol_from_level(l, f) for l in range(cons.depth + 2)]
                               for f in range(cons.group.finite_order)]
+
+
+def test_symbol_box_reads_outside_past_the_window():
+    """A symbol box half outside the window reads OUTSIDE there, the value
+    the oracles' ``symbols_at`` and ``ZPatch.at`` read out of reach, and the
+    window's own symbols inside, as SYMBOL_DTYPE; a box that misses the
+    window reads OUTSIDE throughout."""
+    cons = decks.construction(decks.bundled_deck("swap-m2"))
+    win, dom = cons.window(2), cons.domains
+    p, low = dom.chain.level(2), -np.array(dom.low(2))  # the window's low corner
+    box = win.symbol_box(low - 3, low + 4)  # three cells past the window per axis
+    assert box.dtype == SYMBOL_DTYPE and box.shape == (2, 8, 8)
+    assert (box[:, :3] == OUTSIDE).all() and (box[:, :, :3] == OUTSIDE).all()
+    for f in range(2):
+        assert np.array_equal(box[f, 3:, 3:], win.symbol_array(f).reshape(p)[:5, :5])
+    high = low + np.array(p) - 1
+    assert (win.symbol_box(high + 1, high + 2) == OUTSIDE).all()
 
 
 def test_translate_constancy():

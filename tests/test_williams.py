@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from toeplitz_lab import decks, periods, verify, williams
 from toeplitz_lab.lattice import SpecError
+from toeplitz_lab.toeplitz import LEVEL_DTYPE, SYMBOL_DTYPE
 from toeplitz_lab.williams import (
     OUTSIDE,
     UNDEFINED,
@@ -60,6 +61,11 @@ def test_param_validation():
         WilliamsParams(2, (3, 6)).validate()  # ratio 2 < 3
     with pytest.raises(SpecError):
         WilliamsParams(1, (3, 9)).validate()
+    # a patch holds levels 0 .. depth as LEVEL_DTYPE: 255 periods at most
+    periods = tuple(3 ** k for k in range(1, 257))
+    WilliamsParams(2, periods[:255]).validate()
+    with pytest.raises(SpecError, match="256 periods leave levels past 255"):
+        WilliamsParams(2, periods).validate()
 
 
 def _generate_reference(params, N):
@@ -108,9 +114,10 @@ def test_generate_matches_five_pass_reference(case):
     params, N = case
     got, want = generate(params, N), _generate_reference(params, N)
     assert got.N == want.N == N
-    for a, b in ((got.symbols, want.symbols), (got.levels, want.levels)):
-        assert a.dtype == b.dtype == np.int16
-        assert np.array_equal(a, b)
+    assert got.symbols.dtype == want.symbols.dtype == SYMBOL_DTYPE
+    assert got.levels.dtype == LEVEL_DTYPE  # the reference keeps its int16 levels
+    assert np.array_equal(got.symbols, want.symbols)
+    assert np.array_equal(got.levels, want.levels)
 
 
 def test_generate_on_a_window_past_two_top_periods():
@@ -132,10 +139,10 @@ def test_at_matches_the_scalar_symbol():
     want = [w if eta.symbol(x) is None else eta.symbol(x)
             for x, w in zip(n.tolist(), want)]
     got = eta.at(n)
-    assert got.dtype == np.int16 and got.tolist() == want
+    assert got.dtype == SYMBOL_DTYPE and got.tolist() == want
     assert UNDEFINED in want and OUTSIDE in want
     square = n[:len(n) // 2 * 2].reshape(-1, 2)[::-1]
-    assert eta.at(square).dtype == np.int16
+    assert eta.at(square).dtype == SYMBOL_DTYPE
     assert np.array_equal(eta.at(square), got[:len(square) * 2].reshape(-1, 2)[::-1])
 
 
