@@ -442,6 +442,60 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return srt[new], inverse
 
 
+def window_digits(symbols: np.ndarray) -> tuple[np.ndarray, int]:
+    """The digits symbol - min of a 1-d integer array, in the smallest
+    unsigned dtype that holds them, and their radix max - min + 1.
+
+    The subtraction wraps in the symbols' own dtype, with no wider copy; a
+    digit fits the result dtype, so the cast recovers it exactly."""
+    lo = int(symbols.min())
+    radix = int(symbols.max()) - lo + 1
+    return (symbols - symbols.dtype.type(lo)).astype(np.min_scalar_type(radix - 1)), radix
+
+
+def window_keys(digits: np.ndarray, radix: int, width: int,
+                n: int) -> tuple[list[np.ndarray], int]:
+    """Integer keys of the n windows ``digits[q : q + width]``, q = 0 .. n-1,
+    of 1-d digits in [0, radix) (``window_digits``): two windows are equal
+    exactly when all their keys are.
+
+    A window is the base-radix number of its digits; each key packs as many
+    offsets as stay below 2**62, the first offsets in the first key, most
+    significant digit first.  Key j is built from the contiguous slices
+    ``digits[w : w + n]`` of its offsets w.  Also returns radix**per_key, a
+    value above every key that the keys' dtype, the smallest that holds it,
+    also holds: a caller's sentinel for windows it sets aside.
+    """
+    per_key = 1
+    while per_key < width and radix ** (per_key + 1) <= 1 << 62:
+        per_key += 1
+    sentinel = radix ** per_key
+    keys = [np.zeros(n, dtype=np.min_scalar_type(sentinel))
+            for _ in range(0, width, per_key)]
+    for w in range(width):
+        key = keys[w // per_key]
+        key *= radix
+        key += digits[w:w + n]
+    return keys, sentinel
+
+
+def sorted_key_changes(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the key tuples ``(keys[0][i], keys[1][i], ...)`` along axis 0 of
+    the equal-shaped key arrays; returns the sorted first key and the mask of
+    the sorted positions whose tuple differs from its predecessor's (True at
+    position 0), so each column's distinct tuples are the mask's count."""
+    if len(keys) == 1:
+        keys = [np.sort(keys[0], axis=0)]
+    else:
+        order = np.lexsort(keys[::-1], axis=0)
+        keys = [np.take_along_axis(key, order, axis=0) for key in keys]
+    new = np.zeros(keys[0].shape, dtype=bool)
+    new[0] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return keys[0], new
+
+
 def search_order(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The indices that put elements, lattice parts (n, r) and finite parts
     (n,), in search order: finite part, max-norm, then lattice coordinates."""

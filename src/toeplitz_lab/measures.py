@@ -19,7 +19,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .lattice import SpecError, read_only, unique_rows
+from .lattice import SpecError, read_only, sorted_key_changes, window_digits, window_keys
 from .toeplitz import BETA, Construction, ConstructionError
 
 MeasureVector = dict[int, Fraction]
@@ -379,15 +379,21 @@ _MIN_PLACEMENTS = 100
 def complexity_profile(symbols: np.ndarray,
                        radii: list[int]) -> list[tuple[int, int, float]]:
     """(radius, distinct pattern count, log2(count) / window size) per radius,
-    each over at least _MIN_PLACEMENTS window placements."""
+    each over at least _MIN_PLACEMENTS window placements.
+
+    The windows of each width are read as ``lattice.window_keys`` of the
+    sequence's ``window_digits``; their count is the number of positions
+    where the sorted keys change, the first included."""
     out = []
     arr = np.asarray(symbols)
     for s in radii:
         width = 2 * s + 1
         placements = len(arr) - width + 1
         if placements < _MIN_PLACEMENTS:
-            raise SpecError(f"radius {s} leaves only {placements} placements")
-        windows = np.lib.stride_tricks.sliding_window_view(arr, width)
-        count = len(unique_rows(windows)[0])
-        out.append((s, int(count), math.log2(count) / width))
+            raise SpecError(f"radius {s}: a window of width {width} has "
+                            f"{max(placements, 0)} placements in a sequence of length "
+                            f"{len(arr)}, fewer than the {_MIN_PLACEMENTS} a profile needs")
+        keys = window_keys(*window_digits(arr), width, placements)[0]
+        count = int(sorted_key_changes(keys)[1].sum())
+        out.append((s, count, math.log2(count) / width))
     return out

@@ -51,8 +51,9 @@ def _cons(name: str) -> Construction:
 def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool]:
     """Fresh-cell count per level 1 .. max_level, and whether the tiled mask
     ``fresh_bool(n)``, the rep route (the cells of the D_n box that no level
-    <= n claims, by ``claim_pass(cons, n)``'s count) and the closed-form
-    count agree at every level.
+    <= n claims: one bool mask that each mask of
+    ``Construction.stratum_claims(n)`` clears) and the closed-form count
+    agree at every level.
 
     The verdict is that of a rep route fed by its own masks: level n reads
     only tiled masks of levels below n, the origin alone at level 0, and
@@ -63,7 +64,9 @@ def fresh_dual(cons: Construction, max_level: int) -> tuple[dict[int, int], bool
     agreed = True
     for n in range(1, max_level + 1):
         tiled = cons.fresh_bool(n)
-        unclaimed = claim_pass(cons, n)[0] == 0
+        unclaimed = np.ones(cons.chain.level(n), dtype=bool)
+        for hit in cons.stratum_claims(n):
+            unclaimed &= ~hit
         sizes[n] = int(tiled.sum())
         if not np.array_equal(tiled, unclaimed.ravel()) or \
                 sizes[n] != measures.fresh_count(cons, n):
@@ -84,8 +87,9 @@ def claim_pass(cons: Construction, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Per cell of the D_N box (shape p^N): how many of the levels 1 .. N
     claim it, and the first that does (0 where none does; ``LEVEL_DTYPE``),
     from one run of ``Construction.stratum_claims(N)`` on the tiled fresh
-    masks of levels 0 .. N-1.  Counting every claim, not only the first, is
-    what lets criterion 2 see a cell claimed twice;
+    masks of levels 0 .. N-1: criterion 2's pass (criterion 1 needs only the
+    unclaimed cells and clears one mask).  Counting every claim, not only
+    the first, is what lets criterion 2 see a cell claimed twice;
     ``Construction.first_claims`` stops at the first."""
     shape = cons.chain.level(N)
     count = np.zeros(shape, dtype=LEVEL_DTYPE)  # at most N claims, a level

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import SpecError
+from .lattice import SpecError, sorted_key_changes, window_digits, window_keys
 from .toeplitz import LEVEL_DTYPE, OUTSIDE, SYMBOL_DTYPE, UNDEFINED
 
 
@@ -148,8 +148,10 @@ def fiber_scan(eta: ZPatch, k: int, residues, N: int) -> ZFiberScan:
 
     The approximants of residue b are g_t = b + t p_k over one top period,
     so every residue's windows are read together, one pass per offset over
-    contiguous slices in small integer and bool dtypes; the count is the
-    exact number of distinct fully defined windows.  Only the given residues
+    contiguous slices in small integer and bool dtypes.  The windows are
+    compared by their ``lattice.window_keys``, reshaped to rows t and
+    columns b; the count, from ``lattice.sorted_key_changes`` per column, is
+    the exact number of distinct fully defined windows.  Only the given residues
     are checked, in order: the first one that fails decides, and within it
     the first fully defined approximant that fails decides the error.
     """
@@ -163,17 +165,12 @@ def fiber_scan(eta: ZPatch, k: int, residues, N: int) -> ZFiberScan:
     W = 2 * N + 1
     span = slice(eta.N - N, eta.N + N + p_top)
     symbols = eta.symbols[span]
-    # a window is compared as the base-radix number of its digits symbol - lo;
-    # each key packs as many offsets as fit below 2**62, and the key
-    # radix**per_key marks a window with an Undefined cell
-    lo = int(symbols.min())
-    radix = int(symbols.max()) - lo + 1
-    per_key = 1
-    while per_key < W and radix ** (per_key + 1) <= 1 << 62:
-        per_key += 1
-    digits = (symbols.astype(np.int32) - lo).astype(np.min_scalar_type(radix - 1))
-    immature_key = radix ** per_key
     shape = (p_top // pk, pk)
+    # a window is compared by its keys; the sentinel marks a window with an
+    # Undefined cell
+    digits, radix = window_digits(symbols)
+    keys, immature_key = window_keys(digits, radix, W, p_top)
+    keys = [key.reshape(shape) for key in keys]
 
     def by_offset(arr):
         # arr[q + w] for the approximants q = t p_k + b in [0, p_top): one
@@ -187,8 +184,6 @@ def fiber_scan(eta: ZPatch, k: int, residues, N: int) -> ZFiberScan:
     # window's aperiodic cells: the part is constant when they add to radix - 1
     top = np.zeros(shape, dtype=digits.dtype)
     top_flipped = np.zeros(shape, dtype=digits.dtype)
-    keys = [np.zeros(shape, dtype=np.min_scalar_type(immature_key))
-            for _ in range(0, W, per_key)]
     for w, (sym, digit, flipped, lvl) in enumerate(zip(*map(
             by_offset, (symbols, digits, radix - 1 - digits, eta.levels[span])))):
         free = _not_captured(lvl, k)
@@ -199,9 +194,6 @@ def fiber_scan(eta: ZPatch, k: int, residues, N: int) -> ZFiberScan:
         on = free[0].astype(digits.dtype)
         np.maximum(top, digit * on, out=top)
         np.maximum(top_flipped, flipped * on, out=top_flipped)
-        key = keys[w // per_key]
-        key *= radix
-        key += digit
     varying = (top != radix - 1 - top_flipped) & aper.any(axis=0)
     bad = mature & (undetermined | varying)
     failing = bad.any(axis=0)[residues]
@@ -215,16 +207,8 @@ def fiber_scan(eta: ZPatch, k: int, residues, N: int) -> ZFiberScan:
     # differ from their predecessor
     for key in keys:
         key[~mature] = immature_key
-    if len(keys) == 1:
-        keys = [np.sort(keys[0], axis=0)]
-    else:
-        order = np.lexsort(keys[::-1], axis=0)
-        keys = [np.take_along_axis(key, order, axis=0) for key in keys]
-    new = np.zeros(shape, dtype=bool)
-    new[0] = True
-    for key in keys:
-        new[1:] |= key[1:] != key[:-1]
-    counts = (new & (keys[0] != immature_key)).sum(axis=0)[residues]
+    first, new = sorted_key_changes(keys)
+    counts = (new & (first != immature_key)).sum(axis=0)[residues]
     return ZFiberScan(counts, aper.sum(axis=0)[residues],
                       (~mature).sum(axis=0)[residues])
 

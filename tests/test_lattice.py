@@ -6,9 +6,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toeplitz_lab import decks
+from toeplitz_lab.toeplitz import OUTSIDE, SYMBOL_DTYPE, UNDEFINED
 from toeplitz_lab.lattice import (
     DepthExhausted,
     DomainChain,
@@ -22,7 +23,10 @@ from toeplitz_lab.lattice import (
     decompose_right,
     folner_ratio,
     identity_matrix,
+    sorted_key_changes,
     unique_rows,
+    window_digits,
+    window_keys,
 )
 
 
@@ -537,6 +541,60 @@ def test_unique_rows_matches_numpy(rows, cols):
     assert got.tolist() == want.tolist()
     assert inverse.tolist() == want_inverse.reshape(-1).tolist()
     assert got.tolist() == [list(r) for r in sorted(set(map(tuple, arr.tolist())))]
+
+
+def window_key_reference(symbols, width, n):
+    """Python-int keys of the windows symbols[q : q + width], q < n: each
+    window's base-radix number of its digits symbol - min, cut into chunks
+    of as many digits as stay below 2**62, the first digits first.  The
+    reference for ``window_keys``."""
+    digits = [x - min(symbols[:n + width - 1]) for x in symbols[:n + width - 1]]
+    radix = max(digits) + 1
+    per_key = min(width, max(d for d in range(1, 64) if radix ** d <= 1 << 62))
+    keys = []
+    for start in range(0, width, per_key):
+        chunk = range(start, min(start + per_key, width))
+        keys.append([sum(digits[q + w] * radix ** (chunk[-1] - w) for w in chunk)
+                     for q in range(n)])
+    return keys, radix ** per_key
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 60), st.booleans(),
+       st.sampled_from([1, 2, 3, 255, 256, 32768]),
+       st.sampled_from([0, UNDEFINED, OUTSIDE]), st.randoms(use_true_random=False))
+@example(40, 1, True, 32768, OUTSIDE, random.Random(0))  # ten keys a window
+@example(9, 50, False, 1 << 16, -(1 << 15), random.Random(1))  # the digits wrap in int16
+@example(40, 1, True, 3, 0, random.Random(2))  # 3**39 < 2**62 < 3**40: one key short of 40
+def test_window_keys_count_the_distinct_windows(width, n, square, radix, low, rnd):
+    """The positions where the sorted keys change are the distinct windows
+    that ``unique_rows`` of the window rows finds, with symbols below zero
+    (UNDEFINED, OUTSIDE) and radices up to 32,768, where a window of more
+    than four cells takes several keys, and 65,536, where ``window_digits``
+    wraps in int16; ``square`` puts as many windows as the width.  The first
+    and last symbols span the whole radix."""
+    n = width if square else n
+    if width + n == 2:  # one symbol: its radix is 1
+        radix = 1
+    symbols = np.array([rnd.randrange(low, low + radix) for _ in range(n + width - 1)],
+                       dtype=SYMBOL_DTYPE)
+    symbols[0], symbols[-1] = low, low + radix - 1
+    digits, got_radix = window_digits(symbols)
+    assert got_radix == radix
+    assert digits.tolist() == [x - low for x in symbols.tolist()]
+    assert digits.dtype == np.min_scalar_type(radix - 1)
+    keys, sentinel = window_keys(digits, radix, width, n)
+    if radix == 1 << 15:  # four digits a key: 2**60 <= 2**62 < 2**75
+        assert len(keys) == -(-width // 4)
+    rows = np.lib.stride_tricks.sliding_window_view(symbols, width)
+    first, new = sorted_key_changes(keys)
+    assert int(new.sum()) == len(unique_rows(rows)[0])
+    assert new[0] and len(new) == n
+    want, want_sentinel = window_key_reference(symbols.tolist(), width, n)
+    assert [key.tolist() for key in keys] == want
+    assert sentinel == want_sentinel
+    assert all(key.dtype == np.min_scalar_type(sentinel) for key in keys)
+    assert first.tolist() == sorted(want[0])
 
 
 @pytest.mark.parametrize("rank,radius", [(1, 0), (1, 3), (2, 2), (3, 1)])

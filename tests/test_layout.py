@@ -21,7 +21,9 @@ No numpy call in src/ takes a slow route to rows or matrix actions:
 ``np.einsum`` over gathered matrices loses to a matrix product or a column
 sum.  No form of ``np.unique`` is called at all: the first call in a process
 imports ``numpy.ma`` (over 10 ms with numpy 2.4), a cost that lands inside
-whichever computation calls it first.
+whichever computation calls it first.  No 1-d window is read as a row of a
+``sliding_window_view``, whose rows ``unique_rows`` would lexsort on one key
+per cell: ``lattice.window_keys`` packs each window into a few integers.
 
 No method in src/ is memoised by ``functools.lru_cache`` or
 ``functools.cache``: their cache lives on the class and keeps every instance
@@ -220,8 +222,8 @@ def test_check_only_guard_sees_a_production_caller():
 
 
 def _slow_numpy_calls(source: str, name: str) -> list[str]:
-    """Each ``np.unique`` and ``np.einsum`` call in the source, with the
-    form to use instead."""
+    """Each ``np.unique``, ``np.einsum`` and ``sliding_window_view`` call in
+    the source, with the form to use instead."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -235,6 +237,8 @@ def _slow_numpy_calls(source: str, name: str) -> list[str]:
         elif node.func.attr == "unique":
             out.append(f"{where}: np.unique imports numpy.ma on its first call; sort, "
                        f"or use np.bincount or lattice.unique_rows")
+        elif node.func.attr == "sliding_window_view":
+            out.append(f"{where}: sliding_window_view rows; use lattice.window_keys")
     return out
 
 
@@ -248,11 +252,12 @@ def test_slow_numpy_guard_sees_both_forms():
     source = ("import numpy as np\n"
               "np.unique(a, axis=0, return_inverse=True)\n"
               "np.unique(a)\n"
-              "np.einsum('...ij,...j->...i', m, v)\n")
+              "np.einsum('...ij,...j->...i', m, v)\n"
+              "np.lib.stride_tricks.sliding_window_view(a, 5)\n")
     hits = _slow_numpy_calls(source, "x.py")
-    assert [h.split(":")[1] for h in hits] == ["2", "3", "4"]
+    assert [h.split(":")[1] for h in hits] == ["2", "3", "4", "5"]
     assert "lattice.unique_rows" in hits[0] and "numpy.ma" in hits[1]
-    assert "v @ M.T" in hits[2]
+    assert "v @ M.T" in hits[2] and "lattice.window_keys" in hits[3]
 
 
 _CLASS_CACHES = ("lru_cache", "cache")

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from functools import partial
@@ -8,8 +9,8 @@ import pytest
 from test_lattice import box_reference
 from test_toeplitz import CLASS_DECKS, construction_named, new_construction
 
-from toeplitz_lab import decks, measures
-from toeplitz_lab.lattice import SpecError, int_det, vec_add
+from toeplitz_lab import decks, measures, verify
+from toeplitz_lab.lattice import SpecError, int_det, unique_rows, vec_add
 from toeplitz_lab.periods import census
 from toeplitz_lab.toeplitz import BETA, LEVEL_DTYPE, Construction, ConstructionError
 
@@ -379,12 +380,42 @@ def test_complexity_profile():
     flat = np.zeros(1000, dtype=np.int16)
     prof = measures.complexity_profile(flat, [2, 3, 4])
     assert [c for _, c, _ in prof] == [1, 1, 1]
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match=re.escape(
+            "radius 5: a window of width 11 has 10 placements in a sequence of "
+            "length 20, fewer than the 100 a profile needs")):
         measures.complexity_profile(flat[:20], [5])
+    with pytest.raises(SpecError, match=re.escape(
+            "radius 50: a window of width 101 has 0 placements in a sequence of "
+            "length 21, fewer than the 100 a profile needs")):
+        measures.complexity_profile(flat[:21], [50])
     rng = np.random.default_rng(1)
     noisy = rng.integers(0, 2, size=2000).astype(np.int16)
     prof = measures.complexity_profile(noisy, [2])
     assert prof[0][1] == 32  # all length-5 words occur
+
+
+def test_complexity_profile_matches_unique_rows_on_the_check_inputs(monkeypatch):
+    """On the inputs of criterion 12, the ``williams-m2`` prefix and the
+    seeded control at radii 2-8, each count is that of the distinct rows of
+    the sliding windows by ``unique_rows``."""
+    calls = []
+    profile = measures.complexity_profile
+
+    def spy(symbols, radii):
+        calls.append((np.array(symbols), list(radii)))
+        return profile(symbols, radii)
+
+    monkeypatch.setattr(measures, "complexity_profile", spy)
+    verify.check_complexity("williams-m2")
+    assert len(calls) == 2
+    for symbols, radii in calls:
+        assert radii == list(range(2, 9))
+        want = []
+        for s in radii:
+            windows = np.lib.stride_tricks.sliding_window_view(symbols, 2 * s + 1)
+            count = len(unique_rows(windows)[0])
+            want.append((s, count, math.log2(count) / (2 * s + 1)))
+        assert profile(symbols, radii) == want
 
 
 def test_fresh_count_matches_enumeration():

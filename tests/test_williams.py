@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from toeplitz_lab import decks, periods, verify, williams
-from toeplitz_lab.lattice import SpecError
+from toeplitz_lab.lattice import SpecError, window_keys
 from toeplitz_lab.toeplitz import LEVEL_DTYPE, SYMBOL_DTYPE
 from toeplitz_lab.williams import (
     OUTSIDE,
@@ -220,6 +220,45 @@ def test_toeplitz_coords_have_singleton_fiber():
     eta = generate(wp, wp.periods[-1] + radius + 10)
     # the array's own residue at full depth
     assert fiber_scan(eta, wp.depth, [0], radius).counts.tolist() == [1]
+
+
+@pytest.mark.parametrize("name", ["williams-m2", "williams-m3"])
+def test_fiber_scan_keys_are_base_radix_numbers_of_each_window(name, monkeypatch):
+    """The keys ``fiber_scan`` reads from ``window_keys`` for the census
+    call, reshaped to rows t and columns b, are at (t, b) the Python-int
+    base-radix number of the digits symbol - min of the window
+    [g - N, g + N] of the approximant g = b + t p_k, cut into keys of as many
+    digits as stay below 2**62."""
+    wp = decks.bundled_deck(name).williams
+    eta = _probe(wp)
+    N = max_safe_fiber_radius(eta, 2)
+    pk, p_top, width = wp.periods[1], wp.periods[-1], 2 * N + 1
+    seen = []
+
+    def spy(*args):
+        keys, sentinel = window_keys(*args)
+        seen.append(([key.copy() for key in keys], sentinel))  # before the sentinel fill
+        return keys, sentinel
+
+    monkeypatch.setattr(williams, "window_keys", spy)
+    fiber_scan(eta, 2, range(pk), N)
+    (keys, sentinel), = seen
+    cells = eta.at(np.arange(-N, p_top + N)).tolist()  # position g - N is cells[g]
+    lo = min(cells)
+    radix = max(cells) - lo + 1
+    per_key = min(width, max(d for d in range(1, 64) if radix ** d <= 1 << 62))
+    assert sentinel == radix ** per_key
+    got = [key.reshape(p_top // pk, pk).tolist() for key in keys]
+    for t in range(p_top // pk):
+        for b in range(pk):
+            g = b + t * pk
+            want = []
+            for start in range(0, width, per_key):
+                value = 0
+                for c in cells[g + start:g + min(start + per_key, width)]:
+                    value = value * radix + c - lo
+                want.append(value)
+            assert [key[t][b] for key in got] == want, (t, b)
 
 
 def test_depth2_fiber_scan_bound_and_split():
