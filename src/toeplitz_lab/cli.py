@@ -249,8 +249,7 @@ def cmd_pullback(deck, args) -> int:
         raise SpecError(f"--reach must be at least {least} for source {source.name} "
                         f"with weights {args.weights}, got {args.reach}")
     out = _out_dir(args, deck.name, "pullback")
-    hom = pb.HomSpec(weights)
-    ok, reason = pb.validate_hom(hom, deck.group)
+    ok, reason = pb.validate_hom(weights, deck.group)
     doc = {"deck": deck.name, "weights": list(weights),
            "valid": ok, "reason": reason, "source": source.name}
     if not ok:
@@ -260,7 +259,7 @@ def cmd_pullback(deck, args) -> int:
     eta = williams.generate(wp, args.reach * span)
     box = cube(deck.group.rank, args.reach)
     syms = ["" if s == williams.UNDEFINED else s
-            for s in pb.pullback_window(hom, eta, box).tolist()]
+            for s in pb.pullback_window(weights, eta, box).tolist()]
     with open(out / "patch.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["finite_part"] + [f"v{j + 1}" for j in range(deck.group.rank)]
@@ -271,7 +270,7 @@ def cmd_pullback(deck, args) -> int:
                 w.writerows([f, *v, sym, ""]
                             for v, sym in zip(box[part].tolist(), syms[part]))
     doc["cells"] = deck.group.finite_order * len(box)
-    doc["section"] = list(pb.section_vector(hom))
+    doc["section"] = list(pb.section_vector(weights))
     _write_json(out / "pullback.json", doc)
     print(f"wrote {out}/patch.csv")
     return EXIT_OK
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gen-z window radius")
     ap.add_argument("--level", type=int, default=3,
                     help="box level for gen-group / measures")
-    ap.add_argument("--radius", type=int, default=8,
+    ap.add_argument("--radius", type=int, default=verify.CENSUS_RADIUS,
                     help="window radius for fiber scans")
     ap.add_argument("--size", type=int, default=None,
                     help="independence set size to search for")

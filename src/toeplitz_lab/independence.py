@@ -5,14 +5,17 @@ assignment s: J -> {1..k} is realized by one point: here points are orbit
 translates sigma^{h^-1} eta, so the witness condition reads
 eta(h g^-1 f) = pattern_{s(g)}(f) for every g in J and site f of A_{s(g)}.
 
-The searcher walks candidates in canonical order; its step counter is the
-deterministic "search time" reported in summaries.  Witness masks are Python
-int bitsets over the oracle's witness grid: bit i stands for grid cell i, so
-extending an assignment by one candidate is one integer AND and a truth test.
+Candidates come as an element array in any order: the search sorts them
+once into canonical order (``lattice.search_order``), drops repeats and walks
+them in that order; its step counter is the deterministic "search time"
+reported in summaries.  Witness masks are Python int bitsets over the
+oracle's witness grid: bit i stands for grid cell i, so extending an
+assignment by one candidate is one integer AND and a truth test.
 Only the search multiplies: it forms every (0, h) g^-1 s once, and each
 oracle reads a site's translates as such a bitset (site_bits), from a
-whole-patch bitset per symbol or a box slice of the window.  The grid is an
-element array; an element tuple is built only for a witness a certificate names.
+whole-patch bitset per symbol or a box slice of the window.  The grid and
+the candidates are element arrays; an element tuple is built only for a
+witness or a member of J that a certificate names.
 
 A candidate that fails at a node fails at every node below it, since the
 masks there only shrink.  So each node tests only its pool, the candidates
@@ -32,11 +35,11 @@ from itertools import product, tee
 
 import numpy as np
 
-from .lattice import (Elt, GroupSpec, SpecError, box_elements, cube, elt_arrays,
-                      search_order)
+from .lattice import (Elt, EltArr, GroupSpec, SpecError, Vec, box_elements, cube,
+                      elt_arrays, search_order)
 from .toeplitz import OUTSIDE, SYMBOL_DTYPE, EtaWindow
 from .williams import ZPatch
-from .pullback import HomSpec, section_element
+from .pullback import section_element
 
 MAX_STEPS = 2_000_000  # default step budget of a search
 
@@ -195,20 +198,19 @@ class GOracle:
 
 
 class PullbackOracle:
-    """Oracle for phi* eta over G, served by a 1-d source window."""
+    """Oracle for phi* eta over G, phi = <w, .>, served by a 1-d source window."""
 
-    def __init__(self, hom: HomSpec, group: GroupSpec, source: ZPatch, radius: int):
-        self.hom = hom
+    def __init__(self, w: Vec, group: GroupSpec, source: ZPatch, radius: int):
+        self.w = np.array(w, dtype=np.int64)
         self.source = source
         self.grid = box_elements(cube(group.rank, radius), group.finite_order)
-        self._w = np.array(hom.w, dtype=np.int64)
-        self._phi = self.grid[0] @ self._w
+        self._phi = self.grid[0] @ self.w
 
     def symbols_at(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return self.source.at(v @ self._w)
+        return self.source.at(v @ self.w)
 
     def site_bits(self, moved: list, sym: int) -> int:
-        shifts = np.array(moved, dtype=np.int64)[:, :-1] @ self._w
+        shifts = np.array(moved, dtype=np.int64)[:, :-1] @ self.w
         got = self.source.at(self._phi + np.repeat(shifts, len(self._phi) // len(shifts)))
         if (got == OUTSIDE).any():
             raise CertificateWindowError("pullback sites leave the source window")
@@ -271,11 +273,11 @@ class SearchResult:
     steps: int
 
 
-def _site_translates(spec: GroupSpec, cand: list[Elt], sites: list[Elt]) -> list:
-    """``out[c][s][h]`` is (0, h) g^-1 s for g = cand[c] and s = sites[s], as
-    a row [v_1, .., v_r, f]: one inv_arr, two mul_arr calls and one tolist."""
-    (gv, gf), (sv, sf) = (elt_arrays(x, spec.rank) for x in (cand, sites))
-    av, af = spec.mul_arr(*(x[:, None] for x in spec.inv_arr(gv, gf)), sv, sf)
+def _site_translates(spec: GroupSpec, cand: EltArr, sites: list[Elt]) -> list:
+    """``out[c][s][h]`` is (0, h) g^-1 s for g = row c of cand and s = sites[s],
+    as a row [v_1, .., v_r, f]: one inv_arr, two mul_arr calls and one tolist."""
+    sv, sf = elt_arrays(sites, spec.rank)
+    av, af = spec.mul_arr(*(x[:, None] for x in spec.inv_arr(*cand)), sv, sf)
     tv, tf = spec.mul_arr(0, np.arange(spec.finite_order), av[:, :, None], af[:, :, None])
     return np.concatenate([tv, tf[..., None]], axis=-1).tolist()
 
@@ -302,30 +304,28 @@ def _first_true_index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _in_search_order(candidates: list[Elt], rank: int) -> list[Elt]:
-    """The distinct candidates in search order (``lattice.search_order``),
-    as the caller's own tuples."""
-    cand = list(dict.fromkeys(candidates))
-    return [cand[i] for i in search_order(*elt_arrays(cand, rank)).tolist()]
-
-
 def find_independence_set(cylinders, target_size: int, oracle,
-                          candidates: list[Elt], spec: GroupSpec,
+                          candidates: EltArr, spec: GroupSpec,
                           max_steps: int = MAX_STEPS,
                           deadline: float | None = None) -> SearchResult:
     """Backtracking search for an independence set of the target size.
 
-    The distinct candidates are tried in search order; "none" reports a
-    window-complete failure, "exhausted" that a budget ended the search.
-    A node's steps are the candidates after the one that made it; it tests
-    only those in its pool and counts the others without testing them.
+    The candidates, an element array in any order, are tried in search order
+    with repeats dropped; "none" reports a window-complete failure,
+    "exhausted" that a budget ended the search.  A node's steps are the
+    candidates after the one that made it; it tests only those in its pool
+    and counts the others without testing them.
     """
     cylinders = tuple(cylinders)
     k = len(cylinders)
-    cand = _in_search_order(candidates, spec.rank)
+    order = search_order(*candidates)
+    cv, cf = candidates[0][order], candidates[1][order]
+    new = np.ones(len(cf), dtype=bool)  # each row unequal to its predecessor
+    new[1:] = (cf[1:] != cf[:-1]) | (cv[1:] != cv[:-1]).any(axis=1)
+    cv, cf = cv[new], cf[new]
     index = {s: i for i, s in enumerate(dict.fromkeys(s for c in cylinders for s in c.shape))}
     reads = [[(index[s], sym) for s, sym in zip(c.shape, c.pattern)] for c in cylinders]
-    moved = _site_translates(spec, cand, list(index))
+    moved = _site_translates(spec, (cv, cf), list(index))
     root = (1 << len(oracle.grid[1])) - 1
     steps = 0
     out_of_time = False
@@ -364,7 +364,7 @@ def find_independence_set(cylinders, target_size: int, oracle,
     # order.  A candidate that empties an entry also empties the entries
     # refining it, so a child's pool is the rest of its parent's stream
     # that fits the parent, shared with the parent through tee.
-    def dfs(pool, last: int, chosen: list[Elt], table: list[int]):
+    def dfs(pool, last: int, chosen: list[int], table: list[int]):
         nonlocal horizon
         if len(chosen) == target_size:
             return chosen, table
@@ -387,11 +387,11 @@ def find_independence_set(cylinders, target_size: int, oracle,
                 return None
             last = idx
             pool, rest = tee(pool)
-            hit = dfs(rest, idx, chosen + [cand[idx]],
+            hit = dfs(rest, idx, chosen + [idx],
                       [bits & m for bits in table for m in masks])
             if hit is not None or out_of_time:
                 return hit
-        advance(len(cand) - 1 - last)
+        advance(len(cf) - 1 - last)
         return None
 
     hit = dfs(readable(), -1, [], [root])
@@ -404,22 +404,23 @@ def find_independence_set(cylinders, target_size: int, oracle,
     for assign, bits in zip(product(range(1, k + 1), repeat=target_size), table):
         i = _first_true_index(bits)
         witnesses[assign] = tuple(gv[i].tolist()), int(gf[i])
-    cert = Certificate(cylinders, tuple(chosen), witnesses)
+    jset = tuple((tuple(cv[i].tolist()), int(cf[i])) for i in chosen)
+    cert = Certificate(cylinders, jset, witnesses)
     if not check_certificate(cert, oracle, spec):
         raise AssertionError("fresh certificate failed its own re-check")
     return SearchResult("found", cert, steps)
 
 
-def transport_certificate(hom: HomSpec, group: GroupSpec, cert: Certificate,
+def transport_certificate(w: Vec, group: GroupSpec, cert: Certificate,
                           oracle) -> Certificate:
-    """Pull a certificate over Z back through a surjection G -> Z.
+    """Pull a certificate over Z back through the surjection <w, .>: G -> Z.
 
     Shapes and the independence set are mapped through the fixed section;
     the result is re-verified against the pulled-back oracle and any failure
     is a fatal oracle inconsistency.
     """
     def lift(n: int) -> Elt:
-        return section_element(hom, n)
+        return section_element(w, n)
 
     cyls = tuple(
         Cylinder(tuple(lift(s[0][0]) for s in c.shape), c.pattern)
@@ -466,15 +467,12 @@ def entropy_bounds_bits(max_certified: int, fiber_bound: int) -> tuple[float, fl
     return math.log2(max_certified), math.log2(fiber_bound)
 
 
-def z_candidates(radius: int) -> list[Elt]:
-    """Every element of Z with |n| <= radius, in search order."""
-    n = cube(1, radius)
-    return [((x,), 0) for x in n[search_order(n, np.zeros(len(n), dtype=np.intp)), 0].tolist()]
+def z_candidates(radius: int) -> EltArr:
+    """Every element of Z with |n| <= radius, as an element array."""
+    return box_elements(cube(1, radius), 1)
 
 
-def g_candidates(spec: GroupSpec, radius: int) -> list[Elt]:
-    """Every element with lattice part in the cube of the radius, in search
-    order (``lattice.search_order``)."""
-    v, f = box_elements(cube(spec.rank, radius), spec.finite_order)
-    order = search_order(v, f)
-    return list(zip(zip(*v[order].T.tolist()), f[order].tolist()))
+def g_candidates(spec: GroupSpec, radius: int) -> EltArr:
+    """Every element with lattice part in the cube of the radius, as an
+    element array (``lattice.box_elements``)."""
+    return box_elements(cube(spec.rank, radius), spec.finite_order)

@@ -85,7 +85,7 @@ def fresh_count(cons: Construction, n: int) -> int:
     box mask must agree."""
     count = 1
     for l in range(1, n + 1):
-        count *= cons.domains.size(l) // cons.domains.size(l - 1) - 1
+        count *= cons.chain.index_between(l - 1) - 1
     return count
 
 
@@ -227,7 +227,7 @@ def mu_cell_vector(cons: Construction, n: int, N: int) -> tuple[Fraction, ...]:
 def transition_matrix(cons: Construction, n: int) -> tuple[tuple[int, ...], ...]:
     """The m x m level transition matrix between cell-class vectors, m^2
     entries; the identities apply its closed form (``_apply_transition``)."""
-    q = cons.domains.size(n + 1) // cons.domains.size(n)
+    q = cons.chain.index_between(n)
     a = cons.alpha(n + 1)
     m = cons.m
     rows = []
@@ -246,7 +246,7 @@ def _apply_transition(cons: Construction, n: int,
                       vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """A_n vec from the closed form of ``transition_matrix``: (q - 1) times
     the identity plus a row of ones at the symbol alpha(n+1), O(m) work."""
-    q = cons.domains.size(n + 1) // cons.domains.size(n)
+    q = cons.chain.index_between(n)
     a = cons.alpha(n + 1) - 1
     out = [(q - 1) * x for x in vec]
     out[a] += sum(vec)
@@ -317,9 +317,9 @@ def transition_chain_check(cons: Construction, n: int, N: int) -> bool:
 
 
 def transition_det(cons: Construction, n: int) -> int:
-    """det A_n = q (q - 1)^(m - 1), q = |D_(n+1)| / |D_n|: the identity
+    """det A_n = q (q - 1)^(m - 1), q = [Gamma_n : Gamma_(n+1)]: the identity
     times q - 1 plus a rank-one row of ones."""
-    q = cons.domains.size(n + 1) // cons.domains.size(n)
+    q = cons.chain.index_between(n)
     return q * (q - 1) ** (cons.m - 1)
 
 

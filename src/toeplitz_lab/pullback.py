@@ -9,37 +9,30 @@ the entries of w are coprime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Elt, EltArr, GroupSpec, SpecError, Vec, elt_arrays
+from .lattice import Elt, EltArr, GroupSpec, SpecError, Vec
 from .toeplitz import OUTSIDE
 from .williams import ZPatch
 
 
-@dataclass(frozen=True)
-class HomSpec:
-    w: Vec
-
-
-def validate_hom(spec: HomSpec, group: GroupSpec) -> tuple[bool, str]:
+def validate_hom(w: Vec, group: GroupSpec) -> tuple[bool, str]:
     """Compatibility with the finite-part action plus surjectivity."""
-    if len(spec.w) != group.rank:
+    if len(w) != group.rank:
         return False, "weight vector has wrong rank"
     for f, mat in enumerate(group.action):
-        image = tuple(sum(spec.w[i] * mat[i][j] for i in range(group.rank))
+        image = tuple(sum(w[i] * mat[i][j] for i in range(group.rank))
                       for j in range(group.rank))
-        if image != tuple(spec.w):
+        if image != tuple(w):
             return False, f"w is not invariant under the action of index {f}"
-    if math.gcd(*(abs(x) for x in spec.w)) != 1:
+    if math.gcd(*(abs(x) for x in w)) != 1:
         return False, "weights are not coprime, the image is a proper subgroup"
     return True, "ok"
 
 
-def section_vector(spec: HomSpec) -> Vec:
+def section_vector(w: Vec) -> Vec:
     """Integer u with <w, u> = 1, built by folding the extended Euclid."""
-    w = spec.w
     g, coeffs = abs(w[0]), [1 if w[0] >= 0 else -1]
     for x in w[1:]:
         gg, a, b = _ext_gcd(g, abs(x))
@@ -58,18 +51,18 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
-def section_element(spec: HomSpec, n: int) -> Elt:
+def section_element(w: Vec, n: int) -> Elt:
     """The chosen preimage of n: (n * u, identity)."""
-    u = section_vector(spec)
+    u = section_vector(w)
     return tuple(n * x for x in u), 0
 
 
-def pullback_window(spec: HomSpec, source: ZPatch, v: np.ndarray) -> np.ndarray:
+def pullback_window(w: Vec, source: ZPatch, v: np.ndarray) -> np.ndarray:
     """phi* x at the elements with lattice parts v (n, rank), whatever their
     finite parts, read through ``ZPatch.at`` (UNDEFINED on the source's
     Undefined cells); errors when out of reach, naming the first such
     element."""
-    got = source.at(v @ np.array(spec.w, dtype=np.int64))
+    got = source.at(v @ np.array(w, dtype=np.int64))
     out = got == OUTSIDE
     if out.any():
         raise SpecError(f"window position {tuple(v[np.argmax(out)].tolist())} "
@@ -77,11 +70,11 @@ def pullback_window(spec: HomSpec, source: ZPatch, v: np.ndarray) -> np.ndarray:
     return got
 
 
-def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
-                       g: EltArr, window: list[Elt]) -> np.ndarray:
+def equivariance_check(w: Vec, group: GroupSpec, source: ZPatch,
+                       g: EltArr, window: EltArr) -> np.ndarray:
     """sigma^g (phi* x) must equal phi* (sigma^{phi(g)} x) on the window,
-    for a batch of g: lattice parts (S, r) and finite parts (S,).  Returns
-    one verdict per g.
+    for a batch of g; both are element arrays, lattice parts (n, r) and
+    finite parts (n,).  Returns one verdict per g.
 
     For each g the first window cell, in window order, that is out of the
     source patch's reach or carries different symbols decides: the verdict
@@ -94,8 +87,8 @@ def equivariance_check(spec: HomSpec, group: GroupSpec, source: ZPatch,
     ``validate_hom`` accepts.  So on an accepted homomorphism the check
     cannot fail; it certifies the window arithmetic.
     """
-    w = np.array(spec.w, dtype=np.int64)
-    hv, hf = elt_arrays(window, group.rank)
+    w = np.array(w, dtype=np.int64)
+    hv, hf = window
     gv, gf = group.inv_arr(*g)
     lhs = source.at(group.mul_arr(gv[:, None], gf[:, None], hv, hf)[0] @ w)
     rhs = source.at((hv @ w)[None] - (g[0] @ w)[:, None])

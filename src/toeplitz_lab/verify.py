@@ -22,7 +22,7 @@ import numpy as np
 from . import decks as deckmod
 from . import independence as ind
 from . import measures, periods, pullback as pb, williams
-from .lattice import DepthExhausted, SpecError, box_elements, elt_arrays
+from .lattice import DepthExhausted, SpecError, box_elements, cube, elt_arrays
 from .toeplitz import LEVEL_DTYPE, SYMBOL_DTYPE, Construction, ConstructionError
 
 
@@ -217,7 +217,10 @@ def _histogram(column: np.ndarray) -> dict[int, int]:
     return dict(sorted(Counter(column.tolist()).items()))
 
 
-def fiber_census(deck: deckmod.Deck, radius: int = 8) -> FiberCensus:
+CENSUS_RADIUS = 8  # default window radius of a fiber census, here and in the CLI
+
+
+def fiber_census(deck: deckmod.Deck, radius: int = CENSUS_RADIUS) -> FiberCensus:
     """Fiber count, tower pieces and aperiodic part of every depth-2 odometer
     point, in canonical order, as the columns of one read-only record.
 
@@ -431,24 +434,23 @@ def check_pullback() -> CheckResult:
     swap = deckmod.bundled_deck("swap-m2")
     wm2 = deckmod.bundled_deck("williams-m2")
 
-    rejected, _ = pb.validate_hom(pb.HomSpec((1,)), dihedral.group)
-    accepted, _ = pb.validate_hom(pb.HomSpec((1, 1)), swap.group)
+    w = (1, 1)
+    rejected, _ = pb.validate_hom((1,), dihedral.group)
+    accepted, _ = pb.validate_hom(w, swap.group)
 
-    hom = pb.HomSpec((1, 1))
     eta = williams.generate(wm2.williams, 25000)
     rng = random.Random(20240809)
-    window = [((a, b), f) for a in range(-4, 5) for b in range(-4, 5)
-              for f in (0, 1)]
+    window = box_elements(cube(2, 4), 2)
     draws = [((rng.randint(-30, 30), rng.randint(-30, 30)), rng.choice((0, 1)))
              for _ in range(100)]
     gs = elt_arrays(draws, swap.group.rank)
-    equiv = int(pb.equivariance_check(hom, swap.group, eta, gs, window).sum())
+    equiv = int(pb.equivariance_check(w, swap.group, eta, gs, window).sum())
 
     zo = ind.ZOracle(eta, margin=600)
     cyls = [ind.Cylinder.single_site(1, 0), ind.Cylinder.single_site(1, 1)]
     res = ind.find_independence_set(cyls, 2, zo, ind.z_candidates(432), wm2.group)
-    po = ind.PullbackOracle(hom, swap.group, eta, radius=4)
-    transported = ind.transport_certificate(hom, swap.group, res.certificate, po)
+    po = ind.PullbackOracle(w, swap.group, eta, radius=4)
+    transported = ind.transport_certificate(w, swap.group, res.certificate, po)
     size_kept = transported.size == res.certificate.size
 
     passed = (not rejected) and accepted and equiv == 100 and size_kept

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from toeplitz_lab import decks, independence, verify
 from toeplitz_lab.independence import (
     _first_true_index,
-    _in_search_order,
     _pack,
     _packed_masks,
     _site_translates,
@@ -28,8 +27,8 @@ from toeplitz_lab.independence import (
     transport_certificate,
     z_candidates,
 )
-from toeplitz_lab.lattice import SpecError, search_key
-from toeplitz_lab.pullback import HomSpec, section_element, section_vector
+from toeplitz_lab.lattice import SpecError, elt_arrays, search_key, search_order
+from toeplitz_lab.pullback import section_element, section_vector
 from toeplitz_lab.toeplitz import OUTSIDE, SYMBOL_DTYPE, Construction, EtaWindow
 from toeplitz_lab.williams import generate
 
@@ -218,7 +217,7 @@ def _z_oracle(name):
 def _pullback_oracle(name):
     group = decks.bundled_deck(name).group
     eta = generate(wdeck().williams, 500)
-    return PullbackOracle(HomSpec((1, 1)), group, eta, radius=6), group, 300
+    return PullbackOracle((1, 1), group, eta, radius=6), group, 300
 
 
 def _g_oracle(name):
@@ -246,7 +245,7 @@ def _readable(oracle, v, f):
         return np.abs(v[:, 0]) <= oracle.patch.N
     if isinstance(oracle, GOracle):
         return oracle.cons.domains.in_box_arr(v, oracle.win.N)
-    return np.abs(v @ np.array(oracle.hom.w)) <= oracle.source.N
+    return np.abs(v @ oracle.w) <= oracle.source.N
 
 
 def _grid_read(oracle, spec, a):
@@ -322,11 +321,11 @@ def test_pullback_site_bits_refuse_exactly_the_shifts_leaving_the_source(name, w
     reads what ``ZPatch.symbol`` reads cell by cell."""
     group = decks.bundled_deck(name).group
     eta = generate(wdeck().williams, 500)
-    oracle = PullbackOracle(HomSpec(w), group, eta, radius=6)
+    oracle = PullbackOracle(w, group, eta, radius=6)
     reach = 6 * sum(map(abs, w))
     phi = (oracle.grid[0] @ np.array(w)).tolist()
     assert max(phi) == reach
-    u = section_vector(HomSpec(w))
+    u = section_vector(w)
     edge = eta.N - reach
     for n in (0, *range(edge - 2, edge + 3), *range(-edge - 2, -edge + 3)):
         moved = _translates(group, (tuple(n * x for x in u), 1 % group.finite_order))
@@ -352,9 +351,9 @@ def test_site_translates_match_the_reference(name):
         return (tuple(rng.randint(-50, 50) for _ in range(spec.rank)),
                 rng.randrange(spec.finite_order))
     cand, sites = [draw() for _ in range(7)], [draw() for _ in range(3)]
-    assert _site_translates(spec, cand, sites) == \
+    assert _site_translates(spec, elt_arrays(cand, spec.rank), sites) == \
         [[_translates(spec, spec.mul(spec.inv(g), s)) for s in sites] for g in cand]
-    assert _site_translates(spec, [], sites) == []
+    assert _site_translates(spec, elt_arrays([], spec.rank), sites) == []
 
 
 def _z_certificate():
@@ -376,8 +375,8 @@ def _g_certificate():
 def _pullback_certificate():
     cert, zo, _ = _z_certificate()
     swap = decks.bundled_deck("swap-m2").group
-    po = PullbackOracle(HomSpec((1, 1)), swap, zo.patch, radius=4)
-    return transport_certificate(HomSpec((1, 1)), swap, cert, po), po, swap
+    po = PullbackOracle((1, 1), swap, zo.patch, radius=4)
+    return transport_certificate((1, 1), swap, cert, po), po, swap
 
 
 CERTIFICATE_CASES = {"z": _z_certificate, "g": _g_certificate,
@@ -427,7 +426,7 @@ def test_undefined_cell_is_a_wrong_witness_not_a_window_miss(case):
     still raises.  The williams-m2 search patch (N = 21,218) leaves cell
     -19,217 Undefined."""
     cert, oracle, spec = CERTIFICATE_CASES[case]()
-    patch, hom = (oracle.patch, HomSpec((1,))) if case == "z" else (oracle.source, oracle.hom)
+    patch, w = (oracle.patch, (1,)) if case == "z" else (oracle.source, oracle.w.tolist())
     n = -19217
     assert patch.N == 21218 and patch.symbol(n) is None
     # the first read of assignment (1, 1) is h g^-1 at g = J[0]: phi of it is
@@ -436,7 +435,7 @@ def test_undefined_cell_is_a_wrong_witness_not_a_window_miss(case):
     assert all(c.shape == (spec.identity,) for c in cert.cylinders)
 
     def moved(target):
-        h = section_element(hom, target + sum(a * x for a, x in zip(hom.w, g[0])))
+        h = section_element(w, target + sum(a * x for a, x in zip(w, g[0])))
         wits = {**cert.witnesses, (1, 1): h}
         return Certificate(cert.cylinders, cert.independence_set, wits)
 
@@ -463,20 +462,20 @@ def test_group_recheck_reads_no_window_array(monkeypatch):
 def test_transport_preserves_size():
     wm2 = wdeck()
     z2 = decks.bundled_deck("z2-m2")
-    hom = HomSpec((1, 0))
+    w = (1, 0)
     eta = generate(wm2.williams, 2 * wm2.williams.periods[3] + 500)
     zo = ZOracle(eta, margin=433)
     res = find_independence_set(symbol_cylinders(2), 3, zo,
                                 z_candidates(wm2.williams.periods[2]),
                                 wm2.group)
-    po = PullbackOracle(hom, z2.group, eta, radius=4)
-    out = transport_certificate(hom, z2.group, res.certificate, po)
+    po = PullbackOracle(w, z2.group, eta, radius=4)
+    out = transport_certificate(w, z2.group, res.certificate, po)
     assert out.size == res.certificate.size == 3
     # a singleton transports trivially
     single = find_independence_set(symbol_cylinders(2), 1, zo,
                                    z_candidates(wm2.williams.periods[2]),
                                    wm2.group).certificate
-    assert transport_certificate(hom, z2.group, single, po).size == 1
+    assert transport_certificate(w, z2.group, single, po).size == 1
 
 
 def test_regional_witness_replay():
@@ -514,7 +513,8 @@ def _find_independence_set_reference(cylinders, target_size, oracle, candidates,
     got pools."""
     cylinders = tuple(cylinders)
     k = len(cylinders)
-    cand = sorted(set(candidates), key=search_key)
+    v, f = candidates
+    cand = sorted(set(zip(map(tuple, v.tolist()), f.tolist())), key=search_key)
     mask_memo = {}
     reads = {}
     read = _shift_reader(oracle, spec)
@@ -628,7 +628,7 @@ def _pattern_case(target):
 def _pullback_case(target):
     wm2, z2 = wdeck(), decks.bundled_deck("z2-m2")
     eta = generate(wm2.williams, 2 * wm2.williams.periods[3] + 500)
-    oracle = PullbackOracle(HomSpec((1, 1)), z2.group, eta, radius=6)
+    oracle = PullbackOracle((1, 1), z2.group, eta, radius=6)
     cyls = [Cylinder.single_site(2, s) for s in (0, 1)]
     return (cyls, target, oracle, g_candidates(z2.group, 5), z2.group), {}
 
@@ -693,7 +693,7 @@ def test_refusal_cases_have_refused_and_accepted_shifts():
             _packed_masks(oracle, reads, moved)
         except CertificateWindowError:
             refused += 1
-    assert 0 < refused < len(cands)
+    assert 0 < refused < len(cands[1])
 
 
 @pytest.mark.parametrize("name,target,builds", [
@@ -797,23 +797,34 @@ def test_a_candidate_stops_at_its_first_empty_mask():
 
 @pytest.mark.parametrize("deck_name", decks.BUNDLED)
 def test_candidates_come_in_search_order(deck_name):
-    """``g_candidates`` and ``z_candidates`` at radii 0, 1 and 15 against
-    the scalar sort key, and shuffled lists with duplicates put in order by
-    the search, which keeps the caller's tuples."""
+    """``g_candidates`` and ``z_candidates`` at radii 0, 1 and 15 are the
+    cube's element arrays, finite part first, and ``search_order`` puts them
+    in the order of the scalar sort key."""
     spec = decks.bundled_deck(deck_name).group
-    rng = random.Random(deck_name)
     for radius in (0, 1, 15):
         axes = [range(-radius, radius + 1)] * spec.rank
-        elts = [(v, f) for f in range(spec.finite_order) for v in product(*axes)]
-        want = sorted(set(elts), key=search_key)
-        assert g_candidates(spec, radius) == want
-        assert z_candidates(radius) == sorted({((n,), 0) for n in range(-radius, radius + 1)},
-                                              key=search_key)
-        # equal elements as distinct tuples
-        copies = [(tuple(list(v)), f) for v, f in rng.sample(elts, len(elts) // 3 + 1)]
-        shuffled = elts + copies
-        rng.shuffle(shuffled)
-        got = _in_search_order(shuffled, spec.rank)
-        assert got == want
-        first = {e: e for e in reversed(shuffled)}  # each element's first tuple
-        assert all(g is first[g] for g in got)
+        cases = (
+            (g_candidates(spec, radius),
+             [(v, f) for f in range(spec.finite_order) for v in product(*axes)]),
+            (z_candidates(radius), [((n,), 0) for n in range(-radius, radius + 1)]))
+        for (v, f), want in cases:
+            got = list(zip(map(tuple, v.tolist()), f.tolist()))
+            assert got == want
+            assert [got[i] for i in search_order(v, f).tolist()] == \
+                sorted(want, key=search_key)
+
+
+@pytest.mark.parametrize("case", ["swap-m2:w3:4", "williams-m3:z:3"])
+def test_search_orders_shuffled_candidates_with_repeats(case):
+    """The search orders its candidates itself: the candidate arrays shuffled,
+    with a third of their rows repeated, give the status, steps and
+    certificate of the arrays ``g_candidates`` and ``z_candidates`` return."""
+    (cyls, target, oracle, (v, f), spec), kw = SEARCH_CASES[case]()
+    want = find_independence_set(cyls, target, oracle, (v, f), spec, **kw)
+    rng = random.Random(case)
+    rows = list(range(len(f))) + rng.sample(range(len(f)), len(f) // 3)
+    rng.shuffle(rows)
+    got = find_independence_set(cyls, target, oracle, (v[rows], f[rows]), spec, **kw)
+    assert want.status == "found"
+    assert (got.status, got.steps) == (want.status, want.steps)
+    assert got.certificate.to_json() == want.certificate.to_json()

@@ -45,6 +45,11 @@ Every deck takes one route: outside lattice.py, ``GroupSpec``,
 ``decks.deck_from_config``, which builds the bundled decks from their
 documents as it builds a deck file.
 
+Candidates are put in search order in one place: outside lattice.py,
+``lattice.search_order`` is called only inside
+``independence.find_independence_set``, which takes candidates in any order,
+so no caller orders them a second time.
+
 Both layers, the group array and the 1-d sequence, store and read cells in
 one format, defined once at the top of toeplitz.py (``CELL_FORMAT``):
 ``LEVEL_DTYPE`` and ``SYMBOL_DTYPE``, and the two no-symbol values
@@ -415,6 +420,37 @@ def test_deck_route_guard_sees_a_second_route():
         ["decks.py:5: Deck", "decks.py:5: SubgroupChain"]
     assert _deck_type_calls(source, "cli") == \
         ["cli.py:2: Deck", "cli.py:2: GroupSpec", "cli.py:5: Deck", "cli.py:5: SubgroupChain"]
+
+
+def _search_order_calls(source: str, stem: str) -> list[str]:
+    """Each call of ``search_order`` in the source outside
+    ``independence.find_independence_set``, bare or reached as an attribute,
+    by line."""
+    tree = ast.parse(source)
+    search = {id(node) for top in tree.body
+              if stem == "independence" and isinstance(top, ast.FunctionDef)
+              and top.name == "find_independence_set" for node in ast.walk(top)}
+    return [f"{stem}.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in search
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "search_order"]
+
+
+def test_candidates_are_ordered_only_by_the_search():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "lattice.py"
+             for hit in _search_order_calls(path.read_text(), path.stem)]
+    assert found == [], \
+        f"search_order called outside independence.find_independence_set: {found}"
+
+
+def test_search_order_guard_sees_a_second_caller():
+    source = ("def find_independence_set(cylinders, target, oracle, candidates, spec):\n"
+              "    order = search_order(*candidates)\n"
+              "\n"
+              "def g_candidates(spec, radius):\n"
+              "    v, f = box_elements(cube(spec.rank, radius), spec.finite_order)\n"
+              "    return v[lattice.search_order(v, f)], f\n")
+    assert _search_order_calls(source, "independence") == ["independence.py:6"]
+    assert _search_order_calls(source, "verify") == ["verify.py:2", "verify.py:6"]
 
 
 # the cell format of both layers: name -> the numpy dtype it names, if any
