@@ -340,8 +340,6 @@ def independence_search(deck: deckmod.Deck, target: int | None = None,
     wp = deck.williams
     if target is None:
         target = 3 if wp is not None and deck.m == 2 else 2
-    if target < 1:
-        raise SpecError(f"independence set size must be at least 1, got {target}")
     if wp is not None:
         if wp.depth < 4:
             raise SpecError(f"the independence search of a 1-d deck reads p_3 and "

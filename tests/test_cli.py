@@ -843,13 +843,15 @@ def test_gen_group_compares_the_fresh_routes_at_full_depth(tmp_path, monkeypatch
 
 
 def test_independence_budget_exhaustion(tmp_path):
-    out = tmp_path / "o"
-    code = run(["independence", "--config", "williams-m2", "--max-steps", "2",
-                "--out", str(out)])
-    assert code == 3
-    rows = list(csv.reader(open(out / "williams-m2" / "independence" /
-                                "summary.csv")))
-    assert rows[1][3] == "exhausted"
+    """A step budget and a wall-clock budget that run out both exit 3 with
+    the verdict exhausted."""
+    for deck, budget in (("williams-m2", ["--max-steps", "2"]),
+                         ("dihedral-m2", ["--budget", "1e-9"])):
+        out = tmp_path / deck
+        code = run(["independence", "--config", deck, *budget, "--out", str(out)])
+        assert code == 3
+        rows = list(csv.reader(open(out / deck / "independence" / "summary.csv")))
+        assert rows[1][3] == "exhausted"
 
 
 def test_independence_success(tmp_path):

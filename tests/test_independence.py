@@ -1,11 +1,12 @@
 import random
 import re
 import time
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toeplitz_lab import decks, independence, verify
 from toeplitz_lab.independence import (
@@ -30,7 +31,7 @@ from toeplitz_lab.independence import (
 from toeplitz_lab.lattice import SpecError, elt_arrays, search_key, search_order
 from toeplitz_lab.pullback import section_element, section_vector
 from toeplitz_lab.toeplitz import OUTSIDE, SYMBOL_DTYPE, Construction, EtaWindow
-from toeplitz_lab.williams import generate
+from toeplitz_lab.williams import WilliamsParams, generate
 
 
 def wdeck():
@@ -130,6 +131,18 @@ def test_pigeonhole_none_and_budget_exhaustion():
     res2 = find_independence_set(symbol_cylinders(2), 3, oracle,
                                  z_candidates(400), deck.group, max_steps=3)
     assert res2.status == "exhausted" and res2.certificate is None
+
+
+def test_meaningless_search_targets_are_refused():
+    """A target size below 1 would walk the whole tree to "none", and no
+    cylinders would give "found" with a vacuous certificate: both are
+    refused before the search starts."""
+    (cyls, _, oracle, cands, spec), _ = _group_case("dihedral-m2", 3, 5, radius=3)
+    for target in (0, -1):
+        with pytest.raises(SpecError, match="size must be at least 1"):
+            find_independence_set(cyls, target, oracle, cands, spec)
+    with pytest.raises(SpecError, match="at least one cylinder"):
+        find_independence_set([], 2, oracle, cands, spec)
 
 
 def test_search_order_is_canonical():
@@ -682,6 +695,61 @@ def test_search_matches_numpy_reference(case):
         assert res.certificate is None
     else:
         assert res.certificate.to_json() == cert.to_json()
+
+
+def test_a_past_deadline_ends_the_search_at_its_first_step():
+    args, _ = _group_case("dihedral-m2", 3, 5)
+    res = find_independence_set(*args, deadline=time.monotonic() - 1)
+    assert (res.status, res.steps, res.certificate) == ("exhausted", 1, None)
+
+
+@pytest.mark.parametrize("case", ["swap-m2:w3:4", "williams-m3:z:3",
+                                  "dihedral-m2:w3:5:max-steps-5000"])
+def test_a_distant_deadline_changes_nothing(case):
+    """With a deadline every step goes through the budget's slow path; one
+    that is never reached gives the status, steps and certificate of no
+    deadline, also where the step budget ends the search."""
+    args, kw = SEARCH_CASES[case]()
+    want = find_independence_set(*args, **kw)
+    got = find_independence_set(*args, **kw, deadline=time.monotonic() + 100)
+    assert (got.status, got.steps) == (want.status, want.steps)
+    assert (got.certificate and got.certificate.to_json()) == \
+        (want.certificate and want.certificate.to_json())
+
+
+@st.composite
+def _overlapping_cylinders(draw):
+    """2 or 3 cylinders on 1- to 3-site shapes near the identity, reading
+    the symbols 0 and 1: their masks nest, coincide or overlap."""
+    cyls = []
+    for _ in range(draw(st.integers(2, 3))):
+        shape = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+        pattern = draw(st.lists(st.integers(0, 1), min_size=len(shape), max_size=len(shape)))
+        cyls.append(Cylinder(tuple(((s,), 0) for s in shape), tuple(pattern)))
+    return cyls
+
+
+RADIUS_100 = generate(WilliamsParams(2, (3, 18, 216)), 100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(patch_seed=st.integers(0, 2**32 - 1), cyls=_overlapping_cylinders(),
+       target=st.integers(2, 4), margin=st.integers(2, 8), radius=st.integers(1, 6),
+       max_steps=st.one_of(st.just(independence.MAX_STEPS), st.integers(1, 300)))
+def test_search_matches_the_reference_where_table_entries_overlap(
+        patch_seed, cyls, target, margin, radius, max_steps):
+    """The searches of SEARCH_CASES mostly read one site per cylinder with
+    its own symbol, so the entries of a node's table are disjoint.  Here
+    they nest or coincide, which the smallest-first test order and the
+    product order of the witnesses must both survive: reading the witnesses
+    from a table in tested order fails here within the 150 examples."""
+    symbols = random.Random(patch_seed).choices((0, 1), k=len(RADIUS_100.symbols))
+    patch = replace(RADIUS_100, symbols=np.array(symbols, dtype=SYMBOL_DTYPE))
+    args = cyls, target, ZOracle(patch, margin), z_candidates(radius), wdeck().group
+    res = find_independence_set(*args, max_steps=max_steps)
+    status, cert, steps = _find_independence_set_reference(*args, max_steps=max_steps)
+    assert (res.status, res.steps) == (status, steps)
+    assert (res.certificate and res.certificate.to_json()) == (cert and cert.to_json())
 
 
 def test_refusal_cases_have_refused_and_accepted_shifts():
